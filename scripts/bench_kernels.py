@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Record the BENCH_kernels.json microbenchmark baseline.
 
-Three measurements, all host wall-clock (best of ``--repeats`` timed
-runs after one warm-up):
+The measurements, host wall-clock unless a cell says ``simulated`` (best
+of ``--repeats`` timed runs after one warm-up):
 
 * **scatter-add vs segment-sum** — the local ``csr_spmm`` kernel (the
   cuSPARSE ``csrmm2`` stand-in) implemented with ``np.add.at`` (the
@@ -35,11 +35,25 @@ runs after one warm-up):
   gradient exchange at ``grad_dtype="bfloat16"`` against the default
   full-precision wire, from the trainer's own exchange accounting (the
   compressed loss trajectory is validated in ``tests/test_gradsync.py``).
+* **cached vs recomputed input propagation, epoch** — full training
+  epochs with layer 0's ``A X`` kept across epochs
+  (``cache_input_propagation=True``, the trainer's default) against
+  recomputing it every epoch (the paper's schedule), after a warm-up
+  epoch that pays the one-off: simulated clocks and exact bytes on
+  ``sim``, wall clock on ``process``.  Losses are asserted bit-identical.
+  Every other epoch cell pins the flag to ``False`` — they measure the
+  paper's schedule.
 
 Usage::
 
     PYTHONPATH=src python scripts/bench_kernels.py            # full -> BENCH_kernels.json
     PYTHONPATH=src python scripts/bench_kernels.py --quick -o /tmp/k.json
+    PYTHONPATH=src python scripts/bench_kernels.py \\
+        --only input_propagation_cache_sim input_propagation_cache_process
+
+``--only`` re-records just the named cells and leaves the rest of the
+output file as it was (wall-clock cells move on every run, so adding one
+cell should not rewrite the others).
 
 ``--quick`` shrinks the operands so the whole script fits comfortably in
 the CI smoke budget (see ``scripts/smoke.sh``).  Wall-clock numbers are
@@ -60,7 +74,8 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.comm import make_communicator                       # noqa: E402
 from repro.core import (BlockRowDistribution, DistDenseMatrix,  # noqa: E402
-                        DistSparseMatrix, DistTrainConfig, train_distributed)
+                        DistSparseMatrix, DistTrainConfig, setup_distributed,
+                        train_distributed)
 from repro.core.engine import DenseSpec, compile as compile_spmm, spmm  # noqa: E402
 from repro.graphs import gcn_normalize                          # noqa: E402
 from repro.graphs.datasets import load_dataset                  # noqa: E402
@@ -249,7 +264,7 @@ def bench_gradsync_epoch(scale: float, p: int, layers: int,
     def run(**overrides):
         cfg = DistTrainConfig(n_ranks=p, partitioner=None, epochs=2,
                               n_layers=layers, hidden=hidden, seed=0,
-                              **overrides)
+                              cache_input_propagation=False, **overrides)
         return train_distributed(dataset, cfg, eval_every=0)
 
     sync = run()
@@ -277,7 +292,7 @@ def bench_grad_wire_volume(scale: float, p: int, layers: int,
     def run(**overrides):
         cfg = DistTrainConfig(n_ranks=p, partitioner=None, epochs=1,
                               n_layers=layers, hidden=hidden, seed=0,
-                              **overrides)
+                              cache_input_propagation=False, **overrides)
         return train_distributed(dataset, cfg, eval_every=0)
 
     full = run()
@@ -293,6 +308,53 @@ def bench_grad_wire_volume(scale: float, p: int, layers: int,
     }
 
 
+def bench_input_propagation_epoch(scale: float, p: int, backend: str,
+                                  epochs: int, repeats: int) -> dict:
+    """Training epochs with layer 0's ``A X`` cached vs recomputed.
+
+    One warm-up epoch per model (cold workers and arenas; with the cache
+    on it also pays the one-off wide SpMM), then ``epochs`` timed epochs:
+    the simulated clock on ``sim`` (deterministic), best-of-``repeats``
+    wall clock otherwise.  Bytes per epoch are exact on every backend.
+    """
+    dataset = load_dataset("amazon", scale=scale, seed=0)
+    lr = 0.05
+
+    def run(cached: bool):
+        cfg = DistTrainConfig(n_ranks=p, partitioner=None, backend=backend,
+                              seed=0, cache_input_propagation=cached)
+        setup = setup_distributed(dataset, cfg)
+        with setup.comm as comm:
+            model = setup.model
+            losses = [model.train_epoch(lr)]
+            bytes0, clock0 = comm.events.total_bytes(), comm.elapsed()
+            wall = float("inf")
+            for _ in range(max(1, repeats)):
+                t0 = time.perf_counter()
+                losses.extend(model.train_epoch(lr) for _ in range(epochs))
+                wall = min(wall, time.perf_counter() - t0)
+            ran = len(losses) - 1
+            seconds = (comm.elapsed() - clock0) / ran \
+                if backend == "sim" else wall / epochs
+            return (losses, seconds,
+                    (comm.events.total_bytes() - bytes0) / ran / 1e6)
+
+    losses_off, recomputed_s, recomputed_mb = run(False)
+    losses_on, cached_s, cached_mb = run(True)
+    assert losses_on == losses_off, \
+        "the cached layer-0 product must be bit-identical to recomputing it"
+    return {
+        "dataset": dataset.name, "n": dataset.n_vertices,
+        "f0": dataset.n_features, "p": p, "backend": backend,
+        "epochs_per_run": epochs, "simulated": backend == "sim",
+        "recomputed_s": recomputed_s,
+        "cached_s": cached_s,
+        "cached_speedup": recomputed_s / cached_s,
+        "recomputed_MB_per_epoch": recomputed_mb,
+        "cached_MB_per_epoch": cached_mb,
+    }
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         description="record the kernel/compiled-epoch microbenchmarks")
@@ -302,6 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="small operands for the CI smoke budget")
     parser.add_argument("--repeats", type=int, default=None,
                         help="timed repetitions per cell (best-of)")
+    parser.add_argument("--only", nargs="+", metavar="CELL", default=None,
+                        help="re-record only these cells, keeping the rest "
+                             "of an existing output file")
     return parser
 
 
@@ -310,73 +375,96 @@ def main(argv=None) -> int:
     quick = args.quick
     repeats = args.repeats if args.repeats is not None else (3 if quick else 5)
 
-    start = time.time()
-    kernel = bench_local_kernel(n=4000 if quick else 20000,
-                                avg_degree=12 if quick else 16,
-                                widths=(4, 8, 16), repeats=repeats)
     # The trainer's per-epoch SpMM widths for the default 3-layer GCN at
     # hidden=16 over a feature width of 32: forward f_0, 16, 16 and
     # backward 16, 16, n_classes collapse onto these distinct widths.
     widths = (32, 16, 16, 16, 16, 8)
-    epoch_sim = bench_compiled_epoch(
-        n=1500 if quick else 6000, avg_degree=10, widths=widths, p=4,
-        backend="sim", epochs=1 if quick else 2, repeats=repeats)
-    epoch_process = bench_compiled_epoch(
-        n=1000 if quick else 4000, avg_degree=10, widths=widths, p=2,
-        backend="process", epochs=1 if quick else 2,
-        repeats=min(repeats, 3))
-    overlap_sim = bench_overlapped_epoch(
-        n=1500 if quick else 4000, avg_degree=10, widths=widths, p=4,
-        backend="sim", repeats=1)
-    overlap_process = bench_overlapped_epoch(
-        n=1000 if quick else 2000, avg_degree=10, widths=widths, p=4,
-        backend="process", repeats=4 if quick else 12)
-    gradsync_sim = bench_gradsync_epoch(
-        scale=0.05 if quick else 0.1, p=4, layers=4, hidden=16)
-    grad_volume = bench_grad_wire_volume(
-        scale=0.05 if quick else 0.1, p=4, layers=4, hidden=16)
-
-    payload = {
-        "benchmark": "kernel_microbench",
-        "source": "scripts/bench_kernels.py",
-        "quick": quick,
-        "repeats": repeats,
-        # Host wall-clock: hardware dependent, compare ratios not cells.
-        "deterministic": False,
-        "local_csr_spmm": kernel,
-        "compiled_epoch_sim": epoch_sim,
-        "compiled_epoch_process": epoch_process,
+    cells = {
+        "local_csr_spmm": lambda: bench_local_kernel(
+            n=4000 if quick else 20000, avg_degree=12 if quick else 16,
+            widths=(4, 8, 16), repeats=repeats),
+        "compiled_epoch_sim": lambda: bench_compiled_epoch(
+            n=1500 if quick else 6000, avg_degree=10, widths=widths, p=4,
+            backend="sim", epochs=1 if quick else 2, repeats=repeats),
+        "compiled_epoch_process": lambda: bench_compiled_epoch(
+            n=1000 if quick else 4000, avg_degree=10, widths=widths, p=2,
+            backend="process", epochs=1 if quick else 2,
+            repeats=min(repeats, 3)),
         # Overlapped (pipeline_depth=2) vs synchronous compiled epoch.
         # The sim cell compares *simulated clocks* (deterministic model
         # prediction of the overlap win); the process cell is wall-clock.
-        "overlapped_epoch_sim": overlap_sim,
-        "overlapped_epoch_process": overlap_process,
+        "overlapped_epoch_sim": lambda: bench_overlapped_epoch(
+            n=1500 if quick else 4000, avg_degree=10, widths=widths, p=4,
+            backend="sim", repeats=1),
+        "overlapped_epoch_process": lambda: bench_overlapped_epoch(
+            n=1000 if quick else 2000, avg_degree=10, widths=widths, p=4,
+            backend="process", repeats=4 if quick else 12),
         # Wait-free (grad_overlap) vs synchronous backward pass, and the
         # bf16-vs-f64 gradient wire volume; both deterministic (sim
         # clocks / exact byte accounting).
-        "gradsync_waitfree_sim": gradsync_sim,
-        "gradsync_wire_volume": grad_volume,
-        "recorder_wall_s": round(time.time() - start, 2),
+        "gradsync_waitfree_sim": lambda: bench_gradsync_epoch(
+            scale=0.05 if quick else 0.1, p=4, layers=4, hidden=16),
+        "gradsync_wire_volume": lambda: bench_grad_wire_volume(
+            scale=0.05 if quick else 0.1, p=4, layers=4, hidden=16),
+        # Cached vs recomputed layer-0 A X, full training epochs: the sim
+        # cell is simulated clocks + exact bytes, the process cell wall.
+        "input_propagation_cache_sim": lambda: bench_input_propagation_epoch(
+            scale=0.05 if quick else 0.25, p=4, backend="sim",
+            epochs=2 if quick else 5, repeats=1),
+        "input_propagation_cache_process":
+            lambda: bench_input_propagation_epoch(
+                scale=0.05 if quick else 0.25, p=4, backend="process",
+                epochs=2 if quick else 5, repeats=min(repeats, 3)),
     }
+    unknown = sorted(set(args.only or ()) - set(cells))
+    if unknown:
+        raise SystemExit(f"unknown cell(s) {unknown}; choose from "
+                         f"{sorted(cells)}")
+
     out_path = pathlib.Path(args.output)
+    start = time.time()
+    if args.only:
+        payload = json.loads(out_path.read_text())
+    else:
+        payload = {
+            "benchmark": "kernel_microbench",
+            "source": "scripts/bench_kernels.py",
+            "quick": quick,
+            "repeats": repeats,
+            # Host wall-clock: hardware dependent, compare ratios not cells.
+            "deterministic": False,
+        }
+    for name in args.only or cells:
+        payload[name] = cells[name]()
+    # Last key either way; --only keeps the full recording's value.
+    payload["recorder_wall_s"] = payload.pop("recorder_wall_s") \
+        if args.only else round(time.time() - start, 2)
     out_path.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {out_path}")
+    kernel = payload["local_csr_spmm"]
     print(f"  segment-sum vs scatter-add: "
           f"{kernel['segment_vs_scatter_speedup']:.2f}x "
           f"(float32 vs float64: {kernel['float32_vs_float64_speedup']:.2f}x)")
-    print(f"  compiled vs uncompiled epoch (sim):     "
-          f"{epoch_sim['compiled_speedup']:.2f}x")
-    print(f"  compiled vs uncompiled epoch (process): "
-          f"{epoch_process['compiled_speedup']:.2f}x")
+    for backend in ("sim", "process"):
+        print(f"  compiled vs uncompiled epoch ({backend}): "
+              f"{payload[f'compiled_epoch_{backend}']['compiled_speedup']:.2f}x")
     print(f"  overlapped vs synchronous epoch (sim, simulated clock): "
-          f"{overlap_sim['overlap_speedup']:.2f}x")
+          f"{payload['overlapped_epoch_sim']['overlap_speedup']:.2f}x")
+    overlap_process = payload["overlapped_epoch_process"]
     print(f"  overlapped vs synchronous epoch (process, p="
           f"{overlap_process['p']}): "
           f"{overlap_process['overlap_speedup']:.2f}x")
     print(f"  wait-free vs synchronous backward (sim, simulated clock): "
-          f"{gradsync_sim['waitfree_speedup']:.2f}x")
+          f"{payload['gradsync_waitfree_sim']['waitfree_speedup']:.2f}x")
     print(f"  bf16 vs f64 gradient wire volume: "
-          f"{grad_volume['volume_reduction']:.2f}x smaller")
+          f"{payload['gradsync_wire_volume']['volume_reduction']:.2f}x smaller")
+    cache_sim = payload["input_propagation_cache_sim"]
+    print(f"  cached vs recomputed input propagation, epoch (sim, simulated "
+          f"clock): {cache_sim['cached_speedup']:.2f}x, "
+          f"{cache_sim['recomputed_MB_per_epoch']:.2f} -> "
+          f"{cache_sim['cached_MB_per_epoch']:.2f} MB/epoch")
+    print(f"  cached vs recomputed input propagation, epoch (process): "
+          f"{payload['input_propagation_cache_process']['cached_speedup']:.2f}x")
     return 0
 
 

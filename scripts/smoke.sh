@@ -22,6 +22,9 @@
 # exactly the in-flight request fails with a structured retryable
 # ServeError, the engine restarts within its budget, and post-restart
 # logits are bit-identical to the pre-fault run),
+# a paper-row leg (re-run one cell of the checked-in, deterministic
+# BENCH_spmm.json sweep and assert every recorded field is reproduced
+# exactly, so a changed default cannot silently shift a paper figure),
 # the per-host overhead calibration (repro calibrate --quick --dry-run,
 # never writing CI hosts' numbers anywhere), and the
 # kernel/compiled-epoch/overlap microbenchmark (scripts/bench_kernels.py
@@ -168,6 +171,28 @@ with tempfile.TemporaryDirectory() as tmp:
     finally:
         engine.close()
 print(f"kill-mid-serve: restart in {recover_s:.2f}s, logits bit-identical")
+PYEOF
+  echo "== BENCH_spmm.json cell reproduces exactly =="
+  python - <<"PYEOF"
+import json
+from repro.bench import figure3_1d_scaling
+
+with open("BENCH_spmm.json") as fh:
+    payload = json.load(fh)
+assert payload["deterministic"] is True and payload["backend"] == "sim"
+cfg = payload["config"]
+name, p = payload["rows"][0]["dataset"], payload["rows"][0]["p"]
+rows = figure3_1d_scaling(datasets=(name,), p_values=(p,),
+                          scale=cfg["scale"], epochs=cfg["epochs"],
+                          backend="sim", seed=cfg["seed"])
+recorded = {r["scheme"]: r for r in payload["rows"]
+            if (r["dataset"], r["p"]) == (name, p)}
+assert recorded.keys() == {row["scheme"] for row in rows}, recorded.keys()
+for row in rows:
+    for key, want in recorded[row["scheme"]].items():
+        assert row[key] == want, (row["scheme"], key, row[key], want)
+print(f"paper rows: {len(rows)} schemes of {name} p={p} reproduce "
+      "BENCH_spmm.json exactly")
 PYEOF
   echo "== repro calibrate --quick --dry-run =="
   python -m repro calibrate --quick --dry-run

@@ -63,6 +63,8 @@ def run_single(dataset: GraphDataset, scheme: Scheme, n_ranks: int,
         machine=machine,
         backend=backend,
         seed=seed,
+        # The paper's figures count the layer-0 exchange every epoch.
+        cache_input_propagation=False,
     )
     result = train_distributed(dataset, config, eval_every=0,
                                partition=partition)

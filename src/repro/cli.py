@@ -456,6 +456,7 @@ def _cmd_train(args) -> int:
         "epochs": config.epochs,
         "avg_epoch_time_s": result.avg_epoch_time_s,
         "total_time_s": result.total_time_s,
+        "input_propagation_s": result.input_propagation_s,
         "final_loss": result.final_loss,
         "test_accuracy": result.test_accuracy,
     }
@@ -664,6 +665,8 @@ def _cmd_tune(args) -> int:
         top_k=topk,
         probe_budget_s=budget,
         seed=args.seed,
+        # Tune for what `repro train` runs (and shares a cache key with).
+        cache_input_propagation=True,
         cache=cache,
         use_cache=not args.no_cache,
     )

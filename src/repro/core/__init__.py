@@ -8,7 +8,7 @@ from .analysis import (ELEMENT_BYTES, VolumeTableRow, predicted_bytes_per_spmm,
 from .config import AUTO, Algorithm, DistTrainConfig
 from .costmodel import (CommCostBreakdown, best_replication_factor,
                         crossover_process_count, epoch_cost,
-                        gradient_exchange_cost,
+                        epoch_spmm_widths, gradient_exchange_cost,
                         spmm_cost_15d_oblivious, spmm_cost_15d_sparsity_aware,
                         spmm_cost_1d_oblivious, spmm_cost_1d_sparsity_aware)
 from .checkpoint import (CheckpointError, CheckpointManager,
@@ -39,7 +39,7 @@ __all__ = [
     "CheckpointError", "CheckpointManager", "TrainingCheckpoint",
     "config_fingerprint", "read_checkpoint", "write_checkpoint",
     "CommCostBreakdown", "best_replication_factor", "crossover_process_count",
-    "epoch_cost", "gradient_exchange_cost",
+    "epoch_cost", "epoch_spmm_widths", "gradient_exchange_cost",
     "spmm_cost_1d_oblivious", "spmm_cost_1d_sparsity_aware",
     "spmm_cost_15d_oblivious", "spmm_cost_15d_sparsity_aware",
     "DistLayerCache", "DistributedGCN",

@@ -170,6 +170,7 @@ class DistTrainConfig:
     grad_overlap: bool = False
     grad_bucket_bytes: Optional[int] = None
     grad_dtype: Optional[str] = None
+    cache_input_propagation: bool = True
     checkpoint_dir: Optional[str] = None
     checkpoint_every: int = 0
     resume: bool = False

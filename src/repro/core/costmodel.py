@@ -9,8 +9,10 @@ alpha-beta model:
 * sparsity-oblivious 1D (CAGNET): every block row of ``H`` is broadcast in
   full, so the bandwidth term is ``n f beta`` regardless of ``P`` — the
   reason the CAGNET curves in Figure 3 do not go down with more GPUs,
-* per-epoch totals multiply the per-SpMM terms by ``2 L`` (two SpMMs per
-  layer, forward and input-gradient).
+* per-epoch totals sum the per-SpMM terms over the epoch's ``2 L`` SpMMs
+  (one forward propagation and one backward ``A G`` per layer), or
+  ``2 L - 1`` when layer 0's constant ``A X`` is cached
+  (:func:`epoch_spmm_widths`).
 
 This module evaluates those formulas for a concrete distributed matrix and
 machine so that
@@ -45,6 +47,7 @@ __all__ = [
     "spmm_cost_15d_oblivious",
     "spmm_cost_15d_sparsity_aware",
     "epoch_cost",
+    "epoch_spmm_widths",
     "gradient_exchange_cost",
     "crossover_process_count",
     "best_replication_factor",
@@ -275,6 +278,25 @@ def gradient_exchange_cost(layer_dims: Sequence[int],
     return total
 
 
+def epoch_spmm_widths(layer_dims: Sequence[int],
+                      cache_input_propagation: bool = False) -> List[int]:
+    """Operand widths of the distributed SpMMs one training epoch runs.
+
+    Layer ``l`` propagates ``f_{l-1}``-wide rows forward and ``f_l``-wide
+    rows backward.  With ``cache_input_propagation`` the trainer keeps
+    layer 0's ``A X`` across epochs, so the ``f_0``-wide forward SpMM is
+    not part of the epoch.  The single definition of the schedule that
+    :func:`epoch_cost`, the planner's message estimate and its probes
+    price.
+    """
+    widths: List[int] = []
+    for l in range(1, len(layer_dims)):
+        if l > 1 or not cache_input_propagation:
+            widths.append(int(layer_dims[l - 1]))
+        widths.append(int(layer_dims[l]))
+    return widths
+
+
 def epoch_cost(matrix: DistSparseMatrix, layer_dims: Sequence[int],
                machine: "str | MachineModel",
                algorithm: str = "1d", sparsity_aware: bool = True,
@@ -284,12 +306,17 @@ def epoch_cost(matrix: DistSparseMatrix, layer_dims: Sequence[int],
                grad_exchange: bool = False,
                grad_overlap: bool = False,
                grad_bucket_bytes: int = 0,
-               grad_element_bytes: Optional[int] = None) -> CommCostBreakdown:
-    """Predicted cost of one training epoch (2 distributed SpMMs per layer).
+               grad_element_bytes: Optional[int] = None,
+               cache_input_propagation: bool = False) -> CommCostBreakdown:
+    """Predicted cost of one training epoch: the sum over its distributed
+    SpMMs (:func:`epoch_spmm_widths`).
 
     ``layer_dims`` is ``[f_0, ..., f_L]``; the forward SpMM of layer ``l``
     moves ``f_{l-1}``-wide rows and the backward SpMM moves ``f_l``-wide
-    rows, matching the trainer's actual traffic.
+    rows, matching the trainer's actual traffic — ``2 L`` SpMMs, or
+    ``2 L - 1`` with ``cache_input_propagation`` (layer 0's forward SpMM
+    runs once per run, not per epoch).  The default prices the paper's
+    schedule, so existing tables are unchanged.
 
     With ``pipeline_depth > 1`` (the compiled operators' double-buffered
     execution) the bandwidth term of each staged SpMM overlaps its local
@@ -310,33 +337,32 @@ def epoch_cost(matrix: DistSparseMatrix, layer_dims: Sequence[int],
     if pipeline_depth < 1:
         raise ValueError(f"pipeline_depth must be >= 1, got {pipeline_depth}")
     totals = dict(latency_s=0.0, bandwidth_s=0.0, reduction_s=0.0, compute_s=0.0)
-    for l in range(1, len(layer_dims)):
-        for f in (int(layer_dims[l - 1]), int(layer_dims[l])):
-            if algorithm == "1d":
-                fn = spmm_cost_1d_sparsity_aware if sparsity_aware \
-                    else spmm_cost_1d_oblivious
-                cost = fn(matrix, f, machine, element_bytes)
-            elif algorithm == "1.5d":
-                if nranks is None:
-                    raise ValueError("the 1.5D model needs nranks")
-                fn = spmm_cost_15d_sparsity_aware if sparsity_aware \
-                    else spmm_cost_15d_oblivious
-                cost = fn(matrix, f, nranks, replication, machine,
-                          element_bytes)
-            else:
-                raise ValueError(f"unknown algorithm {algorithm!r}")
-            bandwidth = cost.bandwidth_s
-            if pipeline_depth > 1:
-                windows = _overlap_windows(algorithm, sparsity_aware,
-                                           matrix, nranks, replication)
-                if windows > 1:
-                    hidden = min(bandwidth, cost.compute_s) \
-                        * (windows - 1) / windows
-                    bandwidth -= hidden
-            totals["latency_s"] += cost.latency_s
-            totals["bandwidth_s"] += bandwidth
-            totals["reduction_s"] += cost.reduction_s
-            totals["compute_s"] += cost.compute_s
+    for f in epoch_spmm_widths(layer_dims, cache_input_propagation):
+        if algorithm == "1d":
+            fn = spmm_cost_1d_sparsity_aware if sparsity_aware \
+                else spmm_cost_1d_oblivious
+            cost = fn(matrix, f, machine, element_bytes)
+        elif algorithm == "1.5d":
+            if nranks is None:
+                raise ValueError("the 1.5D model needs nranks")
+            fn = spmm_cost_15d_sparsity_aware if sparsity_aware \
+                else spmm_cost_15d_oblivious
+            cost = fn(matrix, f, nranks, replication, machine,
+                      element_bytes)
+        else:
+            raise ValueError(f"unknown algorithm {algorithm!r}")
+        bandwidth = cost.bandwidth_s
+        if pipeline_depth > 1:
+            windows = _overlap_windows(algorithm, sparsity_aware,
+                                       matrix, nranks, replication)
+            if windows > 1:
+                hidden = min(bandwidth, cost.compute_s) \
+                    * (windows - 1) / windows
+                bandwidth -= hidden
+        totals["latency_s"] += cost.latency_s
+        totals["bandwidth_s"] += bandwidth
+        totals["reduction_s"] += cost.reduction_s
+        totals["compute_s"] += cost.compute_s
     if grad_exchange:
         p = nranks if nranks is not None else matrix.nblocks
         totals["reduction_s"] += gradient_exchange_cost(

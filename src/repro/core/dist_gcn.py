@@ -1,8 +1,10 @@
 """Distributed full-graph GCN training on the pluggable comm runtime.
 
 :class:`DistributedGCN` performs exactly the arithmetic of the reference
-model in :mod:`repro.gcn` with the two SpMMs per layer (forward propagation
-and input-gradient computation) replaced by the distributed 1D / 1.5D,
+model in :mod:`repro.gcn` with its SpMMs — one forward propagation and one
+backward ``A G`` per layer, ``2L`` per epoch, or ``2L - 1`` once the
+constant layer-0 product ``A X`` is cached (``cache_input_propagation``) —
+replaced by the distributed 1D / 1.5D,
 sparsity-oblivious / sparsity-aware algorithms of the paper, dispatched
 through the :class:`~repro.core.engine.SpmmEngine` on any
 :class:`~repro.comm.base.Communicator` backend (simulated or real).  Activations,
@@ -18,8 +20,9 @@ integration tests assert this for every algorithm variant.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -88,6 +91,14 @@ class DistributedGCN:
         reduced gradients always apply to the full-precision master
         weights).  The defaults reproduce the synchronous trainer
         bit- and clock-identically.
+    cache_input_propagation:
+        Compute layer 0's ``A X`` once, in the first *training*
+        :meth:`forward`, and reuse it every later epoch — ``A`` and ``X``
+        are constant for the run, so the per-epoch schedule drops to
+        ``2L - 1`` SpMMs with bit-identical results (see
+        :meth:`input_propagation`).  Off by default here: the paper's
+        figures count the layer-0 exchange every epoch; the trainer turns
+        it on through ``DistTrainConfig.cache_input_propagation``.
 
     Every distributed SpMM the model issues runs through a **compiled
     operator** (:meth:`repro.core.engine.SpmmEngine.compile`): the model
@@ -111,7 +122,8 @@ class DistributedGCN:
                  pipeline_depth: int = 1,
                  grad_overlap: bool = False,
                  grad_bucket_bytes: int = 0,
-                 grad_dtype: Optional[str] = None) -> None:
+                 grad_dtype: Optional[str] = None,
+                 cache_input_propagation: bool = False) -> None:
         if adjacency_dist.dist != features_dist.dist:
             raise ValueError("adjacency and features use different distributions")
         self.adjacency = adjacency_dist
@@ -169,6 +181,11 @@ class DistributedGCN:
                                          dtype=self.dtype,
                                          pipeline_depth=self.pipeline_depth)
         self._compiled.warm(sorted(set(self.layer_dims)))
+        self.cache_input_propagation = bool(cache_input_propagation)
+        # (features operand, owned A X): keyed on the operand's identity,
+        # so assigning new ``features`` to a live model recomputes.
+        self._input_propagation: Optional[
+            Tuple[DistDenseMatrix, DistDenseMatrix]] = None
 
         # Number of training vertices (global) — needed for the mean in the
         # loss; known to every process after setup.
@@ -264,6 +281,36 @@ class DistributedGCN:
         """Compile (uncounted) plans for any not-yet-retained widths."""
         self._compiled.warm(widths)
 
+    def input_propagation(self) -> DistDenseMatrix:
+        """Layer 0's ``A X`` for the model's own ``features``, computed
+        through the distributed SpMM on first use and kept.
+
+        The kept product owns its memory: a compiled operator's result
+        aliases its output workspace, which the next width-``f_0`` call
+        (``forward(features)``, ``spmm(x)``) overwrites.  Once it is
+        copied out, the width-``f_0`` plan serves nothing else in training
+        unless another layer shares the width, so it is evicted — its
+        ``n x f_0`` workspaces would otherwise stay resident for the run.
+        The plan sits in a reference cycle with its task closures, hence
+        the explicit collection.
+
+        Keyed on the identity of ``self.features``: assigning a new
+        operand recomputes (through a compile-and-run-once plan if the
+        retained one is gone), mutating the blocks in place does not.
+        ``A X`` does not depend on the weights, so
+        :meth:`load_weight_state` leaves it alone.
+        """
+        cached = self._input_propagation
+        if cached is not None and cached[0] is self.features:
+            return cached[1]
+        product = self.spmm(self.features)
+        owned = product.like([block.copy() for block in product.blocks])
+        self._input_propagation = (self.features, owned)
+        f0 = self.layer_dims[0]
+        if f0 not in self.layer_dims[1:] and self._compiled.evict(f0):
+            gc.collect()
+        return owned
+
     # ------------------------------------------------------------------
     # forward / backward
     # ------------------------------------------------------------------
@@ -273,7 +320,10 @@ class DistributedGCN:
 
         With no arguments this is the **training** forward: propagate the
         model's own feature matrix and return the per-layer
-        :class:`DistLayerCache` list the backward pass consumes.
+        :class:`DistLayerCache` list the backward pass consumes.  With
+        ``cache_input_propagation`` layer 0 reuses the kept ``A X``
+        (:meth:`input_propagation`) instead of running its SpMM; the
+        inference-only forward below never reads or fills that cache.
 
         With ``features`` given this is the **inference-only** forward:
         propagate the supplied feature matrix and return just the logits
@@ -300,7 +350,10 @@ class DistributedGCN:
         caches: List[DistLayerCache] = []
         for l, weight in enumerate(self.weights):
             act, _ = self._activations[l]
-            propagated = self.spmm(h)                       # A H^{l-1}
+            if l == 0 and self.cache_input_propagation:
+                propagated = self.input_propagation()       # A X, kept
+            else:
+                propagated = self.spmm(h)                   # A H^{l-1}
             z_blocks: List[np.ndarray] = [None] * self.dist.nblocks
             h_blocks: List[np.ndarray] = [None] * self.dist.nblocks
 

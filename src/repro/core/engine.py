@@ -471,6 +471,12 @@ class CompiledOpCache:
             if width not in self._plans:
                 self._compile(width)
 
+    def evict(self, width: int) -> bool:
+        """Drop the retained plan for ``width``; ``True`` if there was
+        one.  The plan's workspaces are freed once its reference cycle
+        (plan <-> task closures) is collected."""
+        return self._plans.pop(int(width), None) is not None
+
     def stats(self) -> Dict[str, int]:
         """Counters in the shape the serve metrics registry exports."""
         return {"plan_hits": self.hits, "plan_misses": self.misses,

@@ -10,6 +10,8 @@ infeasible, and so users can size runs before launching them:
   the row pointer,
 * the local block rows of the activations ``H^0 .. H^L`` and of one
   gradient buffer of the same shape,
+* with ``cache_input_propagation``, the resident ``(n/p) x f_0`` block of
+  layer 0's kept ``A X``,
 * the replicated weight matrices,
 * for 1.5D, the replication of the block rows over ``c`` ranks (the block
   rows get larger because there are only ``P/c`` of them) plus the partial
@@ -116,6 +118,9 @@ def estimate_rank_memory(n_vertices: int, n_edges_stored: int,
     # of every layer (the trainer stores h_in, z, h_out per layer).
     activation = rows_per_rank * dims[0] * element_bytes + \
         sum(2.0 * rows_per_rank * f * element_bytes for f in dims[1:])
+    if config.cache_input_propagation:
+        # The kept layer-0 product A X, resident for the whole run.
+        activation += rows_per_rank * dims[0] * element_bytes
     # One live gradient buffer of the widest layer output.
     gradient = rows_per_rank * max(dims[1:]) * element_bytes
 
@@ -222,7 +227,9 @@ def feasible_process_counts(n_vertices: int, n_edges_stored: int,
             config = DistTrainConfig(n_ranks=p, algorithm=algorithm,
                                      replication_factor=replication_factor,
                                      hidden=hidden, n_layers=n_layers,
-                                     epochs=1)
+                                     epochs=1,
+                                     # the paper's runs recompute A X
+                                     cache_input_propagation=False)
         except ValueError:
             continue
         estimate = estimate_rank_memory(n_vertices, n_edges_stored,

@@ -77,14 +77,24 @@ class GraphConvLayer:
         return self.weight.shape[1]
 
     # ------------------------------------------------------------------
-    def forward(self, adj: sp.spmatrix, h_in: np.ndarray) -> LayerCache:
-        """Compute ``sigma(A h_in W)`` and cache intermediates."""
+    def forward(self, adj: sp.spmatrix, h_in: np.ndarray,
+                propagated: Optional[np.ndarray] = None) -> LayerCache:
+        """Compute ``sigma(A h_in W)`` and cache intermediates.
+
+        ``propagated`` is a precomputed ``A h_in`` (the trainer keeps
+        layer 0's, whose operands never change); the SpMM is skipped.
+        """
         h_in = np.asarray(h_in, dtype=np.float64)
         if h_in.shape[1] != self.in_features:
             raise ValueError(
                 f"layer expects {self.in_features} input features, "
                 f"got {h_in.shape[1]}")
-        propagated = adj @ h_in            # SpMM: A H^{l-1}
+        if propagated is None:
+            propagated = adj @ h_in        # SpMM: A H^{l-1}
+        elif propagated.shape != h_in.shape:
+            raise ValueError(
+                f"precomputed propagation has shape {propagated.shape}, "
+                f"expected {h_in.shape}")
         z = propagated @ self.weight       # GEMM: (A H^{l-1}) W^l
         h_out = self._act(z)
         return LayerCache(h_in=h_in, z=z, h_out=h_out)

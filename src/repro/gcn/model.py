@@ -76,12 +76,19 @@ class GCNModel:
             layer.weight = np.asarray(w, dtype=np.float64).copy()
 
     # ------------------------------------------------------------------
-    def forward(self, adj: sp.spmatrix, features: np.ndarray) -> ForwardState:
-        """Full forward pass; returns all layer caches."""
+    def forward(self, adj: sp.spmatrix, features: np.ndarray,
+                input_propagation: Optional[np.ndarray] = None
+                ) -> ForwardState:
+        """Full forward pass; returns all layer caches.
+
+        ``input_propagation`` is a precomputed ``adj @ features`` for
+        layer 0 (constant across epochs, so a trainer computes it once).
+        """
         h = np.asarray(features, dtype=np.float64)
         caches: List[LayerCache] = []
-        for layer in self.layers:
-            cache = layer.forward(adj, h)
+        for l, layer in enumerate(self.layers):
+            cache = layer.forward(
+                adj, h, propagated=input_propagation if l == 0 else None)
             caches.append(cache)
             h = cache.h_out
         return ForwardState(caches=caches)
@@ -112,9 +119,10 @@ class GCNModel:
                              ) -> Tuple[float, np.ndarray]:
         return loss_and_grad(logits, labels, mask)
 
-    def predict(self, adj: sp.spmatrix, features: np.ndarray) -> np.ndarray:
+    def predict(self, adj: sp.spmatrix, features: np.ndarray,
+                input_propagation: Optional[np.ndarray] = None) -> np.ndarray:
         """Class predictions for every vertex."""
-        logits = self.forward(adj, features).logits
+        logits = self.forward(adj, features, input_propagation).logits
         return softmax(logits).argmax(axis=1)
 
     def apply_gradients(self, grads: Sequence[np.ndarray], lr: float) -> None:

@@ -83,9 +83,13 @@ def train_reference(adjacency: sp.spmatrix, node_data: NodeData,
     features = node_data.features.astype(np.float64)
     labels = node_data.labels
     history: List[EpochRecord] = []
+    # Layer 0's A X never changes: propagate the input features once (the
+    # distributed trainer keeps the same product, so comparisons against
+    # this reference measure distribution, not the cache).
+    input_propagation = adj @ features
 
     for epoch in range(cfg.epochs):
-        state = model.forward(adj, features)
+        state = model.forward(adj, features, input_propagation)
         loss, grad_logits = model.loss_and_logits_grad(
             state.logits, labels, node_data.train_mask)
         grads = model.backward(adj, state, grad_logits)
@@ -99,6 +103,6 @@ def train_reference(adjacency: sp.spmatrix, node_data: NodeData,
             val_accuracy=masked_accuracy(preds, labels, node_data.val_mask),
         ))
 
-    final_preds = model.predict(adj, features)
+    final_preds = model.predict(adj, features, input_propagation)
     test_acc = masked_accuracy(final_preds, labels, node_data.test_mask)
     return TrainResult(model=model, history=history, test_accuracy=test_acc)

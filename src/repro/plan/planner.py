@@ -176,6 +176,11 @@ class Planner:
         backend probes execute on (``sim`` by default).
     seed:
         Shared by partitioner tie-breaking and the probe operand.
+    cache_input_propagation:
+        Plan for the trainer's cached schedule (layer 0's ``A X`` computed
+        once, ``2L - 1`` SpMMs per epoch) instead of the paper's ``2L``;
+        :func:`resolve_config` passes the config's value, so ``--auto``
+        ranks what will actually run.
     cache / use_cache / cache_read_only:
         A :class:`~repro.plan.cache.PlanCache` (or ``None`` for the
         default location), whether to consult/fill it, and whether this
@@ -199,6 +204,7 @@ class Planner:
                  probe_repeats: int = 1,
                  probe_backend: str = "sim",
                  seed: int = 0,
+                 cache_input_propagation: bool = False,
                  cache: Optional[PlanCache] = None,
                  use_cache: bool = True,
                  cache_read_only: bool = False) -> None:
@@ -216,6 +222,7 @@ class Planner:
         self.probe_repeats = probe_repeats
         self.probe_backend = probe_backend
         self.seed = seed
+        self.cache_input_propagation = bool(cache_input_propagation)
         self.use_cache = use_cache
         self.cache_read_only = cache_read_only
         self.cache = cache if cache is not None else \
@@ -253,6 +260,7 @@ class Planner:
             "backend_overheads": tuple(sorted(
                 effective_message_overheads().items())),
             "seed": self.seed,
+            "cache_input_propagation": self.cache_input_propagation,
         }
 
     # ------------------------------------------------------------------
@@ -303,8 +311,9 @@ class Planner:
         if dead:
             candidates = [c for c in candidates
                           if (c.backend, c.n_ranks) not in dead]
-        ranked = score_candidates(candidates, matrix_cache, layer_dims,
-                                  self.machine)
+        ranked = score_candidates(
+            candidates, matrix_cache, layer_dims, self.machine,
+            cache_input_propagation=self.cache_input_propagation)
         if not ranked:
             raise ValueError(
                 "the plan space is empty for this matrix/rank combination "
@@ -313,12 +322,12 @@ class Planner:
 
         probes: Dict[PlanCandidate, ProbeResult] = {}
         if self.probe:
-            probes = probe_ranked(ranked, matrix_cache, layer_dims,
-                                  self.machine, top_k=self.top_k,
-                                  budget_s=self.probe_budget_s,
-                                  probe_backend=self.probe_backend,
-                                  repeats=self.probe_repeats,
-                                  seed=self.seed)
+            probes = probe_ranked(
+                ranked, matrix_cache, layer_dims, self.machine,
+                top_k=self.top_k, budget_s=self.probe_budget_s,
+                probe_backend=self.probe_backend,
+                repeats=self.probe_repeats, seed=self.seed,
+                cache_input_propagation=self.cache_input_propagation)
 
         best = min(ranked, key=lambda s: self._final_key(s, probes))
         best_probe = probes.get(best.candidate)
@@ -462,9 +471,11 @@ def resolve_config(dataset: GraphDataset, config: DistTrainConfig,
         replication_candidates=replication_candidates,
         # The pipeline depth is never "auto" on a config: the planner
         # plans at exactly the depth the training run will execute.
-        # Same for the gradient-exchange overlap flag.
+        # Same for the gradient-exchange overlap flag and the layer-0
+        # cache.
         pipeline_depths=[config.pipeline_depth],
         grad_overlaps=[config.grad_overlap],
+        cache_input_propagation=config.cache_input_propagation,
         probe=probe,
         seed=config.seed,
         cache=cache,

@@ -2,8 +2,8 @@
 
 The analytic scorer orders the plan space, but the alpha-beta model is a
 model; the prober grounds the top-k candidates by actually executing one
-epoch's worth of distributed SpMMs (two per layer, at the layer widths the
-trainer would use) through the real :class:`~repro.core.engine.SpmmEngine`.
+epoch's worth of distributed SpMMs (at the layer widths the trainer would
+use, one fewer when it caches layer 0's ``A X``) through the real :class:`~repro.core.engine.SpmmEngine`.
 
 Probes run on the ``sim`` backend by default: its clock is the machine
 model's simulated time, so probed numbers are directly comparable to the
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from ..comm.factory import make_communicator
 from ..comm.machine import MachineModel, get_machine
 from ..obs.tracer import TRACE
 from ..core.config import Algorithm
+from ..core.costmodel import epoch_spmm_widths
 from ..core.dist_matrix import DistDenseMatrix
 from ..core.engine import DenseSpec, SpmmEngine
 from ..core.spmm_15d import ProcessGrid
@@ -50,23 +51,16 @@ class ProbeResult:
                 "probe_backend": self.backend, "simulated": self.simulated}
 
 
-def _epoch_widths(layer_dims: Sequence[int]) -> List[int]:
-    """The dense widths of one epoch's SpMMs (forward + input-gradient per
-    layer), matching :func:`repro.core.costmodel.epoch_cost`."""
-    widths: List[int] = []
-    for l in range(1, len(layer_dims)):
-        widths.extend((int(layer_dims[l - 1]), int(layer_dims[l])))
-    return widths
-
-
 def probe_candidate(candidate: PlanCandidate,
                     matrix_cache: PlanMatrixCache,
                     layer_dims: Sequence[int],
                     machine: "str | MachineModel",
                     probe_backend: str = "sim",
                     repeats: int = 1,
-                    seed: int = 0) -> ProbeResult:
-    """Time one epoch's worth of SpMMs for ``candidate``.
+                    seed: int = 0,
+                    cache_input_propagation: bool = False) -> ProbeResult:
+    """Time one epoch's worth of SpMMs for ``candidate`` — the schedule
+    :func:`repro.core.costmodel.epoch_spmm_widths` defines.
 
     The candidate's *algorithm, mode, partitioner and replication factor*
     are executed for real; the communicator is the ``probe_backend`` (not
@@ -75,7 +69,7 @@ def probe_candidate(candidate: PlanCandidate,
     """
     machine = get_machine(machine)
     matrix = matrix_cache.matrix(candidate.partitioner, candidate.n_block_rows)
-    widths = _epoch_widths(layer_dims)
+    widths = epoch_spmm_widths(layer_dims, cache_input_propagation)
     rng = np.random.default_rng(seed)
     n = matrix.shape[0]
     max_width = max(widths)
@@ -137,7 +131,8 @@ def probe_ranked(ranked: Sequence[ScoredCandidate],
                  budget_s: Optional[float] = 10.0,
                  probe_backend: str = "sim",
                  repeats: int = 1,
-                 seed: int = 0
+                 seed: int = 0,
+                 cache_input_propagation: bool = False
                  ) -> Dict[PlanCandidate, ProbeResult]:
     """Probe the ``top_k`` analytically best candidates within ``budget_s``.
 
@@ -161,9 +156,10 @@ def probe_ranked(ranked: Sequence[ScoredCandidate],
         if budget_s is not None and probed_groups > 0 and \
                 time.perf_counter() - started > budget_s:
             continue
-        result = probe_candidate(candidate, matrix_cache, layer_dims,
-                                 machine, probe_backend=probe_backend,
-                                 repeats=repeats, seed=seed)
+        result = probe_candidate(
+            candidate, matrix_cache, layer_dims, machine,
+            probe_backend=probe_backend, repeats=repeats, seed=seed,
+            cache_input_propagation=cache_input_propagation)
         shared[group_key] = result
         results[candidate] = result
         probed_groups += 1

@@ -123,12 +123,13 @@ class PlanMatrixCache:
 
 
 def _estimated_messages_per_epoch(candidate: PlanCandidate,
-                                  n_layers: int) -> float:
+                                  n_spmms: int) -> float:
     """Rough per-epoch message count used to charge backend overhead.
 
     1D runs an all-to-allv (p * (p-1) pairs) per SpMM; 1.5D runs
     ``stages`` staged broadcasts across ``p`` ranks plus the replica
-    all-reduce.  Two SpMMs per layer, as in :func:`epoch_cost`.
+    all-reduce.  ``n_spmms`` is the epoch's SpMM count, as in
+    :func:`epoch_cost`.
     """
     p = candidate.n_ranks
     if p <= 1:
@@ -139,20 +140,23 @@ def _estimated_messages_per_epoch(candidate: PlanCandidate,
         per_spmm = stages * p + (p * math.log2(c) if c > 1 else 0.0)
     else:
         per_spmm = p * (p - 1)
-    return 2.0 * n_layers * per_spmm
+    return float(n_spmms) * per_spmm
 
 
 def backend_overhead_s(candidate: PlanCandidate, n_layers: int,
-                       overheads: Optional[Dict[str, float]] = None) -> float:
+                       overheads: Optional[Dict[str, float]] = None,
+                       cache_input_propagation: bool = False) -> float:
     """Predicted per-epoch host overhead of the candidate's backend.
 
     ``overheads`` defaults to :func:`effective_message_overheads` (the
-    calibrated table when this host has one).
+    calibrated table when this host has one).  Two SpMMs per layer, one
+    fewer per epoch with ``cache_input_propagation``.
     """
     if overheads is None:
         overheads = effective_message_overheads()
     per_message = overheads.get(candidate.backend, 1.0e-4)
-    return per_message * _estimated_messages_per_epoch(candidate, n_layers)
+    n_spmms = 2 * n_layers - (1 if cache_input_propagation else 0)
+    return per_message * _estimated_messages_per_epoch(candidate, n_spmms)
 
 
 @dataclass(frozen=True)
@@ -174,12 +178,16 @@ class ScoredCandidate:
 def score_candidates(candidates: Sequence[PlanCandidate],
                      matrix_cache: PlanMatrixCache,
                      layer_dims: Sequence[int],
-                     machine: "str | MachineModel") -> List[ScoredCandidate]:
+                     machine: "str | MachineModel",
+                     cache_input_propagation: bool = False
+                     ) -> List[ScoredCandidate]:
     """Rank candidates by predicted epoch cost, ascending.
 
     Infeasible candidates (more block rows than vertices) are dropped.
     Ties are broken by the candidate's deterministic sort key, so the
-    returned ranking is stable across runs.
+    returned ranking is stable across runs.  ``cache_input_propagation``
+    prices the trainer's cached schedule (no layer-0 forward SpMM per
+    epoch) instead of the paper's.
     """
     machine = get_machine(machine)
     n_layers = len(layer_dims) - 1
@@ -201,10 +209,12 @@ def score_candidates(candidates: Sequence[PlanCandidate],
                               sparsity_aware=candidate.sparsity_aware,
                               nranks=candidate.n_ranks,
                               replication=candidate.replication_factor,
-                              pipeline_depth=candidate.pipeline_depth)
+                              pipeline_depth=candidate.pipeline_depth,
+                              cache_input_propagation=cache_input_propagation)
             cost_memo[group] = cost
-        overhead = backend_overhead_s(candidate, n_layers,
-                                      overheads=overheads)
+        overhead = backend_overhead_s(
+            candidate, n_layers, overheads=overheads,
+            cache_input_propagation=cache_input_propagation)
         # Gradient-exchange term: backend-dependent (the wait-free
         # trainer fuses into buckets sized from the backend's calibrated
         # per-message overhead), so it lives outside the group memo.  A

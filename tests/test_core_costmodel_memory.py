@@ -7,7 +7,7 @@ from repro.comm import make_communicator, perlmutter
 from repro.core import (BlockRowDistribution, DistDenseMatrix, DistSparseMatrix,
                         DistTrainConfig, MemoryEstimate,
                         best_replication_factor, crossover_process_count,
-                        epoch_cost, estimate_rank_memory,
+                        epoch_cost, epoch_spmm_widths, estimate_rank_memory,
                         feasible_process_counts, fits_in_memory,
                         spmm_1d_sparsity_aware, spmm_cost_15d_oblivious,
                         spmm_cost_15d_sparsity_aware, spmm_cost_1d_oblivious,
@@ -139,6 +139,25 @@ class TestEpochCost:
             for l in range(1, len(dims)) for f in (dims[l - 1], dims[l]))
         assert epoch.total_s == pytest.approx(singles)
 
+    def test_cached_input_propagation_drops_the_layer0_forward(self, graph):
+        dims = [12, 16, 4]
+        assert epoch_spmm_widths(dims) == [12, 16, 16, 4]
+        assert epoch_spmm_widths(dims, True) == [16, 16, 4]
+        matrix = dist_matrix(graph, 4)
+        for kwargs, single in (
+                (dict(), spmm_cost_1d_sparsity_aware(matrix, 12,
+                                                     "perlmutter")),
+                (dict(algorithm="1.5d", nranks=8, replication=2),
+                 spmm_cost_15d_sparsity_aware(matrix, 12, 8, 2,
+                                              "perlmutter"))):
+            paper = epoch_cost(matrix, dims, "perlmutter", **kwargs)
+            cached = epoch_cost(matrix, dims, "perlmutter",
+                                cache_input_propagation=True, **kwargs)
+            for term in ("latency_s", "bandwidth_s", "reduction_s",
+                         "compute_s"):
+                assert getattr(cached, term) == pytest.approx(
+                    getattr(paper, term) - getattr(single, term))
+
     def test_epoch_cost_15d_requires_nranks(self, graph):
         with pytest.raises(ValueError):
             epoch_cost(dist_matrix(graph, 4), [8, 4], "perlmutter",
@@ -231,6 +250,18 @@ class TestMemoryModel:
                                            machine="perlmutter")
         assert 4 not in feasible
         assert 64 in feasible
+
+    def test_cached_input_propagation_is_one_resident_input_block(self):
+        cached = estimate_rank_memory(100_000, 5_000_000, 300, 24,
+                                      self.paper_scale_config(16))
+        paper = estimate_rank_memory(
+            100_000, 5_000_000, 300, 24,
+            self.paper_scale_config(16, cache_input_propagation=False))
+        rows_per_rank = 1.15 * 100_000 / 16
+        assert cached.activation_bytes - paper.activation_bytes == \
+            pytest.approx(rows_per_rank * 300 * ELEMENT_BYTES)
+        assert cached.total_bytes - paper.total_bytes == \
+            pytest.approx(rows_per_rank * 300 * ELEMENT_BYTES)
 
     def test_replication_increases_footprint(self):
         base = estimate_rank_memory(100_000, 5_000_000, 128, 16,

@@ -134,6 +134,23 @@ class TestScore:
             < by_backend["process"]
         assert BACKEND_MESSAGE_OVERHEAD_S["sim"] == 0.0
 
+    def test_cached_input_propagation_prices_the_shorter_epoch(self, dataset):
+        cache = PlanMatrixCache(dataset.adjacency, seed=0)
+        cands = enumerate_candidates(8, partitioners=[None],
+                                     n_vertices=cache.n_vertices)
+        dims = [300, 16, 24]
+        paper = {s.candidate: s for s in score_candidates(
+            cands, cache, dims, "perlmutter-scaled")}
+        cached = {s.candidate: s for s in score_candidates(
+            cands, cache, dims, "perlmutter-scaled",
+            cache_input_propagation=True)}
+        assert paper.keys() == cached.keys()
+        for candidate, scored in cached.items():
+            assert scored.predicted_s < paper[candidate].predicted_s
+            # one SpMM's messages fewer out of 2L
+            assert scored.overhead_s == pytest.approx(
+                paper[candidate].overhead_s * 3 / 4)
+
     def test_matrix_cache_reuses_instances(self, dataset):
         cache = PlanMatrixCache(dataset.adjacency, seed=0)
         assert cache.matrix("gvb", 4) is cache.matrix("gvb", 4)
@@ -337,6 +354,20 @@ class TestResolveConfig:
         assert resolved.partitioner == "metis_like"
         assert resolved.replication_factor == 1
         assert resolved.backend in ("sim", "threaded", "process")
+
+    def test_resolution_plans_the_schedule_that_will_run(self, dataset):
+        """The config's cache flag reaches the scorer: same space, two
+        different cache keys and predictions."""
+        base = dict(n_ranks=4, algorithm=AUTO, backend="sim",
+                    partitioner=None, epochs=1, machine="perlmutter-scaled")
+        _, cached = resolve_config(dataset, DistTrainConfig(**base))
+        _, paper = resolve_config(dataset, DistTrainConfig(
+            cache_input_propagation=False, **base))
+        assert cached.predicted_s < paper.predicted_s
+        planner = dict(machine="perlmutter-scaled", probe=False,
+                       use_cache=False)
+        assert Planner(**planner)._space_signature() != Planner(
+            cache_input_propagation=True, **planner)._space_signature()
 
     def test_auto_config_validation(self):
         config = DistTrainConfig(algorithm=AUTO)
