@@ -43,6 +43,12 @@ of ``--repeats`` timed runs after one warm-up):
   ``sim``, wall clock on ``process``.  Losses are asserted bit-identical.
   Every other epoch cell pins the flag to ``False`` — they measure the
   paper's schedule.
+* **weight-first inference, bytes per served request** — one request
+  through the inference forward on ``sim``: the exchanged bytes the event
+  log counted, against the prediction at the widths the forward chose
+  (``inference_spmm_widths``: a narrowing layer multiplies by ``W``
+  first) and at the paper-order widths (``layer_dims[:-1]``).  Exact
+  counts; measured == predicted is asserted.
 
 Usage::
 
@@ -74,8 +80,9 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.comm import make_communicator                       # noqa: E402
 from repro.core import (BlockRowDistribution, DistDenseMatrix,  # noqa: E402
-                        DistSparseMatrix, DistTrainConfig, setup_distributed,
-                        train_distributed)
+                        DistSparseMatrix, DistTrainConfig,
+                        inference_spmm_widths, predicted_bytes_per_forward,
+                        setup_distributed, train_distributed)
 from repro.core.engine import DenseSpec, compile as compile_spmm, spmm  # noqa: E402
 from repro.graphs import gcn_normalize                          # noqa: E402
 from repro.graphs.datasets import load_dataset                  # noqa: E402
@@ -355,6 +362,40 @@ def bench_input_propagation_epoch(scale: float, p: int, backend: str,
     }
 
 
+def bench_weight_first_inference(scale: float, p: int) -> dict:
+    """Bytes one served request exchanges: chosen widths vs paper order.
+
+    Both predictions are ``predicted_bytes_per_spmm`` sums over a width
+    schedule, so the "before" needs no switch in the code; the measured
+    count (sim event log, one request) must equal the chosen one.
+    """
+    dataset = load_dataset("amazon", scale=scale, seed=0)
+    cfg = DistTrainConfig(n_ranks=p, partitioner=None, backend="sim", seed=0)
+    setup = setup_distributed(dataset, cfg)
+    with setup.comm as comm:
+        model = setup.model
+        request = np.random.default_rng(0).standard_normal(
+            (dataset.n_vertices, dataset.n_features)).astype(model.dtype)
+        bytes0 = comm.events.total_bytes()
+        model.forward([request])
+        measured = comm.events.total_bytes() - bytes0
+    widths = inference_spmm_widths(model.layer_dims)
+    paper_widths = model.layer_dims[:-1]
+    chosen, paper = (predicted_bytes_per_forward(
+        model.adjacency, schedule, model.sparsity_aware,
+        element_bytes=model.dtype.itemsize)
+        for schedule in (widths, paper_widths))
+    assert measured == chosen, (measured, chosen)
+    return {
+        "dataset": dataset.name, "n": dataset.n_vertices, "p": p,
+        "backend": "sim", "layer_dims": model.layer_dims,
+        "spmm_widths": widths, "paper_order_widths": paper_widths,
+        "bytes_per_request": measured,
+        "paper_order_bytes_per_request": paper,
+        "volume_reduction": paper / chosen,
+    }
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         description="record the kernel/compiled-epoch microbenchmarks")
@@ -415,6 +456,10 @@ def main(argv=None) -> int:
             lambda: bench_input_propagation_epoch(
                 scale=0.05 if quick else 0.25, p=4, backend="process",
                 epochs=2 if quick else 5, repeats=min(repeats, 3)),
+        # Exact bytes per served request at the inference forward's
+        # widths against the paper-order widths.
+        "weight_first_inference_sim": lambda: bench_weight_first_inference(
+            scale=0.05 if quick else 0.25, p=2),
     }
     unknown = sorted(set(args.only or ()) - set(cells))
     if unknown:
@@ -465,6 +510,11 @@ def main(argv=None) -> int:
           f"{cache_sim['cached_MB_per_epoch']:.2f} MB/epoch")
     print(f"  cached vs recomputed input propagation, epoch (process): "
           f"{payload['input_propagation_cache_process']['cached_speedup']:.2f}x")
+    serve = payload["weight_first_inference_sim"]
+    print(f"  weight-first vs paper-order inference, bytes per request: "
+          f"{serve['paper_order_bytes_per_request']} -> "
+          f"{serve['bytes_per_request']} "
+          f"({serve['volume_reduction']:.2f}x smaller)")
     return 0
 
 

@@ -17,7 +17,8 @@
 # process backends: train a throwaway checkpoint, sweep the closed-loop
 # load generator batched vs --no-batch, and assert the emitted
 # BENCH_serve.json payload parses with batched output bit-identical to
-# sequential),
+# sequential, per-request comm bytes equal to the weight-first schedule's
+# prediction and no retained SpMM plan as wide as a request),
 # a kill-mid-serve leg (SIGKILL a process-backend worker mid-batch:
 # exactly the in-flight request fails with a structured retryable
 # ServeError, the engine restarts within its budget, and post-restart
@@ -128,8 +129,20 @@ modes = {row["mode"] for row in payload["rows"]}
 assert modes == {"batched", "no_batch"}, modes
 assert payload["identity"]["batched_max_batch_size"] > 1, (
     "batching never coalesced", payload["identity"])
+# The serve path runs at the narrow width: a regression to the wide
+# (A X) W exchange moves more bytes and retains an f_0-wide plan.
+traffic = payload["traffic"]
+assert traffic["bytes_per_request"] \
+    == traffic["predicted_bytes_per_request"], traffic
+assert traffic["predicted_bytes_per_request"] \
+    < traffic["paper_order_bytes_per_request"], traffic
+assert traffic["widest_plan"] < traffic["input_width"], traffic
 n_rows = len(payload["rows"])
-print(f"serve bench: {n_rows} rows, batched == sequential bit-identical")
+moved, widths = traffic["bytes_per_request"], traffic["spmm_widths"]
+paper_order = traffic["paper_order_bytes_per_request"]
+print(f"serve bench: {n_rows} rows, batched == sequential bit-identical, "
+      f"{moved:.0f} B/request at widths {widths} "
+      f"(paper order: {paper_order} B)")
 PYEOF
   done
   echo "== kill-mid-serve (process backend) =="

@@ -55,11 +55,19 @@ class CommEvent:
 
 
 class EventLog:
-    """Append-only log of :class:`CommEvent` with aggregation helpers."""
+    """Append-only log of :class:`CommEvent` with aggregation helpers.
+
+    :meth:`total_bytes` and :meth:`message_count` answer from running
+    totals kept by :meth:`record` (overall and per category), so their
+    cost does not grow with the log — the serving engine reads them
+    around every batch of a long-lived process.
+    """
 
     def __init__(self) -> None:
         self._events: List[CommEvent] = []
         self._step = 0
+        # category -> [bytes, messages]; the ``None`` key is the overall total
+        self._totals: Dict[Optional[str], List[int]] = {None: [0, 0]}
 
     # -- recording -----------------------------------------------------
     def next_step(self) -> int:
@@ -70,6 +78,10 @@ class EventLog:
 
     def record(self, event: CommEvent) -> None:
         self._events.append(event)
+        for key in (None, event.category):
+            totals = self._totals.setdefault(key, [0, 0])
+            totals[0] += event.nbytes
+            totals[1] += 1
 
     def record_message(
         self,
@@ -121,8 +133,7 @@ class EventLog:
 
     def total_bytes(self, category: Optional[str] = None) -> int:
         """Total bytes moved across all ranks (optionally one category)."""
-        return sum(e.nbytes for e in self._events
-                   if category is None or e.category == category)
+        return self._totals.get(category, (0, 0))[0]
 
     def bytes_sent_by_rank(self, nranks: int,
                            category: Optional[str] = None) -> np.ndarray:
@@ -152,12 +163,13 @@ class EventLog:
         return mat
 
     def message_count(self, category: Optional[str] = None) -> int:
-        return sum(1 for e in self._events
-                   if category is None or e.category == category)
+        """Messages recorded (optionally of one category)."""
+        return self._totals.get(category, (0, 0))[1]
 
     def clear(self) -> None:
         self._events.clear()
         self._step = 0
+        self._totals = {None: [0, 0]}
 
     def merge(self, other: "EventLog") -> None:
         """Append all events of ``other`` (step ids are re-based)."""

@@ -1,7 +1,8 @@
 """The paper's primary contribution: sparsity-aware distributed SpMM and
 distributed full-graph GCN training built on it."""
 
-from .analysis import (ELEMENT_BYTES, VolumeTableRow, predicted_bytes_per_spmm,
+from .analysis import (ELEMENT_BYTES, VolumeTableRow,
+                       predicted_bytes_per_forward, predicted_bytes_per_spmm,
                        predicted_rows_oblivious_1d,
                        predicted_rows_sparsity_aware_1d,
                        single_spmm_volume_table)
@@ -9,7 +10,8 @@ from .config import AUTO, Algorithm, DistTrainConfig
 from .costmodel import (CommCostBreakdown, best_replication_factor,
                         crossover_process_count, epoch_cost,
                         epoch_spmm_widths, gradient_exchange_cost,
-                        spmm_cost_15d_oblivious, spmm_cost_15d_sparsity_aware,
+                        inference_spmm_widths, spmm_cost_15d_oblivious,
+                        spmm_cost_15d_sparsity_aware,
                         spmm_cost_1d_oblivious, spmm_cost_1d_sparsity_aware)
 from .checkpoint import (CheckpointError, CheckpointManager,
                          TrainingCheckpoint, config_fingerprint,
@@ -32,7 +34,8 @@ from .trainer import (DistEpochRecord, DistributedSetup, DistTrainResult,
                       setup_distributed, train_distributed)
 
 __all__ = [
-    "ELEMENT_BYTES", "VolumeTableRow", "predicted_bytes_per_spmm",
+    "ELEMENT_BYTES", "VolumeTableRow", "predicted_bytes_per_forward",
+    "predicted_bytes_per_spmm",
     "predicted_rows_oblivious_1d", "predicted_rows_sparsity_aware_1d",
     "single_spmm_volume_table",
     "AUTO", "Algorithm", "DistTrainConfig",
@@ -40,6 +43,7 @@ __all__ = [
     "config_fingerprint", "read_checkpoint", "write_checkpoint",
     "CommCostBreakdown", "best_replication_factor", "crossover_process_count",
     "epoch_cost", "epoch_spmm_widths", "gradient_exchange_cost",
+    "inference_spmm_widths",
     "spmm_cost_1d_oblivious", "spmm_cost_1d_sparsity_aware",
     "spmm_cost_15d_oblivious", "spmm_cost_15d_sparsity_aware",
     "DistLayerCache", "DistributedGCN",

@@ -26,6 +26,7 @@ __all__ = [
     "predicted_rows_oblivious_1d",
     "predicted_rows_sparsity_aware_1d",
     "predicted_bytes_per_spmm",
+    "predicted_bytes_per_forward",
     "single_spmm_volume_table",
     "VolumeTableRow",
 ]
@@ -65,6 +66,18 @@ def predicted_bytes_per_spmm(matrix: DistSparseMatrix, f: int,
     rows = predicted_rows_sparsity_aware_1d(matrix) if sparsity_aware \
         else predicted_rows_oblivious_1d(matrix)
     return rows * f * element_bytes
+
+
+def predicted_bytes_per_forward(matrix: DistSparseMatrix,
+                                widths: Sequence[int], sparsity_aware: bool,
+                                element_bytes: int = ELEMENT_BYTES) -> int:
+    """Bytes all ranks send in one forward pass whose SpMMs run at
+    ``widths`` (1D algorithms) — e.g. one served request at
+    :func:`repro.core.costmodel.inference_spmm_widths`, or the paper's
+    order at ``layer_dims[:-1]``."""
+    return int(sum(predicted_bytes_per_spmm(matrix, f, sparsity_aware,
+                                            element_bytes).sum()
+                   for f in widths))
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,7 @@ __all__ = [
     "spmm_cost_15d_sparsity_aware",
     "epoch_cost",
     "epoch_spmm_widths",
+    "inference_spmm_widths",
     "gradient_exchange_cost",
     "crossover_process_count",
     "best_replication_factor",
@@ -295,6 +296,24 @@ def epoch_spmm_widths(layer_dims: Sequence[int],
             widths.append(int(layer_dims[l - 1]))
         widths.append(int(layer_dims[l]))
     return widths
+
+
+def inference_spmm_widths(layer_dims: Sequence[int]) -> List[int]:
+    """Per-request operand width of each layer's SpMM in the inference
+    forward (``DistributedGCN.forward(features)``).
+
+    ``A (H W)`` and ``(A H) W`` are the same product and cost the same
+    GEMM flops, while the SpMM — its pack, its exchange and its multiply
+    — is linear in the operand width.  So a layer that narrows
+    (``f_l < f_{l-1}``) applies its weight first and propagates at
+    ``f_l``; any other layer keeps the paper's order and propagates at
+    ``f_{l-1}``.  A batch of ``k`` coalesced requests runs each SpMM at
+    ``k`` times these widths.  The inference executor iterates this list,
+    so it is the single definition of the serve-path schedule (training
+    keeps :func:`epoch_spmm_widths`).
+    """
+    return [min(int(layer_dims[l - 1]), int(layer_dims[l]))
+            for l in range(1, len(layer_dims))]
 
 
 def epoch_cost(matrix: DistSparseMatrix, layer_dims: Sequence[int],

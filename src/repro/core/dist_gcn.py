@@ -33,12 +33,21 @@ from ..obs.tracer import TRACE
 from ..gcn.init import init_weights
 from ..gcn.loss import softmax
 from .config import Algorithm
+from .costmodel import inference_spmm_widths
 from .dist_matrix import BlockRowDistribution, DistDenseMatrix, DistSparseMatrix
 from .engine import CompiledOpCache, CompiledSpmm, SpmmEngine
 from .gradsync import DeferredScalar, GradientExchanger, PendingGradients
 from .spmm_15d import ProcessGrid
 
 __all__ = ["DistLayerCache", "DistributedGCN"]
+
+
+def _column_streams(matrix: DistDenseMatrix, width: int):
+    """``(block, i) -> `` stream ``i``'s ``width`` columns of ``block``
+    in a column-concatenated distributed matrix (a view)."""
+    def stream_block(block: int, i: int) -> np.ndarray:
+        return matrix.block(block)[:, i * width:(i + 1) * width]
+    return stream_block
 
 
 @dataclass
@@ -281,6 +290,20 @@ class DistributedGCN:
         """Compile (uncounted) plans for any not-yet-retained widths."""
         self._compiled.warm(widths)
 
+    def release_training_plans(self) -> None:
+        """Evict the construction-time plans the inference forward never
+        runs (:func:`~repro.core.costmodel.inference_spmm_widths`) — the
+        width-``f_0`` plan of a narrowing layer 0 above all, whose
+        ``n x f_0`` workspaces are the largest a model retains.  A
+        serving process calls this once; training on the model afterwards
+        stays correct through compile-and-run-once dispatch
+        (:meth:`spmm`)."""
+        served = set(inference_spmm_widths(self.layer_dims))
+        evicted = [width for width in set(self.layer_dims) - served
+                   if self._compiled.evict(width)]
+        if evicted:
+            gc.collect()        # plans sit in cycles with their closures
+
     def input_propagation(self) -> DistDenseMatrix:
         """Layer 0's ``A X`` for the model's own ``features``, computed
         through the distributed SpMM on first use and kept.
@@ -314,8 +337,7 @@ class DistributedGCN:
     # ------------------------------------------------------------------
     # forward / backward
     # ------------------------------------------------------------------
-    def forward(self, features: Optional[DistDenseMatrix] = None, *,
-                streams: int = 1):
+    def forward(self, features=None, *, streams: int = 1):
         """Forward pass.
 
         With no arguments this is the **training** forward: propagate the
@@ -326,20 +348,37 @@ class DistributedGCN:
         inference-only forward below never reads or fills that cache.
 
         With ``features`` given this is the **inference-only** forward:
-        propagate the supplied feature matrix and return just the logits
-        (:class:`DistDenseMatrix`) — no ``z``/``h`` activation caches are
-        built or retained, which is the memory and time win on the serve
-        path.  ``streams > 1`` declares that ``features`` is ``k``
-        column-concatenated feature matrices of width ``f_0`` each (one
-        per coalesced request): the SpMMs run once at the combined width
-        on a lazily-compiled retained plan, while the per-layer GEMM
-        applies the weight to each column group independently.  Because
-        the distributed SpMM is column-separable (segment-sum reductions
-        act per element along sparse rows, independently across columns)
-        and each per-stream GEMM sees bitwise the same operand block it
-        would see alone, the split results are **bit-identical** to
-        running each request through ``forward(features_i)`` sequentially
-        — the serving tests assert this on every backend.
+        propagate the supplied features and return just the logits
+        (:class:`DistDenseMatrix`, blocks owned by the caller) — no
+        ``z``/``h`` activation caches are built or retained.  ``features``
+        is either
+
+        * a :class:`DistDenseMatrix` of ``streams`` column-concatenated
+          feature matrices of width ``f_0`` each, or
+        * a sequence of ``k`` global ``(n, f_0)`` request matrices (the
+          serving path; ``streams`` is then ``k``) — no ``n x k f_0``
+          operand is ever built from them when layer 0 narrows.
+
+        **Association order.**  Each layer moves only what its SpMM needs
+        (:func:`~repro.core.costmodel.inference_spmm_widths`): a layer
+        that narrows (``f_l < f_{l-1}``) computes ``A (H W)`` — the
+        per-stream GEMM first, then one SpMM at ``streams * f_l`` columns
+        — and every other layer keeps the training order ``(A H) W``.
+        The choice depends on the weight's shape alone.  When no layer
+        narrows the logits equal the training forward's bit for bit;
+        when one does they agree with it to rounding (``rtol=1e-9,
+        atol=1e-12`` in float64), not bitwise — the two orders sum the
+        same products in a different order.
+
+        **Batching.**  The SpMMs run once at the combined width on a
+        lazily-compiled retained plan, while the per-layer GEMM applies
+        the weight to each stream independently.  Because the distributed
+        SpMM is column-separable (segment-sum reductions act per element
+        along sparse rows, independently across columns) and each
+        per-stream GEMM sees bitwise the same operand it would see alone,
+        the split results are **bit-identical** to running each request
+        through ``forward([request_i])`` sequentially — the serving tests
+        assert this on every backend.
         """
         if features is not None:
             return self._forward_inference(features, streams=streams)
@@ -377,63 +416,140 @@ class DistributedGCN:
             h = h_out
         return caches
 
-    def _forward_inference(self, features: DistDenseMatrix,
-                           streams: int = 1) -> DistDenseMatrix:
-        """Cache-free forward of ``streams`` column-concatenated feature
-        matrices; returns the concatenated logits (width
-        ``streams * f_L``).  See :meth:`forward`."""
-        streams = int(streams)
-        if streams < 1:
-            raise ValueError(f"streams must be >= 1, got {streams}")
-        if features.dist != self.dist:
-            raise ValueError(
-                "features use a different distribution than the model")
-        if features.dtype != self.dtype:
-            raise ValueError(
-                f"features dtype {features.dtype} does not match the model "
-                f"dtype {np.dtype(self.dtype)} — a cast would break "
-                "bit-identity with the training forward")
+    def _forward_inference(self, features, streams: int = 1
+                           ) -> DistDenseMatrix:
+        """Cache-free forward of ``streams`` feature matrices; returns the
+        column-concatenated logits (width ``streams * f_L``) in blocks the
+        caller owns.  See :meth:`forward`."""
         f0 = self.layer_dims[0]
-        if features.width != streams * f0:
-            raise ValueError(
-                f"features width {features.width} is not streams ({streams}) "
-                f"x input width ({f0})")
+        if isinstance(features, DistDenseMatrix):
+            streams = int(streams)
+            if streams < 1:
+                raise ValueError(f"streams must be >= 1, got {streams}")
+            if features.dist != self.dist:
+                raise ValueError(
+                    "features use a different distribution than the model")
+            if features.width != streams * f0:
+                raise ValueError(
+                    f"features width {features.width} is not streams "
+                    f"({streams}) x input width ({f0})")
+            self._check_inference_dtype(features.dtype)
+            h: Optional[DistDenseMatrix] = features
+            stream_block = _column_streams(features, f0)
+        else:
+            requests = list(features)
+            if streams not in (1, len(requests)):
+                raise ValueError(
+                    f"streams ({streams}) does not match the "
+                    f"{len(requests)} request matrices given")
+            streams = len(requests)
+            if streams < 1:
+                raise ValueError("no request matrices given")
+            for request in requests:
+                if request.shape != (self.dist.n, f0):
+                    raise ValueError(
+                        f"request features must have shape "
+                        f"({self.dist.n}, {f0}), got {request.shape}")
+                self._check_inference_dtype(request.dtype)
+            h = None                    # assembled only if layer 0 needs it
+            bounds = self.dist.bounds
 
-        h = features
-        for l, weight in enumerate(self.weights):
-            act, _ = self._activations[l]
+            def stream_block(block: int, i: int) -> np.ndarray:
+                return requests[i][bounds[block]:bounds[block + 1]]
+
+        for weight, (act, _), width in zip(
+                self.weights, self._activations,
+                inference_spmm_widths(self.layer_dims)):
+            f_in, f_out = weight.shape
             # One SpMM at the combined width amortises the exchange's
             # alpha term across every coalesced request.
-            propagated = self.compiled_op(h.width)(h)
-            f_in, f_out = weight.shape
-            h_blocks: List[np.ndarray] = [None] * self.dist.nblocks
-
-            def make_task(block, weight=weight, act=act, f_in=f_in,
-                          f_out=f_out, propagated=propagated):
-                def task() -> None:
-                    rows = self.dist.block_size(block)
-                    p_b = propagated.block(block)
-                    if streams == 1:
-                        z_b = p_b @ weight
-                    else:
-                        # Per-stream GEMM: each request's column group is
-                        # multiplied by W on its own, so every stream sees
-                        # exactly the operand it would see when served
-                        # alone (bit-identity across batch compositions).
-                        z_b = np.empty((p_b.shape[0], streams * f_out),
-                                       dtype=self.dtype)
-                        for i in range(streams):
-                            z_b[:, i * f_out:(i + 1) * f_out] = \
-                                p_b[:, i * f_in:(i + 1) * f_in] @ weight
-                    for _ in range(streams):
-                        self._charge_blockwise_gemm(rows, f_in, f_out, block)
-                    h_blocks[block] = act(z_b)
-                    self._charge_blockwise_elementwise(z_b.size, block)
-                return task
-
-            self._parallel_over_blocks(make_task)
-            h = DistDenseMatrix(h_blocks, self.dist, dtype=self.dtype)
+            spmm = self.compiled_op(streams * width)
+            if width < f_in:                                # A (H W)
+                projected = self._per_stream_gemm(stream_block, streams,
+                                                  weight)
+                h = self._activate(spmm(projected), act)
+            else:                                           # (A H) W
+                if h is None:
+                    h = self._assemble_streams(stream_block, streams)
+                h = self._per_stream_gemm(
+                    _column_streams(spmm(h), f_in), streams, weight, act)
+            stream_block = _column_streams(h, f_out)
         return h
+
+    def _check_inference_dtype(self, dtype) -> None:
+        if dtype != self.dtype:
+            raise ValueError(
+                f"features dtype {dtype} does not match the model dtype "
+                f"{self.dtype} — a cast would make the served logits depend "
+                "on the caller's precision; cast explicitly")
+
+    def _per_stream_gemm(self, stream_block, streams: int,
+                         weight: np.ndarray, act=None) -> DistDenseMatrix:
+        """``[H_1 W | ... | H_k W]`` (then ``act``, if given), one task
+        per block row; ``stream_block(block, i)`` is stream ``i``'s
+        ``f_in``-wide rows of ``block``.
+
+        Each stream is multiplied by ``W`` on its own, so every stream
+        sees exactly the operand it would see when served alone
+        (bit-identity across batch compositions).
+        """
+        f_in, f_out = weight.shape
+        out_blocks: List[np.ndarray] = [None] * self.dist.nblocks
+
+        def make_task(block):
+            def task() -> None:
+                rows = self.dist.block_size(block)
+                if streams == 1:
+                    z_b = stream_block(block, 0) @ weight
+                else:
+                    z_b = np.empty((rows, streams * f_out), dtype=self.dtype)
+                    for i in range(streams):
+                        z_b[:, i * f_out:(i + 1) * f_out] = \
+                            stream_block(block, i) @ weight
+                for _ in range(streams):
+                    self._charge_blockwise_gemm(rows, f_in, f_out, block)
+                if act is not None:
+                    z_b = act(z_b)
+                    self._charge_blockwise_elementwise(z_b.size, block)
+                out_blocks[block] = z_b
+            return task
+
+        self._parallel_over_blocks(make_task)
+        return DistDenseMatrix(out_blocks, self.dist, dtype=self.dtype)
+
+    def _activate(self, propagated: DistDenseMatrix, act) -> DistDenseMatrix:
+        """``act`` of a compiled operator's result, in owned blocks.
+
+        The result aliases the plan's output workspace, which the next
+        call at that width overwrites; ``identity`` (the output layer)
+        returns its argument, so anything still sharing that memory is
+        copied out.
+        """
+        out_blocks: List[np.ndarray] = [None] * self.dist.nblocks
+
+        def make_task(block):
+            def task() -> None:
+                p_b = propagated.block(block)
+                h_b = act(p_b)
+                if np.may_share_memory(h_b, p_b):
+                    h_b = h_b.copy()
+                self._charge_blockwise_elementwise(p_b.size, block)
+                out_blocks[block] = h_b
+            return task
+
+        self._parallel_over_blocks(make_task)
+        return DistDenseMatrix(out_blocks, self.dist, dtype=self.dtype)
+
+    def _assemble_streams(self, stream_block,
+                          streams: int) -> DistDenseMatrix:
+        """The column-concatenated SpMM operand of ``streams`` request
+        matrices, built per block row in one copy (none for one stream:
+        the plan only reads its operand)."""
+        blocks = [
+            stream_block(block, 0) if streams == 1 else np.concatenate(
+                [stream_block(block, i) for i in range(streams)], axis=1)
+            for block in range(self.dist.nblocks)]
+        return DistDenseMatrix(blocks, self.dist, dtype=self.dtype)
 
     def loss_and_logits_grad(self, logits: DistDenseMatrix,
                              defer: bool = False

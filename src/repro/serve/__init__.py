@@ -11,13 +11,14 @@ into a queue drain:
   owns the model + communicator on one dedicated serving thread, and
   serves feature-matrix requests submitted from any thread;
 * :class:`~repro.serve.batcher.MicroBatcher` — dynamic micro-batching:
-  concurrent requests are coalesced (up to ``max_batch_width`` columns
-  or ``max_wait_ms``) into **one** forward pass whose distributed SpMMs
-  run once at the combined width, amortising the alpha-dominated
-  exchange latency across every member; results are split back
-  per-request, bit-identical to sequential execution (the SpMM is
-  column-separable — see :meth:`repro.core.dist_gcn.DistributedGCN
-  .forward`);
+  concurrent requests are coalesced (up to ``max_batch_width`` input
+  columns or ``max_wait_ms``) into **one** forward pass whose
+  distributed SpMMs run once, ``k`` streams wide at each layer's narrower
+  side (weight-first where a layer narrows), amortising the
+  alpha-dominated exchange latency across every member; results are
+  split back per-request, bit-identical to sequential execution (the
+  SpMM is column-separable — see
+  :meth:`repro.core.dist_gcn.DistributedGCN.forward`);
 * :class:`~repro.serve.admission.AdmissionController` — bounded request
   queue with structured rejection (:class:`~repro.serve.admission
   .RequestRejected`) instead of unbounded latency collapse;
@@ -25,8 +26,9 @@ into a queue drain:
   under sustained pressure the engine sheds lowest-priority tenants
   first and shrinks the batching window (graceful degradation);
 * :mod:`~repro.serve.loadgen` — closed-loop load generator sweeping
-  offered QPS into p50/p99 latency + achieved throughput
-  (``repro serve --bench`` → ``BENCH_serve.json``), plus
+  offered QPS into p50/p99 latency + achieved throughput and the exact
+  per-request exchange volume (``repro serve --bench`` →
+  ``BENCH_serve.json``), plus
   :func:`~repro.serve.loadgen.submit_with_retries` — the client-side
   backoff+jitter retry loop for retryable serving failures.
 
@@ -47,7 +49,7 @@ from .batcher import MicroBatcher
 from .engine import (RequestExpired, ServeError, ServeOptions, ServeResult,
                      ServingEngine)
 from .loadgen import (LoadStep, prepare_checkpoint, run_load,
-                      run_serve_bench, submit_with_retries,
+                      run_serve_bench, serve_traffic, submit_with_retries,
                       verify_batched_identity)
 
 __all__ = [
@@ -64,6 +66,7 @@ __all__ = [
     "prepare_checkpoint",
     "run_load",
     "run_serve_bench",
+    "serve_traffic",
     "submit_with_retries",
     "verify_batched_identity",
 ]

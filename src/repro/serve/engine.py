@@ -13,18 +13,24 @@ Batching semantics
 ------------------
 A request is one feature matrix of shape ``(n, f_0)`` (the model's
 graph, the model's input width).  The serving thread coalesces up to
-``max_batch_width`` columns' worth of concurrent requests into one
-column-concatenated operand and runs **one** forward pass at the
-combined width (``DistributedGCN.forward(features, streams=k)``), then
-splits the logits back per request.  The distributed SpMM is
-column-separable and the per-stream GEMM sees exactly the operand block
-it would see alone, so the split results are **bit-identical** to
-serving each request by itself — the tests assert this on every
-backend, and the load generator re-checks it per benchmark run.
+``max_batch_width`` *input* columns' worth of concurrent requests into
+one batch and hands the model the ``k`` request matrices as they arrived
+(``DistributedGCN.forward([x_1, ..., x_k])``); the model runs **one**
+forward pass whose SpMMs are ``k`` streams wide, and the engine splits
+the logits back per request.  Each layer propagates at the narrower side
+of its weight (:func:`repro.core.costmodel.inference_spmm_widths`): when
+layer 0 narrows, every request is projected to ``f_1`` columns block by
+block *before* the batch operand is assembled, so neither the engine nor
+the model ever builds an ``n x k f_0`` array.  The distributed SpMM is
+column-separable and the per-stream GEMM sees exactly the operand — the
+same request memory — it would see alone, so the split results are
+**bit-identical** to serving each request by itself — the tests assert
+this on every backend, and the load generator re-checks it per benchmark
+run.
 
 Warm state retained across requests: the loaded weights, the
 communicator (worker pool, shared-memory arenas, exchange-plan LRU) and
-one compiled SpMM plan per distinct batch width ever seen
+one compiled SpMM plan per distinct SpMM width ever seen
 (:class:`~repro.core.engine.CompiledOpCache` — each width compiles once
 per engine lifetime).
 
@@ -56,7 +62,6 @@ import numpy as np
 
 from ..comm.faults import WorkerFailure
 from ..core.checkpoint import config_fingerprint, resolve_checkpoint
-from ..core.dist_matrix import DistDenseMatrix
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import TRACE
 from .admission import AdmissionController, OverloadPolicy, RequestRejected
@@ -124,9 +129,11 @@ class RequestExpired(RuntimeError):
 class ServeOptions:
     """Knobs of one serving engine (see ``docs/serving.md``).
 
-    ``max_batch_width`` is a **column** budget, not a request count:
-    with input width ``f_0`` it admits up to
-    ``max_batch_width // f_0`` requests per coalesced forward.
+    ``max_batch_width`` is a budget of **input columns**, not a request
+    count: with input width ``f_0`` it admits up to
+    ``max_batch_width // f_0`` requests per coalesced forward.  It is not
+    the width any SpMM runs at — a batch of ``k`` propagates at ``k``
+    times :func:`~repro.core.costmodel.inference_spmm_widths`.
     """
 
     max_batch_width: int = 4096
@@ -177,7 +184,7 @@ class ServeResult:
     tenant: str
     latency_s: float            # submit -> fulfil, queue wait included
     batch_size: int             # requests coalesced into the serving batch
-    batch_width: int            # columns of the coalesced SpMM operand
+    batch_width: int            # input columns (k * f_0) of the serving batch
 
 
 class ServeFuture:
@@ -274,6 +281,7 @@ class ServingEngine:
                  checkpoint_epoch: Optional[int] = None,
                  rebuild=None) -> None:
         self.model = model
+        model.release_training_plans()
         self.comm = comm if comm is not None else model.comm
         self.options = options or ServeOptions()
         self.owns_comm = owns_comm
@@ -615,6 +623,7 @@ class ServingEngine:
             try:
                 model, comm = self._rebuild()
                 model.load_weight_state(self._retained_weights)
+                model.release_training_plans()
                 # Recompile every batch width the dead engine had
                 # retained, so the first post-restart request of a known
                 # width pays no compile.
@@ -662,15 +671,14 @@ class ServingEngine:
         msgs0 = self.comm.events.message_count()
         t0 = perf_counter()
 
-        if k == 1:
-            operand = batch[0].features
-        else:
-            operand = np.concatenate([r.features for r in batch], axis=1)
-        dist_operand = DistDenseMatrix.from_global(
-            operand, self.model.dist, dtype=self.model.dtype)
+        # The model takes the request matrices as they arrived: it
+        # projects each one to its layer-0 SpMM width block by block, so
+        # no ``n x k f_0`` operand is built here (or anywhere, when
+        # layer 0 narrows).
         with TRACE.span("serve.batch", cat="serve", track=SERVE_TRACK,
                         args={"requests": k, "width": width}):
-            logits = self.model.forward(dist_operand, streams=k).to_global()
+            logits = self.model.forward(
+                [r.features for r in batch]).to_global()
 
         t1 = perf_counter()
         batch_s = t1 - t0

@@ -25,13 +25,16 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
+from ..core.analysis import predicted_bytes_per_forward
+from ..core.config import Algorithm
+from ..core.costmodel import inference_spmm_widths
 from ..obs.metrics import percentile
 from .admission import RequestRejected
 from .engine import (RequestExpired, ServeError, ServeOptions, ServeResult,
                      ServingEngine)
 
 __all__ = ["LoadStep", "prepare_checkpoint", "run_load", "run_serve_bench",
-           "submit_with_retries", "verify_batched_identity"]
+           "serve_traffic", "submit_with_retries", "verify_batched_identity"]
 
 
 def submit_with_retries(engine: ServingEngine, features: np.ndarray,
@@ -238,6 +241,38 @@ def verify_batched_identity(engine: ServingEngine,
     }
 
 
+def serve_traffic(engine: ServingEngine) -> dict:
+    """Exchange volume per served request against the schedule's.
+
+    Every request moves the same bytes whatever batch it rode in (the
+    exchange is linear in the stream count), so the engine's lifetime
+    total over its served requests is exact.  ``predicted_*`` is the
+    volume at :func:`~repro.core.costmodel.inference_spmm_widths`,
+    ``paper_order_*`` what ``(A H) W`` on every layer would move (1D
+    only: the 1.5D volume has no closed form here).  ``widest_plan``
+    against ``input_width`` shows whether any retained SpMM plan is as
+    wide as a request.  Assumes a fault-free run on a communicator that
+    has served nothing else.
+    """
+    model = engine.model
+    served = int(engine.stats()["serve_request_seconds_count"])
+    widths = inference_spmm_widths(model.layer_dims)
+    report = {
+        "input_width": engine.input_width,
+        "spmm_widths": widths,
+        "widest_plan": max(model.compiled_widths()),
+        "requests": served,
+        "bytes_per_request": engine.comm.events.total_bytes() / served,
+    }
+    if model.algorithm == Algorithm.ONE_D:
+        for key, schedule in (("predicted", widths),
+                              ("paper_order", model.layer_dims[:-1])):
+            report[f"{key}_bytes_per_request"] = predicted_bytes_per_forward(
+                model.adjacency, schedule, model.sparsity_aware,
+                element_bytes=model.dtype.itemsize)
+    return report
+
+
 def prepare_checkpoint(dataset, config, path, epochs: int = 3) -> str:
     """Train briefly and publish a checkpoint for serving benchmarks.
 
@@ -353,6 +388,7 @@ def run_serve_bench(dataset, config, checkpoint,
                     k: v for k, v in engine.stats().items()
                     if k.startswith("tenant_")}
                 results["health"] = engine.health()
+                results["traffic"] = serve_traffic(engine)
         finally:
             engine.close()
 

@@ -102,3 +102,56 @@ class TestEventLog:
         log.record_message("p2p", 0, 1, 2, "x")
         sizes = [e.nbytes for e in log]
         assert sizes == [1, 2]
+
+
+class TestRunningTotals:
+    """``total_bytes`` / ``message_count`` answer from counters kept at
+    record time; a scan of the log is the oracle."""
+
+    CATEGORIES = ("alltoall", "bcast", "allreduce", "never-recorded")
+
+    @staticmethod
+    def assert_totals_match_a_scan(log):
+        for category in (None,) + TestRunningTotals.CATEGORIES:
+            kept = [e for e in log
+                    if category is None or e.category == category]
+            assert log.total_bytes(category) == sum(e.nbytes for e in kept)
+            assert log.message_count(category) == len(kept)
+        assert log.message_count() == len(log)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_totals_equal_a_scan_after_random_operations(self, seed):
+        rng = np.random.default_rng(seed)
+
+        def record_random(log):
+            log.record_message(
+                "p2p", int(rng.integers(4)), int(rng.integers(4)),
+                int(rng.integers(0, 1000)),
+                self.CATEGORIES[int(rng.integers(3))])
+
+        log = EventLog()
+        for _ in range(200):
+            op = rng.random()
+            if op < 0.7:
+                record_random(log)
+            elif op < 0.8:
+                log.record(CommEvent("bcast", 0, 1, int(rng.integers(50)),
+                                     "bcast", log.next_step()))
+            elif op < 0.95:
+                other = EventLog()
+                for _ in range(int(rng.integers(0, 6))):
+                    record_random(other)
+                log.merge(other)
+                self.assert_totals_match_a_scan(other)  # merge reads only
+            else:
+                log.clear()
+            self.assert_totals_match_a_scan(log)
+
+    def test_clear_zeroes_every_category(self):
+        log = EventLog()
+        log.record_message("p2p", 0, 1, 10, "alltoall")
+        log.clear()
+        assert log.total_bytes() == log.total_bytes("alltoall") == 0
+        assert log.message_count() == log.message_count("alltoall") == 0
+        log.record_message("p2p", 0, 1, 3, "bcast")
+        assert (log.total_bytes(), log.message_count()) == (3, 1)

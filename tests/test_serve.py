@@ -21,6 +21,7 @@ import queue
 import numpy as np
 import pytest
 
+import oracle
 from repro.cli import main
 from repro.comm import make_communicator
 from repro.core import DistTrainConfig, setup_distributed
@@ -200,15 +201,39 @@ class TestAdmission:
 # Inference-only forward (satellite: skips activation caches)
 # ----------------------------------------------------------------------
 class TestInferenceForward:
-    def test_bit_identical_to_training_forward(self, dataset, config):
+    def test_bit_identical_to_training_forward_when_no_layer_narrows(
+            self, config):
+        # [6, 8, 9]: every layer keeps the training order (A H) W.
+        from repro.graphs import load_dataset
+        widening = load_dataset("reddit", scale=0.05, n_features=6,
+                                n_classes=9, seed=2)
+        setup = setup_distributed(widening, config)
+        try:
+            model = setup.model
+            assert oracle.association_order(model.layer_dims) \
+                == oracle.PAPER_ORDER
+            reference = model.forward()[-1].h_out.to_global()   # training
+            inferred = model.forward(model.features).to_global()
+            oracle.assert_matches_reference(inferred, reference,
+                                            model.dtype, oracle.PAPER_ORDER)
+        finally:
+            setup.comm.close()
+
+    def test_matches_training_forward_to_rounding_when_a_layer_narrows(
+            self, dataset, config):
+        # [6, 8, 3]: the output layer runs weight-first, A (H W) — the
+        # same product summed in another order.
         setup = setup_distributed(dataset, config)
         try:
             model = setup.model
-            caches = model.forward()                    # training path
-            reference = caches[-1].h_out.to_global()
+            assert oracle.association_order(model.layer_dims) \
+                == oracle.WEIGHT_FIRST
+            reference = model.forward()[-1].h_out.to_global()   # training
             inferred = model.forward(model.features).to_global()
-            assert np.array_equal(inferred, reference)
-            assert inferred.dtype == reference.dtype
+            oracle.assert_matches_reference(inferred, reference,
+                                            model.dtype, oracle.WEIGHT_FIRST)
+            oracle.assert_matches_single_node(inferred, model,
+                                              model.features.to_global())
         finally:
             setup.comm.close()
 
