@@ -30,8 +30,9 @@
 # never writing CI hosts' numbers anywhere), and the
 # kernel/compiled-epoch/overlap microbenchmark (scripts/bench_kernels.py
 # --quick, writing to a throwaway path so CI never touches the
-# checked-in BENCH_serve.json / BENCH_kernels.json).  Hard 60 s budget
-# for everything —
+# checked-in BENCH_serve.json / BENCH_kernels.json).  Afterwards, no
+# process-backend segment (/dev/shm/rpr*) created during the run may
+# survive it.  Hard 60 s budget for everything —
 # each run takes ~1 s; anything slower signals a performance regression
 # or a hang in the comm layer (worker threads for `threaded`, worker
 # processes, shared-memory arenas and in-flight nonblocking handles for
@@ -43,6 +44,11 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+
+# Process-backend shared-memory segments (/dev/shm/rpr*) alive before the
+# run; any other segment still alive after it leaked.
+shm_segments() { ls /dev/shm 2>/dev/null | { grep '^rpr' || true; } | sort; }
+shm_before="$(shm_segments)"
 
 timeout 60 bash -c '
   set -euo pipefail
@@ -213,3 +219,11 @@ PYEOF
   python scripts/bench_kernels.py --quick \
     --output "$(mktemp -d)/BENCH_kernels.json"
 '
+
+echo "== no shared-memory segment outlives the run =="
+leaked="$(comm -13 <(echo "${shm_before}") <(shm_segments))"
+if [ -n "${leaked}" ]; then
+  echo "leaked /dev/shm segments:" ${leaked} >&2
+  exit 1
+fi
+echo "shm: no segment created during the run survives it"

@@ -366,6 +366,20 @@ class Communicator(abc.ABC):
         if op not in ("sum", "max"):
             raise ValueError(f"unsupported reduce op {op!r}")
 
+    def _check_messages(self, messages,
+                        sync_ranks: Optional[Sequence[int]]
+                        ) -> Optional[List[int]]:
+        """Validate a point-to-point batch; returns the resolved
+        ``sync_ranks`` group (``None`` when not given).
+
+        Called before :meth:`_begin_exchange`, so a rejected batch ticks
+        no fault point, allocates no step and logs no message.
+        """
+        for src, dst, _ in messages:
+            if not (0 <= src < self.nranks and 0 <= dst < self.nranks):
+                raise ValueError(f"message ranks ({src}, {dst}) out of range")
+        return None if sync_ranks is None else self._resolve_ranks(sync_ranks)
+
     # ------------------------------------------------------------------
     # Fault injection (deterministic chaos testing; see comm/faults.py)
     # ------------------------------------------------------------------

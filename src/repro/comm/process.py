@@ -54,22 +54,38 @@ whole group by the measured step duration and synchronise; the
 :class:`~repro.comm.events.EventLog` records as the simulator, so the
 Table-2 statistics are backend-independent.
 
+**Lowering.**  Every collective lowers to one staged step (:class:`_Step`):
+``sends`` — the payloads staged, in order, into their owners' send
+arenas; ``copies`` — ``(send index, dst)`` pairs, each landing in
+``dst``'s recv arena; ``reduces`` — ``(dst, op, force64)``, each the
+group-ordered :func:`reduce_stack` of every staged payload.  An
+all-to-allv, allgather, broadcast or point-to-point batch is copies only;
+an allreduce is one reduce per member and a rooted reduce one at the
+root.  A per-collective ``_lower_*`` method validates, records the
+``EventLog`` messages, builds the step and a ``finish`` that assembles
+the caller's result from the read-back slabs; :meth:`_step` (the one
+plan builder) turns it into per-rank worker commands and
+:meth:`_collective` (the one dispatcher) runs them blocking or posts them
+nonblocking.  A step that moves nothing (empty payloads, singleton
+groups) never reaches the workers' data plane; a blocking one still runs
+a no-op round over its group.
+
 **Repeated-exchange fast path.**  A training epoch issues the *same-shaped*
 collectives hundreds of times (the compiled SpMM operators reuse their
 pack buffers, so shapes are literally identical call to call).  The driver
-therefore caches, per (collective, group, payload-shape signature), the
-complete staging layout — slab placements, arena views, worker plan dicts
-and result-read views — and the workers cache the plan dict under a small
-plan id.  A repeated call then writes the payload bytes into the cached
-arena views and sends a tiny ``{"op": "replay", "pid": ...}`` command
-instead of re-deriving layouts and re-pickling plans.  Entries are
-invalidated whenever a referenced arena is regrown and the cache is LRU
-bounded (:data:`MAX_CACHED_PLANS`); a pid is only ever replayed after the
-full plan carrying that pid was delivered to the same group, so reused
-pids can never resolve to a stale worker-side plan.
+therefore caches, per (collective tag, arena kind, group, payload-shape
+signature), the complete staging layout — slab placements, arena views,
+worker plan dicts and result-read slabs — and the workers cache the plan
+dict under a small plan id.  A repeated call then writes the payload
+bytes into the cached arena views and sends a tiny ``{"op": "replay",
+"pid": ...}`` command instead of re-deriving layouts and re-pickling
+plans.  Entries are invalidated whenever a referenced arena is regrown
+and the cache is LRU bounded (:data:`MAX_CACHED_PLANS`); a pid is only
+ever replayed after the full plan carrying that pid was delivered to the
+same group, so reused pids can never resolve to a stale worker-side plan.
 
 **Nonblocking collectives.**  ``ibroadcast`` / ``ialltoallv`` /
-``iallreduce`` / ``iexchange`` post the staged exchange plan and return a
+``iallreduce`` / ``iexchange`` post the staged step and return a
 :class:`~repro.comm.base.CommHandle` immediately; the workers stream the
 payload bytes while the driver computes (``parallel_for`` runs
 driver-side here, so the overlap is genuine).  Posted steps differ from
@@ -78,14 +94,22 @@ dedicated, *alternating* pair of arena slots (kinds ``send0/recv0`` and
 ``send1/recv1`` — the transport-level double buffer, so an in-flight
 payload can never be clobbered by the next step's staging); only members
 whose plan actually moves bytes receive a command (no bulk-synchronous
-no-op round trips — clocks synchronise driver-side at ``wait()``); and
-steps under :data:`NB_GROUPED_COPY_MAX_BYTES` use a grouped-copy
-protocol where one courier worker executes the whole copy/reduce fan-out
-in a single command.  Responses are drained strictly in posting order
-(the per-rank out-queues are FIFO), blocking steps drain every pending
-response first, and :meth:`close` finalises in-flight handles — reading
-their results out of the arenas — before anything is unlinked, so
-interrupted runs never leak shm segments.
+no-op round trips — clocks synchronise driver-side at ``wait()``); and a
+step moving at most :data:`NB_GROUPED_COPY_MAX_BYTES` runs on one
+*courier* worker, which executes the whole copy/reduce fan-out in a
+single command.  The courier is the root's successor for a broadcast and
+``group[0]`` for an allreduce or a point-to-point batch; ``ialltoallv``,
+every blocking call and ``reduce`` name none.  Responses are drained
+strictly in posting order (the per-rank out-queues are FIFO), blocking
+steps drain every pending response first, and :meth:`close` finalises
+in-flight handles — reading their results out of the arenas — before
+anything is unlinked, so interrupted runs never leak shm segments.
+
+**Crash cleanup.**  The driver starts the ``multiprocessing`` resource
+tracker before its workers, so under ``fork`` and ``spawn`` alike every
+worker shares the driver's tracker, and attaching a segment only repeats
+the driver's registration.  If the driver dies without :meth:`close`, the
+tracker unlinks every segment once the driver and its workers are gone.
 """
 
 from __future__ import annotations
@@ -97,7 +121,7 @@ import queue as queue_mod
 import time
 import traceback
 from collections import OrderedDict
-from multiprocessing import shared_memory
+from multiprocessing import resource_tracker, shared_memory
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -179,24 +203,16 @@ NB_GROUPED_COPY_MAX_BYTES = 1 << 20
 # ----------------------------------------------------------------------
 # Worker side (runs in the per-rank child processes)
 # ----------------------------------------------------------------------
-def _attach_arena(name: str, unregister: bool) -> shared_memory.SharedMemory:
+def _attach_arena(name: str) -> shared_memory.SharedMemory:
     """Attach an existing shared-memory segment.
 
-    Under the ``spawn`` start method every child owns a private resource
-    tracker which registers the segment on attach and would unlink it when
-    the child exits — destroying it under the driver.  Unregister the
-    attachment in that case (the driver's own registration from creation
-    keeps crash cleanup working).  Under ``fork`` the tracker is shared
-    with the driver and must keep its single registration.
+    The attach registers the segment with the resource tracker the worker
+    shares with the driver (see "Crash cleanup" in the module docstring);
+    that repeats the driver's own registration, so the attachment is never
+    unregistered — unregistering would drop the driver's registration and
+    leak the segment if the driver crashed.
     """
-    shm = shared_memory.SharedMemory(name=name)
-    if unregister:
-        try:  # pragma: no cover - spawn-only path
-            from multiprocessing import resource_tracker
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:
-            pass
-    return shm
+    return shared_memory.SharedMemory(name=name)
 
 
 def _worker_barrier(rank: int, cmd: dict, sync_qs, pending: Dict[int, int]) -> None:
@@ -227,7 +243,7 @@ def _worker_barrier(rank: int, cmd: dict, sync_qs, pending: Dict[int, int]) -> N
                                f"expected {bid}")
 
 
-def _worker_main(rank: int, cmd_q, out_q, sync_qs, unregister_shm: bool,
+def _worker_main(rank: int, cmd_q, out_q, sync_qs,
                  trace: bool = False) -> None:
     """Main loop of one rank's worker process.
 
@@ -273,8 +289,7 @@ def _worker_main(rank: int, cmd_q, out_q, sync_qs, unregister_shm: bool,
                     if cur is None or cur[0] != gen:
                         if cur is not None:
                             cur[1].close()
-                        attached[(owner, kind)] = (
-                            gen, _attach_arena(name, unregister_shm))
+                        attached[(owner, kind)] = (gen, _attach_arena(name))
                 skind = cmd.get("skind", "send")
                 rkind = cmd.get("rkind", "recv")
                 for copy in cmd["copies"]:
@@ -353,15 +368,45 @@ class _Slab:
         self.nbytes = nbytes
 
 
+class _Step:
+    """One collective lowered for the workers (module docstring,
+    "Lowering").
+
+    ``sends`` are ``(rank, array)`` pairs staged in order into the send
+    arenas; ``copies`` are ``(send index, dst rank)`` pairs, each landing
+    in ``dst``'s recv arena (a rank's result slabs follow copy order);
+    ``reduces`` are ``(dst, op, force64)``, each the group-ordered
+    :func:`reduce_stack` of every staged payload.  ``courier`` is the rank
+    that runs a small *nonblocking* step alone (``None``: every member
+    runs its own share).  ``tag`` and ``sig`` — a cheap shape signature —
+    key the plan cache.
+    """
+
+    __slots__ = ("tag", "sig", "sends", "copies", "reduces", "courier")
+
+    def __init__(self, tag: str, sig: tuple,
+                 sends: List[Tuple[int, np.ndarray]],
+                 copies: Sequence[Tuple[int, int]] = (),
+                 reduces: Sequence[tuple] = (),
+                 courier: Optional[int] = None) -> None:
+        self.tag = tag
+        self.sig = sig
+        self.sends = sends
+        self.copies = copies
+        self.reduces = reduces
+        self.courier = courier
+
+
 class _CachedStep:
     """One cached exchange schedule (see the module docstring).
 
-    ``views`` are ndarray views into the send arenas, in the caller's flat
-    payload order — a repeated call only writes payload bytes through
-    them.  ``plans`` are the fully built per-rank worker commands (sent
-    once, then replayed by ``pid``); ``reads`` is collective-specific
-    result-read metadata; ``gens`` snapshots the (arena key, generation)
-    pairs the plan references, for invalidation on arena regrowth.
+    ``views`` are ndarray views into the send arenas, in the step's send
+    order — a repeated call only writes payload bytes through them.
+    ``plans`` are the fully built per-rank worker commands (sent once, then
+    replayed by ``pid``); ``reads`` are the ``(rank, slab)`` result slabs
+    in the recv arenas, copies first, then reductions; ``gens`` snapshots
+    the (arena key, generation) pairs the plan references, for
+    invalidation on arena regrowth.
     """
 
     __slots__ = ("pid", "group", "plans", "views", "reads", "gens", "primed")
@@ -512,13 +557,15 @@ class ProcessPoolCommunicator(Communicator):
         self._cmd_qs = [ctx.Queue() for _ in range(self.nranks)]
         self._out_qs = [ctx.Queue() for _ in range(self.nranks)]
         self._sync_qs = [ctx.Queue() for _ in range(self.nranks)]
-        unregister = self.start_method != "fork"
+        # Workers must share the driver's tracker (module docstring, "Crash
+        # cleanup"); a child forked before it runs would start its own.
+        resource_tracker.ensure_running()
         self._procs = []
         for r in range(self.nranks):
             proc = ctx.Process(
                 target=_worker_main, name=f"comm-rank-{r}",
                 args=(r, self._cmd_qs[r], self._out_qs[r], self._sync_qs,
-                      unregister, TRACE.enabled),
+                      TRACE.enabled),
                 daemon=True)
             proc.start()
             self._procs.append(proc)
@@ -585,37 +632,6 @@ class ProcessPoolCommunicator(Communicator):
             return evicted.pid
         return next(self._pid_counter)
 
-    def _cached_entry(self, key: tuple, builder: Callable) -> _CachedStep:
-        """Look up (or build) the cached schedule for ``key``.
-
-        ``builder() -> (group, plans, views, reads, arena_keys)`` derives
-        the full layout; it runs only on a cache miss or after a
-        referenced arena was regrown.
-        """
-        entry = self._plan_cache.get(key)
-        if entry is not None:
-            ok = True
-            for ak, gen in entry.gens:
-                arena = self._arenas.get(ak)
-                if arena is None or arena.gen != gen:
-                    ok = False
-                    break
-            if ok:
-                self._plan_hits += 1
-                self._plan_cache.move_to_end(key)
-                return entry
-            self._plan_cache.pop(key)
-            self._free_pids.append(entry.pid)
-        self._plan_misses += 1
-        pid = self._alloc_pid()
-        group, plans, views, reads, arena_keys = builder()
-        for plan in plans:
-            plan["pid"] = pid
-        gens = tuple((ak, self._arenas[ak].gen) for ak in arena_keys)
-        entry = _CachedStep(pid, group, plans, views, reads, gens)
-        self._plan_cache[key] = entry
-        return entry
-
     def cache_stats(self) -> Dict[str, int]:
         """Exchange-plan LRU counters (exported into the metrics registry
         as ``comm_plan_cache_*``).  Hits are replayed schedules; misses
@@ -636,26 +652,6 @@ class ProcessPoolCommunicator(Communicator):
             return entry.plans
         replay = {"op": "replay", "pid": entry.pid}
         return [replay] * len(entry.group)
-
-    def _place_send(self, payloads: Dict[int, List[np.ndarray]],
-                    kind: str = "send"
-                    ) -> Tuple[Dict[int, List[_Slab]],
-                               Dict[int, List[np.ndarray]]]:
-        """Compute slab placements + arena views without writing bytes."""
-        placed: Dict[int, List[_Slab]] = {}
-        views: Dict[int, List[np.ndarray]] = {}
-        for rank, arrays in payloads.items():
-            total = sum(_aligned(a.nbytes) for a in arrays)
-            arena = self._ensure_arena(rank, kind, total)
-            slabs, vlist, offset = [], [], 0
-            for arr in arrays:
-                slabs.append(_Slab(offset, arr.shape, arr.dtype, arr.nbytes))
-                vlist.append(np.ndarray(arr.shape, dtype=arr.dtype,
-                                        buffer=arena.shm.buf, offset=offset))
-                offset += _aligned(arr.nbytes)
-            placed[rank] = slabs
-            views[rank] = vlist
-        return placed, views
 
     def collect_trace_spans(self) -> None:
         """Ship each worker's local span buffer into the driver tracer.
@@ -777,22 +773,12 @@ class ProcessPoolCommunicator(Communicator):
     # ------------------------------------------------------------------
     # Plan staging and execution
     # ------------------------------------------------------------------
-    def _stage_send(self, payloads: Dict[int, List[np.ndarray]]
-                    ) -> Dict[int, List[_Slab]]:
-        """Write each rank's outgoing arrays into its send arena."""
-        placed, views = self._place_send(payloads)
-        for rank, arrays in payloads.items():
-            for view, arr in zip(views[rank], arrays):
-                view[...] = arr
-        return placed
-
     def _arena_ref(self, rank: int, kind: str) -> Tuple[int, str, str, int]:
         arena = self._arenas[(rank, kind)]
         return (rank, kind, arena.shm.name, arena.gen)
 
-    def _read_recv(self, rank: int, slab: _Slab,
-                   kind: str = "recv") -> np.ndarray:
-        """Copy one result slab out of ``rank``'s recv arena."""
+    def _read_recv(self, rank: int, slab: _Slab, kind: str) -> np.ndarray:
+        """Copy one result slab out of ``rank``'s ``kind`` recv arena."""
         arena = self._arenas[(rank, kind)]
         view = np.ndarray(slab.shape, dtype=slab.dtype,
                           buffer=arena.shm.buf, offset=slab.offset)
@@ -1051,15 +1037,165 @@ class ProcessPoolCommunicator(Communicator):
         self.timeline.advance_all([dt] * len(group), category, ranks=group)
         self.timeline.synchronize(group)
 
-
     @staticmethod
     def _plan(arenas: Sequence[Tuple[int, str, str, int]],
-              copies: Sequence[Tuple[int, int, int, int]] = (),
+              copies: Sequence[tuple] = (),
               reduces: Sequence[dict] = (),
               skind: str = "send", rkind: str = "recv") -> dict:
         return {"op": "plan", "arenas": list(arenas),
                 "copies": list(copies), "reduces": list(reduces),
                 "skind": skind, "rkind": rkind}
+
+    # ------------------------------------------------------------------
+    # Lowered steps: the one plan builder and the one dispatcher
+    # ------------------------------------------------------------------
+    def _step(self, step: _Step, group: List[int], skind: str, rkind: str,
+              courier: Optional[int]) -> _CachedStep:
+        """The per-rank worker plans of ``step``, built or from the cache.
+
+        Plans are cached under ``(tag, send kind, group, signature)``; a
+        hit costs one dict lookup plus a generation check of the arenas
+        the plans reference.  On a miss, each rank's payloads are placed
+        back to back (64-byte aligned) in its send arena, each
+        destination's results back to back in its recv arena, and every
+        member gets the copies and reductions landing in its own recv
+        arena — or, when ``courier`` is set and the step moves at most
+        :data:`NB_GROUPED_COPY_MAX_BYTES`, the courier gets all of them.
+        """
+        key = (step.tag, skind, tuple(group), step.sig)
+        entry = self._plan_cache.get(key)
+        if entry is not None:
+            for ak, gen in entry.gens:
+                arena = self._arenas.get(ak)
+                if arena is None or arena.gen != gen:
+                    break
+            else:
+                self._plan_hits += 1
+                self._plan_cache.move_to_end(key)
+                return entry
+            self._plan_cache.pop(key)
+            self._free_pids.append(entry.pid)
+        self._plan_misses += 1
+        pid = self._alloc_pid()
+
+        sent: Dict[int, int] = {}
+        placed = []
+        for rank, arr in step.sends:
+            placed.append((rank, sent.get(rank, 0)))
+            sent[rank] = placed[-1][1] + _aligned(arr.nbytes)
+        for rank, total in sent.items():
+            self._ensure_arena(rank, skind, total)
+        views = [np.ndarray(arr.shape, dtype=arr.dtype, offset=off,
+                            buffer=self._arenas[(rank, skind)].shm.buf)
+                 for (rank, off), (_, arr) in zip(placed, step.sends)]
+
+        results = [(dst, step.sends[k][1].shape, step.sends[k][1].dtype)
+                   for k, dst in step.copies]
+        for dst, op, force64 in step.reduces:
+            # The dtype reduce_stack returns, from the function itself.
+            empty = [np.empty(0, arr.dtype) for _, arr in step.sends]
+            results.append((dst, step.sends[0][1].shape,
+                            reduce_stack(empty, op, force64).dtype))
+        received: Dict[int, int] = {}
+        reads = []
+        for dst, shape, dtype in results:
+            nbytes = int(np.prod(shape)) * dtype.itemsize
+            reads.append((dst, _Slab(received.get(dst, 0), shape, dtype,
+                                     nbytes)))
+            received[dst] = reads[-1][1].offset + _aligned(nbytes)
+        for dst, total in received.items():
+            self._ensure_arena(dst, rkind, total)
+
+        grouped = courier is not None and sum(
+            slab.nbytes for _, slab in reads) <= NB_GROUPED_COPY_MAX_BYTES
+        sources = [(rank, off, arr.shape, str(arr.dtype))
+                   for (rank, off), (_, arr) in zip(placed, step.sends)]
+        # Per destination: (copies, reductions, referenced arena keys).
+        work: Dict[int, Tuple[list, list, dict]] = {}
+        for i, (dst, slab) in enumerate(reads):
+            copies, reduces, keys = work.setdefault(dst, ([], [], {}))
+            if i < len(step.copies):
+                src, src_off = placed[step.copies[i][0]]
+                keys[(src, skind)] = None
+                copies.append(
+                    (src, src_off, slab.nbytes, dst, slab.offset) if grouped
+                    else (src, src_off, slab.nbytes, slab.offset))
+            else:
+                _, op, force64 = step.reduces[i - len(step.copies)]
+                keys.update(dict.fromkeys((r, skind) for r, _ in placed))
+                red = {"sources": sources, "reduce_op": op,
+                       "force64": force64, "dst_off": slab.offset,
+                       "out_dtype": str(slab.dtype)}
+                if grouped:
+                    red["dst_owner"] = dst
+                reduces.append(red)
+            keys[(dst, rkind)] = None
+
+        def plan_for(dsts) -> dict:
+            copies, reduces, keys = [], [], {}
+            for dst in dsts:
+                if dst in work:
+                    copies += work[dst][0]
+                    reduces += work[dst][1]
+                    keys.update(work[dst][2])
+            return self._plan([self._arena_ref(*k) for k in keys], copies,
+                              reduces, skind=skind, rkind=rkind)
+
+        idle = self._plan((), skind=skind, rkind=rkind)
+        if grouped:
+            # Latency protocol: one command + one response for the step.
+            plans = [plan_for(group) if r == courier else idle
+                     for r in group]
+        else:
+            plans = [plan_for((r,)) if r in work else idle for r in group]
+        for plan in plans:
+            plan["pid"] = pid
+        gens = tuple(((r, skind), self._arenas[(r, skind)].gen) for r in sent)
+        gens += tuple(((r, rkind), self._arenas[(r, rkind)].gen)
+                      for r in received)
+        entry = _CachedStep(pid, group, plans, views, reads, gens)
+        self._plan_cache[key] = entry
+        return entry
+
+    def _collective(self, lower: Callable, blocking: bool, category: str,
+                    *args):
+        """Run one collective: lower it, then run its step bulk-synchronously
+        (``blocking``) or post it through the next nonblocking arena slot.
+
+        ``lower(category, *args) -> (group, step, finish)``; ``finish``
+        maps the read-back result slabs (copies, then reductions) to the
+        caller's result.  ``step`` is ``None`` when no byte crosses a
+        process boundary.
+        """
+        self._check_open()
+        if blocking:
+            slot, skind, rkind = None, "send", "recv"
+        else:
+            slot, skind, rkind = self._nb_kinds()
+        group, step, finish = lower(category, *args)
+        if step is None:
+            if not blocking:
+                return CompletedCommHandle(finish(()))
+            if group:
+                self._run_step(group, [self._plan(())] * len(group),
+                               category)
+            return finish(())
+        entry = self._step(step, group, skind, rkind,
+                           None if blocking else step.courier)
+        for view, (_, arr) in zip(entry.views, step.sends):
+            view[...] = arr
+        cmds = self._entry_cmds(entry)
+
+        def reader():
+            return finish([self._read_recv(rank, slab, rkind)
+                           for rank, slab in entry.reads])
+
+        if blocking:
+            self._run_step(group, cmds, category)
+            return reader()
+        active = [(r, cmd) for r, cmd, plan in zip(group, cmds, entry.plans)
+                  if _plan_is_active(plan)]
+        return self._post_handle(group, active, category, reader, slot)
 
     # ------------------------------------------------------------------
     # Execution / synchronisation
@@ -1098,19 +1234,17 @@ class ProcessPoolCommunicator(Communicator):
             raise RuntimeError("communicator is closed")
         return self.timeline.synchronize(group)
 
+
     # ------------------------------------------------------------------
-    # Collectives
+    # Collectives: each lowers to one step (module docstring, "Lowering")
     # ------------------------------------------------------------------
-    def _alltoallv_step(self, send, ranks, category, skind, rkind):
-        """Shared staging of a (non)blocking all-to-allv; returns
-        ``(group, cmds, reader)``."""
+    def _lower_alltoallv(self, category, send, ranks):
         group = self._resolve_ranks(ranks)
         p = len(group)
         self._check_alltoallv_send(send, group)
         self._record_alltoallv_events(send, group, category)
-
         recv: List[List[Optional[np.ndarray]]] = [[None] * p for _ in range(p)]
-        outgoing: List[Tuple[int, int, np.ndarray]] = []
+        sends, copies, pairs = [], [], []
         for i in range(p):
             recv[i][i] = send[i][i]
             for j in range(p):
@@ -1120,280 +1254,173 @@ class ProcessPoolCommunicator(Communicator):
                 if arr.nbytes == 0:
                     recv[j][i] = np.array(arr, copy=True)
                 else:
-                    outgoing.append((i, j, arr))
+                    copies.append((len(sends), group[j]))
+                    sends.append((group[i], arr))
+                    pairs.append((i, j))
 
-        if not outgoing:
-            return group, [self._plan(())] * p, lambda: recv, []
-
-        key = ("a2a", skind, tuple(group),
-               tuple((i, j, arr.shape, arr.dtype.str)
-                     for i, j, arr in outgoing))
-
-        def build():
-            by_sender: Dict[int, List[Tuple[int, np.ndarray]]] = {}
-            for i, j, arr in outgoing:
-                by_sender.setdefault(i, []).append((j, arr))
-            placed, sview = self._place_send(
-                {group[i]: [arr for _, arr in items]
-                 for i, items in by_sender.items()}, kind=skind)
-            # (sender pos, receiver pos) -> slab in the sender's send arena.
-            sent: Dict[Tuple[int, int], _Slab] = {}
-            views: List[np.ndarray] = []
-            view_of = {}
-            for i, items in by_sender.items():
-                for (j, _), slab, view in zip(items, placed[group[i]],
-                                              sview[group[i]]):
-                    sent[(i, j)] = slab
-                    view_of[(i, j)] = view
-            views = [view_of[(i, j)] for i, j, _ in outgoing]
-
-            incoming: Dict[int, List[int]] = {
-                j: [i for i in range(p) if (i, j) in sent] for j in range(p)}
-            got: Dict[Tuple[int, int], _Slab] = {}
-            for j in range(p):
-                total = sum(_aligned(sent[(i, j)].nbytes)
-                            for i in incoming[j])
-                if total:
-                    self._ensure_arena(group[j], rkind, total)
-                offset = 0
-                for i in incoming[j]:
-                    s = sent[(i, j)]
-                    got[(i, j)] = _Slab(offset, s.shape, s.dtype, s.nbytes)
-                    offset += _aligned(s.nbytes)
-
-            plans, arena_keys = [], set()
-            for j in range(p):
-                arenas = [self._arena_ref(group[i], skind)
-                          for i in incoming[j]]
-                if incoming[j]:
-                    arenas.append(self._arena_ref(group[j], rkind))
-                arena_keys.update((ref[0], ref[1]) for ref in arenas)
-                copies = [(group[i], sent[(i, j)].offset, sent[(i, j)].nbytes,
-                           got[(i, j)].offset) for i in incoming[j]]
-                plans.append(self._plan(arenas, copies, skind=skind,
-                                         rkind=rkind))
-            return group, plans, views, got, sorted(arena_keys)
-
-        entry = self._cached_entry(key, build)
-        for view, (_, _, arr) in zip(entry.views, outgoing):
-            view[...] = arr
-
-        def reader():
-            for (i, j), slab in entry.reads.items():
-                recv[j][i] = self._read_recv(group[j], slab, kind=rkind)
+        def finish(outs):
+            for (i, j), out in zip(pairs, outs):
+                recv[j][i] = out
             return recv
 
-        cmds = self._entry_cmds(entry)
-        active = [(group[pos], cmds[pos]) for pos in range(p)
-                  if _plan_is_active(entry.plans[pos])]
-        return group, cmds, reader, active
+        if not sends:
+            return group, None, finish
+        sig = tuple((i, j, arr.shape, arr.dtype.str)
+                    for (i, j), (_, arr) in zip(pairs, sends))
+        return group, _Step("a2a", sig, sends, copies), finish
 
-    def alltoallv(self,
-                  send: Sequence[Sequence[Optional[np.ndarray]]],
-                  ranks: Optional[Sequence[int]] = None,
-                  category: str = "alltoall",
-                  ) -> List[List[Optional[np.ndarray]]]:
-        self._check_open()
-        group, cmds, reader, _ = self._alltoallv_step(
-            send, ranks, category, "send", "recv")
-        self._run_step(group, cmds, category)
-        return reader()
-
-    def ialltoallv(self,
-                   send: Sequence[Sequence[Optional[np.ndarray]]],
-                   ranks: Optional[Sequence[int]] = None,
-                   category: str = "alltoall") -> CommHandle:
-        """Nonblocking all-to-allv: the plan is posted, workers stream."""
-        self._check_open()
-        slot, skind, rkind = self._nb_kinds()
-        group, _, reader, active = self._alltoallv_step(send, ranks, category,
-                                                        skind, rkind)
-        if not active:
-            return CompletedCommHandle(reader())
-        return self._post_handle(group, active, category, reader, slot)
-
-    def _broadcast_step(self, value, root, ranks, category, skind, rkind,
-                        consolidate=False):
+    def _lower_broadcast(self, category, value, root, ranks):
         group = self._resolve_ranks(ranks)
         self._check_root(root, group)
         p = len(group)
         self._record_broadcast_events(_nbytes(value), root, group, category)
         arr = np.asarray(value)
         root_pos = group.index(root)
-
         if arr.nbytes == 0 or p == 1:
             result = [value if pos == root_pos else np.array(arr, copy=True)
                       for pos in range(p)]
-            return group, [self._plan(())] * p, lambda: result, []
+            return group, None, lambda _: result
 
-        key = ("bc", skind, tuple(group), root, arr.shape, arr.dtype.str)
+        def finish(outs):
+            return outs[:root_pos] + [value] + outs[root_pos:]
 
-        def build():
-            placed, views = self._place_send({root: [arr]}, kind=skind)
-            (slab,) = placed[root]
-            grouped = consolidate and \
-                (p - 1) * slab.nbytes <= NB_GROUPED_COPY_MAX_BYTES
-            plans, received, arena_keys = [], {}, {(root, skind)}
-            if grouped:
-                # Latency protocol: one courier worker performs every
-                # receiver's copy (one command + one response per step).
-                courier = group[(root_pos + 1) % p]
-                arenas = [self._arena_ref(root, skind)]
-                copies = []
-                for pos, r in enumerate(group):
-                    if pos == root_pos:
-                        continue
-                    arena = self._ensure_arena(r, rkind, slab.nbytes)
-                    arena_keys.add((r, rkind))
-                    arenas.append((r, rkind, arena.shm.name, arena.gen))
-                    received[pos] = _Slab(0, slab.shape, slab.dtype,
-                                          slab.nbytes)
-                    copies.append((root, slab.offset, slab.nbytes, r, 0))
-                courier_plan = self._plan(arenas, copies, skind=skind,
-                                          rkind=rkind)
-                plans = [courier_plan if r == courier else self._plan(())
-                         for r in group]
-                return group, plans, views[root], received, \
-                    sorted(arena_keys)
-            for pos, r in enumerate(group):
-                if pos == root_pos:
-                    plans.append(self._plan(()))
-                    continue
-                arena = self._ensure_arena(r, rkind, slab.nbytes)
-                arena_keys.add((r, rkind))
-                received[pos] = _Slab(0, slab.shape, slab.dtype, slab.nbytes)
-                plans.append(self._plan(
-                    [self._arena_ref(root, skind),
-                     (r, rkind, arena.shm.name, arena.gen)],
-                    [(root, slab.offset, slab.nbytes, 0)],
-                    skind=skind, rkind=rkind))
-            return group, plans, views[root], received, sorted(arena_keys)
+        step = _Step("bc", (root, arr.shape, arr.dtype.str), [(root, arr)],
+                     [(0, r) for r in group if r != root],
+                     courier=group[(root_pos + 1) % p])
+        return group, step, finish
 
-        entry = self._cached_entry(key, build)
-        entry.views[0][...] = arr
+    def _lower_allreduce(self, category, arrays, ranks, op):
+        group = self._resolve_ranks(ranks)
+        p = len(group)
+        self._check_allreduce_arrays(arrays, group, op)
+        self._record_allreduce_events(_nbytes(arrays[0]), group, category)
+        arrs = [np.asarray(a) for a in arrays]
+        if arrs[0].nbytes == 0 or p == 1:
+            result = reduce_stack(arrays, op)
+            results = [result.copy() if i > 0 else result for i in range(p)]
+            return group, None, lambda _: results
+        step = _Step("ar", (op, arrs[0].shape, tuple(a.dtype.str
+                                                     for a in arrs)),
+                     list(zip(group, arrs)),
+                     reduces=[(r, op, False) for r in group],
+                     courier=group[0])
+        return group, step, lambda outs: outs
 
-        def reader():
-            return [value if pos == root_pos
-                    else self._read_recv(group[pos], entry.reads[pos],
-                                         kind=rkind)
-                    for pos in range(p)]
+    def _lower_allgather(self, category, arrays, ranks):
+        group = self._resolve_ranks(ranks)
+        p = len(group)
+        self._check_allgather_arrays(arrays, group)
+        self._record_allgather_events(arrays, group, category)
+        arrs = [np.asarray(a) for a in arrays]
+        moving = [j for j in range(p) if arrs[j].nbytes > 0]
+        pairs = [(i, j) for i in range(p) for j in moving if j != i]
 
-        cmds = self._entry_cmds(entry)
-        active = [(group[pos], cmds[pos]) for pos in range(p)
-                  if _plan_is_active(entry.plans[pos])]
-        return group, cmds, reader, active
+        def finish(outs):
+            got = dict(zip(pairs, outs))
+            return [[arrays[i] if j == i
+                     else got[(i, j)] if (i, j) in got
+                     else np.array(arrs[j], copy=True)
+                     for j in range(p)] for i in range(p)]
+
+        if not pairs:
+            return group, None, finish
+        sig = tuple((j, arrs[j].shape, arrs[j].dtype.str) for j in moving)
+        index = {j: k for k, j in enumerate(moving)}
+        step = _Step("ag", sig, [(group[j], arrs[j]) for j in moving],
+                     [(index[j], group[i]) for i, j in pairs])
+        return group, step, finish
+
+    def _lower_reduce(self, category, arrays, root, ranks, op):
+        group = self._resolve_ranks(ranks)
+        p = len(group)
+        self._check_root(root, group)
+        self._check_reduce_arrays(arrays, group, op)
+        self._record_reduce_events(_nbytes(arrays[0]), root, group, category)
+        arrs = [np.asarray(a) for a in arrays]
+        root_pos = group.index(root)
+        if arrs[0].nbytes == 0 or p == 1:
+            result = reduce_stack(arrays, op, force_float64=True)
+            return group, None, lambda _: [
+                result if pos == root_pos else None for pos in range(p)]
+        step = _Step("red", (root, op, arrs[0].shape,
+                             tuple(a.dtype.str for a in arrs)),
+                     list(zip(group, arrs)), reduces=[(root, op, True)])
+        return group, step, lambda outs: [
+            outs[0] if pos == root_pos else None for pos in range(p)]
+
+    def _lower_exchange(self, category, messages, sync_ranks):
+        sync = self._check_messages(messages, sync_ranks)
+        step_id = self._begin_exchange(category)
+        involved = set()
+        delivered: Dict[Tuple[int, int], np.ndarray] = {}
+        # Grouped by sender (first appearance), then message order: the
+        # send and receive slab order of the batch.
+        by_src: Dict[int, List[Tuple[int, np.ndarray]]] = {}
+        for src, dst, payload in messages:
+            involved.add(src)
+            involved.add(dst)
+            if src == dst or _nbytes(payload) == 0:
+                delivered[(src, dst)] = payload
+                continue
+            arr = np.asarray(payload)
+            self.events.record_message("p2p", src, dst, arr.nbytes,
+                                       category, step_id)
+            by_src.setdefault(src, []).append((dst, arr))
+        group = sorted(involved if sync is None else involved.union(sync))
+        sends, copies, pairs = [], [], []
+        for src, items in by_src.items():
+            for dst, arr in items:
+                copies.append((len(sends), dst))
+                sends.append((src, arr))
+                pairs.append((src, dst))
+
+        def finish(outs):
+            delivered.update(zip(pairs, outs))
+            return delivered
+
+        if not pairs:
+            return group, None, finish
+        sig = tuple((src, dst, arr.shape, arr.dtype.str)
+                    for (src, dst), (_, arr) in zip(pairs, sends))
+        return group, _Step("p2p", sig, sends, copies,
+                            courier=group[0]), finish
+
+    def alltoallv(self,
+                  send: Sequence[Sequence[Optional[np.ndarray]]],
+                  ranks: Optional[Sequence[int]] = None,
+                  category: str = "alltoall",
+                  ) -> List[List[Optional[np.ndarray]]]:
+        return self._collective(self._lower_alltoallv, True, category,
+                                send, ranks)
+
+    def ialltoallv(self,
+                   send: Sequence[Sequence[Optional[np.ndarray]]],
+                   ranks: Optional[Sequence[int]] = None,
+                   category: str = "alltoall") -> CommHandle:
+        """Nonblocking all-to-allv: the plan is posted, workers stream."""
+        return self._collective(self._lower_alltoallv, False, category,
+                                send, ranks)
 
     def broadcast(self, value: np.ndarray, root: int,
                   ranks: Optional[Sequence[int]] = None,
                   category: str = "bcast") -> List[np.ndarray]:
-        self._check_open()
-        group, cmds, reader, _ = self._broadcast_step(
-            value, root, ranks, category, "send", "recv")
-        self._run_step(group, cmds, category)
-        return reader()
+        return self._collective(self._lower_broadcast, True, category,
+                                value, root, ranks)
 
     def ibroadcast(self, value: np.ndarray, root: int,
                    ranks: Optional[Sequence[int]] = None,
                    category: str = "bcast") -> CommHandle:
         """Nonblocking broadcast: the plan is posted, workers stream the
         payload into the nonblocking arena slot while the driver returns."""
-        self._check_open()
-        slot, skind, rkind = self._nb_kinds()
-        group, _, reader, active = self._broadcast_step(
-            value, root, ranks, category, skind, rkind, consolidate=True)
-        if not active:
-            return CompletedCommHandle(reader())
-        return self._post_handle(group, active, category, reader, slot)
-
-    def _allreduce_step(self, arrays, ranks, op, category, skind, rkind,
-                        consolidate=False):
-        group = self._resolve_ranks(ranks)
-        p = len(group)
-        self._check_allreduce_arrays(arrays, group, op)
-        self._record_allreduce_events(_nbytes(arrays[0]), group, category)
-        arrs = [np.asarray(a) for a in arrays]
-
-        if arrs[0].nbytes == 0 or p == 1:
-            result = reduce_stack(arrays, op)
-            results = [result.copy() if i > 0 else result for i in range(p)]
-            return group, [self._plan(())] * p, lambda: results, []
-
-        key = ("ar", skind, tuple(group), op, arrs[0].shape,
-               tuple(a.dtype.str for a in arrs))
-
-        def build():
-            placed, sview = self._place_send(
-                {group[i]: [arrs[i]] for i in range(p)}, kind=skind)
-            sources = [(group[i], placed[group[i]][0].offset, arrs[i].shape,
-                        str(arrs[i].dtype)) for i in range(p)]
-            out_dtype = np.result_type(*(
-                a.dtype if a.dtype.kind == "f" else np.float64 for a in arrs))
-            out_slab = _Slab(0, arrs[0].shape, out_dtype,
-                             int(np.prod(arrs[0].shape)) * out_dtype.itemsize)
-
-            # Every member computes the identical group-ordered reduction
-            # from its peers' send arenas — deterministic, so the results
-            # agree bitwise without a second distribution round.
-            send_refs = [self._arena_ref(group[i], skind) for i in range(p)]
-            arena_keys = {(group[i], skind) for i in range(p)}
-            views = [sview[group[i]][0] for i in range(p)]
-            if consolidate and p * out_slab.nbytes <= \
-                    NB_GROUPED_COPY_MAX_BYTES:
-                # Latency protocol: one courier worker computes the (same
-                # deterministic group-ordered) reduction into every
-                # member's recv arena — one command instead of p.
-                arenas = list(send_refs)
-                reduces = []
-                for i in range(p):
-                    arena = self._ensure_arena(group[i], rkind,
-                                               out_slab.nbytes)
-                    arena_keys.add((group[i], rkind))
-                    arenas.append((group[i], rkind, arena.shm.name,
-                                   arena.gen))
-                    reduces.append({"sources": sources, "reduce_op": op,
-                                    "force64": False, "dst_off": 0,
-                                    "dst_owner": group[i],
-                                    "out_dtype": str(out_dtype)})
-                courier_plan = self._plan(arenas, reduces=reduces,
-                                          skind=skind, rkind=rkind)
-                plans = [courier_plan if i == 0 else self._plan(())
-                         for i in range(p)]
-                return group, plans, views, out_slab, sorted(arena_keys)
-            plans = []
-            for i in range(p):
-                arena = self._ensure_arena(group[i], rkind, out_slab.nbytes)
-                arena_keys.add((group[i], rkind))
-                plans.append(self._plan(
-                    send_refs + [(group[i], rkind, arena.shm.name,
-                                  arena.gen)],
-                    reduces=[{"sources": sources, "reduce_op": op,
-                              "force64": False, "dst_off": 0,
-                              "out_dtype": str(out_dtype)}],
-                    skind=skind, rkind=rkind))
-            return group, plans, views, out_slab, sorted(arena_keys)
-
-        entry = self._cached_entry(key, build)
-        for view, arr in zip(entry.views, arrs):
-            view[...] = arr
-
-        def reader():
-            return [self._read_recv(group[i], entry.reads, kind=rkind)
-                    for i in range(p)]
-
-        cmds = self._entry_cmds(entry)
-        active = [(group[pos], cmds[pos]) for pos in range(p)
-                  if _plan_is_active(entry.plans[pos])]
-        return group, cmds, reader, active
+        return self._collective(self._lower_broadcast, False, category,
+                                value, root, ranks)
 
     def allreduce(self, arrays: Sequence[np.ndarray],
                   ranks: Optional[Sequence[int]] = None,
                   op: str = "sum",
                   category: str = "allreduce") -> List[np.ndarray]:
-        self._check_open()
-        group, cmds, reader, _ = self._allreduce_step(
-            arrays, ranks, op, category, "send", "recv")
-        self._run_step(group, cmds, category)
-        return reader()
+        return self._collective(self._lower_allreduce, True, category,
+                                arrays, ranks, op)
 
     def iallreduce(self, arrays: Sequence[np.ndarray],
                    ranks: Optional[Sequence[int]] = None,
@@ -1402,225 +1429,29 @@ class ProcessPoolCommunicator(Communicator):
         """Nonblocking all-reduce: operand bytes are staged eagerly (the
         caller may rebind its slots afterwards), the reduction streams in
         the workers."""
-        self._check_open()
-        slot, skind, rkind = self._nb_kinds()
-        group, _, reader, active = self._allreduce_step(
-            arrays, ranks, op, category, skind, rkind, consolidate=True)
-        if not active:
-            return CompletedCommHandle(reader())
-        return self._post_handle(group, active, category, reader, slot)
+        return self._collective(self._lower_allreduce, False, category,
+                                arrays, ranks, op)
 
     def allgather(self, arrays: Sequence[np.ndarray],
                   ranks: Optional[Sequence[int]] = None,
                   category: str = "allgather") -> List[List[np.ndarray]]:
-        self._check_open()
-        group = self._resolve_ranks(ranks)
-        p = len(group)
-        self._check_allgather_arrays(arrays, group)
-        self._record_allgather_events(arrays, group, category)
-        arrs = [np.asarray(a) for a in arrays]
-
-        moving = [i for i in range(p) if arrs[i].nbytes > 0]
-        placed = self._stage_send({group[i]: [arrs[i]] for i in moving})
-        slabs = {i: placed[group[i]][0] for i in moving}
-
-        out: List[List[Optional[np.ndarray]]] = [[None] * p for _ in range(p)]
-        got: Dict[Tuple[int, int], _Slab] = {}
-        plans = []
-        for i in range(p):
-            peers = [j for j in moving if j != i]
-            total = sum(_aligned(slabs[j].nbytes) for j in peers)
-            if total:
-                self._ensure_arena(group[i], "recv", total)
-            copies, offset = [], 0
-            for j in peers:
-                s = slabs[j]
-                got[(i, j)] = _Slab(offset, s.shape, s.dtype, s.nbytes)
-                copies.append((group[j], s.offset, s.nbytes, offset))
-                offset += _aligned(s.nbytes)
-            arenas = [self._arena_ref(group[j], "send") for j in peers]
-            if peers:
-                arenas.append(self._arena_ref(group[i], "recv"))
-            plans.append(self._plan(arenas, copies))
-        self._run_step(group, plans, category)
-
-        for i in range(p):
-            for j in range(p):
-                if j == i:
-                    out[i][j] = arrays[i]
-                elif (i, j) in got:
-                    out[i][j] = self._read_recv(group[i], got[(i, j)])
-                else:
-                    out[i][j] = np.array(arrs[j], copy=True)
-        return out  # type: ignore[return-value]
+        return self._collective(self._lower_allgather, True, category,
+                                arrays, ranks)
 
     def reduce(self, arrays: Sequence[np.ndarray], root: int,
                ranks: Optional[Sequence[int]] = None,
                op: str = "sum",
                category: str = "reduce") -> List[Optional[np.ndarray]]:
-        self._check_open()
-        group = self._resolve_ranks(ranks)
-        p = len(group)
-        self._check_root(root, group)
-        self._check_reduce_arrays(arrays, group, op)
-        self._record_reduce_events(_nbytes(arrays[0]), root, group, category)
-        arrs = [np.asarray(a) for a in arrays]
-        root_pos = group.index(root)
-
-        if arrs[0].nbytes == 0 or p == 1:
-            result = reduce_stack(arrays, op, force_float64=True)
-            self._run_step(group, [self._plan(())] * p, category)
-            return [result if pos == root_pos else None for pos in range(p)]
-
-        placed = self._stage_send({group[i]: [arrs[i]] for i in range(p)})
-        sources = [(group[i], placed[group[i]][0].offset, arrs[i].shape,
-                    str(arrs[i].dtype)) for i in range(p)]
-        out_dtype = np.dtype(np.float64)  # reduce_stack forces float64
-        out_slab = _Slab(0, arrs[0].shape, out_dtype,
-                         int(np.prod(arrs[0].shape)) * out_dtype.itemsize)
-
-        plans = []
-        for pos, r in enumerate(group):
-            if pos != root_pos:
-                plans.append(self._plan(()))
-                continue
-            arena = self._ensure_arena(r, "recv", out_slab.nbytes)
-            plans.append(self._plan(
-                [self._arena_ref(group[i], "send") for i in range(p)] +
-                [(r, "recv", arena.shm.name, arena.gen)],
-                reduces=[{"sources": sources, "reduce_op": op,
-                          "force64": True, "dst_off": 0,
-                          "out_dtype": str(out_dtype)}]))
-        self._run_step(group, plans, category)
-
-        return [self._read_recv(root, out_slab) if pos == root_pos else None
-                for pos in range(p)]
-
-    # ------------------------------------------------------------------
-    # Point-to-point batches
-    # ------------------------------------------------------------------
-    def _exchange_step(self, messages, category, sync_ranks, skind, rkind,
-                       consolidate=False):
-        step = self._begin_exchange(category)
-        involved = set()
-        delivered: Dict[Tuple[int, int], np.ndarray] = {}
-        transport: List[Tuple[int, int, np.ndarray]] = []
-        for src, dst, payload in messages:
-            if not (0 <= src < self.nranks and 0 <= dst < self.nranks):
-                raise ValueError(f"message ranks ({src}, {dst}) out of range")
-            involved.add(src)
-            involved.add(dst)
-            if src == dst or _nbytes(payload) == 0:
-                delivered[(src, dst)] = payload
-                continue
-            arr = np.asarray(payload)
-            self.events.record_message("p2p", src, dst, arr.nbytes,
-                                       category, step)
-            transport.append((src, dst, arr))
-
-        group = sorted(involved) if sync_ranks is None \
-            else sorted(set(self._resolve_ranks(sync_ranks)) | involved)
-        if not group:
-            return group, [], lambda: delivered, []
-        if not transport:
-            return group, [self._plan(())] * len(group), lambda: delivered, []
-
-        key = ("p2p", skind, tuple(group),
-               tuple((src, dst, arr.shape, arr.dtype.str)
-                     for src, dst, arr in transport))
-
-        def build():
-            by_src: Dict[int, List[Tuple[int, np.ndarray]]] = {}
-            for src, dst, arr in transport:
-                by_src.setdefault(src, []).append((dst, arr))
-            placed, sview = self._place_send(
-                {src: [arr for _, arr in items]
-                 for src, items in by_src.items()}, kind=skind)
-            inbound: Dict[int, List[Tuple[int, _Slab]]] = {}
-            view_of: Dict[Tuple[int, int], np.ndarray] = {}
-            for src, items in by_src.items():
-                for (dst, _), slab, view in zip(items, placed[src],
-                                                sview[src]):
-                    inbound.setdefault(dst, []).append((src, slab))
-                    view_of[(src, dst)] = view
-            views = [view_of[(src, dst)] for src, dst, _ in transport]
-
-            got: Dict[Tuple[int, int], _Slab] = {}
-            total_bytes = sum(arr.nbytes for _, _, arr in transport)
-            if consolidate and total_bytes <= NB_GROUPED_COPY_MAX_BYTES:
-                # Latency protocol: one courier worker performs the whole
-                # batch's copies (one command instead of one per receiver).
-                arenas, copies, arena_keys = [], [], set()
-                seen_srcs = set()
-                for r in group:
-                    items = inbound.get(r, [])
-                    total = sum(_aligned(s.nbytes) for _, s in items)
-                    if total:
-                        arena = self._ensure_arena(r, rkind, total)
-                        arenas.append((r, rkind, arena.shm.name, arena.gen))
-                        arena_keys.add((r, rkind))
-                    offset = 0
-                    for src, s in items:
-                        got[(src, r)] = _Slab(offset, s.shape, s.dtype,
-                                              s.nbytes)
-                        copies.append((src, s.offset, s.nbytes, r, offset))
-                        offset += _aligned(s.nbytes)
-                        if src not in seen_srcs:
-                            seen_srcs.add(src)
-                            arenas.append(self._arena_ref(src, skind))
-                            arena_keys.add((src, skind))
-                courier = group[0]
-                courier_plan = self._plan(arenas, copies, skind=skind,
-                                          rkind=rkind)
-                plans = [courier_plan if r == courier else self._plan(())
-                         for r in group]
-                return group, plans, views, got, sorted(arena_keys)
-            plans, arena_keys = [], set()
-            for r in group:
-                items = inbound.get(r, [])
-                total = sum(_aligned(s.nbytes) for _, s in items)
-                if total:
-                    self._ensure_arena(r, rkind, total)
-                copies, offset = [], 0
-                for src, s in items:
-                    got[(src, r)] = _Slab(offset, s.shape, s.dtype, s.nbytes)
-                    copies.append((src, s.offset, s.nbytes, offset))
-                    offset += _aligned(s.nbytes)
-                arenas = [self._arena_ref(src, skind)
-                          for src in {src for src, _ in items}]
-                if items:
-                    arenas.append(self._arena_ref(r, rkind))
-                arena_keys.update((ref[0], ref[1]) for ref in arenas)
-                plans.append(self._plan(arenas, copies, skind=skind,
-                                         rkind=rkind))
-            return group, plans, views, got, sorted(arena_keys)
-
-        entry = self._cached_entry(key, build)
-        for view, (_, _, arr) in zip(entry.views, transport):
-            view[...] = arr
-
-        def reader():
-            for (src, dst), slab in entry.reads.items():
-                delivered[(src, dst)] = self._read_recv(dst, slab, kind=rkind)
-            return delivered
-
-        cmds = self._entry_cmds(entry)
-        active = [(group[pos], cmds[pos]) for pos in range(len(group))
-                  if _plan_is_active(entry.plans[pos])]
-        return group, cmds, reader, active
+        return self._collective(self._lower_reduce, True, category,
+                                arrays, root, ranks, op)
 
     def exchange(self,
                  messages: Sequence[Tuple[int, int, np.ndarray]],
                  category: str = "p2p",
                  sync_ranks: Optional[Sequence[int]] = None,
                  ) -> Dict[Tuple[int, int], np.ndarray]:
-        self._check_open()
-        group, cmds, reader, _ = self._exchange_step(
-            messages, category, sync_ranks, "send", "recv")
-        if not group:
-            return reader()
-        self._run_step(group, cmds, category)
-        return reader()
+        return self._collective(self._lower_exchange, True, category,
+                                messages, sync_ranks)
 
     def iexchange(self,
                   messages: Sequence[Tuple[int, int, np.ndarray]],
@@ -1628,10 +1459,5 @@ class ProcessPoolCommunicator(Communicator):
                   sync_ranks: Optional[Sequence[int]] = None) -> CommHandle:
         """Nonblocking batched point-to-point: the staged plan is posted
         and the driver returns while workers stream the payload bytes."""
-        self._check_open()
-        slot, skind, rkind = self._nb_kinds()
-        group, _, reader, active = self._exchange_step(
-            messages, category, sync_ranks, skind, rkind, consolidate=True)
-        if not active:
-            return CompletedCommHandle(reader())
-        return self._post_handle(group, active, category, reader, slot)
+        return self._collective(self._lower_exchange, False, category,
+                                messages, sync_ranks)

@@ -278,11 +278,10 @@ class SimCommunicator(Communicator):
         involved = set()
         send_time = np.zeros(self.nranks)
         recv_time = np.zeros(self.nranks)
+        sync = self._check_messages(messages, sync_ranks)
         step = self._begin_exchange(category)
         delivered: Dict[Tuple[int, int], np.ndarray] = {}
         for src, dst, payload in messages:
-            if not (0 <= src < self.nranks and 0 <= dst < self.nranks):
-                raise ValueError(f"message ranks ({src}, {dst}) out of range")
             involved.add(src)
             involved.add(dst)
             nb = _nbytes(payload)
@@ -293,8 +292,7 @@ class SimCommunicator(Communicator):
                 self.events.record_message("p2p", src, dst, nb, category, step)
             delivered[(src, dst)] = payload
         busy = np.maximum(send_time, recv_time)
-        ranks = sorted(involved) if sync_ranks is None \
-            else self._resolve_ranks(sync_ranks)
+        ranks = sorted(involved) if sync is None else sync
         return _SimHandle(self, ranks, [float(busy[r]) for r in ranks],
                           delivered, category)
 
@@ -320,11 +318,10 @@ class SimCommunicator(Communicator):
         involved = set()
         send_time = np.zeros(self.nranks)
         recv_time = np.zeros(self.nranks)
+        sync = self._check_messages(messages, sync_ranks)
         step = self._begin_exchange(category)
         delivered: Dict[Tuple[int, int], np.ndarray] = {}
         for src, dst, payload in messages:
-            if not (0 <= src < self.nranks and 0 <= dst < self.nranks):
-                raise ValueError(f"message ranks ({src}, {dst}) out of range")
             involved.add(src)
             involved.add(dst)
             nb = _nbytes(payload)
@@ -335,7 +332,7 @@ class SimCommunicator(Communicator):
                 self.events.record_message("p2p", src, dst, nb, category, step)
             delivered[(src, dst)] = payload
         busy = np.maximum(send_time, recv_time)
-        ranks = sorted(involved) if sync_ranks is None else self._resolve_ranks(sync_ranks)
+        ranks = sorted(involved) if sync is None else sync
         for r in ranks:
             if busy[r] > 0:
                 self.timeline.advance(r, float(busy[r]), category)

@@ -526,14 +526,13 @@ class ThreadedCommunicator(Communicator):
     # Point-to-point batches
     # ------------------------------------------------------------------
     def _exchange_parts(self, messages, category, sync_ranks):
+        sync = self._check_messages(messages, sync_ranks)
         step = self._begin_exchange(category)
         involved = set()
         outgoing: Dict[int, List[Tuple[int, int, np.ndarray]]] = {}
         expected: Dict[int, int] = {}
         delivered: Dict[Tuple[int, int], np.ndarray] = {}
         for src, dst, payload in messages:
-            if not (0 <= src < self.nranks and 0 <= dst < self.nranks):
-                raise ValueError(f"message ranks ({src}, {dst}) out of range")
             involved.add(src)
             involved.add(dst)
             if src == dst or _nbytes(payload) == 0:
@@ -546,8 +545,7 @@ class ThreadedCommunicator(Communicator):
 
         # Every sender and receiver must participate for delivery to
         # complete, even when the caller names a narrower sync group.
-        group = sorted(involved) if sync_ranks is None \
-            else sorted(set(self._resolve_ranks(sync_ranks)) | involved)
+        group = sorted(involved if sync is None else involved.union(sync))
         if not group:
             return group, [], None, delivered
         mailboxes = {r: queue.Queue() for r in group}

@@ -296,6 +296,24 @@ def check_exchange_validation(make):
         comm.exchange([(-1, 0, np.ones(2))])
 
 
+@contract_check
+def check_rejected_exchange_leaves_no_trace(make):
+    """A batch rejected for a bad rank records nothing: no bytes, no
+    messages and no step id — even for the valid messages before it."""
+    comm = make(2)
+    events = comm.events
+    for post in (comm.exchange, comm.iexchange):
+        for msgs, sync in (([(0, 1, np.ones(8)), (0, 5, np.ones(2))], None),
+                           ([(0, 1, np.ones(8))], [0, 7])):
+            before = (events.total_bytes(), events.message_count(),
+                      events._step)
+            with pytest.raises(ValueError):
+                post(msgs, sync_ranks=sync)
+            assert (events.total_bytes(), events.message_count(),
+                    events._step) == before, \
+                f"rejected {post.__name__} left phantom traffic"
+
+
 # ----------------------------------------------------------------------
 # Nonblocking collectives (handle-based)
 # ----------------------------------------------------------------------

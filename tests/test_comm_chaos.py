@@ -159,3 +159,81 @@ class TestProcessFailureSemantics:
         finally:
             comm.close()
         assert _shm_segments(comm) == []
+
+
+_CRASHING_DRIVER = """
+import sys
+import numpy as np
+from repro.comm.process import ProcessPoolCommunicator
+
+comm = ProcessPoolCommunicator(4, start_method=sys.argv[1])
+comm.alltoallv([[None if i == j else np.ones(8) for j in range(4)]
+                for i in range(4)])
+print(" ".join(str(proc.pid) for proc in comm._procs))
+print(" ".join(arena.shm.name for arena in comm._arenas.values()), flush=True)
+sys.stdin.read()   # parked until the test kills this driver
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
+@pytest.mark.parametrize("start_method", ["fork", "spawn"])
+def test_killed_driver_leaks_no_shm_segments(start_method):
+    """SIGKILL a driver mid-run: once its workers are gone too, the
+    resource tracker it shares with them unlinks every segment."""
+    import multiprocessing as mp
+    import signal
+    import subprocess
+    import sys
+    if start_method not in mp.get_all_start_methods():
+        pytest.skip(f"start method {start_method!r} unavailable")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        __import__("repro").__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    driver = subprocess.Popen(
+        [sys.executable, "-c", _CRASHING_DRIVER, start_method],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
+    workers: list = []
+    try:
+        workers = [int(pid) for pid in driver.stdout.readline().split()]
+        names = driver.stdout.readline().split()
+    finally:
+        driver.kill()
+        driver.wait(timeout=30)
+        for pid in workers:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+    assert len(workers) == 4 and len(names) == 8, (workers, names)
+
+    def alive():
+        return [n for n in names if os.path.exists(f"/dev/shm/{n}")]
+
+    deadline = time.monotonic() + 20.0
+    while alive() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    leaked = alive()
+    for name in leaked:              # never leave the machine dirty
+        os.unlink(f"/dev/shm/{name}")
+    assert leaked == [], f"segments outlived the killed driver: {leaked}"
+
+
+def test_workers_started_before_any_segment_share_the_tracker():
+    """Workers forked before the driver's first segment must still share
+    its resource tracker: a private one would unlink the driver's live
+    segments when its worker exits, warning about "leaked" objects."""
+    import subprocess
+    import sys
+    script = ("import numpy as np\n"
+              "from repro.comm.process import ProcessPoolCommunicator\n"
+              "comm = ProcessPoolCommunicator(3)\n"
+              "comm.barrier()\n"
+              "comm.broadcast(np.ones(8), root=0)\n"
+              "comm.close()\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        __import__("repro").__file__)))
+    result = subprocess.run([sys.executable, "-c", script],
+                            capture_output=True, text=True, timeout=120,
+                            env=dict(os.environ, PYTHONPATH=src))
+    assert result.returncode == 0, result.stderr
+    assert "resource_tracker" not in result.stderr, result.stderr

@@ -362,6 +362,55 @@ class TestProcessPlanCache:
                     np.testing.assert_array_equal(z, expected)
             assert {k[0] for k in comm._plan_cache} == {"bc", "ar"}
 
+    def test_allgather_and_reduce_replay(self):
+        rng = np.random.default_rng(3)
+        with make_communicator(3, backend="process") as comm:
+            hits = []
+            for _ in range(3):
+                arrays = [rng.normal(size=(4, 2)) for _ in range(3)]
+                out = comm.allgather([a.copy() for a in arrays])
+                for i in range(3):
+                    for j in range(3):
+                        np.testing.assert_array_equal(out[i][j], arrays[j])
+                red = comm.reduce([a.copy() for a in arrays], root=2)
+                np.testing.assert_array_equal(red[2],
+                                              np.stack(arrays).sum(axis=0))
+                hits.append(comm.cache_stats()["hits"])
+            tags = [k[0] for k in comm._plan_cache]
+            assert sorted(tags) == ["ag", "red"]
+            assert hits[0] < hits[1] < hits[2]
+
+    @pytest.mark.parametrize("method", [
+        "alltoallv", "ialltoallv", "broadcast", "ibroadcast", "allgather",
+        "exchange", "iexchange"])
+    def test_copied_bytes_equal_logged_bytes(self, method):
+        """The bytes a step's worker copies move are exactly the bytes the
+        EventLog records for the call."""
+        rng = np.random.default_rng(4)
+        operands = {
+            "alltoallv": lambda: ([[
+                None if i == j else rng.normal(size=(i + j, 3))
+                for j in range(4)] for i in range(4)],),
+            "broadcast": lambda: (rng.normal(size=(5, 7)), 2),
+            "allgather": lambda: ([rng.normal(size=(i + 1, 2))
+                                   for i in range(4)],),
+            "exchange": lambda: ([
+                (0, 3, rng.normal(size=6)), (2, 1, rng.normal(size=(2, 2))),
+                (3, 0, rng.integers(0, 9, size=5)),
+                (1, 1, rng.normal(size=4))],),
+        }[method.removeprefix("i")]
+        with make_communicator(4, backend="process") as comm:
+            for _ in range(2):               # a miss, then a replay
+                before = comm.events.total_bytes()
+                out = getattr(comm, method)(*operands())
+                if method.startswith("i"):
+                    out.wait()
+                logged = comm.events.total_bytes() - before
+                entry = next(reversed(comm._plan_cache.values()))
+                copied = sum(copy[2] for plan in entry.plans
+                             for copy in plan["copies"])
+                assert copied == logged > 0
+
     def test_cache_is_bounded(self):
         from repro.comm.process import MAX_CACHED_PLANS
         with make_communicator(2, backend="process") as comm:
