@@ -4,11 +4,6 @@
 The measurements, host wall-clock unless a cell says ``simulated`` (best
 of ``--repeats`` timed runs after one warm-up):
 
-* **scatter-add vs segment-sum** — the local ``csr_spmm`` kernel (the
-  cuSPARSE ``csrmm2`` stand-in) implemented with ``np.add.at`` (the
-  pre-PR-4 formulation, reproduced inline here as the reference) against
-  the shipped ``np.add.reduceat`` segment-sum, same operands.  The
-  acceptance bar for the segment-sum rewrite is >= 1.5x.
 * **compiled vs uncompiled epoch** — one epoch's worth of distributed
   1D sparsity-aware SpMMs through ``repro.core.engine``: per-call
   compile-and-run dispatch against a persistent
@@ -16,8 +11,6 @@ of ``--repeats`` timed runs after one warm-up):
   (pure host-side cost; the simulated clocks are identical by
   construction) and on the real ``process`` backend (where the plan
   additionally exercises the shared-memory replay fast path).
-* **float32 vs float64** — the segment-sum ``csr_spmm`` at both
-  precisions (bandwidth-bound, so ~2x is the ceiling).
 * **overlapped vs synchronous epoch** — the same compiled 1D oblivious
   epoch with ``pipeline_depth=2`` (nonblocking prefetch of the next
   broadcast step + the process backend's grouped-copy latency protocol)
@@ -87,7 +80,6 @@ from repro.core.engine import DenseSpec, compile as compile_spmm, spmm  # noqa: 
 from repro.graphs import gcn_normalize                          # noqa: E402
 from repro.graphs.datasets import load_dataset                  # noqa: E402
 from repro.graphs.generators import erdos_renyi_graph           # noqa: E402
-from repro.sparse import kernels                                # noqa: E402
 
 
 def best_of(fn, repeats: int) -> float:
@@ -98,60 +90,6 @@ def best_of(fn, repeats: int) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
-
-
-def scatter_add_spmm(indptr, indices, data, dense):
-    """The pre-segment-sum formulation (np.add.at), kept as the baseline
-    this benchmark measures against."""
-    out = np.zeros((indptr.size - 1, dense.shape[1]), dtype=np.float64)
-    contrib = data[:, None] * dense[indices]
-    np.add.at(out, kernels.expand_indptr(indptr), contrib)
-    return out
-
-
-def bench_local_kernel(n: int, avg_degree: int, widths, repeats: int) -> dict:
-    """Per-width scatter-add vs segment-sum vs float32 cells.
-
-    The widths are the ones GCN training actually propagates at (class
-    counts and the hidden width); the narrower the operand, the more the
-    reduction primitive dominates over the shared contribution gather.
-    """
-    adj = gcn_normalize(erdos_renyi_graph(n, avg_degree=avg_degree, seed=0))
-    rng = np.random.default_rng(0)
-    indptr = adj.indptr.astype(np.int64)
-    indices = adj.indices.astype(np.int64)
-    data64 = adj.data
-    data32 = adj.data.astype(np.float32)
-
-    cells = []
-    for width in widths:
-        dense64 = rng.normal(size=(n, width))
-        dense32 = dense64.astype(np.float32)
-        t_scatter = best_of(
-            lambda: scatter_add_spmm(indptr, indices, data64, dense64),
-            repeats)
-        t_segment = best_of(
-            lambda: kernels.csr_spmm(indptr, indices, data64, dense64),
-            repeats)
-        t_segment32 = best_of(
-            lambda: kernels.csr_spmm(indptr, indices, data32, dense32,
-                                     dtype=np.float32), repeats)
-        cells.append({
-            "width": width,
-            "scatter_add_s": t_scatter,
-            "segment_sum_s": t_segment,
-            "segment_sum_float32_s": t_segment32,
-            "segment_vs_scatter_speedup": t_scatter / t_segment,
-            "float32_vs_float64_speedup": t_segment / t_segment32,
-        })
-    return {
-        "n": n, "nnz": int(adj.nnz),
-        "cells": cells,
-        "segment_vs_scatter_speedup": float(np.mean(
-            [c["segment_vs_scatter_speedup"] for c in cells])),
-        "float32_vs_float64_speedup": float(np.mean(
-            [c["float32_vs_float64_speedup"] for c in cells])),
-    }
 
 
 def bench_compiled_epoch(n: int, avg_degree: int, widths, p: int,
@@ -421,9 +359,6 @@ def main(argv=None) -> int:
     # backward 16, 16, n_classes collapse onto these distinct widths.
     widths = (32, 16, 16, 16, 16, 8)
     cells = {
-        "local_csr_spmm": lambda: bench_local_kernel(
-            n=4000 if quick else 20000, avg_degree=12 if quick else 16,
-            widths=(4, 8, 16), repeats=repeats),
         "compiled_epoch_sim": lambda: bench_compiled_epoch(
             n=1500 if quick else 6000, avg_degree=10, widths=widths, p=4,
             backend="sim", epochs=1 if quick else 2, repeats=repeats),
@@ -486,10 +421,6 @@ def main(argv=None) -> int:
         if args.only else round(time.time() - start, 2)
     out_path.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {out_path}")
-    kernel = payload["local_csr_spmm"]
-    print(f"  segment-sum vs scatter-add: "
-          f"{kernel['segment_vs_scatter_speedup']:.2f}x "
-          f"(float32 vs float64: {kernel['float32_vs_float64_speedup']:.2f}x)")
     for backend in ("sim", "process"):
         print(f"  compiled vs uncompiled epoch ({backend}): "
               f"{payload[f'compiled_epoch_{backend}']['compiled_speedup']:.2f}x")

@@ -6,22 +6,20 @@ The package is organised as:
 * :mod:`repro.core`      — sparsity-aware / oblivious 1D, 1.5D and 2D
   distributed SpMM, the distributed GCN trainer built on them (the paper's
   contribution), the closed-form alpha-beta cost model and the per-rank
-  memory/OOM model;
+  memory/OOM model.  The local multiply (the paper's cuSPARSE call) is
+  ``scipy.sparse`` CSR @ dense;
 * :mod:`repro.comm`      — pluggable multi-rank communicator backends
   behind one :class:`~repro.comm.Communicator` interface (deterministic
-  alpha-beta simulation, real shared-memory worker threads; network
-  topologies, collectives, per-rank clocks, event log, Chrome-trace
-  export) — see ``docs/backends.md``;
-* :mod:`repro.sparse`    — from-scratch COO/CSR kernels and blocked NnzCols
-  analysis (the cuSPARSE stand-in, independent of scipy);
+  alpha-beta simulation, real shared-memory worker threads, one OS
+  process per rank; network topologies, collectives, per-rank clocks,
+  event log) — see ``docs/backends.md``;
 * :mod:`repro.partition` — random/block, METIS-like, GVB-like, spectral,
   label-propagation and column-net hypergraph partitioners plus quality
   metrics;
 * :mod:`repro.graphs`    — synthetic stand-ins for the paper's datasets,
   adjacency utilities, features and I/O;
-* :mod:`repro.gcn`       — the single-process reference GCN / GraphSAGE,
-  optimisers, schedules and regularisation (the correctness baseline and
-  accuracy-side extensions);
+* :mod:`repro.gcn`       — the single-process reference GCN and its
+  plain-SGD trainer (the correctness baseline);
 * :mod:`repro.plan`      — the autotuning planner: cost-model ranking +
   empirical probes over variants, backends, partitioners and replication
   factors, with a persisted plan cache (``docs/tuning.md``);

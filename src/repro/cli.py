@@ -487,7 +487,7 @@ def _cmd_train(args) -> int:
         print()
         print(format_kv(breakdown, title="gradient exchange (per epoch)"))
     if args.trace:
-        save_trace(result, args.trace)
+        save_trace(args.trace)
         print(f"\nwrote trace: {args.trace} ({len(TRACE)} spans)")
     if args.metrics:
         with open(args.metrics, "w", encoding="utf-8") as fh:
@@ -584,7 +584,7 @@ def _cmd_bench(args) -> int:
         print(format_series(rows, group_by="scheme", x="p", y="epoch_time_s",
                             title="epoch time per scheme"))
     if args.trace:
-        save_trace(None, args.trace)
+        save_trace(args.trace)
         print(f"\nwrote trace: {args.trace} ({len(TRACE)} spans)")
     if args.metrics:
         with open(args.metrics, "w", encoding="utf-8") as fh:
@@ -955,7 +955,7 @@ def _cmd_serve(args) -> int:
                 print(f"\nwrote metrics: {args.metrics}")
 
     if args.trace:
-        save_trace(None, args.trace)
+        save_trace(args.trace)
         print(f"\nwrote trace: {args.trace} ({len(TRACE)} spans)")
     return 0
 

@@ -43,8 +43,6 @@ from .timeline import Timeline, WAIT_CATEGORY
 from .topology import (DragonflyTopology, FatTreeTopology, FlatTopology,
                        NetworkTopology, TOPOLOGIES, TopologyMachine,
                        Torus2DTopology, get_topology, make_topology_machine)
-from .trace import (OverlapReport, chrome_trace, overlap_analysis,
-                    save_chrome_trace)
 from .tracker import CommStats, VolumeStats, volume_stats_from_send_bytes
 
 __all__ = [
@@ -83,10 +81,6 @@ __all__ = [
     "TOPOLOGIES",
     "get_topology",
     "make_topology_machine",
-    "OverlapReport",
-    "chrome_trace",
-    "overlap_analysis",
-    "save_chrome_trace",
     "CommStats",
     "VolumeStats",
     "volume_stats_from_send_bytes",

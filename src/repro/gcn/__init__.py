@@ -1,54 +1,31 @@
-"""Single-process reference GNN implementations.
+"""Single-process reference GCN.
 
-The core of this package is the Kipf & Welling GCN used as the correctness
-baseline for the distributed trainers in :mod:`repro.core` (the paper
-observes no accuracy difference between the sparsity-oblivious and
-sparsity-aware implementations, and the integration tests hold this
-reproduction to the same standard).
-
-Beyond the baseline it also provides the standard training extensions a
-library user expects — optimisers, learning-rate schedules, dropout / L2 /
-early stopping, and a GraphSAGE (mean aggregator) reference model whose
-propagation is likewise a single SpMM per layer and therefore distributes
-with the very same sparsity-aware algorithms.
+The Kipf & Welling GCN trained with plain SGD (:func:`train_reference`)
+is the correctness oracle for the distributed trainer in
+:mod:`repro.core` (the paper observes no accuracy difference between the
+sparsity-oblivious and sparsity-aware implementations, and the
+integration tests hold this reproduction to the same standard).  Its
+activations, initialisation, loss and metrics are shared with the
+distributed model.
 """
 
 from .activations import get_activation, identity, relu, relu_grad, sigmoid
-from .advanced_train import (AdvancedEpochRecord, AdvancedTrainConfig,
-                             AdvancedTrainResult, train_advanced)
 from .init import glorot_normal, glorot_uniform, init_weights, layer_seeds
 from .layers import GraphConvLayer, LayerCache, LayerGradients
 from .loss import (loss_and_grad, masked_cross_entropy,
                    masked_cross_entropy_grad, softmax)
 from .metrics import accuracy, confusion_counts, f1_macro, masked_accuracy
 from .model import ForwardState, GCNModel
-from .optimizers import (Adam, AdaGrad, OPTIMIZERS, Optimizer, RMSProp, SGD,
-                         get_optimizer)
-from .regularization import Dropout, EarlyStopping, l2_penalty, l2_penalty_grads
-from .sage import (SAGELayer, SAGEModel, SAGETrainConfig,
-                   row_normalize_adjacency, train_sage)
-from .schedulers import (ConstantLR, CosineAnnealing, ExponentialDecay,
-                         LRSchedule, SCHEDULES, StepDecay, WarmupWrapper,
-                         get_schedule)
 from .train import (EpochRecord, ReferenceTrainConfig, TrainResult,
                     train_reference)
 
 __all__ = [
     "get_activation", "identity", "relu", "relu_grad", "sigmoid",
-    "AdvancedEpochRecord", "AdvancedTrainConfig", "AdvancedTrainResult",
-    "train_advanced",
     "glorot_normal", "glorot_uniform", "init_weights", "layer_seeds",
     "GraphConvLayer", "LayerCache", "LayerGradients",
     "loss_and_grad", "masked_cross_entropy", "masked_cross_entropy_grad",
     "softmax",
     "accuracy", "confusion_counts", "f1_macro", "masked_accuracy",
     "ForwardState", "GCNModel",
-    "Optimizer", "SGD", "Adam", "AdaGrad", "RMSProp", "OPTIMIZERS",
-    "get_optimizer",
-    "Dropout", "EarlyStopping", "l2_penalty", "l2_penalty_grads",
-    "SAGELayer", "SAGEModel", "SAGETrainConfig", "row_normalize_adjacency",
-    "train_sage",
-    "LRSchedule", "ConstantLR", "StepDecay", "ExponentialDecay",
-    "CosineAnnealing", "WarmupWrapper", "SCHEDULES", "get_schedule",
     "EpochRecord", "ReferenceTrainConfig", "TrainResult", "train_reference",
 ]

@@ -28,6 +28,9 @@ def _check_inputs(logits: np.ndarray, labels: np.ndarray,
         raise ValueError("label id out of range for the logit width")
     if mask is None:
         mask = np.ones(logits.shape[0], dtype=bool)
+    # A 0/1 integer mask must select rows, not index them (``~`` on ints
+    # is bitwise NOT).
+    mask = np.asarray(mask, dtype=bool)
     if mask.shape[0] != logits.shape[0]:
         raise ValueError("mask and logits disagree on the number of nodes")
     if not mask.any():

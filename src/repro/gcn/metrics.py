@@ -34,8 +34,14 @@ def confusion_counts(predictions: np.ndarray, labels: np.ndarray,
     """``(n_classes, n_classes)`` confusion matrix (rows = true class)."""
     predictions = np.asarray(predictions)
     labels = np.asarray(labels)
+    if predictions.shape != labels.shape:
+        raise ValueError(f"predictions and labels must have the same shape, "
+                         f"got {predictions.shape} and {labels.shape}")
     if n_classes is None:
         n_classes = int(max(predictions.max(initial=0), labels.max(initial=0))) + 1
+    for name, ids in (("prediction", predictions), ("label", labels)):
+        if ids.size and (ids.min() < 0 or ids.max() >= n_classes):
+            raise ValueError(f"{name} id out of range [0, {n_classes})")
     mat = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(mat, (labels, predictions), 1)
     return mat

@@ -11,10 +11,10 @@ The package has three layers (see docs/observability.md):
 * :mod:`repro.obs.metrics` — counters / gauges / histograms with flat
   dict, JSON and Prometheus text renderings.  ``DistTrainResult.metrics``
   is a snapshot of this registry.
-* :mod:`repro.obs.export` — Chrome/Perfetto JSON export
-  (:func:`~repro.obs.export.save_trace` unifies wall-clock span traces
-  from any backend with the simulator's synthetic event-log trace) and
-  the ``repro trace view`` summarizer.
+* :mod:`repro.obs.export` — Chrome/Perfetto JSON export of the
+  wall-clock spans from any backend
+  (:func:`~repro.obs.export.save_trace`) and the ``repro trace view``
+  summarizer.
 """
 
 from .tracer import NULL_SPAN, TRACE, Tracer, disable, enable, is_enabled

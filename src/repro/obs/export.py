@@ -1,17 +1,9 @@
 """Trace exporters and the ``repro trace view`` summarizer.
 
-:func:`save_trace` is the one trace API for every backend:
-
-* When the tracer recorded spans (tracing was enabled during the run),
-  it writes a wall-clock Chrome/Perfetto JSON built from those spans —
-  works identically on ``sim``, ``threaded`` and ``process`` runs, with
-  per-rank tracks for process-backend workers.
-* When no spans exist but the run is a
-  :class:`~repro.comm.simulator.SimCommunicator`, it falls back to the
-  legacy synthetic event-log trace (:func:`repro.comm.trace.chrome_trace`)
-  whose timestamps come from the alpha-beta machine model rather than a
-  clock.  That is the historical sim-only renderer, now one branch of
-  the unified API (see docs/observability.md).
+:func:`save_trace` is the one trace API for every backend: it writes a
+wall-clock Chrome/Perfetto JSON built from the spans the tracer recorded
+while tracing was enabled — identically on ``sim``, ``threaded`` and
+``process`` runs, with per-rank tracks for process-backend workers.
 
 Open the output at https://ui.perfetto.dev or ``chrome://tracing``.
 """
@@ -67,27 +59,13 @@ def trace_events(tracer: Optional[Tracer] = None,
     return events + slices
 
 
-def save_trace(run: Any, path: str, tracer: Optional[Tracer] = None) -> str:
-    """Write a Chrome/Perfetto trace for ``run`` to ``path``.
-
-    ``run`` may be a communicator, a ``DistTrainResult``, or ``None`` —
-    it is only consulted for the simulator fallback when the tracer holds
-    no spans (see the module docstring).
-    """
+def save_trace(path: str, tracer: Optional[Tracer] = None) -> str:
+    """Write the recorded spans to ``path`` as a Chrome/Perfetto trace."""
     events = trace_events(tracer)
     if not events:
-        comm = run
-        if comm is not None and not hasattr(comm, "events"):
-            comm = getattr(run, "comm", None)
-        from ..comm.simulator import SimCommunicator
-        if isinstance(comm, SimCommunicator):
-            from ..comm.trace import chrome_trace
-            events = chrome_trace(comm)
-        else:
-            raise ValueError(
-                "no spans recorded — enable tracing before the run "
-                "(repro train/bench --trace, or repro.obs.enable()), or "
-                "pass a SimCommunicator for a synthetic event-log trace")
+        raise ValueError(
+            "no spans recorded — enable tracing before the run "
+            "(repro train/bench --trace, or repro.obs.enable())")
     payload = {"traceEvents": events, "displayTimeUnit": "ms"}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)

@@ -117,6 +117,18 @@ class TestLoss:
         assert np.all(grad[~mask] == 0)
         assert np.any(grad[mask] != 0)
 
+    def test_integer_mask_equals_bool_mask(self):
+        rng = np.random.default_rng(3)
+        logits = rng.normal(size=(4, 3))
+        labels = rng.integers(0, 3, size=4)
+        int_mask = np.array([1, 0, 1, 0])
+        bool_mask = int_mask.astype(bool)
+        assert masked_cross_entropy(logits, labels, int_mask) == \
+            masked_cross_entropy(logits, labels, bool_mask)
+        np.testing.assert_array_equal(
+            masked_cross_entropy_grad(logits, labels, int_mask),
+            masked_cross_entropy_grad(logits, labels, bool_mask))
+
     def test_grad_matches_numerical(self):
         rng = np.random.default_rng(2)
         logits = rng.normal(size=(4, 3))
@@ -166,6 +178,12 @@ class TestMetrics:
         labels = np.array([0, 1, 0])
         mat = confusion_counts(preds, labels, n_classes=2)
         assert mat[0, 0] == 1 and mat[0, 1] == 1 and mat[1, 1] == 1
+        with pytest.raises(ValueError, match="label id out of range"):
+            confusion_counts(np.array([0, 1]), np.array([-1, 1]))
+        with pytest.raises(ValueError, match="prediction id out of range"):
+            confusion_counts(np.array([0, 2]), np.array([0, 1]), n_classes=2)
+        with pytest.raises(ValueError, match="same shape"):
+            confusion_counts(np.array([0, 1]), np.array([0]))
 
     def test_f1_macro_perfect(self):
         labels = np.array([0, 1, 2, 0, 1, 2])

@@ -50,6 +50,12 @@ class TestNormalisation:
         assert A.is_symmetric(norm, tol=1e-12)
         assert norm.data.max() <= 1.0 + 1e-12
         assert norm.data.min() > 0
+        # Exactly D^{-1/2} (A + I) D^{-1/2} on an irregular graph.
+        dense = graph.toarray() + np.eye(graph.shape[0])
+        inv_sqrt = 1.0 / np.sqrt(dense.sum(axis=1))
+        np.testing.assert_allclose(norm.toarray(),
+                                   inv_sqrt[:, None] * dense * inv_sqrt,
+                                   atol=1e-12)
 
     def test_gcn_normalize_spectral_property(self):
         # For a k-regular graph with self loops, D^{-1/2} (A+I) D^{-1/2} has
@@ -64,6 +70,11 @@ class TestNormalisation:
         adj = sp.csr_matrix((3, 3))
         norm = A.gcn_normalize(adj, add_loops=False)
         assert norm.nnz == 0
+        # One edge plus an isolated vertex: finite, the edge scaled to 1.
+        adj = sp.csr_matrix(([1.0, 1.0], ([0, 1], [1, 0])), shape=(3, 3))
+        norm = A.gcn_normalize(adj, add_loops=False)
+        assert np.all(np.isfinite(norm.toarray()))
+        np.testing.assert_allclose(norm.toarray()[:2, :2], [[0, 1], [1, 0]])
 
     def test_gcn_normalize_without_loops(self, graph):
         norm = A.gcn_normalize(graph, add_loops=False)

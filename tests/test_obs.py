@@ -9,8 +9,7 @@ The load-bearing guarantees tested here:
 * **Tracing never changes numbers** — enabling spans on any backend
   yields the same losses/accuracy as the untraced run.
 * **Traces are valid Chrome/Perfetto JSON** with per-rank tracks on the
-  process backend, and the sim event-log fallback still works through
-  the unified :func:`repro.obs.save_trace` API.
+  process backend, written by :func:`repro.obs.save_trace`.
 * **Diagnostics** — a lost process-backend worker names the last
   collective it completed.
 """
@@ -163,22 +162,15 @@ class TestExport:
         with TRACE.span("work"):
             pass
         out = tmp_path / "t.json"
-        save_trace(None, str(out))
+        save_trace(str(out))
         payload = json.loads(out.read_text())
         assert payload["displayTimeUnit"] == "ms"
         assert any(e.get("ph") == "X" for e in payload["traceEvents"])
 
-    def test_save_trace_falls_back_to_sim_event_log(self, tmp_path):
-        comm = make_communicator(2)
-        comm.broadcast([np.ones(4), np.ones(4)][0], root=0)
-        out = tmp_path / "sim.json"
-        save_trace(comm, str(out))           # no spans recorded
-        payload = json.loads(out.read_text())
-        assert payload["traceEvents"]
-
-    def test_save_trace_without_spans_or_sim_comm_raises(self, tmp_path):
+    def test_save_trace_without_spans_raises(self, tmp_path):
         with pytest.raises(ValueError, match="no spans recorded"):
-            save_trace(None, str(tmp_path / "x.json"))
+            save_trace(str(tmp_path / "x.json"))
+        assert not (tmp_path / "x.json").exists()
 
     def test_trace_summary_self_time_excludes_children(self):
         events = [
@@ -267,9 +259,9 @@ class TestContracts:
                                                       tmp_path):
         TRACE.enable()
         cfg = _tiny_config("process", tmp_path, epochs=1)
-        result = train_distributed(tiny_dataset, cfg, eval_every=0)
+        train_distributed(tiny_dataset, cfg, eval_every=0)
         out = tmp_path / "proc.json"
-        save_trace(result, str(out))
+        save_trace(str(out))
         payload = json.loads(out.read_text())
         events = payload["traceEvents"]
         tracks = {e["args"]["name"]: e["tid"] for e in events
