@@ -37,7 +37,7 @@ from ..comm.base import Communicator
 from ..obs.tracer import TRACE
 from .dist_matrix import BlockRowDistribution, DistDenseMatrix, DistSparseMatrix
 from .engine import (CompiledSpmm, DenseSpec, SpecOperandProbe,
-                     check_grid_operands, register_spmm,
+                     check_grid_operands, get_spmm, register_spmm,
                      register_spmm_compiler)
 
 __all__ = ["Compiled15DOblivious", "Compiled15DSparsityAware", "ProcessGrid",
@@ -441,7 +441,8 @@ def spmm_15d_oblivious(matrix: DistSparseMatrix, dense: DistDenseMatrix,
     Compile-and-run-once wrapper around :class:`Compiled15DOblivious`.
     """
     check_grid_operands(matrix, dense, grid, comm)
-    op = Compiled15DOblivious(None, matrix, DenseSpec.like(dense), comm,
+    variant = get_spmm("1.5d", sparsity_aware=False)
+    op = Compiled15DOblivious(variant, matrix, DenseSpec.like(dense), comm,
                               grid=grid, compute_category=compute_category,
                               comm_category=comm_category,
                               reduce_category=reduce_category)
@@ -466,7 +467,8 @@ def spmm_15d_sparsity_aware(matrix: DistSparseMatrix, dense: DistDenseMatrix,
     Compile-and-run-once wrapper around :class:`Compiled15DSparsityAware`.
     """
     check_grid_operands(matrix, dense, grid, comm)
-    op = Compiled15DSparsityAware(None, matrix, DenseSpec.like(dense), comm,
+    variant = get_spmm("1.5d")
+    op = Compiled15DSparsityAware(variant, matrix, DenseSpec.like(dense), comm,
                                   grid=grid,
                                   compute_category=compute_category,
                                   comm_category=comm_category,

@@ -40,7 +40,7 @@ from ..comm.base import Communicator
 from ..obs.tracer import TRACE
 from .dist_matrix import DistDenseMatrix, DistSparseMatrix
 from .engine import (CompiledSpmm, DenseSpec, SpecOperandProbe,
-                     check_block_operands, register_spmm,
+                     check_block_operands, get_spmm, register_spmm,
                      register_spmm_compiler)
 
 __all__ = ["Compiled1DOblivious", "Compiled1DSparsityAware",
@@ -303,7 +303,8 @@ def spmm_1d_oblivious(matrix: DistSparseMatrix, dense: DistDenseMatrix,
     Compile-and-run-once wrapper around :class:`Compiled1DOblivious`.
     """
     check_block_operands(matrix, dense, comm)
-    op = Compiled1DOblivious(None, matrix, DenseSpec.like(dense), comm,
+    variant = get_spmm("1d", sparsity_aware=False)
+    op = Compiled1DOblivious(variant, matrix, DenseSpec.like(dense), comm,
                              compute_category=compute_category,
                              comm_category=comm_category)
     return op(dense)
@@ -325,7 +326,8 @@ def spmm_1d_sparsity_aware(matrix: DistSparseMatrix, dense: DistDenseMatrix,
     Compile-and-run-once wrapper around :class:`Compiled1DSparsityAware`.
     """
     check_block_operands(matrix, dense, comm)
-    op = Compiled1DSparsityAware(None, matrix, DenseSpec.like(dense), comm,
+    variant = get_spmm("1d")
+    op = Compiled1DSparsityAware(variant, matrix, DenseSpec.like(dense), comm,
                                  compute_category=compute_category,
                                  comm_category=comm_category)
     return op(dense)

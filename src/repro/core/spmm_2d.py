@@ -48,7 +48,7 @@ from ..comm.base import Communicator
 from ..obs.tracer import TRACE
 from .dist_matrix import BlockRowDistribution
 from .engine import (CompiledSpmm, DenseSpec, check_grid2d_operands,
-                     register_spmm, register_spmm_compiler)
+                     get_spmm, register_spmm, register_spmm_compiler)
 
 __all__ = ["Grid2D", "Dist2DSparseMatrix", "Compiled2DOblivious",
            "Compiled2DSparsityAware", "spmm_2d_oblivious",
@@ -456,7 +456,8 @@ def spmm_2d_oblivious(matrix: Dist2DSparseMatrix, h: np.ndarray, grid: Grid2D,
     Compile-and-run-once wrapper around :class:`Compiled2DOblivious`.
     """
     h = _coerce_dense(h)
-    op = Compiled2DOblivious(None, matrix, DenseSpec.like(h), comm,
+    variant = get_spmm("2d", sparsity_aware=False)
+    op = Compiled2DOblivious(variant, matrix, DenseSpec.like(h), comm,
                              grid=grid, compute_category=compute_category,
                              gather_category=gather_category,
                              reduce_category=reduce_category)
@@ -475,7 +476,8 @@ def spmm_2d_sparsity_aware(matrix: Dist2DSparseMatrix, h: np.ndarray,
     Compile-and-run-once wrapper around :class:`Compiled2DSparsityAware`.
     """
     h = _coerce_dense(h)
-    op = Compiled2DSparsityAware(None, matrix, DenseSpec.like(h), comm,
+    variant = get_spmm("2d")
+    op = Compiled2DSparsityAware(variant, matrix, DenseSpec.like(h), comm,
                                  grid=grid,
                                  compute_category=compute_category,
                                  comm_category=comm_category,

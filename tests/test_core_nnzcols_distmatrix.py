@@ -7,12 +7,119 @@ import scipy.sparse as sp
 from repro.core import (BlockRowDistribution, DistDenseMatrix, DistSparseMatrix,
                         nnz_columns_per_block, split_block_row)
 from repro.graphs import gcn_normalize
-from repro.graphs.generators import erdos_renyi_graph
+from repro.graphs.generators import (chung_lu_graph, community_ring_graph,
+                                     erdos_renyi_graph, grid_graph, rmat_graph)
 
 
 @pytest.fixture(scope="module")
 def matrix():
     return gcn_normalize(erdos_renyi_graph(48, avg_degree=5, seed=0))
+
+
+def _isolated_vertices():
+    """A path 0-1-2 plus isolated vertices (empty rows and columns)."""
+    adj = sp.csr_matrix(([1.0, 1.0, 1.0, 1.0], ([0, 1, 1, 2], [1, 0, 2, 1])),
+                        shape=(9, 9))
+    return gcn_normalize(adj, add_loops=False)
+
+
+GRAPHS = {
+    "erdos_renyi": lambda: gcn_normalize(erdos_renyi_graph(40, 5, seed=1)),
+    "rmat": lambda: gcn_normalize(rmat_graph(48, avg_degree=6, seed=3)),
+    "chung_lu": lambda: gcn_normalize(chung_lu_graph(50, 5, seed=4)),
+    "community_ring": lambda: gcn_normalize(community_ring_graph(
+        40, avg_degree=6, n_communities=4, p_external=0.05, seed=6)),
+    "grid": lambda: gcn_normalize(grid_graph(6)),
+    "isolated": _isolated_vertices,
+}
+
+
+def _bounds(scheme, n):
+    if scheme == "one_block":
+        return np.array([0, n])
+    if scheme == "uniform2":
+        return BlockRowDistribution.uniform(n, 2).bounds
+    if scheme == "uniform5":
+        return BlockRowDistribution.uniform(n, 5).bounds
+    if scheme == "random4":
+        cuts = np.random.default_rng(n).choice(np.arange(1, n), size=3,
+                                               replace=False)
+        return np.concatenate([[0], np.sort(cuts), [n]])
+    assert scheme == "empty_block"
+    return np.array([0, n // 3, n // 3, n])
+
+
+BOUNDS = ["one_block", "uniform2", "uniform5", "random4", "empty_block"]
+
+
+@pytest.fixture(params=[(g, b) for g in sorted(GRAPHS) for b in BOUNDS],
+                ids="-".join)
+def blocked(request):
+    """(A, DistSparseMatrix over A) for every graph x block layout."""
+    graph_name, scheme = request.param
+    adj = GRAPHS[graph_name]().tocsr()
+    bounds = _bounds(scheme, adj.shape[0])
+    dist = BlockRowDistribution(np.diff(bounds))
+    return adj, DistSparseMatrix(adj, dist)
+
+
+class TestNnzColsProperties:
+    """NnzCols invariants over every graph and block layout."""
+
+    def test_nnz_cols_match_brute_force(self, blocked):
+        adj, dm = blocked
+        dense = adj.toarray()
+        bounds = dm.dist.bounds
+        for i in range(dm.nblocks):
+            for j in range(dm.nblocks):
+                block = dense[bounds[i]:bounds[i + 1], bounds[j]:bounds[j + 1]]
+                local = np.flatnonzero((block != 0).any(axis=0))
+                info = dm.block(i, j)
+                np.testing.assert_array_equal(info.nnz_cols_local, local)
+                np.testing.assert_array_equal(info.nnz_cols_global,
+                                              local + bounds[j])
+
+    def test_compact_blocks_reassemble_the_product(self, blocked):
+        adj, dm = blocked
+        h = np.random.default_rng(adj.shape[0]).normal(size=(adj.shape[0], 3))
+        expected = adj @ h
+        bounds = dm.dist.bounds
+        for i in range(dm.nblocks):
+            acc = np.zeros((dm.dist.block_size(i), 3))
+            for j in range(dm.nblocks):
+                info = dm.block(i, j)
+                acc += info.compact @ h[bounds[j]:bounds[j + 1]][
+                    info.nnz_cols_local]
+            np.testing.assert_allclose(acc, expected[bounds[i]:bounds[i + 1]],
+                                       atol=1e-12)
+
+    def test_full_block_is_the_direct_slice(self, blocked):
+        adj, dm = blocked
+        bounds = dm.dist.bounds
+        for i in range(dm.nblocks):
+            for j in range(dm.nblocks):
+                info = dm.block(i, j)
+                assert info.compact.shape == (dm.dist.block_size(i),
+                                              info.n_needed_rows)
+                assert not info.full_materialized
+                direct = adj[bounds[i]:bounds[i + 1], bounds[j]:bounds[j + 1]]
+                np.testing.assert_array_equal(info.full.toarray(),
+                                              direct.toarray())
+                assert info.full_materialized
+                assert np.shares_memory(info.full.data, info.compact.data) \
+                    or info.nnz == 0
+
+    def test_needed_rows_never_exceed_oblivious(self, blocked):
+        adj, dm = blocked
+        needed = dm.needed_rows_matrix()
+        sizes = dm.dist.block_sizes
+        assert np.all(np.diag(needed) == 0)
+        # The oblivious algorithm ships all of block j to every i != j.
+        assert np.all(needed <= sizes[None, :])
+        assert sum(dm.block(i, j).nnz for i in range(dm.nblocks)
+                   for j in range(dm.nblocks)) == adj.nnz
+        if dm.nblocks == 1:
+            assert needed.sum() == 0
 
 
 class TestBlockRowDistribution:

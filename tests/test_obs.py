@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,10 +26,16 @@ import pytest
 from repro.cli import main
 from repro.comm import make_communicator
 from repro.comm.faults import FaultPlan, WorkerFailure
-from repro.core import DistTrainConfig, train_distributed
-from repro.obs import (NULL_SPAN, TRACE, MetricsRegistry, metrics_from_spans,
-                       percentile, prometheus_text, save_trace, trace_events,
-                       trace_summary)
+from repro.core import (BlockRowDistribution, Dist2DSparseMatrix,
+                        DistDenseMatrix, DistSparseMatrix, DistTrainConfig,
+                        Grid2D, ProcessGrid, spmm_1d_oblivious,
+                        spmm_1d_sparsity_aware, spmm_2d_oblivious,
+                        spmm_2d_sparsity_aware, spmm_15d_oblivious,
+                        spmm_15d_sparsity_aware, train_distributed)
+from repro.graphs import erdos_renyi_graph, gcn_normalize
+from repro.obs import (NULL_SPAN, TRACE, MetricsRegistry, Tracer,
+                       metrics_from_spans, percentile, prometheus_text,
+                       save_trace, trace_events, trace_summary)
 
 
 @pytest.fixture(autouse=True)
@@ -199,6 +206,151 @@ class TestExport:
         assert flat['collective_seconds_sum{op="broadcast"}'] == 2.0
         assert flat['spans_total{track="driver"}'] == 2
         assert flat['spans_total{track="rank0"}'] == 1
+
+
+# ----------------------------------------------------------------------
+# Traces of real SpMM runs, on every backend
+# ----------------------------------------------------------------------
+_SPMM_RUNS = [(backend, mode) for backend in ("sim", "threaded", "process")
+              for mode in ("sparsity_aware", "oblivious")]
+
+
+@pytest.fixture(scope="module", params=_SPMM_RUNS, ids="-".join)
+def traced_spmm(request):
+    """One traced one-shot 1D SpMM per (backend, mode).
+
+    The spans are moved into a private tracer so the per-test reset of
+    ``TRACE`` cannot drop them; the communicator's event log is the
+    reference for the byte annotations.
+    """
+    backend, mode = request.param
+    graph = gcn_normalize(erdos_renyi_graph(32, avg_degree=6, seed=1))
+    dist = BlockRowDistribution.uniform(32, 4)
+    h = np.random.default_rng(0).normal(size=(32, 4))
+    fn = spmm_1d_sparsity_aware if mode == "sparsity_aware" \
+        else spmm_1d_oblivious
+    TRACE.clear()
+    TRACE.enable()
+    comm = make_communicator(4, backend=backend)
+    try:
+        out = fn(DistSparseMatrix(graph, dist),
+                 DistDenseMatrix.from_global(h, dist), comm)
+    finally:
+        comm.close()
+        TRACE.disable()
+    tracer = Tracer().enable()
+    for span in TRACE.spans():
+        tracer.add_span(*span)
+    TRACE.clear()
+    return SimpleNamespace(backend=backend, mode=mode, tracer=tracer,
+                           events=comm.events, nranks=4,
+                           result=out.to_global(), expected=graph @ h)
+
+
+def _comm_slices(run):
+    return [e for e in trace_events(run.tracer)
+            if e["ph"] == "X" and e["name"].startswith("comm.")]
+
+
+class TestTracedSpmm:
+    def test_tracing_keeps_the_product_exact(self, traced_spmm):
+        np.testing.assert_allclose(traced_spmm.result, traced_spmm.expected,
+                                   atol=1e-12)
+
+    def test_spmm_span_names_its_variant(self, traced_spmm):
+        (span,) = [s for s in traced_spmm.tracer.spans() if s[1] == "spmm"]
+        assert span[5]["algorithm"] == "1d"
+        assert span[5]["mode"] == traced_spmm.mode
+        assert span[5]["width"] == 4 and span[5]["call"] == 1
+
+    def test_comm_slices_carry_the_event_log_volume(self, traced_spmm):
+        slices = _comm_slices(traced_spmm)
+        total = traced_spmm.events.total_bytes()
+        assert total > 0
+        assert sum(e["args"]["bytes"] for e in slices) == total
+        assert all(e["args"]["backend"] == traced_spmm.backend
+                   for e in slices)
+
+    def test_one_comm_slice_per_collective_step(self, traced_spmm):
+        steps = [e["args"]["step"] for e in _comm_slices(traced_spmm)]
+        # Algorithm 1 is one all-to-allv; the oblivious baseline is one
+        # broadcast per block row.
+        expected = 1 if traced_spmm.mode == "sparsity_aware" \
+            else traced_spmm.nranks
+        assert sorted(steps) == list(range(expected))
+
+    def test_slices_on_a_track_nest_or_are_disjoint(self, traced_spmm):
+        by_tid = {}
+        for e in trace_events(traced_spmm.tracer):
+            if e["ph"] == "X":
+                by_tid.setdefault(e["tid"], []).append(
+                    (e["ts"], e["ts"] + e["dur"]))
+        assert by_tid
+        eps = 1e-6
+        for intervals in by_tid.values():
+            for a0, a1 in intervals:
+                for b0, b1 in intervals:
+                    disjoint = a1 <= b0 + eps or b1 <= a0 + eps
+                    nested = (a0 <= b0 + eps and b1 <= a1 + eps) or \
+                        (b0 <= a0 + eps and a1 <= b1 + eps)
+                    assert disjoint or nested
+
+    def test_saved_trace_has_one_slice_per_span(self, traced_spmm, tmp_path):
+        out = tmp_path / "spmm.json"
+        save_trace(str(out), traced_spmm.tracer)
+        events = json.loads(out.read_text())["traceEvents"]
+        slices = [e for e in events if e["ph"] == "X"]
+        rows = {e["args"]["name"]: e["tid"] for e in events
+                if e["ph"] == "M" and e["name"] == "thread_name"}
+        assert len(slices) == len(traced_spmm.tracer)
+        assert set(rows) == {s[0] for s in traced_spmm.tracer.spans()}
+        assert rows["driver"] == 0
+        workers = set(rows) - {"driver"}
+        if traced_spmm.backend == "process":
+            assert workers and workers <= {f"rank{r}" for r in range(4)}
+            assert all(e["name"].startswith("worker.") for e in slices
+                       if e["tid"] != rows["driver"])
+        else:
+            assert workers == set()
+
+    def test_summary_accounts_for_every_slice(self, traced_spmm):
+        summary = trace_summary(trace_events(traced_spmm.tracer), top=100)
+        assert sum(t["slices"] for t in summary["tracks"]) == \
+            len(traced_spmm.tracer)
+        names = {row["name"] for row in summary["slices"]}
+        assert {"spmm", "spmm.stage"} <= names
+        assert all(row["self_ms"] >= 0.0 for row in summary["slices"])
+
+
+def _grid_spmm_15d(fn):
+    grid = ProcessGrid(nranks=4, replication=2)
+    graph = gcn_normalize(erdos_renyi_graph(24, avg_degree=4, seed=2))
+    dist = BlockRowDistribution.uniform(24, grid.nrows)
+    h = np.random.default_rng(1).normal(size=(24, 3))
+    fn(DistSparseMatrix(graph, dist), DistDenseMatrix.from_global(h, dist),
+       grid, make_communicator(4))
+
+
+def _grid_spmm_2d(fn):
+    grid = Grid2D(2, 2)
+    graph = gcn_normalize(erdos_renyi_graph(24, avg_degree=4, seed=2))
+    h = np.random.default_rng(1).normal(size=(24, 3))
+    fn(Dist2DSparseMatrix.uniform(graph, grid), h, grid, make_communicator(4))
+
+
+@pytest.mark.parametrize("algorithm,mode,run", [
+    ("1.5d", "sparsity_aware",
+     lambda: _grid_spmm_15d(spmm_15d_sparsity_aware)),
+    ("1.5d", "oblivious", lambda: _grid_spmm_15d(spmm_15d_oblivious)),
+    ("2d", "sparsity_aware", lambda: _grid_spmm_2d(spmm_2d_sparsity_aware)),
+    ("2d", "oblivious", lambda: _grid_spmm_2d(spmm_2d_oblivious)),
+], ids=["1.5d-sparsity_aware", "1.5d-oblivious", "2d-sparsity_aware",
+        "2d-oblivious"])
+def test_traced_grid_spmm_names_its_variant(algorithm, mode, run):
+    TRACE.enable()
+    run()
+    (span,) = [s for s in TRACE.spans() if s[1] == "spmm"]
+    assert (span[5]["algorithm"], span[5]["mode"]) == (algorithm, mode)
 
 
 # ----------------------------------------------------------------------
