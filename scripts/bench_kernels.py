@@ -42,6 +42,11 @@ of ``--repeats`` timed runs after one warm-up):
   (``inference_spmm_widths``: a narrowing layer multiplies by ``W``
   first) and at the paper-order widths (``layer_dims[:-1]``).  Exact
   counts; measured == predicted is asserted.
+* **GVB partitioning, cold start** — wall seconds of
+  ``GVBPartitioner(seed=0).partition`` on amazon at p = 4 and p = 2 (the
+  ``train_1d_exchange`` / 1.5D block-row partitions), with a sha256 of the
+  ``parts`` vector and its volumes: the digest must not move when the
+  partitioner gets faster.  ``--quick`` runs it on amazon 0.25.
 
 Usage::
 
@@ -61,6 +66,7 @@ See ``docs/performance.md`` for how to read this file.
 """
 
 import argparse
+import hashlib
 import json
 import pathlib
 import sys
@@ -80,6 +86,8 @@ from repro.core.engine import DenseSpec, compile as compile_spmm, spmm  # noqa: 
 from repro.graphs import gcn_normalize                          # noqa: E402
 from repro.graphs.datasets import load_dataset                  # noqa: E402
 from repro.graphs.generators import erdos_renyi_graph           # noqa: E402
+from repro.partition import (GVBPartitioner,                    # noqa: E402
+                             communication_volumes_1d, edgecut)
 
 
 def best_of(fn, repeats: int) -> float:
@@ -334,6 +342,33 @@ def bench_weight_first_inference(scale: float, p: int) -> dict:
     }
 
 
+def bench_partition_gvb(scale: float, part_counts, repeats: int) -> dict:
+    """GVB partitioning wall time on amazon, with the partition's digest.
+
+    Best of ``repeats`` after one warm-up per part count.  The digest and
+    volumes pin *which* partition was timed: a faster partitioner that
+    moves a vertex is a different benchmark.
+    """
+    adj = load_dataset("amazon", scale=scale, seed=0).adjacency
+    cell = {"dataset": "amazon", "scale": scale, "n": int(adj.shape[0]),
+            "nnz": int(adj.nnz), "repeats": repeats}
+    for p in part_counts:
+        result = {}
+
+        def run():
+            result["parts"] = GVBPartitioner(seed=0).partition(adj, p).parts
+        seconds = best_of(run, repeats)
+        parts = result["parts"]
+        vol = communication_volumes_1d(adj, parts, p)
+        cell[f"p{p}"] = {
+            "seconds": seconds,
+            "parts_sha256": hashlib.sha256(parts.tobytes()).hexdigest(),
+            "edgecut": int(edgecut(adj, parts)),
+            "total_volume": vol.total, "max_send_volume": vol.max_send,
+        }
+    return cell
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         description="record the kernel/compiled-epoch microbenchmarks")
@@ -395,6 +430,10 @@ def main(argv=None) -> int:
         # widths against the paper-order widths.
         "weight_first_inference_sim": lambda: bench_weight_first_inference(
             scale=0.05 if quick else 0.25, p=2),
+        # Cold-start partitioning: GVB wall seconds + the partition digest.
+        "partition_gvb": lambda: bench_partition_gvb(
+            scale=0.25 if quick else 1.0, part_counts=(4, 2),
+            repeats=min(repeats, 3)),
     }
     unknown = sorted(set(args.only or ()) - set(cells))
     if unknown:
@@ -446,6 +485,9 @@ def main(argv=None) -> int:
           f"{serve['paper_order_bytes_per_request']} -> "
           f"{serve['bytes_per_request']} "
           f"({serve['volume_reduction']:.2f}x smaller)")
+    gvb = payload["partition_gvb"]
+    print(f"  GVB partitioning, amazon {gvb['scale']}: " + ", ".join(
+        f"p={p} {gvb[f'p{p}']['seconds']:.2f} s" for p in (4, 2)))
     return 0
 
 

@@ -47,25 +47,22 @@ def heavy_edge_matching(adj: sp.csr_matrix, rng: np.random.Generator,
     balanced partitions no longer exist).
     """
     n = adj.shape[0]
-    indptr, indices, data = adj.indptr, adj.indices, adj.data
-    if vertex_weights is None:
-        vertex_weights = np.ones(n)
-    match = np.arange(n)
-    matched = np.zeros(n, dtype=bool)
-    order = rng.permutation(n)
-    for v in order:
-        if matched[v]:
+    indptr, indices = adj.indptr.tolist(), adj.indices.tolist()
+    data = adj.data.tolist()
+    weights = (np.ones(n) if vertex_weights is None
+               else np.asarray(vertex_weights)).tolist()
+    cap = max_vertex_weight
+    match = list(range(n))       # match[v] != v exactly when v is matched
+    for v in rng.permutation(n).tolist():
+        if match[v] != v:
             continue
         start, end = indptr[v], indptr[v + 1]
-        nbrs = indices[start:end]
-        wts = data[start:end]
         best = -1
         best_w = -np.inf
-        for u, w in zip(nbrs, wts):
-            if u == v or matched[u]:
+        for u, w in zip(indices[start:end], data[start:end]):
+            if u == v or match[u] != u:
                 continue
-            if max_vertex_weight is not None and \
-                    vertex_weights[v] + vertex_weights[u] > max_vertex_weight:
+            if cap is not None and weights[v] + weights[u] > cap:
                 continue
             if w > best_w:
                 best_w = w
@@ -73,9 +70,7 @@ def heavy_edge_matching(adj: sp.csr_matrix, rng: np.random.Generator,
         if best >= 0:
             match[v] = best
             match[best] = v
-            matched[v] = True
-            matched[best] = True
-    return match
+    return np.array(match)
 
 
 def contract_graph(adj: sp.csr_matrix, match: np.ndarray,
@@ -87,19 +82,11 @@ def contract_graph(adj: sp.csr_matrix, match: np.ndarray,
     constituents.
     """
     n = adj.shape[0]
-    # Assign coarse ids: the lower-id endpoint of every matched pair (and
-    # every unmatched vertex) gets a fresh coarse id.
-    coarse_map = np.full(n, -1, dtype=np.int64)
-    next_id = 0
-    for v in range(n):
-        if coarse_map[v] >= 0:
-            continue
-        u = match[v]
-        coarse_map[v] = next_id
-        if u != v:
-            coarse_map[u] = next_id
-        next_id += 1
-    nc = next_id
+    # Coarse ids: every matched pair (and every unmatched vertex) is named
+    # by its lower-id endpoint, and coarse ids follow that order.
+    names, coarse_map = np.unique(np.minimum(np.arange(n), match),
+                                  return_inverse=True)
+    nc = names.size
 
     coo = adj.tocoo()
     crow = coarse_map[coo.row]

@@ -8,7 +8,7 @@ subject to a vertex-weight balance constraint.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,15 +34,35 @@ def weighted_edgecut(adj: sp.spmatrix, parts: np.ndarray) -> float:
     return float(coo.data[mask].sum() / 2.0)
 
 
-def _connectivity(adj_indptr, adj_indices, adj_data, parts, v, nparts
-                  ) -> np.ndarray:
-    """Edge weight from ``v`` to each part."""
-    conn = np.zeros(nparts)
-    start, end = adj_indptr[v], adj_indptr[v + 1]
-    nbrs = adj_indices[start:end]
-    wts = adj_data[start:end]
-    np.add.at(conn, parts[nbrs], wts)
+def boundary_ids(rows: np.ndarray, cols: np.ndarray,
+                 parts: np.ndarray) -> np.ndarray:
+    """Vertex ids with at least one neighbour in a different part, from the
+    COO ``rows`` / ``cols`` of the adjacency."""
+    mask = parts[rows] != parts[cols]
+    return np.unique(np.concatenate([rows[mask], cols[mask]]))
+
+
+def _connectivity(indptr, indices, data, parts, v: int, nparts: int
+                  ) -> List[float]:
+    """Edge weight from ``v`` to each part, summed in CSR order (the order
+    ``np.add.at`` would use, so the floats are the same bit for bit)."""
+    conn = [0.0] * nparts
+    for idx in range(indptr[v], indptr[v + 1]):
+        conn[parts[indices[idx]]] += data[idx]
     return conn
+
+
+def refine_inputs(adj: sp.spmatrix, parts: np.ndarray, nparts: int,
+                  vertex_weights: Optional[np.ndarray]):
+    """CSR matrix, validated copy of ``parts``, float vertex weights and the
+    CSR arrays as lists (converted once per call, never per vertex)."""
+    adj = adj.tocsr()
+    n = adj.shape[0]
+    parts = validate_parts(parts, nparts, n).copy()
+    if vertex_weights is None:
+        vertex_weights = np.ones(n)
+    return (adj, parts, np.asarray(vertex_weights, dtype=np.float64),
+            (adj.indptr.tolist(), adj.indices.tolist(), adj.data.tolist()))
 
 
 def edgecut_refine(adj: sp.spmatrix, parts: np.ndarray, nparts: int,
@@ -65,62 +85,61 @@ def edgecut_refine(adj: sp.spmatrix, parts: np.ndarray, nparts: int,
     (parts, moves):
         The refined partition vector and the number of vertex moves made.
     """
-    adj = adj.tocsr()
-    n = adj.shape[0]
-    parts = validate_parts(parts, nparts, n).copy()
-    if vertex_weights is None:
-        vertex_weights = np.ones(n)
-    vertex_weights = np.asarray(vertex_weights, dtype=np.float64)
+    adj, parts, vertex_weights, (indptr, indices, data) = refine_inputs(
+        adj, parts, nparts, vertex_weights)
     if balance_factor < 1.0:
         raise ValueError("balance_factor must be >= 1.0")
 
-    indptr, indices, data = adj.indptr, adj.indices, adj.data
-    weights = part_weight_vector(parts, vertex_weights, nparts)
-    ideal = vertex_weights.sum() / nparts
-    max_weight = balance_factor * ideal
+    coo = adj.tocoo()
+    vw, part_of = vertex_weights.tolist(), parts.tolist()
+    weights = part_weight_vector(parts, vertex_weights, nparts).tolist()
+    max_weight = balance_factor * (vertex_weights.sum() / nparts)
 
     rng = np.random.default_rng(seed)
     total_moves = 0
+    # conn_of[v] is v's connectivity, kept until a neighbour of v moves
+    # (recomputed, never patched, so the sums stay in CSR order).
+    conn_of: List[Optional[List[float]]] = [None] * adj.shape[0]
 
     for _ in range(max_passes):
-        # Boundary vertices under the current assignment.
-        coo_row = None  # recomputed lazily below
-        boundary = _boundary(adj, parts)
+        boundary = boundary_ids(coo.row, coo.col, np.array(part_of))
         if boundary.size == 0:
             break
         rng.shuffle(boundary)
         moves_this_pass = 0
-        for v in boundary:
-            p = parts[v]
-            conn = _connectivity(indptr, indices, data, parts, v, nparts)
+        for v in boundary.tolist():
+            p = part_of[v]
+            conn = conn_of[v]
+            if conn is None:
+                conn = conn_of[v] = _connectivity(indptr, indices, data,
+                                                  part_of, v, nparts)
             internal = conn[p]
-            # Candidate parts: the ones v is actually connected to.
-            candidates = np.flatnonzero(conn > 0)
             best_q = -1
             best_gain = 0.0
-            wv = vertex_weights[v]
-            for q in candidates:
-                if q == p:
-                    continue
-                if weights[q] + wv > max_weight:
+            wv = vw[v]
+            # Candidate parts: the ones v is actually connected to.
+            for q in range(nparts):
+                if q == p or not conn[q] > 0 or \
+                        weights[q] + wv > max_weight:
                     continue
                 gain = conn[q] - internal
-                better_balance = weights[p] > weights[q] + wv
                 if gain > best_gain or (gain == best_gain == 0.0 and
-                                        better_balance and best_q < 0):
-                    best_gain = gain
-                    best_q = int(q)
+                                        weights[p] > weights[q] + wv and
+                                        best_q < 0):
+                    best_gain, best_q = gain, q
             if best_q >= 0 and (best_gain > 0 or
-                                (best_gain == 0.0 and weights[parts[v]] >
+                                (best_gain == 0.0 and weights[p] >
                                  weights[best_q] + wv)):
                 weights[p] -= wv
                 weights[best_q] += wv
-                parts[v] = best_q
+                part_of[v] = best_q
+                for idx in range(indptr[v], indptr[v + 1]):
+                    conn_of[indices[idx]] = None
                 moves_this_pass += 1
         total_moves += moves_this_pass
         if moves_this_pass == 0:
             break
-    return parts, total_moves
+    return np.array(part_of, dtype=np.int64), total_moves
 
 
 def rebalance(adj: sp.spmatrix, parts: np.ndarray, nparts: int,
@@ -137,19 +156,14 @@ def rebalance(adj: sp.spmatrix, parts: np.ndarray, nparts: int,
     damage — until all parts respect ``balance_factor`` times the ideal
     weight (or the move budget runs out).
     """
-    adj = adj.tocsr()
-    n = adj.shape[0]
-    parts = validate_parts(parts, nparts, n).copy()
-    if vertex_weights is None:
-        vertex_weights = np.ones(n)
-    vertex_weights = np.asarray(vertex_weights, dtype=np.float64)
-    indptr, indices, data = adj.indptr, adj.indices, adj.data
+    adj, parts, vertex_weights, (indptr, indices, data) = refine_inputs(
+        adj, parts, nparts, vertex_weights)
+    vw, part_of = vertex_weights.tolist(), parts.tolist()  # scalar mirrors
 
     weights = part_weight_vector(parts, vertex_weights, nparts)
-    ideal = vertex_weights.sum() / nparts
-    max_weight = balance_factor * ideal
+    max_weight = balance_factor * (vertex_weights.sum() / nparts)
     if max_moves is None:
-        max_moves = 4 * n
+        max_moves = 4 * adj.shape[0]
     rng = np.random.default_rng(seed)
 
     moves = 0
@@ -171,30 +185,22 @@ def rebalance(adj: sp.spmatrix, parts: np.ndarray, nparts: int,
         best = None
         sample = members if members.size <= 256 else \
             rng.choice(members, size=256, replace=False)
-        for v in sample:
-            conn = _connectivity(indptr, indices, data, parts, v, nparts)
+        load = weights.tolist()
+        for v in sample.tolist():
+            conn = _connectivity(indptr, indices, data, part_of, v, nparts)
             internal = conn[p]
             for q in receivers:
-                if weights[q] + vertex_weights[v] > max_weight:
+                if load[q] + vw[v] > max_weight:
                     continue
                 score = conn[q] - internal
                 if best is None or score > best[0]:
-                    best = (score, int(v), int(q))
+                    best = (score, v, q)
         if best is None:
             break
         _, v, q = best
         weights[p] -= vertex_weights[v]
         weights[q] += vertex_weights[v]
-        parts[v] = q
+        parts[v] = part_of[v] = q
         moves += 1
         overweight = [r for r in range(nparts) if weights[r] > max_weight]
     return parts
-
-
-def _boundary(adj: sp.csr_matrix, parts: np.ndarray) -> np.ndarray:
-    """Vertex ids with at least one neighbour in a different part."""
-    coo = adj.tocoo()
-    mask = parts[coo.row] != parts[coo.col]
-    if not mask.any():
-        return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate([coo.row[mask], coo.col[mask]]))

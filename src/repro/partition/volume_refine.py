@@ -23,12 +23,13 @@ bottleneck part's volume is evaluated in O(degree + nparts) time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from operator import add
+from typing import List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from .base import validate_parts
+from .refine import boundary_ids, refine_inputs
 
 __all__ = ["VolumeState", "MoveDelta", "volume_refine"]
 
@@ -37,29 +38,48 @@ __all__ = ["VolumeState", "MoveDelta", "volume_refine"]
 class MoveDelta:
     """Effect of one candidate move on the volume bookkeeping."""
 
-    delta_send: np.ndarray      # per-part change of send volume
-    delta_recv: np.ndarray      # per-part change of receive volume
+    delta_send: List[int]       # per-part change of send volume
+    delta_recv: List[int]       # per-part change of receive volume
     new_send_count_v: int       # send_count of the moved vertex afterwards
+
+
+def _array_view(field: str) -> property:
+    return property(lambda self: np.array(getattr(self, field)))
 
 
 @dataclass
 class VolumeState:
-    """Incremental bookkeeping for volume-aware moves."""
+    """Incremental bookkeeping for volume-aware moves.
 
-    parts: np.ndarray                 # (n,) part of each vertex
-    nbr_part_count: np.ndarray        # (n, nparts) neighbours per part
-    send_count: np.ndarray            # (n,) parts (≠ own) that need this vertex
-    send_volume: np.ndarray           # (nparts,) per-part send volume
-    recv_volume: np.ndarray           # (nparts,) per-part receive volume
-    part_weight: np.ndarray           # (nparts,) computational weight per part
+    Moves read and update it one vertex at a time, and at degree ≈ 10 and
+    ``nparts`` ≤ 16 numpy's per-call overhead would be nearly all of the
+    cost, so it is held in Python lists; the public fields read as numpy
+    copies.
+    """
+
+    _parts: List[int]                 # (n,) part of each vertex
+    _nbr: List[List[int]]             # (n, nparts) neighbours (≠ self) per part
+    _send_count: List[int]            # (n,) parts (≠ own) that need this vertex
+    _send: List[int]                  # (nparts,) per-part send volume
+    _recv: List[int]                  # (nparts,) per-part receive volume
+    _weight: List[float]              # (nparts,) computational weight per part
+
+    parts = _array_view("_parts")
+    nbr_part_count = _array_view("_nbr")
+    send_count = _array_view("_send_count")
+    send_volume = _array_view("_send")
+    recv_volume = _array_view("_recv")
+    part_weight = _array_view("_weight")
 
     @classmethod
     def build(cls, adj: sp.csr_matrix, parts: np.ndarray, nparts: int,
               vertex_weights: np.ndarray) -> "VolumeState":
         n = adj.shape[0]
         coo = adj.tocoo()
+        # A vertex's diagonal entry is not a neighbour (apply_move skips it).
+        off = coo.row != coo.col
         nbr_part_count = np.zeros((n, nparts), dtype=np.int32)
-        np.add.at(nbr_part_count, (coo.row, parts[coo.col]), 1)
+        np.add.at(nbr_part_count, (coo.row[off], parts[coo.col[off]]), 1)
 
         has_nbr = nbr_part_count > 0
         # send_count[v] = number of parts other than parts[v] that contain a
@@ -79,50 +99,48 @@ class VolumeState:
 
         part_weight = np.zeros(nparts)
         np.add.at(part_weight, parts, vertex_weights)
-        return cls(parts=parts.copy(), nbr_part_count=nbr_part_count,
-                   send_count=send_count.astype(np.int64),
-                   send_volume=send_volume, recv_volume=recv_volume,
-                   part_weight=part_weight)
+        return cls(*(a.tolist() for a in (parts, nbr_part_count, send_count,
+                                          send_volume, recv_volume,
+                                          part_weight)))
 
     # -- objective -------------------------------------------------------
     @property
     def total_volume(self) -> int:
-        return int(self.send_volume.sum())
-
-    @property
-    def max_send_volume(self) -> int:
-        return int(self.send_volume.max())
-
-    @property
-    def max_recv_volume(self) -> int:
-        return int(self.recv_volume.max())
+        return sum(self._send)
 
     @property
     def bottleneck_volume(self) -> int:
         """The metric that bounds the all-to-allv time: the largest send or
         receive volume of any part."""
-        return int(max(self.send_volume.max(), self.recv_volume.max()))
+        return max(max(self._send), max(self._recv))
 
-    def cost(self, max_volume_weight: float) -> float:
-        """Scalar objective: total volume + weighted bottleneck volume."""
-        return float(self.total_volume) + max_volume_weight * self.bottleneck_volume
+    def cost_change(self, delta: MoveDelta, max_volume_weight: float,
+                    bottleneck: int) -> float:
+        """Change of the objective, total volume + ``max_volume_weight`` x
+        bottleneck volume, if ``delta`` were applied; ``bottleneck`` is the
+        current :attr:`bottleneck_volume`."""
+        new_bottleneck = max(max(map(add, self._send, delta.delta_send)),
+                             max(map(add, self._recv, delta.delta_recv)))
+        return sum(delta.delta_send) + \
+            max_volume_weight * (new_bottleneck - bottleneck)
 
     # -- move machinery ---------------------------------------------------
     def move_deltas(self, adj_indptr, adj_indices, v: int, q: int) -> MoveDelta:
         """Compute the volume deltas of moving ``v`` to part ``q``.
 
-        Does not modify the state.
+        Does not modify the state.  The CSR arrays are fastest as lists.
         """
-        p = int(self.parts[v])
-        nparts = self.send_volume.shape[0]
-        delta_send = np.zeros(nparts, dtype=np.int64)
-        delta_recv = np.zeros(nparts, dtype=np.int64)
-        counts_v = self.nbr_part_count[v]
+        parts, nbr = self._parts, self._nbr
+        p = parts[v]
+        nparts = len(self._send)
+        delta_send = [0] * nparts
+        delta_recv = [0] * nparts
+        counts_v = nbr[v]
 
         # v's own send contribution moves from part p to part q and is
         # re-evaluated relative to the new owner.
-        new_send_count_v = int((counts_v > 0).sum()) - int(counts_v[q] > 0)
-        delta_send[p] -= int(self.send_count[v])
+        new_send_count_v = nparts - counts_v.count(0) - (counts_v[q] > 0)
+        delta_send[p] -= self._send_count[v]
         delta_send[q] += new_send_count_v
         # v's own receive contributions: it no longer "receives into" q
         # (now its own part) but starts counting p if it has neighbours there.
@@ -139,41 +157,44 @@ class VolumeState:
             u = adj_indices[idx]
             if u == v:
                 continue
-            r = int(self.parts[u])
-            if r != p and self.nbr_part_count[u, p] == 1:
+            r = parts[u]
+            counts_u = nbr[u]
+            if r != p and counts_u[p] == 1:
                 delta_send[r] -= 1
                 delta_recv[p] -= 1
-            if r != q and self.nbr_part_count[u, q] == 0:
+            if r != q and counts_u[q] == 0:
                 delta_send[r] += 1
                 delta_recv[q] += 1
         return MoveDelta(delta_send=delta_send, delta_recv=delta_recv,
                          new_send_count_v=new_send_count_v)
 
     def apply_move(self, adj_indptr, adj_indices, v: int, q: int,
-                   vertex_weights: np.ndarray, delta: MoveDelta) -> None:
+                   vertex_weights, delta: MoveDelta) -> None:
         """Apply a move previously evaluated with :meth:`move_deltas`."""
-        p = int(self.parts[v])
+        parts, nbr, send_count = self._parts, self._nbr, self._send_count
+        p = parts[v]
         # Neighbour counts: every neighbour of v sees v change part.
         for idx in range(adj_indptr[v], adj_indptr[v + 1]):
             u = adj_indices[idx]
             if u == v:
                 continue
-            r = int(self.parts[u])
-            had_q = self.nbr_part_count[u, q] > 0
-            self.nbr_part_count[u, p] -= 1
-            self.nbr_part_count[u, q] += 1
-            lost_p = self.nbr_part_count[u, p] == 0
-            if r != p and lost_p:
-                self.send_count[u] -= 1
+            r = parts[u]
+            counts_u = nbr[u]
+            had_q = counts_u[q] > 0
+            counts_u[p] -= 1
+            counts_u[q] += 1
+            if r != p and counts_u[p] == 0:
+                send_count[u] -= 1
             if r != q and not had_q:
-                self.send_count[u] += 1
+                send_count[u] += 1
 
-        self.send_volume += delta.delta_send
-        self.recv_volume += delta.delta_recv
-        self.send_count[v] = delta.new_send_count_v
-        self.part_weight[p] -= vertex_weights[v]
-        self.part_weight[q] += vertex_weights[v]
-        self.parts[v] = q
+        self._send[:] = map(add, self._send, delta.delta_send)
+        self._recv[:] = map(add, self._recv, delta.delta_recv)
+        send_count[v] = delta.new_send_count_v
+        wv = float(vertex_weights[v])
+        self._weight[p] -= wv
+        self._weight[q] += wv
+        parts[v] = q
 
 
 def volume_refine(adj: sp.spmatrix, parts: np.ndarray, nparts: int,
@@ -203,60 +224,44 @@ def volume_refine(adj: sp.spmatrix, parts: np.ndarray, nparts: int,
     -------
     (parts, moves)
     """
-    adj = adj.tocsr()
-    n = adj.shape[0]
-    parts = validate_parts(parts, nparts, n).copy()
-    if vertex_weights is None:
-        vertex_weights = np.ones(n)
-    vertex_weights = np.asarray(vertex_weights, dtype=np.float64)
+    adj, parts, vertex_weights, (indptr, indices, _) = refine_inputs(
+        adj, parts, nparts, vertex_weights)
     if max_volume_weight is None:
         max_volume_weight = max(1.0, nparts / 2.0)
 
     state = VolumeState.build(adj, parts, nparts, vertex_weights)
-    indptr, indices = adj.indptr, adj.indices
-    ideal = vertex_weights.sum() / nparts
-    max_weight = balance_factor * ideal
+    part_of, nbr, part_weight = state._parts, state._nbr, state._weight
+    weights = vertex_weights.tolist()
+    coo = adj.tocoo()
+    max_weight = balance_factor * (vertex_weights.sum() / nparts)
     rng = np.random.default_rng(seed)
 
     total_moves = 0
     for _ in range(max_passes):
-        # Boundary under the current assignment.
-        coo = adj.tocoo()
-        mask = state.parts[coo.row] != state.parts[coo.col]
-        if not mask.any():
+        boundary = boundary_ids(coo.row, coo.col, state.parts)
+        if boundary.size == 0:
             break
-        boundary = np.unique(np.concatenate([coo.row[mask], coo.col[mask]]))
         rng.shuffle(boundary)
 
         moves_this_pass = 0
-        for v in boundary:
-            p = int(state.parts[v])
-            counts_v = state.nbr_part_count[v]
-            candidates = np.flatnonzero(counts_v > 0)
-            wv = vertex_weights[v]
-            best_q = -1
+        for v in boundary.tolist():
+            p = part_of[v]
+            counts_v = nbr[v]
+            wv = weights[v]
             best_delta_cost = -1e-9  # strict improvement required
-            best_delta: Optional[MoveDelta] = None
-            current_bottleneck = state.bottleneck_volume
-            for q in candidates:
-                q = int(q)
-                if q == p:
-                    continue
-                if state.part_weight[q] + wv > max_weight:
+            best_q, best_delta = -1, None
+            bottleneck = state.bottleneck_volume
+            for q in range(nparts):
+                if q == p or counts_v[q] == 0 or \
+                        part_weight[q] + wv > max_weight:
                     continue
                 delta = state.move_deltas(indptr, indices, v, q)
-                new_send = state.send_volume + delta.delta_send
-                new_recv = state.recv_volume + delta.delta_recv
-                delta_total = int(delta.delta_send.sum())
-                new_bottleneck = int(max(new_send.max(), new_recv.max()))
-                delta_cost = delta_total + \
-                    max_volume_weight * (new_bottleneck - current_bottleneck)
+                delta_cost = state.cost_change(delta, max_volume_weight,
+                                               bottleneck)
                 if delta_cost < best_delta_cost:
-                    best_delta_cost = delta_cost
-                    best_q = q
-                    best_delta = delta
-            if best_q >= 0 and best_delta is not None:
-                state.apply_move(indptr, indices, v, best_q, vertex_weights,
+                    best_delta_cost, best_q, best_delta = delta_cost, q, delta
+            if best_delta is not None:
+                state.apply_move(indptr, indices, v, best_q, weights,
                                  best_delta)
                 moves_this_pass += 1
         total_moves += moves_this_pass

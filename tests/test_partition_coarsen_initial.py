@@ -81,6 +81,28 @@ class TestContraction:
         assert level.coarse_map.min() == 0
         assert level.coarse_map.max() == level.n_vertices - 1
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_coarse_ids_follow_lower_endpoint_order(self, seed):
+        # Reference: the sequential id assignment the vectorised one
+        # replaced, on a random (not heavy-edge) matching.
+        rng = np.random.default_rng(seed)
+        n = 60
+        match = np.arange(n)
+        order = rng.permutation(n)
+        for a, b in zip(order[0:40:2], order[1:40:2]):
+            match[a], match[b] = b, a
+        expected = np.full(n, -1, dtype=np.int64)
+        next_id = 0
+        for v in range(n):
+            if expected[v] < 0:
+                expected[v] = expected[match[v]] = next_id
+                next_id += 1
+        adj = erdos_renyi_graph(n, avg_degree=4, seed=seed).astype(float)
+        level = contract_graph(adj, match, np.ones(n))
+        np.testing.assert_array_equal(level.coarse_map, expected)
+        assert level.coarse_map.dtype == np.int64
+        assert level.n_vertices == next_id
+
 
 class TestCoarsenGraph:
     def test_hierarchy_shrinks(self):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.graphs.generators import (community_ring_graph, erdos_renyi_graph,
                                      grid_graph)
@@ -62,6 +63,18 @@ class TestEdgecutRefine:
         adj = grid_graph(4)
         with pytest.raises(ValueError):
             edgecut_refine(adj, np.zeros(16, dtype=int), 1, balance_factor=0.9)
+
+    def test_connectivity_is_summed_in_csr_order(self):
+        # Vertex 0's internal weight is (0.1 + 0.2) + 0.3 in CSR order, one
+        # ulp above its 0.6 edge to part 1, so moving it loses weight; any
+        # other order sums to 0.6 and the balance tie-break would move it.
+        assert (0.1 + 0.2) + 0.3 > 0.6 == 0.3 + 0.2 + 0.1
+        dense = np.zeros((5, 5))
+        dense[0, 1:] = dense[1:, 0] = [0.1, 0.2, 0.3, 0.6]
+        parts = np.array([0, 0, 0, 0, 1])
+        refined, moves = edgecut_refine(sp.csr_matrix(dense), parts, 2, seed=0)
+        assert moves == 0
+        np.testing.assert_array_equal(refined, parts)
 
     def test_output_is_new_array(self):
         adj = grid_graph(4)
@@ -139,6 +152,53 @@ class TestVolumeState:
         np.testing.assert_array_equal(state.send_count, rebuilt.send_count)
         np.testing.assert_array_equal(state.nbr_part_count,
                                       rebuilt.nbr_part_count)
+
+    def test_move_to_part_without_neighbours_matches_recomputation(self):
+        adj = erdos_renyi_graph(40, avg_degree=3, seed=8)
+        csr = adj.tocsr()
+        parts = np.random.default_rng(8).integers(0, 5, size=40)
+        state = self._state(adj, parts, 5)
+        counts = state.nbr_part_count
+        v, q = next((v, q) for v in range(40) for q in range(5)
+                    if q != parts[v] and counts[v, q] == 0 and
+                    csr.indptr[v + 1] > csr.indptr[v])
+        delta = state.move_deltas(csr.indptr, csr.indices, v, q)
+        new_parts = parts.copy()
+        new_parts[v] = q
+        vol = communication_volumes_1d(adj, new_parts, 5)
+        np.testing.assert_array_equal(state.send_volume + delta.delta_send,
+                                      vol.send_volume)
+        np.testing.assert_array_equal(state.recv_volume + delta.delta_recv,
+                                      vol.recv_volume)
+
+    def test_self_loops_do_not_drift(self):
+        # A vertex's own diagonal entry is not a neighbour: every single
+        # move must leave the state equal to a rebuild and to the metric.
+        adj = (erdos_renyi_graph(30, avg_degree=4, seed=5) +
+               sp.eye(30)).tocsr()
+        parts = np.random.default_rng(5).integers(0, 3, size=30)
+        for v in range(30):
+            state = self._state(adj, parts, 3)
+            q = int((parts[v] + 1) % 3)
+            delta = state.move_deltas(adj.indptr, adj.indices, v, q)
+            state.apply_move(adj.indptr, adj.indices, v, q, np.ones(30), delta)
+            rebuilt = self._state(adj, state.parts, 3)
+            vol = communication_volumes_1d(adj, state.parts, 3)
+            np.testing.assert_array_equal(state.send_volume, vol.send_volume)
+            np.testing.assert_array_equal(state.recv_volume, vol.recv_volume)
+            np.testing.assert_array_equal(state.nbr_part_count,
+                                          rebuilt.nbr_part_count)
+
+
+@pytest.mark.parametrize("refiner", [edgecut_refine, volume_refine])
+def test_refiners_return_new_int64_vector(refiner):
+    adj = community_ring_graph(120, avg_degree=6, n_communities=4, seed=9)
+    parts = np.random.default_rng(9).integers(0, 4, size=120).astype(np.int32)
+    before = parts.copy()
+    refined, moves = refiner(adj, parts, 4, seed=0)
+    assert moves > 0
+    assert refined.dtype == np.int64 and refined.shape == parts.shape
+    np.testing.assert_array_equal(parts, before)
 
 
 class TestVolumeRefine:

@@ -67,11 +67,17 @@ def graph_with_blocks(draw):
 
 @st.composite
 def graph_with_partition(draw):
+    """A graph, with self-loops on a random subset of vertices or none,
+    plus a random partition vector."""
     adj = draw(sparse_graph())
     n = adj.shape[0]
     nparts = draw(st.integers(min_value=1, max_value=min(6, n)))
     seed = draw(st.integers(min_value=0, max_value=1000))
-    parts = np.random.default_rng(seed).integers(0, nparts, size=n)
+    rng = np.random.default_rng(seed)
+    parts = rng.integers(0, nparts, size=n)
+    if draw(st.booleans()):
+        adj = (adj + sp.diags((rng.random(n) < 0.5).astype(float))).tocsr()
+        adj.eliminate_zeros()
     return adj, parts, nparts
 
 
@@ -181,6 +187,8 @@ class TestPartitionProperties:
         np.testing.assert_array_equal(state.send_volume, rebuilt.send_volume)
         np.testing.assert_array_equal(state.recv_volume, rebuilt.recv_volume)
         np.testing.assert_array_equal(state.send_count, rebuilt.send_count)
+        np.testing.assert_array_equal(state.nbr_part_count,
+                                      rebuilt.nbr_part_count)
 
 
 # ----------------------------------------------------------------------
