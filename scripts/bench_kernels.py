@@ -36,6 +36,14 @@ of ``--repeats`` timed runs after one warm-up):
   ``sim``, wall clock on ``process``.  Losses are asserted bit-identical.
   Every other epoch cell pins the flag to ``False`` — they measure the
   paper's schedule.
+* **input propagation in column panels, the one-off** — the cached run's
+  one-off ``A X`` on the ``process`` backend (amazon, p = 4, the gate's
+  1D and 1.5D c = 2 train configurations), streamed through the epoch
+  schedule's widest plan: its wall time, exact bytes and messages, the
+  retained plan widths, and the driver's ``ru_maxrss`` after set-up and
+  its growth across the one-off plus the first epoch.  Each leg runs in
+  a fresh spawned interpreter so the high-water mark is its own.
+  ``--quick`` runs amazon 0.25.
 * **weight-first inference, bytes per served request** — one request
   through the inference forward on ``sim``: the exchanged bytes the event
   log counted, against the prediction at the widths the forward chose
@@ -68,9 +76,12 @@ See ``docs/performance.md`` for how to read this file.
 import argparse
 import hashlib
 import json
+import multiprocessing
 import pathlib
+import resource
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -308,6 +319,68 @@ def bench_input_propagation_epoch(scale: float, p: int, backend: str,
     }
 
 
+def _maxrss_mb() -> float:
+    """High-water resident set of this process (Linux reports KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+
+
+def _input_propagation_leg(scale: float, config: dict) -> dict:
+    """One leg of :func:`bench_input_propagation_panels`, run in a fresh
+    interpreter so ``ru_maxrss`` is this leg's alone."""
+    dataset = load_dataset("amazon", scale=scale, seed=0)
+    cfg = DistTrainConfig(n_ranks=4, backend="process", seed=0,
+                          partitioner="gvb", hidden=16, n_layers=3, **config)
+    setup = setup_distributed(dataset, cfg)
+    with setup.comm as comm:
+        model = setup.model
+        setup_mb = _maxrss_mb()
+        bytes0, msgs0 = comm.events.total_bytes(), comm.events.message_count()
+        t0 = time.perf_counter()
+        model.input_propagation()
+        seconds = time.perf_counter() - t0
+        nbytes = comm.events.total_bytes() - bytes0
+        messages = comm.events.message_count() - msgs0
+        model.train_epoch(cfg.learning_rate)
+        epoch_mb = _maxrss_mb()
+        arena_mb = sum(arena.size for arena in comm._arenas.values()) / 1e6
+    return {
+        "layer_dims": model.layer_dims,
+        "retained_plan_widths": model.compiled_widths(),
+        "one_off_s": seconds, "one_off_bytes": nbytes,
+        "one_off_messages": messages,
+        "setup_maxrss_mb": setup_mb,
+        "first_epoch_maxrss_growth_mb": epoch_mb - setup_mb,
+        "maxrss_mb": epoch_mb,
+        "arena_mb_after_first_epoch": arena_mb,
+    }
+
+
+def bench_input_propagation_panels(scale: float) -> dict:
+    """The one-off layer-0 ``A X`` of a cached training run, per leg.
+
+    The gate's train configurations (process backend, amazon, p = 4,
+    GVB, ``[f0, 16, 16, C]``): 1D sparsity-aware, and 1.5D c = 2
+    pipelined with overlapped gradients.  Per leg: the one-off's wall
+    seconds, exact bytes and messages, the retained plan widths, and the
+    driver's ``ru_maxrss`` after set-up and its growth across the one-off
+    plus the first epoch.  Each leg runs in its own spawned interpreter.
+    """
+    legs = {
+        "1d": dict(algorithm="1d"),
+        "1.5d_c2": dict(algorithm="1.5d", replication_factor=2,
+                        pipeline_depth=2, grad_overlap=True,
+                        grad_bucket_bytes=65536),
+    }
+    cell = {"dataset": "amazon", "scale": scale, "p": 4,
+            "backend": "process"}
+    spawn = multiprocessing.get_context("spawn")
+    for name, config in legs.items():
+        with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+            cell[name] = pool.submit(_input_propagation_leg, scale,
+                                     config).result()
+    return cell
+
+
 def bench_weight_first_inference(scale: float, p: int) -> dict:
     """Bytes one served request exchanges: chosen widths vs paper order.
 
@@ -426,6 +499,11 @@ def main(argv=None) -> int:
             lambda: bench_input_propagation_epoch(
                 scale=0.05 if quick else 0.25, p=4, backend="process",
                 epochs=2 if quick else 5, repeats=min(repeats, 3)),
+        # The one-off A X itself: column panels through the epoch
+        # schedule's widest plan (process backend, exact bytes/messages,
+        # driver ru_maxrss).
+        "input_propagation_panels": lambda: bench_input_propagation_panels(
+            scale=0.25 if quick else 1.0),
         # Exact bytes per served request at the inference forward's
         # widths against the paper-order widths.
         "weight_first_inference_sim": lambda: bench_weight_first_inference(
@@ -480,6 +558,14 @@ def main(argv=None) -> int:
           f"{cache_sim['cached_MB_per_epoch']:.2f} MB/epoch")
     print(f"  cached vs recomputed input propagation, epoch (process): "
           f"{payload['input_propagation_cache_process']['cached_speedup']:.2f}x")
+    panels = payload["input_propagation_panels"]
+    print(f"  one-off input propagation (process, amazon {panels['scale']}): "
+          + ", ".join(
+              f"{leg} {panels[leg]['one_off_s'] * 1e3:.0f} ms, "
+              f"{panels[leg]['one_off_bytes']} B in "
+              f"{panels[leg]['one_off_messages']} messages, maxrss "
+              f"{panels[leg]['maxrss_mb']:.0f} MB"
+              for leg in ("1d", "1.5d_c2")))
     serve = payload["weight_first_inference_sim"]
     print(f"  weight-first vs paper-order inference, bytes per request: "
           f"{serve['paper_order_bytes_per_request']} -> "

@@ -15,7 +15,8 @@ Python:
 * ``repro cost``       — closed-form cost-model predictions,
 * ``repro calibrate``  — measure per-backend message overheads on this
   host and persist them for the planner (see docs/tuning.md),
-* ``repro memory``     — per-rank memory footprint / OOM check,
+* ``repro memory``     — per-rank memory footprint / OOM check under the
+  paper's schedule,
 * ``repro trace``      — summarize a recorded Chrome/Perfetto trace
   (written by ``repro train/bench --trace``; see docs/observability.md),
 * ``repro serve``      — serve inference from a trained checkpoint with
@@ -374,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write serving metrics (Prometheus text "
                               "exposition)")
 
-    p_mem = sub.add_parser("memory", help="per-rank memory estimate")
+    p_mem = sub.add_parser("memory", help="per-rank memory estimate "
+                                          "(the paper's schedule)")
     p_mem.add_argument("--vertices", type=int, required=True)
     p_mem.add_argument("--edges", type=int, required=True,
                        help="number of undirected edges")
@@ -761,8 +763,11 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_memory(args) -> int:
+    # The paper's out-of-memory points are for its schedule (A X
+    # recomputed every epoch), as in feasible_process_counts.
     config = DistTrainConfig(n_ranks=args.ranks, hidden=args.hidden,
-                             n_layers=args.layers, epochs=1)
+                             n_layers=args.layers, epochs=1,
+                             cache_input_propagation=False)
     estimate = estimate_rank_memory(args.vertices, 2 * args.edges,
                                     args.features, args.classes, config)
     print(format_kv(estimate.as_dict(),

@@ -288,7 +288,9 @@ def epoch_spmm_widths(layer_dims: Sequence[int],
     layer 0's ``A X`` across epochs, so the ``f_0``-wide forward SpMM is
     not part of the epoch.  The single definition of the schedule that
     :func:`epoch_cost`, the planner's message estimate and its probes
-    price.
+    price, that ``DistributedGCN`` compiles plans for, and whose widest
+    entry sizes the memory model's buffers and the column panels of the
+    cached run's one-off ``A X``.
     """
     widths: List[int] = []
     for l in range(1, len(layer_dims)):

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..comm.base import Communicator
 from ..gcn.activations import get_activation
@@ -33,7 +32,7 @@ from ..obs.tracer import TRACE
 from ..gcn.init import init_weights
 from ..gcn.loss import softmax
 from .config import Algorithm
-from .costmodel import inference_spmm_widths
+from .costmodel import epoch_spmm_widths, inference_spmm_widths
 from .dist_matrix import BlockRowDistribution, DistDenseMatrix, DistSparseMatrix
 from .engine import CompiledOpCache, CompiledSpmm, SpmmEngine
 from .gradsync import DeferredScalar, GradientExchanger, PendingGradients
@@ -111,9 +110,10 @@ class DistributedGCN:
 
     Every distributed SpMM the model issues runs through a **compiled
     operator** (:meth:`repro.core.engine.SpmmEngine.compile`): the model
-    compiles one plan per distinct layer width at construction time —
-    i.e. once per training run — so the per-epoch forward/backward SpMMs
-    do no metadata work and reuse the plans' workspaces.
+    compiles one plan per distinct width of its epoch schedule
+    (:func:`~repro.core.costmodel.epoch_spmm_widths`) at construction
+    time — i.e. once per training run — so the per-epoch forward/backward
+    SpMMs do no metadata work and reuse the plans' workspaces.
     """
 
     def __init__(self,
@@ -178,19 +178,21 @@ class DistributedGCN:
             get_activation("identity" if l == len(self.weights) - 1 else "relu")
             for l in range(len(self.weights))]
 
-        # Compile one persistent SpMM plan per distinct layer width — the
-        # forward pass propagates at widths f_0..f_{L-1}, the backward pass
-        # at f_1..f_L, and the graph never changes, so these plans (packed
+        # Compile one persistent SpMM plan per distinct width of the epoch
+        # schedule — the forward pass propagates at widths f_0..f_{L-1}
+        # (f_1..f_{L-1} with the A X cache), the backward pass at
+        # f_1..f_L, and the graph never changes, so these plans (packed
         # gather indices, exchange schedules, reused workspaces) serve
         # every epoch of the run.  The cache also compiles lazily for
         # widths first seen at runtime — the serving path's coalesced
         # micro-batches propagate at ``streams * f`` columns.
         self.pipeline_depth = int(pipeline_depth)
+        self.cache_input_propagation = bool(cache_input_propagation)
         self._compiled = CompiledOpCache(self._engine, adjacency_dist,
                                          dtype=self.dtype,
                                          pipeline_depth=self.pipeline_depth)
-        self._compiled.warm(sorted(set(self.layer_dims)))
-        self.cache_input_propagation = bool(cache_input_propagation)
+        self._compiled.warm(sorted(set(epoch_spmm_widths(
+            self.layer_dims, self.cache_input_propagation))))
         # (features operand, owned A X): keyed on the operand's identity,
         # so assigning new ``features`` to a live model recomputes.
         self._input_propagation: Optional[
@@ -292,12 +294,12 @@ class DistributedGCN:
 
     def release_training_plans(self) -> None:
         """Evict the construction-time plans the inference forward never
-        runs (:func:`~repro.core.costmodel.inference_spmm_widths`) — the
-        width-``f_0`` plan of a narrowing layer 0 above all, whose
-        ``n x f_0`` workspaces are the largest a model retains.  A
-        serving process calls this once; training on the model afterwards
-        stays correct through compile-and-run-once dispatch
-        (:meth:`spmm`)."""
+        runs (:func:`~repro.core.costmodel.inference_spmm_widths`) — with
+        ``cache_input_propagation`` off, the width-``f_0`` plan of a
+        narrowing layer 0 above all, whose ``n x f_0`` workspaces are the
+        largest a model retains.  A serving process calls this once;
+        training on the model afterwards stays correct through
+        compile-and-run-once dispatch (:meth:`spmm`)."""
         served = set(inference_spmm_widths(self.layer_dims))
         evicted = [width for width in set(self.layer_dims) - served
                    if self._compiled.evict(width)]
@@ -308,30 +310,41 @@ class DistributedGCN:
         """Layer 0's ``A X`` for the model's own ``features``, computed
         through the distributed SpMM on first use and kept.
 
+        The product is computed in column panels ``[c, c + P)`` of
+        ``X``, ``P`` the widest width the cached epoch schedule runs
+        (``max(epoch_spmm_widths(layer_dims, True))``), so each full panel
+        runs on a plan training keeps anyway and no width-``f_0`` plan,
+        workspace or exchange arena ever exists.  The tail panel
+        (``f_0 mod P`` columns) runs through :meth:`spmm`'s
+        compile-and-run-once path; with ``f_0 <= P`` the product is one
+        SpMM.  CSR @ dense is column-separable, so the panels assemble the
+        one-shot product bit for bit and move its exact bytes, at the
+        price of ``ceil(f_0 / P)`` collectives' latency instead of one.
+
         The kept product owns its memory: a compiled operator's result
-        aliases its output workspace, which the next width-``f_0`` call
-        (``forward(features)``, ``spmm(x)``) overwrites.  Once it is
-        copied out, the width-``f_0`` plan serves nothing else in training
-        unless another layer shares the width, so it is evicted — its
-        ``n x f_0`` workspaces would otherwise stay resident for the run.
-        The plan sits in a reference cycle with its task closures, hence
-        the explicit collection.
+        aliases its output workspace, which the next call at that width
+        overwrites, so each panel is copied out into ``(n_b x f_0)``
+        blocks as soon as it is computed.
 
         Keyed on the identity of ``self.features``: assigning a new
-        operand recomputes (through a compile-and-run-once plan if the
-        retained one is gone), mutating the blocks in place does not.
+        operand recomputes, mutating the blocks in place does not.
         ``A X`` does not depend on the weights, so
         :meth:`load_weight_state` leaves it alone.
         """
+        features = self.features
         cached = self._input_propagation
-        if cached is not None and cached[0] is self.features:
+        if cached is not None and cached[0] is features:
             return cached[1]
-        product = self.spmm(self.features)
-        owned = product.like([block.copy() for block in product.blocks])
-        self._input_propagation = (self.features, owned)
-        f0 = self.layer_dims[0]
-        if f0 not in self.layer_dims[1:] and self._compiled.evict(f0):
-            gc.collect()
+        panel = max(epoch_spmm_widths(self.layer_dims, True))
+        owned = features.like([np.empty_like(block)
+                               for block in features.blocks])
+        for lo in range(0, features.width, panel):
+            hi = min(lo + panel, features.width)
+            product = self.spmm(features.like(
+                [block[:, lo:hi] for block in features.blocks]))
+            for out, block in zip(owned.blocks, product.blocks):
+                out[:, lo:hi] = block
+        self._input_propagation = (features, owned)
         return owned
 
     # ------------------------------------------------------------------
@@ -738,13 +751,14 @@ class DistributedGCN:
         """Global logits, recomputed host-side with no simulated-time charges.
 
         This is a diagnostic utility — the paper's timed training loop never
-        gathers activations, and neither does ours.
+        gathers activations, and neither does ours.  Each layer runs one
+        adjacency block row at a time, so neither a stacked global
+        adjacency nor a global ``n x f_0`` ``A X`` is ever built.
         """
-        adj_full = sp.vstack(self.adjacency.block_rows).tocsr()
         h = self.features.to_global()
-        for l, weight in enumerate(self.weights):
-            act, _ = self._activations[l]
-            h = act((adj_full @ h) @ weight)
+        for weight, (act, _) in zip(self.weights, self._activations):
+            h = np.concatenate([act((rows @ h) @ weight)
+                                for rows in self.adjacency.block_rows])
         return h
 
     def predictions(self) -> np.ndarray:

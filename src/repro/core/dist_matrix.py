@@ -182,8 +182,10 @@ class DistDenseMatrix:
     @classmethod
     def from_global(cls, matrix: np.ndarray, dist: BlockRowDistribution,
                     dtype=np.float64) -> "DistDenseMatrix":
-        """Split a global ``(n, f)`` matrix into the distribution's blocks."""
-        matrix = np.asarray(matrix, dtype=dtype)
+        """Split a global ``(n, f)`` matrix into the distribution's blocks,
+        converting to ``dtype`` block by block: one copy of the matrix in
+        total, never a second global one."""
+        matrix = np.asarray(matrix)
         if matrix.shape[0] != dist.n:
             raise ValueError(
                 f"matrix has {matrix.shape[0]} rows but the distribution "
@@ -191,7 +193,7 @@ class DistDenseMatrix:
         blocks = []
         for i in range(dist.nblocks):
             lo, hi = dist.block_range(i)
-            blocks.append(matrix[lo:hi].copy())
+            blocks.append(np.array(matrix[lo:hi], dtype=dtype))
         return cls(blocks, dist, dtype=dtype)
 
     @property

@@ -11,7 +11,8 @@ infeasible, and so users can size runs before launching them:
 * the local block rows of the activations ``H^0 .. H^L`` and of one
   gradient buffer of the same shape,
 * with ``cache_input_propagation``, the resident ``(n/p) x f_0`` block of
-  layer 0's kept ``A X``,
+  layer 0's kept ``A X`` — and exchange buffers only as wide as the
+  epoch schedule's widest SpMM, not ``f_0``,
 * the replicated weight matrices,
 * for 1.5D, the replication of the block rows over ``c`` ranks (the block
   rows get larger because there are only ``P/c`` of them) plus the partial
@@ -29,6 +30,7 @@ import scipy.sparse as sp
 from ..comm.machine import MachineModel, get_machine
 from .analysis import ELEMENT_BYTES
 from .config import Algorithm, DistTrainConfig
+from .costmodel import epoch_spmm_widths
 
 __all__ = ["MemoryEstimate", "estimate_rank_memory", "fits_in_memory",
            "feasible_process_counts", "measure_dist_matrix_bytes",
@@ -129,8 +131,14 @@ def estimate_rank_memory(n_vertices: int, n_edges_stored: int,
 
     # Communication / workspace buffers: a received block row of H at the
     # widest propagated width and the propagated product A @ H of the same
-    # width (both are live simultaneously during the first-layer SpMM).
-    widest_input = max(dims[:-1])
+    # width (both are live simultaneously during that SpMM).  The paper's
+    # schedule propagates the f_0-wide input every epoch; with the cache
+    # the widest plan is the epoch schedule's, and the one-off A X streams
+    # through it in column panels.
+    if config.cache_input_propagation:
+        widest_input = max(epoch_spmm_widths(dims, True))
+    else:
+        widest_input = max(dims[:-1])
     buffers = 2.0 * rows_per_rank * widest_input * element_bytes
 
     # Resident framework overhead (CUDA context, NCCL buffers, allocator

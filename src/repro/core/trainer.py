@@ -236,8 +236,8 @@ def _build_setup(dataset: GraphDataset, config: DistTrainConfig,
                  distribution: BlockRowDistribution) -> DistributedSetup:
     dtype = config.np_dtype
     adjacency_dist = DistSparseMatrix(matrix, distribution, dtype=dtype)
-    features_dist = DistDenseMatrix.from_global(
-        node_data.features.astype(dtype), distribution, dtype=dtype)
+    features_dist = DistDenseMatrix.from_global(node_data.features,
+                                                distribution, dtype=dtype)
 
     grid = None
     if config.algorithm == Algorithm.ONE_POINT_FIVE_D:

@@ -232,23 +232,37 @@ class TestFloat32:
 
 
 class TestDistGcnCompiledWiring:
-    def test_model_compiles_one_plan_per_layer_width(self):
-        from repro.core import DistTrainConfig, setup_distributed
+    @staticmethod
+    def _assert_one_plan_per_schedule_width(cached: bool) -> None:
+        from repro.core import (DistTrainConfig, epoch_spmm_widths,
+                                setup_distributed)
         from repro.graphs import load_dataset
         ds = load_dataset("reddit", scale=0.05, n_features=12, n_classes=4,
                           seed=11)
-        cfg = DistTrainConfig(n_ranks=4, epochs=1, partitioner=None)
+        cfg = DistTrainConfig(n_ranks=4, epochs=1, partitioner=None,
+                              cache_input_propagation=cached)
         setup = setup_distributed(ds, cfg)
         with setup.comm:
             model = setup.model
-            assert sorted(model._compiled) == sorted(set(model.layer_dims))
+            widths = sorted(set(epoch_spmm_widths(model.layer_dims, cached)))
+            assert sorted(model._compiled) == widths
+            assert (model.layer_dims[0] in widths) == (not cached)
             calls_before = {w: op.calls for w, op in model._compiled.items()}
             model.train_epoch(0.05)
-            # Every compiled operator ran at least once during the epoch
-            # (forward f_0..f_{L-1}, backward f_1..f_L).
+            # Every compiled operator ran at least once during the epoch.
             for w, op in model._compiled.items():
                 assert op.calls > calls_before[w], \
                     f"width-{w} operator was not used"
+
+    def test_model_compiles_one_plan_per_layer_width(self):
+        """The trainer's default (A X kept) compiles the cached epoch
+        schedule's widths — no f_0 plan."""
+        self._assert_one_plan_per_schedule_width(cached=True)
+
+    def test_paper_schedule_compiles_every_layer_width(self):
+        """Recomputing A X every epoch propagates at every layer width,
+        f_0 included."""
+        self._assert_one_plan_per_schedule_width(cached=False)
 
     def test_spmm_falls_back_for_unplanned_width(self):
         from repro.core import DistTrainConfig, setup_distributed

@@ -234,12 +234,14 @@ class TestMemoryModel:
 
     def test_amazon_at_p4_exceeds_a100_but_p16_fits(self):
         """Reproduces the paper's missing data point: Amazon (14.2M vertices,
-        231M edges, f=300) does not fit on 4 A100s but fits on 16."""
+        231M edges, f=300) does not fit on 4 A100s but fits on 16 — under
+        the paper's schedule, which recomputes A X every epoch."""
         vertices, edges_stored = 14_249_639, 2 * 230_788_269
+        paper = dict(cache_input_propagation=False)
         small = estimate_rank_memory(vertices, edges_stored, 300, 24,
-                                     self.paper_scale_config(4))
+                                     self.paper_scale_config(4, **paper))
         large = estimate_rank_memory(vertices, edges_stored, 300, 24,
-                                     self.paper_scale_config(16))
+                                     self.paper_scale_config(16, **paper))
         assert not fits_in_memory(small, "perlmutter")
         assert fits_in_memory(large, "perlmutter")
 
@@ -258,10 +260,32 @@ class TestMemoryModel:
             100_000, 5_000_000, 300, 24,
             self.paper_scale_config(16, cache_input_propagation=False))
         rows_per_rank = 1.15 * 100_000 / 16
+        resident = rows_per_rank * 300 * ELEMENT_BYTES
         assert cached.activation_bytes - paper.activation_bytes == \
-            pytest.approx(rows_per_rank * 300 * ELEMENT_BYTES)
-        assert cached.total_bytes - paper.total_bytes == \
-            pytest.approx(rows_per_rank * 300 * ELEMENT_BYTES)
+            pytest.approx(resident)
+        # Buffers follow each schedule's widest SpMM: f_0 = 300 for the
+        # paper's, the classes (24) for [300, 16, 16, 24] once A X is kept.
+        assert max(epoch_spmm_widths([300, 16, 16, 24], True)) == 24
+        assert paper.buffer_bytes == \
+            pytest.approx(2 * rows_per_rank * 300 * ELEMENT_BYTES)
+        assert cached.buffer_bytes == \
+            pytest.approx(2 * rows_per_rank * 24 * ELEMENT_BYTES)
+        assert cached.total_bytes - paper.total_bytes == pytest.approx(
+            resident - 2 * rows_per_rank * (300 - 24) * ELEMENT_BYTES)
+
+    def test_cached_schedule_fits_amazon_at_p4(self):
+        """The paper's out-of-memory point at p = 4 is a property of its
+        schedule: keeping A X adds one resident f_0 block but drops the
+        f_0-wide exchange buffers, and the model then fits."""
+        vertices, edges_stored = 14_249_639, 2 * 230_788_269
+        cached = estimate_rank_memory(vertices, edges_stored, 300, 24,
+                                      self.paper_scale_config(4))
+        paper = estimate_rank_memory(
+            vertices, edges_stored, 300, 24,
+            self.paper_scale_config(4, cache_input_propagation=False))
+        assert cached.total_bytes < paper.total_bytes
+        assert fits_in_memory(cached, "perlmutter")
+        assert not fits_in_memory(paper, "perlmutter")
 
     def test_replication_increases_footprint(self):
         base = estimate_rank_memory(100_000, 5_000_000, 128, 16,

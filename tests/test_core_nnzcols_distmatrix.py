@@ -250,6 +250,19 @@ class TestDistDenseMatrix:
         np.testing.assert_array_equal(dm.to_global(), mat)
         np.testing.assert_array_equal(dm.block(1), mat[3:7])
 
+    @pytest.mark.parametrize("dtype", (np.float64, np.float32))
+    def test_from_global_converts_into_owned_blocks(self, dtype):
+        """Each block is converted on its own: bit-identical to casting
+        the global matrix first, and never a view of the caller's."""
+        dist = BlockRowDistribution([3, 4, 5])
+        mat = np.random.default_rng(0).standard_normal((12, 5))
+        dm = DistDenseMatrix.from_global(mat, dist, dtype=dtype)
+        whole = mat.astype(dtype)
+        for i, (lo, hi) in enumerate(((0, 3), (3, 7), (7, 12))):
+            assert dm.block(i).dtype == np.dtype(dtype)
+            assert dm.block(i).tobytes() == whole[lo:hi].tobytes()
+            assert not np.shares_memory(dm.block(i), mat)
+
     def test_block_shape_validation(self):
         dist = BlockRowDistribution([2, 2])
         with pytest.raises(ValueError):

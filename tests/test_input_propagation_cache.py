@@ -5,7 +5,9 @@
 layer-0 product across epochs.  These tests pin what that must not
 change (every loss and weight, bit for bit, on every backend and
 variant), what it must change (exactly one width-``f_0`` SpMM less per
-epoch), and what must never touch it (the inference forward, the
+epoch), how the one-off is paid (one ``f_0``-wide SpMM's bytes in
+narrow column panels, with no plan or arena wider than the epoch
+schedule's), and what must never touch it (the inference forward, the
 host-side oracle, serving).
 """
 
@@ -19,9 +21,12 @@ from repro.comm.faults import FaultPlan
 from repro.core import (DistDenseMatrix, DistTrainConfig, SpmmEngine,
                         epoch_spmm_widths, predicted_bytes_per_spmm,
                         setup_distributed, train_distributed)
+from repro.core.engine import CompiledSpmm
 from repro.gcn import GCNModel, ReferenceTrainConfig, train_reference
 from repro.graphs import gcn_normalize, load_dataset
 from repro.serve import ServeOptions, ServingEngine, prepare_checkpoint
+
+import oracle
 
 BACKENDS = ("sim", "threaded", "process")
 EPOCHS = 3
@@ -118,10 +123,11 @@ class TestBitIdentity:
 # The cache owns its memory
 # ----------------------------------------------------------------------
 class TestAliasing:
-    # hidden == f_0 keeps the width-f_0 plan alive (layer 1 propagates at
-    # that width), so a borrowed cache would be overwritten inside every
-    # epoch; hidden != f_0 evicts the plan after the copy.
-    @pytest.mark.parametrize("hidden", (8, 12), ids=("evicted", "retained"))
+    # hidden == f_0 keeps a width-f_0 plan (layer 1 propagates at that
+    # width) and A X runs on it as one SpMM, so a borrowed cache would be
+    # overwritten inside every epoch; hidden < f_0 never compiles one and
+    # streams A X through the width-8 plan in column panels.
+    @pytest.mark.parametrize("hidden", (8, 12), ids=("panelled", "retained"))
     @pytest.mark.parametrize("sparsity_aware", (False, True),
                              ids=("oblivious", "sparsity_aware"))
     def test_interleaved_wide_calls_leave_training_unchanged(
@@ -191,6 +197,12 @@ def spmm_volume(setup, config, width: int):
         return comm.events.total_bytes(), comm.events.message_count()
 
 
+def panel_width(dims) -> int:
+    """Column-panel width of the one-off ``A X``: the widest SpMM the
+    cached epoch schedule runs."""
+    return max(epoch_spmm_widths(dims, True))
+
+
 class TestExactCounts:
     @pytest.mark.parametrize("sparsity_aware", (False, True),
                              ids=("oblivious", "sparsity_aware"))
@@ -232,14 +244,152 @@ class TestExactCounts:
                     on.model.adjacency, w, sparsity_aware).sum()
 
     def test_first_training_forward_fills_lazily(self, dataset):
-        """Without the trainer's priming the first epoch pays the wide
-        SpMM (the gate's warm-up epoch does)."""
+        """Without the trainer's priming the first epoch pays the one-off
+        ``A X`` — ``ceil(f_0 / P)`` column panels (the gate's warm-up
+        epoch does)."""
         setup = setup_distributed(dataset, make_config())
         with setup.comm:
             rows = epoch_traffic(setup.model, setup.comm, epochs=3)
-        n_layers = len(setup.model.layer_dims) - 1
+        dims = setup.model.layer_dims
+        n_layers = len(dims) - 1
+        panel = panel_width(dims)
+        panels = -(-dims[0] // panel)
+        assert dims[0] > panel and panels > 1
         assert [len(widths) for _, _, widths in rows] == \
-            [2 * n_layers, 2 * n_layers - 1, 2 * n_layers - 1]
+            [2 * n_layers - 1 + panels, 2 * n_layers - 1, 2 * n_layers - 1]
+
+
+# ----------------------------------------------------------------------
+# The one-off streams through the schedule's own plan in column panels
+# ----------------------------------------------------------------------
+def spy_on_plans(monkeypatch):
+    """``(retained, built)`` widths: plans compiled through
+    ``SpmmEngine.compile`` (what a model keeps), and every plan
+    constructed at all (compile-and-run-once wrappers included)."""
+    retained, built = [], []
+    engine_compile = SpmmEngine.compile
+    plan_init = CompiledSpmm.__init__
+
+    def spy_compile(self, matrix, spec, *args, **kwargs):
+        retained.append(spec.width)
+        return engine_compile(self, matrix, spec, *args, **kwargs)
+
+    def spy_init(self, variant, matrix, spec, *args, **kwargs):
+        built.append(spec.width)
+        plan_init(self, variant, matrix, spec, *args, **kwargs)
+
+    monkeypatch.setattr(SpmmEngine, "compile", spy_compile)
+    monkeypatch.setattr(CompiledSpmm, "__init__", spy_init)
+    return retained, built
+
+
+@pytest.fixture(scope="module")
+def wide_dataset():
+    """f_0 = 96 over a width-8 schedule: one f_0-wide exchange needs 12x
+    the widest one an epoch runs, far beyond an arena's doubling."""
+    return load_dataset("amazon", scale=0.05, n_features=96, n_classes=4,
+                        seed=3)
+
+
+class TestPanels:
+    @pytest.mark.parametrize("sparsity_aware", (False, True),
+                             ids=("oblivious", "sparsity_aware"))
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_one_off_is_one_wide_spmm_in_narrow_messages(
+            self, dataset, variant, sparsity_aware):
+        config = make_config(sparsity_aware=sparsity_aware, **variant)
+        setup = setup_distributed(dataset, config)
+        model = setup.model
+        with setup.comm as comm:
+            bytes0 = comm.events.total_bytes()
+            msgs0 = comm.events.message_count()
+            kept = model.input_propagation()
+            one_off = (comm.events.total_bytes() - bytes0,
+                       comm.events.message_count() - msgs0)
+        dims = model.layer_dims
+        panel = panel_width(dims)
+        assert dims[0] % panel, "the tail panel must be exercised"
+        wide_bytes, _ = spmm_volume(setup, config, dims[0])
+        _, narrow_messages = spmm_volume(setup, config, panel)
+        assert one_off[0] == wide_bytes > 0
+        assert one_off[1] == -(-dims[0] // panel) * narrow_messages > 0
+
+        # Column-separable: the panels assemble the one-shot product.
+        with make_communicator(config.n_ranks, backend="sim") as comm:
+            engine = SpmmEngine(comm, algorithm=config.algorithm,
+                                sparsity_aware=sparsity_aware,
+                                grid=setup.grid)
+            one_shot = engine.run(model.adjacency, model.features)
+            for got, want in zip(kept.blocks, one_shot.blocks):
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("sparsity_aware", (False, True),
+                             ids=("oblivious", "sparsity_aware"))
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_no_plan_wider_than_the_panel_is_compiled(
+            self, dataset, variant, sparsity_aware, monkeypatch):
+        retained, built = spy_on_plans(monkeypatch)
+        setup = setup_distributed(dataset, make_config(
+            sparsity_aware=sparsity_aware, **variant))
+        with setup.comm:
+            model = setup.model
+            for _ in range(2):
+                model.train_epoch(0.05)
+            widths = model.compiled_widths()
+        dims = model.layer_dims
+        schedule = set(epoch_spmm_widths(dims, True))
+        assert set(widths) <= schedule
+        assert sorted(set(retained)) == sorted(schedule)
+        assert max(built) == panel_width(dims) < dims[0]
+        assert dims[0] % panel_width(dims) in built     # the tail, once
+
+    @pytest.mark.parametrize("variant", [
+        pytest.param(dict(algorithm="1d"), id="1d"),
+        pytest.param(dict(algorithm="1.5d", replication_factor=2,
+                          pipeline_depth=2), id="1.5d-c2-pipelined"),
+    ])
+    def test_process_arenas_stay_narrower_than_one_wide_exchange(
+            self, wide_dataset, variant):
+        config = make_config(backend="process", **variant)
+        setup = setup_distributed(wide_dataset, config)
+        model = setup.model
+        assert model.layer_dims[0] >= 12 * panel_width(model.layer_dims)
+        with setup.comm as comm:
+            model.train_epoch(0.05)
+            trained = max(arena.size for arena in comm._arenas.values())
+        with make_communicator(config.n_ranks, backend="process") as comm:
+            SpmmEngine(comm, algorithm=config.algorithm, grid=setup.grid) \
+                .run(model.adjacency, model.features)
+            wide = max(arena.size for arena in comm._arenas.values())
+        assert trained < wide
+
+    def test_serving_never_compiles_an_input_wide_plan(
+            self, dataset, tmp_path, monkeypatch):
+        config = make_config(n_ranks=2, n_layers=2)
+        ckpt = prepare_checkpoint(dataset, config, tmp_path / "serve.ckpt",
+                                  epochs=1)
+        retained, built = spy_on_plans(monkeypatch)
+        engine = ServingEngine.from_checkpoint(
+            dataset, config, ckpt, options=ServeOptions(batching=False))
+        request = np.random.default_rng(0).standard_normal(
+            (dataset.n_vertices, dataset.n_features))
+        try:
+            with engine:
+                engine.submit(request).result(timeout=120.0)
+        finally:
+            engine.close()
+        assert retained and built
+        assert max(built) < dataset.n_features
+
+    @pytest.mark.parametrize("dtype", ("float64", "float32"))
+    def test_row_blocked_oracle_matches_the_full_matrix_one(self, dataset,
+                                                           dtype):
+        setup = setup_distributed(dataset, make_config(dtype=dtype))
+        with setup.comm:
+            model = setup.model
+            model.train_epoch(0.05)
+            oracle.assert_matches_single_node(
+                model.global_logits(), model, model.features.to_global())
 
 
 # ----------------------------------------------------------------------
