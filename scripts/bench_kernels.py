@@ -38,11 +38,12 @@ of ``--repeats`` timed runs after one warm-up):
   paper's schedule.
 * **input propagation in column panels, the one-off** — the cached run's
   one-off ``A X`` on the ``process`` backend (amazon, p = 4, the gate's
-  1D and 1.5D c = 2 train configurations), streamed through the epoch
-  schedule's widest plan: its wall time, exact bytes and messages, the
-  retained plan widths, and the driver's ``ru_maxrss`` after set-up and
-  its growth across the one-off plus the first epoch.  Each leg runs in
-  a fresh spawned interpreter so the high-water mark is its own.
+  1D and 1.5D c = 2 train configurations), streamed in column panels at
+  the epoch schedule's widest width: its wall time, exact bytes and
+  messages, the width the plan's workspaces grew to, and the driver's
+  ``ru_maxrss`` after set-up and its growth across the one-off plus the
+  first epoch.  Each leg runs in a fresh spawned interpreter so the
+  high-water mark is its own.
   ``--quick`` runs amazon 0.25.
 * **weight-first inference, bytes per served request** — one request
   through the inference forward on ``sim``: the exchanged bytes the event
@@ -93,7 +94,7 @@ from repro.core import (BlockRowDistribution, DistDenseMatrix,  # noqa: E402
                         DistSparseMatrix, DistTrainConfig,
                         inference_spmm_widths, predicted_bytes_per_forward,
                         setup_distributed, train_distributed)
-from repro.core.engine import DenseSpec, compile as compile_spmm, spmm  # noqa: E402
+from repro.core.engine import compile as compile_spmm, spmm  # noqa: E402
 from repro.graphs import gcn_normalize                          # noqa: E402
 from repro.graphs.datasets import load_dataset                  # noqa: E402
 from repro.graphs.generators import erdos_renyi_graph           # noqa: E402
@@ -129,14 +130,12 @@ def bench_compiled_epoch(n: int, avg_degree: int, widths, p: int,
         t_uncompiled = best_of(uncompiled, repeats)
 
     with make_communicator(p, backend=backend) as comm:
-        ops = {f: compile_spmm(matrix, DenseSpec(width=f), comm,
-                               algorithm="1d", sparsity_aware=True)
-               for f in sorted(set(widths))}
+        op = compile_spmm(matrix, comm, algorithm="1d", sparsity_aware=True)
 
         def compiled():
             for _ in range(epochs):
                 for f in widths:
-                    ops[f](denses[f])
+                    op(denses[f])
         t_compiled = best_of(compiled, repeats)
 
     return {
@@ -172,15 +171,13 @@ def bench_overlapped_epoch(n: int, avg_degree: int, widths, p: int,
         for depth in (1, pipeline_depth):
             comm = make_communicator(p, backend=backend)
             comms[depth] = comm
-            ops[depth] = {f: compile_spmm(matrix, DenseSpec(width=f), comm,
-                                          algorithm="1d",
-                                          sparsity_aware=False,
-                                          pipeline_depth=depth)
-                          for f in sorted(set(widths))}
+            ops[depth] = compile_spmm(matrix, comm, algorithm="1d",
+                                      sparsity_aware=False,
+                                      pipeline_depth=depth)
 
         def run(depth):
             for f in widths:
-                ops[depth][f](denses[f])
+                ops[depth](denses[f])
 
         if backend == "sim":
             # Deterministic: compare simulated clocks, not wall time.
@@ -345,7 +342,8 @@ def _input_propagation_leg(scale: float, config: dict) -> dict:
         arena_mb = sum(arena.size for arena in comm._arenas.values()) / 1e6
     return {
         "layer_dims": model.layer_dims,
-        "retained_plan_widths": model.compiled_widths(),
+        "workspace_width":
+            model.compiled_op(max(model.layer_dims)).workspace_width,
         "one_off_s": seconds, "one_off_bytes": nbytes,
         "one_off_messages": messages,
         "setup_maxrss_mb": setup_mb,
@@ -361,7 +359,7 @@ def bench_input_propagation_panels(scale: float) -> dict:
     The gate's train configurations (process backend, amazon, p = 4,
     GVB, ``[f0, 16, 16, C]``): 1D sparsity-aware, and 1.5D c = 2
     pipelined with overlapped gradients.  Per leg: the one-off's wall
-    seconds, exact bytes and messages, the retained plan widths, and the
+    seconds, exact bytes and messages, the plan's workspace width, and the
     driver's ``ru_maxrss`` after set-up and its growth across the one-off
     plus the first epoch.  Each leg runs in its own spawned interpreter.
     """
@@ -499,8 +497,8 @@ def main(argv=None) -> int:
             lambda: bench_input_propagation_epoch(
                 scale=0.05 if quick else 0.25, p=4, backend="process",
                 epochs=2 if quick else 5, repeats=min(repeats, 3)),
-        # The one-off A X itself: column panels through the epoch
-        # schedule's widest plan (process backend, exact bytes/messages,
+        # The one-off A X itself: column panels at the epoch schedule's
+        # widest width (process backend, exact bytes/messages,
         # driver ru_maxrss).
         "input_propagation_panels": lambda: bench_input_propagation_panels(
             scale=0.25 if quick else 1.0),

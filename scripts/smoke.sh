@@ -18,7 +18,7 @@
 # load generator batched vs --no-batch, and assert the emitted
 # BENCH_serve.json payload parses with batched output bit-identical to
 # sequential, per-request comm bytes equal to the weight-first schedule's
-# prediction and no retained SpMM plan as wide as a request),
+# prediction and no SpMM workspace grown as wide as a request),
 # a kill-mid-serve leg (SIGKILL a process-backend worker mid-batch:
 # exactly the in-flight request fails with a structured retryable
 # ServeError, the engine restarts within its budget, and post-restart
@@ -136,7 +136,7 @@ assert modes == {"batched", "no_batch"}, modes
 assert payload["identity"]["batched_max_batch_size"] > 1, (
     "batching never coalesced", payload["identity"])
 # The serve path runs at the narrow width: a regression to the wide
-# (A X) W exchange moves more bytes and retains an f_0-wide plan.
+# (A X) W exchange moves more bytes and grows an f_0-wide workspace.
 traffic = payload["traffic"]
 assert traffic["bytes_per_request"] \
     == traffic["predicted_bytes_per_request"], traffic

@@ -20,7 +20,7 @@ Python:
 * ``repro trace``      — summarize a recorded Chrome/Perfetto trace
   (written by ``repro train/bench --trace``; see docs/observability.md),
 * ``repro serve``      — serve inference from a trained checkpoint with
-  warm compiled plans and dynamic micro-batching; ``--bench`` runs the
+  a warm compiled plan and dynamic micro-batching; ``--bench`` runs the
   closed-loop offered-QPS sweep behind ``BENCH_serve.json``
   (see docs/serving.md).
 

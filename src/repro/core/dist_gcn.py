@@ -20,7 +20,6 @@ integration tests assert this for every algorithm variant.
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -34,7 +33,7 @@ from ..gcn.loss import softmax
 from .config import Algorithm
 from .costmodel import epoch_spmm_widths, inference_spmm_widths
 from .dist_matrix import BlockRowDistribution, DistDenseMatrix, DistSparseMatrix
-from .engine import CompiledOpCache, CompiledSpmm, SpmmEngine
+from .engine import CompiledSpmm, SpmmEngine
 from .gradsync import DeferredScalar, GradientExchanger, PendingGradients
 from .spmm_15d import ProcessGrid
 
@@ -87,7 +86,7 @@ class DistributedGCN:
         the adjacency should share it — the trainer threads one config
         value through all three.
     pipeline_depth:
-        Double-buffering depth passed to every compiled SpMM plan
+        Double-buffering depth of the model's compiled SpMM plan
         (``1`` = synchronous exchanges; ``> 1`` overlaps staged exchanges
         with local multiplies, bit-identically — see
         ``docs/performance.md``).
@@ -108,12 +107,13 @@ class DistributedGCN:
         figures count the layer-0 exchange every epoch; the trainer turns
         it on through ``DistTrainConfig.cache_input_propagation``.
 
-    Every distributed SpMM the model issues runs through a **compiled
-    operator** (:meth:`repro.core.engine.SpmmEngine.compile`): the model
-    compiles one plan per distinct width of its epoch schedule
-    (:func:`~repro.core.costmodel.epoch_spmm_widths`) at construction
-    time — i.e. once per training run — so the per-epoch forward/backward
-    SpMMs do no metadata work and reuse the plans' workspaces.
+    Every distributed SpMM the model issues in its dtype runs through
+    **one compiled operator** (:meth:`repro.core.engine.SpmmEngine.compile`),
+    compiled at construction time — i.e. once per training run or serving
+    engine.  The plan is width-free: the training forward/backward SpMMs,
+    the one-off ``A X`` panels and every serving batch width run on it,
+    with no metadata work and in workspaces that grow to the widest
+    operand seen and are reused by every narrower call.
     """
 
     def __init__(self,
@@ -178,21 +178,15 @@ class DistributedGCN:
             get_activation("identity" if l == len(self.weights) - 1 else "relu")
             for l in range(len(self.weights))]
 
-        # Compile one persistent SpMM plan per distinct width of the epoch
-        # schedule — the forward pass propagates at widths f_0..f_{L-1}
-        # (f_1..f_{L-1} with the A X cache), the backward pass at
-        # f_1..f_L, and the graph never changes, so these plans (packed
-        # gather indices, exchange schedules, reused workspaces) serve
-        # every epoch of the run.  The cache also compiles lazily for
-        # widths first seen at runtime — the serving path's coalesced
-        # micro-batches propagate at ``streams * f`` columns.
+        # One persistent SpMM plan for the (static) graph: packed gather
+        # indices and exchange schedules, derived once.  It serves every
+        # width — the epoch schedule's, the A X panels', and the serving
+        # path's coalesced micro-batches at ``streams * f`` columns — and
+        # sizes its workspaces on first use.
         self.pipeline_depth = int(pipeline_depth)
         self.cache_input_propagation = bool(cache_input_propagation)
-        self._compiled = CompiledOpCache(self._engine, adjacency_dist,
-                                         dtype=self.dtype,
-                                         pipeline_depth=self.pipeline_depth)
-        self._compiled.warm(sorted(set(epoch_spmm_widths(
-            self.layer_dims, self.cache_input_propagation))))
+        self._op = self._engine.compile(adjacency_dist, dtype=self.dtype,
+                                        pipeline_depth=self.pipeline_depth)
         # (features operand, owned A X): keyed on the operand's identity,
         # so assigning new ``features`` to a live model recomputes.
         self._input_propagation: Optional[
@@ -262,49 +256,28 @@ class DistributedGCN:
     def spmm(self, dense: DistDenseMatrix) -> DistDenseMatrix:
         """``A^T @ dense`` with the configured distributed algorithm.
 
-        Widths compiled at construction run on their persistent plan
-        (metadata-free hot path); anything else — diagnostics with ad-hoc
-        widths or dtypes — falls back to compile-and-run-once dispatch.
+        Any width in the model dtype runs on the compiled plan
+        (metadata-free hot path); another dtype falls back to
+        compile-and-run-once dispatch.  The result is valid until the
+        model's next SpMM of any width (the plan's lifetime rule).
         """
-        op = self._compiled.peek(dense.width)
-        if op is not None and dense.dtype == self.dtype:
-            return op(dense)
+        if dense.dtype == self.dtype:
+            return self._op(dense)
         return self._engine.run(self.adjacency, dense)
 
     def compiled_op(self, width: int) -> CompiledSpmm:
-        """The retained compiled plan for ``width`` (model dtype),
-        compiling and retaining it on first use.  This is the serving
-        hot path: a micro-batch of ``k`` coalesced requests propagates
-        at ``k * f`` columns, and each distinct batch width pays its
-        compile exactly once per engine lifetime."""
-        return self._compiled.get(width)
+        """The model's compiled plan, which runs ``width`` like any
+        other width.  This is the serving hot path: a micro-batch of ``k``
+        coalesced requests propagates at ``k * f`` columns, and a width
+        wider than any before only grows the plan's workspaces."""
+        return self._op
 
     def plan_stats(self) -> dict:
-        """Hit/miss/retention counters of the compiled-plan cache."""
-        return self._compiled.stats()
-
-    def compiled_widths(self) -> List[int]:
-        """Widths with a retained compiled plan (serving recovery uses
-        this to re-warm a rebuilt engine to the same compiled state)."""
-        return self._compiled.widths()
-
-    def warm_widths(self, widths: Sequence[int]) -> None:
-        """Compile (uncounted) plans for any not-yet-retained widths."""
-        self._compiled.warm(widths)
-
-    def release_training_plans(self) -> None:
-        """Evict the construction-time plans the inference forward never
-        runs (:func:`~repro.core.costmodel.inference_spmm_widths`) — with
-        ``cache_input_propagation`` off, the width-``f_0`` plan of a
-        narrowing layer 0 above all, whose ``n x f_0`` workspaces are the
-        largest a model retains.  A serving process calls this once;
-        training on the model afterwards stays correct through
-        compile-and-run-once dispatch (:meth:`spmm`)."""
-        served = set(inference_spmm_widths(self.layer_dims))
-        evicted = [width for width in set(self.layer_dims) - served
-                   if self._compiled.evict(width)]
-        if evicted:
-            gc.collect()        # plans sit in cycles with their closures
+        """Counters of the one compiled plan: calls that fit its
+        workspaces (``plan_hits``) and calls that grew them
+        (``plan_misses``)."""
+        return {"plan_hits": self._op.calls - self._op.grows,
+                "plan_misses": self._op.grows, "plans_retained": 1}
 
     def input_propagation(self) -> DistDenseMatrix:
         """Layer 0's ``A X`` for the model's own ``features``, computed
@@ -312,19 +285,19 @@ class DistributedGCN:
 
         The product is computed in column panels ``[c, c + P)`` of
         ``X``, ``P`` the widest width the cached epoch schedule runs
-        (``max(epoch_spmm_widths(layer_dims, True))``), so each full panel
-        runs on a plan training keeps anyway and no width-``f_0`` plan,
-        workspace or exchange arena ever exists.  The tail panel
-        (``f_0 mod P`` columns) runs through :meth:`spmm`'s
-        compile-and-run-once path; with ``f_0 <= P`` the product is one
-        SpMM.  CSR @ dense is column-separable, so the panels assemble the
-        one-shot product bit for bit and move its exact bytes, at the
-        price of ``ceil(f_0 / P)`` collectives' latency instead of one.
+        (``max(epoch_spmm_widths(layer_dims, True))``), so the plan's
+        workspaces grow only to a width training needs anyway and no
+        width-``f_0`` workspace or exchange arena ever exists.  The tail
+        panel (``f_0 mod P`` columns) is an ordinary narrower call on the
+        same plan; with ``f_0 <= P`` the product is one SpMM.  CSR @ dense
+        is column-separable, so the panels assemble the one-shot product
+        bit for bit and move its exact bytes, at the price of
+        ``ceil(f_0 / P)`` collectives' latency instead of one.
 
         The kept product owns its memory: a compiled operator's result
-        aliases its output workspace, which the next call at that width
-        overwrites, so each panel is copied out into ``(n_b x f_0)``
-        blocks as soon as it is computed.
+        aliases its output workspace, which the next SpMM overwrites, so
+        each panel is copied out into ``(n_b x f_0)`` blocks as soon as it
+        is computed.
 
         Keyed on the identity of ``self.features``: assigning a new
         operand recomputes, mutating the blocks in place does not.
@@ -383,8 +356,8 @@ class DistributedGCN:
         atol=1e-12`` in float64), not bitwise — the two orders sum the
         same products in a different order.
 
-        **Batching.**  The SpMMs run once at the combined width on a
-        lazily-compiled retained plan, while the per-layer GEMM applies
+        **Batching.**  The SpMMs run once at the combined width on the
+        model's compiled plan, while the per-layer GEMM applies
         the weight to each stream independently.  Because the distributed
         SpMM is column-separable (segment-sum reductions act per element
         along sparse rows, independently across columns) and each
@@ -534,7 +507,7 @@ class DistributedGCN:
         """``act`` of a compiled operator's result, in owned blocks.
 
         The result aliases the plan's output workspace, which the next
-        call at that width overwrites; ``identity`` (the output layer)
+        SpMM overwrites; ``identity`` (the output layer)
         returns its argument, so anything still sharing that memory is
         copied out.
         """

@@ -16,15 +16,16 @@ engine collapses that duplication into one seam:
 * **dispatch** (:func:`spmm`, :class:`SpmmEngine`) that works with any
   :class:`~repro.comm.base.Communicator` backend — simulated or real;
 * **compiled execution** (:func:`compile`, :class:`CompiledSpmm`): the
-  plan/execute split.  Compiling a variant against one matrix and one
-  dense operand shape precomputes every piece of per-call metadata the
-  sparsity-aware exchanges need (packed NnzCols gather indices, compacted
-  CSR blocks, broadcast / all-to-allv / replication-group schedules) and
-  preallocates dtype-aware workspaces (output accumulators, pack/unpack
-  staging buffers), so calling the compiled operator once per epoch does
-  no metadata derivation and no workspace allocation on the hot path.
-  GCN training is the motivating use: the graph is static, so one plan
-  per (matrix, layer shape) amortises over hundreds of epochs;
+  plan/execute split.  Compiling a variant against one matrix
+  precomputes every piece of per-call metadata the sparsity-aware
+  exchanges need (packed NnzCols gather indices, compacted CSR blocks,
+  broadcast / all-to-allv / replication-group schedules, per-column flop
+  constants).  None of it depends on the dense width, so one plan serves
+  every width: its dtype-aware workspaces (output accumulators, pack
+  staging buffers) are flat buffers sized by the widest operand seen so
+  far and viewed at each call's width.  GCN training and serving are the
+  motivating uses: the graph is static, so one plan per matrix amortises
+  over hundreds of epochs and every batch width;
 * **common timing/volume capture** (:class:`SpmmReport`,
   :meth:`SpmmEngine.run_with_report`) so benchmarks measure every variant
   the same way.
@@ -32,28 +33,30 @@ engine collapses that duplication into one seam:
 Typical use::
 
     from repro.comm import make_communicator
-    from repro.core.engine import DenseSpec, SpmmEngine
+    from repro.core.engine import SpmmEngine
 
     comm = make_communicator(p, backend="threaded")
     engine = SpmmEngine(comm, algorithm="1d", sparsity_aware=True)
     z = engine.run(matrix, dense)          # Z = M H (compile + run once)
 
-    op = engine.compile(matrix, DenseSpec(width=16))
+    op = engine.compile(matrix)
     for _ in range(epochs):
         z = op(dense)                       # plan reuse, zero re-setup
 
 Compiled results are views into the operator's reused workspaces: they
-stay valid until the operator's next call (see ``docs/performance.md``
-for the lifetime rules).  The compiled path executes the exact same
-communication and accounting sequence as the uncompiled one, so results,
-event logs and simulated timings are bitwise identical — the conformance
-suite asserts this for every (variant x backend) pair.
+stay valid until the operator's next call, at any width (see
+``docs/performance.md`` for the lifetime rules).  The compiled path
+executes the exact same communication and accounting sequence as the
+uncompiled one, so results, event logs and simulated timings are bitwise
+identical — the conformance suite asserts this for every (variant x
+backend) pair.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from itertools import accumulate
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,11 +64,10 @@ from ..comm.base import Communicator
 from ..obs.tracer import TRACE
 
 __all__ = [
-    "CompiledOpCache", "CompiledSpmm", "DenseSpec", "MODES", "SpmmEngine",
-    "SpmmReport", "SpmmVariant", "available_spmm_variants",
-    "check_block_operands", "check_grid_operands", "check_grid2d_operands",
-    "compile", "get_spmm", "mode_name", "register_spmm",
-    "register_spmm_compiler", "spmm",
+    "CompiledSpmm", "MODES", "SpmmEngine", "SpmmReport", "SpmmVariant",
+    "Workspace", "available_spmm_variants", "check_block_operands",
+    "check_grid_operands", "check_grid2d_operands", "compile", "get_spmm",
+    "mode_name", "register_spmm", "register_spmm_compiler", "spmm",
 ]
 
 #: The two communication modes the paper compares.
@@ -84,11 +86,12 @@ def _check_pipeline_depth(depth) -> int:
 
 
 # ----------------------------------------------------------------------
-# Common operand-compatibility checks
+# Common operand-compatibility checks (``dense=None``: the compile-time
+# check of the matrix and the communicator alone)
 # ----------------------------------------------------------------------
 def check_block_operands(matrix, dense, comm: Communicator) -> None:
     """1D: operands share a block-row distribution, one block per rank."""
-    if matrix.dist != dense.dist:
+    if dense is not None and matrix.dist != dense.dist:
         raise ValueError("sparse and dense operands use different distributions")
     if matrix.nblocks != comm.nranks:
         raise ValueError(
@@ -98,7 +101,7 @@ def check_block_operands(matrix, dense, comm: Communicator) -> None:
 
 def check_grid_operands(matrix, dense, grid, comm: Communicator) -> None:
     """1.5D: block rows match the grid rows, ranks match the grid size."""
-    if matrix.dist != dense.dist:
+    if dense is not None and matrix.dist != dense.dist:
         raise ValueError("sparse and dense operands use different distributions")
     if matrix.nblocks != grid.nrows:
         raise ValueError(
@@ -115,7 +118,7 @@ def check_grid2d_operands(matrix, h, grid, comm: Communicator) -> None:
     if matrix.row_dist.nblocks != grid.nrows or \
             matrix.col_dist.nblocks != grid.ncols:
         raise ValueError("matrix block grid does not match the process grid")
-    if h.shape[0] != matrix.shape[1]:
+    if h is not None and h.shape[0] != matrix.shape[1]:
         raise ValueError(
             f"dense operand has {h.shape[0]} rows, expected {matrix.shape[1]}")
     if comm.nranks != grid.nranks:
@@ -144,8 +147,9 @@ class SpmmVariant:
 
 _REGISTRY: Dict[Tuple[str, str], SpmmVariant] = {}
 
-#: Per-variant compiler callables: (algorithm, mode) ->
-#: ``fn(matrix, spec, comm, grid, **categories) -> CompiledSpmm``.
+#: Per-variant compilers: (algorithm, mode) -> a :class:`CompiledSpmm`
+#: subclass, constructed as ``cls(variant, matrix, comm, grid=...,
+#: dtype=..., pipeline_depth=..., **categories)``.
 _COMPILERS: Dict[Tuple[str, str], Callable] = {}
 
 
@@ -202,74 +206,77 @@ def get_spmm(algorithm: str, sparsity_aware: bool = True,
 
 
 def register_spmm_compiler(algorithm: str, mode: str) -> Callable:
-    """Decorator: register the compiler of an SpMM variant.
-
-    The decorated callable is invoked as
-    ``fn(variant, matrix, spec, comm, grid=..., **categories)`` and must
-    return a :class:`CompiledSpmm`.  Variants without a registered
-    compiler fall back to a generic (plan-free) wrapper in
-    :func:`compile`.
-    """
+    """Class decorator: register the :class:`CompiledSpmm` subclass that
+    compiles an SpMM variant (see :data:`_COMPILERS` for how
+    :func:`compile` constructs it)."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
-    def decorate(fn: Callable) -> Callable:
+    def decorate(cls: type) -> type:
         key = (algorithm, mode)
         if key in _COMPILERS:
             raise ValueError(f"an SpMM compiler for {key} is already "
                              f"registered")
-        _COMPILERS[key] = fn
-        return fn
+        _COMPILERS[key] = cls
+        return cls
 
     return decorate
 
 
 # ----------------------------------------------------------------------
-# Compiled execution (plan once, run every epoch)
+# Compiled execution (plan once, run every epoch at any width)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class DenseSpec:
-    """Shape/precision contract of the dense operand a plan is built for.
+class Workspace:
+    """One workspace role of a compiled plan: a grow-only flat buffer
+    carved into one ``(rows, width)`` view per segment.
 
-    ``width`` is the feature dimension ``f`` of ``H``; ``dtype`` the
-    element type every workspace and exchanged payload will use
-    (``float32`` halves the exchanged volume of bandwidth-bound runs).
+    A plan declares each segment's row count once, at compile time.
+    :meth:`views` allocates the flat buffer on first use, regrows it only
+    when ``width`` needs more than it holds (it never shrinks), and hands
+    out C-contiguous, mutually disjoint views
+    ``flat[a*width:b*width].reshape(b - a, width)``.  ``zeroed`` roles
+    (the read-only zero partials of empty blocks) are allocated zeroed.
     """
 
-    width: int
-    dtype: "np.dtype" = field(default=np.dtype(np.float64))
+    def __init__(self, rows: Sequence[int], dtype, zeroed: bool = False):
+        self._starts = [0, *accumulate(int(r) for r in rows)]
+        self._alloc = np.zeros if zeroed else np.empty
+        self._flat = self._alloc(0, dtype=dtype)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "width", int(self.width))
-        object.__setattr__(self, "dtype", np.dtype(self.dtype))
-        if self.width < 0:
-            raise ValueError("dense width must be non-negative")
-        if self.dtype.kind != "f":
-            raise ValueError(
-                f"dense dtype must be a floating type, got {self.dtype}")
-
-    @classmethod
-    def like(cls, dense) -> "DenseSpec":
-        """The spec describing an existing dense operand (distributed or
-        plain ndarray)."""
-        if isinstance(dense, np.ndarray):
-            return cls(width=dense.shape[1], dtype=dense.dtype)
-        return cls(width=dense.width, dtype=getattr(dense, "dtype",
-                                                    np.dtype(np.float64)))
+    def views(self, width: int) -> List[np.ndarray]:
+        starts = self._starts
+        if starts[-1] * width > self._flat.size:
+            self._flat = self._alloc(starts[-1] * width,
+                                     dtype=self._flat.dtype)
+        flat = self._flat
+        return [flat[a * width:b * width].reshape(b - a, width)
+                for a, b in zip(starts, starts[1:])]
 
 
 class CompiledSpmm:
-    """A persistent execution plan for one (matrix, dense-spec, variant).
+    """A persistent execution plan for one (matrix, dtype, variant).
 
     Subclasses (one per registered variant) precompute all exchange
-    metadata at construction and own the reused workspaces; ``__call__``
-    runs one SpMM with the same communication/accounting sequence as the
+    metadata at construction — pack index sets, block lists, schedules
+    and per-column flop constants, none of which depends on the dense
+    width — and own the reused workspaces; ``__call__`` runs one SpMM
+    of any width with the same communication/accounting sequence as the
     uncompiled kernel.
+
+    Workspaces are sized lazily: each role is one :class:`Workspace`,
+    allocated by the first call and regrown, at call entry and before
+    any exchange is posted, only by a call whose operand is wider than
+    any before it.  ``workspace_width`` is that widest width; ``grows``
+    counts the calls that grew the workspaces.
 
     Workspace lifetime rule: the returned result aliases the operator's
     output workspace and is only valid until the **next** call of the same
-    operator.  Callers that need to keep a result across calls must copy
-    it (`result.to_global()` / ``np.array(..., copy=True)``).
+    operator, at any width — for a model that runs every SpMM on its one
+    plan, until the model's next SpMM of any width.  Callers that need to
+    keep a result across calls must copy it (`result.to_global()` /
+    ``np.array(..., copy=True)``); every in-tree caller consumes or copies
+    it first (the forward GEMM, the backward tasks, the ``A X`` panel
+    copy-out, the inference forward's ``_activate``).
 
     ``pipeline_depth`` controls overlapped execution of staged variants:
     ``1`` (the default) runs every exchange synchronously; ``d > 1``
@@ -281,57 +288,67 @@ class CompiledSpmm:
     un-staged exchange (1D sparsity-aware) accept the knob and ignore it.
     """
 
-    def __init__(self, variant: SpmmVariant, matrix, spec: DenseSpec,
-                 comm: Communicator, grid=None,
+    def __init__(self, variant: SpmmVariant, matrix, comm: Communicator,
+                 grid=None, dtype=np.float64,
                  pipeline_depth: int = 1) -> None:
         self.variant = variant
         self.matrix = matrix
-        self.spec = spec
         self.comm = comm
         self.grid = grid
+        self.dtype = np.dtype(dtype)
+        if self.dtype.kind != "f":
+            raise ValueError(
+                f"dense dtype must be a floating type, got {self.dtype}")
         self.pipeline_depth = _check_pipeline_depth(pipeline_depth)
         self.calls = 0
+        self.grows = 0
+        self.workspace_width = 0
+        self._width: Optional[int] = None     # width the views are bound to
 
-    # Subclasses implement the hot path.
+    # Subclasses implement the hot path and bind their workspace views.
     def _execute(self, dense):  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def _check_dense(self, dense) -> None:
-        """Cheap per-call operand validation (no metadata derivation)."""
+    def _bind(self, width: int) -> None:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def _check_dense(self, dense) -> int:
+        """Cheap per-call operand validation; returns the operand width."""
         if isinstance(dense, np.ndarray):
-            if dense.ndim != 2 or dense.shape[1] != self.spec.width:
+            if dense.ndim != 2:
                 raise ValueError(
-                    f"compiled for width {self.spec.width}, got operand "
-                    f"shape {dense.shape}")
-            if dense.dtype != self.spec.dtype:
+                    f"dense operand must be 2-D, got shape {dense.shape}")
+            if dense.dtype != self.dtype:
                 raise ValueError(
-                    f"compiled for dtype {self.spec.dtype}, got "
-                    f"{dense.dtype}")
-            return
-        if dense.width != self.spec.width:
+                    f"compiled for dtype {self.dtype}, got {dense.dtype}")
+            return dense.shape[1]
+        if getattr(dense, "dtype", self.dtype) != self.dtype:
             raise ValueError(
-                f"compiled for width {self.spec.width}, got width "
-                f"{dense.width}")
-        if getattr(dense, "dtype", self.spec.dtype) != self.spec.dtype:
-            raise ValueError(
-                f"compiled for dtype {self.spec.dtype}, got {dense.dtype}")
+                f"compiled for dtype {self.dtype}, got {dense.dtype}")
         dist = getattr(self.matrix, "dist", None)
         if dist is not None and dense.dist is not dist \
                 and dense.dist != dist:
             raise ValueError(
                 "dense operand uses a different distribution than the "
                 "compiled matrix")
+        return dense.width
 
     def __call__(self, dense):
         """Run ``Z = M H`` on the precomputed plan and reused workspaces."""
-        self._check_dense(dense)
+        width = self._check_dense(dense)
+        if width > self.workspace_width:
+            self.workspace_width = width
+            self.grows += 1
+        if width != self._width:        # a grown width is always new
+            self._bind(width)
+            self._width = width
         self.calls += 1
         tr = TRACE
         if not tr.enabled:
             return self._execute(dense)
         with tr.span("spmm", cat="spmm",
                      args={"algorithm": self.algorithm, "mode": self.mode,
-                           "width": self.spec.width,
+                           "width": width,
                            "pipeline_depth": self.pipeline_depth,
                            "call": self.calls}):
             return self._execute(dense)
@@ -346,51 +363,21 @@ class CompiledSpmm:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"{type(self).__name__}(algorithm={self.algorithm!r}, "
-                f"mode={self.mode!r}, width={self.spec.width}, "
-                f"dtype={self.spec.dtype.name!r}, calls={self.calls})")
+                f"mode={self.mode!r}, dtype={self.dtype.name!r}, "
+                f"workspace_width={self.workspace_width}, "
+                f"calls={self.calls})")
 
 
-class SpecOperandProbe:
-    """Distribution/width stand-in for a dense operand.
-
-    Lets the per-variant compilers reuse :func:`check_block_operands` /
-    :func:`check_grid_operands` at compile time, when only the
-    :class:`DenseSpec` — not an actual dense matrix — is available."""
-
-    def __init__(self, matrix, spec: DenseSpec) -> None:
-        self.dist = matrix.dist
-        self.width = spec.width
-
-
-class _FallbackCompiled(CompiledSpmm):
-    """Plan-free wrapper for variants without a registered compiler."""
-
-    def __init__(self, variant, matrix, spec, comm, grid=None,
-                 pipeline_depth: int = 1, **categories) -> None:
-        # The fallback has no stage schedule to pipeline; the knob is
-        # validated and recorded, then ignored (synchronous execution).
-        super().__init__(variant, matrix, spec, comm, grid=grid,
-                         pipeline_depth=pipeline_depth)
-        self._categories = categories
-
-    def _execute(self, dense):
-        if self.variant.needs_grid:
-            return self.variant.fn(self.matrix, dense, self.grid, self.comm,
-                                   **self._categories)
-        return self.variant.fn(self.matrix, dense, self.comm,
-                               **self._categories)
-
-
-def compile(matrix, dense_spec, comm: Communicator, algorithm: str = "1d",
+def compile(matrix, comm: Communicator, algorithm: str = "1d",
             sparsity_aware: bool = True, mode: Optional[str] = None,
-            grid=None, pipeline_depth: int = 1,
+            grid=None, dtype=np.float64, pipeline_depth: int = 1,
             **categories) -> CompiledSpmm:
     """Build a persistent :class:`CompiledSpmm` for a registered variant.
 
-    ``dense_spec`` is a :class:`DenseSpec` (or a plain ``int`` width,
-    meaning float64).  All per-variant exchange metadata is derived here,
-    once; the returned operator's ``__call__`` only moves data.  The
-    ``**categories`` keyword overrides are fixed at compile time.
+    All per-variant exchange metadata is derived here, once, for dense
+    operands of ``dtype`` and any width; the returned operator's
+    ``__call__`` only moves data.  The ``**categories`` keyword overrides
+    are fixed at compile time.
 
     ``pipeline_depth > 1`` enables double-buffered execution: staged
     variants prefetch the next stage's operand with nonblocking
@@ -404,103 +391,12 @@ def compile(matrix, dense_spec, comm: Communicator, algorithm: str = "1d",
     if not variant.needs_grid and grid is not None:
         raise ValueError(f"the {variant.algorithm} algorithm does not take "
                          f"a process grid")
-    if isinstance(dense_spec, (int, np.integer)):
-        dense_spec = DenseSpec(width=int(dense_spec))
-    pipeline_depth = _check_pipeline_depth(pipeline_depth)
     compiler = _COMPILERS.get(variant.key)
     if compiler is None:
-        return _FallbackCompiled(variant, matrix, dense_spec, comm,
-                                 grid=grid, pipeline_depth=pipeline_depth,
-                                 **categories)
-    return compiler(variant, matrix, dense_spec, comm, grid=grid,
+        raise ValueError(f"SpMM variant {variant.key} has no registered "
+                         f"compiler")
+    return compiler(variant, matrix, comm, grid=grid, dtype=dtype,
                     pipeline_depth=pipeline_depth, **categories)
-
-
-class CompiledOpCache:
-    """Width-keyed retention of compiled plans for one static matrix.
-
-    Training knows every operand width up front (the layer dims) and
-    pre-warms; serving additionally discovers widths at runtime — a
-    micro-batch of ``k`` coalesced requests propagates at ``k * f``
-    columns — so the cache compiles lazily on first sight of a width and
-    retains the plan for the lifetime of the model.  Hits/misses/compiles
-    are counted for the obs metrics registry (pre-warming via
-    :meth:`warm` is deliberately not counted: the counters describe
-    request-driven behaviour).
-
-    The cache is dict-like over widths (``iter`` / ``len`` / ``in`` /
-    ``items``) so callers can introspect the retained plans.
-    """
-
-    def __init__(self, engine: "SpmmEngine", matrix,
-                 dtype=np.float64, pipeline_depth: int = 1) -> None:
-        self._engine = engine
-        self._matrix = matrix
-        self.dtype = np.dtype(dtype)
-        self.pipeline_depth = _check_pipeline_depth(pipeline_depth)
-        self._plans: Dict[int, CompiledSpmm] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def _compile(self, width: int) -> CompiledSpmm:
-        op = self._engine.compile(
-            self._matrix, DenseSpec(width=width, dtype=self.dtype),
-            pipeline_depth=self.pipeline_depth)
-        self._plans[width] = op
-        return op
-
-    def get(self, width: int) -> CompiledSpmm:
-        """The retained plan for ``width``, compiling it on first use."""
-        width = int(width)
-        op = self._plans.get(width)
-        if op is not None:
-            self.hits += 1
-            return op
-        self.misses += 1
-        return self._compile(width)
-
-    def peek(self, width: int) -> Optional[CompiledSpmm]:
-        """The retained plan for ``width`` or ``None`` — never compiles,
-        never counts."""
-        return self._plans.get(int(width))
-
-    def warm(self, widths) -> None:
-        """Compile (uncounted) plans for any widths not yet retained."""
-        for width in widths:
-            width = int(width)
-            if width not in self._plans:
-                self._compile(width)
-
-    def evict(self, width: int) -> bool:
-        """Drop the retained plan for ``width``; ``True`` if there was
-        one.  The plan's workspaces are freed once its reference cycle
-        (plan <-> task closures) is collected."""
-        return self._plans.pop(int(width), None) is not None
-
-    def stats(self) -> Dict[str, int]:
-        """Counters in the shape the serve metrics registry exports."""
-        return {"plan_hits": self.hits, "plan_misses": self.misses,
-                "plans_retained": len(self._plans)}
-
-    def widths(self) -> List[int]:
-        return sorted(self._plans)
-
-    def items(self):
-        return self._plans.items()
-
-    def __iter__(self):
-        return iter(self._plans)
-
-    def __len__(self) -> int:
-        return len(self._plans)
-
-    def __contains__(self, width) -> bool:
-        return int(width) in self._plans
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"CompiledOpCache(widths={self.widths()}, "
-                f"dtype={self.dtype.name!r}, hits={self.hits}, "
-                f"misses={self.misses})")
 
 
 # ----------------------------------------------------------------------
@@ -588,17 +484,16 @@ class SpmmEngine:
                                    **categories)
         return self.variant.fn(matrix, dense, self.comm, **categories)
 
-    def compile(self, matrix, dense_spec, pipeline_depth: int = 1,
+    def compile(self, matrix, dtype=np.float64, pipeline_depth: int = 1,
                 **categories) -> CompiledSpmm:
         """Build a persistent plan for this engine's variant/communicator.
 
         See :func:`compile`; the engine supplies the variant, grid and
         communicator it was constructed with.
         """
-        return compile(matrix, dense_spec, self.comm,
-                       algorithm=self.algorithm, mode=self.mode,
-                       grid=self.grid, pipeline_depth=pipeline_depth,
-                       **categories)
+        return compile(matrix, self.comm, algorithm=self.algorithm,
+                       mode=self.mode, grid=self.grid, dtype=dtype,
+                       pipeline_depth=pipeline_depth, **categories)
 
     def run_with_report(self, matrix, dense, **categories):
         """Like :meth:`run`, also capturing an :class:`SpmmReport` delta."""

@@ -36,9 +36,8 @@ from time import perf_counter
 from ..comm.base import Communicator
 from ..obs.tracer import TRACE
 from .dist_matrix import BlockRowDistribution, DistDenseMatrix, DistSparseMatrix
-from .engine import (CompiledSpmm, DenseSpec, SpecOperandProbe,
-                     check_grid_operands, get_spmm, register_spmm,
-                     register_spmm_compiler)
+from .engine import (CompiledSpmm, Workspace, check_grid_operands,
+                     get_spmm, register_spmm, register_spmm_compiler)
 
 __all__ = ["Compiled15DOblivious", "Compiled15DSparsityAware", "ProcessGrid",
            "spmm_15d_oblivious", "spmm_15d_sparsity_aware"]
@@ -105,24 +104,27 @@ def _stage_block(grid: ProcessGrid, col: int, stage: int) -> int:
 class _Compiled15DBase(CompiledSpmm):
     """Shared 1.5D compile-time state: schedules and partial accumulators."""
 
-    def __init__(self, variant, matrix: DistSparseMatrix, spec: DenseSpec,
-                 comm: Communicator, grid: ProcessGrid,
+    def __init__(self, variant, matrix: DistSparseMatrix,
+                 comm: Communicator, grid: ProcessGrid, dtype,
                  compute_category: str, comm_category: str,
                  reduce_category: str, pipeline_depth: int = 1) -> None:
-        super().__init__(variant, matrix, spec, comm, grid=grid,
+        super().__init__(variant, matrix, comm, grid=grid, dtype=dtype,
                          pipeline_depth=pipeline_depth)
-        check_grid_operands(matrix, SpecOperandProbe(matrix, spec), grid,
-                            comm)
+        check_grid_operands(matrix, None, grid, comm)
         self.compute_category = compute_category
         self.comm_category = comm_category
         self.reduce_category = reduce_category
-        f = spec.width
-        self._partial: List[List[np.ndarray]] = [
-            [np.zeros((matrix.dist.block_size(i), f), dtype=spec.dtype)
-             for _ in range(grid.replication)]
-            for i in range(grid.nrows)]
+        self._partial_ws = Workspace(
+            [matrix.dist.block_size(i) for i in range(grid.nrows)
+             for _ in range(grid.replication)], self.dtype)
         self._row_groups = [grid.row_group(i) for i in range(grid.nrows)]
         self._dense: Optional[DistDenseMatrix] = None
+
+    def _bind(self, width: int) -> None:
+        views = self._partial_ws.views(width)
+        c = self.grid.replication
+        self._partial: List[List[np.ndarray]] = [
+            views[i * c:(i + 1) * c] for i in range(self.grid.nrows)]
 
     def _zero_partials(self) -> None:
         for row in self._partial:
@@ -142,21 +144,23 @@ class _Compiled15DBase(CompiledSpmm):
         return dense.like(out_blocks)
 
 
+@register_spmm_compiler("1.5d", "oblivious")
 class Compiled15DOblivious(_Compiled15DBase):
     """Persistent plan for the CAGNET 1.5D staged-broadcast algorithm."""
 
-    def __init__(self, variant, matrix: DistSparseMatrix, spec: DenseSpec,
+    def __init__(self, variant, matrix: DistSparseMatrix,
                  comm: Communicator, grid: ProcessGrid = None,
+                 dtype=np.float64,
                  compute_category: str = "local",
                  comm_category: str = "bcast",
                  reduce_category: str = "allreduce",
                  pipeline_depth: int = 1) -> None:
-        super().__init__(variant, matrix, spec, comm, grid,
+        super().__init__(variant, matrix, comm, grid, dtype,
                          compute_category, comm_category, reduce_category,
                          pipeline_depth=pipeline_depth)
-        f = spec.width
         # Per (stage, col): the broadcast root/group and, per group member,
-        # the (i, j, full_csr, flops) multiply or None for empty blocks.
+        # the (i, j, full_csr, 2 * nnz, rank) multiply or None for empty
+        # blocks.
         self._schedule: List[List[tuple]] = []
         for stage in range(grid.stages):
             cols = []
@@ -168,7 +172,7 @@ class Compiled15DOblivious(_Compiled15DBase):
                 for rank in group:
                     i, j = grid.coords(rank)
                     info = matrix.block(i, q)
-                    terms.append((i, j, info.full, 2.0 * info.nnz * f, rank)
+                    terms.append((i, j, info.full, 2.0 * info.nnz, rank)
                                  if info.nnz else None)
                 cols.append((q, group, root, terms))
             self._schedule.append(cols)
@@ -185,7 +189,7 @@ class Compiled15DOblivious(_Compiled15DBase):
                 return
             i, j, full, flops, rank = entry
             self._partial[i][j] += full @ self._copies[pos]
-            self.comm.charge_spmm(rank, flops,
+            self.comm.charge_spmm(rank, flops * self._width,
                                   category=self.compute_category)
         return task
 
@@ -259,31 +263,35 @@ class Compiled15DOblivious(_Compiled15DBase):
                              "peer": current[2], "pipelined": True})
 
 
+@register_spmm_compiler("1.5d", "sparsity_aware")
 class Compiled15DSparsityAware(_Compiled15DBase):
     """Persistent plan for Algorithm 2 (staged NnzCols point-to-point).
 
     Compile-time work: per (stage, col) the packed gather index sets, the
-    reused pack buffers the point-to-point messages alias, the diagonal
-    gather buffers, and the flop/elementwise charges.
+    pack-workspace segments the point-to-point messages view, the
+    diagonal gather segments, and the per-column flop constants.  Every
+    stage owns distinct segments, so the pipelined path can pack stage
+    ``k + 1`` while stage ``k``'s exchange is in flight.
     """
 
-    def __init__(self, variant, matrix: DistSparseMatrix, spec: DenseSpec,
+    def __init__(self, variant, matrix: DistSparseMatrix,
                  comm: Communicator, grid: ProcessGrid = None,
+                 dtype=np.float64,
                  compute_category: str = "local",
                  comm_category: str = "alltoall",
                  reduce_category: str = "allreduce",
                  pipeline_depth: int = 1) -> None:
-        super().__init__(variant, matrix, spec, comm, grid,
+        super().__init__(variant, matrix, comm, grid, dtype,
                          compute_category, comm_category, reduce_category,
                          pipeline_depth=pipeline_depth)
-        f = spec.width
-        dtype = spec.dtype
-        # Per stage: pack[col] = (q, src, [(idx, buf, nelem)]) in
-        # destination order; messages = [(src, dst, buf)] in the same
-        # col-major order the uncompiled kernel builds them; mult[rank] =
-        # (compact, rows_ref, flops) or None, where rows_ref is either a
-        # pack buffer or ("diag", q, idx, buf).
+        # Per stage: pack[col] = (q, src, [(idx, segment)]) in destination
+        # order; messages = [(src, dst, segment)] in the same col-major
+        # order the uncompiled kernel builds them; mult[rank] =
+        # (i, col, compact, rows_ref, 2 * nnz) or None, where rows_ref is
+        # ("recv", pack segment) or ("diag", q, idx, diag segment).
         self._stages: List[dict] = []
+        pack_rows: List[int] = []
+        diag_rows: List[int] = []
         for stage in range(grid.stages):
             packs, messages = [], []
             mult: List[Optional[tuple]] = [None] * comm.nranks
@@ -299,10 +307,11 @@ class Compiled15DSparsityAware(_Compiled15DBase):
                     if idx.size == 0:
                         continue
                     dst = grid.rank(i, col)
-                    buf = np.empty((idx.size, f), dtype=dtype)
-                    items.append((idx, buf, idx.size * f))
-                    messages.append((src, dst, buf))
-                    payload_of[i] = buf
+                    seg = len(pack_rows)
+                    pack_rows.append(idx.size)
+                    items.append((idx, seg))
+                    messages.append((src, dst, seg))
+                    payload_of[i] = seg
                 packs.append((q, src, items))
                 for i in range(grid.nrows):
                     rank = grid.rank(i, col)
@@ -311,29 +320,40 @@ class Compiled15DSparsityAware(_Compiled15DBase):
                         continue
                     if i == q:
                         idx = info.nnz_cols_local
-                        rows_ref = ("diag", q, idx,
-                                    np.empty((idx.size, f), dtype=dtype))
+                        rows_ref = ("diag", q, idx, len(diag_rows))
+                        diag_rows.append(idx.size)
                     else:
                         rows_ref = ("recv", payload_of[i])
                     mult[rank] = (i, col, info.compact, rows_ref,
-                                  2.0 * info.compact.nnz * f)
+                                  2.0 * info.compact.nnz)
             sources = [grid.rank(_stage_block(grid, col, stage), col)
                        for col in range(grid.replication)]
             self._stages.append({"packs": packs, "messages": messages,
                                  "mult": mult, "sources": sources})
+        self._pack_ws = Workspace(pack_rows, self.dtype)
+        self._diag_ws = Workspace(diag_rows, self.dtype)
         self._pack_tasks = [self._make_pack_task(col)
                             for col in range(grid.replication)]
         self._mult_tasks = [self._make_mult_task(rank)
                             for rank in range(comm.nranks)]
         self._stage_state: Optional[dict] = None
 
+    def _bind(self, width: int) -> None:
+        super()._bind(width)
+        self._packed = self._pack_ws.views(width)
+        self._diag = self._diag_ws.views(width)
+        # Per stage, the exchange batch over the pack views.
+        self._messages = [[(src, dst, self._packed[seg])
+                           for src, dst, seg in stage["messages"]]
+                          for stage in self._stages]
+
     def _make_pack_task(self, col: int):
         def task() -> None:
             q, src, items = self._stage_state["packs"][col]
             h_q = self._dense.block(q)
-            for idx, buf, nelem in items:
-                np.take(h_q, idx, axis=0, out=buf)
-                self.comm.charge_elementwise(src, nelem,
+            for idx, seg in items:
+                np.take(h_q, idx, axis=0, out=self._packed[seg])
+                self.comm.charge_elementwise(src, idx.size * self._width,
                                              category=self.compute_category)
         return task
 
@@ -344,12 +364,13 @@ class Compiled15DSparsityAware(_Compiled15DBase):
                 return
             i, col, compact, rows_ref, flops = entry
             if rows_ref[0] == "diag":
-                _, q, idx, buf = rows_ref
-                rows = np.take(self._dense.block(q), idx, axis=0, out=buf)
+                _, q, idx, seg = rows_ref
+                rows = np.take(self._dense.block(q), idx, axis=0,
+                               out=self._diag[seg])
             else:
-                rows = rows_ref[1]
+                rows = self._packed[rows_ref[1]]
             self._partial[i][col] += compact @ rows
-            self.comm.charge_spmm(rank, flops,
+            self.comm.charge_spmm(rank, flops * self._width,
                                   category=self.compute_category)
         return task
 
@@ -367,7 +388,7 @@ class Compiled15DSparsityAware(_Compiled15DBase):
                 comm.parallel_for(self._pack_tasks,
                                   ranks=stage_state["sources"],
                                   category=self.compute_category)
-                comm.exchange(stage_state["messages"],
+                comm.exchange(self._messages[stage],
                               category=self.comm_category,
                               sync_ranks=range(comm.nranks))
                 comm.parallel_for(self._mult_tasks,
@@ -383,7 +404,7 @@ class Compiled15DSparsityAware(_Compiled15DBase):
 
     def _run_pipelined(self) -> None:
         """Double-buffer the staged exchanges: pack and post stage
-        ``k + 1``'s point-to-point batch (its gather buffers are distinct
+        ``k + 1``'s point-to-point batch (its pack segments are distinct
         per stage, so packing early cannot clobber anything), then run
         stage ``k``'s multiplies while the batch is in flight.  The
         multiply and partial-accumulation order is identical to the
@@ -401,7 +422,7 @@ class Compiled15DSparsityAware(_Compiled15DBase):
                                   ranks=stage_state["sources"],
                                   category=self.compute_category)
                 inflight.append(comm.iexchange(
-                    stage_state["messages"], category=self.comm_category,
+                    self._messages[issued], category=self.comm_category,
                     sync_ranks=range(comm.nranks)))
                 issued += 1
             tr = TRACE
@@ -413,20 +434,6 @@ class Compiled15DSparsityAware(_Compiled15DBase):
             if tr.enabled:
                 tr.add_span("driver", "spmm.stage", "spmm", t0,
                             perf_counter(), {"stage": k, "pipelined": True})
-
-
-@register_spmm_compiler("1.5d", "oblivious")
-def compile_15d_oblivious(variant, matrix, spec, comm, grid=None,
-                          **categories) -> Compiled15DOblivious:
-    return Compiled15DOblivious(variant, matrix, spec, comm, grid=grid,
-                                **categories)
-
-
-@register_spmm_compiler("1.5d", "sparsity_aware")
-def compile_15d_sparsity_aware(variant, matrix, spec, comm, grid=None,
-                               **categories) -> Compiled15DSparsityAware:
-    return Compiled15DSparsityAware(variant, matrix, spec, comm, grid=grid,
-                                    **categories)
 
 
 @register_spmm("1.5d", "oblivious", needs_grid=True,
@@ -442,8 +449,9 @@ def spmm_15d_oblivious(matrix: DistSparseMatrix, dense: DistDenseMatrix,
     """
     check_grid_operands(matrix, dense, grid, comm)
     variant = get_spmm("1.5d", sparsity_aware=False)
-    op = Compiled15DOblivious(variant, matrix, DenseSpec.like(dense), comm,
-                              grid=grid, compute_category=compute_category,
+    op = Compiled15DOblivious(variant, matrix, comm, grid=grid,
+                              dtype=dense.dtype,
+                              compute_category=compute_category,
                               comm_category=comm_category,
                               reduce_category=reduce_category)
     return op(dense)
@@ -468,8 +476,8 @@ def spmm_15d_sparsity_aware(matrix: DistSparseMatrix, dense: DistDenseMatrix,
     """
     check_grid_operands(matrix, dense, grid, comm)
     variant = get_spmm("1.5d")
-    op = Compiled15DSparsityAware(variant, matrix, DenseSpec.like(dense), comm,
-                                  grid=grid,
+    op = Compiled15DSparsityAware(variant, matrix, comm, grid=grid,
+                                  dtype=dense.dtype,
                                   compute_category=compute_category,
                                   comm_category=comm_category,
                                   reduce_category=reduce_category)

@@ -39,20 +39,20 @@ import numpy as np
 from ..comm.base import Communicator
 from ..obs.tracer import TRACE
 from .dist_matrix import DistDenseMatrix, DistSparseMatrix
-from .engine import (CompiledSpmm, DenseSpec, SpecOperandProbe,
-                     check_block_operands, get_spmm, register_spmm,
-                     register_spmm_compiler)
+from .engine import (CompiledSpmm, Workspace, check_block_operands,
+                     get_spmm, register_spmm, register_spmm_compiler)
 
 __all__ = ["Compiled1DOblivious", "Compiled1DSparsityAware",
            "spmm_1d_oblivious", "spmm_1d_sparsity_aware"]
 
 
+@register_spmm_compiler("1d", "oblivious")
 class Compiled1DOblivious(CompiledSpmm):
     """Persistent plan for the CAGNET 1D broadcast algorithm.
 
     Compile-time work: materialise every full-width block (they are built
     lazily by the NnzCols analysis), record the nonzero blocks and their
-    flop charges, allocate the per-rank output accumulators.
+    per-column flop constants, declare the per-rank output accumulators.
 
     With ``pipeline_depth > 1`` the chunked broadcast schedule is
     double-buffered: while step ``j``'s multiplies run, up to
@@ -62,19 +62,18 @@ class Compiled1DOblivious(CompiledSpmm):
     ``j`` is unchanged).
     """
 
-    def __init__(self, variant, matrix: DistSparseMatrix, spec: DenseSpec,
-                 comm: Communicator, grid=None,
+    def __init__(self, variant, matrix: DistSparseMatrix,
+                 comm: Communicator, grid=None, dtype=np.float64,
                  compute_category: str = "local",
                  comm_category: str = "bcast",
                  pipeline_depth: int = 1) -> None:
-        super().__init__(variant, matrix, spec, comm, grid=grid,
+        super().__init__(variant, matrix, comm, grid=grid, dtype=dtype,
                          pipeline_depth=pipeline_depth)
-        check_block_operands(matrix, SpecOperandProbe(matrix, spec), comm)
+        check_block_operands(matrix, None, comm)
         self.compute_category = compute_category
         self.comm_category = comm_category
         p = comm.nranks
-        f = spec.width
-        # steps[j][i] = (full_csr, flops) for rank i's block at broadcast
+        # steps[j][i] = (full_csr, 2 * nnz) for rank i's block at broadcast
         # step j, or None when the block is empty (materialising .full
         # here, once, off the hot path).
         self._steps: List[List[Optional[tuple]]] = []
@@ -82,15 +81,17 @@ class Compiled1DOblivious(CompiledSpmm):
             step: List[Optional[tuple]] = []
             for i in range(p):
                 info = matrix.block(i, j)
-                step.append((info.full, 2.0 * info.nnz * f)
+                step.append((info.full, 2.0 * info.nnz)
                             if info.nnz else None)
             self._steps.append(step)
-        self._out: List[np.ndarray] = [
-            np.zeros((matrix.dist.block_size(i), f), dtype=spec.dtype)
-            for i in range(p)]
+        self._out_ws = Workspace(
+            [matrix.dist.block_size(i) for i in range(p)], self.dtype)
         self._copies: Optional[List[np.ndarray]] = None
         self._step: int = 0
         self._tasks = [self._make_task(i) for i in range(p)]
+
+    def _bind(self, width: int) -> None:
+        self._out = self._out_ws.views(width)
 
     def _make_task(self, i: int):
         def task() -> None:
@@ -99,7 +100,8 @@ class Compiled1DOblivious(CompiledSpmm):
                 return
             full, flops = entry
             self._out[i] += full @ self._copies[i]
-            self.comm.charge_spmm(i, flops, category=self.compute_category)
+            self.comm.charge_spmm(i, flops * self._width,
+                                  category=self.compute_category)
         return task
 
     def _execute(self, dense: DistDenseMatrix) -> DistDenseMatrix:
@@ -150,37 +152,34 @@ class Compiled1DOblivious(CompiledSpmm):
                             {"stage": j, "peer": j, "pipelined": True})
 
 
+@register_spmm_compiler("1d", "sparsity_aware")
 class Compiled1DSparsityAware(CompiledSpmm):
     """Persistent plan for Algorithm 1 (NnzCols-packed all-to-allv).
 
-    Compile-time work: the per-destination gather index sets, the fixed
-    ``send`` structure of the all-to-allv (rows aliased to reused pack
-    buffers), the diagonal gather buffers and the per-rank output
-    accumulators.  Per call only ``np.take`` packs, one ``alltoallv`` and
-    the compacted multiplies remain.
+    Compile-time work: the per-destination gather index sets (each a
+    segment of one pack workspace the ``alltoallv`` send matrix views),
+    the diagonal gather segments, the per-rank output accumulators and
+    the per-column flop constants.  Per call only ``np.take`` packs, one
+    ``alltoallv`` and the compacted multiplies remain.
     """
 
-    def __init__(self, variant, matrix: DistSparseMatrix, spec: DenseSpec,
-                 comm: Communicator, grid=None,
+    def __init__(self, variant, matrix: DistSparseMatrix,
+                 comm: Communicator, grid=None, dtype=np.float64,
                  compute_category: str = "local",
                  comm_category: str = "alltoall",
                  pipeline_depth: int = 1) -> None:
         # Algorithm 1 issues a single un-staged all-to-allv per call, so
         # there is no stage schedule to double-buffer; the knob is
         # accepted (and validated) for API uniformity and ignored.
-        super().__init__(variant, matrix, spec, comm, grid=grid,
+        super().__init__(variant, matrix, comm, grid=grid, dtype=dtype,
                          pipeline_depth=pipeline_depth)
-        check_block_operands(matrix, SpecOperandProbe(matrix, spec), comm)
+        check_block_operands(matrix, None, comm)
         self.compute_category = compute_category
         self.comm_category = comm_category
         p = comm.nranks
-        f = spec.width
-        dtype = spec.dtype
-        # pack[j] = [(i, idx, buffer)] in destination order; the send
-        # matrix rows alias the buffers, so packing never reallocates.
+        # pack[j] = [(i, idx, segment)] in destination order.
         self._pack: List[List[tuple]] = []
-        self._send: List[List[Optional[np.ndarray]]] = \
-            [[None] * p for _ in range(p)]
+        pack_rows: List[int] = []
         for j in range(p):
             packs = []
             for i in range(p):
@@ -189,43 +188,57 @@ class Compiled1DSparsityAware(CompiledSpmm):
                 idx = matrix.nnz_cols(i, j)
                 if idx.size == 0:
                     continue
-                buf = np.empty((idx.size, f), dtype=dtype)
-                packs.append((i, idx, buf))
-                self._send[j][i] = buf
+                packs.append((i, idx, len(pack_rows)))
+                pack_rows.append(idx.size)
             self._pack.append(packs)
-        # mult[i] = [(j, compact_csr, diag_idx_or_None, diag_buf, flops)]
+        # mult[i] = [(j, compact_csr, diag_idx_or_None, diag_segment,
+        #             2 * nnz)]
         self._mult: List[List[tuple]] = []
+        diag_rows: List[int] = []
         for i in range(p):
             terms = []
             for j in range(p):
                 info = matrix.block(i, j)
                 if info.compact.nnz == 0:
                     continue
-                diag_idx = diag_buf = None
+                diag_idx = diag_seg = None
                 if i == j:
                     diag_idx = info.nnz_cols_local
-                    diag_buf = np.empty((diag_idx.size, f), dtype=dtype)
-                terms.append((j, info.compact, diag_idx, diag_buf,
-                              2.0 * info.compact.nnz * f))
+                    diag_seg = len(diag_rows)
+                    diag_rows.append(diag_idx.size)
+                terms.append((j, info.compact, diag_idx, diag_seg,
+                              2.0 * info.compact.nnz))
             self._mult.append(terms)
-        self._out: List[np.ndarray] = [
-            np.zeros((matrix.dist.block_size(i), f), dtype=dtype)
-            for i in range(p)]
+        self._pack_ws = Workspace(pack_rows, self.dtype)
+        self._diag_ws = Workspace(diag_rows, self.dtype)
+        self._out_ws = Workspace(
+            [matrix.dist.block_size(i) for i in range(p)], self.dtype)
         self._dense: Optional[DistDenseMatrix] = None
         self._recv = None
         self._pack_tasks = [self._make_pack_task(j) for j in range(p)]
         self._mult_tasks = [self._make_mult_task(i) for i in range(p)]
 
-    def _make_pack_task(self, j: int):
-        f = self.spec.width
+    def _bind(self, width: int) -> None:
+        p = self.comm.nranks
+        self._packed = self._pack_ws.views(width)
+        self._diag = self._diag_ws.views(width)
+        self._out = self._out_ws.views(width)
+        # The send matrix rows alias the pack views, so packing fills
+        # the all-to-allv payloads in place.
+        self._send: List[List[Optional[np.ndarray]]] = \
+            [[None] * p for _ in range(p)]
+        for j, packs in enumerate(self._pack):
+            for i, _, seg in packs:
+                self._send[j][i] = self._packed[seg]
 
+    def _make_pack_task(self, j: int):
         def task() -> None:
             h_j = self._dense.block(j)
-            for _, idx, buf in self._pack[j]:
-                np.take(h_j, idx, axis=0, out=buf)
+            for _, idx, seg in self._pack[j]:
+                np.take(h_j, idx, axis=0, out=self._packed[seg])
                 # Packing the rows into the send buffer is part of the local
                 # work the paper's breakdown attributes to the SA schemes.
-                self.comm.charge_elementwise(j, idx.size * f,
+                self.comm.charge_elementwise(j, idx.size * self._width,
                                              category=self.compute_category)
         return task
 
@@ -233,10 +246,10 @@ class Compiled1DSparsityAware(CompiledSpmm):
         def task() -> None:
             z_i = self._out[i]
             z_i[...] = 0.0
-            for j, compact, diag_idx, diag_buf, flops in self._mult[i]:
+            for j, compact, diag_idx, diag_seg, flops in self._mult[i]:
                 if diag_idx is not None:
                     rows = np.take(self._dense.block(i), diag_idx, axis=0,
-                                   out=diag_buf)
+                                   out=self._diag[diag_seg])
                 else:
                     rows = self._recv[i][j]
                     if rows is None:
@@ -244,7 +257,7 @@ class Compiled1DSparsityAware(CompiledSpmm):
                             f"rank {i} expected rows from rank {j} "
                             f"but received none")
                 z_i += compact @ rows
-                self.comm.charge_spmm(i, flops,
+                self.comm.charge_spmm(i, flops * self._width,
                                       category=self.compute_category)
         return task
 
@@ -274,20 +287,6 @@ class Compiled1DSparsityAware(CompiledSpmm):
         return dense.like(self._out)
 
 
-@register_spmm_compiler("1d", "oblivious")
-def compile_1d_oblivious(variant, matrix, spec, comm, grid=None,
-                         **categories) -> Compiled1DOblivious:
-    return Compiled1DOblivious(variant, matrix, spec, comm, grid=grid,
-                               **categories)
-
-
-@register_spmm_compiler("1d", "sparsity_aware")
-def compile_1d_sparsity_aware(variant, matrix, spec, comm, grid=None,
-                              **categories) -> Compiled1DSparsityAware:
-    return Compiled1DSparsityAware(variant, matrix, spec, comm, grid=grid,
-                                   **categories)
-
-
 @register_spmm("1d", "oblivious",
                description="CAGNET 1D: block-row broadcasts")
 def spmm_1d_oblivious(matrix: DistSparseMatrix, dense: DistDenseMatrix,
@@ -304,7 +303,7 @@ def spmm_1d_oblivious(matrix: DistSparseMatrix, dense: DistDenseMatrix,
     """
     check_block_operands(matrix, dense, comm)
     variant = get_spmm("1d", sparsity_aware=False)
-    op = Compiled1DOblivious(variant, matrix, DenseSpec.like(dense), comm,
+    op = Compiled1DOblivious(variant, matrix, comm, dtype=dense.dtype,
                              compute_category=compute_category,
                              comm_category=comm_category)
     return op(dense)
@@ -327,7 +326,7 @@ def spmm_1d_sparsity_aware(matrix: DistSparseMatrix, dense: DistDenseMatrix,
     """
     check_block_operands(matrix, dense, comm)
     variant = get_spmm("1d")
-    op = Compiled1DSparsityAware(variant, matrix, DenseSpec.like(dense), comm,
+    op = Compiled1DSparsityAware(variant, matrix, comm, dtype=dense.dtype,
                                  compute_category=compute_category,
                                  comm_category=comm_category)
     return op(dense)

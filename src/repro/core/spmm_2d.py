@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,7 +47,7 @@ from time import perf_counter
 from ..comm.base import Communicator
 from ..obs.tracer import TRACE
 from .dist_matrix import BlockRowDistribution
-from .engine import (CompiledSpmm, DenseSpec, check_grid2d_operands,
+from .engine import (CompiledSpmm, Workspace, check_grid2d_operands,
                      get_spmm, register_spmm, register_spmm_compiler)
 
 __all__ = ["Grid2D", "Dist2DSparseMatrix", "Compiled2DOblivious",
@@ -162,31 +162,66 @@ def _chunk_bounds(block_rows: int, row_chunks: int) -> np.ndarray:
 
 
 class _Compiled2DBase(CompiledSpmm):
-    """Shared 2D compile-time state: grid groups and the output buffer."""
+    """Shared 2D compile-time state: grid groups, the output buffer, the
+    zero partials of empty blocks and the per-block multiply tasks.
 
-    def __init__(self, variant, matrix: Dist2DSparseMatrix, spec: DenseSpec,
-                 comm: Communicator, grid: Grid2D,
+    Subclasses fill ``_mult[i][j] = (csr, operand segment, 2 * nnz)`` for
+    every nonempty block and bind ``_operands`` — the views the multiply
+    reads (the gathered block rows, or the packed gather buffers)."""
+
+    def __init__(self, variant, matrix: Dist2DSparseMatrix,
+                 comm: Communicator, grid: Grid2D, dtype,
                  compute_category: str, reduce_category: str,
                  pipeline_depth: int = 1) -> None:
-        super().__init__(variant, matrix, spec, comm, grid=grid,
+        super().__init__(variant, matrix, comm, grid=grid, dtype=dtype,
                          pipeline_depth=pipeline_depth)
-        check_grid2d_operands(matrix, np.empty((matrix.shape[1], spec.width),
-                                               dtype=spec.dtype),
-                              grid, comm)
+        check_grid2d_operands(matrix, None, grid, comm)
         self.compute_category = compute_category
         self.reduce_category = reduce_category
         self._row_groups = [grid.row_group(i) for i in range(grid.nrows)]
         self._col_groups = [grid.col_group(j) for j in range(grid.ncols)]
         self._row_ranges = [matrix.row_dist.block_range(i)
                             for i in range(grid.nrows)]
-        self._out = np.empty((matrix.shape[0], spec.width), dtype=spec.dtype)
+        self._out_ws = Workspace([matrix.shape[0]], self.dtype)
+        # An empty block's partial is a read-only segment of a zeroed
+        # workspace: mult[i][j] = (zero_segment,).
+        self._mult: List[List[Optional[tuple]]] = [
+            [None] * grid.ncols for _ in range(grid.nrows)]
+        zero_rows: List[int] = []
+        for i in range(grid.nrows):
+            for j in range(grid.ncols):
+                if matrix.block(i, j).nnz == 0:
+                    self._mult[i][j] = (len(zero_rows),)
+                    zero_rows.append(matrix.row_dist.block_size(i))
+        self._zero_ws = Workspace(zero_rows, self.dtype, zeroed=True)
+        self._partials: List[Optional[np.ndarray]] = [None] * grid.ncols
+        self._row_tasks = [
+            [self._make_task(i, j) for j in range(grid.ncols)]
+            for i in range(grid.nrows)]
 
-    def _check_dense(self, dense) -> None:
-        super()._check_dense(dense)
+    def _bind(self, width: int) -> None:
+        self._out = self._out_ws.views(width)[0]
+        self._zeros = self._zero_ws.views(width)
+
+    def _check_dense(self, dense) -> int:
+        width = super()._check_dense(dense)
         if dense.shape[0] != self.matrix.shape[1]:
             raise ValueError(
                 f"dense operand has {dense.shape[0]} rows, expected "
                 f"{self.matrix.shape[1]}")
+        return width
+
+    def _make_task(self, i: int, j: int):
+        def task() -> None:
+            entry = self._mult[i][j]
+            if len(entry) == 1:
+                self._partials[j] = self._zeros[entry[0]]
+                return
+            csr, seg, flops = entry
+            self._partials[j] = csr @ self._operands[seg]
+            self.comm.charge_spmm(self.grid.rank(i, j), flops * self._width,
+                                  category=self.compute_category)
+        return task
 
     def _reduce_rows(self, out: np.ndarray) -> None:
         """Phase 2 shared by both 2D variants: per grid row, multiply the
@@ -232,64 +267,50 @@ class _Compiled2DBase(CompiledSpmm):
                 out[lo:hi] = reduced[0]
 
 
+@register_spmm_compiler("2d", "oblivious")
 class Compiled2DOblivious(_Compiled2DBase):
     """Persistent plan for the sparsity-oblivious 2D SUMMA algorithm."""
 
-    def __init__(self, variant, matrix: Dist2DSparseMatrix, spec: DenseSpec,
-                 comm: Communicator, grid: Grid2D = None,
+    def __init__(self, variant, matrix: Dist2DSparseMatrix,
+                 comm: Communicator, grid: Grid2D = None, dtype=np.float64,
                  compute_category: str = "local",
                  gather_category: str = "bcast",
                  reduce_category: str = "allreduce",
                  pipeline_depth: int = 1) -> None:
-        super().__init__(variant, matrix, spec, comm, grid,
+        super().__init__(variant, matrix, comm, grid, dtype,
                          compute_category, reduce_category,
                          pipeline_depth=pipeline_depth)
         self.gather_category = gather_category
-        f = spec.width
-        dtype = spec.dtype
-        # Reused chunk staging buffers + their global row ranges, and the
-        # reused gathered block-row buffers.
-        self._chunks: List[List[np.ndarray]] = []
+        # Chunk staging segments + their global row ranges, and one
+        # gathered block-row segment per grid column (the multiply's
+        # operand: mult[i][j] reads segment j).
+        chunk_rows: List[int] = []
         self._chunk_ranges: List[List[Tuple[int, int]]] = []
-        self._gathered: List[np.ndarray] = []
         for j in range(grid.ncols):
             lo, hi = matrix.col_dist.block_range(j)
             bounds = _chunk_bounds(hi - lo, grid.nrows)
-            self._chunks.append([
-                np.empty((int(bounds[r + 1] - bounds[r]), f), dtype=dtype)
-                for r in range(grid.nrows)])
+            chunk_rows.extend(int(bounds[r + 1] - bounds[r])
+                              for r in range(grid.nrows))
             self._chunk_ranges.append([
                 (lo + int(bounds[r]), lo + int(bounds[r + 1]))
                 for r in range(grid.nrows)])
-            self._gathered.append(np.empty((hi - lo, f), dtype=dtype))
-        # mult[i][j] = (block, flops) or (zeros_buffer,) for empty blocks.
-        self._mult: List[List[tuple]] = []
+        self._chunk_ws = Workspace(chunk_rows, self.dtype)
+        self._gathered_ws = Workspace(
+            [matrix.col_dist.block_size(j) for j in range(grid.ncols)],
+            self.dtype)
         for i in range(grid.nrows):
-            rows_i = matrix.row_dist.block_size(i)
-            terms = []
             for j in range(grid.ncols):
                 block = matrix.block(i, j)
                 if block.nnz:
-                    terms.append((block, 2.0 * block.nnz * f))
-                else:
-                    terms.append((np.zeros((rows_i, f), dtype=dtype),))
-            self._mult.append(terms)
-        self._partials: List[Optional[np.ndarray]] = [None] * grid.ncols
-        self._row_tasks = [
-            [self._make_task(i, j) for j in range(grid.ncols)]
-            for i in range(grid.nrows)]
+                    self._mult[i][j] = (block, j, 2.0 * block.nnz)
 
-    def _make_task(self, i: int, j: int):
-        def task() -> None:
-            entry = self._mult[i][j]
-            if len(entry) == 1:
-                self._partials[j] = entry[0]
-                return
-            block, flops = entry
-            self._partials[j] = block @ self._gathered[j]
-            self.comm.charge_spmm(self.grid.rank(i, j), flops,
-                                  category=self.compute_category)
-        return task
+    def _bind(self, width: int) -> None:
+        super()._bind(width)
+        chunks = self._chunk_ws.views(width)
+        nr = self.grid.nrows
+        self._chunks = [chunks[j * nr:(j + 1) * nr]
+                        for j in range(self.grid.ncols)]
+        self._operands = self._gathered_ws.views(width)
 
     def _execute(self, h: np.ndarray) -> np.ndarray:
         comm = self.comm
@@ -305,7 +326,7 @@ class Compiled2DOblivious(_Compiled2DBase):
             parts = comm.allgather(chunks, ranks=self._col_groups[j],
                                    category=self.gather_category)
             # Every member of the column now holds the full block row H_j.
-            np.concatenate(parts[0], axis=0, out=self._gathered[j])
+            np.concatenate(parts[0], axis=0, out=self._operands[j])
             if tr.enabled:
                 tr.add_span("driver", "spmm.stage", "spmm", t0,
                             perf_counter(), {"phase": "gather", "col": j})
@@ -321,84 +342,71 @@ class Compiled2DOblivious(_Compiled2DBase):
         return out
 
 
+@register_spmm_compiler("2d", "sparsity_aware")
 class Compiled2DSparsityAware(_Compiled2DBase):
     """Persistent plan for the sparsity-aware 2D SUMMA algorithm.
 
     The expensive per-call metadata of the uncompiled kernel — the
     per-peer restriction of ``NnzCols`` to chunk ranges and the column
     compaction ``block[:, needed]`` — is all hoisted to compile time; the
-    per-peer payloads become views into one packed gather buffer per
+    per-peer payloads become views into one packed gather segment per
     block, filled by a single ``np.take``.
     """
 
-    def __init__(self, variant, matrix: Dist2DSparseMatrix, spec: DenseSpec,
-                 comm: Communicator, grid: Grid2D = None,
+    def __init__(self, variant, matrix: Dist2DSparseMatrix,
+                 comm: Communicator, grid: Grid2D = None, dtype=np.float64,
                  compute_category: str = "local",
                  comm_category: str = "alltoall",
                  reduce_category: str = "allreduce",
                  pipeline_depth: int = 1) -> None:
-        super().__init__(variant, matrix, spec, comm, grid,
+        super().__init__(variant, matrix, comm, grid, dtype,
                          compute_category, reduce_category,
                          pipeline_depth=pipeline_depth)
         self.comm_category = comm_category
-        f = spec.width
-        dtype = spec.dtype
-        # Per (i, j): the packed gather (global H row indices + buffer) and
-        # the compacted block; the exchange messages alias segments of the
-        # packed buffers, in the same (j, i, r) order as the uncompiled
-        # kernel builds them.
-        self._packed: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
-        self._messages: List[Tuple[int, int, np.ndarray]] = []
-        self._pack_charges: List[Tuple[int, float]] = []
-        self._mult: List[List[tuple]] = [
-            [None] * grid.ncols for _ in range(grid.nrows)]
+        # Per nonempty (i, j): the packed gather (global H row indices +
+        # pack segment) and the compacted block; the exchange messages
+        # view row ranges of the pack segments, in the same (j, i, r)
+        # order as the uncompiled kernel builds them.
+        pack_rows: List[int] = []
+        self._gathers: List[Tuple[np.ndarray, int]] = []
+        self._message_rows: List[Tuple[int, int, int, int, int]] = []
+        self._pack_charges: List[Tuple[int, int]] = []
         for j in range(grid.ncols):
             clo, chi = matrix.col_dist.block_range(j)
             bounds = _chunk_bounds(chi - clo, grid.nrows)
             for i in range(grid.nrows):
+                if self._mult[i][j] is not None:        # empty block
+                    continue
                 dst = grid.rank(i, j)
                 needed = matrix.nnz_cols(i, j)
-                block = matrix.block(i, j)
-                rows_i = block.shape[0]
-                if needed.size == 0 or block.nnz == 0:
-                    self._mult[i][j] = (np.zeros((rows_i, f), dtype=dtype),)
-                    continue
-                buf = np.empty((needed.size, f), dtype=dtype)
-                self._packed[(i, j)] = (clo + needed, buf)
+                seg = len(pack_rows)
+                pack_rows.append(needed.size)
+                self._gathers.append((clo + needed, seg))
                 # The compacted block (column-renumbered to the packed
                 # rows) — previously re-sliced on every call.
-                compact = block[:, needed]
-                self._mult[i][j] = (compact, buf, 2.0 * compact.nnz * f)
-                # Segment the packed buffer by source chunk; off-diagonal
-                # segments travel as exchange messages.
+                compact = matrix.block(i, j)[:, needed]
+                self._mult[i][j] = (compact, seg, 2.0 * compact.nnz)
+                # Split the packed segment by source chunk; off-diagonal
+                # pieces travel as exchange messages.
                 for r in range(grid.nrows):
                     lo, hi = int(bounds[r]), int(bounds[r + 1])
-                    seg = (needed >= lo) & (needed < hi)
-                    n_seg = int(np.count_nonzero(seg))
-                    if n_seg == 0:
+                    piece = (needed >= lo) & (needed < hi)
+                    n_rows = int(np.count_nonzero(piece))
+                    if n_rows == 0:
                         continue
-                    start = int(np.flatnonzero(seg)[0])
+                    start = int(np.flatnonzero(piece)[0])
                     src = grid.rank(r, j)
                     if src != dst:
-                        self._pack_charges.append((src, n_seg * f))
-                        self._messages.append(
-                            (src, dst, buf[start:start + n_seg]))
-        self._partials: List[Optional[np.ndarray]] = [None] * grid.ncols
-        self._row_tasks = [
-            [self._make_task(i, j) for j in range(grid.ncols)]
-            for i in range(grid.nrows)]
+                        self._pack_charges.append((src, n_rows))
+                        self._message_rows.append(
+                            (src, dst, seg, start, start + n_rows))
+        self._pack_ws = Workspace(pack_rows, self.dtype)
 
-    def _make_task(self, i: int, j: int):
-        def task() -> None:
-            entry = self._mult[i][j]
-            if len(entry) == 1:
-                self._partials[j] = entry[0]
-                return
-            compact, buf, flops = entry
-            self._partials[j] = compact @ buf
-            self.comm.charge_spmm(self.grid.rank(i, j), flops,
-                                  category=self.compute_category)
-        return task
+    def _bind(self, width: int) -> None:
+        super()._bind(width)
+        self._operands = self._pack_ws.views(width)
+        self._messages = [(src, dst, self._operands[seg][lo:hi])
+                          for src, dst, seg, lo, hi in self._message_rows]
 
     def _execute(self, h: np.ndarray) -> np.ndarray:
         comm = self.comm
@@ -407,10 +415,10 @@ class Compiled2DSparsityAware(_Compiled2DBase):
         # packing work, move the off-diagonal segments point-to-point.
         tr = TRACE
         t0 = perf_counter() if tr.enabled else 0.0
-        for (rows, buf) in self._packed.values():
-            np.take(h, rows, axis=0, out=buf)
-        for src, nelem in self._pack_charges:
-            comm.charge_elementwise(src, nelem,
+        for rows, seg in self._gathers:
+            np.take(h, rows, axis=0, out=self._operands[seg])
+        for src, n_rows in self._pack_charges:
+            comm.charge_elementwise(src, n_rows * self._width,
                                     category=self.compute_category)
         comm.exchange(self._messages, category=self.comm_category,
                       sync_ranks=range(comm.nranks))
@@ -430,20 +438,6 @@ class Compiled2DSparsityAware(_Compiled2DBase):
         return out
 
 
-@register_spmm_compiler("2d", "oblivious")
-def compile_2d_oblivious(variant, matrix, spec, comm, grid=None,
-                         **categories) -> Compiled2DOblivious:
-    return Compiled2DOblivious(variant, matrix, spec, comm, grid=grid,
-                               **categories)
-
-
-@register_spmm_compiler("2d", "sparsity_aware")
-def compile_2d_sparsity_aware(variant, matrix, spec, comm, grid=None,
-                              **categories) -> Compiled2DSparsityAware:
-    return Compiled2DSparsityAware(variant, matrix, spec, comm, grid=grid,
-                                   **categories)
-
-
 @register_spmm("2d", "oblivious", needs_grid=True,
                description="2D SUMMA: column all-gather + row all-reduce")
 def spmm_2d_oblivious(matrix: Dist2DSparseMatrix, h: np.ndarray, grid: Grid2D,
@@ -457,8 +451,9 @@ def spmm_2d_oblivious(matrix: Dist2DSparseMatrix, h: np.ndarray, grid: Grid2D,
     """
     h = _coerce_dense(h)
     variant = get_spmm("2d", sparsity_aware=False)
-    op = Compiled2DOblivious(variant, matrix, DenseSpec.like(h), comm,
-                             grid=grid, compute_category=compute_category,
+    op = Compiled2DOblivious(variant, matrix, comm, grid=grid,
+                             dtype=h.dtype,
+                             compute_category=compute_category,
                              gather_category=gather_category,
                              reduce_category=reduce_category)
     return op(h)
@@ -477,8 +472,8 @@ def spmm_2d_sparsity_aware(matrix: Dist2DSparseMatrix, h: np.ndarray,
     """
     h = _coerce_dense(h)
     variant = get_spmm("2d")
-    op = Compiled2DSparsityAware(variant, matrix, DenseSpec.like(h), comm,
-                                 grid=grid,
+    op = Compiled2DSparsityAware(variant, matrix, comm, grid=grid,
+                                 dtype=h.dtype,
                                  compute_category=compute_category,
                                  comm_category=comm_category,
                                  reduce_category=reduce_category)

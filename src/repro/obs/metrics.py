@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from typing import Any, Dict, List, Mapping, Tuple
 
 __all__ = ["MetricsRegistry", "percentile", "prometheus_text"]
@@ -62,9 +63,15 @@ def percentile(values, q: float) -> float:
 
 
 class MetricsRegistry:
-    """Process-local metrics store (not thread-safe; driver-side only)."""
+    """Process-local metrics store.
+
+    Recording and rendering hold one lock, so client threads and the
+    serving thread may record concurrently and a snapshot never sees a
+    half-applied update.
+    """
 
     def __init__(self) -> None:
+        self._lock = threading.Lock()
         self._counters: Dict[_Key, float] = {}
         self._gauges: Dict[_Key, Any] = {}
         self._hists: Dict[_Key, List[float]] = {}
@@ -73,25 +80,34 @@ class MetricsRegistry:
     def counter(self, name: str, value: float = 1.0, **labels) -> None:
         """Increment a monotonically-growing counter."""
         k = _key(name, labels)
-        self._counters[k] = self._counters.get(k, 0.0) + float(value)
+        with self._lock:
+            self._counters[k] = self._counters.get(k, 0.0) + float(value)
 
     def gauge(self, name: str, value: Any, **labels) -> None:
         """Set a point-in-time value (numbers, or strings for info)."""
-        self._gauges[_key(name, labels)] = value
+        k = _key(name, labels)
+        with self._lock:
+            self._gauges[k] = value
 
     def observe(self, name: str, value: float, **labels) -> None:
         """Add one observation to a histogram."""
-        self._hists.setdefault(_key(name, labels), []).append(float(value))
+        k = _key(name, labels)
+        with self._lock:
+            self._hists.setdefault(k, []).append(float(value))
 
     # -- rendering -----------------------------------------------------
     def as_dict(self) -> Dict[str, Any]:
         """Flat snapshot with Prometheus-style keys (sorted)."""
+        with self._lock:
+            counters = list(self._counters.items())
+            gauges = list(self._gauges.items())
+            hists = [(k, list(v)) for k, v in self._hists.items()]
         flat: Dict[str, Any] = {}
-        for (name, labels), v in self._counters.items():
+        for (name, labels), v in counters:
             flat[_fmt(name, labels)] = v
-        for (name, labels), v in self._gauges.items():
+        for (name, labels), v in gauges:
             flat[_fmt(name, labels)] = v
-        for (name, labels), values in self._hists.items():
+        for (name, labels), values in hists:
             ordered = sorted(values)
             flat[_fmt(name + "_count", labels)] = float(len(ordered))
             flat[_fmt(name + "_sum", labels)] = float(sum(ordered))
@@ -111,8 +127,9 @@ class MetricsRegistry:
 
     def merge_flat(self, flat: Mapping[str, Any]) -> None:
         """Absorb a flat snapshot (keys become gauges verbatim)."""
-        for k, v in flat.items():
-            self._gauges[(k, ())] = v
+        with self._lock:
+            for k, v in flat.items():
+                self._gauges[(k, ())] = v
 
 
 def prometheus_text(flat: Mapping[str, Any]) -> str:

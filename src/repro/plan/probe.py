@@ -29,7 +29,7 @@ from ..obs.tracer import TRACE
 from ..core.config import Algorithm
 from ..core.costmodel import epoch_spmm_widths
 from ..core.dist_matrix import DistDenseMatrix
-from ..core.engine import DenseSpec, SpmmEngine
+from ..core.engine import SpmmEngine
 from ..core.spmm_15d import ProcessGrid
 from .score import PlanMatrixCache, ScoredCandidate
 from .space import PlanCandidate
@@ -98,22 +98,20 @@ def probe_candidate(candidate: PlanCandidate,
         denses = {f: DistDenseMatrix.from_global(
             np.ascontiguousarray(operand[:, :f]), matrix.dist)
             for f in sorted(set(widths))}
-        # Compile one persistent plan per distinct layer width, exactly as
+        # Compile the one persistent plan every width runs on, exactly as
         # the trainer does at setup time — probing measures the steady
         # state an epoch actually runs at (including the candidate's
         # pipelined schedule), and never re-pays plan setup inside the
         # timed window.
-        ops = {f: engine.compile(matrix, DenseSpec(width=f),
-                                 pipeline_depth=candidate.pipeline_depth)
-               for f in sorted(set(widths))}
+        op = engine.compile(matrix, pipeline_depth=candidate.pipeline_depth)
         # Warm-up run outside the timed window (first-touch costs on the
         # real backends; a no-op for the simulator's clocks).
-        ops[widths[0]](denses[widths[0]])
+        op(denses[widths[0]])
         start_sim = comm.elapsed()
         start_wall = time.perf_counter()
         for _ in range(max(1, repeats)):
             for f in widths:
-                ops[f](denses[f])
+                op(denses[f])
         if simulated:
             total = comm.elapsed() - start_sim
         else:

@@ -3,8 +3,8 @@
 Training amortises setup (partitioning, plan compilation, communicator
 spin-up) over hundreds of epochs; naive inference would pay all of it
 per call.  This package keeps the expensive state **resident** — a
-loaded :class:`~repro.core.dist_gcn.DistributedGCN`, its per-width
-compiled SpMM plans and a warm communicator — and turns the hot path
+loaded :class:`~repro.core.dist_gcn.DistributedGCN`, its one compiled
+SpMM plan and a warm communicator — and turns the hot path
 into a queue drain:
 
 * :class:`~repro.serve.engine.ServingEngine` — loads a checkpoint,

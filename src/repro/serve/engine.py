@@ -1,4 +1,4 @@
-"""The serving engine: warm compiled plans + a dedicated drain thread.
+"""The serving engine: a warm compiled plan + a dedicated drain thread.
 
 Threading model
 ---------------
@@ -30,9 +30,9 @@ run.
 
 Warm state retained across requests: the loaded weights, the
 communicator (worker pool, shared-memory arenas, exchange-plan LRU) and
-one compiled SpMM plan per distinct SpMM width ever seen
-(:class:`~repro.core.engine.CompiledOpCache` — each width compiles once
-per engine lifetime).
+the model's one compiled SpMM plan, which serves every batch width; its
+workspaces grow to the widest batch seen and are reused by every
+narrower one, so no batch ever compiles.
 
 Failure semantics
 -----------------
@@ -41,9 +41,9 @@ the process backend's :class:`~repro.comm.faults.WatchdogTimeout`)
 fails **only the in-flight batch**: every member's future raises its
 own :class:`ServeError` (structured, retryable, carrying the request id
 and the batch composition).  The serving thread then rebuilds warm
-state in place — close the dead communicator, spin up a fresh one,
-reload the retained weights, recompile every batch width the dead
-engine had retained — bounded by ``ServeOptions.max_restarts``.
+state in place — close the dead communicator, spin up a fresh one
+(its model compiles the one plan), reload the retained weights —
+bounded by ``ServeOptions.max_restarts``.
 Queued requests survive the restart untouched.  Requests may carry a
 deadline (``submit(..., deadline_ms=...)``); expired ones are shed at
 dequeue with :class:`RequestExpired` before any SpMM work.  See
@@ -281,7 +281,6 @@ class ServingEngine:
                  checkpoint_epoch: Optional[int] = None,
                  rebuild=None) -> None:
         self.model = model
-        model.release_training_plans()
         self.comm = comm if comm is not None else model.comm
         self.options = options or ServeOptions()
         self.owns_comm = owns_comm
@@ -612,7 +611,6 @@ class ServingEngine:
                         args={"restart": self.restarts,
                               "cause": type(cause).__name__,
                               "rank": getattr(cause, "rank", None)}):
-            old_widths = self.model.compiled_widths()
             try:
                 # A WorkerFailure from the process backend has already
                 # closed the communicator; in-process injected kills have
@@ -623,11 +621,6 @@ class ServingEngine:
             try:
                 model, comm = self._rebuild()
                 model.load_weight_state(self._retained_weights)
-                model.release_training_plans()
-                # Recompile every batch width the dead engine had
-                # retained, so the first post-restart request of a known
-                # width pays no compile.
-                model.warm_widths(old_widths)
             except BaseException as exc:
                 self._fail_permanently(exc)
                 return False
@@ -726,7 +719,7 @@ class ServingEngine:
     # ------------------------------------------------------------------
     def stats(self) -> dict:
         """Flat metrics snapshot: request/batch/latency series plus the
-        warm-state counters (compiled-plan cache, backend exchange-plan
+        warm-state counters (compiled plan, backend exchange-plan
         LRU, admission totals) and the resilience series (restart,
         batch-failure and shed counters, overload pressure)."""
         self.metrics.gauge("serve_queue_limit", self.admission.queue_depth)

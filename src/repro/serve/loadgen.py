@@ -249,9 +249,10 @@ def serve_traffic(engine: ServingEngine) -> dict:
     total over its served requests is exact.  ``predicted_*`` is the
     volume at :func:`~repro.core.costmodel.inference_spmm_widths`,
     ``paper_order_*`` what ``(A H) W`` on every layer would move (1D
-    only: the 1.5D volume has no closed form here).  ``widest_plan``
-    against ``input_width`` shows whether any retained SpMM plan is as
-    wide as a request.  Assumes a fault-free run on a communicator that
+    only: the 1.5D volume has no closed form here).  ``widest_plan`` (the
+    width the model's plan grew its workspaces to) against
+    ``input_width`` shows whether any SpMM workspace is as wide as a
+    request.  Assumes a fault-free run on a communicator that
     has served nothing else.
     """
     model = engine.model
@@ -260,7 +261,7 @@ def serve_traffic(engine: ServingEngine) -> dict:
     report = {
         "input_width": engine.input_width,
         "spmm_widths": widths,
-        "widest_plan": max(model.compiled_widths()),
+        "widest_plan": model.compiled_op(max(widths)).workspace_width,
         "requests": served,
         "bytes_per_request": engine.comm.events.total_bytes() / served,
     }

@@ -27,8 +27,7 @@ from repro.comm import make_communicator
 from repro.comm.process import ProcessPoolCommunicator
 from repro.core import (BlockRowDistribution, DistDenseMatrix,
                         DistSparseMatrix, Dist2DSparseMatrix, Grid2D,
-                        ProcessGrid, spmm)
-from repro.core.engine import DenseSpec, compile as compile_spmm
+                        ProcessGrid, SpmmEngine)
 
 pytestmark = pytest.mark.conformance
 
@@ -197,7 +196,9 @@ class TestProcessBackendSpecifics:
 # ----------------------------------------------------------------------
 @st.composite
 def spmm_problem(draw, min_n=8, max_n=36):
-    """A random symmetric sparse matrix and dense operand."""
+    """A random symmetric sparse matrix, a dense operand, and the seeded
+    width sequence one compiled plan is driven through: first use, a
+    wider call (a regrow), a narrower one and a repeat of the widest."""
     n = draw(st.integers(min_value=min_n, max_value=max_n))
     density = draw(st.floats(min_value=0.0, max_value=0.35))
     f = draw(st.integers(min_value=1, max_value=8))
@@ -207,64 +208,86 @@ def spmm_problem(draw, min_n=8, max_n=36):
     mat = mat + mat.T
     mat.setdiag(0)
     mat.eliminate_zeros()
-    h = rng.normal(size=(n, f))
-    return mat.tocsr().astype(np.float64), h
+    wide = f + int(rng.integers(1, 5))
+    widths = (f, wide, int(rng.integers(1, wide)), wide)
+    h = rng.normal(size=(n, wide))
+    return mat.tocsr().astype(np.float64), h, widths
 
 
-def _run_all_backends(matrix, dense, grid, algorithm, mode, p):
-    """Run one variant on every conformant backend; return {backend: Z}.
+def _to_global(z) -> np.ndarray:
+    return np.array(z) if isinstance(z, np.ndarray) else z.to_global()
 
-    Each backend runs the uncompiled path, a compiled plan called twice
-    (fresh input both times), *and* a double-buffered compiled plan
-    (``pipeline_depth=2``: staged exchanges prefetched with nonblocking
-    collectives) — both compiled results must be bitwise identical to
-    the uncompiled one on the same backend, which closes the
-    (variant x backend x pipelining) compiled-equivalence matrix over
-    randomized inputs.
+
+def _sim_accounting(matrix, operands, grid, algorithm, mode, p, compiled):
+    """``(events, clocks, breakdown)`` of running ``operands`` in order on
+    a fresh simulator, uncompiled or through one compiled plan."""
+    with make_communicator(p, backend="sim") as comm:
+        engine = SpmmEngine(comm, algorithm=algorithm,
+                            sparsity_aware=(mode == "sparsity_aware"),
+                            grid=grid)
+        run = engine.compile(matrix) if compiled else \
+            (lambda x: engine.run(matrix, x))
+        for x in operands:
+            run(x)
+        return list(comm.events), comm.timeline.clocks.copy(), \
+            comm.breakdown()
+
+
+def _run_all_backends(matrix, wrap, h, widths, grid, algorithm, mode, p):
+    """Run one variant on every conformant backend; return
+    ``{backend: [Z at each width]}``.
+
+    Each backend runs the uncompiled path once per width, then drives one
+    compiled plan through the whole width sequence — synchronously and
+    double-buffered (``pipeline_depth=2``: staged exchanges prefetched
+    with nonblocking collectives).  Every compiled call must be bitwise
+    identical to the uncompiled one on the same backend, whether it first
+    sized the plan's workspaces, regrew them, or ran narrower inside
+    them; on the simulator the compiled sequence must also leave the
+    identical event log, clocks and charge breakdown.  That closes the
+    (variant x backend x pipelining x width history) compiled-equivalence
+    matrix over randomized inputs.
     """
+    operands = [wrap(np.ascontiguousarray(h[:, :w])) for w in widths]
     results = {}
     for backend in cc.CONFORMANT_BACKENDS:
         comm = make_communicator(p, backend=backend)
         try:
-            z = spmm(matrix, dense, comm, algorithm=algorithm,
-                     sparsity_aware=(mode == "sparsity_aware"), grid=grid)
-            z_global = z if isinstance(z, np.ndarray) else z.to_global()
-            op = compile_spmm(matrix, DenseSpec.like(dense), comm,
-                              algorithm=algorithm,
-                              sparsity_aware=(mode == "sparsity_aware"),
-                              grid=grid)
-            for repeat in range(2):   # plan reuse must not leak state
-                zc = op(dense)
-                zc_global = np.array(zc) if isinstance(zc, np.ndarray) \
-                    else zc.to_global()
-                np.testing.assert_array_equal(
-                    zc_global, z_global,
-                    err_msg=f"compiled {algorithm}/{mode} call {repeat} "
-                            f"diverged from uncompiled on {backend!r}")
-            piped = compile_spmm(matrix, DenseSpec.like(dense), comm,
-                                 algorithm=algorithm,
-                                 sparsity_aware=(mode == "sparsity_aware"),
-                                 grid=grid, pipeline_depth=2)
-            zp = piped(dense)
-            zp_global = np.array(zp) if isinstance(zp, np.ndarray) \
-                else zp.to_global()
-            np.testing.assert_array_equal(
-                zp_global, z_global,
-                err_msg=f"pipelined {algorithm}/{mode} diverged from the "
-                        f"synchronous path on {backend!r}")
+            engine = SpmmEngine(comm, algorithm=algorithm,
+                                sparsity_aware=(mode == "sparsity_aware"),
+                                grid=grid)
+            ref = [_to_global(engine.run(matrix, x)) for x in operands]
+            for depth in (1, 2):
+                op = engine.compile(matrix, pipeline_depth=depth)
+                for call, (x, want) in enumerate(zip(operands, ref)):
+                    np.testing.assert_array_equal(
+                        _to_global(op(x)), want,
+                        err_msg=f"compiled {algorithm}/{mode} depth {depth} "
+                                f"call {call} of widths {widths} diverged "
+                                f"from uncompiled on {backend!r}")
+                assert (op.workspace_width, op.grows) == (max(widths), 2)
         finally:
             comm.close()
-        results[backend] = z_global
+        results[backend] = ref
+    ref_events, ref_clocks, ref_breakdown = _sim_accounting(
+        matrix, operands, grid, algorithm, mode, p, compiled=False)
+    events, clocks, breakdown = _sim_accounting(
+        matrix, operands, grid, algorithm, mode, p, compiled=True)
+    assert events == ref_events
+    np.testing.assert_array_equal(clocks, ref_clocks)
+    assert breakdown == ref_breakdown
     return results
 
 
-def _assert_bit_identical(results, reference):
+def _assert_bit_identical(results, adj, h, widths):
     baseline = results["sim"]
-    np.testing.assert_allclose(baseline, reference, atol=1e-10)
-    for backend, z in results.items():
-        np.testing.assert_array_equal(
-            z, baseline,
-            err_msg=f"backend {backend!r} diverged from sim bitwise")
+    for w, z in zip(widths, baseline):
+        np.testing.assert_allclose(z, adj @ h[:, :w], atol=1e-10)
+    for backend, zs in results.items():
+        for z, want in zip(zs, baseline):
+            np.testing.assert_array_equal(
+                z, want, err_msg=f"backend {backend!r} diverged from sim "
+                                 f"bitwise")
 
 
 class TestCrossBackendSpmmProperties:
@@ -272,35 +295,38 @@ class TestCrossBackendSpmmProperties:
            mode=st.sampled_from(["oblivious", "sparsity_aware"]))
     @settings(**SETTINGS)
     def test_1d_bit_identical(self, problem, p, mode):
-        adj, h = problem
+        adj, h, widths = problem
         dist = BlockRowDistribution.uniform(adj.shape[0], p)
         results = _run_all_backends(
-            DistSparseMatrix(adj, dist), DistDenseMatrix.from_global(h, dist),
+            DistSparseMatrix(adj, dist),
+            lambda x: DistDenseMatrix.from_global(x, dist), h, widths,
             None, "1d", mode, p)
-        _assert_bit_identical(results, adj @ h)
+        _assert_bit_identical(results, adj, h, widths)
 
     @given(problem=spmm_problem(), c=st.sampled_from([1, 2]),
            mode=st.sampled_from(["oblivious", "sparsity_aware"]))
     @settings(**SETTINGS)
     def test_15d_bit_identical(self, problem, c, mode):
-        adj, h = problem
+        adj, h, widths = problem
         p = 4
         grid = ProcessGrid(p, c)
         dist = BlockRowDistribution.uniform(adj.shape[0], grid.nrows)
         results = _run_all_backends(
-            DistSparseMatrix(adj, dist), DistDenseMatrix.from_global(h, dist),
+            DistSparseMatrix(adj, dist),
+            lambda x: DistDenseMatrix.from_global(x, dist), h, widths,
             grid, "1.5d", mode, p)
-        _assert_bit_identical(results, adj @ h)
+        _assert_bit_identical(results, adj, h, widths)
 
     @given(problem=spmm_problem(), mode=st.sampled_from(["oblivious",
                                                          "sparsity_aware"]))
     @settings(**SETTINGS)
     def test_2d_bit_identical(self, problem, mode):
-        adj, h = problem
+        adj, h, widths = problem
         grid = Grid2D(2, 2)
         results = _run_all_backends(
-            Dist2DSparseMatrix.uniform(adj, grid), h, grid, "2d", mode, 4)
-        _assert_bit_identical(results, adj @ h)
+            Dist2DSparseMatrix.uniform(adj, grid), lambda x: x, h, widths,
+            grid, "2d", mode, 4)
+        _assert_bit_identical(results, adj, h, widths)
 
 
 class TestCrossBackendCollectiveProperties:

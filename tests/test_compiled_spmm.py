@@ -20,7 +20,7 @@ from repro.comm import make_communicator
 from repro.core import (BlockRowDistribution, DistDenseMatrix,
                         DistSparseMatrix, Dist2DSparseMatrix, Grid2D,
                         ProcessGrid, available_spmm_variants, spmm)
-from repro.core.engine import CompiledSpmm, DenseSpec, compile as compile_spmm
+from repro.core.engine import CompiledSpmm, compile as compile_spmm
 from repro.core.memory import measure_dist_matrix_bytes
 from repro.graphs import gcn_normalize
 from repro.graphs.generators import erdos_renyi_graph
@@ -78,7 +78,7 @@ class TestCompiledMatchesUncompiled:
 
         # Compiled: one plan, three calls (A, B, A again).
         with make_communicator(P, backend=backend) as comm:
-            op = compile_spmm(matrix, DenseSpec(width=F), comm,
+            op = compile_spmm(matrix, comm,
                               algorithm=algorithm,
                               sparsity_aware=sparsity_aware, grid=grid)
             got_a = unwrap(op(wrap(h_a)))
@@ -107,7 +107,7 @@ class TestCompiledMatchesUncompiled:
             msgs_ref = comm.events.message_count()
 
         with make_communicator(P, backend="sim") as comm:
-            op = compile_spmm(matrix, DenseSpec(width=F), comm,
+            op = compile_spmm(matrix, comm,
                               algorithm=algorithm,
                               sparsity_aware=sparsity_aware, grid=grid)
             op(wrap(h_a))
@@ -122,8 +122,7 @@ class TestWorkspaceReuse:
         adj, h_a, h_b = problem
         matrix, _, wrap, _ = _operands("1d", adj)
         with make_communicator(P, backend="sim") as comm:
-            op = compile_spmm(matrix, DenseSpec(width=F), comm,
-                              algorithm="1d")
+            op = compile_spmm(matrix, comm, algorithm="1d")
             z1 = op(wrap(h_a))
             blocks1 = [z1.block(i) for i in range(P)]
             z2 = op(wrap(h_b))
@@ -134,28 +133,63 @@ class TestWorkspaceReuse:
 
     def test_result_is_a_view_until_next_call(self, problem):
         """The documented lifetime rule: a result is clobbered by the next
-        call, so epoch loops must consume (or copy) it first."""
+        call at any width, so epoch loops must consume (or copy) it
+        first."""
         adj, h_a, h_b = problem
         matrix, _, wrap, _ = _operands("1d", adj)
         with make_communicator(P, backend="sim") as comm:
-            op = compile_spmm(matrix, DenseSpec(width=F), comm,
-                              algorithm="1d")
+            op = compile_spmm(matrix, comm, algorithm="1d")
             z1 = op(wrap(h_a))
             kept = z1.to_global().copy()
-            op(wrap(h_b))
+            op(wrap(h_b[:, :F - 2]))
             assert not np.array_equal(z1.to_global(), kept), \
-                "the next call is expected to overwrite the workspace"
+                "a narrower call is expected to overwrite the workspace"
 
-    def test_operand_validation(self, problem):
+    @pytest.mark.parametrize("algorithm,mode", VARIANTS)
+    def test_workspaces_grow_only_for_wider_operands(self, problem,
+                                                     algorithm, mode):
+        """One plan serves every width: the first call sizes the
+        workspaces, only a wider operand regrows them, a narrower one
+        runs in views of the same memory, and every result is
+        C-contiguous and equal to the one-shot product."""
+        adj, h_a, _ = problem
+        matrix, grid, wrap, unwrap = _operands(algorithm, adj)
+        sparsity_aware = mode == "sparsity_aware"
+        with make_communicator(P, backend="sim") as comm:
+            op = compile_spmm(matrix, comm, algorithm=algorithm,
+                              sparsity_aware=sparsity_aware, grid=grid)
+            assert (op.workspace_width, op.grows) == (0, 0)
+            seen = []
+            for width in (2, F, 3, F, 1):
+                z = op(wrap(np.ascontiguousarray(h_a[:, :width])))
+                blocks = [z] if isinstance(z, np.ndarray) else z.blocks
+                assert all(b.flags.c_contiguous and b.shape[1] == width
+                           for b in blocks)
+                seen.append((op.workspace_width, op.grows))
+                want = spmm(matrix, wrap(np.ascontiguousarray(
+                    h_a[:, :width])), comm, algorithm=algorithm,
+                    sparsity_aware=sparsity_aware, grid=grid)
+                np.testing.assert_array_equal(unwrap(z), unwrap(want))
+        assert seen == [(2, 1), (F, 2), (F, 2), (F, 2), (F, 2)]
+        assert op.calls == 5
+
+    def test_narrower_call_reuses_the_grown_memory(self, problem):
         adj, h_a, _ = problem
         matrix, _, wrap, _ = _operands("1d", adj)
         with make_communicator(P, backend="sim") as comm:
-            op = compile_spmm(matrix, DenseSpec(width=F), comm,
-                              algorithm="1d")
-            wide = DistDenseMatrix.from_global(
-                np.zeros((N, F + 1)), matrix.dist)
-            with pytest.raises(ValueError, match="width"):
-                op(wide)
+            op = compile_spmm(matrix, comm, algorithm="1d")
+            wide = op(wrap(h_a)).blocks
+            narrow = op(wrap(np.ascontiguousarray(h_a[:, :2]))).blocks
+            flat = wide[0].base
+            assert flat is not None and flat.ndim == 1
+            assert all(b.base is flat for b in wide + narrow)
+
+    def test_operand_validation(self, problem):
+        """The width is free; dtype and distribution must match."""
+        adj, h_a, _ = problem
+        matrix, _, wrap, _ = _operands("1d", adj)
+        with make_communicator(P, backend="sim") as comm:
+            op = compile_spmm(matrix, comm, algorithm="1d")
             f32 = DistDenseMatrix.from_global(
                 np.zeros((N, F), dtype=np.float32), matrix.dist,
                 dtype=np.float32)
@@ -165,23 +199,34 @@ class TestWorkspaceReuse:
                 np.zeros((N, F)), BlockRowDistribution([N - 1, 1, 0, 0]))
             with pytest.raises(ValueError, match="distribution"):
                 op(other)
+            assert op.calls == 0 and comm.events.message_count() == 0
+        m2d, grid, _, _ = _operands("2d", adj)
+        with make_communicator(P, backend="sim") as comm:
+            op = compile_spmm(m2d, comm, algorithm="2d", grid=grid)
+            with pytest.raises(ValueError, match="2-D"):
+                op(h_a[:, 0])
+            with pytest.raises(ValueError, match="rows"):
+                op(h_a[:-1])
 
-    def test_int_width_spec_and_repr(self, problem):
+    def test_compile_defaults_and_repr(self, problem):
         adj, _, _ = problem
         matrix, _, _, _ = _operands("1d", adj)
         with make_communicator(P, backend="sim") as comm:
-            op = compile_spmm(matrix, F, comm, algorithm="1d")
+            op = compile_spmm(matrix, comm, algorithm="1d")
             assert isinstance(op, CompiledSpmm)
-            assert op.spec == DenseSpec(width=F)
+            assert op.dtype == np.float64
             assert op.algorithm == "1d"
             assert op.mode == "sparsity_aware"
+            assert "workspace_width=0" in repr(op)
 
-    def test_dense_spec_validation(self):
-        with pytest.raises(ValueError, match="floating"):
-            DenseSpec(width=4, dtype=np.int64)
-        with pytest.raises(ValueError, match="non-negative"):
-            DenseSpec(width=-1)
-        assert DenseSpec(width=np.int64(3)).width == 3
+    def test_dtype_validation(self, problem):
+        adj, _, _ = problem
+        matrix, _, _, _ = _operands("1d", adj)
+        with make_communicator(P, backend="sim") as comm:
+            with pytest.raises(ValueError, match="floating"):
+                compile_spmm(matrix, comm, dtype=np.int64)
+            op = compile_spmm(matrix, comm, dtype="float32")
+            assert op.dtype == np.float32
 
 
 class TestFloat32:
@@ -195,8 +240,8 @@ class TestFloat32:
             ref = unwrap(spmm(m64, wrap64(h_a), comm, algorithm=algorithm,
                               sparsity_aware=sparsity_aware, grid=grid))
         with make_communicator(P, backend="sim") as comm:
-            op = compile_spmm(m32, DenseSpec(width=F, dtype=np.float32),
-                              comm, algorithm=algorithm,
+            op = compile_spmm(m32, comm, dtype=np.float32,
+                              algorithm=algorithm,
                               sparsity_aware=sparsity_aware, grid=grid)
             got = unwrap(op(wrap32(h_a.astype(np.float32))))
         assert got.dtype == np.float32
@@ -208,8 +253,8 @@ class TestFloat32:
         for dtype in (np.float64, np.float32):
             matrix, _, wrap, _ = _operands("1d", adj, dtype=dtype)
             with make_communicator(P, backend="sim") as comm:
-                op = compile_spmm(matrix, DenseSpec(width=F, dtype=dtype),
-                                  comm, algorithm="1d")
+                op = compile_spmm(matrix, comm, dtype=dtype,
+                                  algorithm="1d")
                 op(wrap(h_a.astype(dtype)))
                 volumes[np.dtype(dtype).name] = comm.events.total_bytes()
         assert volumes["float64"] > 0
@@ -233,7 +278,7 @@ class TestFloat32:
 
 class TestDistGcnCompiledWiring:
     @staticmethod
-    def _assert_one_plan_per_schedule_width(cached: bool) -> None:
+    def _assert_one_plan_serves_the_schedule(cached: bool) -> None:
         from repro.core import (DistTrainConfig, epoch_spmm_widths,
                                 setup_distributed)
         from repro.graphs import load_dataset
@@ -244,27 +289,36 @@ class TestDistGcnCompiledWiring:
         setup = setup_distributed(ds, cfg)
         with setup.comm:
             model = setup.model
-            widths = sorted(set(epoch_spmm_widths(model.layer_dims, cached)))
-            assert sorted(model._compiled) == widths
-            assert (model.layer_dims[0] in widths) == (not cached)
-            calls_before = {w: op.calls for w, op in model._compiled.items()}
+            op = model.compiled_op(0)
+            dims = model.layer_dims
+            assert all(model.compiled_op(w) is op for w in dims)
+            # Compiling sized nothing: workspaces are allocated on use.
+            assert (op.workspace_width, op.calls) == (0, 0)
+            widths = epoch_spmm_widths(dims, cached)
             model.train_epoch(0.05)
-            # Every compiled operator ran at least once during the epoch.
-            for w, op in model._compiled.items():
-                assert op.calls > calls_before[w], \
-                    f"width-{w} operator was not used"
+            calls = op.calls
+            model.train_epoch(0.05)
+            # Every SpMM of the epoch ran on the one plan, inside the
+            # workspaces the first epoch grew to the schedule's widest
+            # width (the A X panel width with the cache).
+            assert op.calls - calls == len(widths)
+            assert op.workspace_width == max(widths)
+            stats = model.plan_stats()
+            assert stats == {"plan_hits": op.calls - op.grows,
+                             "plan_misses": op.grows, "plans_retained": 1}
+            assert stats["plan_misses"] >= 1
 
-    def test_model_compiles_one_plan_per_layer_width(self):
-        """The trainer's default (A X kept) compiles the cached epoch
-        schedule's widths — no f_0 plan."""
-        self._assert_one_plan_per_schedule_width(cached=True)
+    def test_model_compiles_one_plan_for_every_width(self):
+        """The trainer's default (A X kept): the cached schedule's widths
+        and the A X panels all run on the one plan."""
+        self._assert_one_plan_serves_the_schedule(cached=True)
 
-    def test_paper_schedule_compiles_every_layer_width(self):
+    def test_paper_schedule_runs_every_layer_width_on_the_plan(self):
         """Recomputing A X every epoch propagates at every layer width,
-        f_0 included."""
-        self._assert_one_plan_per_schedule_width(cached=False)
+        f_0 included, on the same plan."""
+        self._assert_one_plan_serves_the_schedule(cached=False)
 
-    def test_spmm_falls_back_for_unplanned_width(self):
+    def test_spmm_runs_any_width_on_the_plan(self):
         from repro.core import DistTrainConfig, setup_distributed
         from repro.graphs import load_dataset
         ds = load_dataset("reddit", scale=0.05, n_features=12, n_classes=4,
@@ -273,11 +327,21 @@ class TestDistGcnCompiledWiring:
         setup = setup_distributed(ds, cfg)
         with setup.comm:
             model = setup.model
+            op = model.compiled_op(0)
             odd_width = max(model.layer_dims) + 3
-            dense = DistDenseMatrix.from_global(
-                np.ones((model.dist.n, odd_width)), model.dist)
-            z = model.spmm(dense)      # must not raise; uncompiled fallback
+            ones = np.ones((model.dist.n, odd_width))
+            z = model.spmm(DistDenseMatrix.from_global(ones, model.dist))
             assert z.width == odd_width
+            assert (op.calls, op.workspace_width) == (1, odd_width)
+            want = model.engine.run(model.adjacency,
+                                    DistDenseMatrix.from_global(
+                                        ones, model.dist)).to_global()
+            np.testing.assert_array_equal(z.to_global(), want)
+            # Another dtype falls back to compile-and-run-once dispatch.
+            f32 = DistDenseMatrix.from_global(ones, model.dist,
+                                              dtype=np.float32)
+            assert model.spmm(f32).dtype == np.float32
+            assert op.calls == 1
 
 
 class TestLazyFullBlocks:
@@ -438,12 +502,10 @@ class TestProcessPlanCache:
         adj, h_a, h_b = problem
         matrix, _, wrap, unwrap = _operands("1d", adj)
         with make_communicator(P, backend="sim") as comm:
-            ref_op = compile_spmm(matrix, DenseSpec(width=F), comm,
-                                  algorithm="1d")
+            ref_op = compile_spmm(matrix, comm, algorithm="1d")
             refs = [unwrap(ref_op(wrap(h))) for h in (h_a, h_b, h_a)]
         with make_communicator(P, backend="process") as comm:
-            op = compile_spmm(matrix, DenseSpec(width=F), comm,
-                              algorithm="1d")
+            op = compile_spmm(matrix, comm, algorithm="1d")
             got = [unwrap(op(wrap(h))) for h in (h_a, h_b, h_a)]
             a2a_entries = [k for k in comm._plan_cache if k[0] == "a2a"]
             assert len(a2a_entries) == 1, \

@@ -13,7 +13,8 @@ import pytest
 from repro.comm import make_communicator
 from repro.core import (BlockRowDistribution, DistDenseMatrix,
                         DistSparseMatrix, Dist2DSparseMatrix, DistTrainConfig,
-                        Grid2D, ProcessGrid, SpmmEngine, spmm)
+                        Grid2D, ProcessGrid, SpmmEngine, SpmmVariant, spmm)
+from repro.core import engine as engine_mod
 from repro.core.engine import (check_block_operands, check_grid_operands,
                                check_grid2d_operands, get_spmm, register_spmm)
 from repro.graphs import gcn_normalize
@@ -68,6 +69,19 @@ class TestUnknownNames:
     def test_bad_mode_registration_rejected(self):
         with pytest.raises(ValueError, match="mode"):
             register_spmm("9d", "telepathic")
+
+    def test_compile_without_a_compiler_names_the_variant(self, problem,
+                                                         monkeypatch):
+        adj, h = problem
+        matrix, _ = _operands_1d(adj, h, 4)
+        variant = SpmmVariant(algorithm="9d", mode="oblivious",
+                              fn=lambda *a, **k: None, needs_grid=False)
+        monkeypatch.setitem(engine_mod._REGISTRY, variant.key, variant)
+        with pytest.raises(ValueError,
+                           match=r"\('9d', 'oblivious'\).*no registered "
+                                 r"compiler"):
+            engine_mod.compile(matrix, make_communicator(4), algorithm="9d",
+                               sparsity_aware=False)
 
 
 class TestGridRequirements:
@@ -138,6 +152,27 @@ class TestOperandMismatches:
         other_grid = Grid2D(4, 1)
         with pytest.raises(ValueError, match="does not match"):
             check_grid2d_operands(matrix, h, other_grid, make_communicator(4))
+
+    @pytest.mark.parametrize("sparsity_aware", (False, True))
+    def test_compile_checks_the_matrix_against_the_communicator(
+            self, problem, sparsity_aware):
+        """Compiling needs no dense operand: it checks the matrix, the
+        grid and the communicator alone."""
+        adj, h = problem
+        comm = make_communicator(6)
+        matrix, _ = _operands_1d(adj, h, 4)
+        with pytest.raises(ValueError, match=r"4 block rows.*6 ranks"):
+            engine_mod.compile(matrix, comm, sparsity_aware=sparsity_aware)
+        grid = ProcessGrid(4, 2)
+        matrix, _ = _operands_1d(adj, h, grid.nrows)
+        with pytest.raises(ValueError, match="communicator has 6 ranks"):
+            engine_mod.compile(matrix, comm, algorithm="1.5d", grid=grid,
+                               sparsity_aware=sparsity_aware)
+        grid = Grid2D(2, 2)
+        with pytest.raises(ValueError, match="communicator has 6 ranks"):
+            engine_mod.compile(Dist2DSparseMatrix.uniform(adj, grid), comm,
+                               algorithm="2d", grid=grid,
+                               sparsity_aware=sparsity_aware)
 
     @pytest.mark.parametrize("backend", ["sim", "threaded", "process"])
     def test_mismatches_raise_before_any_transport(self, problem, backend):

@@ -6,8 +6,8 @@ layer-0 product across epochs.  These tests pin what that must not
 change (every loss and weight, bit for bit, on every backend and
 variant), what it must change (exactly one width-``f_0`` SpMM less per
 epoch), how the one-off is paid (one ``f_0``-wide SpMM's bytes in
-narrow column panels, with no plan or arena wider than the epoch
-schedule's), and what must never touch it (the inference forward, the
+narrow column panels on the model's one plan, with no workspace or
+arena wider than the epoch schedule's), and what must never touch it (the inference forward, the
 host-side oracle, serving).
 """
 
@@ -123,10 +123,11 @@ class TestBitIdentity:
 # The cache owns its memory
 # ----------------------------------------------------------------------
 class TestAliasing:
-    # hidden == f_0 keeps a width-f_0 plan (layer 1 propagates at that
-    # width) and A X runs on it as one SpMM, so a borrowed cache would be
-    # overwritten inside every epoch; hidden < f_0 never compiles one and
-    # streams A X through the width-8 plan in column panels.
+    # Every SpMM runs on the model's one plan, so a borrowed cache would
+    # be overwritten inside every epoch.  hidden == f_0 runs A X as one
+    # SpMM (layer 1 propagates at that width too); hidden < f_0 streams it
+    # in width-8 column panels, and the interleaved f_0-wide calls below
+    # then grow the plan's workspaces past anything training needs.
     @pytest.mark.parametrize("hidden", (8, 12), ids=("panelled", "retained"))
     @pytest.mark.parametrize("sparsity_aware", (False, True),
                              ids=("oblivious", "sparsity_aware"))
@@ -144,14 +145,16 @@ class TestAliasing:
         with cached.comm:
             model = cached.model
             f0 = model.layer_dims[0]
+            op = model.compiled_op(f0)
             got = [model.train_epoch(lr)]
-            assert (f0 in model.compiled_widths()) == (hidden == f0)
+            assert op.workspace_width == hidden
             for epoch in range(1, 4):
-                # The inference forward recompiles (and retains) a
-                # width-f_0 plan; model.spmm then runs on it.
+                # The inference forward and model.spmm run f_0 wide on the
+                # same plan the training epochs use.
                 model.forward(random_operand(model, f0, seed=epoch))
                 model.spmm(random_operand(model, f0, seed=100 + epoch))
                 got.append(model.train_epoch(lr))
+            assert op.workspace_width == f0
         assert got == want
         for a, b in zip(model.weight_state(), plain.model.weight_state()):
             np.testing.assert_array_equal(a, b)
@@ -260,27 +263,20 @@ class TestExactCounts:
 
 
 # ----------------------------------------------------------------------
-# The one-off streams through the schedule's own plan in column panels
+# The one-off streams through the model's one plan in column panels
 # ----------------------------------------------------------------------
 def spy_on_plans(monkeypatch):
-    """``(retained, built)`` widths: plans compiled through
-    ``SpmmEngine.compile`` (what a model keeps), and every plan
-    constructed at all (compile-and-run-once wrappers included)."""
-    retained, built = [], []
-    engine_compile = SpmmEngine.compile
+    """Every plan constructed from here on (compile-and-run-once
+    wrappers included)."""
+    built = []
     plan_init = CompiledSpmm.__init__
 
-    def spy_compile(self, matrix, spec, *args, **kwargs):
-        retained.append(spec.width)
-        return engine_compile(self, matrix, spec, *args, **kwargs)
+    def spy_init(self, *args, **kwargs):
+        built.append(self)
+        plan_init(self, *args, **kwargs)
 
-    def spy_init(self, variant, matrix, spec, *args, **kwargs):
-        built.append(spec.width)
-        plan_init(self, variant, matrix, spec, *args, **kwargs)
-
-    monkeypatch.setattr(SpmmEngine, "compile", spy_compile)
     monkeypatch.setattr(CompiledSpmm, "__init__", spy_init)
-    return retained, built
+    return built
 
 
 @pytest.fixture(scope="module")
@@ -326,22 +322,25 @@ class TestPanels:
     @pytest.mark.parametrize("sparsity_aware", (False, True),
                              ids=("oblivious", "sparsity_aware"))
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_no_plan_wider_than_the_panel_is_compiled(
+    def test_no_workspace_wider_than_the_panel_is_grown(
             self, dataset, variant, sparsity_aware, monkeypatch):
-        retained, built = spy_on_plans(monkeypatch)
+        built = spy_on_plans(monkeypatch)
         setup = setup_distributed(dataset, make_config(
             sparsity_aware=sparsity_aware, **variant))
         with setup.comm:
             model = setup.model
             for _ in range(2):
                 model.train_epoch(0.05)
-            widths = model.compiled_widths()
         dims = model.layer_dims
-        schedule = set(epoch_spmm_widths(dims, True))
-        assert set(widths) <= schedule
-        assert sorted(set(retained)) == sorted(schedule)
-        assert max(built) == panel_width(dims) < dims[0]
-        assert dims[0] % panel_width(dims) in built     # the tail, once
+        op = model.compiled_op(dims[0])
+        # One plan, never a compile-and-run-once one for the tail panel,
+        # grown once, to the panel width: every later call fits.
+        assert built == [op]
+        assert op.workspace_width == panel_width(dims) < dims[0]
+        assert dims[0] % panel_width(dims)              # the tail ran
+        panels = -(-dims[0] // panel_width(dims))
+        assert op.calls == panels + 2 * len(epoch_spmm_widths(dims, True))
+        assert model.plan_stats()["plan_misses"] == op.grows == 1
 
     @pytest.mark.parametrize("variant", [
         pytest.param(dict(algorithm="1d"), id="1d"),
@@ -363,12 +362,12 @@ class TestPanels:
             wide = max(arena.size for arena in comm._arenas.values())
         assert trained < wide
 
-    def test_serving_never_compiles_an_input_wide_plan(
+    def test_serving_never_grows_an_input_wide_workspace(
             self, dataset, tmp_path, monkeypatch):
         config = make_config(n_ranks=2, n_layers=2)
         ckpt = prepare_checkpoint(dataset, config, tmp_path / "serve.ckpt",
                                   epochs=1)
-        retained, built = spy_on_plans(monkeypatch)
+        built = spy_on_plans(monkeypatch)
         engine = ServingEngine.from_checkpoint(
             dataset, config, ckpt, options=ServeOptions(batching=False))
         request = np.random.default_rng(0).standard_normal(
@@ -378,8 +377,8 @@ class TestPanels:
                 engine.submit(request).result(timeout=120.0)
         finally:
             engine.close()
-        assert retained and built
-        assert max(built) < dataset.n_features
+        assert built == [engine.model.compiled_op(0)]
+        assert 0 < built[0].workspace_width < dataset.n_features
 
     @pytest.mark.parametrize("dtype", ("float64", "float32"))
     def test_row_blocked_oracle_matches_the_full_matrix_one(self, dataset,
@@ -475,7 +474,7 @@ class TestServing:
                         timeout=120.0).logits.copy()
                 return (logits, len(engine.comm.events),
                         engine.model._input_propagation,
-                        engine.model.compiled_widths())
+                        engine.model.compiled_op(0).workspace_width)
             finally:
                 engine.close()
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -127,6 +129,49 @@ class TestMetrics:
         assert flat[f'{base}_mean{{op="bcast"}}'] == 2.5
         assert f'{base}_p50{{op="bcast"}}' in flat
         assert f'{base}_p95{{op="bcast"}}' in flat
+
+    def test_concurrent_recording_is_exact(self):
+        """Client threads and the serving thread record into one
+        registry: no increment is lost, and a concurrent snapshot never
+        sees a dict change size under it."""
+        reg = MetricsRegistry()
+        threads, calls = 4, 20_000
+        done = threading.Event()
+        errors = []
+
+        def write(i: int) -> None:
+            for n in range(calls):
+                reg.counter("hits_total")
+                if n % 100 == 0:                     # new keys keep coming
+                    reg.gauge("depth", n, thread=i, n=n)
+                    reg.observe("latency_seconds", n, thread=i, n=n)
+
+        def read() -> None:
+            while not done.is_set():
+                try:
+                    reg.as_dict()
+                except RuntimeError as exc:          # pragma: no cover
+                    errors.append(exc)
+                    return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reader = threading.Thread(target=read)
+            writers = [threading.Thread(target=write, args=(i,))
+                       for i in range(threads)]
+            reader.start()
+            for t in writers:
+                t.start()
+            for t in writers:
+                t.join(timeout=60)
+            done.set()
+            reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in writers + [reader])
+        assert errors == []
+        assert reg.as_dict()["hits_total"] == threads * calls
 
     def test_prometheus_text_renders_numbers_bools_and_strings(self):
         text = prometheus_text({

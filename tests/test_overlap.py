@@ -30,7 +30,7 @@ from repro.comm.base import CommHandle, CompletedCommHandle, Communicator
 from repro.core import (BlockRowDistribution, DistDenseMatrix,
                         DistSparseMatrix, DistTrainConfig, ProcessGrid,
                         epoch_cost, train_distributed)
-from repro.core.engine import DenseSpec, SpmmEngine, compile as compile_spmm
+from repro.core.engine import SpmmEngine, compile as compile_spmm
 from repro.plan import (PlanCandidate, Planner, effective_message_overheads,
                         enumerate_candidates, load_message_overheads,
                         measure_message_overhead, run_calibration,
@@ -115,9 +115,9 @@ class TestPipelinedCompiled:
         _, matrix, dense = _problem()
         comm = make_communicator(4, backend="sim")
         with pytest.raises(ValueError):
-            compile_spmm(matrix, DenseSpec.like(dense), comm,
+            compile_spmm(matrix, comm,
                          sparsity_aware=False, pipeline_depth=0)
-        op = compile_spmm(matrix, DenseSpec.like(dense), comm,
+        op = compile_spmm(matrix, comm,
                           sparsity_aware=False, pipeline_depth=2)
         assert op.pipeline_depth == 2
 
@@ -127,13 +127,13 @@ class TestPipelinedCompiled:
         broadcasts hide behind the per-step multiplies)."""
         adj, matrix, dense = _problem(n=400, p=4, f=16, density=0.05)
         sync_comm = make_communicator(4, backend="sim")
-        sync = compile_spmm(matrix, DenseSpec.like(dense), sync_comm,
+        sync = compile_spmm(matrix, sync_comm,
                             sparsity_aware=False)
         z_sync = np.array(sync(dense).to_global(), copy=True)
         t_sync = sync_comm.elapsed()
 
         piped_comm = make_communicator(4, backend="sim")
-        piped = compile_spmm(matrix, DenseSpec.like(dense), piped_comm,
+        piped = compile_spmm(matrix, piped_comm,
                              sparsity_aware=False, pipeline_depth=2)
         z_piped = piped(dense).to_global()
         t_piped = piped_comm.elapsed()
@@ -155,8 +155,7 @@ class TestPipelinedCompiled:
             comm = make_communicator(8, backend="sim")
             engine = SpmmEngine(comm, algorithm="1.5d", sparsity_aware=False,
                                 grid=grid)
-            op = engine.compile(matrix, DenseSpec.like(dense),
-                                pipeline_depth=depth)
+            op = engine.compile(matrix, pipeline_depth=depth)
             results[depth] = np.array(op(dense).to_global(), copy=True)
             times[depth] = comm.elapsed()
         np.testing.assert_array_equal(results[2], results[1])

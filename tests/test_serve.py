@@ -358,11 +358,18 @@ class TestServingEngine:
             first = engine.submit(
                 request_features(dataset, 1, seed=1)[0]).result(timeout=120.0)
             engine.stop()
-            retained = engine.model.plan_stats()["plans_retained"]
+            op = engine.model.compiled_op(0)
+            grown = op.workspace_width
+            misses = engine.model.plan_stats()["plan_misses"]
             engine.start()
             second = engine.submit(
                 request_features(dataset, 1, seed=2)[0]).result(timeout=120.0)
-            assert engine.model.plan_stats()["plans_retained"] == retained
+            # The same plan, already grown: the second batch only hit.
+            assert engine.model.compiled_op(0) is op
+            assert op.workspace_width == grown > 0
+            assert engine.model.plan_stats() == {
+                "plans_retained": 1, "plan_misses": misses,
+                "plan_hits": op.calls - misses}
             assert first.batch_width == second.batch_width
         finally:
             engine.close()
@@ -405,7 +412,7 @@ class TestServingEngine:
         assert stats["serve_request_seconds_p99"] >= \
             stats["serve_request_seconds_p50"] > 0.0
         assert stats["serve_queue_limit"] == 256
-        assert stats["serve_plans_retained"] >= 1
+        assert stats["serve_plans_retained"] == 1
         spans = TRACE.spans()
         names = [(track, name) for track, name, *_ in spans]
         assert names.count(("serve", "serve.batch")) == 1

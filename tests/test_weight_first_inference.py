@@ -207,19 +207,26 @@ class TestEngine:
             engine.close()
 
     @pytest.mark.parametrize("backend", ("sim", "process"))
-    def test_no_plan_as_wide_as_the_input_is_retained(self, dataset,
-                                                      backend):
+    def test_no_workspace_as_wide_as_the_input_is_grown(self, dataset,
+                                                        backend):
         # hidden=1: even a full batch (8 x 1 columns) stays under f_0.
         engine = make_engine(dataset, make_config(backend=backend, hidden=1,
                                                   n_layers=2))
         try:
             f0 = engine.input_width
-            assert inference_spmm_widths(engine.model.layer_dims) == [1, 1]
+            model = engine.model
+            op = model.compiled_op(f0)
+            assert inference_spmm_widths(model.layer_dims) == [1, 1]
             requests = make_requests(dataset, MAX_BATCH)
-            for k in (1, 3, MAX_BATCH):
+            grown = []
+            for k in (1, 3, MAX_BATCH, 3, 1):
                 forced_batch(engine, requests[:k])
-            assert engine.model.compiled_widths() == [1, 3, MAX_BATCH]
-            assert max(engine.model.compiled_widths()) < f0
+                grown.append(op.workspace_width)
+            # One plan: each wider batch grew it, narrower ones fit.
+            assert grown == [1, 3, MAX_BATCH, MAX_BATCH, MAX_BATCH] and \
+                MAX_BATCH < f0
+            assert model.plan_stats() == {      # 5 batches x 2 SpMMs
+                "plan_hits": 10 - 3, "plan_misses": 3, "plans_retained": 1}
         finally:
             engine.close()
 
@@ -287,11 +294,11 @@ class TestEngine:
 
 
 # ----------------------------------------------------------------------
-# Supervised restart comes back to the same compiled state
+# Supervised restart: one fresh plan, nothing re-warmed, same logits
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", ("sim", "process"))
-def test_restart_rewarms_the_same_widths_and_logits(dataset, backend,
-                                                    tmp_path):
+def test_restart_rebuilds_one_plan_and_the_same_logits(dataset, backend,
+                                                       tmp_path):
     config = make_config(backend=backend)
     checkpoint = prepare_checkpoint(
         dataset, dataclasses.replace(config, backend="sim"),
@@ -305,12 +312,9 @@ def test_restart_rewarms_the_same_widths_and_logits(dataset, backend,
         before = [r.logits for r in forced_batch(engine, requests)]
         alone = forced_batch(engine, requests[:1])[0].logits
         np.testing.assert_array_equal(alone, before[0])
-        widths = engine.model.compiled_widths()
-        f0 = engine.input_width
-        assert f0 not in widths
-        assert widths == sorted({k * w for k in (1, 2) for w in
-                                 inference_spmm_widths(
-                                     engine.model.layer_dims)})
+        grown = 2 * max(inference_spmm_widths(engine.model.layer_dims))
+        assert engine.model.compiled_op(0).workspace_width == grown
+        assert grown < engine.input_width
 
         old_model = engine.model
         engine.inject_faults(FaultPlan.kill(rank=1, op_index=0))
@@ -320,11 +324,14 @@ def test_restart_rewarms_the_same_widths_and_logits(dataset, backend,
         assert excinfo.value.retryable
         engine.stop()
         assert engine.restarts == 1 and engine.model is not old_model
-        assert engine.model.compiled_widths() == widths
+        # The rebuilt model compiled its one plan and sized nothing: the
+        # first batch after the restart only allocates.
+        op = engine.model.compiled_op(0)
+        assert (op.calls, op.workspace_width) == (0, 0)
 
         after = [r.logits for r in forced_batch(engine, requests)]
         for got, want in zip(after, before):
             np.testing.assert_array_equal(got, want)
-        assert engine.model.compiled_widths() == widths
+        assert op.workspace_width == grown
     finally:
         engine.close()
