@@ -26,6 +26,10 @@ engine collapses that duplication into one seam:
   far and viewed at each call's width.  GCN training and serving are the
   motivating uses: the graph is static, so one plan per matrix amortises
   over hundreds of epochs and every batch width;
+* **one stage executor** (:class:`Stage`, :meth:`CompiledSpmm._run`):
+  every variant compiles its SpMM into lists of stages — "pack, post a
+  collective, multiply" — and one loop runs them all, blocking or with
+  a prefetch window of nonblocking posts;
 * **common timing/volume capture** (:class:`SpmmReport`,
   :meth:`SpmmEngine.run_with_report`) so benchmarks measure every variant
   the same way.
@@ -54,9 +58,12 @@ backend) pair.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from time import perf_counter
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -65,7 +72,7 @@ from ..obs.tracer import TRACE
 
 __all__ = [
     "CompiledSpmm", "MODES", "SpmmEngine", "SpmmReport", "SpmmVariant",
-    "Workspace", "available_spmm_variants", "check_block_operands",
+    "Stage", "Workspace", "available_spmm_variants", "check_block_operands",
     "check_grid_operands", "check_grid2d_operands", "compile", "get_spmm",
     "mode_name", "register_spmm", "register_spmm_compiler", "spmm",
 ]
@@ -253,15 +260,47 @@ class Workspace:
                 for a, b in zip(starts, starts[1:])]
 
 
+def idle_task() -> None:
+    """The per-rank task of a rank with nothing to multiply this stage."""
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One stage of a compiled SpMM schedule.
+
+    The executor (:meth:`CompiledSpmm._run`) runs ``before()`` (pack or
+    multiply work the post depends on), posts the ``collective`` — the
+    name of a :class:`~repro.comm.base.Communicator` method, called as
+    ``method(*operands(dense), **options)``, or its ``i``-prefixed
+    nonblocking twin when prefetching — and hands the result to
+    ``after(result)`` (multiply or copy-out work).  ``operands`` builds
+    the payload at call time from the plan's bound workspace views;
+    ``options`` are fixed keyword arguments (root, ranks, sync_ranks,
+    category); ``span`` is the stage's ``spmm.stage`` trace args.
+    Stage callables reach the communicator through the plan
+    (``self.comm.parallel_for(...)``) at call time, never through a
+    method bound at compile time, so instance-level wrappers installed
+    after compilation see every call.
+    """
+
+    collective: str
+    operands: Callable[[Any], tuple]
+    options: Mapping[str, Any]
+    span: Mapping[str, Any]
+    before: Optional[Callable[[], None]] = None
+    after: Optional[Callable[[Any], Any]] = None
+
+
 class CompiledSpmm:
     """A persistent execution plan for one (matrix, dtype, variant).
 
     Subclasses (one per registered variant) precompute all exchange
     metadata at construction — pack index sets, block lists, schedules
     and per-column flop constants, none of which depends on the dense
-    width — and own the reused workspaces; ``__call__`` runs one SpMM
-    of any width with the same communication/accounting sequence as the
-    uncompiled kernel.
+    width — compile them into lists of :class:`Stage` and own the reused
+    workspaces; ``__call__`` runs one SpMM of any width with the same
+    communication/accounting sequence as the uncompiled kernel, every
+    stage list through the one executor :meth:`_run`.
 
     Workspaces are sized lazily: each role is one :class:`Workspace`,
     allocated by the first call and regrown, at call entry and before
@@ -278,14 +317,21 @@ class CompiledSpmm:
     it first (the forward GEMM, the backward tasks, the ``A X`` panel
     copy-out, the inference forward's ``_activate``).
 
-    ``pipeline_depth`` controls overlapped execution of staged variants:
-    ``1`` (the default) runs every exchange synchronously; ``d > 1``
-    double-buffers the stage schedule, prefetching up to ``d - 1`` stages'
-    operands with nonblocking collectives while the current stage's local
-    multiply runs.  Results are bit-identical to the synchronous path —
-    the stage order, reduction order and workspaces are unchanged; only
-    *when* the exchanges are waited on differs.  Variants with a single
-    un-staged exchange (1D sparsity-aware) accept the knob and ignore it.
+    ``pipeline_depth`` controls overlapped execution: ``1`` (the default)
+    runs every stage blocking; ``d > 1`` gives each variant's exchange
+    phase a prefetch window (``d - 1`` stages; ``(d - 1) * c`` for the
+    1.5D broadcast schedule), within which :meth:`_run` posts later
+    stages nonblocking while the current stage's multiply runs.  A phase
+    with a window of 0 (gathers, replica reductions) or with a single
+    stage (1D sparsity-aware's one all-to-allv) always runs blocking.
+    Results are bit-identical to the synchronous path — the stage order,
+    reduction order and workspaces are unchanged; only *when* the
+    exchanges are waited on differs.
+
+    ``__call__`` owns the per-call state the stage callables read: the
+    operand (``_dense``) and the current stage's exchange result
+    (``_received``).  It clears both when the call ends, on success or
+    failure, so a failed SpMM never keeps its operand alive.
     """
 
     def __init__(self, variant: SpmmVariant, matrix, comm: Communicator,
@@ -304,6 +350,8 @@ class CompiledSpmm:
         self.grows = 0
         self.workspace_width = 0
         self._width: Optional[int] = None     # width the views are bound to
+        self._dense = None                    # the operand, during a call
+        self._received = None                 # the current stage's result
 
     # Subclasses implement the hot path and bind their workspace views.
     def _execute(self, dense):  # pragma: no cover - abstract
@@ -343,15 +391,64 @@ class CompiledSpmm:
             self._bind(width)
             self._width = width
         self.calls += 1
+        self._dense = dense
+        try:
+            tr = TRACE
+            if not tr.enabled:
+                return self._execute(dense)
+            with tr.span("spmm", cat="spmm",
+                         args={"algorithm": self.algorithm,
+                               "mode": self.mode, "width": width,
+                               "pipeline_depth": self.pipeline_depth,
+                               "call": self.calls}):
+                return self._execute(dense)
+        finally:
+            self._dense = self._received = None
+
+    def _run(self, stages: Sequence[Stage], dense, ahead: int) -> List:
+        """Run ``stages`` in order; return each stage's ``after`` result.
+
+        With ``ahead > 0`` and more than one stage the schedule is
+        prefetched: before stage ``k``'s result is waited on, every stage
+        up to ``k + ahead`` has run its ``before`` and posted its
+        nonblocking collective.  Otherwise each stage issues the
+        *blocking* collective — not a post and an immediate ``wait()``,
+        which the simulator charges as ``(now + t) - now`` rather than
+        ``t`` and the process backend would route through its
+        nonblocking arena slot.  Results, multiply order and reduction
+        order are the same either way.
+        """
+        comm = self.comm
         tr = TRACE
-        if not tr.enabled:
-            return self._execute(dense)
-        with tr.span("spmm", cat="spmm",
-                     args={"algorithm": self.algorithm, "mode": self.mode,
-                           "width": width,
-                           "pipeline_depth": self.pipeline_depth,
-                           "call": self.calls}):
-            return self._execute(dense)
+        n = len(stages)
+        pipelined = ahead > 0 and n > 1
+        inflight: "deque" = deque()
+        issued = 0
+        outs: List = []
+        for k, stage in enumerate(stages):
+            t0 = perf_counter() if tr.enabled else 0.0
+            if pipelined:
+                while issued <= min(k + ahead, n - 1):
+                    post = stages[issued]
+                    if post.before is not None:
+                        post.before()
+                    inflight.append(getattr(comm, "i" + post.collective)(
+                        *post.operands(dense), **post.options))
+                    issued += 1
+                result = inflight.popleft().wait()
+            else:
+                if stage.before is not None:
+                    stage.before()
+                result = getattr(comm, stage.collective)(
+                    *stage.operands(dense), **stage.options)
+            self._received = result
+            outs.append(None if stage.after is None else stage.after(result))
+            if tr.enabled:
+                tr.add_span("driver", "spmm.stage", "spmm", t0,
+                            perf_counter(),
+                            {**stage.span, "pipelined": True}
+                            if pipelined else dict(stage.span))
+        return outs
 
     @property
     def algorithm(self) -> str:

@@ -25,19 +25,17 @@ through :meth:`~repro.comm.base.Communicator.parallel_for`.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional
+from operator import itemgetter
+from typing import List
 
 import numpy as np
 
-from time import perf_counter
-
 from ..comm.base import Communicator
-from ..obs.tracer import TRACE
 from .dist_matrix import BlockRowDistribution, DistDenseMatrix, DistSparseMatrix
-from .engine import (CompiledSpmm, Workspace, check_grid_operands,
-                     get_spmm, register_spmm, register_spmm_compiler)
+from .engine import (CompiledSpmm, Stage, Workspace, check_grid_operands,
+                     get_spmm, idle_task, register_spmm,
+                     register_spmm_compiler)
 
 __all__ = ["Compiled15DOblivious", "Compiled15DSparsityAware", "ProcessGrid",
            "spmm_15d_oblivious", "spmm_15d_sparsity_aware"]
@@ -102,7 +100,14 @@ def _stage_block(grid: ProcessGrid, col: int, stage: int) -> int:
 
 
 class _Compiled15DBase(CompiledSpmm):
-    """Shared 1.5D compile-time state: schedules and partial accumulators."""
+    """Shared 1.5D compile-time state: partial accumulators and the
+    replica-reduction phase.
+
+    Subclasses compile the exchange phase into ``_stages`` with its
+    prefetch window ``_ahead``; every call zeroes the partials, runs that
+    phase, then all-reduces each grid row's partial sums (always
+    blocking) and keeps one replica's copy as the result's block row.
+    """
 
     def __init__(self, variant, matrix: DistSparseMatrix,
                  comm: Communicator, grid: ProcessGrid, dtype,
@@ -117,8 +122,11 @@ class _Compiled15DBase(CompiledSpmm):
         self._partial_ws = Workspace(
             [matrix.dist.block_size(i) for i in range(grid.nrows)
              for _ in range(grid.replication)], self.dtype)
-        self._row_groups = [grid.row_group(i) for i in range(grid.nrows)]
-        self._dense: Optional[DistDenseMatrix] = None
+        self._reduce = [Stage(
+            "allreduce", lambda dense, i=i: (self._partial[i],),
+            {"ranks": grid.row_group(i), "category": reduce_category},
+            after=itemgetter(0), span={"phase": "reduce", "row": i})
+            for i in range(grid.nrows)]
 
     def _bind(self, width: int) -> None:
         views = self._partial_ws.views(width)
@@ -126,27 +134,26 @@ class _Compiled15DBase(CompiledSpmm):
         self._partial: List[List[np.ndarray]] = [
             views[i * c:(i + 1) * c] for i in range(self.grid.nrows)]
 
-    def _zero_partials(self) -> None:
+    def _execute(self, dense: DistDenseMatrix) -> DistDenseMatrix:
         for row in self._partial:
             for block in row:
                 block[...] = 0.0
-
-    def _reduce_partials(self, dense: DistDenseMatrix) -> DistDenseMatrix:
-        """All-reduce the per-replica partial sums over each grid row."""
-        out_blocks: List[np.ndarray] = []
-        for i in range(self.grid.nrows):
-            reduced = self.comm.allreduce(self._partial[i],
-                                          ranks=self._row_groups[i],
-                                          category=self.reduce_category)
-            # All replicas now hold the same block; keep one copy as the
-            # canonical block row of the result.
-            out_blocks.append(reduced[0])
-        return dense.like(out_blocks)
+        self._run(self._stages, dense, self._ahead)
+        return dense.like(self._run(self._reduce, dense, 0))
 
 
 @register_spmm_compiler("1.5d", "oblivious")
 class Compiled15DOblivious(_Compiled15DBase):
-    """Persistent plan for the CAGNET 1.5D staged-broadcast algorithm."""
+    """Persistent plan for the CAGNET 1.5D staged-broadcast algorithm.
+
+    One broadcast stage per (stage, col) entry, in that order; its
+    ``after`` runs the column group's multiplies.  The prefetch window
+    is ``(pipeline_depth - 1) * replication`` entries: the schedule
+    interleaves the replica columns, so the next entry of the *same*
+    column — the one whose exchange a column's multiply can actually
+    hide — sits ``replication`` positions ahead, and ``pipeline_depth``
+    keeps its natural meaning of "stages in flight per column".
+    """
 
     def __init__(self, variant, matrix: DistSparseMatrix,
                  comm: Communicator, grid: ProcessGrid = None,
@@ -158,109 +165,36 @@ class Compiled15DOblivious(_Compiled15DBase):
         super().__init__(variant, matrix, comm, grid, dtype,
                          compute_category, comm_category, reduce_category,
                          pipeline_depth=pipeline_depth)
-        # Per (stage, col): the broadcast root/group and, per group member,
-        # the (i, j, full_csr, 2 * nnz, rank) multiply or None for empty
-        # blocks.
-        self._schedule: List[List[tuple]] = []
+        self._ahead = (self.pipeline_depth - 1) * grid.replication
+        self._stages = []
         for stage in range(grid.stages):
-            cols = []
             for col in range(grid.replication):
                 q = _stage_block(grid, col, stage)
                 group = grid.col_group(col)
                 root = grid.rank(q, col)
-                terms: List[Optional[tuple]] = []
-                for rank in group:
-                    i, j = grid.coords(rank)
-                    info = matrix.block(i, q)
-                    terms.append((i, j, info.full, 2.0 * info.nnz, rank)
-                                 if info.nnz else None)
-                cols.append((q, group, root, terms))
-            self._schedule.append(cols)
-        self._col_tasks = [
-            [self._make_task(pos) for pos in range(grid.nrows)]
-            for _ in range(grid.replication)]
-        self._current: Optional[tuple] = None
-        self._copies: Optional[List[np.ndarray]] = None
+                tasks = [self._make_task(pos, rank,
+                                         matrix.block(grid.coords(rank)[0], q))
+                         for pos, rank in enumerate(group)]
+                self._stages.append(Stage(
+                    "broadcast", lambda dense, q=q: (dense.block(q),),
+                    {"root": root, "ranks": group,
+                     "category": comm_category},
+                    after=lambda _, tasks=tasks, group=group:
+                    self.comm.parallel_for(tasks, ranks=group,
+                                           category=self.compute_category),
+                    span={"stage": stage, "col": col, "peer": root}))
 
-    def _make_task(self, pos: int):
+    def _make_task(self, pos: int, rank: int, info):
+        if not info.nnz:
+            return idle_task
+        i, j = self.grid.coords(rank)
+        full, flops = info.full, 2.0 * info.nnz
+
         def task() -> None:
-            entry = self._current[3][pos]
-            if entry is None:
-                return
-            i, j, full, flops, rank = entry
-            self._partial[i][j] += full @ self._copies[pos]
+            self._partial[i][j] += full @ self._received[pos]
             self.comm.charge_spmm(rank, flops * self._width,
                                   category=self.compute_category)
         return task
-
-    def _execute(self, dense: DistDenseMatrix) -> DistDenseMatrix:
-        comm = self.comm
-        grid = self.grid
-        self._zero_partials()
-        if self.pipeline_depth > 1 and grid.stages * grid.replication > 1:
-            self._run_pipelined(dense)
-        else:
-            tr = TRACE
-            for stage in range(grid.stages):
-                for col in range(grid.replication):
-                    t0 = perf_counter() if tr.enabled else 0.0
-                    current = self._schedule[stage][col]
-                    q, group, root, _ = current
-                    self._copies = comm.broadcast(dense.block(q), root=root,
-                                                  ranks=group,
-                                                  category=self.comm_category)
-                    self._current = current
-                    comm.parallel_for(self._col_tasks[col], ranks=group,
-                                      category=self.compute_category)
-                    if tr.enabled:
-                        tr.add_span("driver", "spmm.stage", "spmm", t0,
-                                    perf_counter(),
-                                    {"stage": stage, "col": col,
-                                     "peer": root})
-        self._copies = None
-        self._current = None
-        return self._reduce_partials(dense)
-
-    def _run_pipelined(self, dense: DistDenseMatrix) -> None:
-        """Double-buffer the flattened (stage, col) broadcast sequence:
-        while one column group multiplies, the next entries' block rows
-        are in flight as nonblocking broadcasts.  The multiply order —
-        and hence every partial-sum accumulation order — is unchanged.
-
-        The prefetch window is ``(depth - 1) * replication`` flattened
-        entries: the schedule interleaves the replica columns, so the
-        next entry of the *same* column — the one whose exchange a
-        column's multiply can actually hide — sits ``replication``
-        positions ahead.  ``pipeline_depth`` therefore keeps its natural
-        meaning of "stages in flight per column"."""
-        comm = self.comm
-        grid = self.grid
-        entries = [(col, self._schedule[stage][col])
-                   for stage in range(grid.stages)
-                   for col in range(grid.replication)]
-        ahead = (self.pipeline_depth - 1) * grid.replication
-        inflight: "deque" = deque()
-        issued = 0
-        n = len(entries)
-        for k in range(n):
-            while issued <= min(k + ahead, n - 1):
-                _, (q, group, root, _) = entries[issued]
-                inflight.append(comm.ibroadcast(
-                    dense.block(q), root=root, ranks=group,
-                    category=self.comm_category))
-                issued += 1
-            col, current = entries[k]
-            tr = TRACE
-            t0 = perf_counter() if tr.enabled else 0.0
-            self._copies = inflight.popleft().wait()
-            self._current = current
-            comm.parallel_for(self._col_tasks[col], ranks=current[1],
-                              category=self.compute_category)
-            if tr.enabled:
-                tr.add_span("driver", "spmm.stage", "spmm", t0,
-                            perf_counter(),
-                            {"stage": k // grid.replication, "col": col,
-                             "peer": current[2], "pipelined": True})
 
 
 @register_spmm_compiler("1.5d", "sparsity_aware")
@@ -269,9 +203,11 @@ class Compiled15DSparsityAware(_Compiled15DBase):
 
     Compile-time work: per (stage, col) the packed gather index sets, the
     pack-workspace segments the point-to-point messages view, the
-    diagonal gather segments, and the per-column flop constants.  Every
-    stage owns distinct segments, so the pipelined path can pack stage
-    ``k + 1`` while stage ``k``'s exchange is in flight.
+    diagonal gather segments, and the per-column flop constants.  Each
+    stage packs on its sources (``before``), exchanges, and multiplies
+    (``after``); every stage owns distinct segments, so the pipelined
+    path can pack stage ``k + 1`` while stage ``k``'s exchange is in
+    flight.
     """
 
     def __init__(self, variant, matrix: DistSparseMatrix,
@@ -284,20 +220,22 @@ class Compiled15DSparsityAware(_Compiled15DBase):
         super().__init__(variant, matrix, comm, grid, dtype,
                          compute_category, comm_category, reduce_category,
                          pipeline_depth=pipeline_depth)
-        # Per stage: pack[col] = (q, src, [(idx, segment)]) in destination
-        # order; messages = [(src, dst, segment)] in the same col-major
-        # order the uncompiled kernel builds them; mult[rank] =
-        # (i, col, compact, rows_ref, 2 * nnz) or None, where rows_ref is
-        # ("recv", pack segment) or ("diag", q, idx, diag segment).
-        self._stages: List[dict] = []
+        self._ahead = self.pipeline_depth - 1
+        # Per stage: messages = [(src, dst, segment)] in the same
+        # col-major order the uncompiled kernel builds them; one pack task
+        # per column (on the source rank) and one multiply task per rank,
+        # whose rows come from a pack segment or a diagonal gather.
+        self._message_segs: List[List[tuple]] = []
+        self._stages = []
         pack_rows: List[int] = []
         diag_rows: List[int] = []
         for stage in range(grid.stages):
-            packs, messages = [], []
-            mult: List[Optional[tuple]] = [None] * comm.nranks
+            messages, pack_tasks, sources = [], [], []
+            mult_tasks = [idle_task] * comm.nranks
             for col in range(grid.replication):
                 q = _stage_block(grid, col, stage)
                 src = grid.rank(q, col)
+                sources.append(src)
                 items = []
                 payload_of = {}
                 for i in range(grid.nrows):
@@ -312,7 +250,7 @@ class Compiled15DSparsityAware(_Compiled15DBase):
                     items.append((idx, seg))
                     messages.append((src, dst, seg))
                     payload_of[i] = seg
-                packs.append((q, src, items))
+                pack_tasks.append(self._make_pack_task(q, src, items))
                 for i in range(grid.nrows):
                     rank = grid.rank(i, col)
                     info = matrix.block(i, q)
@@ -320,23 +258,25 @@ class Compiled15DSparsityAware(_Compiled15DBase):
                         continue
                     if i == q:
                         idx = info.nnz_cols_local
-                        rows_ref = ("diag", q, idx, len(diag_rows))
+                        rows_ref = (q, idx, len(diag_rows))
                         diag_rows.append(idx.size)
                     else:
-                        rows_ref = ("recv", payload_of[i])
-                    mult[rank] = (i, col, info.compact, rows_ref,
-                                  2.0 * info.compact.nnz)
-            sources = [grid.rank(_stage_block(grid, col, stage), col)
-                       for col in range(grid.replication)]
-            self._stages.append({"packs": packs, "messages": messages,
-                                 "mult": mult, "sources": sources})
+                        rows_ref = payload_of[i]
+                    mult_tasks[rank] = self._make_mult_task(
+                        rank, i, col, info.compact, rows_ref)
+            self._message_segs.append(messages)
+            self._stages.append(Stage(
+                "exchange", lambda dense, k=stage: (self._messages[k],),
+                {"category": comm_category,
+                 "sync_ranks": range(comm.nranks)},
+                before=lambda tasks=pack_tasks, sources=sources:
+                self.comm.parallel_for(tasks, ranks=sources,
+                                       category=self.compute_category),
+                after=lambda _, tasks=mult_tasks: self.comm.parallel_for(
+                    tasks, category=self.compute_category),
+                span={"stage": stage, "messages": len(messages)}))
         self._pack_ws = Workspace(pack_rows, self.dtype)
         self._diag_ws = Workspace(diag_rows, self.dtype)
-        self._pack_tasks = [self._make_pack_task(col)
-                            for col in range(grid.replication)]
-        self._mult_tasks = [self._make_mult_task(rank)
-                            for rank in range(comm.nranks)]
-        self._stage_state: Optional[dict] = None
 
     def _bind(self, width: int) -> None:
         super()._bind(width)
@@ -344,12 +284,11 @@ class Compiled15DSparsityAware(_Compiled15DBase):
         self._diag = self._diag_ws.views(width)
         # Per stage, the exchange batch over the pack views.
         self._messages = [[(src, dst, self._packed[seg])
-                           for src, dst, seg in stage["messages"]]
-                          for stage in self._stages]
+                           for src, dst, seg in messages]
+                          for messages in self._message_segs]
 
-    def _make_pack_task(self, col: int):
+    def _make_pack_task(self, q: int, src: int, items: List[tuple]):
         def task() -> None:
-            q, src, items = self._stage_state["packs"][col]
             h_q = self._dense.block(q)
             for idx, seg in items:
                 np.take(h_q, idx, axis=0, out=self._packed[seg])
@@ -357,83 +296,23 @@ class Compiled15DSparsityAware(_Compiled15DBase):
                                              category=self.compute_category)
         return task
 
-    def _make_mult_task(self, rank: int):
+    def _make_mult_task(self, rank: int, i: int, col: int, compact,
+                        rows_ref):
+        """``rows_ref``: a pack segment, or ``(q, idx, diag segment)``
+        for the diagonal block's local gather."""
+        flops = 2.0 * compact.nnz
+
         def task() -> None:
-            entry = self._stage_state["mult"][rank]
-            if entry is None:
-                return
-            i, col, compact, rows_ref, flops = entry
-            if rows_ref[0] == "diag":
-                _, q, idx, seg = rows_ref
+            if isinstance(rows_ref, tuple):
+                q, idx, seg = rows_ref
                 rows = np.take(self._dense.block(q), idx, axis=0,
                                out=self._diag[seg])
             else:
-                rows = self._packed[rows_ref[1]]
+                rows = self._packed[rows_ref]
             self._partial[i][col] += compact @ rows
             self.comm.charge_spmm(rank, flops * self._width,
                                   category=self.compute_category)
         return task
-
-    def _execute(self, dense: DistDenseMatrix) -> DistDenseMatrix:
-        comm = self.comm
-        self._dense = dense
-        self._zero_partials()
-        if self.pipeline_depth > 1 and len(self._stages) > 1:
-            self._run_pipelined()
-        else:
-            tr = TRACE
-            for stage, stage_state in enumerate(self._stages):
-                t0 = perf_counter() if tr.enabled else 0.0
-                self._stage_state = stage_state
-                comm.parallel_for(self._pack_tasks,
-                                  ranks=stage_state["sources"],
-                                  category=self.compute_category)
-                comm.exchange(self._messages[stage],
-                              category=self.comm_category,
-                              sync_ranks=range(comm.nranks))
-                comm.parallel_for(self._mult_tasks,
-                                  category=self.compute_category)
-                if tr.enabled:
-                    tr.add_span("driver", "spmm.stage", "spmm", t0,
-                                perf_counter(),
-                                {"stage": stage,
-                                 "messages": len(stage_state["messages"])})
-        self._stage_state = None
-        self._dense = None
-        return self._reduce_partials(dense)
-
-    def _run_pipelined(self) -> None:
-        """Double-buffer the staged exchanges: pack and post stage
-        ``k + 1``'s point-to-point batch (its pack segments are distinct
-        per stage, so packing early cannot clobber anything), then run
-        stage ``k``'s multiplies while the batch is in flight.  The
-        multiply and partial-accumulation order is identical to the
-        synchronous path, so results stay bit-identical."""
-        comm = self.comm
-        n = len(self._stages)
-        ahead = self.pipeline_depth - 1
-        inflight: "deque" = deque()
-        issued = 0
-        for k in range(n):
-            while issued <= min(k + ahead, n - 1):
-                stage_state = self._stages[issued]
-                self._stage_state = stage_state
-                comm.parallel_for(self._pack_tasks,
-                                  ranks=stage_state["sources"],
-                                  category=self.compute_category)
-                inflight.append(comm.iexchange(
-                    self._messages[issued], category=self.comm_category,
-                    sync_ranks=range(comm.nranks)))
-                issued += 1
-            tr = TRACE
-            t0 = perf_counter() if tr.enabled else 0.0
-            inflight.popleft().wait()
-            self._stage_state = self._stages[k]
-            comm.parallel_for(self._mult_tasks,
-                              category=self.compute_category)
-            if tr.enabled:
-                tr.add_span("driver", "spmm.stage", "spmm", t0,
-                            perf_counter(), {"stage": k, "pipelined": True})
 
 
 @register_spmm("1.5d", "oblivious", needs_grid=True,

@@ -30,17 +30,15 @@ sequential under the simulator, genuinely parallel under real backends.
 
 from __future__ import annotations
 
-from collections import deque
-from time import perf_counter
 from typing import List, Optional
 
 import numpy as np
 
 from ..comm.base import Communicator
-from ..obs.tracer import TRACE
 from .dist_matrix import DistDenseMatrix, DistSparseMatrix
-from .engine import (CompiledSpmm, Workspace, check_block_operands,
-                     get_spmm, register_spmm, register_spmm_compiler)
+from .engine import (CompiledSpmm, Stage, Workspace, check_block_operands,
+                     get_spmm, idle_task, register_spmm,
+                     register_spmm_compiler)
 
 __all__ = ["Compiled1DOblivious", "Compiled1DSparsityAware",
            "spmm_1d_oblivious", "spmm_1d_sparsity_aware"]
@@ -51,8 +49,9 @@ class Compiled1DOblivious(CompiledSpmm):
     """Persistent plan for the CAGNET 1D broadcast algorithm.
 
     Compile-time work: materialise every full-width block (they are built
-    lazily by the NnzCols analysis), record the nonzero blocks and their
-    per-column flop constants, declare the per-rank output accumulators.
+    lazily by the NnzCols analysis), compile one broadcast stage per
+    block row whose ``after`` runs that step's per-rank multiplies of
+    the nonzero blocks, declare the per-rank output accumulators.
 
     With ``pipeline_depth > 1`` the chunked broadcast schedule is
     double-buffered: while step ``j``'s multiplies run, up to
@@ -73,83 +72,39 @@ class Compiled1DOblivious(CompiledSpmm):
         self.compute_category = compute_category
         self.comm_category = comm_category
         p = comm.nranks
-        # steps[j][i] = (full_csr, 2 * nnz) for rank i's block at broadcast
-        # step j, or None when the block is empty (materialising .full
-        # here, once, off the hot path).
-        self._steps: List[List[Optional[tuple]]] = []
-        for j in range(p):
-            step: List[Optional[tuple]] = []
-            for i in range(p):
-                info = matrix.block(i, j)
-                step.append((info.full, 2.0 * info.nnz)
-                            if info.nnz else None)
-            self._steps.append(step)
         self._out_ws = Workspace(
             [matrix.dist.block_size(i) for i in range(p)], self.dtype)
-        self._copies: Optional[List[np.ndarray]] = None
-        self._step: int = 0
-        self._tasks = [self._make_task(i) for i in range(p)]
+        self._stages = []
+        for j in range(p):
+            # Materialising .full here, once, off the hot path.
+            tasks = [self._make_task(i, matrix.block(i, j))
+                     for i in range(p)]
+            self._stages.append(Stage(
+                "broadcast", lambda dense, j=j: (dense.block(j),),
+                {"root": j, "category": comm_category},
+                after=lambda _, tasks=tasks: self.comm.parallel_for(
+                    tasks, category=self.compute_category),
+                span={"stage": j, "peer": j}))
 
     def _bind(self, width: int) -> None:
         self._out = self._out_ws.views(width)
 
-    def _make_task(self, i: int):
+    def _make_task(self, i: int, info):
+        if not info.nnz:
+            return idle_task
+        full, flops = info.full, 2.0 * info.nnz
+
         def task() -> None:
-            entry = self._steps[self._step][i]
-            if entry is None:
-                return
-            full, flops = entry
-            self._out[i] += full @ self._copies[i]
+            self._out[i] += full @ self._received[i]
             self.comm.charge_spmm(i, flops * self._width,
                                   category=self.compute_category)
         return task
 
     def _execute(self, dense: DistDenseMatrix) -> DistDenseMatrix:
-        comm = self.comm
-        p = comm.nranks
         for block in self._out:
             block[...] = 0.0
-        if self.pipeline_depth > 1 and p > 1:
-            self._run_pipelined(dense)
-        else:
-            tr = TRACE
-            for j in range(p):
-                t0 = perf_counter() if tr.enabled else 0.0
-                self._copies = comm.broadcast(dense.block(j), root=j,
-                                              category=self.comm_category)
-                self._step = j
-                comm.parallel_for(self._tasks,
-                                  category=self.compute_category)
-                if tr.enabled:
-                    tr.add_span("driver", "spmm.stage", "spmm", t0,
-                                perf_counter(), {"stage": j, "peer": j})
-        self._copies = None
+        self._run(self._stages, dense, self.pipeline_depth - 1)
         return dense.like(self._out)
-
-    def _run_pipelined(self, dense: DistDenseMatrix) -> None:
-        """Double-buffered broadcast schedule (prefetch distance
-        ``pipeline_depth - 1``): step ``j``'s multiplies overlap the
-        nonblocking broadcasts of the following block rows."""
-        comm = self.comm
-        p = comm.nranks
-        ahead = self.pipeline_depth - 1
-        inflight: "deque" = deque()
-        issued = 0
-        tr = TRACE
-        for j in range(p):
-            t0 = perf_counter() if tr.enabled else 0.0
-            while issued <= min(j + ahead, p - 1):
-                inflight.append(comm.ibroadcast(
-                    dense.block(issued), root=issued,
-                    category=self.comm_category))
-                issued += 1
-            self._copies = inflight.popleft().wait()
-            self._step = j
-            comm.parallel_for(self._tasks, category=self.compute_category)
-            if tr.enabled:
-                tr.add_span("driver", "spmm.stage", "spmm", t0,
-                            perf_counter(),
-                            {"stage": j, "peer": j, "pipelined": True})
 
 
 @register_spmm_compiler("1d", "sparsity_aware")
@@ -160,7 +115,8 @@ class Compiled1DSparsityAware(CompiledSpmm):
     segment of one pack workspace the ``alltoallv`` send matrix views),
     the diagonal gather segments, the per-rank output accumulators and
     the per-column flop constants.  Per call only ``np.take`` packs, one
-    ``alltoallv`` and the compacted multiplies remain.
+    ``alltoallv`` and the compacted multiplies remain: a single stage,
+    so it runs blocking at every ``pipeline_depth``.
     """
 
     def __init__(self, variant, matrix: DistSparseMatrix,
@@ -168,9 +124,6 @@ class Compiled1DSparsityAware(CompiledSpmm):
                  compute_category: str = "local",
                  comm_category: str = "alltoall",
                  pipeline_depth: int = 1) -> None:
-        # Algorithm 1 issues a single un-staged all-to-allv per call, so
-        # there is no stage schedule to double-buffer; the knob is
-        # accepted (and validated) for API uniformity and ignored.
         super().__init__(variant, matrix, comm, grid=grid, dtype=dtype,
                          pipeline_depth=pipeline_depth)
         check_block_operands(matrix, None, comm)
@@ -213,10 +166,16 @@ class Compiled1DSparsityAware(CompiledSpmm):
         self._diag_ws = Workspace(diag_rows, self.dtype)
         self._out_ws = Workspace(
             [matrix.dist.block_size(i) for i in range(p)], self.dtype)
-        self._dense: Optional[DistDenseMatrix] = None
-        self._recv = None
-        self._pack_tasks = [self._make_pack_task(j) for j in range(p)]
-        self._mult_tasks = [self._make_mult_task(i) for i in range(p)]
+        pack_tasks = [self._make_pack_task(j) for j in range(p)]
+        mult_tasks = [self._make_mult_task(i) for i in range(p)]
+        self._stages = [Stage(
+            "alltoallv", lambda dense: (self._send,),
+            {"category": comm_category},
+            before=lambda: self.comm.parallel_for(
+                pack_tasks, category=self.compute_category),
+            after=lambda _: self.comm.parallel_for(
+                mult_tasks, category=self.compute_category),
+            span={"phase": "exchange"})]
 
     def _bind(self, width: int) -> None:
         p = self.comm.nranks
@@ -251,7 +210,7 @@ class Compiled1DSparsityAware(CompiledSpmm):
                     rows = np.take(self._dense.block(i), diag_idx, axis=0,
                                    out=self._diag[diag_seg])
                 else:
-                    rows = self._recv[i][j]
+                    rows = self._received[i][j]
                     if rows is None:
                         raise RuntimeError(
                             f"rank {i} expected rows from rank {j} "
@@ -262,28 +221,7 @@ class Compiled1DSparsityAware(CompiledSpmm):
         return task
 
     def _execute(self, dense: DistDenseMatrix) -> DistDenseMatrix:
-        comm = self.comm
-        self._dense = dense
-        tr = TRACE
-        t0 = perf_counter() if tr.enabled else 0.0
-        comm.parallel_for(self._pack_tasks, category=self.compute_category)
-        if tr.enabled:
-            t1 = perf_counter()
-            tr.add_span("driver", "spmm.stage", "spmm", t0, t1,
-                        {"phase": "pack"})
-            t0 = t1
-        self._recv = comm.alltoallv(self._send, category=self.comm_category)
-        if tr.enabled:
-            t1 = perf_counter()
-            tr.add_span("driver", "spmm.stage", "spmm", t0, t1,
-                        {"phase": "exchange"})
-            t0 = t1
-        comm.parallel_for(self._mult_tasks, category=self.compute_category)
-        if tr.enabled:
-            tr.add_span("driver", "spmm.stage", "spmm", t0, perf_counter(),
-                        {"phase": "mult"})
-        self._dense = None
-        self._recv = None
+        self._run(self._stages, dense, self.pipeline_depth - 1)
         return dense.like(self._out)
 
 

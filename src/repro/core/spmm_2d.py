@@ -35,19 +35,15 @@ mirroring the paper which evaluates 2D only at the SpMM level).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from time import perf_counter
-
 from ..comm.base import Communicator
-from ..obs.tracer import TRACE
 from .dist_matrix import BlockRowDistribution
-from .engine import (CompiledSpmm, Workspace, check_grid2d_operands,
+from .engine import (CompiledSpmm, Stage, Workspace, check_grid2d_operands,
                      get_spmm, register_spmm, register_spmm_compiler)
 
 __all__ = ["Grid2D", "Dist2DSparseMatrix", "Compiled2DOblivious",
@@ -162,12 +158,21 @@ def _chunk_bounds(block_rows: int, row_chunks: int) -> np.ndarray:
 
 
 class _Compiled2DBase(CompiledSpmm):
-    """Shared 2D compile-time state: grid groups, the output buffer, the
-    zero partials of empty blocks and the per-block multiply tasks.
+    """Shared 2D compile-time state: the output buffer, the zero partials
+    of empty blocks and the row phase.
 
     Subclasses fill ``_mult[i][j] = (csr, operand segment, 2 * nnz)`` for
-    every nonempty block and bind ``_operands`` — the views the multiply
-    reads (the gathered block rows, or the packed gather buffers)."""
+    every nonempty block, bind ``_operands`` — the views the multiply
+    reads (the gathered block rows, or the packed gather buffers) — and
+    compile the phase that fills them into ``_stages`` (always blocking).
+    The row phase, shared by both variants, is one stage per grid row:
+    multiply the row's local blocks (``before``), all-reduce a snapshot
+    of the partial-sum list over the row group, copy the reduced rows
+    out (``after``).  With ``pipeline_depth > 1`` row ``i``'s all-reduce
+    is in flight while row ``i + 1`` multiplies; the snapshot keeps the
+    next row's task assignments from disturbing a reduction already in
+    the air, so results are bit-identical to the synchronous loop.
+    """
 
     def __init__(self, variant, matrix: Dist2DSparseMatrix,
                  comm: Communicator, grid: Grid2D, dtype,
@@ -178,10 +183,6 @@ class _Compiled2DBase(CompiledSpmm):
         check_grid2d_operands(matrix, None, grid, comm)
         self.compute_category = compute_category
         self.reduce_category = reduce_category
-        self._row_groups = [grid.row_group(i) for i in range(grid.nrows)]
-        self._col_groups = [grid.col_group(j) for j in range(grid.ncols)]
-        self._row_ranges = [matrix.row_dist.block_range(i)
-                            for i in range(grid.nrows)]
         self._out_ws = Workspace([matrix.shape[0]], self.dtype)
         # An empty block's partial is a read-only segment of a zeroed
         # workspace: mult[i][j] = (zero_segment,).
@@ -195,9 +196,18 @@ class _Compiled2DBase(CompiledSpmm):
                     zero_rows.append(matrix.row_dist.block_size(i))
         self._zero_ws = Workspace(zero_rows, self.dtype, zeroed=True)
         self._partials: List[Optional[np.ndarray]] = [None] * grid.ncols
-        self._row_tasks = [
-            [self._make_task(i, j) for j in range(grid.ncols)]
-            for i in range(grid.nrows)]
+        self._rows = []
+        for i in range(grid.nrows):
+            group = grid.row_group(i)
+            tasks = [self._make_task(i, j) for j in range(grid.ncols)]
+            self._rows.append(Stage(
+                "allreduce", lambda h: (list(self._partials),),
+                {"ranks": group, "category": reduce_category},
+                before=lambda tasks=tasks, group=group:
+                self.comm.parallel_for(tasks, ranks=group,
+                                       category=self.compute_category),
+                after=self._copy_out(*matrix.row_dist.block_range(i)),
+                span={"phase": "reduce", "row": i}))
 
     def _bind(self, width: int) -> None:
         self._out = self._out_ws.views(width)[0]
@@ -223,48 +233,15 @@ class _Compiled2DBase(CompiledSpmm):
                                   category=self.compute_category)
         return task
 
-    def _reduce_rows(self, out: np.ndarray) -> None:
-        """Phase 2 shared by both 2D variants: per grid row, multiply the
-        local blocks and all-reduce the partial sums over the row group.
+    def _copy_out(self, lo: int, hi: int):
+        def after(reduced) -> None:
+            self._out[lo:hi] = reduced[0]
+        return after
 
-        With ``pipeline_depth > 1`` the row loop is software-pipelined:
-        row ``i``'s all-reduce is posted nonblocking and row ``i + 1``'s
-        multiplies run while it is in flight (the partial-sum list is
-        snapshotted at post time, so the next row's task assignments
-        cannot disturb a reduction already in the air).  The reduction
-        operands and group order are unchanged — results are
-        bit-identical to the synchronous loop.
-        """
-        comm = self.comm
-        grid = self.grid
-        if self.pipeline_depth > 1 and grid.nrows > 1:
-            ahead = self.pipeline_depth - 1
-            inflight: "deque" = deque()
-            for i in range(grid.nrows):
-                comm.parallel_for(self._row_tasks[i],
-                                  ranks=self._row_groups[i],
-                                  category=self.compute_category)
-                inflight.append((i, comm.iallreduce(
-                    list(self._partials), ranks=self._row_groups[i],
-                    category=self.reduce_category)))
-                while len(inflight) > ahead:
-                    j, handle = inflight.popleft()
-                    lo, hi = self._row_ranges[j]
-                    out[lo:hi] = handle.wait()[0]
-            while inflight:
-                j, handle = inflight.popleft()
-                lo, hi = self._row_ranges[j]
-                out[lo:hi] = handle.wait()[0]
-        else:
-            for i in range(grid.nrows):
-                comm.parallel_for(self._row_tasks[i],
-                                  ranks=self._row_groups[i],
-                                  category=self.compute_category)
-                reduced = comm.allreduce(self._partials,
-                                         ranks=self._row_groups[i],
-                                         category=self.reduce_category)
-                lo, hi = self._row_ranges[i]
-                out[lo:hi] = reduced[0]
+    def _execute(self, h: np.ndarray) -> np.ndarray:
+        self._run(self._stages, h, 0)
+        self._run(self._rows, h, self.pipeline_depth - 1)
+        return self._out
 
 
 @register_spmm_compiler("2d", "oblivious")
@@ -303,6 +280,12 @@ class Compiled2DOblivious(_Compiled2DBase):
                 block = matrix.block(i, j)
                 if block.nnz:
                     self._mult[i][j] = (block, j, 2.0 * block.nnz)
+        # Phase 1: every grid column all-gathers its block row H_j.
+        self._stages = [Stage(
+            "allgather", lambda h, j=j: (self._chunks[j],),
+            {"ranks": grid.col_group(j), "category": gather_category},
+            before=self._make_split(j), after=self._make_concat(j),
+            span={"phase": "gather", "col": j}) for j in range(grid.ncols)]
 
     def _bind(self, width: int) -> None:
         super()._bind(width)
@@ -312,34 +295,18 @@ class Compiled2DOblivious(_Compiled2DBase):
                         for j in range(self.grid.ncols)]
         self._operands = self._gathered_ws.views(width)
 
-    def _execute(self, h: np.ndarray) -> np.ndarray:
-        comm = self.comm
-        grid = self.grid
-
-        # Phase 1: all-gather H_j within every grid column.
-        tr = TRACE
-        for j in range(grid.ncols):
-            t0 = perf_counter() if tr.enabled else 0.0
-            chunks = self._chunks[j]
+    def _make_split(self, j: int):
+        def before() -> None:
+            h, chunks = self._dense, self._chunks[j]
             for r, (lo, hi) in enumerate(self._chunk_ranges[j]):
                 chunks[r][...] = h[lo:hi]
-            parts = comm.allgather(chunks, ranks=self._col_groups[j],
-                                   category=self.gather_category)
+        return before
+
+    def _make_concat(self, j: int):
+        def after(parts) -> None:
             # Every member of the column now holds the full block row H_j.
             np.concatenate(parts[0], axis=0, out=self._operands[j])
-            if tr.enabled:
-                tr.add_span("driver", "spmm.stage", "spmm", t0,
-                            perf_counter(), {"phase": "gather", "col": j})
-
-        # Phase 2: local multiply and row-wise all-reduce (overlapped
-        # across rows when pipeline_depth > 1).
-        t0 = perf_counter() if tr.enabled else 0.0
-        out = self._out
-        self._reduce_rows(out)
-        if tr.enabled:
-            tr.add_span("driver", "spmm.stage", "spmm", t0,
-                        perf_counter(), {"phase": "reduce"})
-        return out
+        return after
 
 
 @register_spmm_compiler("2d", "sparsity_aware")
@@ -401,6 +368,13 @@ class Compiled2DSparsityAware(_Compiled2DBase):
                         self._message_rows.append(
                             (src, dst, seg, start, start + n_rows))
         self._pack_ws = Workspace(pack_rows, self.dtype)
+        # Phase 1: fill every packed buffer with one gather, charge the
+        # packing work, move the off-diagonal segments point-to-point.
+        self._stages = [Stage(
+            "exchange", lambda h: (self._messages,),
+            {"category": comm_category, "sync_ranks": range(comm.nranks)},
+            before=self._pack,
+            span={"phase": "exchange", "messages": len(self._message_rows)})]
 
     def _bind(self, width: int) -> None:
         super()._bind(width)
@@ -408,34 +382,13 @@ class Compiled2DSparsityAware(_Compiled2DBase):
         self._messages = [(src, dst, self._operands[seg][lo:hi])
                           for src, dst, seg, lo, hi in self._message_rows]
 
-    def _execute(self, h: np.ndarray) -> np.ndarray:
-        comm = self.comm
-
-        # Phase 1: fill every packed buffer with one gather, charge the
-        # packing work, move the off-diagonal segments point-to-point.
-        tr = TRACE
-        t0 = perf_counter() if tr.enabled else 0.0
+    def _pack(self) -> None:
+        h = self._dense
         for rows, seg in self._gathers:
             np.take(h, rows, axis=0, out=self._operands[seg])
         for src, n_rows in self._pack_charges:
-            comm.charge_elementwise(src, n_rows * self._width,
-                                    category=self.compute_category)
-        comm.exchange(self._messages, category=self.comm_category,
-                      sync_ranks=range(comm.nranks))
-        if tr.enabled:
-            tr.add_span("driver", "spmm.stage", "spmm", t0, perf_counter(),
-                        {"phase": "exchange",
-                         "messages": len(self._messages)})
-
-        # Phase 2: local multiply on compacted blocks, then row all-reduce
-        # (overlapped across rows when pipeline_depth > 1).
-        t0 = perf_counter() if tr.enabled else 0.0
-        out = self._out
-        self._reduce_rows(out)
-        if tr.enabled:
-            tr.add_span("driver", "spmm.stage", "spmm", t0, perf_counter(),
-                        {"phase": "reduce"})
-        return out
+            self.comm.charge_elementwise(src, n_rows * self._width,
+                                         category=self.compute_category)
 
 
 @register_spmm("2d", "oblivious", needs_grid=True,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import comm_conformance as cc
@@ -199,10 +199,14 @@ def spmm_problem(draw, min_n=8, max_n=36):
     """A random symmetric sparse matrix, a dense operand, and the seeded
     width sequence one compiled plan is driven through: first use, a
     wider call (a regrow), a narrower one and a repeat of the widest."""
-    n = draw(st.integers(min_value=min_n, max_value=max_n))
-    density = draw(st.floats(min_value=0.0, max_value=0.35))
-    f = draw(st.integers(min_value=1, max_value=8))
-    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    return _problem(draw(st.integers(min_value=min_n, max_value=max_n)),
+                    draw(st.floats(min_value=0.0, max_value=0.35)),
+                    draw(st.integers(min_value=1, max_value=8)),
+                    draw(st.integers(min_value=0, max_value=2**31 - 1)))
+
+
+def _problem(n, density, f, seed):
+    """The :func:`spmm_problem` draw for fixed parameters."""
     rng = np.random.default_rng(seed)
     mat = sp.random(n, n, density=density, random_state=rng, format="csr")
     mat = mat + mat.T
@@ -303,12 +307,21 @@ class TestCrossBackendSpmmProperties:
             None, "1d", mode, p)
         _assert_bit_identical(results, adj, h, widths)
 
-    @given(problem=spmm_problem(), c=st.sampled_from([1, 2]),
+    @example(problem=_problem(24, 0.2, 3, 5), pc=(8, 2), mode="oblivious")
+    @example(problem=_problem(24, 0.2, 3, 5), pc=(8, 2),
+             mode="sparsity_aware")
+    @given(problem=spmm_problem(),
+           pc=st.sampled_from([(4, 1), (4, 2), (8, 2)]),
            mode=st.sampled_from(["oblivious", "sparsity_aware"]))
     @settings(**SETTINGS)
-    def test_15d_bit_identical(self, problem, c, mode):
+    def test_15d_bit_identical(self, problem, pc, mode):
+        """(8, 2) is the grid where replicated prefetch runs: s = 2
+        stages, so depth 2 pipelines the sparsity-aware exchanges at
+        c > 1 and gives the broadcast schedule (4 entries) a window of 2
+        shorter than itself.  At (4, 2), s = 1 and every SA stage runs
+        blocking."""
         adj, h, widths = problem
-        p = 4
+        p, c = pc
         grid = ProcessGrid(p, c)
         dist = BlockRowDistribution.uniform(adj.shape[0], grid.nrows)
         results = _run_all_backends(

@@ -13,10 +13,14 @@ The contract under test (see ``docs/performance.md``):
   correctly, and invalidates itself when an arena regrows.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.comm import make_communicator
+from repro.comm.faults import FaultPlan, WorkerFailure
 from repro.core import (BlockRowDistribution, DistDenseMatrix,
                         DistSparseMatrix, Dist2DSparseMatrix, Grid2D,
                         ProcessGrid, available_spmm_variants, spmm)
@@ -227,6 +231,31 @@ class TestWorkspaceReuse:
                 compile_spmm(matrix, comm, dtype=np.int64)
             op = compile_spmm(matrix, comm, dtype="float32")
             assert op.dtype == np.float32
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("algorithm,mode", VARIANTS)
+    def test_failed_call_releases_its_operand(self, problem, algorithm,
+                                              mode, depth):
+        """A call that dies mid-schedule keeps no reference to its
+        operand (nor to any exchange result that aliases it)."""
+        adj, h_a, _ = problem
+        matrix, grid, wrap, _ = _operands(algorithm, adj)
+        with make_communicator(P, backend="sim") as comm:
+            op = compile_spmm(matrix, comm, algorithm=algorithm, mode=mode,
+                              grid=grid, pipeline_depth=depth)
+            comm.inject_faults(FaultPlan.kill(rank=1, op_index=0))
+            dense = wrap(h_a.copy())
+            probe = weakref.ref(dense if algorithm == "2d"
+                                else dense.block(0))
+            try:
+                op(dense)
+            except WorkerFailure:
+                pass
+            else:
+                pytest.fail("the injected kill did not fire")
+            del dense
+            gc.collect()
+            assert probe() is None
 
 
 class TestFloat32:
