@@ -51,6 +51,13 @@ of ``--repeats`` timed runs after one warm-up):
   (``inference_spmm_widths``: a narrowing layer multiplies by ``W``
   first) and at the paper-order widths (``layer_dims[:-1]``).  Exact
   counts; measured == predicted is asserted.
+* **process control plane** — the median microseconds of one blocking
+  ``alltoallv``, ``allreduce`` and ``barrier`` with 8-byte payloads, and
+  of one ``iallreduce`` + ``wait``, on the ``process`` backend at p = 2
+  and 4.  The payloads are too small for the bytes to matter: the cell
+  prices the command/response round trips alone.  The ops run
+  interleaved, one call each per round, so host-speed drift hits every
+  op alike.
 * **GVB partitioning, cold start** — wall seconds of
   ``GVBPartitioner(seed=0).partition`` on amazon at p = 4 and p = 2 (the
   ``train_1d_exchange`` / 1.5D block-row partitions), with a sha256 of the
@@ -413,6 +420,33 @@ def bench_weight_first_inference(scale: float, p: int) -> dict:
     }
 
 
+def bench_process_control_plane(p_values, rounds: int) -> dict:
+    """Median microseconds per 8-byte collective on the process backend."""
+    cell = {"payload_bytes": 8, "rounds": rounds}
+    for p in p_values:
+        one = [np.ones(1) for _ in range(p)]
+        a2a = [[None if i == j else np.ones(1) for j in range(p)]
+               for i in range(p)]
+        with make_communicator(p, backend="process") as comm:
+            ops = {
+                "alltoallv": lambda: comm.alltoallv(a2a),
+                "allreduce": lambda: comm.allreduce(one),
+                "barrier": lambda: comm.barrier(),
+                "iallreduce_wait": lambda: comm.iallreduce(one).wait(),
+            }
+            for op in ops.values():      # warm-up: workers, arenas, plans
+                op()
+            times = {name: [] for name in ops}
+            for _ in range(rounds):
+                for name, op in ops.items():
+                    t0 = time.perf_counter()
+                    op()
+                    times[name].append(time.perf_counter() - t0)
+        cell[f"p{p}"] = {f"{name}_us": round(float(np.median(t)) * 1e6, 1)
+                         for name, t in times.items()}
+    return cell
+
+
 def bench_partition_gvb(scale: float, part_counts, repeats: int) -> dict:
     """GVB partitioning wall time on amazon, with the partition's digest.
 
@@ -506,6 +540,9 @@ def main(argv=None) -> int:
         # widths against the paper-order widths.
         "weight_first_inference_sim": lambda: bench_weight_first_inference(
             scale=0.05 if quick else 0.25, p=2),
+        # Command/response round trips of tiny process collectives.
+        "process_control_plane": lambda: bench_process_control_plane(
+            p_values=(2, 4), rounds=100 if quick else 1000),
         # Cold-start partitioning: GVB wall seconds + the partition digest.
         "partition_gvb": lambda: bench_partition_gvb(
             scale=0.25 if quick else 1.0, part_counts=(4, 2),
@@ -569,6 +606,11 @@ def main(argv=None) -> int:
           f"{serve['paper_order_bytes_per_request']} -> "
           f"{serve['bytes_per_request']} "
           f"({serve['volume_reduction']:.2f}x smaller)")
+    control = payload["process_control_plane"]
+    print("  process control plane, median us per 8-byte op: " + "; ".join(
+        f"p={p} " + ", ".join(f"{name[:-3]} {us:.0f}"
+                               for name, us in control[f"p{p}"].items())
+        for p in (2, 4)))
     gvb = payload["partition_gvb"]
     print(f"  GVB partitioning, amazon {gvb['scale']}: " + ", ".join(
         f"p={p} {gvb[f'p{p}']['seconds']:.2f} s" for p in (4, 2)))

@@ -22,11 +22,19 @@ call carries every rank's operand and returns every rank's result):
   :func:`~repro.comm.base.reduce_stack` stay bitwise identical to the
   simulator.
 * **control plane** — small pickled command dicts (slab offsets, shapes,
-  dtypes, arena generations) on per-rank ``multiprocessing`` queues, plus
-  per-rank sync queues implementing a leader-based group barrier.
+  dtypes, arena generations) on one one-way pipe per rank for commands
+  and one for responses.  ``Connection.send`` pickles and writes in the
+  caller (no feeder thread, no lock), and the driver waits on a
+  response pipe together with the worker's process sentinel, so a
+  response or a worker death wakes it at once.  Every pipe end lives in
+  exactly one process (the driver closes its copies of the worker ends,
+  each forked worker closes every end that is not its own), so a write
+  to a dead worker raises instead of blocking and a worker whose driver
+  is gone reads EOF and exits.
 * **workers** — one daemon process per rank, started lazily on the first
   collective and torn down by :meth:`close` (idempotent; also invoked by
-  the context-manager protocol and ``__del__``).  A worker failure is
+  the context-manager protocol and ``__del__``).  Workers act only on
+  driver commands, never on each other.  A worker failure is
   reported back with its traceback instead of hanging the driver; a
   watchdog timeout (default 600 s) turns a lost worker into an error and
   closes the communicator (a lost worker's late response could otherwise
@@ -34,9 +42,10 @@ call carries every rank's operand and returns every rank's result):
 
 Semantics notes:
 
-* Reductions are executed inside the worker processes (every member of an
-  ``allreduce`` computes the same group-ordered :func:`reduce_stack`, so
-  no result broadcast round is needed and results are bitwise identical
+* Reductions are executed inside the worker processes (every result slot
+  of an ``allreduce`` is the same group-ordered :func:`reduce_stack`,
+  computed by its owner or, for a small step, by the courier, so no
+  result broadcast round is needed and results are bitwise identical
   across ranks and across backends).
 * The copy contract matches the simulator: the root/owner slot of a
   collective result is the caller's original object, every other slot is
@@ -66,9 +75,22 @@ root.  A per-collective ``_lower_*`` method validates, records the
 the caller's result from the read-back slabs; :meth:`_step` (the one
 plan builder) turns it into per-rank worker commands and
 :meth:`_collective` (the one dispatcher) runs them blocking or posts them
-nonblocking.  A step that moves nothing (empty payloads, singleton
-groups) never reaches the workers' data plane; a blocking one still runs
-a no-op round over its group.
+nonblocking.
+
+**The courier rule.**  Blocking and nonblocking steps share one
+grouped-copy rule.  Only members whose plan does work receive a command
+— no no-op round trips; group clocks synchronise driver-side.  A step
+moving at most :data:`GROUPED_COPY_MAX_BYTES` runs on one *courier*,
+``group[pid % len(group)]``, which executes the whole copy/reduce
+fan-out in a single command; rotating by plan id spreads small steps
+over the workers.  Larger steps give each member the copies and
+reductions landing in its own recv arena, for parallel copy bandwidth.
+A step that moves nothing (empty payloads, singleton groups) sends no
+command at all.  Before a blocking step returns, the driver checks the
+liveness of the members that got no command, so a worker killed under
+any collective still fails that collective.  :meth:`barrier` is one
+no-op command per member: a rendezvous, because the driver waits for
+every answer.
 
 **Repeated-exchange fast path.**  A training epoch issues the *same-shaped*
 collectives hundreds of times (the compiled SpMM operators reuse their
@@ -81,29 +103,23 @@ bytes into the cached arena views and sends a tiny ``{"op": "replay",
 "pid": ...}`` command instead of re-deriving layouts and re-pickling
 plans.  Entries are invalidated whenever a referenced arena is regrown
 and the cache is LRU bounded (:data:`MAX_CACHED_PLANS`); a pid is only
-ever replayed after the full plan carrying that pid was delivered to the
-same group, so reused pids can never resolve to a stale worker-side plan.
+ever replayed to the members the full plan carrying that pid was
+delivered to, so reused pids can never resolve to a stale worker-side
+plan.
 
 **Nonblocking collectives.**  ``ibroadcast`` / ``ialltoallv`` /
 ``iallreduce`` / ``iexchange`` post the staged step and return a
 :class:`~repro.comm.base.CommHandle` immediately; the workers stream the
 payload bytes while the driver computes (``parallel_for`` runs
-driver-side here, so the overlap is genuine).  Posted steps differ from
-blocking ones in three ways, all latency-motivated: they move through a
-dedicated, *alternating* pair of arena slots (kinds ``send0/recv0`` and
+driver-side here, so the overlap is genuine).  Posted steps move through
+a dedicated, *alternating* pair of arena slots (kinds ``send0/recv0`` and
 ``send1/recv1`` — the transport-level double buffer, so an in-flight
-payload can never be clobbered by the next step's staging); only members
-whose plan actually moves bytes receive a command (no bulk-synchronous
-no-op round trips — clocks synchronise driver-side at ``wait()``); and a
-step moving at most :data:`NB_GROUPED_COPY_MAX_BYTES` runs on one
-*courier* worker, which executes the whole copy/reduce fan-out in a
-single command.  The courier is the root's successor for a broadcast and
-``group[0]`` for an allreduce or a point-to-point batch; ``ialltoallv``,
-every blocking call and ``reduce`` name none.  Responses are drained
-strictly in posting order (the per-rank out-queues are FIFO), blocking
-steps drain every pending response first, and :meth:`close` finalises
-in-flight handles — reading their results out of the arenas — before
-anything is unlinked, so interrupted runs never leak shm segments.
+payload can never be clobbered by the next step's staging).  Responses
+are drained strictly in posting order (the per-rank response pipes are
+FIFO), blocking steps drain every pending response first, and
+:meth:`close` finalises in-flight handles — reading their results out
+of the arenas — before anything is unlinked, so interrupted runs never
+leak shm segments.
 
 **Crash cleanup.**  The driver starts the ``multiprocessing`` resource
 tracker before its workers, so under ``fork`` and ``spawn`` alike every
@@ -117,11 +133,11 @@ from __future__ import annotations
 import itertools
 import multiprocessing as mp
 import os
-import queue as queue_mod
 import time
 import traceback
 from collections import OrderedDict
 from multiprocessing import resource_tracker, shared_memory
+from multiprocessing.connection import wait as wait_ready
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -183,21 +199,16 @@ def _aligned(nbytes: int) -> int:
     return (nbytes + _ALIGN - 1) // _ALIGN * _ALIGN
 
 
-def _plan_is_active(plan: dict) -> bool:
-    """Whether a (full, non-replay) plan command does any work."""
-    return bool(plan["arenas"] or plan["copies"] or plan["reduces"])
-
-
-#: Grouped-copy protocol threshold for *nonblocking* collectives: when a
-#: posted step moves at most this many payload bytes in total, the whole
-#: copy/reduce fan-out is assigned to a single "courier" worker (one
-#: command + one response) instead of one command per member.  Small
-#: steps are control-plane-bound — per-command queue/semaphore round
-#: trips dwarf the memcpy — so fewer commands beat parallel copies; large
-#: steps keep the per-member plans and their parallel copy bandwidth.
-#: The same latency-vs-bandwidth protocol switch NCCL makes (LL vs
-#: Simple), applied to the shared-memory transport.
-NB_GROUPED_COPY_MAX_BYTES = 1 << 20
+#: Grouped-copy protocol threshold (module docstring, "The courier
+#: rule"): a step moving at most this many payload bytes in total runs
+#: its whole copy/reduce fan-out on a single courier worker (one command
+#: + one response) instead of one command per member.  Small steps are
+#: control-plane-bound — per-command pipe round trips dwarf the memcpy —
+#: so fewer commands beat parallel copies; large steps keep the
+#: per-member plans and their parallel copy bandwidth.  The same
+#: latency-vs-bandwidth protocol switch NCCL makes (LL vs Simple),
+#: applied to the shared-memory transport.
+GROUPED_COPY_MAX_BYTES = 1 << 20
 
 
 # ----------------------------------------------------------------------
@@ -215,81 +226,68 @@ def _attach_arena(name: str) -> shared_memory.SharedMemory:
     return shared_memory.SharedMemory(name=name)
 
 
-def _worker_barrier(rank: int, cmd: dict, sync_qs, pending: Dict[int, int]) -> None:
-    """Leader-based group barrier over the per-rank sync queues.
-
-    The leader (first group member) collects one token per peer, then
-    releases every peer.  Tokens are tagged with the barrier id so a fast
-    peer entering the *next* barrier early cannot be miscounted.
-    """
-    group, bid, timeout_s = cmd["group"], cmd["bid"], cmd["timeout_s"]
-    leader = group[0]
-    if rank == leader:
-        need = len(group) - 1
-        have = pending.pop(bid, 0)
-        while have < need:
-            got = sync_qs[leader].get(timeout=timeout_s)
-            if got == bid:
-                have += 1
-            else:
-                pending[got] = pending.get(got, 0) + 1
-        for r in group[1:]:
-            sync_qs[r].put(bid)
-    else:
-        sync_qs[leader].put(bid)
-        got = sync_qs[rank].get(timeout=timeout_s)
-        if got != bid:  # pragma: no cover - protocol violation guard
-            raise RuntimeError(f"barrier release mismatch: got {got}, "
-                               f"expected {bid}")
-
-
-def _worker_main(rank: int, cmd_q, out_q, sync_qs,
+def _worker_main(rank: int, cmd_conn, out_conn, foreign: Sequence,
                  trace: bool = False) -> None:
     """Main loop of one rank's worker process.
 
-    Commands arrive as pickled dicts; payload bytes only ever move through
-    the shared-memory arenas.  Every command is answered with exactly one
-    ``("done", seconds)`` or ``("error", traceback)`` message, keeping the
-    driver and the worker in lockstep.  With ``trace`` on, every handled
-    command is also recorded as a local span ``(name, cat, t0, t1, args)``
-    (raw ``perf_counter`` stamps — comparable with the driver's on one
-    host); the ``"spans"`` control op returns-and-clears the buffer, which
-    is how the driver merges worker timelines at epoch boundaries and at
-    ``close()``.
+    Commands arrive as pickled dicts on ``cmd_conn``; payload bytes only
+    ever move through the shared-memory arenas.  Every command is
+    answered on ``out_conn`` with exactly one ``("done", seconds)`` or
+    ``("error", traceback)`` message, keeping the driver and the worker
+    in lockstep.  ``foreign`` are the pipe ends a forked worker inherited
+    but does not own; closing them first is what lets a write to a dead
+    worker raise (module docstring, "control plane").  EOF on the command
+    pipe means the driver is gone: the worker exits.  With ``trace`` on,
+    every handled command is also recorded as a local span ``(name, cat,
+    t0, t1, args)`` (raw ``perf_counter`` stamps — comparable with the
+    driver's on one host); the ``"spans"`` control op returns-and-clears
+    the buffer, which is how the driver merges worker timelines at epoch
+    boundaries and at ``close()``.
     """
+    for conn in foreign:
+        conn.close()
     attached: Dict[Tuple[int, str], Tuple[int, shared_memory.SharedMemory]] = {}
-    pending_tokens: Dict[int, int] = {}
     plan_table: Dict[int, dict] = {}
     spans: List[tuple] = []
 
     def arena(owner: int, kind: str) -> shared_memory.SharedMemory:
-        return attached[(owner, kind)][1]
+        shm = attached[(owner, kind)][1]
+        if shm.buf is None:
+            # ``np.ndarray(buffer=None)`` would silently allocate fresh
+            # memory and reduce garbage.
+            raise RuntimeError(f"arena {(owner, kind)} is closed")
+        return shm
 
-    while True:
-        cmd = cmd_q.get()
-        if cmd["op"] == "stop":
-            break
-        if cmd["op"] == "spans":
-            out_q.put(("spans", spans))
-            spans = []
-            continue
-        op = cmd["op"]
-        start = time.perf_counter()
-        try:
-            if cmd["op"] == "replay":
-                # Re-execute a cached plan: the driver only replays a pid
-                # after the full plan carrying it reached this worker.
-                cmd = plan_table[cmd["pid"]]
-            if cmd["op"] == "plan":
+    try:
+        while True:
+            cmd = cmd_conn.recv()
+            if cmd["op"] == "stop":
+                break
+            if cmd["op"] == "spans":
+                out_conn.send(("spans", spans))
+                spans = []
+                continue
+            op = cmd["op"]
+            start = time.perf_counter()
+            try:
+                if cmd["op"] == "replay":
+                    # Re-execute a cached plan: the driver only replays a
+                    # pid after the full plan carrying it reached this
+                    # worker.
+                    cmd = plan_table[cmd["pid"]]
+                if cmd["op"] != "plan":  # pragma: no cover - protocol guard
+                    raise RuntimeError(f"unknown worker op {cmd['op']!r}")
                 pid = cmd.get("pid")
                 if pid is not None:
                     plan_table[pid] = cmd
                 for owner, kind, name, gen in cmd["arenas"]:
                     cur = attached.get((owner, kind))
                     if cur is None or cur[0] != gen:
+                        # Attach before closing the current generation: a
+                        # failed attach leaves the table usable.
+                        attached[(owner, kind)] = (gen, _attach_arena(name))
                         if cur is not None:
                             cur[1].close()
-                        attached[(owner, kind)] = (gen, _attach_arena(name))
                 skind = cmd.get("skind", "send")
                 rkind = cmd.get("rkind", "recv")
                 for copy in cmd["copies"]:
@@ -321,23 +319,20 @@ def _worker_main(rank: int, cmd_q, out_q, sync_qs,
                         buffer=arena(red.get("dst_owner", rank), rkind).buf,
                         offset=red["dst_off"])
                     view[...] = result
-            elif cmd["op"] == "barrier":
-                _worker_barrier(rank, cmd, sync_qs, pending_tokens)
-            else:  # pragma: no cover - protocol violation guard
-                raise RuntimeError(f"unknown worker op {cmd['op']!r}")
-        except BaseException:  # noqa: BLE001 - reported to the driver
-            out_q.put(("error", traceback.format_exc()))
-        else:
-            end = time.perf_counter()
-            if trace:
-                args = {}
-                if cmd["op"] == "plan":
-                    args = {"copies": len(cmd["copies"]),
-                            "reduces": len(cmd["reduces"])}
-                spans.append((f"worker.{op}", "worker", start, end, args))
-            out_q.put(("done", end - start))
-    for _, shm in attached.values():
-        shm.close()
+            except BaseException:  # noqa: BLE001 - reported to the driver
+                out_conn.send(("error", traceback.format_exc()))
+            else:
+                end = time.perf_counter()
+                if trace:
+                    spans.append((f"worker.{op}", "worker", start, end,
+                                  {"copies": len(cmd["copies"]),
+                                   "reduces": len(cmd["reduces"])}))
+                out_conn.send(("done", end - start))
+    except (EOFError, BrokenPipeError):
+        pass  # the driver is gone
+    finally:
+        for _, shm in attached.values():
+            shm.close()
 
 
 # ----------------------------------------------------------------------
@@ -376,25 +371,21 @@ class _Step:
     arenas; ``copies`` are ``(send index, dst rank)`` pairs, each landing
     in ``dst``'s recv arena (a rank's result slabs follow copy order);
     ``reduces`` are ``(dst, op, force64)``, each the group-ordered
-    :func:`reduce_stack` of every staged payload.  ``courier`` is the rank
-    that runs a small *nonblocking* step alone (``None``: every member
-    runs its own share).  ``tag`` and ``sig`` — a cheap shape signature —
-    key the plan cache.
+    :func:`reduce_stack` of every staged payload.  ``tag`` and ``sig`` — a
+    cheap shape signature — key the plan cache.
     """
 
-    __slots__ = ("tag", "sig", "sends", "copies", "reduces", "courier")
+    __slots__ = ("tag", "sig", "sends", "copies", "reduces")
 
     def __init__(self, tag: str, sig: tuple,
                  sends: List[Tuple[int, np.ndarray]],
                  copies: Sequence[Tuple[int, int]] = (),
-                 reduces: Sequence[tuple] = (),
-                 courier: Optional[int] = None) -> None:
+                 reduces: Sequence[tuple] = ()) -> None:
         self.tag = tag
         self.sig = sig
         self.sends = sends
         self.copies = copies
         self.reduces = reduces
-        self.courier = courier
 
 
 class _CachedStep:
@@ -402,19 +393,20 @@ class _CachedStep:
 
     ``views`` are ndarray views into the send arenas, in the step's send
     order — a repeated call only writes payload bytes through them.
-    ``plans`` are the fully built per-rank worker commands (sent once, then
-    replayed by ``pid``); ``reads`` are the ``(rank, slab)`` result slabs
-    in the recv arenas, copies first, then reductions; ``gens`` snapshots
-    the (arena key, generation) pairs the plan references, for
-    invalidation on arena regrowth.
+    ``ranks`` are the members whose plan does work and ``plans`` their
+    fully built worker commands (sent once, then replayed by ``pid``);
+    ``reads`` are the ``(rank, slab)`` result slabs in the recv arenas,
+    copies first, then reductions; ``gens`` snapshots the (arena key,
+    generation) pairs the plan references, for invalidation on arena
+    regrowth.
     """
 
-    __slots__ = ("pid", "group", "plans", "views", "reads", "gens", "primed")
+    __slots__ = ("pid", "ranks", "plans", "views", "reads", "gens", "primed")
 
-    def __init__(self, pid: int, group: List[int], plans: List[dict],
+    def __init__(self, pid: int, ranks: List[int], plans: List[dict],
                  views: List[np.ndarray], reads, gens) -> None:
         self.pid = pid
-        self.group = group
+        self.ranks = ranks
         self.plans = plans
         self.views = views
         self.reads = reads
@@ -438,26 +430,27 @@ class _WorkerLost(Exception):
 
 
 class _PendingStep:
-    """One posted-but-not-yet-drained nonblocking step (driver FIFO).
+    """One posted-but-not-yet-drained step (driver FIFO).
 
-    ``remaining`` holds the group ranks whose ``("done"|"error", ...)``
-    response has not been consumed yet.  Responses are drained strictly
-    in posting order (the per-rank out-queues are FIFO), so a response
-    read for a rank always belongs to the oldest pending step naming it.
+    ``remaining`` holds the commanded ranks whose ``("done"|"error",
+    ...)`` response has not been consumed yet.  Responses are drained
+    strictly in posting order (the per-rank response pipes are FIFO), so
+    a response read for a rank always belongs to the oldest pending step
+    naming it.
     """
 
     __slots__ = ("group", "remaining", "category", "start", "slot", "error",
                  "op_index")
 
-    def __init__(self, group: List[int], category: str, start: float,
-                 slot: Optional[int]) -> None:
+    def __init__(self, group: List[int], ranks: Sequence[int],
+                 category: str, slot: Optional[int], op_index: int) -> None:
         self.group = group
-        self.remaining = list(group)
+        self.remaining = list(ranks)
         self.category = category
-        self.start = start
+        self.start = time.perf_counter()
         self.slot = slot
         self.error: Optional[BaseException] = None
-        self.op_index: int = 0
+        self.op_index = op_index
 
 
 class _ProcessHandle(CommHandle):
@@ -511,12 +504,10 @@ class ProcessPoolCommunicator(Communicator):
         self.start_method = start_method
         self._ctx = mp.get_context(start_method)
         self._procs: Optional[List] = None
-        self._cmd_qs = None
-        self._out_qs = None
-        self._sync_qs = None
+        self._cmd_conns: Optional[List] = None
+        self._out_conns: Optional[List] = None
         self._arenas: Dict[Tuple[int, str], _Arena] = {}
         self._gen = itertools.count()
-        self._bid = itertools.count()
         self._uid = f"{os.getpid():x}x{next(_UID_COUNTER):x}"
         # Repeated same-shape exchange fast path (see module docstring).
         self._plan_cache: "OrderedDict[tuple, _CachedStep]" = OrderedDict()
@@ -536,9 +527,9 @@ class ProcessPoolCommunicator(Communicator):
         self._nb_slot = 0
         self._draining = False
         # Set when a worker was lost (died or timed out): close() then
-        # joins with short grace timeouts and terminates stragglers
-        # instead of waiting out peers stuck in a barrier with the dead
-        # rank.
+        # joins with short grace timeouts and kills stragglers instead of
+        # waiting out an unresponsive worker that may never read its
+        # stop command.
         self._failed = False
         # Watchdog diagnostics: per-rank (category, epoch, op_index) of
         # the last collective whose response was consumed, so a lost
@@ -554,27 +545,36 @@ class ProcessPoolCommunicator(Communicator):
         if self._procs is not None:
             return
         ctx = self._ctx
-        self._cmd_qs = [ctx.Queue() for _ in range(self.nranks)]
-        self._out_qs = [ctx.Queue() for _ in range(self.nranks)]
-        self._sync_qs = [ctx.Queue() for _ in range(self.nranks)]
+        # Per rank: (worker reads, driver writes) and (driver reads,
+        # worker writes).
+        cmd = [ctx.Pipe(duplex=False) for _ in range(self.nranks)]
+        out = [ctx.Pipe(duplex=False) for _ in range(self.nranks)]
+        ends = [end for pair in cmd + out for end in pair]
         # Workers must share the driver's tracker (module docstring, "Crash
         # cleanup"); a child forked before it runs would start its own.
         resource_tracker.ensure_running()
         self._procs = []
         for r in range(self.nranks):
+            own = (cmd[r][0], out[r][1])
+            # A forked child inherits every end; a spawned one gets its own.
+            foreign = [end for end in ends if end not in own] \
+                if self.start_method == "fork" else []
             proc = ctx.Process(
                 target=_worker_main, name=f"comm-rank-{r}",
-                args=(r, self._cmd_qs[r], self._out_qs[r], self._sync_qs,
-                      TRACE.enabled),
-                daemon=True)
+                args=(r, *own, foreign, TRACE.enabled), daemon=True)
             proc.start()
             self._procs.append(proc)
+        for (worker_end, _), (_, worker_out) in zip(cmd, out):
+            worker_end.close()
+            worker_out.close()
+        self._cmd_conns = [driver_end for _, driver_end in cmd]
+        self._out_conns = [driver_end for driver_end, _ in out]
 
     def _kill_worker(self, rank: int) -> None:
         """Fault injection (``FaultPlan`` "kill"): SIGKILL ``rank``'s worker.
 
-        The next response wait notices the dead process within a fraction
-        of a second and raises the structured :class:`WorkerFailure`.
+        The next response wait or liveness check notices the dead process
+        at once and raises the structured :class:`WorkerFailure`.
         Chaos tests use this to make worker death a deterministic fixture
         instead of racing a real crash.
         """
@@ -651,7 +651,7 @@ class ProcessPoolCommunicator(Communicator):
             entry.primed = True
             return entry.plans
         replay = {"op": "replay", "pid": entry.pid}
-        return [replay] * len(entry.group)
+        return [replay] * len(entry.ranks)
 
     def collect_trace_spans(self) -> None:
         """Ship each worker's local span buffer into the driver tracer.
@@ -659,7 +659,7 @@ class ProcessPoolCommunicator(Communicator):
         Sends the ``"spans"`` control op to every rank and merges the
         returned ``(name, cat, t0, t1, args)`` tuples under a
         ``"rank{r}"`` track.  Pending nonblocking steps are drained first
-        so the out-queues stay in lockstep (every command still gets
+        so the response pipes stay in lockstep (every command still gets
         exactly one response).  A lost worker propagates exactly like a
         collective would — the spans round trip is a control-plane
         operation like any other.
@@ -669,7 +669,7 @@ class ProcessPoolCommunicator(Communicator):
             return
         self._drain_all_pending()
         for r in range(self.nranks):
-            self._cmd_qs[r].put({"op": "spans"})
+            self._send(r, {"op": "spans"})
         lost: List[_WorkerLost] = []
         for r in range(self.nranks):
             try:
@@ -691,10 +691,10 @@ class ProcessPoolCommunicator(Communicator):
 
         Idempotent; safe to call when the workers were never started,
         after a collective raised, or when worker processes already died
-        (joins tolerate dead pids and, once a worker was lost, use short
-        grace timeouts before terminating peers that may be stuck in a
-        group barrier with the dead rank — close never hangs on the sync
-        queues).  In-flight nonblocking handles are drained first: their
+        (joins tolerate dead pids, stop commands tolerate broken pipes and,
+        once a worker was lost, joins use short grace timeouts before
+        killing a worker that may never read its stop command).
+        In-flight nonblocking handles are drained first: their
         responses are consumed (so no worker is stopped mid-answer) and
         their results are read out of the shm arenas *before* those are
         unlinked — interrupted runs neither leak segments nor lose
@@ -733,29 +733,27 @@ class ProcessPoolCommunicator(Communicator):
         self._plan_cache.clear()
         self._free_pids.clear()
         procs, self._procs = self._procs, None
-        cmd_qs, self._cmd_qs = self._cmd_qs, None
-        out_qs, self._out_qs = self._out_qs, None
-        sync_qs, self._sync_qs = self._sync_qs, None
+        cmd_conns, self._cmd_conns = self._cmd_conns, None
+        out_conns, self._out_conns = self._out_conns, None
         if procs:
-            for q in cmd_qs:
+            for proc, conn in zip(procs, cmd_conns):
                 try:
-                    q.put({"op": "stop"})
-                except Exception:  # pragma: no cover - broken queue
+                    if proc.is_alive():
+                        conn.send({"op": "stop"})
+                except OSError:  # the worker died after the check
                     pass
-            # After a lost worker its peers may be stuck in a group
-            # barrier (blocked on a sync queue) and will never see the
-            # stop command — use a short grace join and terminate them
-            # instead of paying the full join timeout per rank.
+            # After a lost worker, an unresponsive one may never read the
+            # stop command — use a short grace join and kill it instead
+            # of paying the full join timeout per rank.
             join_s = 0.2 if self._failed else 5.0
             for proc in procs:
                 if proc.is_alive():
                     proc.join(timeout=join_s)
                 if proc.is_alive():
-                    proc.terminate()
+                    proc.kill()
                     proc.join(timeout=1.0)
-            for q in (*cmd_qs, *out_qs, *sync_qs):
-                q.close()
-                q.cancel_join_thread()
+            for conn in (*cmd_conns, *out_conns):
+                conn.close()
         arenas, self._arenas = self._arenas, {}
         for arena in arenas.values():
             try:
@@ -810,29 +808,39 @@ class ProcessPoolCommunicator(Communicator):
                     pass
         return slot, f"send{slot}", f"recv{slot}"
 
-    def _post_handle(self, group: Sequence[int],
-                     active: Sequence[Tuple[int, dict]],
-                     category: str, reader, slot: int) -> _ProcessHandle:
-        """Post a nonblocking step's commands and return without waiting.
+    def _send(self, r: int, cmd: dict) -> None:
+        """Write one command to rank ``r``'s pipe.  No other process holds
+        a dead worker's read end, so the write raises instead of blocking
+        on a full pipe, and the communicator closes."""
+        try:
+            self._cmd_conns[r].send(cmd)
+        except OSError:
+            self._fail_lost([_WorkerLost(r, died=True)])
 
-        Unlike the bulk-synchronous :meth:`_run_step`, only the *active*
-        members — the ranks whose plan actually moves or reduces bytes —
-        receive a command (a broadcast root, for instance, has nothing to
-        do worker-side).  The no-op round trips the blocking path pays
-        for its step barrier are exactly the per-command IPC overhead the
-        overlapped path exists to avoid; group clocks still synchronise
-        driver-side when the handle is waited.
+    def _post(self, ranks: Sequence[int], cmds: Sequence[dict],
+              group: Sequence[int], category: str,
+              slot: Optional[int] = None) -> _PendingStep:
+        """Send ``cmds[i]`` to ``ranks[i]`` and queue the step's responses.
+
+        ``ranks`` are the members with work (module docstring, "The
+        courier rule"); ``group`` is the collective's group, whose clocks
+        synchronise when the step is drained.
         """
         self._ensure_workers()
-        pending = _PendingStep(list(group), category, time.perf_counter(),
-                               slot)
         self._op_seq += 1
-        pending.op_index = self._op_seq
-        pending.remaining = [r for r, _ in active]
-        for r, cmd in active:
-            self._cmd_qs[r].put(cmd)
+        pending = _PendingStep(list(group), ranks, category, slot,
+                               self._op_seq)
         self._pending.append(pending)
-        handle = _ProcessHandle(self, pending, reader)
+        for r, cmd in zip(ranks, cmds):
+            self._send(r, cmd)
+        return pending
+
+    def _post_handle(self, ranks: Sequence[int], cmds: Sequence[dict],
+                     group: Sequence[int], category: str, reader,
+                     slot: int) -> _ProcessHandle:
+        """Post a nonblocking step's commands and return without waiting."""
+        handle = _ProcessHandle(
+            self, self._post(ranks, cmds, group, category, slot), reader)
         self._nb_handles.append(handle)
         return handle
 
@@ -845,27 +853,20 @@ class ProcessPoolCommunicator(Communicator):
     def _await_response(self, r: int, deadline: float):
         """Read rank ``r``'s next response, watching the worker's liveness.
 
-        Polls with short get timeouts so a worker that *died* is noticed
-        within a fraction of a second instead of after the full watchdog
-        window.  Raises :class:`_WorkerLost` when the response can never
-        arrive (dead process) or the watchdog ``deadline`` expired.
+        Waits on the response pipe and the worker's process sentinel
+        together, so a response or a death wakes the driver at once.
+        Raises :class:`_WorkerLost` when the response can never arrive
+        (dead process) or the watchdog ``deadline`` expired.
         """
-        while True:
-            timeout = min(0.2, max(0.01, deadline - time.perf_counter()))
+        conn = self._out_conns[r]
+        ready = wait_ready([conn, self._procs[r].sentinel],
+                           max(0.0, deadline - time.perf_counter()))
+        if conn in ready:
             try:
-                return self._out_qs[r].get(timeout=timeout)
-            except queue_mod.Empty:
-                proc = self._procs[r] if self._procs else None
-                if proc is not None and not proc.is_alive():
-                    # One grace re-read: the worker may have posted its
-                    # answer right before dying (the queue feeder thread's
-                    # flush races process exit).
-                    try:
-                        return self._out_qs[r].get(timeout=0.2)
-                    except queue_mod.Empty:
-                        raise _WorkerLost(r, died=True) from None
-                if time.perf_counter() >= deadline:
-                    raise _WorkerLost(r, died=False) from None
+                return conn.recv()
+            except (EOFError, OSError):
+                raise _WorkerLost(r, died=True) from None
+        raise _WorkerLost(r, died=bool(ready))
 
     def _fail_lost(self, lost: Sequence[_WorkerLost]) -> None:
         """Close (fast) and raise for lost workers.
@@ -907,83 +908,70 @@ class ProcessPoolCommunicator(Communicator):
             where += f" of epoch {epoch}"
         return f"rank {rank} last completed {where}"
 
-    def _drain_step(self, pending: _PendingStep, block: bool = True) -> bool:
+    def _drain_step(self, pending: _PendingStep, block: bool = True,
+                    since: Optional[float] = None) -> bool:
         """Consume one pending step's responses; returns completion.
 
         Worker errors are recorded on the step (re-raised by the owning
-        handle's ``wait``) so the out-queues stay in lockstep.  A lost
-        worker closes the communicator, exactly like :meth:`_run_step`.
-        On completion only the time this call spent *blocked* is charged
-        to the group clocks — the overlapped window's wall time already
-        belongs to whatever the driver did in it.
+        handle's ``wait`` or by :meth:`_run_step`) so the response pipes
+        stay in lockstep.  A lost worker closes the communicator.  On
+        completion every group member's ``_last_done`` is recorded and
+        the group clocks advance by the time the driver spent blocked:
+        since ``since`` (a blocking step: since it was posted), else in
+        this call — the overlapped window's wall time already belongs to
+        whatever the driver did in it.
         """
-        if not pending.remaining:
-            return True
-        if self._out_qs is None:
+        if self._out_conns is None:
             raise RuntimeError("communicator is closed")
-        start = time.perf_counter()
-        deadline = start + self.timeout_s
+        start = time.perf_counter() if since is None else since
+        deadline = time.perf_counter() + self.timeout_s
         lost: List[_WorkerLost] = []
         still: List[int] = []
         for r in pending.remaining:
-            try:
-                if block:
-                    msg = self._await_response(r, deadline)
-                else:
-                    msg = self._out_qs[r].get_nowait()
-            except queue_mod.Empty:
+            if not block and not self._out_conns[r].poll():
                 still.append(r)
                 continue
+            try:
+                msg = self._await_response(r, deadline)
             except _WorkerLost as exc:
                 lost.append(exc)
                 if exc.died:
-                    # Peers may be blocked in a group barrier with the
-                    # dead rank; close() terminates them instead of
-                    # spending a watchdog window on each.
-                    break
+                    break  # the communicator closes; skip the others
                 continue
-            self._last_done[r] = (pending.category, self._epoch,
-                                  pending.op_index)
             if msg[0] == "error" and pending.error is None:
                 pending.error = RuntimeError(
                     f"rank {r} worker failed:\n{msg[1]}")
         pending.remaining = still
         if lost:
-            try:
-                self._pending.remove(pending)
-            except ValueError:  # pragma: no cover - defensive
-                pass
+            self._pending.remove(pending)
             self._fail_lost(lost)
         if still:
             return False
         blocked = time.perf_counter() - start if block else 0.0
+        for r in pending.group:
+            self._last_done[r] = (pending.category, self._epoch,
+                                  pending.op_index)
         self.timeline.advance_all([blocked] * len(pending.group),
                                   pending.category, ranks=pending.group)
         self.timeline.synchronize(pending.group)
-        try:
-            self._pending.remove(pending)
-        except ValueError:  # pragma: no cover - defensive
-            pass
+        self._pending.remove(pending)
         return True
 
     def _drain_through(self, target: _PendingStep) -> None:
         """Drain posted steps in FIFO order up to and including ``target``."""
-        while target.remaining:
-            if not self._pending:  # pragma: no cover - defensive
-                return
+        while target in self._pending:
             self._drain_step(self._pending[0], block=True)
 
     def _try_drain_through(self, target: _PendingStep) -> bool:
         """Nonblocking best-effort drain; True when ``target`` completed."""
-        while target.remaining:
-            if not self._pending:  # pragma: no cover - defensive
-                return True
+        while target in self._pending:
             if not self._drain_step(self._pending[0], block=False):
                 return False
         return True
 
     def _drain_all_pending(self) -> None:
-        """Bring the out-queues back in lockstep before a blocking step.
+        """Bring the response pipes back in lockstep before a blocking
+        step.
 
         Worker errors stay cached on their pending step (the owning
         handle re-raises them); only a lost worker propagates from here.
@@ -991,51 +979,32 @@ class ProcessPoolCommunicator(Communicator):
         while self._pending:
             self._drain_step(self._pending[0], block=True)
 
-    def _run_step(self, group: Sequence[int], cmds: Sequence[dict],
-                  category: str) -> None:
-        """Dispatch one command per group member and wait for all of them.
+    def _run_step(self, ranks: Sequence[int], cmds: Sequence[dict],
+                  category: str,
+                  group: Optional[Sequence[int]] = None) -> None:
+        """Send ``cmds[i]`` to ``ranks[i]`` and wait for every response.
 
-        Every member's response is drained even after an *error* on an
-        earlier member, so the per-rank out-queues stay in lockstep with
-        the command queues and a failed collective does not poison later
-        ones.  A *timeout* is different: the lost worker's answer can no
-        longer be matched to a command, so the communicator is closed
-        before raising — any further use fails loudly instead of pairing
-        stale responses with new plans.  All group clocks advance by the
-        wall duration of the whole step (bulk-synchronous semantics) and
-        are then synchronised.
+        ``group`` (default ``ranks``) is the collective's group: its
+        clocks advance by the wall duration of the whole step
+        (bulk-synchronous semantics) and synchronise, and its members
+        that got no command have their liveness checked before the step
+        returns, so a dead worker fails the collective whether or not it
+        had work.  Every response is drained even after an *error* on an
+        earlier member, so the response pipes stay in lockstep and a
+        failed collective does not poison later ones.  A lost worker
+        (death or watchdog timeout) closes the communicator before
+        raising: its late answer could no longer be matched to a command.
         """
-        self._ensure_workers()
+        group = list(ranks if group is None else group)
         self._drain_all_pending()
-        self._op_seq += 1
-        op_index = self._op_seq
-        start = time.perf_counter()
-        deadline = start + self.timeout_s
-        for r, cmd in zip(group, cmds):
-            self._cmd_qs[r].put(cmd)
-        errors: List[Tuple[int, str]] = []
-        lost: List[_WorkerLost] = []
-        for r in group:
-            try:
-                msg = self._await_response(r, deadline)
-            except _WorkerLost as exc:
-                lost.append(exc)
-                if exc.died:
-                    # Don't wait out the watchdog on peers stuck in a
-                    # barrier with the dead rank; close() tears them down.
-                    break
-                continue
-            self._last_done[r] = (category, self._epoch, op_index)
-            if msg[0] == "error":
-                errors.append((r, msg[1]))
-        if lost:
-            self._fail_lost(lost)
-        if errors:
-            rank, tb = errors[0]
-            raise RuntimeError(f"rank {rank} worker failed:\n{tb}")
-        dt = time.perf_counter() - start
-        self.timeline.advance_all([dt] * len(group), category, ranks=group)
-        self.timeline.synchronize(group)
+        pending = self._post(ranks, cmds, group, category)
+        self._drain_step(pending, since=pending.start)
+        dead = [r for r in group
+                if r not in ranks and not self._procs[r].is_alive()]
+        if dead:
+            self._fail_lost([_WorkerLost(r, died=True) for r in dead])
+        if pending.error is not None:
+            raise pending.error
 
     @staticmethod
     def _plan(arenas: Sequence[Tuple[int, str, str, int]],
@@ -1049,8 +1018,8 @@ class ProcessPoolCommunicator(Communicator):
     # ------------------------------------------------------------------
     # Lowered steps: the one plan builder and the one dispatcher
     # ------------------------------------------------------------------
-    def _step(self, step: _Step, group: List[int], skind: str, rkind: str,
-              courier: Optional[int]) -> _CachedStep:
+    def _step(self, step: _Step, group: List[int], skind: str,
+              rkind: str) -> _CachedStep:
         """The per-rank worker plans of ``step``, built or from the cache.
 
         Plans are cached under ``(tag, send kind, group, signature)``; a
@@ -1059,8 +1028,9 @@ class ProcessPoolCommunicator(Communicator):
         back to back (64-byte aligned) in its send arena, each
         destination's results back to back in its recv arena, and every
         member gets the copies and reductions landing in its own recv
-        arena — or, when ``courier`` is set and the step moves at most
-        :data:`NB_GROUPED_COPY_MAX_BYTES`, the courier gets all of them.
+        arena — or, when the step moves at most
+        :data:`GROUPED_COPY_MAX_BYTES`, the courier ``group[pid %
+        len(group)]`` gets all of them.
         """
         key = (step.tag, skind, tuple(group), step.sig)
         entry = self._plan_cache.get(key)
@@ -1106,8 +1076,8 @@ class ProcessPoolCommunicator(Communicator):
         for dst, total in received.items():
             self._ensure_arena(dst, rkind, total)
 
-        grouped = courier is not None and sum(
-            slab.nbytes for _, slab in reads) <= NB_GROUPED_COPY_MAX_BYTES
+        grouped = sum(slab.nbytes
+                      for _, slab in reads) <= GROUPED_COPY_MAX_BYTES
         sources = [(rank, off, arr.shape, str(arr.dtype))
                    for (rank, off), (_, arr) in zip(placed, step.sends)]
         # Per destination: (copies, reductions, referenced arena keys).
@@ -1141,19 +1111,19 @@ class ProcessPoolCommunicator(Communicator):
             return self._plan([self._arena_ref(*k) for k in keys], copies,
                               reduces, skind=skind, rkind=rkind)
 
-        idle = self._plan((), skind=skind, rkind=rkind)
         if grouped:
             # Latency protocol: one command + one response for the step.
-            plans = [plan_for(group) if r == courier else idle
-                     for r in group]
+            ranks = [group[pid % len(group)]]
+            plans = [plan_for(group)]
         else:
-            plans = [plan_for((r,)) if r in work else idle for r in group]
+            ranks = [r for r in group if r in work]
+            plans = [plan_for((r,)) for r in ranks]
         for plan in plans:
             plan["pid"] = pid
         gens = tuple(((r, skind), self._arenas[(r, skind)].gen) for r in sent)
         gens += tuple(((r, rkind), self._arenas[(r, rkind)].gen)
                       for r in received)
-        entry = _CachedStep(pid, group, plans, views, reads, gens)
+        entry = _CachedStep(pid, ranks, plans, views, reads, gens)
         self._plan_cache[key] = entry
         return entry
 
@@ -1177,11 +1147,9 @@ class ProcessPoolCommunicator(Communicator):
             if not blocking:
                 return CompletedCommHandle(finish(()))
             if group:
-                self._run_step(group, [self._plan(())] * len(group),
-                               category)
+                self._run_step((), (), category, group)
             return finish(())
-        entry = self._step(step, group, skind, rkind,
-                           None if blocking else step.courier)
+        entry = self._step(step, group, skind, rkind)
         for view, (_, arr) in zip(entry.views, step.sends):
             view[...] = arr
         cmds = self._entry_cmds(entry)
@@ -1191,11 +1159,10 @@ class ProcessPoolCommunicator(Communicator):
                            for rank, slab in entry.reads])
 
         if blocking:
-            self._run_step(group, cmds, category)
+            self._run_step(entry.ranks, cmds, category, group)
             return reader()
-        active = [(r, cmd) for r, cmd, plan in zip(group, cmds, entry.plans)
-                  if _plan_is_active(plan)]
-        return self._post_handle(group, active, category, reader, slot)
+        return self._post_handle(entry.ranks, cmds, group, category, reader,
+                                 slot)
 
     # ------------------------------------------------------------------
     # Execution / synchronisation
@@ -1223,13 +1190,12 @@ class ProcessPoolCommunicator(Communicator):
         self.timeline.advance_all(seconds, category, ranks=group)
 
     def barrier(self, ranks: Optional[Sequence[int]] = None) -> float:
-        """Real rendezvous of the group's worker processes."""
+        """Real rendezvous of the group's worker processes: one no-op
+        command per member.  Workers act only on driver commands, so an
+        answer from every member is the rendezvous."""
         group = self._resolve_ranks(ranks)
         if len(group) > 1:
-            bid = next(self._bid)
-            cmd = {"op": "barrier", "group": list(group), "bid": bid,
-                   "timeout_s": self.timeout_s}
-            self._run_step(group, [cmd] * len(group), "wait")
+            self._run_step(group, [self._plan(())] * len(group), "wait")
         elif self._closed:
             raise RuntimeError("communicator is closed")
         return self.timeline.synchronize(group)
@@ -1285,8 +1251,7 @@ class ProcessPoolCommunicator(Communicator):
             return outs[:root_pos] + [value] + outs[root_pos:]
 
         step = _Step("bc", (root, arr.shape, arr.dtype.str), [(root, arr)],
-                     [(0, r) for r in group if r != root],
-                     courier=group[(root_pos + 1) % p])
+                     [(0, r) for r in group if r != root])
         return group, step, finish
 
     def _lower_allreduce(self, category, arrays, ranks, op):
@@ -1302,8 +1267,7 @@ class ProcessPoolCommunicator(Communicator):
         step = _Step("ar", (op, arrs[0].shape, tuple(a.dtype.str
                                                      for a in arrs)),
                      list(zip(group, arrs)),
-                     reduces=[(r, op, False) for r in group],
-                     courier=group[0])
+                     reduces=[(r, op, False) for r in group])
         return group, step, lambda outs: outs
 
     def _lower_allgather(self, category, arrays, ranks):
@@ -1382,8 +1346,7 @@ class ProcessPoolCommunicator(Communicator):
             return group, None, finish
         sig = tuple((src, dst, arr.shape, arr.dtype.str)
                     for (src, dst), (_, arr) in zip(pairs, sends))
-        return group, _Step("p2p", sig, sends, copies,
-                            courier=group[0]), finish
+        return group, _Step("p2p", sig, sends, copies), finish
 
     def alltoallv(self,
                   send: Sequence[Sequence[Optional[np.ndarray]]],

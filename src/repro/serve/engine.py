@@ -387,7 +387,7 @@ class ServingEngine:
         The join is **bounded**: after ``grace_s`` (default
         ``ServeOptions.stop_grace_s``) the engine escalates to the
         backend's dead-worker teardown — killing the worker pool so the
-        0.2 s liveness poll turns the stuck collective into a
+        sentinel wait turns the stuck collective into a
         :class:`WorkerFailure` the serving thread can exit on — instead
         of hanging behind the 600 s watchdog.  The engine can
         :meth:`start` again after a clean stop; warm state (model,
@@ -420,7 +420,7 @@ class ServingEngine:
 
         Process backend only (in-process backends cannot wedge behind a
         foreign OS process): SIGKILL every live worker so the serving
-        thread's collective fails within the 0.2 s liveness poll instead
+        thread's collective fails at once (the sentinel wait) instead
         of the watchdog timeout.
         """
         procs = getattr(self.comm, "_procs", None)

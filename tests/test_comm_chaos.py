@@ -6,16 +6,18 @@ surface as structured ``WorkerFailure``s, faults fire once per plan,
 delays charge time, and a failed communicator closes cleanly.
 
 Part 2 is process-backend-specific: a SIGKILLed OS worker is *detected*
-(within the fast poll interval, not the watchdog timeout), every shared
-memory segment is unlinked afterwards, teardown stays bounded with
-already-dead pids, and an in-flight nonblocking handle does not wedge
-``close()``.
+(at once by the sentinel wait, not after the watchdog timeout), every
+shared memory segment is unlinked afterwards, teardown stays bounded with
+already-dead pids, an in-flight nonblocking handle does not wedge
+``close()``, and a command larger than the pipe buffer neither corrupts
+nor, sent to a dead worker, blocks.
 
 Run standalone with ``pytest -m conformance``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 
@@ -25,6 +27,7 @@ import pytest
 import comm_chaos as cz
 from repro.comm import make_communicator
 from repro.comm.faults import FaultPlan, WorkerFailure
+from repro.comm.process import ProcessPoolCommunicator
 
 pytestmark = pytest.mark.conformance
 
@@ -86,7 +89,7 @@ class TestProcessFailureSemantics:
 
     def test_kill_mid_epoch_detected_and_shm_unlinked(self):
         """The headline chaos scenario: a worker SIGKILLed mid-epoch is
-        detected quickly (fast poll, not the 600 s watchdog), surfaces as
+        detected quickly (sentinel wait, not the 600 s watchdog), surfaces as
         WorkerFailure, and leaves zero shm segments behind."""
         comm = make_communicator(3, backend="process", timeout_s=120.0)
         try:
@@ -114,7 +117,8 @@ class TestProcessFailureSemantics:
     def test_close_tolerates_already_dead_worker(self):
         """Directly killing a worker (no fault plan, no collective in
         flight) must not make close() hang: the liveness pre-scan caps
-        join grace for the stragglers stuck in the worker barrier."""
+        join grace, and the stop command to the dead rank's broken pipe
+        is tolerated."""
         comm = make_communicator(3, backend="process", timeout_s=120.0)
         comm.broadcast(np.ones(16), root=0)
         comm._procs[2].kill()
@@ -147,7 +151,7 @@ class TestProcessFailureSemantics:
 
     def test_detection_beats_watchdog_by_orders_of_magnitude(self):
         """With the default (long) watchdog, detection is driven by the
-        0.2 s liveness poll — a dead rank costs fractions of a second."""
+        sentinel wait — a dead rank costs fractions of a second."""
         comm = make_communicator(2, backend="process", timeout_s=600.0)
         try:
             comm.broadcast(np.ones(4), root=0)
@@ -159,6 +163,82 @@ class TestProcessFailureSemantics:
         finally:
             comm.close()
         assert _shm_segments(comm) == []
+
+
+def _big_exchange(nranks, rank, width=1, scale=1.0):
+    """20 000 point-to-point messages into ``rank``: its first-dispatch
+    plan pickles to ~340 KB, far past a 64 KiB pipe buffer.  At ``width``
+    1 the step moves 160 KB and runs on one courier; at 8 it moves
+    1.28 MB > GROUPED_COPY_MAX_BYTES, so ``rank`` gets its own plan."""
+    others = [r for r in range(nranks) if r != rank]
+    return [(others[k % len(others)], rank,
+             np.arange(k * width, (k + 1) * width, dtype=np.float64) * scale)
+            for k in range(20_000)]
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail (instead of hanging the suite) when a blocking write wedges."""
+    import signal
+
+    def fail(*_):
+        # Not an OSError: the driver maps those to a dead worker.
+        pytest.fail(f"blocked for more than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, fail)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("start_method", ["fork", "spawn"])
+def test_command_larger_than_pipe_buffer_round_trips(start_method):
+    """A first-dispatch plan far larger than the pipe buffer reaches the
+    worker intact: delivered payloads equal the simulator's bit for bit,
+    on first dispatch and on replay."""
+    import multiprocessing as mp
+    if start_method not in mp.get_all_start_methods():
+        pytest.skip(f"start method {start_method!r} unavailable")
+    comm = ProcessPoolCommunicator(3, start_method=start_method,
+                                   timeout_s=120.0)
+    try:
+        for scale in (1.0, 3.0):        # first dispatch, then replay
+            messages = _big_exchange(3, rank=1, scale=scale)
+            want = make_communicator(3, backend="sim").exchange(messages)
+            got = comm.exchange(messages)
+            assert got.keys() == want.keys()
+            for pair, value in want.items():
+                assert np.array_equal(got[pair], value), pair
+    finally:
+        comm.close()
+
+
+@pytest.mark.parametrize("start_method", ["fork", "spawn"])
+def test_command_larger_than_pipe_buffer_to_dead_worker_raises(start_method):
+    """Writing a > 64 KiB plan to a SIGKILLed worker raises WorkerFailure
+    instead of blocking forever: no other process holds the dead rank's
+    command-pipe read end."""
+    import multiprocessing as mp
+    if start_method not in mp.get_all_start_methods():
+        pytest.skip(f"start method {start_method!r} unavailable")
+    comm = ProcessPoolCommunicator(3, start_method=start_method,
+                                   timeout_s=120.0)
+    with _deadline(30.0):
+        try:
+            comm.broadcast(np.ones(64), root=0)        # arenas exist now
+            messages = _big_exchange(3, rank=1, width=8)
+            comm._kill_worker(1)
+            start = time.monotonic()
+            with pytest.raises(WorkerFailure) as excinfo:
+                comm.exchange(messages)
+            assert time.monotonic() - start < 5.0
+            assert excinfo.value.rank == 1
+        finally:
+            comm.close()
+    assert _shm_segments(comm) == [], "shm segments leaked"
 
 
 _CRASHING_DRIVER = """

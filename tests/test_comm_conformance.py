@@ -114,17 +114,26 @@ class TestProcessBackendSpecifics:
     def test_worker_failure_reports_traceback_and_recovers(self):
         with make_communicator(2, backend="process") as comm:
             comm.allreduce([np.ones(4)] * 2)
-            # Sabotage: a plan referencing a nonexistent arena makes the
+            comm.iallreduce([np.ones(4)] * 2).wait()
+            # Sabotage: a plan referencing a nonexistent generation of
+            # rank 0's blocking and nonblocking send arenas makes the
             # worker raise; the traceback must surface in the driver and
             # the worker must stay usable afterwards.
-            with pytest.raises(RuntimeError, match="worker failed"):
-                comm._run_step(
-                    [0, 1],
-                    [comm._plan([(0, "send", "rprnope", 10**9)]),
-                     comm._plan(())],
-                    "test")
-            out = comm.allreduce([np.ones(4)] * 2)
-            np.testing.assert_array_equal(out[0], np.full(4, 2.0))
+            for kind in ("send", "send0"):
+                with pytest.raises(RuntimeError, match="worker failed"):
+                    comm._run_step(
+                        [0, 1],
+                        [comm._plan([(0, kind, "rprnope", 10**9)]),
+                         comm._plan(())],
+                        "test")
+            # Distinct per-rank operands: a reduction that read a closed
+            # (or freshly allocated) arena instead of rank 0's payload
+            # cannot pass by accident.
+            operands = [np.full(4, 7.0), np.full(4, 11.0)]
+            for out in (comm.allreduce(operands),
+                        comm.iallreduce(operands).wait()):
+                for got in out:
+                    np.testing.assert_array_equal(got, np.full(4, 18.0))
 
     def test_timeout_is_configurable(self):
         with pytest.raises(ValueError):
@@ -178,16 +187,22 @@ class TestProcessBackendSpecifics:
         """A watchdog timeout leaves no chance of pairing the lost
         worker's late response with a later collective: the communicator
         is closed and further use fails loudly."""
+        import os
+        import signal
         comm = ProcessPoolCommunicator(2, timeout_s=0.3)
-        # Dispatch a 2-member barrier to only one member: that worker
-        # waits ~1 s for its (never-arriving) peer, far past the driver's
-        # 0.3 s watchdog.
-        stuck = {"op": "barrier", "group": [0, 1], "bid": 0,
-                 "timeout_s": 1.0}
-        with pytest.raises(RuntimeError, match="did not finish"):
-            comm._run_step([0], [stuck], "wait")
-        with pytest.raises(RuntimeError, match="closed"):
-            comm.allreduce([np.ones(2)] * 2)
+        comm.barrier()
+        # A stopped worker is alive but never answers: the barrier runs
+        # far past the driver's 0.3 s watchdog.
+        stuck = comm._procs[1]
+        os.kill(stuck.pid, signal.SIGSTOP)
+        try:
+            with pytest.raises(RuntimeError, match="did not finish"):
+                comm.barrier()
+            with pytest.raises(RuntimeError, match="closed"):
+                comm.allreduce([np.ones(2)] * 2)
+        finally:
+            if stuck.is_alive():
+                os.kill(stuck.pid, signal.SIGCONT)
         comm.close()  # still idempotent after the automatic close
 
 

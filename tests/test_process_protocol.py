@@ -2,7 +2,7 @@
 
 A scripted sequence of every collective runs on p = 4 — blocking and
 nonblocking, payloads under and over the grouped-copy threshold
-(``NB_GROUPED_COPY_MAX_BYTES``, 1 MiB), sub-groups, singleton and empty
+(``GROUPED_COPY_MAX_BYTES``, 1 MiB), sub-groups, singleton and empty
 groups, int and float operands, and a blocking step behind two in-flight
 handles.  For every script step the test records:
 
@@ -40,17 +40,17 @@ P = 4
 # ----------------------------------------------------------------------
 # Recording
 # ----------------------------------------------------------------------
-class _RecordingQueue:
-    """Forwards to a worker's command queue, recording effective commands."""
+class _RecordingConn:
+    """Forwards to a worker's command pipe, recording effective commands."""
 
     def __init__(self, inner, log: List[dict]) -> None:
         self._inner = inner
         self._log = log
         self._plans: Dict[int, dict] = {}
 
-    def put(self, cmd) -> None:
+    def send(self, cmd) -> None:
         self._log.append(self._effective(cmd))
-        self._inner.put(cmd)
+        self._inner.send(cmd)
 
     def _effective(self, cmd: dict) -> dict:
         if cmd["op"] == "replay":
@@ -246,8 +246,8 @@ def run_script(start_method: str) -> List[dict]:
         fresh = comm._procs is None
         start_workers()
         if fresh:
-            comm._cmd_qs = [_RecordingQueue(q, log)
-                            for q, log in zip(comm._cmd_qs, logs)]
+            comm._cmd_conns = [_RecordingConn(conn, log) for conn, log
+                               in zip(comm._cmd_conns, logs)]
 
     comm._ensure_workers = ensure_recorded_workers
     try:

@@ -243,7 +243,7 @@ class TestBoundedTeardown:
     def test_stop_and_close_bounded_with_dead_worker(self, dataset,
                                                      checkpoint_file):
         """SIGKILL an OS worker outside any fault plan, drive a request
-        into the dead pool: detection rides the 0.2 s liveness poll, the
+        into the dead pool: detection rides the sentinel wait, the
         in-flight request fails structurally, and stop()/close() return
         in seconds — never the 600 s watchdog."""
         engine = recoverable_engine(dataset, "process", checkpoint_file,
