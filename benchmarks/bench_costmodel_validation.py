@@ -15,8 +15,7 @@ import numpy as np
 from repro.bench import bench_scale, format_table
 from repro.comm import make_communicator
 from repro.core import (BlockRowDistribution, DistDenseMatrix, DistSparseMatrix,
-                        predicted_bytes_per_spmm, spmm_1d_oblivious,
-                        spmm_1d_sparsity_aware, spmm_cost_1d_oblivious,
+                        predicted_bytes_per_spmm, spmm, spmm_cost_1d_oblivious,
                         spmm_cost_1d_sparsity_aware)
 from repro.graphs import gcn_normalize, load_dataset
 from repro.graphs.adjacency import permutation_from_parts, symmetric_permutation
@@ -39,10 +38,9 @@ def run_validation(scale: float, seed: int = 0):
         h = np.random.default_rng(seed).normal(size=(dataset.n_vertices, F))
         dense = DistDenseMatrix.from_global(h, dist)
 
-        for label, aware, fn in (("SA", True, spmm_1d_sparsity_aware),
-                                 ("CAGNET", False, spmm_1d_oblivious)):
+        for label, aware in (("SA", True), ("CAGNET", False)):
             comm = make_communicator(p, backend="sim", machine=MACHINE)
-            fn(matrix, dense, comm)
+            spmm(matrix, dense, comm, sparsity_aware=aware)
             predicted = predicted_bytes_per_spmm(matrix, F, sparsity_aware=aware)
             measured = comm.events.bytes_sent_by_rank(p)
             model = (spmm_cost_1d_sparsity_aware(matrix, F, MACHINE) if aware

@@ -3,7 +3,7 @@ Graph Neural Network Training" (Mukhodopadhyay et al., ICPP 2024).
 
 The package is organised as:
 
-* :mod:`repro.core`      — sparsity-aware / oblivious 1D, 1.5D and 2D
+* :mod:`repro.core`      — sparsity-aware / oblivious 1D and 1.5D
   distributed SpMM, the distributed GCN trainer built on them (the paper's
   contribution), the closed-form alpha-beta cost model and the per-rank
   memory/OOM model.  The local multiply (the paper's cuSPARSE call) is
@@ -11,7 +11,7 @@ The package is organised as:
 * :mod:`repro.comm`      — pluggable multi-rank communicator backends
   behind one :class:`~repro.comm.Communicator` interface (deterministic
   alpha-beta simulation, real shared-memory worker threads, one OS
-  process per rank; network topologies, collectives, per-rank clocks,
+  process per rank; machine models, collectives, per-rank clocks,
   event log) — see ``docs/backends.md``;
 * :mod:`repro.partition` — random/block, METIS-like, GVB-like, spectral,
   label-propagation and column-net hypergraph partitioners plus quality
@@ -42,10 +42,7 @@ from .comm import (Communicator, MachineModel, available_backends,
                    make_communicator, perlmutter)
 from .core import (Algorithm, DistTrainConfig, DistTrainResult, DistributedGCN,
                    ProcessGrid, SpmmEngine, setup_distributed,
-                   single_spmm_volume_table, spmm,
-                   spmm_1d_oblivious, spmm_1d_sparsity_aware,
-                   spmm_15d_oblivious, spmm_15d_sparsity_aware,
-                   train_distributed)
+                   single_spmm_volume_table, spmm, train_distributed)
 from .gcn import GCNModel, ReferenceTrainConfig, train_reference
 from .graphs import GraphDataset, load_dataset
 from .plan import ExecutionPlan, PlanCache, Planner, resolve_config
@@ -59,9 +56,7 @@ __all__ = [
     "perlmutter",
     "Algorithm", "DistTrainConfig", "DistTrainResult", "DistributedGCN",
     "ProcessGrid", "SpmmEngine", "setup_distributed",
-    "single_spmm_volume_table", "spmm",
-    "spmm_1d_oblivious", "spmm_1d_sparsity_aware",
-    "spmm_15d_oblivious", "spmm_15d_sparsity_aware", "train_distributed",
+    "single_spmm_volume_table", "spmm", "train_distributed",
     "GCNModel", "ReferenceTrainConfig", "train_reference",
     "GraphDataset", "load_dataset",
     "ExecutionPlan", "PlanCache", "Planner", "resolve_config",

@@ -3,7 +3,7 @@
 The paper's evaluation fixes most hyper-parameters (3 layers, 16 hidden
 units, f from the dataset); the ablation benchmarks vary them to probe the
 design space — feature width (the ``f`` multiplier in every bandwidth
-term), replication factor, partitioner choice, machine/topology.  This
+term), replication factor, partitioner choice, machine model.  This
 module provides the cartesian-product runner those benches share.
 """
 

@@ -40,9 +40,6 @@ from .process import ProcessPoolCommunicator
 from .simulator import SimCommunicator
 from .threaded import ThreadedCommunicator
 from .timeline import Timeline, WAIT_CATEGORY
-from .topology import (DragonflyTopology, FatTreeTopology, FlatTopology,
-                       NetworkTopology, TOPOLOGIES, TopologyMachine,
-                       Torus2DTopology, get_topology, make_topology_machine)
 from .tracker import CommStats, VolumeStats, volume_stats_from_send_bytes
 
 __all__ = [
@@ -72,15 +69,6 @@ __all__ = [
     "SimCommunicator",
     "Timeline",
     "WAIT_CATEGORY",
-    "NetworkTopology",
-    "FlatTopology",
-    "FatTreeTopology",
-    "Torus2DTopology",
-    "DragonflyTopology",
-    "TopologyMachine",
-    "TOPOLOGIES",
-    "get_topology",
-    "make_topology_machine",
     "CommStats",
     "VolumeStats",
     "volume_stats_from_send_bytes",

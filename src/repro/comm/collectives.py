@@ -37,26 +37,20 @@ __all__ = [
 def _group_link(machine: MachineModel, ranks: Sequence[int]) -> tuple[float, float]:
     """Slowest (alpha, beta) link present within a group of ranks.
 
-    Uses :meth:`MachineModel.link` pairwise so that topology-aware machines
-    (:class:`repro.comm.topology.TopologyMachine`) price their collectives
-    by the weakest link on the fabric; for the flat presets this reduces to
-    the intra-/inter-node distinction.
+    The closed form of the worst :meth:`MachineModel.link` over every pair
+    of the group under the two-level (intra-/inter-node) model: one node
+    prices every pair intra-node; otherwise some pair crosses nodes, and
+    the intra-node link also counts when two distinct ranks share a node.
     """
-    ranks = list(ranks)
     if len(ranks) <= 1:
         return (0.0, 0.0)
     nodes = {machine.node_of(r) for r in ranks}
     if len(nodes) == 1:
         return (machine.alpha_intra, machine.beta_intra)
-    worst_alpha, worst_beta = machine.alpha_inter, machine.beta_inter
-    for idx, r in enumerate(ranks):
-        for s in ranks[idx + 1:]:
-            alpha, beta = machine.link(r, s)
-            if alpha > worst_alpha:
-                worst_alpha = alpha
-            if beta > worst_beta:
-                worst_beta = beta
-    return (worst_alpha, worst_beta)
+    if len(nodes) < len(set(ranks)):
+        return (max(machine.alpha_inter, machine.alpha_intra),
+                max(machine.beta_inter, machine.beta_intra))
+    return (machine.alpha_inter, machine.beta_inter)
 
 
 def broadcast_time(machine: MachineModel, ranks: Sequence[int],

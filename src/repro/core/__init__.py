@@ -18,18 +18,15 @@ from .checkpoint import (CheckpointError, CheckpointManager,
                          read_checkpoint, write_checkpoint)
 from .dist_gcn import DistLayerCache, DistributedGCN
 from .dist_matrix import BlockRowDistribution, DistDenseMatrix, DistSparseMatrix
-from .engine import (SpmmEngine, SpmmReport, SpmmVariant,
-                     available_spmm_variants, get_spmm, register_spmm, spmm)
+from .engine import (SpmmEngine, SpmmVariant, available_spmm_variants,
+                     get_spmm, spmm)
 from .gradsync import (GRAD_DTYPES, DeferredScalar, GradientExchanger,
                        PendingGradients, decode_bfloat16,
                        default_bucket_bytes, encode_bfloat16)
 from .memory import (MemoryEstimate, estimate_rank_memory,
                      feasible_process_counts, fits_in_memory)
 from .nnzcols import BlockColumnInfo, nnz_columns_per_block, split_block_row
-from .spmm_1d import spmm_1d_oblivious, spmm_1d_sparsity_aware
-from .spmm_15d import ProcessGrid, spmm_15d_oblivious, spmm_15d_sparsity_aware
-from .spmm_2d import (Dist2DSparseMatrix, Grid2D, spmm_2d_oblivious,
-                      spmm_2d_sparsity_aware)
+from .spmm_15d import ProcessGrid
 from .trainer import (DistEpochRecord, DistributedSetup, DistTrainResult,
                       setup_distributed, train_distributed)
 
@@ -48,17 +45,14 @@ __all__ = [
     "spmm_cost_15d_oblivious", "spmm_cost_15d_sparsity_aware",
     "DistLayerCache", "DistributedGCN",
     "BlockRowDistribution", "DistDenseMatrix", "DistSparseMatrix",
-    "SpmmEngine", "SpmmReport", "SpmmVariant", "available_spmm_variants",
-    "get_spmm", "register_spmm", "spmm",
+    "SpmmEngine", "SpmmVariant", "available_spmm_variants", "get_spmm",
+    "spmm",
     "GRAD_DTYPES", "DeferredScalar", "GradientExchanger", "PendingGradients",
     "decode_bfloat16", "default_bucket_bytes", "encode_bfloat16",
     "MemoryEstimate", "estimate_rank_memory", "feasible_process_counts",
     "fits_in_memory",
     "BlockColumnInfo", "nnz_columns_per_block", "split_block_row",
-    "spmm_1d_oblivious", "spmm_1d_sparsity_aware",
-    "ProcessGrid", "spmm_15d_oblivious", "spmm_15d_sparsity_aware",
-    "Grid2D", "Dist2DSparseMatrix", "spmm_2d_oblivious",
-    "spmm_2d_sparsity_aware",
+    "ProcessGrid",
     "DistEpochRecord", "DistributedSetup", "DistTrainResult",
     "setup_distributed", "train_distributed",
 ]

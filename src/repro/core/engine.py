@@ -1,18 +1,17 @@
-"""Unified distributed-SpMM engine: registry, checks, dispatch, capture.
+"""Unified distributed-SpMM engine: registry, checks, dispatch.
 
 Before this module existed, every caller (the distributed GCN, the trainer,
 the benchmark harness, the CLI) hard-wired itself to individual functions
-in :mod:`~repro.core.spmm_1d` / :mod:`~repro.core.spmm_15d` /
-:mod:`~repro.core.spmm_2d` and to the concrete simulator class.  The
-engine collapses that duplication into one seam:
+in :mod:`~repro.core.spmm_1d` / :mod:`~repro.core.spmm_15d` and to the
+concrete simulator class.  The engine collapses that duplication into one
+seam:
 
-* an **algorithm registry** keyed by
-  ``{"1d", "1.5d", "2d"} x {"oblivious", "sparsity_aware"}`` — the
-  algorithm modules self-register via :func:`register_spmm`, and future
-  variants (2.5D, 3D, ...) plug in the same way;
+* one **registry** of compiled plan classes keyed by
+  ``{"1d", "1.5d"} x {"oblivious", "sparsity_aware"}`` — the algorithm
+  modules self-register each :class:`CompiledSpmm` subclass via
+  :func:`register_spmm_compiler`;
 * **common operand-compatibility checks** (:func:`check_block_operands`,
-  :func:`check_grid_operands`, :func:`check_grid2d_operands`) shared by
-  all algorithm implementations;
+  :func:`check_grid_operands`) shared by the algorithm implementations;
 * **dispatch** (:func:`spmm`, :class:`SpmmEngine`) that works with any
   :class:`~repro.comm.base.Communicator` backend — simulated or real;
 * **compiled execution** (:func:`compile`, :class:`CompiledSpmm`): the
@@ -29,10 +28,7 @@ engine collapses that duplication into one seam:
 * **one stage executor** (:class:`Stage`, :meth:`CompiledSpmm._run`):
   every variant compiles its SpMM into lists of stages — "pack, post a
   collective, multiply" — and one loop runs them all, blocking or with
-  a prefetch window of nonblocking posts;
-* **common timing/volume capture** (:class:`SpmmReport`,
-  :meth:`SpmmEngine.run_with_report`) so benchmarks measure every variant
-  the same way.
+  a prefetch window of nonblocking posts.
 
 Typical use::
 
@@ -47,13 +43,12 @@ Typical use::
     for _ in range(epochs):
         z = op(dense)                       # plan reuse, zero re-setup
 
-Compiled results are views into the operator's reused workspaces: they
-stay valid until the operator's next call, at any width (see
-``docs/performance.md`` for the lifetime rules).  The compiled path
-executes the exact same communication and accounting sequence as the
-uncompiled one, so results, event logs and simulated timings are bitwise
-identical — the conformance suite asserts this for every (variant x
-backend) pair.
+:func:`spmm` and :meth:`SpmmEngine.run` are the one-shot path: they
+compile the variant at ``dense.dtype`` and call the plan once, so a
+one-shot product runs exactly the communication and accounting sequence
+of a compiled plan's call.  Compiled results are views into the
+operator's reused workspaces: they stay valid until the operator's next
+call, at any width (see ``docs/performance.md`` for the lifetime rules).
 """
 
 from __future__ import annotations
@@ -71,17 +66,14 @@ from ..comm.base import Communicator
 from ..obs.tracer import TRACE
 
 __all__ = [
-    "CompiledSpmm", "MODES", "SpmmEngine", "SpmmReport", "SpmmVariant",
-    "Stage", "Workspace", "available_spmm_variants", "check_block_operands",
-    "check_grid_operands", "check_grid2d_operands", "compile", "get_spmm",
-    "mode_name", "register_spmm", "register_spmm_compiler", "spmm",
+    "CompiledSpmm", "MODES", "SpmmEngine", "SpmmVariant", "Stage",
+    "Workspace", "available_spmm_variants", "check_block_operands",
+    "check_grid_operands", "compile", "get_spmm", "mode_name",
+    "register_spmm_compiler", "spmm",
 ]
 
 #: The two communication modes the paper compares.
 MODES = ("oblivious", "sparsity_aware")
-
-#: The three distribution families with registered implementations.
-ALGORITHM_FAMILIES = ("1d", "1.5d", "2d")
 
 
 def _check_pipeline_depth(depth) -> int:
@@ -93,41 +85,23 @@ def _check_pipeline_depth(depth) -> int:
 
 
 # ----------------------------------------------------------------------
-# Common operand-compatibility checks (``dense=None``: the compile-time
-# check of the matrix and the communicator alone)
+# Common compile-time checks of the matrix, grid and communicator (each
+# call checks its dense operand in ``CompiledSpmm._check_dense``)
 # ----------------------------------------------------------------------
-def check_block_operands(matrix, dense, comm: Communicator) -> None:
-    """1D: operands share a block-row distribution, one block per rank."""
-    if dense is not None and matrix.dist != dense.dist:
-        raise ValueError("sparse and dense operands use different distributions")
+def check_block_operands(matrix, comm: Communicator) -> None:
+    """1D: one block row per rank."""
     if matrix.nblocks != comm.nranks:
         raise ValueError(
             f"matrix has {matrix.nblocks} block rows but the communicator "
             f"has {comm.nranks} ranks")
 
 
-def check_grid_operands(matrix, dense, grid, comm: Communicator) -> None:
+def check_grid_operands(matrix, grid, comm: Communicator) -> None:
     """1.5D: block rows match the grid rows, ranks match the grid size."""
-    if dense is not None and matrix.dist != dense.dist:
-        raise ValueError("sparse and dense operands use different distributions")
     if matrix.nblocks != grid.nrows:
         raise ValueError(
             f"matrix has {matrix.nblocks} block rows but the grid has "
             f"{grid.nrows} rows")
-    if comm.nranks != grid.nranks:
-        raise ValueError(
-            f"communicator has {comm.nranks} ranks but the grid expects "
-            f"{grid.nranks}")
-
-
-def check_grid2d_operands(matrix, h, grid, comm: Communicator) -> None:
-    """2D: the block grid matches the process grid and the dense operand."""
-    if matrix.row_dist.nblocks != grid.nrows or \
-            matrix.col_dist.nblocks != grid.ncols:
-        raise ValueError("matrix block grid does not match the process grid")
-    if h is not None and h.shape[0] != matrix.shape[1]:
-        raise ValueError(
-            f"dense operand has {h.shape[0]} rows, expected {matrix.shape[1]}")
     if comm.nranks != grid.nranks:
         raise ValueError(
             f"communicator has {comm.nranks} ranks but the grid expects "
@@ -139,25 +113,33 @@ def check_grid2d_operands(matrix, h, grid, comm: Communicator) -> None:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class SpmmVariant:
-    """One registered (algorithm family, sparsity mode) implementation."""
+    """One registered (algorithm family, sparsity mode) variant and the
+    :class:`CompiledSpmm` subclass that compiles it."""
 
     algorithm: str
     mode: str
-    fn: Callable
+    compiler: type
     needs_grid: bool
-    description: str = ""
 
     @property
     def key(self) -> Tuple[str, str]:
         return (self.algorithm, self.mode)
 
+    def check_grid(self, grid) -> None:
+        """Raise unless ``grid`` is given exactly when the variant needs
+        one."""
+        if self.needs_grid and grid is None:
+            raise ValueError(
+                f"the {self.algorithm} algorithm requires a process grid")
+        if not self.needs_grid and grid is not None:
+            raise ValueError(
+                f"the {self.algorithm} algorithm does not take a process grid")
 
-_REGISTRY: Dict[Tuple[str, str], SpmmVariant] = {}
 
-#: Per-variant compilers: (algorithm, mode) -> a :class:`CompiledSpmm`
-#: subclass, constructed as ``cls(variant, matrix, comm, grid=...,
+#: (algorithm, mode) -> its variant; :func:`compile` constructs the
+#: variant's compiler as ``compiler(variant, matrix, comm, grid=...,
 #: dtype=..., pipeline_depth=..., **categories)``.
-_COMPILERS: Dict[Tuple[str, str], Callable] = {}
+_REGISTRY: Dict[Tuple[str, str], SpmmVariant] = {}
 
 
 def mode_name(sparsity_aware: bool) -> str:
@@ -165,32 +147,28 @@ def mode_name(sparsity_aware: bool) -> str:
     return "sparsity_aware" if sparsity_aware else "oblivious"
 
 
-def register_spmm(algorithm: str, mode: str, needs_grid: bool = False,
-                  description: str = "") -> Callable:
-    """Decorator: register an SpMM kernel under ``(algorithm, mode)``.
-
-    Kernels without a grid are called as ``fn(matrix, dense, comm, **kw)``;
-    grid kernels as ``fn(matrix, dense, grid, comm, **kw)``.
-    """
+def register_spmm_compiler(algorithm: str, mode: str,
+                           needs_grid: bool = False) -> Callable:
+    """Class decorator: register the :class:`CompiledSpmm` subclass that
+    compiles the ``(algorithm, mode)`` variant; ``needs_grid`` variants
+    take a process grid."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
-    def decorate(fn: Callable) -> Callable:
+    def decorate(cls: type) -> type:
         key = (algorithm, mode)
         if key in _REGISTRY:
             raise ValueError(f"SpMM variant {key} is already registered")
-        _REGISTRY[key] = SpmmVariant(algorithm=algorithm, mode=mode, fn=fn,
-                                     needs_grid=needs_grid,
-                                     description=description or
-                                     (fn.__doc__ or "").strip().split("\n")[0])
-        return fn
+        _REGISTRY[key] = SpmmVariant(algorithm=algorithm, mode=mode,
+                                     compiler=cls, needs_grid=needs_grid)
+        return cls
 
     return decorate
 
 
 def _ensure_algorithms_loaded() -> None:
     """Import the built-in algorithm modules (they self-register)."""
-    from . import spmm_1d, spmm_15d, spmm_2d  # noqa: F401
+    from . import spmm_1d, spmm_15d  # noqa: F401
 
 
 def available_spmm_variants() -> List[Tuple[str, str]]:
@@ -210,24 +188,6 @@ def get_spmm(algorithm: str, sparsity_aware: bool = True,
         raise ValueError(
             f"no SpMM variant registered for {key}; "
             f"available: {sorted(_REGISTRY)}") from None
-
-
-def register_spmm_compiler(algorithm: str, mode: str) -> Callable:
-    """Class decorator: register the :class:`CompiledSpmm` subclass that
-    compiles an SpMM variant (see :data:`_COMPILERS` for how
-    :func:`compile` constructs it)."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-
-    def decorate(cls: type) -> type:
-        key = (algorithm, mode)
-        if key in _COMPILERS:
-            raise ValueError(f"an SpMM compiler for {key} is already "
-                             f"registered")
-        _COMPILERS[key] = cls
-        return cls
-
-    return decorate
 
 
 # ----------------------------------------------------------------------
@@ -298,9 +258,8 @@ class CompiledSpmm:
     metadata at construction — pack index sets, block lists, schedules
     and per-column flop constants, none of which depends on the dense
     width — compile them into lists of :class:`Stage` and own the reused
-    workspaces; ``__call__`` runs one SpMM of any width with the same
-    communication/accounting sequence as the uncompiled kernel, every
-    stage list through the one executor :meth:`_run`.
+    workspaces; ``__call__`` runs one SpMM of any width, every stage
+    list through the one executor :meth:`_run`.
 
     Workspaces are sized lazily: each role is one :class:`Workspace`,
     allocated by the first call and regrown, at call entry and before
@@ -362,20 +321,11 @@ class CompiledSpmm:
 
     def _check_dense(self, dense) -> int:
         """Cheap per-call operand validation; returns the operand width."""
-        if isinstance(dense, np.ndarray):
-            if dense.ndim != 2:
-                raise ValueError(
-                    f"dense operand must be 2-D, got shape {dense.shape}")
-            if dense.dtype != self.dtype:
-                raise ValueError(
-                    f"compiled for dtype {self.dtype}, got {dense.dtype}")
-            return dense.shape[1]
-        if getattr(dense, "dtype", self.dtype) != self.dtype:
+        if dense.dtype != self.dtype:
             raise ValueError(
                 f"compiled for dtype {self.dtype}, got {dense.dtype}")
-        dist = getattr(self.matrix, "dist", None)
-        if dist is not None and dense.dist is not dist \
-                and dense.dist != dist:
+        dist = self.matrix.dist
+        if dense.dist is not dist and dense.dist != dist:
             raise ValueError(
                 "dense operand uses a different distribution than the "
                 "compiled matrix")
@@ -482,74 +432,35 @@ def compile(matrix, comm: Communicator, algorithm: str = "1d",
     see the :class:`CompiledSpmm` docstring and ``docs/performance.md``).
     """
     variant = get_spmm(algorithm, sparsity_aware=sparsity_aware, mode=mode)
-    if variant.needs_grid and grid is None:
-        raise ValueError(f"the {variant.algorithm} algorithm requires a "
-                         f"process grid")
-    if not variant.needs_grid and grid is not None:
-        raise ValueError(f"the {variant.algorithm} algorithm does not take "
-                         f"a process grid")
-    compiler = _COMPILERS.get(variant.key)
-    if compiler is None:
-        raise ValueError(f"SpMM variant {variant.key} has no registered "
-                         f"compiler")
-    return compiler(variant, matrix, comm, grid=grid, dtype=dtype,
-                    pipeline_depth=pipeline_depth, **categories)
+    variant.check_grid(grid)
+    return variant.compiler(variant, matrix, comm, grid=grid, dtype=dtype,
+                            pipeline_depth=pipeline_depth, **categories)
 
 
 # ----------------------------------------------------------------------
-# Dispatch + capture
+# Dispatch
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class SpmmReport:
-    """Timing/volume delta captured around one engine dispatch."""
-
-    algorithm: str
-    mode: str
-    backend: str
-    elapsed_s: float
-    comm_bytes: int
-    messages: int
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "algorithm": self.algorithm,
-            "mode": self.mode,
-            "backend": self.backend,
-            "elapsed_s": self.elapsed_s,
-            "comm_MB": self.comm_bytes / 1e6,
-            "messages": self.messages,
-        }
-
-
 def spmm(matrix, dense, comm: Communicator, algorithm: str = "1d",
          sparsity_aware: bool = True, grid=None, **categories):
-    """Dispatch ``Z = M H`` to the registered (algorithm, mode) kernel.
+    """Compute ``Z = M H`` once with the registered (algorithm, mode)
+    variant: compile it at ``dense.dtype`` and call the plan once.
 
-    ``matrix`` / ``dense`` are the family's operand types
-    (:class:`~repro.core.dist_matrix.DistSparseMatrix` +
-    :class:`~repro.core.dist_matrix.DistDenseMatrix` for 1D/1.5D;
-    :class:`~repro.core.spmm_2d.Dist2DSparseMatrix` + a NumPy array for
-    2D).  Grid algorithms require the matching ``grid`` object
-    (:class:`~repro.core.spmm_15d.ProcessGrid` or
-    :class:`~repro.core.spmm_2d.Grid2D`).
+    ``matrix`` / ``dense`` are a
+    :class:`~repro.core.dist_matrix.DistSparseMatrix` and a
+    :class:`~repro.core.dist_matrix.DistDenseMatrix` on the same
+    block-row distribution; 1.5D requires the matching
+    :class:`~repro.core.spmm_15d.ProcessGrid`.
     """
-    variant = get_spmm(algorithm, sparsity_aware=sparsity_aware)
-    if variant.needs_grid:
-        if grid is None:
-            raise ValueError(
-                f"the {variant.algorithm} algorithm requires a process grid")
-        return variant.fn(matrix, dense, grid, comm, **categories)
-    if grid is not None:
-        raise ValueError(
-            f"the {variant.algorithm} algorithm does not take a process grid")
-    return variant.fn(matrix, dense, comm, **categories)
+    return SpmmEngine(comm, algorithm=algorithm,
+                      sparsity_aware=sparsity_aware,
+                      grid=grid).run(matrix, dense, **categories)
 
 
 class SpmmEngine:
     """A communicator-bound dispatcher for one (algorithm, mode) variant.
 
     The engine is the object the distributed GCN, the trainer and the
-    benchmark harness hold instead of concrete kernel functions; swapping
+    benchmark harness hold instead of concrete plan classes; swapping
     the algorithm or the communicator backend never touches those layers.
     """
 
@@ -557,14 +468,8 @@ class SpmmEngine:
                  sparsity_aware: bool = True, grid=None) -> None:
         self.comm = comm
         self.variant = get_spmm(algorithm, sparsity_aware=sparsity_aware)
-        if self.variant.needs_grid and grid is None:
-            raise ValueError(
-                f"the {algorithm} algorithm requires a process grid")
-        if not self.variant.needs_grid and grid is not None:
-            raise ValueError(
-                f"the {algorithm} algorithm does not take a process grid")
+        self.variant.check_grid(grid)
         self.grid = grid
-        self.last_report: Optional[SpmmReport] = None
 
     @property
     def algorithm(self) -> str:
@@ -575,11 +480,9 @@ class SpmmEngine:
         return self.variant.mode
 
     def run(self, matrix, dense, **categories):
-        """Execute ``Z = M H`` on this engine's communicator."""
-        if self.variant.needs_grid:
-            return self.variant.fn(matrix, dense, self.grid, self.comm,
-                                   **categories)
-        return self.variant.fn(matrix, dense, self.comm, **categories)
+        """Compute ``Z = M H`` once: compile this engine's variant at
+        ``dense.dtype`` and call the plan once."""
+        return self.compile(matrix, dtype=dense.dtype, **categories)(dense)
 
     def compile(self, matrix, dtype=np.float64, pipeline_depth: int = 1,
                 **categories) -> CompiledSpmm:
@@ -591,23 +494,6 @@ class SpmmEngine:
         return compile(matrix, self.comm, algorithm=self.algorithm,
                        mode=self.mode, grid=self.grid, dtype=dtype,
                        pipeline_depth=pipeline_depth, **categories)
-
-    def run_with_report(self, matrix, dense, **categories):
-        """Like :meth:`run`, also capturing an :class:`SpmmReport` delta."""
-        t0 = self.comm.elapsed()
-        bytes0 = self.comm.events.total_bytes()
-        msgs0 = self.comm.events.message_count()
-        result = self.run(matrix, dense, **categories)
-        report = SpmmReport(
-            algorithm=self.algorithm,
-            mode=self.mode,
-            backend=self.comm.backend_name,
-            elapsed_s=self.comm.elapsed() - t0,
-            comm_bytes=self.comm.events.total_bytes() - bytes0,
-            messages=self.comm.events.message_count() - msgs0,
-        )
-        self.last_report = report
-        return result, report
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"SpmmEngine(algorithm={self.algorithm!r}, mode={self.mode!r}, "

@@ -16,9 +16,10 @@ Both variants are implemented as **compiled operators**
 (:class:`~repro.core.engine.CompiledSpmm`): the staged broadcast /
 point-to-point schedules, gather index sets and flop charges are derived
 once at compile time, and the pack buffers plus per-replica partial-sum
-accumulators are reused across calls.  The registered functions
-(``("1.5d", "oblivious")`` / ``("1.5d", "sparsity_aware")``) are thin
-compile-and-run-once wrappers.  They run against any
+accumulators are reused across calls.  The plans register with
+:mod:`repro.core.engine` under ``("1.5d", "oblivious")`` /
+``("1.5d", "sparsity_aware")``; one-shot callers go through
+:func:`repro.core.engine.spmm`.  They run against any
 :class:`~repro.comm.base.Communicator` backend; per-rank compute goes
 through :meth:`~repro.comm.base.Communicator.parallel_for`.
 """
@@ -32,13 +33,11 @@ from typing import List
 import numpy as np
 
 from ..comm.base import Communicator
-from .dist_matrix import BlockRowDistribution, DistDenseMatrix, DistSparseMatrix
+from .dist_matrix import DistDenseMatrix, DistSparseMatrix
 from .engine import (CompiledSpmm, Stage, Workspace, check_grid_operands,
-                     get_spmm, idle_task, register_spmm,
-                     register_spmm_compiler)
+                     idle_task, register_spmm_compiler)
 
-__all__ = ["Compiled15DOblivious", "Compiled15DSparsityAware", "ProcessGrid",
-           "spmm_15d_oblivious", "spmm_15d_sparsity_aware"]
+__all__ = ["Compiled15DOblivious", "Compiled15DSparsityAware", "ProcessGrid"]
 
 
 @dataclass(frozen=True)
@@ -115,7 +114,7 @@ class _Compiled15DBase(CompiledSpmm):
                  reduce_category: str, pipeline_depth: int = 1) -> None:
         super().__init__(variant, matrix, comm, grid=grid, dtype=dtype,
                          pipeline_depth=pipeline_depth)
-        check_grid_operands(matrix, None, grid, comm)
+        check_grid_operands(matrix, grid, comm)
         self.compute_category = compute_category
         self.comm_category = comm_category
         self.reduce_category = reduce_category
@@ -142,7 +141,7 @@ class _Compiled15DBase(CompiledSpmm):
         return dense.like(self._run(self._reduce, dense, 0))
 
 
-@register_spmm_compiler("1.5d", "oblivious")
+@register_spmm_compiler("1.5d", "oblivious", needs_grid=True)
 class Compiled15DOblivious(_Compiled15DBase):
     """Persistent plan for the CAGNET 1.5D staged-broadcast algorithm.
 
@@ -197,7 +196,7 @@ class Compiled15DOblivious(_Compiled15DBase):
         return task
 
 
-@register_spmm_compiler("1.5d", "sparsity_aware")
+@register_spmm_compiler("1.5d", "sparsity_aware", needs_grid=True)
 class Compiled15DSparsityAware(_Compiled15DBase):
     """Persistent plan for Algorithm 2 (staged NnzCols point-to-point).
 
@@ -221,10 +220,10 @@ class Compiled15DSparsityAware(_Compiled15DBase):
                          compute_category, comm_category, reduce_category,
                          pipeline_depth=pipeline_depth)
         self._ahead = self.pipeline_depth - 1
-        # Per stage: messages = [(src, dst, segment)] in the same
-        # col-major order the uncompiled kernel builds them; one pack task
-        # per column (on the source rank) and one multiply task per rank,
-        # whose rows come from a pack segment or a diagonal gather.
+        # Per stage: messages = [(src, dst, segment)] in col-major
+        # order; one pack task per column (on the source rank) and one
+        # multiply task per rank, whose rows come from a pack segment or
+        # a diagonal gather.
         self._message_segs: List[List[tuple]] = []
         self._stages = []
         pack_rows: List[int] = []
@@ -313,51 +312,3 @@ class Compiled15DSparsityAware(_Compiled15DBase):
             self.comm.charge_spmm(rank, flops * self._width,
                                   category=self.compute_category)
         return task
-
-
-@register_spmm("1.5d", "oblivious", needs_grid=True,
-               description="CAGNET 1.5D: staged column broadcasts")
-def spmm_15d_oblivious(matrix: DistSparseMatrix, dense: DistDenseMatrix,
-                       grid: ProcessGrid, comm: Communicator,
-                       compute_category: str = "local",
-                       comm_category: str = "bcast",
-                       reduce_category: str = "allreduce") -> DistDenseMatrix:
-    """Sparsity-oblivious 1.5D SpMM (CAGNET / Koanantakool baseline).
-
-    Compile-and-run-once wrapper around :class:`Compiled15DOblivious`.
-    """
-    check_grid_operands(matrix, dense, grid, comm)
-    variant = get_spmm("1.5d", sparsity_aware=False)
-    op = Compiled15DOblivious(variant, matrix, comm, grid=grid,
-                              dtype=dense.dtype,
-                              compute_category=compute_category,
-                              comm_category=comm_category,
-                              reduce_category=reduce_category)
-    return op(dense)
-
-
-@register_spmm("1.5d", "sparsity_aware", needs_grid=True,
-               description="Algorithm 2: staged NnzCols point-to-point")
-def spmm_15d_sparsity_aware(matrix: DistSparseMatrix, dense: DistDenseMatrix,
-                            grid: ProcessGrid, comm: Communicator,
-                            compute_category: str = "local",
-                            comm_category: str = "alltoall",
-                            reduce_category: str = "allreduce"
-                            ) -> DistDenseMatrix:
-    """Sparsity-aware 1.5D SpMM (Algorithm 2 of the paper).
-
-    Per stage, the owner of the consumed block row sends each process of
-    its grid column only the rows that process's ``NnzCols`` selects
-    (non-blocking sends / blocking receives in the paper; a batched
-    point-to-point exchange here).
-
-    Compile-and-run-once wrapper around :class:`Compiled15DSparsityAware`.
-    """
-    check_grid_operands(matrix, dense, grid, comm)
-    variant = get_spmm("1.5d")
-    op = Compiled15DSparsityAware(variant, matrix, comm, grid=grid,
-                                  dtype=dense.dtype,
-                                  compute_category=compute_category,
-                                  comm_category=comm_category,
-                                  reduce_category=reduce_category)
-    return op(dense)

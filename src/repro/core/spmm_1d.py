@@ -18,12 +18,11 @@ Both variants are implemented as **compiled operators**
 rows to pack for whom, which blocks are empty, the flop charges) is
 derived once at compile time and the pack/output buffers are reused across
 calls, which is what lets one plan serve hundreds of training epochs.  The
-plain functions registered with :mod:`repro.core.engine` under
-``("1d", "oblivious")`` / ``("1d", "sparsity_aware")`` are thin
-compile-and-run-once wrappers, so one-shot callers see identical
-behaviour.  The functions return only the distributed result; all
-communication volume and timing is recorded on the
-:class:`~repro.comm.base.Communicator` they run on, and per-rank compute
+plans register with :mod:`repro.core.engine` under ``("1d", "oblivious")``
+/ ``("1d", "sparsity_aware")``; one-shot callers go through
+:func:`repro.core.engine.spmm`.  A call returns only the distributed
+result; all communication volume and timing is recorded on the
+:class:`~repro.comm.base.Communicator` it runs on, and per-rank compute
 runs through :meth:`~repro.comm.base.Communicator.parallel_for` —
 sequential under the simulator, genuinely parallel under real backends.
 """
@@ -37,11 +36,9 @@ import numpy as np
 from ..comm.base import Communicator
 from .dist_matrix import DistDenseMatrix, DistSparseMatrix
 from .engine import (CompiledSpmm, Stage, Workspace, check_block_operands,
-                     get_spmm, idle_task, register_spmm,
-                     register_spmm_compiler)
+                     idle_task, register_spmm_compiler)
 
-__all__ = ["Compiled1DOblivious", "Compiled1DSparsityAware",
-           "spmm_1d_oblivious", "spmm_1d_sparsity_aware"]
+__all__ = ["Compiled1DOblivious", "Compiled1DSparsityAware"]
 
 
 @register_spmm_compiler("1d", "oblivious")
@@ -68,7 +65,7 @@ class Compiled1DOblivious(CompiledSpmm):
                  pipeline_depth: int = 1) -> None:
         super().__init__(variant, matrix, comm, grid=grid, dtype=dtype,
                          pipeline_depth=pipeline_depth)
-        check_block_operands(matrix, None, comm)
+        check_block_operands(matrix, comm)
         self.compute_category = compute_category
         self.comm_category = comm_category
         p = comm.nranks
@@ -126,7 +123,7 @@ class Compiled1DSparsityAware(CompiledSpmm):
                  pipeline_depth: int = 1) -> None:
         super().__init__(variant, matrix, comm, grid=grid, dtype=dtype,
                          pipeline_depth=pipeline_depth)
-        check_block_operands(matrix, None, comm)
+        check_block_operands(matrix, comm)
         self.compute_category = compute_category
         self.comm_category = comm_category
         p = comm.nranks
@@ -223,48 +220,3 @@ class Compiled1DSparsityAware(CompiledSpmm):
     def _execute(self, dense: DistDenseMatrix) -> DistDenseMatrix:
         self._run(self._stages, dense, self.pipeline_depth - 1)
         return dense.like(self._out)
-
-
-@register_spmm("1d", "oblivious",
-               description="CAGNET 1D: block-row broadcasts")
-def spmm_1d_oblivious(matrix: DistSparseMatrix, dense: DistDenseMatrix,
-                      comm: Communicator,
-                      compute_category: str = "local",
-                      comm_category: str = "bcast") -> DistDenseMatrix:
-    """Sparsity-oblivious 1D SpMM (the CAGNET baseline).
-
-    Every process broadcasts its entire ``H`` block row; receivers multiply
-    their full-width local blocks against it.  Bandwidth therefore does not
-    shrink with ``P`` — the behaviour Figure 3 shows for the CAGNET curves.
-
-    Compile-and-run-once wrapper around :class:`Compiled1DOblivious`.
-    """
-    check_block_operands(matrix, dense, comm)
-    variant = get_spmm("1d", sparsity_aware=False)
-    op = Compiled1DOblivious(variant, matrix, comm, dtype=dense.dtype,
-                             compute_category=compute_category,
-                             comm_category=comm_category)
-    return op(dense)
-
-
-@register_spmm("1d", "sparsity_aware",
-               description="Algorithm 1: NnzCols-packed all-to-allv")
-def spmm_1d_sparsity_aware(matrix: DistSparseMatrix, dense: DistDenseMatrix,
-                           comm: Communicator,
-                           compute_category: str = "local",
-                           comm_category: str = "alltoall") -> DistDenseMatrix:
-    """Sparsity-aware 1D SpMM (Algorithm 1 of the paper).
-
-    Process ``j`` packs, for every destination ``i``, the rows of its
-    ``H_j`` selected by ``NnzCols(i, j)``; a single all-to-allv moves all
-    packed segments; each receiver multiplies its compacted blocks against
-    the packed rows it received.
-
-    Compile-and-run-once wrapper around :class:`Compiled1DSparsityAware`.
-    """
-    check_block_operands(matrix, dense, comm)
-    variant = get_spmm("1d")
-    op = Compiled1DSparsityAware(variant, matrix, comm, dtype=dense.dtype,
-                                 compute_category=compute_category,
-                                 comm_category=comm_category)
-    return op(dense)

@@ -15,8 +15,7 @@ from repro.comm import (Communicator, available_backends, make_communicator,
 from repro.comm.base import payload_nbytes, reduce_stack
 from repro.comm.threaded import ThreadedCommunicator
 from repro.core import (BlockRowDistribution, DistDenseMatrix,
-                        DistSparseMatrix, spmm_1d_oblivious,
-                        spmm_1d_sparsity_aware)
+                        DistSparseMatrix, spmm)
 from repro.graphs import gcn_normalize
 from repro.graphs.generators import erdos_renyi_graph
 
@@ -182,7 +181,7 @@ class TestCallSequences:
     def test_oblivious_1d_is_p_broadcasts(self):
         _, dm, dh, _ = make_problem(p=4)
         comm = FakeCommunicator(4)
-        spmm_1d_oblivious(dm, dh, comm)
+        spmm(dm, dh, comm, sparsity_aware=False)
         collectives = comm.ops("broadcast", "alltoallv", "exchange")
         assert [c[0] for c in collectives] == ["broadcast"] * 4
         assert all(c[1] == "bcast" for c in collectives)
@@ -190,7 +189,7 @@ class TestCallSequences:
     def test_sparsity_aware_1d_is_one_alltoallv(self):
         _, dm, dh, _ = make_problem(p=4)
         comm = FakeCommunicator(4)
-        spmm_1d_sparsity_aware(dm, dh, comm)
+        spmm(dm, dh, comm)
         collectives = comm.ops("broadcast", "alltoallv", "exchange")
         assert [c[0] for c in collectives] == ["alltoallv"]
         assert collectives[0][1] == "alltoall"
@@ -204,7 +203,7 @@ class TestCallSequences:
     def test_recorded_alltoallv_volume_matches_nnzcols(self):
         _, dm, dh, _ = make_problem(p=4, f=5)
         comm = FakeCommunicator(4)
-        spmm_1d_sparsity_aware(dm, dh, comm)
+        spmm(dm, dh, comm)
         expected = 8 * 5 * sum(
             dm.nnz_cols(i, j).size
             for i in range(4) for j in range(4) if i != j)
@@ -215,16 +214,16 @@ class TestCallSequences:
         """Oblivious moves >= the sparsity-aware volume (paper Sec. 4)."""
         _, dm, dh, _ = make_problem(p=4, f=5)
         fake_ob, fake_sa = FakeCommunicator(4), FakeCommunicator(4)
-        spmm_1d_oblivious(dm, dh, fake_ob)
-        spmm_1d_sparsity_aware(dm, dh, fake_sa)
+        spmm(dm, dh, fake_ob, sparsity_aware=False)
+        spmm(dm, dh, fake_sa)
         vol_ob = sum(c[2] for c in fake_ob.ops("broadcast"))
         vol_sa = sum(c[2] for c in fake_sa.ops("alltoallv"))
         assert vol_ob >= vol_sa
 
     def test_results_identical_to_real_backends(self):
         adj, dm, dh, h = make_problem(p=4)
-        z_fake = spmm_1d_sparsity_aware(dm, dh, FakeCommunicator(4))
-        z_sim = spmm_1d_sparsity_aware(dm, dh, make_communicator(4))
+        z_fake = spmm(dm, dh, FakeCommunicator(4))
+        z_sim = spmm(dm, dh, make_communicator(4))
         np.testing.assert_array_equal(z_fake.to_global(), z_sim.to_global())
         np.testing.assert_allclose(z_fake.to_global(), adj @ h, atol=1e-10)
 

@@ -3,9 +3,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.comm import collectives as coll
-from repro.comm.machine import perlmutter
+from repro.comm.machine import MachineModel, perlmutter
 
 
 MACHINE = perlmutter()
@@ -107,3 +109,39 @@ class TestAlltoallv:
         times = coll.alltoallv_time_per_rank(MACHINE, ranks, sizes)
         expected = MACHINE.alpha_intra + 10 * MACHINE.beta_intra
         assert times[0] == pytest.approx(expected)
+
+
+def _pairwise_group_link(machine, ranks):
+    """The worst link over every pair of the group, by brute force: the
+    reference the closed-form ``_group_link`` must equal."""
+    ranks = list(ranks)
+    if len(ranks) <= 1:
+        return (0.0, 0.0)
+    if len({machine.node_of(r) for r in ranks}) == 1:
+        return (machine.alpha_intra, machine.beta_intra)
+    worst_alpha, worst_beta = machine.alpha_inter, machine.beta_inter
+    for idx, r in enumerate(ranks):
+        for s in ranks[idx + 1:]:
+            alpha, beta = machine.link(r, s)
+            worst_alpha = max(worst_alpha, alpha)
+            worst_beta = max(worst_beta, beta)
+    return (worst_alpha, worst_beta)
+
+
+_cost = st.floats(min_value=1e-12, max_value=1e-3, allow_nan=False)
+
+
+class TestGroupLink:
+    @given(gpus_per_node=st.integers(1, 8), alpha_intra=_cost,
+           alpha_inter=_cost, beta_intra=_cost, beta_inter=_cost,
+           ranks=st.lists(st.integers(0, 40), max_size=10))
+    @settings(max_examples=300, deadline=None)
+    def test_closed_form_equals_the_pairwise_worst_link(
+            self, gpus_per_node, alpha_intra, alpha_inter, beta_intra,
+            beta_inter, ranks):
+        machine = MachineModel(gpus_per_node=gpus_per_node,
+                               alpha_intra=alpha_intra,
+                               alpha_inter=alpha_inter,
+                               beta_intra=beta_intra, beta_inter=beta_inter)
+        assert coll._group_link(machine, ranks) == \
+            _pairwise_group_link(machine, ranks)

@@ -26,8 +26,7 @@ import comm_conformance as cc
 from repro.comm import make_communicator
 from repro.comm.process import ProcessPoolCommunicator
 from repro.core import (BlockRowDistribution, DistDenseMatrix,
-                        DistSparseMatrix, Dist2DSparseMatrix, Grid2D,
-                        ProcessGrid, SpmmEngine)
+                        DistSparseMatrix, ProcessGrid, SpmmEngine)
 
 pytestmark = pytest.mark.conformance
 
@@ -233,10 +232,6 @@ def _problem(n, density, f, seed):
     return mat.tocsr().astype(np.float64), h, widths
 
 
-def _to_global(z) -> np.ndarray:
-    return np.array(z) if isinstance(z, np.ndarray) else z.to_global()
-
-
 def _sim_accounting(matrix, operands, grid, algorithm, mode, p, compiled):
     """``(events, clocks, breakdown)`` of running ``operands`` in order on
     a fresh simulator, uncompiled or through one compiled plan."""
@@ -275,12 +270,12 @@ def _run_all_backends(matrix, wrap, h, widths, grid, algorithm, mode, p):
             engine = SpmmEngine(comm, algorithm=algorithm,
                                 sparsity_aware=(mode == "sparsity_aware"),
                                 grid=grid)
-            ref = [_to_global(engine.run(matrix, x)) for x in operands]
+            ref = [engine.run(matrix, x).to_global() for x in operands]
             for depth in (1, 2):
                 op = engine.compile(matrix, pipeline_depth=depth)
                 for call, (x, want) in enumerate(zip(operands, ref)):
                     np.testing.assert_array_equal(
-                        _to_global(op(x)), want,
+                        op(x).to_global(), want,
                         err_msg=f"compiled {algorithm}/{mode} depth {depth} "
                                 f"call {call} of widths {widths} diverged "
                                 f"from uncompiled on {backend!r}")
@@ -343,17 +338,6 @@ class TestCrossBackendSpmmProperties:
             DistSparseMatrix(adj, dist),
             lambda x: DistDenseMatrix.from_global(x, dist), h, widths,
             grid, "1.5d", mode, p)
-        _assert_bit_identical(results, adj, h, widths)
-
-    @given(problem=spmm_problem(), mode=st.sampled_from(["oblivious",
-                                                         "sparsity_aware"]))
-    @settings(**SETTINGS)
-    def test_2d_bit_identical(self, problem, mode):
-        adj, h, widths = problem
-        grid = Grid2D(2, 2)
-        results = _run_all_backends(
-            Dist2DSparseMatrix.uniform(adj, grid), lambda x: x, h, widths,
-            grid, "2d", mode, 4)
         _assert_bit_identical(results, adj, h, widths)
 
 

@@ -3,7 +3,7 @@
 The contract under test (see ``docs/performance.md``):
 
 * for every (variant x backend) pair, the compiled operator is **bitwise
-  identical** to the uncompiled compile-and-run-once path;
+  identical** to the one-shot ``spmm`` path (compile, call once);
 * repeated calls reuse the plan's workspaces with no stale-state leakage
   between epochs (calling with B after A gives exactly what a fresh run
   on B gives, and re-calling with A restores A's result bit for bit);
@@ -22,8 +22,7 @@ import pytest
 from repro.comm import make_communicator
 from repro.comm.faults import FaultPlan, WorkerFailure
 from repro.core import (BlockRowDistribution, DistDenseMatrix,
-                        DistSparseMatrix, Dist2DSparseMatrix, Grid2D,
-                        ProcessGrid, available_spmm_variants, spmm)
+                        DistSparseMatrix, ProcessGrid, spmm)
 from repro.core.engine import CompiledSpmm, compile as compile_spmm
 from repro.core.memory import measure_dist_matrix_bytes
 from repro.graphs import gcn_normalize
@@ -32,8 +31,7 @@ from repro.graphs.generators import erdos_renyi_graph
 N, F, P = 48, 6, 4
 BACKENDS = ("sim", "threaded", "process")
 VARIANTS = [("1d", "oblivious"), ("1d", "sparsity_aware"),
-            ("1.5d", "oblivious"), ("1.5d", "sparsity_aware"),
-            ("2d", "oblivious"), ("2d", "sparsity_aware")]
+            ("1.5d", "oblivious"), ("1.5d", "sparsity_aware")]
 
 
 @pytest.fixture(scope="module")
@@ -47,12 +45,6 @@ def problem():
 
 def _operands(algorithm, adj, dtype=np.float64):
     """(matrix, grid, wrap(h) -> operand, unwrap(result) -> global)."""
-    if algorithm == "2d":
-        grid = Grid2D(2, 2)
-        matrix = Dist2DSparseMatrix.uniform(adj, grid, dtype=dtype)
-        return (matrix, grid,
-                lambda h: np.asarray(h, dtype=dtype),
-                lambda z: np.array(z, copy=True))
     grid = ProcessGrid(P, 2) if algorithm == "1.5d" else None
     nblocks = grid.nrows if grid is not None else P
     dist = BlockRowDistribution.uniform(N, nblocks)
@@ -166,9 +158,8 @@ class TestWorkspaceReuse:
             seen = []
             for width in (2, F, 3, F, 1):
                 z = op(wrap(np.ascontiguousarray(h_a[:, :width])))
-                blocks = [z] if isinstance(z, np.ndarray) else z.blocks
                 assert all(b.flags.c_contiguous and b.shape[1] == width
-                           for b in blocks)
+                           for b in z.blocks)
                 seen.append((op.workspace_width, op.grows))
                 want = spmm(matrix, wrap(np.ascontiguousarray(
                     h_a[:, :width])), comm, algorithm=algorithm,
@@ -204,13 +195,6 @@ class TestWorkspaceReuse:
             with pytest.raises(ValueError, match="distribution"):
                 op(other)
             assert op.calls == 0 and comm.events.message_count() == 0
-        m2d, grid, _, _ = _operands("2d", adj)
-        with make_communicator(P, backend="sim") as comm:
-            op = compile_spmm(m2d, comm, algorithm="2d", grid=grid)
-            with pytest.raises(ValueError, match="2-D"):
-                op(h_a[:, 0])
-            with pytest.raises(ValueError, match="rows"):
-                op(h_a[:-1])
 
     def test_compile_defaults_and_repr(self, problem):
         adj, _, _ = problem
@@ -245,8 +229,7 @@ class TestWorkspaceReuse:
                               grid=grid, pipeline_depth=depth)
             comm.inject_faults(FaultPlan.kill(rank=1, op_index=0))
             dense = wrap(h_a.copy())
-            probe = weakref.ref(dense if algorithm == "2d"
-                                else dense.block(0))
+            probe = weakref.ref(dense.block(0))
             try:
                 op(dense)
             except WorkerFailure:

@@ -8,8 +8,7 @@ from repro.core import (Algorithm, BlockRowDistribution, DistDenseMatrix,
                         DistSparseMatrix, DistTrainConfig,
                         predicted_bytes_per_spmm, predicted_rows_oblivious_1d,
                         predicted_rows_sparsity_aware_1d,
-                        single_spmm_volume_table, spmm_1d_oblivious,
-                        spmm_1d_sparsity_aware)
+                        single_spmm_volume_table, spmm)
 from repro.graphs import gcn_normalize, load_dataset
 from repro.graphs.generators import erdos_renyi_graph
 
@@ -72,7 +71,7 @@ class TestPredictedVolumes:
     def test_oblivious_prediction_matches_measurement(self, problem):
         dm, dh = problem
         comm = make_communicator(4)
-        spmm_1d_oblivious(dm, dh, comm)
+        spmm(dm, dh, comm, sparsity_aware=False)
         predicted = predicted_bytes_per_spmm(dm, dh.width, sparsity_aware=False)
         measured = comm.events.bytes_sent_by_rank(4, category="bcast")
         np.testing.assert_array_equal(predicted, measured)
@@ -80,7 +79,7 @@ class TestPredictedVolumes:
     def test_sparsity_aware_prediction_matches_measurement(self, problem):
         dm, dh = problem
         comm = make_communicator(4)
-        spmm_1d_sparsity_aware(dm, dh, comm)
+        spmm(dm, dh, comm)
         predicted = predicted_bytes_per_spmm(dm, dh.width, sparsity_aware=True)
         measured = comm.events.bytes_sent_by_rank(4, category="alltoall")
         np.testing.assert_array_equal(predicted, measured)

@@ -9,7 +9,7 @@ from repro.core import (BlockRowDistribution, DistDenseMatrix, DistSparseMatrix,
                         best_replication_factor, crossover_process_count,
                         epoch_cost, epoch_spmm_widths, estimate_rank_memory,
                         feasible_process_counts, fits_in_memory,
-                        spmm_1d_sparsity_aware, spmm_cost_15d_oblivious,
+                        spmm, spmm_cost_15d_oblivious,
                         spmm_cost_15d_sparsity_aware, spmm_cost_1d_oblivious,
                         spmm_cost_1d_sparsity_aware)
 from repro.core.analysis import ELEMENT_BYTES
@@ -122,7 +122,7 @@ class TestPredictedVsSimulated:
             np.random.default_rng(0).normal(size=(graph.shape[0], f)),
             matrix.dist)
         comm = make_communicator(p, machine="perlmutter")
-        spmm_1d_sparsity_aware(matrix, dense, comm)
+        spmm(matrix, dense, comm)
         cut = matrix.needed_rows_matrix().max()
         bound = (p - 1) * cut * f * ELEMENT_BYTES
         sends = comm.events.bytes_sent_by_rank(p, category="alltoall")

@@ -6,7 +6,7 @@ import pytest
 
 from repro.comm import make_communicator
 from repro.core import (BlockRowDistribution, DistDenseMatrix, DistSparseMatrix,
-                        spmm_1d_oblivious, spmm_1d_sparsity_aware)
+                        spmm)
 from repro.graphs import gcn_normalize
 from repro.graphs.generators import community_ring_graph, erdos_renyi_graph
 
@@ -26,20 +26,20 @@ class TestCorrectness:
     def test_oblivious_matches_serial(self, p):
         adj, dm, dh, h = make_problem(p=p)
         comm = make_communicator(p)
-        result = spmm_1d_oblivious(dm, dh, comm)
+        result = spmm(dm, dh, comm, sparsity_aware=False)
         np.testing.assert_allclose(result.to_global(), adj @ h, atol=1e-10)
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 8])
     def test_sparsity_aware_matches_serial(self, p):
         adj, dm, dh, h = make_problem(p=p)
         comm = make_communicator(p)
-        result = spmm_1d_sparsity_aware(dm, dh, comm)
+        result = spmm(dm, dh, comm)
         np.testing.assert_allclose(result.to_global(), adj @ h, atol=1e-10)
 
     def test_both_algorithms_agree(self):
         adj, dm, dh, h = make_problem(p=5, seed=3)
-        a = spmm_1d_oblivious(dm, dh, make_communicator(5))
-        b = spmm_1d_sparsity_aware(dm, dh, make_communicator(5))
+        a = spmm(dm, dh, make_communicator(5), sparsity_aware=False)
+        b = spmm(dm, dh, make_communicator(5))
         np.testing.assert_allclose(a.to_global(), b.to_global(), atol=1e-10)
 
     def test_variable_block_sizes(self):
@@ -50,19 +50,19 @@ class TestCorrectness:
         h = rng.normal(size=(n, f))
         dm = DistSparseMatrix(adj, dist)
         dh = DistDenseMatrix.from_global(h, dist)
-        result = spmm_1d_sparsity_aware(dm, dh, make_communicator(4))
+        result = spmm(dm, dh, make_communicator(4))
         np.testing.assert_allclose(result.to_global(), adj @ h, atol=1e-10)
 
     def test_mismatched_communicator_rejected(self):
         adj, dm, dh, _ = make_problem(p=4)
         with pytest.raises(ValueError):
-            spmm_1d_sparsity_aware(dm, dh, make_communicator(3))
+            spmm(dm, dh, make_communicator(3))
 
     def test_mismatched_distribution_rejected(self):
         adj, dm, _, h = make_problem(p=4)
         other = DistDenseMatrix.from_global(h, BlockRowDistribution.uniform(60, 3))
         with pytest.raises(ValueError):
-            spmm_1d_oblivious(dm, other, make_communicator(4))
+            spmm(dm, other, make_communicator(4), sparsity_aware=False)
 
 
 class TestCommunicationVolume:
@@ -70,14 +70,14 @@ class TestCommunicationVolume:
         adj, dm, dh, _ = make_problem(n=80, p=5, seed=2)
         comm_ob = make_communicator(5)
         comm_sa = make_communicator(5)
-        spmm_1d_oblivious(dm, dh, comm_ob)
-        spmm_1d_sparsity_aware(dm, dh, comm_sa)
+        spmm(dm, dh, comm_ob, sparsity_aware=False)
+        spmm(dm, dh, comm_sa)
         assert comm_sa.stats.total_bytes() <= comm_ob.stats.total_bytes()
 
     def test_sparsity_aware_volume_matches_nnzcols_prediction(self):
         adj, dm, dh, _ = make_problem(n=80, p=5, seed=4)
         comm = make_communicator(5)
-        spmm_1d_sparsity_aware(dm, dh, comm)
+        spmm(dm, dh, comm)
         f = dh.width
         predicted = dm.needed_rows_matrix().sum() * f * 8
         assert comm.stats.total_bytes("alltoall") == predicted
@@ -85,7 +85,7 @@ class TestCommunicationVolume:
     def test_oblivious_volume_is_full_blocks(self):
         adj, dm, dh, _ = make_problem(n=80, p=4, seed=5)
         comm = make_communicator(4)
-        spmm_1d_oblivious(dm, dh, comm)
+        spmm(dm, dh, comm, sparsity_aware=False)
         f = dh.width
         n = 80
         expected = sum(dm.dist.block_size(j) * f * 8 * 3 for j in range(4))
@@ -105,25 +105,25 @@ class TestCommunicationVolume:
         dm = DistSparseMatrix(adj, dist)
         dh = DistDenseMatrix.from_global(h, dist)
         comm = make_communicator(3)
-        result = spmm_1d_sparsity_aware(dm, dh, comm)
+        result = spmm(dm, dh, comm)
         np.testing.assert_allclose(result.to_global(), adj @ h, atol=1e-12)
         assert comm.stats.total_bytes("alltoall") == 0
         # The oblivious algorithm still pays the full price.
         comm_ob = make_communicator(3)
-        spmm_1d_oblivious(dm, dh, comm_ob)
+        spmm(dm, dh, comm_ob, sparsity_aware=False)
         assert comm_ob.stats.total_bytes("bcast") > 0
 
     def test_categories_are_disjoint(self):
         adj, dm, dh, _ = make_problem(p=4, seed=6)
         comm = make_communicator(4)
-        spmm_1d_sparsity_aware(dm, dh, comm)
+        spmm(dm, dh, comm)
         assert comm.stats.total_bytes("bcast") == 0
         comm2 = make_communicator(4)
-        spmm_1d_oblivious(dm, dh, comm2)
+        spmm(dm, dh, comm2, sparsity_aware=False)
         assert comm2.stats.total_bytes("alltoall") == 0
 
     def test_compute_time_charged(self):
         adj, dm, dh, _ = make_problem(p=4, seed=7)
         comm = make_communicator(4)
-        spmm_1d_sparsity_aware(dm, dh, comm)
+        spmm(dm, dh, comm)
         assert comm.timeline.breakdown()["local"] > 0

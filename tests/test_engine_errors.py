@@ -12,11 +12,11 @@ import pytest
 
 from repro.comm import make_communicator
 from repro.core import (BlockRowDistribution, DistDenseMatrix,
-                        DistSparseMatrix, Dist2DSparseMatrix, DistTrainConfig,
-                        Grid2D, ProcessGrid, SpmmEngine, SpmmVariant, spmm)
+                        DistSparseMatrix, DistTrainConfig, ProcessGrid,
+                        SpmmEngine, spmm)
 from repro.core import engine as engine_mod
 from repro.core.engine import (check_block_operands, check_grid_operands,
-                               check_grid2d_operands, get_spmm, register_spmm)
+                               get_spmm, register_spmm_compiler)
 from repro.graphs import gcn_normalize
 from repro.graphs.generators import erdos_renyi_graph
 
@@ -64,24 +64,11 @@ class TestUnknownNames:
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
-            register_spmm("1d", "oblivious")(lambda *a, **k: None)
+            register_spmm_compiler("1d", "oblivious")(type("Dup", (), {}))
 
     def test_bad_mode_registration_rejected(self):
         with pytest.raises(ValueError, match="mode"):
-            register_spmm("9d", "telepathic")
-
-    def test_compile_without_a_compiler_names_the_variant(self, problem,
-                                                         monkeypatch):
-        adj, h = problem
-        matrix, _ = _operands_1d(adj, h, 4)
-        variant = SpmmVariant(algorithm="9d", mode="oblivious",
-                              fn=lambda *a, **k: None, needs_grid=False)
-        monkeypatch.setitem(engine_mod._REGISTRY, variant.key, variant)
-        with pytest.raises(ValueError,
-                           match=r"\('9d', 'oblivious'\).*no registered "
-                                 r"compiler"):
-            engine_mod.compile(matrix, make_communicator(4), algorithm="9d",
-                               sparsity_aware=False)
+            register_spmm_compiler("9d", "telepathic")
 
 
 class TestGridRequirements:
@@ -117,7 +104,7 @@ class TestOperandMismatches:
         matrix, dense = _operands_1d(adj, h, 4)
         comm = make_communicator(6)
         with pytest.raises(ValueError, match=r"4 block rows.*6 ranks"):
-            check_block_operands(matrix, dense, comm)
+            check_block_operands(matrix, comm)
         with pytest.raises(ValueError, match=r"block rows"):
             spmm(matrix, dense, comm, algorithm="1d")
 
@@ -127,31 +114,18 @@ class TestOperandMismatches:
         other = BlockRowDistribution.uniform(N, 2)
         dense = DistDenseMatrix.from_global(h, other)
         comm = make_communicator(4)
-        with pytest.raises(ValueError, match="different distributions"):
-            check_block_operands(matrix, dense, comm)
+        with pytest.raises(ValueError, match="different distribution"):
+            spmm(matrix, dense, comm, algorithm="1d")
 
     def test_grid_mismatches_15d(self, problem):
         adj, h = problem
         grid = ProcessGrid(4, 2)
-        matrix, dense = _operands_1d(adj, h, grid.nrows)
+        matrix, _ = _operands_1d(adj, h, grid.nrows)
         with pytest.raises(ValueError, match=r"communicator has 6 ranks"):
-            check_grid_operands(matrix, dense, grid, make_communicator(6))
-        wrong_rows, wrong_dense = _operands_1d(adj, h, 4)
+            check_grid_operands(matrix, grid, make_communicator(6))
+        wrong_rows, _ = _operands_1d(adj, h, 4)
         with pytest.raises(ValueError, match="block rows"):
-            check_grid_operands(wrong_rows, wrong_dense, grid,
-                                make_communicator(4))
-
-    def test_grid_mismatches_2d(self, problem):
-        adj, h = problem
-        grid = Grid2D(2, 2)
-        matrix = Dist2DSparseMatrix.uniform(adj, grid)
-        with pytest.raises(ValueError, match=r"communicator has 6 ranks"):
-            check_grid2d_operands(matrix, h, grid, make_communicator(6))
-        with pytest.raises(ValueError, match="rows"):
-            check_grid2d_operands(matrix, h[:- 1], grid, make_communicator(4))
-        other_grid = Grid2D(4, 1)
-        with pytest.raises(ValueError, match="does not match"):
-            check_grid2d_operands(matrix, h, other_grid, make_communicator(4))
+            check_grid_operands(wrong_rows, grid, make_communicator(4))
 
     @pytest.mark.parametrize("sparsity_aware", (False, True))
     def test_compile_checks_the_matrix_against_the_communicator(
@@ -167,11 +141,6 @@ class TestOperandMismatches:
         matrix, _ = _operands_1d(adj, h, grid.nrows)
         with pytest.raises(ValueError, match="communicator has 6 ranks"):
             engine_mod.compile(matrix, comm, algorithm="1.5d", grid=grid,
-                               sparsity_aware=sparsity_aware)
-        grid = Grid2D(2, 2)
-        with pytest.raises(ValueError, match="communicator has 6 ranks"):
-            engine_mod.compile(Dist2DSparseMatrix.uniform(adj, grid), comm,
-                               algorithm="2d", grid=grid,
                                sparsity_aware=sparsity_aware)
 
     @pytest.mark.parametrize("backend", ["sim", "threaded", "process"])

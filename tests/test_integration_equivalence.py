@@ -19,9 +19,10 @@ import pytest
 
 from repro.comm import make_communicator
 from repro.core import (BlockRowDistribution, DistDenseMatrix,
-                        DistSparseMatrix, Dist2DSparseMatrix, DistTrainConfig,
-                        Grid2D, ProcessGrid, available_spmm_variants, spmm,
-                        train_distributed)
+                        DistSparseMatrix, DistTrainConfig, ProcessGrid,
+                        available_spmm_variants, spmm, train_distributed)
+from repro.core.config import ALGORITHMS
+from repro.core.engine import MODES
 from repro.gcn import ReferenceTrainConfig, train_reference
 from repro.graphs import gcn_normalize, load_dataset
 from repro.graphs.generators import erdos_renyi_graph
@@ -130,9 +131,6 @@ class TestSpmmEngineBackendMatrix:
         return adj, h, adj @ h
 
     def _operands(self, algorithm, adj, h):
-        if algorithm == "2d":
-            grid = Grid2D(2, 2)
-            return Dist2DSparseMatrix.uniform(adj, grid), h, grid
         if algorithm == "1.5d":
             grid = ProcessGrid(self.P, 2)
             nblocks = grid.nrows
@@ -143,16 +141,19 @@ class TestSpmmEngineBackendMatrix:
                 DistDenseMatrix.from_global(h, dist), grid)
 
     def test_registry_is_complete(self):
+        """Exactly the trainable families are registered: every variant
+        is one the trainer, planner and server accept, and every
+        trainable (family, mode) has a plan class."""
         assert available_spmm_variants() == [
             ("1.5d", "oblivious"), ("1.5d", "sparsity_aware"),
             ("1d", "oblivious"), ("1d", "sparsity_aware"),
-            ("2d", "oblivious"), ("2d", "sparsity_aware"),
         ]
+        assert available_spmm_variants() == sorted(
+            (a, m) for a in ALGORITHMS for m in MODES)
 
     @pytest.mark.parametrize("algorithm,mode", [
         ("1d", "oblivious"), ("1d", "sparsity_aware"),
         ("1.5d", "oblivious"), ("1.5d", "sparsity_aware"),
-        ("2d", "oblivious"), ("2d", "sparsity_aware"),
     ])
     def test_variant_identical_across_backends(self, problem, algorithm, mode):
         adj, h, reference = problem
@@ -162,32 +163,10 @@ class TestSpmmEngineBackendMatrix:
             with make_communicator(self.P, backend=backend) as comm:
                 z = spmm(matrix, dense, comm, algorithm=algorithm,
                          sparsity_aware=(mode == "sparsity_aware"), grid=grid)
-            results[backend] = z if isinstance(z, np.ndarray) else z.to_global()
+            results[backend] = z.to_global()
             np.testing.assert_allclose(results[backend], reference, atol=1e-10)
         np.testing.assert_array_equal(results["sim"], results["threaded"])
         np.testing.assert_array_equal(results["sim"], results["process"])
-
-    @pytest.mark.parametrize("backend", ["sim", "threaded", "process"])
-    def test_engine_report_captures_timing_and_volume(self, problem, backend):
-        from repro.core import SpmmEngine
-        adj, h, reference = problem
-        matrix, dense, _ = self._operands("1d", adj, h)
-        comm = make_communicator(self.P, backend=backend)
-        try:
-            engine = SpmmEngine(comm, algorithm="1d", sparsity_aware=True)
-            z, report = engine.run_with_report(matrix, dense)
-        finally:
-            comm.close()
-        np.testing.assert_allclose(z.to_global(), reference, atol=1e-10)
-        assert report.algorithm == "1d"
-        assert report.mode == "sparsity_aware"
-        assert report.backend == backend
-        assert report.elapsed_s > 0.0
-        assert report.comm_bytes > 0
-        assert report.messages > 0
-        assert engine.last_report is report
-        d = report.as_dict()
-        assert d["comm_MB"] == report.comm_bytes / 1e6
 
 
 def test_accuracy_is_meaningful(dataset):

@@ -28,12 +28,9 @@ import pytest
 from repro.cli import main
 from repro.comm import make_communicator
 from repro.comm.faults import FaultPlan, WorkerFailure
-from repro.core import (BlockRowDistribution, Dist2DSparseMatrix,
-                        DistDenseMatrix, DistSparseMatrix, DistTrainConfig,
-                        Grid2D, ProcessGrid, spmm_1d_oblivious,
-                        spmm_1d_sparsity_aware, spmm_2d_oblivious,
-                        spmm_2d_sparsity_aware, spmm_15d_oblivious,
-                        spmm_15d_sparsity_aware, train_distributed)
+from repro.core import (BlockRowDistribution, DistDenseMatrix,
+                        DistSparseMatrix, DistTrainConfig, ProcessGrid, spmm,
+                        train_distributed)
 from repro.graphs import erdos_renyi_graph, gcn_normalize
 from repro.obs import (NULL_SPAN, TRACE, MetricsRegistry, Tracer,
                        metrics_from_spans, percentile, prometheus_text,
@@ -272,14 +269,13 @@ def traced_spmm(request):
     graph = gcn_normalize(erdos_renyi_graph(32, avg_degree=6, seed=1))
     dist = BlockRowDistribution.uniform(32, 4)
     h = np.random.default_rng(0).normal(size=(32, 4))
-    fn = spmm_1d_sparsity_aware if mode == "sparsity_aware" \
-        else spmm_1d_oblivious
     TRACE.clear()
     TRACE.enable()
     comm = make_communicator(4, backend=backend)
     try:
-        out = fn(DistSparseMatrix(graph, dist),
-                 DistDenseMatrix.from_global(h, dist), comm)
+        out = spmm(DistSparseMatrix(graph, dist),
+                   DistDenseMatrix.from_global(h, dist), comm,
+                   sparsity_aware=(mode == "sparsity_aware"))
     finally:
         comm.close()
         TRACE.disable()
@@ -367,33 +363,18 @@ class TestTracedSpmm:
         assert all(row["self_ms"] >= 0.0 for row in summary["slices"])
 
 
-def _grid_spmm_15d(fn):
+@pytest.mark.parametrize("algorithm,mode", [
+    ("1.5d", "sparsity_aware"), ("1.5d", "oblivious"),
+], ids=["1.5d-sparsity_aware", "1.5d-oblivious"])
+def test_traced_grid_spmm_names_its_variant(algorithm, mode):
     grid = ProcessGrid(nranks=4, replication=2)
     graph = gcn_normalize(erdos_renyi_graph(24, avg_degree=4, seed=2))
     dist = BlockRowDistribution.uniform(24, grid.nrows)
     h = np.random.default_rng(1).normal(size=(24, 3))
-    fn(DistSparseMatrix(graph, dist), DistDenseMatrix.from_global(h, dist),
-       grid, make_communicator(4))
-
-
-def _grid_spmm_2d(fn):
-    grid = Grid2D(2, 2)
-    graph = gcn_normalize(erdos_renyi_graph(24, avg_degree=4, seed=2))
-    h = np.random.default_rng(1).normal(size=(24, 3))
-    fn(Dist2DSparseMatrix.uniform(graph, grid), h, grid, make_communicator(4))
-
-
-@pytest.mark.parametrize("algorithm,mode,run", [
-    ("1.5d", "sparsity_aware",
-     lambda: _grid_spmm_15d(spmm_15d_sparsity_aware)),
-    ("1.5d", "oblivious", lambda: _grid_spmm_15d(spmm_15d_oblivious)),
-    ("2d", "sparsity_aware", lambda: _grid_spmm_2d(spmm_2d_sparsity_aware)),
-    ("2d", "oblivious", lambda: _grid_spmm_2d(spmm_2d_oblivious)),
-], ids=["1.5d-sparsity_aware", "1.5d-oblivious", "2d-sparsity_aware",
-        "2d-oblivious"])
-def test_traced_grid_spmm_names_its_variant(algorithm, mode, run):
     TRACE.enable()
-    run()
+    spmm(DistSparseMatrix(graph, dist), DistDenseMatrix.from_global(h, dist),
+         make_communicator(4), algorithm=algorithm,
+         sparsity_aware=(mode == "sparsity_aware"), grid=grid)
     (span,) = [s for s in TRACE.spans() if s[1] == "spmm"]
     assert (span[5]["algorithm"], span[5]["mode"]) == (algorithm, mode)
 

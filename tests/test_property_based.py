@@ -22,8 +22,7 @@ from hypothesis import strategies as st
 from repro.comm import make_communicator, perlmutter
 from repro.comm.collectives import allreduce_time, broadcast_time
 from repro.core import (BlockRowDistribution, DistDenseMatrix, DistSparseMatrix,
-                        predicted_bytes_per_spmm, spmm_1d_oblivious,
-                        spmm_1d_sparsity_aware)
+                        predicted_bytes_per_spmm, spmm)
 from repro.partition import communication_volumes_1d, edgecut
 from repro.partition.refine import edgecut_refine, weighted_edgecut
 from repro.partition.volume_refine import VolumeState
@@ -95,7 +94,7 @@ class TestSpMMProperties:
         dm = DistSparseMatrix(adj, dist)
         dh = DistDenseMatrix.from_global(h, dist)
         comm = make_communicator(dist.nblocks)
-        out = spmm_1d_sparsity_aware(dm, dh, comm)
+        out = spmm(dm, dh, comm)
         np.testing.assert_allclose(out.to_global(), adj @ h, atol=1e-9)
 
     @given(problem=graph_with_blocks())
@@ -109,8 +108,8 @@ class TestSpMMProperties:
         dh = DistDenseMatrix.from_global(h, dist)
         comm_sa = make_communicator(dist.nblocks)
         comm_ob = make_communicator(dist.nblocks)
-        spmm_1d_sparsity_aware(dm, dh, comm_sa)
-        spmm_1d_oblivious(dm, dh, comm_ob)
+        spmm(dm, dh, comm_sa)
+        spmm(dm, dh, comm_ob, sparsity_aware=False)
         assert comm_sa.stats.total_bytes() <= comm_ob.stats.total_bytes()
 
     @given(problem=graph_with_blocks())
@@ -123,7 +122,7 @@ class TestSpMMProperties:
         dm = DistSparseMatrix(adj, dist)
         dh = DistDenseMatrix.from_global(h, dist)
         comm = make_communicator(dist.nblocks)
-        spmm_1d_sparsity_aware(dm, dh, comm)
+        spmm(dm, dh, comm)
         predicted = predicted_bytes_per_spmm(dm, f, sparsity_aware=True)
         measured = comm.events.bytes_sent_by_rank(dist.nblocks,
                                                   category="alltoall")

@@ -14,9 +14,9 @@ regrow-free).  For every case the test records:
 * a digest of the four results.
 
 It compares them with ``spmm_schedule_golden.json``.  The conformance
-suite's sim check compares a compiled plan with the one-shot wrapper,
-which runs the same plan class, so a changed schedule moves both sides;
-this file is what pins the schedule itself.  Regenerate the golden (only
+suite's sim check compares a compiled plan with the one-shot
+``SpmmEngine.run``, which compiles the same plan class, so a changed
+schedule moves both sides; this file is what pins the schedule itself.  Regenerate the golden (only
 when the schedule is meant to change) with::
 
     PYTHONPATH=src python tests/test_spmm_schedule_golden.py
@@ -35,8 +35,7 @@ import pytest
 
 from repro.comm import make_communicator
 from repro.core import (BlockRowDistribution, DistDenseMatrix,
-                        DistSparseMatrix, Dist2DSparseMatrix, Grid2D,
-                        ProcessGrid)
+                        DistSparseMatrix, ProcessGrid)
 from repro.core.engine import compile as compile_spmm
 from repro.graphs import gcn_normalize
 from repro.graphs.generators import grid_graph
@@ -46,10 +45,9 @@ GOLDEN = os.path.join(os.path.dirname(__file__),
 WIDTHS = (5, 9, 3, 9)
 DEPTHS = (1, 2, 3)
 MODES = ("oblivious", "sparsity_aware")
-#: (algorithm, grid spec): 1D takes p, 1.5D (p, c), 2D (rows, cols).
+#: (algorithm, grid spec): 1D takes p, 1.5D (p, c).
 GRIDS = [("1d", 1), ("1d", 4),
-         ("1.5d", (4, 1)), ("1.5d", (4, 2)), ("1.5d", (8, 2)),
-         ("2d", (2, 2)), ("2d", (3, 2)), ("2d", (2, 3))]
+         ("1.5d", (4, 1)), ("1.5d", (4, 2)), ("1.5d", (8, 2))]
 POSTS = ("ibroadcast", "ialltoallv", "iallreduce", "iexchange")
 LOGGED = ("broadcast", "alltoallv", "allreduce", "allgather", "reduce",
           "exchange", "parallel_for", "charge_spmm", "charge_gemm",
@@ -117,10 +115,6 @@ def _operands(algorithm, spec):
     """``(nranks, matrix, grid, wrap(h), unwrap(z))`` for one case."""
     adj = gcn_normalize(grid_graph(6))
     n = adj.shape[0]
-    if algorithm == "2d":
-        grid = Grid2D(*spec)
-        matrix = Dist2DSparseMatrix.uniform(adj, grid)
-        return grid.nranks, matrix, grid, (lambda h: h), np.array
     if algorithm == "1.5d":
         grid = ProcessGrid(*spec)
         nranks, nblocks = grid.nranks, grid.nrows
