@@ -145,3 +145,23 @@ class TestGroupLink:
                                beta_intra=beta_intra, beta_inter=beta_inter)
         assert coll._group_link(machine, ranks) == \
             _pairwise_group_link(machine, ranks)
+
+    #: Intra-node latency above inter-node but intra-node bandwidth below
+    #: it, so a group that mixes both link kinds takes one term of each.
+    SKEWED = MachineModel(gpus_per_node=4, alpha_intra=5e-5,
+                          alpha_inter=1e-5, beta_intra=1e-11,
+                          beta_inter=1e-10)
+
+    @pytest.mark.parametrize("ranks,want", [
+        pytest.param([], (0.0, 0.0), id="empty"),
+        pytest.param([5], (0.0, 0.0), id="singleton"),
+        pytest.param([2, 2], (5e-5, 1e-11), id="repeated-rank"),
+        pytest.param([0, 1, 2, 3], (5e-5, 1e-11), id="one-node"),
+        pytest.param([0, 4, 8], (1e-5, 1e-10), id="one-rank-per-node"),
+        pytest.param([4, 4, 8], (1e-5, 1e-10),
+                     id="repeated-rank-across-nodes"),
+        pytest.param([0, 1, 4], (5e-5, 1e-10), id="shared-node-and-cross"),
+    ])
+    def test_worst_link_of_a_group(self, ranks, want):
+        assert coll._group_link(self.SKEWED, ranks) == want
+        assert _pairwise_group_link(self.SKEWED, ranks) == want

@@ -30,8 +30,17 @@ from repro.graphs.generators import erdos_renyi_graph
 
 N, F, P = 48, 6, 4
 BACKENDS = ("sim", "threaded", "process")
-VARIANTS = [("1d", "oblivious"), ("1d", "sparsity_aware"),
-            ("1.5d", "oblivious"), ("1.5d", "sparsity_aware")]
+#: (algorithm, mode, 1.5D replication factor).  1.5D runs at c = 2 (two
+#: block rows, replicated prefetch) and at the degenerate c = 1 (four
+#: block rows, single-member all-reduce groups).
+VARIANTS = [
+    pytest.param("1d", "oblivious", None, id="1d-oblivious"),
+    pytest.param("1d", "sparsity_aware", None, id="1d-sparsity_aware"),
+    pytest.param("1.5d", "oblivious", 2, id="1.5d-oblivious"),
+    pytest.param("1.5d", "sparsity_aware", 2, id="1.5d-sparsity_aware"),
+    pytest.param("1.5d", "oblivious", 1, id="1.5d-c1-oblivious"),
+    pytest.param("1.5d", "sparsity_aware", 1, id="1.5d-c1-sparsity_aware"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -43,9 +52,9 @@ def problem():
     return adj, h_a, h_b
 
 
-def _operands(algorithm, adj, dtype=np.float64):
+def _operands(algorithm, adj, dtype=np.float64, replication=2):
     """(matrix, grid, wrap(h) -> operand, unwrap(result) -> global)."""
-    grid = ProcessGrid(P, 2) if algorithm == "1.5d" else None
+    grid = ProcessGrid(P, replication) if algorithm == "1.5d" else None
     nblocks = grid.nrows if grid is not None else P
     dist = BlockRowDistribution.uniform(N, nblocks)
     matrix = DistSparseMatrix(adj, dist, dtype=dtype)
@@ -57,12 +66,13 @@ def _operands(algorithm, adj, dtype=np.float64):
 class TestCompiledMatchesUncompiled:
     """Bit-identity + repeated-call reuse on every (variant x backend)."""
 
-    @pytest.mark.parametrize("algorithm,mode", VARIANTS)
+    @pytest.mark.parametrize("algorithm,mode,replication", VARIANTS)
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_bit_identical_and_no_stale_workspace(self, problem, algorithm,
-                                                  mode, backend):
+                                                  mode, replication, backend):
         adj, h_a, h_b = problem
-        matrix, grid, wrap, unwrap = _operands(algorithm, adj)
+        matrix, grid, wrap, unwrap = _operands(algorithm, adj,
+                                               replication=replication)
         sparsity_aware = mode == "sparsity_aware"
 
         # Reference: the uncompiled path, one fresh run per operand.
@@ -85,12 +95,14 @@ class TestCompiledMatchesUncompiled:
         np.testing.assert_array_equal(got_b, ref_b)
         np.testing.assert_array_equal(got_a2, ref_a)
 
-    @pytest.mark.parametrize("algorithm,mode", VARIANTS)
-    def test_same_event_stream_and_sim_timing(self, problem, algorithm, mode):
+    @pytest.mark.parametrize("algorithm,mode,replication", VARIANTS)
+    def test_same_event_stream_and_sim_timing(self, problem, algorithm, mode,
+                                              replication):
         """Compiled and uncompiled runs charge the identical simulated time
         and communication volume — the plan only removes host-side work."""
         adj, h_a, _ = problem
-        matrix, grid, wrap, _ = _operands(algorithm, adj)
+        matrix, grid, wrap, _ = _operands(algorithm, adj,
+                                          replication=replication)
         sparsity_aware = mode == "sparsity_aware"
 
         with make_communicator(P, backend="sim") as comm:
@@ -141,15 +153,17 @@ class TestWorkspaceReuse:
             assert not np.array_equal(z1.to_global(), kept), \
                 "a narrower call is expected to overwrite the workspace"
 
-    @pytest.mark.parametrize("algorithm,mode", VARIANTS)
+    @pytest.mark.parametrize("algorithm,mode,replication", VARIANTS)
     def test_workspaces_grow_only_for_wider_operands(self, problem,
-                                                     algorithm, mode):
+                                                     algorithm, mode,
+                                                     replication):
         """One plan serves every width: the first call sizes the
         workspaces, only a wider operand regrows them, a narrower one
         runs in views of the same memory, and every result is
         C-contiguous and equal to the one-shot product."""
         adj, h_a, _ = problem
-        matrix, grid, wrap, unwrap = _operands(algorithm, adj)
+        matrix, grid, wrap, unwrap = _operands(algorithm, adj,
+                                               replication=replication)
         sparsity_aware = mode == "sparsity_aware"
         with make_communicator(P, backend="sim") as comm:
             op = compile_spmm(matrix, comm, algorithm=algorithm,
@@ -217,13 +231,14 @@ class TestWorkspaceReuse:
             assert op.dtype == np.float32
 
     @pytest.mark.parametrize("depth", [1, 2])
-    @pytest.mark.parametrize("algorithm,mode", VARIANTS)
+    @pytest.mark.parametrize("algorithm,mode,replication", VARIANTS)
     def test_failed_call_releases_its_operand(self, problem, algorithm,
-                                              mode, depth):
+                                              mode, replication, depth):
         """A call that dies mid-schedule keeps no reference to its
         operand (nor to any exchange result that aliases it)."""
         adj, h_a, _ = problem
-        matrix, grid, wrap, _ = _operands(algorithm, adj)
+        matrix, grid, wrap, _ = _operands(algorithm, adj,
+                                          replication=replication)
         with make_communicator(P, backend="sim") as comm:
             op = compile_spmm(matrix, comm, algorithm=algorithm, mode=mode,
                               grid=grid, pipeline_depth=depth)
@@ -242,12 +257,15 @@ class TestWorkspaceReuse:
 
 
 class TestFloat32:
-    @pytest.mark.parametrize("algorithm,mode", VARIANTS)
-    def test_float32_tolerance_and_dtype(self, problem, algorithm, mode):
+    @pytest.mark.parametrize("algorithm,mode,replication", VARIANTS)
+    def test_float32_tolerance_and_dtype(self, problem, algorithm, mode,
+                                         replication):
         adj, h_a, _ = problem
         sparsity_aware = mode == "sparsity_aware"
-        m64, grid, wrap64, unwrap = _operands(algorithm, adj)
-        m32, _, wrap32, _ = _operands(algorithm, adj, dtype=np.float32)
+        m64, grid, wrap64, unwrap = _operands(algorithm, adj,
+                                              replication=replication)
+        m32, _, wrap32, _ = _operands(algorithm, adj, dtype=np.float32,
+                                      replication=replication)
         with make_communicator(P, backend="sim") as comm:
             ref = unwrap(spmm(m64, wrap64(h_a), comm, algorithm=algorithm,
                               sparsity_aware=sparsity_aware, grid=grid))

@@ -6,6 +6,7 @@ import pytest
 from repro.comm import make_communicator
 from repro.core import (BlockRowDistribution, DistDenseMatrix, DistSparseMatrix,
                         ProcessGrid, spmm)
+from repro.core.spmm_15d import _stage_block
 from repro.graphs import gcn_normalize
 from repro.graphs.generators import erdos_renyi_graph
 
@@ -37,6 +38,26 @@ class TestProcessGrid:
         assert grid.col_group(0) == [0, 2, 4, 6]
         assert grid.col_group(1) == [1, 3, 5, 7]
 
+    @pytest.mark.parametrize("p,c", [(1, 1), (4, 1), (4, 2), (8, 2),
+                                     (9, 3), (16, 4), (18, 3)])
+    def test_groups_tile_the_grid(self, p, c):
+        """Row groups and column groups each partition the ranks, meet in
+        exactly one rank, and the c columns split the P/c block rows into
+        s = P/c^2 contiguous stages each."""
+        grid = ProcessGrid(nranks=p, replication=c)
+        assert grid.nrows * c == p and grid.stages * c == grid.nrows
+        rows = [grid.row_group(i) for i in range(grid.nrows)]
+        cols = [grid.col_group(j) for j in range(c)]
+        assert sorted(r for g in rows for r in g) == list(range(p))
+        assert sorted(r for g in cols for r in g) == list(range(p))
+        for i, row in enumerate(rows):
+            for j, col in enumerate(cols):
+                assert set(row) & set(col) == {grid.rank(i, j)}
+                assert grid.coords(grid.rank(i, j)) == (i, j)
+        consumed = [_stage_block(grid, col, k) for col in range(c)
+                    for k in range(grid.stages)]
+        assert consumed == list(range(grid.nrows))
+
     def test_invalid_replication(self):
         with pytest.raises(ValueError):
             ProcessGrid(nranks=8, replication=3)    # does not divide
@@ -60,7 +81,8 @@ class TestProcessGrid:
 
 
 class TestCorrectness:
-    @pytest.mark.parametrize("p,c", [(4, 1), (4, 2), (8, 2), (16, 2), (16, 4)])
+    @pytest.mark.parametrize("p,c", [(4, 1), (4, 2), (8, 1), (8, 2),
+                                     (9, 3), (16, 2), (16, 4), (18, 3)])
     def test_oblivious_matches_serial(self, p, c):
         grid = ProcessGrid(nranks=p, replication=c)
         adj, dm, dh, h = make_problem(n=64, nblocks=grid.nrows, seed=1)
@@ -69,7 +91,8 @@ class TestCorrectness:
                       grid=grid)
         np.testing.assert_allclose(result.to_global(), adj @ h, atol=1e-10)
 
-    @pytest.mark.parametrize("p,c", [(4, 1), (4, 2), (8, 2), (16, 2), (16, 4)])
+    @pytest.mark.parametrize("p,c", [(4, 1), (4, 2), (8, 1), (8, 2),
+                                     (9, 3), (16, 2), (16, 4), (18, 3)])
     def test_sparsity_aware_matches_serial(self, p, c):
         grid = ProcessGrid(nranks=p, replication=c)
         adj, dm, dh, h = make_problem(n=64, nblocks=grid.nrows, seed=2)
@@ -124,6 +147,25 @@ class TestCommunicationBehaviour:
         assert comm_ob.stats.total_bytes("allreduce") == \
             comm_sa.stats.total_bytes("allreduce")
         assert comm_ob.stats.total_bytes("allreduce") > 0
+
+    @pytest.mark.parametrize("p,c", [(4, 2), (9, 3), (16, 4), (18, 3)])
+    def test_modes_differ_only_in_the_h_exchange(self, p, c):
+        """At every replicated grid both modes all-reduce the same
+        partial sums and agree on the product; only the H exchange
+        differs, and the sparsity-aware one moves no more bytes."""
+        grid = ProcessGrid(nranks=p, replication=c)
+        adj, dm, dh, h = make_problem(n=72, nblocks=grid.nrows, seed=9)
+        comm_ob = make_communicator(p)
+        comm_sa = make_communicator(p)
+        z_ob = spmm(dm, dh, comm_ob, algorithm="1.5d", sparsity_aware=False,
+                    grid=grid)
+        z_sa = spmm(dm, dh, comm_sa, algorithm="1.5d", grid=grid)
+        np.testing.assert_allclose(z_sa.to_global(), z_ob.to_global(),
+                                   atol=1e-10)
+        assert comm_ob.stats.total_bytes("allreduce") == \
+            comm_sa.stats.total_bytes("allreduce") > 0
+        assert comm_sa.stats.total_bytes("alltoall") <= \
+            comm_ob.stats.total_bytes("bcast")
 
     def test_no_allreduce_traffic_when_c_is_1(self):
         grid = ProcessGrid(nranks=4, replication=1)

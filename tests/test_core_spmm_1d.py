@@ -22,14 +22,14 @@ def make_problem(n=60, p=4, f=7, seed=0, generator=erdos_renyi_graph,
 
 
 class TestCorrectness:
-    @pytest.mark.parametrize("p", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 7, 8])
     def test_oblivious_matches_serial(self, p):
         adj, dm, dh, h = make_problem(p=p)
         comm = make_communicator(p)
         result = spmm(dm, dh, comm, sparsity_aware=False)
         np.testing.assert_allclose(result.to_global(), adj @ h, atol=1e-10)
 
-    @pytest.mark.parametrize("p", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 7, 8])
     def test_sparsity_aware_matches_serial(self, p):
         adj, dm, dh, h = make_problem(p=p)
         comm = make_communicator(p)
@@ -81,6 +81,17 @@ class TestCommunicationVolume:
         f = dh.width
         predicted = dm.needed_rows_matrix().sum() * f * 8
         assert comm.stats.total_bytes("alltoall") == predicted
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 7])
+    def test_exchange_volume_is_the_needed_rows_at_every_rank_count(self, p):
+        """The sparsity-aware all-to-all moves exactly the rows the
+        nonzero columns name, whether or not p divides n."""
+        adj, dm, dh, _ = make_problem(n=80, p=p, seed=8)
+        comm = make_communicator(p)
+        spmm(dm, dh, comm)
+        predicted = int(dm.needed_rows_matrix().sum()) * dh.width * 8
+        assert comm.stats.total_bytes("alltoall") == predicted
+        assert comm.stats.total_bytes("bcast") == 0
 
     def test_oblivious_volume_is_full_blocks(self):
         adj, dm, dh, _ = make_problem(n=80, p=4, seed=5)

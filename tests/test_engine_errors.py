@@ -21,6 +21,8 @@ from repro.graphs import gcn_normalize
 from repro.graphs.generators import erdos_renyi_graph
 
 N, F = 32, 5
+VARIANTS = [("1d", "oblivious"), ("1d", "sparsity_aware"),
+            ("1.5d", "oblivious"), ("1.5d", "sparsity_aware")]
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +93,23 @@ class TestGridRequirements:
         with pytest.raises(ValueError, match="does not take a process grid"):
             SpmmEngine(comm, algorithm="1d", grid=grid)
 
+    @pytest.mark.parametrize("algorithm,mode", VARIANTS)
+    def test_variant_checks_its_grid(self, algorithm, mode):
+        """Every registered variant carries the one grid-presence check:
+        1.5D needs a grid, 1D refuses one."""
+        variant = get_spmm(algorithm, mode=mode)
+        assert variant.needs_grid == (algorithm == "1.5d")
+        grid = ProcessGrid(4, 2)
+        if variant.needs_grid:
+            variant.check_grid(grid)
+            with pytest.raises(ValueError, match="requires a process grid"):
+                variant.check_grid(None)
+        else:
+            variant.check_grid(None)
+            with pytest.raises(ValueError,
+                               match="does not take a process grid"):
+                variant.check_grid(grid)
+
     def test_invalid_process_grid(self):
         with pytest.raises(ValueError):
             ProcessGrid(6, 4)      # c must divide P
@@ -142,6 +161,49 @@ class TestOperandMismatches:
         with pytest.raises(ValueError, match="communicator has 6 ranks"):
             engine_mod.compile(matrix, comm, algorithm="1.5d", grid=grid,
                                sparsity_aware=sparsity_aware)
+
+    @pytest.mark.parametrize("algorithm,mode", VARIANTS)
+    def test_each_call_checks_its_dense_operand(self, problem, algorithm,
+                                                mode):
+        """A compiled plan of any variant rejects a dense operand of
+        another dtype or distribution before it moves a byte."""
+        adj, h = problem
+        grid = ProcessGrid(4, 2) if algorithm == "1.5d" else None
+        nblocks = grid.nrows if grid is not None else 4
+        matrix, dense = _operands_1d(adj, h, nblocks)
+        with make_communicator(4) as comm:
+            op = engine_mod.compile(matrix, comm, algorithm=algorithm,
+                                    mode=mode, grid=grid)
+            f32 = DistDenseMatrix.from_global(h, matrix.dist,
+                                              dtype=np.float32)
+            with pytest.raises(ValueError, match="dtype"):
+                op(f32)
+            other = DistDenseMatrix.from_global(
+                h, BlockRowDistribution([N - nblocks + 1]
+                                        + [1] * (nblocks - 1)))
+            with pytest.raises(ValueError, match="different distribution"):
+                op(other)
+            assert op.calls == 0 and comm.events.message_count() == 0
+            np.testing.assert_allclose(op(dense).to_global(), adj @ h,
+                                       atol=1e-10)
+
+    @pytest.mark.parametrize("backend", ["sim", "threaded", "process"])
+    def test_grid_mismatches_raise_before_any_transport(self, problem,
+                                                        backend):
+        """A 1.5D grid that disagrees with the communicator or with the
+        matrix's block rows fails before workers move a single byte."""
+        adj, h = problem
+        grid = ProcessGrid(8, 2)
+        matrix, dense = _operands_1d(adj, h, grid.nrows)
+        with make_communicator(4, backend=backend) as comm:
+            with pytest.raises(ValueError, match="grid expects 8"):
+                spmm(matrix, dense, comm, algorithm="1.5d", grid=grid)
+            wrong_rows, wrong_dense = _operands_1d(adj, h, 4)
+            with pytest.raises(ValueError, match="block rows"):
+                spmm(wrong_rows, wrong_dense, comm, algorithm="1.5d",
+                     grid=ProcessGrid(4, 2))
+            assert comm.events.message_count() == 0
+            assert comm.elapsed() == 0.0
 
     @pytest.mark.parametrize("backend", ["sim", "threaded", "process"])
     def test_mismatches_raise_before_any_transport(self, problem, backend):

@@ -130,9 +130,9 @@ class TestSpmmEngineBackendMatrix:
         h = rng.normal(size=(self.N, self.F))
         return adj, h, adj @ h
 
-    def _operands(self, algorithm, adj, h):
+    def _operands(self, algorithm, adj, h, replication=2):
         if algorithm == "1.5d":
-            grid = ProcessGrid(self.P, 2)
+            grid = ProcessGrid(self.P, replication)
             nblocks = grid.nrows
         else:
             grid, nblocks = None, self.P
@@ -151,13 +151,19 @@ class TestSpmmEngineBackendMatrix:
         assert available_spmm_variants() == sorted(
             (a, m) for a in ALGORITHMS for m in MODES)
 
-    @pytest.mark.parametrize("algorithm,mode", [
-        ("1d", "oblivious"), ("1d", "sparsity_aware"),
-        ("1.5d", "oblivious"), ("1.5d", "sparsity_aware"),
+    @pytest.mark.parametrize("algorithm,mode,replication", [
+        pytest.param("1d", "oblivious", None, id="1d-oblivious"),
+        pytest.param("1d", "sparsity_aware", None, id="1d-sparsity_aware"),
+        pytest.param("1.5d", "oblivious", 2, id="1.5d-oblivious"),
+        pytest.param("1.5d", "sparsity_aware", 2, id="1.5d-sparsity_aware"),
+        pytest.param("1.5d", "oblivious", 1, id="1.5d-c1-oblivious"),
+        pytest.param("1.5d", "sparsity_aware", 1,
+                     id="1.5d-c1-sparsity_aware"),
     ])
-    def test_variant_identical_across_backends(self, problem, algorithm, mode):
+    def test_variant_identical_across_backends(self, problem, algorithm, mode,
+                                               replication):
         adj, h, reference = problem
-        matrix, dense, grid = self._operands(algorithm, adj, h)
+        matrix, dense, grid = self._operands(algorithm, adj, h, replication)
         results = {}
         for backend in ("sim", "threaded", "process"):
             with make_communicator(self.P, backend=backend) as comm:
@@ -167,6 +173,25 @@ class TestSpmmEngineBackendMatrix:
             np.testing.assert_allclose(results[backend], reference, atol=1e-10)
         np.testing.assert_array_equal(results["sim"], results["threaded"])
         np.testing.assert_array_equal(results["sim"], results["process"])
+
+    @pytest.mark.parametrize("backend", ["sim", "threaded", "process"])
+    def test_engine_run_charges_timing_and_volume(self, problem, backend):
+        """``SpmmEngine.run`` is compile-and-call-once: its product equals
+        a compiled plan's, and the communicator it runs on accounts for
+        the time and the messages of the call."""
+        from repro.core import SpmmEngine
+        adj, h, reference = problem
+        matrix, dense, _ = self._operands("1d", adj, h)
+        with make_communicator(self.P, backend=backend) as comm:
+            engine = SpmmEngine(comm, algorithm="1d", sparsity_aware=True)
+            z = engine.run(matrix, dense).to_global()
+            assert (engine.algorithm, engine.mode) == ("1d", "sparsity_aware")
+            assert comm.elapsed() > 0.0
+            assert comm.events.total_bytes() > 0
+            assert comm.events.message_count() > 0
+            planned = engine.compile(matrix)(dense).to_global()
+        np.testing.assert_allclose(z, reference, atol=1e-10)
+        np.testing.assert_array_equal(z, planned)
 
 
 def test_accuracy_is_meaningful(dataset):

@@ -363,11 +363,13 @@ class TestTracedSpmm:
         assert all(row["self_ms"] >= 0.0 for row in summary["slices"])
 
 
-@pytest.mark.parametrize("algorithm,mode", [
-    ("1.5d", "sparsity_aware"), ("1.5d", "oblivious"),
-], ids=["1.5d-sparsity_aware", "1.5d-oblivious"])
-def test_traced_grid_spmm_names_its_variant(algorithm, mode):
-    grid = ProcessGrid(nranks=4, replication=2)
+@pytest.mark.parametrize("algorithm,mode,replication", [
+    ("1.5d", "sparsity_aware", 2), ("1.5d", "oblivious", 2),
+    ("1.5d", "sparsity_aware", 1), ("1.5d", "oblivious", 1),
+], ids=["1.5d-sparsity_aware", "1.5d-oblivious",
+        "1.5d-c1-sparsity_aware", "1.5d-c1-oblivious"])
+def test_traced_grid_spmm_names_its_variant(algorithm, mode, replication):
+    grid = ProcessGrid(nranks=4, replication=replication)
     graph = gcn_normalize(erdos_renyi_graph(24, avg_degree=4, seed=2))
     dist = BlockRowDistribution.uniform(24, grid.nrows)
     h = np.random.default_rng(1).normal(size=(24, 3))

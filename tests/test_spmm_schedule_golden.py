@@ -16,8 +16,8 @@ regrow-free).  For every case the test records:
 It compares them with ``spmm_schedule_golden.json``.  The conformance
 suite's sim check compares a compiled plan with the one-shot
 ``SpmmEngine.run``, which compiles the same plan class, so a changed
-schedule moves both sides; this file is what pins the schedule itself.  Regenerate the golden (only
-when the schedule is meant to change) with::
+schedule moves both sides; this file is what pins the schedule itself.
+Regenerate the golden (only when the schedule is meant to change) with::
 
     PYTHONPATH=src python tests/test_spmm_schedule_golden.py
 """
@@ -45,9 +45,12 @@ GOLDEN = os.path.join(os.path.dirname(__file__),
 WIDTHS = (5, 9, 3, 9)
 DEPTHS = (1, 2, 3)
 MODES = ("oblivious", "sparsity_aware")
-#: (algorithm, grid spec): 1D takes p, 1.5D (p, c).
-GRIDS = [("1d", 1), ("1d", 4),
-         ("1.5d", (4, 1)), ("1.5d", (4, 2)), ("1.5d", (8, 2))]
+#: (algorithm, grid spec): 1D takes p, 1.5D (p, c).  1D at p = 5 splits
+#: the 36 rows unevenly; 1.5D at (18, 3) replicates three ways over
+#: s = 2 stages, at (16, 4) four ways in a single stage.
+GRIDS = [("1d", 1), ("1d", 4), ("1d", 5),
+         ("1.5d", (4, 1)), ("1.5d", (4, 2)), ("1.5d", (8, 2)),
+         ("1.5d", (18, 3)), ("1.5d", (16, 4))]
 POSTS = ("ibroadcast", "ialltoallv", "iallreduce", "iexchange")
 LOGGED = ("broadcast", "alltoallv", "allreduce", "allgather", "reduce",
           "exchange", "parallel_for", "charge_spmm", "charge_gemm",
