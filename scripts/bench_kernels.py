@@ -278,7 +278,8 @@ def bench_grad_wire_volume(scale: float, p: int, layers: int,
 
 def bench_input_propagation_epoch(scale: float, p: int, backend: str,
                                   epochs: int, repeats: int) -> dict:
-    """Training epochs with layer 0's ``A X`` cached vs recomputed.
+    """Training epochs with layer 0's ``A X`` cached (and the backward at
+    the narrow side) vs the paper's schedule.
 
     One warm-up epoch per model (cold workers and arenas; with the cache
     on it also pays the one-off wide SpMM), then ``epochs`` timed epochs:
@@ -309,8 +310,9 @@ def bench_input_propagation_epoch(scale: float, p: int, backend: str,
 
     losses_off, recomputed_s, recomputed_mb = run(False)
     losses_on, cached_s, cached_mb = run(True)
-    assert losses_on == losses_off, \
-        "the cached layer-0 product must be bit-identical to recomputing it"
+    # The narrow-side backward reassociates: agreement to rounding
+    # (tests/oracle.py's float64 narrow-side row).
+    np.testing.assert_allclose(losses_on, losses_off, rtol=1e-9, atol=1e-12)
     return {
         "dataset": dataset.name, "n": dataset.n_vertices,
         "f0": dataset.n_features, "p": p, "backend": backend,

@@ -7,6 +7,10 @@
 # a wait-free-backward training leg (--grad-overlap --grad-dtype
 # bfloat16: overlapped bucketed gradient exchange on a compressed wire)
 # on every backend,
+# a train-schedule leg (one cached 1D and one cached 1.5D c = 2 epoch on
+# the sim backend must run exactly the SpMMs epoch_spmm_widths(dims,
+# True) prices: the same count and the same widths in order, read from
+# the model's compiled plan),
 # a kill-and-resume fault-tolerance leg (SIGKILL a process-backend
 # worker mid-run, supervised restart restores the checkpoint, final
 # weights asserted bit-identical to the uninterrupted run),
@@ -71,6 +75,43 @@ timeout 60 bash -c '
       --epochs 1 --partitioner none --grad-overlap --grad-dtype bfloat16 \
       --backend "${backend}"
   done
+  echo "== cached train schedule == epoch_spmm_widths (sim) =="
+  python - <<"PYEOF"
+from repro.core import DistTrainConfig, epoch_spmm_widths, setup_distributed
+from repro.core.engine import CompiledSpmm
+from repro.graphs import load_dataset
+
+dataset = load_dataset("amazon", scale=0.05, n_features=12, n_classes=3,
+                       seed=3)
+widths = []
+plan_call = CompiledSpmm.__call__
+
+
+def recording_call(plan, dense):
+    widths.append(dense.width)
+    return plan_call(plan, dense)
+
+
+CompiledSpmm.__call__ = recording_call
+for variant in ({"algorithm": "1d"},
+                {"algorithm": "1.5d", "replication_factor": 2}):
+    config = DistTrainConfig(n_ranks=4, partitioner=None, hidden=8,
+                             n_layers=3, **variant)
+    setup = setup_distributed(dataset, config)
+    with setup.comm:
+        model = setup.model
+        model.input_propagation()
+        plan = model.compiled_op(0)
+        calls = plan.calls
+        del widths[:]
+        model.train_epoch(0.05)
+        want = epoch_spmm_widths(model.layer_dims, True)
+        assert widths == want, (variant, widths, want)
+        assert plan.calls - calls == len(want), (variant, plan.calls)
+    name = variant["algorithm"]
+    print(f"train schedule {name}: {model.layer_dims} ran {widths} "
+          "== epoch_spmm_widths(dims, True)")
+PYEOF
   echo "== kill-and-resume (process backend) =="
   python - <<"PYEOF"
 import tempfile

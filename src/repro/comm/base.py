@@ -68,7 +68,7 @@ from .timeline import Timeline
 from .tracker import CommStats
 
 __all__ = ["CommHandle", "CompletedCommHandle", "Communicator",
-           "payload_nbytes", "reduce_stack"]
+           "payload_nbytes", "reduce_into", "reduce_stack"]
 
 # ---------------------------------------------------------------------------
 # Span instrumentation (repro.obs).  Every public collective entry point —
@@ -265,6 +265,41 @@ def reduce_stack(arrays: Sequence[np.ndarray], op: str,
     if op == "min":
         return stacked.min(axis=0)
     raise ValueError(f"unsupported reduction op {op!r}")
+
+
+#: Below this many members a ``sum`` of ``k`` same-dtype payloads stacked
+#: on axis 0 reduces as a left fold from zero, element by element; from
+#: it on numpy may sum a one-element payload pairwise (unrolled by 8),
+#: which a fold does not reproduce.
+FOLD_MAX_MEMBERS = 8
+
+
+def reduce_into(out: np.ndarray, arrays: Sequence[np.ndarray], op: str,
+                force_float64: bool = False) -> np.ndarray:
+    """``out[...] = reduce_stack(arrays, op, force_float64)``, bit for
+    bit, without the stacked temporary where that is exact.
+
+    A ``sum`` of fewer than :data:`FOLD_MAX_MEMBERS` payloads that all
+    have ``out``'s dtype is a fold straight into ``out``: zero it, then
+    add each payload in group order.  The zero start is what makes an
+    all-``-0.0`` sum ``+0.0``, as ``reduce_stack``'s is.  Every other
+    case (more members, ``max`` / ``min``, ``force_float64``, mixed
+    dtypes) assigns ``reduce_stack``'s result.  ``out`` must not overlap
+    any payload.
+    """
+    if op == "sum" and not force_float64 \
+            and len(arrays) < FOLD_MAX_MEMBERS \
+            and all(a.dtype == out.dtype for a in arrays):
+        out[...] = 0
+        for part in arrays:
+            np.add(out, part, out=out)
+        return out
+    result = reduce_stack(arrays, op, force_float64=force_float64)
+    if result.dtype != out.dtype:
+        raise ValueError(f"reduction produced dtype {result.dtype}, "
+                         f"out has {out.dtype}")
+    out[...] = result
+    return out
 
 
 class Communicator(abc.ABC):

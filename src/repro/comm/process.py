@@ -18,8 +18,9 @@ call carries every rank's operand and returns every rank's result):
   rank's worker process copies (or reduces) the bytes out of its peers'
   send arenas into its own recv arena; the driver reads the results back.
   Tensor payloads are never pickled — only raw bytes move, so round trips
-  are exact and reductions via the shared
-  :func:`~repro.comm.base.reduce_stack` stay bitwise identical to the
+  are exact and reductions, which equal the shared
+  :func:`~repro.comm.base.reduce_stack` byte for byte
+  (:func:`~repro.comm.base.reduce_into`), stay bitwise identical to the
   simulator.
 * **control plane** — small pickled command dicts (slab offsets, shapes,
   dtypes, arena generations) on one one-way pipe per rank for commands
@@ -46,7 +47,12 @@ Semantics notes:
   of an ``allreduce`` is the same group-ordered :func:`reduce_stack`,
   computed by its owner or, for a small step, by the courier, so no
   result broadcast round is needed and results are bitwise identical
-  across ranks and across backends).
+  across ranks and across backends).  Each reduction is computed once
+  per command, in place: :func:`~repro.comm.base.reduce_into` writes it
+  straight into the first destination slab (a zero-started fold for a
+  ``sum`` of fewer than 8 same-dtype members, ``reduce_stack`` for
+  everything else), and every later reduce of the command with the same
+  sources and op gets a byte copy of that slab.
 * The copy contract matches the simulator: the root/owner slot of a
   collective result is the caller's original object, every other slot is
   a fresh buffer.
@@ -83,8 +89,10 @@ grouped-copy rule.  Only members whose plan does work receive a command
 moving at most :data:`GROUPED_COPY_MAX_BYTES` runs on one *courier*,
 ``group[pid % len(group)]``, which executes the whole copy/reduce
 fan-out in a single command; rotating by plan id spreads small steps
-over the workers.  Larger steps give each member the copies and
-reductions landing in its own recv arena, for parallel copy bandwidth.
+over the workers; it reduces an allreduce once and copies the result
+to the other members' slabs.  Larger steps give each member the copies
+and the reduction landing in its own recv arena, for parallel copy
+bandwidth.
 A step that moves nothing (empty payloads, singleton groups) sends no
 command at all.  Before a blocking step returns, the driver checks the
 liveness of the members that got no command, so a worker killed under
@@ -144,7 +152,7 @@ import numpy as np
 
 from ..obs.tracer import TRACE
 from .base import (CommHandle, CompletedCommHandle, Communicator,
-                   payload_nbytes as _nbytes, reduce_stack)
+                   payload_nbytes as _nbytes, reduce_into, reduce_stack)
 from .faults import WatchdogTimeout, WorkerFailure
 
 __all__ = ["ProcessPoolCommunicator"]
@@ -302,23 +310,28 @@ def _worker_main(rank: int, cmd_conn, out_conn, foreign: Sequence,
                     dst = arena(dst_owner, rkind)
                     dst.buf[dst_off:dst_off + nbytes] = \
                         arena(src, skind).buf[src_off:src_off + nbytes]
+                # Each reduction is computed once, in place, into the
+                # first slab that wants it; a later reduce of the same
+                # sources and op (an allreduce's other members, on a
+                # courier) gets a byte copy of that slab.
+                done = None
                 for red in cmd["reduces"]:
+                    sources = red["sources"]
+                    key = (sources, red["reduce_op"], red["force64"])
+                    view = np.ndarray(
+                        sources[0][2], dtype=np.dtype(red["out_dtype"]),
+                        buffer=arena(red.get("dst_owner", rank), rkind).buf,
+                        offset=red["dst_off"])
+                    if done is not None and done[0] == key:
+                        view[...] = done[1]
+                        continue
                     parts = [
                         np.ndarray(shape, dtype=dtype,
                                    buffer=arena(src, skind).buf, offset=off)
-                        for src, off, shape, dtype in red["sources"]]
-                    result = reduce_stack(parts, red["reduce_op"],
-                                          force_float64=red["force64"])
-                    out_dtype = np.dtype(red["out_dtype"])
-                    if result.dtype != out_dtype:  # pragma: no cover - guard
-                        raise RuntimeError(
-                            f"reduction produced dtype {result.dtype}, "
-                            f"driver expected {out_dtype}")
-                    view = np.ndarray(
-                        result.shape, dtype=out_dtype,
-                        buffer=arena(red.get("dst_owner", rank), rkind).buf,
-                        offset=red["dst_off"])
-                    view[...] = result
+                        for src, off, shape, dtype in sources]
+                    reduce_into(view, parts, red["reduce_op"],
+                                force_float64=red["force64"])
+                    done = (key, view)
             except BaseException:  # noqa: BLE001 - reported to the driver
                 out_conn.send(("error", traceback.format_exc()))
             else:

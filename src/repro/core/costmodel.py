@@ -10,9 +10,9 @@ alpha-beta model:
   full, so the bandwidth term is ``n f beta`` regardless of ``P`` — the
   reason the CAGNET curves in Figure 3 do not go down with more GPUs,
 * per-epoch totals sum the per-SpMM terms over the epoch's ``2 L`` SpMMs
-  (one forward propagation and one backward ``A G`` per layer), or
-  ``2 L - 1`` when layer 0's constant ``A X`` is cached
-  (:func:`epoch_spmm_widths`).
+  (one forward propagation and one backward ``A G`` per layer), or the
+  ``2 L - 2`` narrow-side SpMMs of a run that caches layer 0's constant
+  ``A X`` (:func:`epoch_spmm_widths`).
 
 This module evaluates those formulas for a concrete distributed matrix and
 machine so that
@@ -283,21 +283,32 @@ def epoch_spmm_widths(layer_dims: Sequence[int],
                       cache_input_propagation: bool = False) -> List[int]:
     """Operand widths of the distributed SpMMs one training epoch runs.
 
-    Layer ``l`` propagates ``f_{l-1}``-wide rows forward and ``f_l``-wide
-    rows backward.  With ``cache_input_propagation`` the trainer keeps
-    layer 0's ``A X`` across epochs, so the ``f_0``-wide forward SpMM is
-    not part of the epoch.  The single definition of the schedule that
-    :func:`epoch_cost`, the planner's message estimate and its probes
-    price, that ``DistributedGCN`` compiles plans for, and whose widest
+    With ``layer_dims = [f_0, ..., f_L]`` layer ``l`` maps ``f_l``-wide
+    rows to ``f_{l+1}``-wide ones.  The paper's schedule propagates
+    ``f_l``-wide rows forward and ``f_{l+1}``-wide rows backward (``A
+    G^l``) at every layer; that list pairs each layer's forward and
+    backward widths, layer by layer.
+
+    With ``cache_input_propagation`` the trainer keeps layer 0's ``A X``
+    across epochs and runs the backward at the narrow side
+    (``DistributedGCN.backward``): layer 0 runs no SpMM (``dW^0 = (A
+    X)^T G^0``), and layer ``l > 0`` propagates ``min(f_l, f_{l+1})``
+    columns backward — ``A G^l`` where the layer does not widen, ``A
+    (G^l (W^l)^T)`` from a kept ``A H^l`` where it does.  That list is
+    the ``2 L - 2`` widths in execution order: the forward SpMMs of
+    layers ``1 .. L-1``, then the backward ones of layers ``L-1 .. 1``.
+
+    The single definition of the schedule that :func:`epoch_cost`, the
+    planner's message estimate and its probes price, and whose widest
     entry sizes the memory model's buffers and the column panels of the
     cached run's one-off ``A X``.
     """
-    widths: List[int] = []
-    for l in range(1, len(layer_dims)):
-        if l > 1 or not cache_input_propagation:
-            widths.append(int(layer_dims[l - 1]))
-        widths.append(int(layer_dims[l]))
-    return widths
+    dims = [int(d) for d in layer_dims]
+    if not cache_input_propagation:
+        return [f for l in range(len(dims) - 1) for f in dims[l:l + 2]]
+    backward = [min(dims[l], dims[l + 1])
+                for l in range(len(dims) - 2, 0, -1)]
+    return dims[1:-1] + backward
 
 
 def inference_spmm_widths(layer_dims: Sequence[int]) -> List[int]:
@@ -332,12 +343,12 @@ def epoch_cost(matrix: DistSparseMatrix, layer_dims: Sequence[int],
     """Predicted cost of one training epoch: the sum over its distributed
     SpMMs (:func:`epoch_spmm_widths`).
 
-    ``layer_dims`` is ``[f_0, ..., f_L]``; the forward SpMM of layer ``l``
-    moves ``f_{l-1}``-wide rows and the backward SpMM moves ``f_l``-wide
-    rows, matching the trainer's actual traffic — ``2 L`` SpMMs, or
-    ``2 L - 1`` with ``cache_input_propagation`` (layer 0's forward SpMM
-    runs once per run, not per epoch).  The default prices the paper's
-    schedule, so existing tables are unchanged.
+    ``layer_dims`` is ``[f_0, ..., f_L]``; the SpMMs are the trainer's
+    actual traffic — ``2 L`` in the paper's schedule, or the ``2 L - 2``
+    narrow-side ones with ``cache_input_propagation`` (layer 0's forward
+    SpMM runs once per run, not per epoch, and its backward not at all).
+    The default prices the paper's schedule, so existing tables are
+    unchanged.
 
     With ``pipeline_depth > 1`` (the compiled operators' double-buffered
     execution) the bandwidth term of each staged SpMM overlaps its local

@@ -2,8 +2,9 @@
 
 :class:`DistributedGCN` performs exactly the arithmetic of the reference
 model in :mod:`repro.gcn` with its SpMMs — one forward propagation and one
-backward ``A G`` per layer, ``2L`` per epoch, or ``2L - 1`` once the
-constant layer-0 product ``A X`` is cached (``cache_input_propagation``) —
+backward ``A G`` per layer, ``2L`` per epoch, or ``2L - 2`` at the narrow
+side of each layer once the constant layer-0 product ``A X`` is cached
+(``cache_input_propagation``, :meth:`DistributedGCN.backward`) —
 replaced by the distributed 1D / 1.5D,
 sparsity-oblivious / sparsity-aware algorithms of the paper, dispatched
 through the :class:`~repro.core.engine.SpmmEngine` on any
@@ -50,11 +51,17 @@ def _column_streams(matrix: DistDenseMatrix, width: int):
 
 @dataclass
 class DistLayerCache:
-    """Distributed analogue of :class:`repro.gcn.layers.LayerCache`."""
+    """Distributed analogue of :class:`repro.gcn.layers.LayerCache`.
+
+    ``propagated`` is the layer's ``A H`` in owned blocks when the
+    narrow-side backward reads it (layer 0's kept ``A X`` and every
+    widening layer, with ``cache_input_propagation``), else ``None``.
+    """
 
     h_in: DistDenseMatrix
     z: DistDenseMatrix
     h_out: DistDenseMatrix
+    propagated: Optional[DistDenseMatrix] = None
 
 
 class DistributedGCN:
@@ -100,12 +107,16 @@ class DistributedGCN:
         bit- and clock-identically.
     cache_input_propagation:
         Compute layer 0's ``A X`` once, in the first *training*
-        :meth:`forward`, and reuse it every later epoch — ``A`` and ``X``
-        are constant for the run, so the per-epoch schedule drops to
-        ``2L - 1`` SpMMs with bit-identical results (see
-        :meth:`input_propagation`).  Off by default here: the paper's
-        figures count the layer-0 exchange every epoch; the trainer turns
-        it on through ``DistTrainConfig.cache_input_propagation``.
+        :meth:`forward`, and reuse it every later epoch (see
+        :meth:`input_propagation`), and run the backward at the narrow
+        side of each layer (see :meth:`backward`): the per-epoch schedule
+        drops to ``2L - 2`` SpMMs, each at most ``min(f_l, f_{l+1})``
+        wide in the backward, with results that agree with the paper's
+        schedule to rounding.  The reassociation uses ``A = A^T``, so the
+        adjacency is checked for exact symmetry once, here, and a
+        ``ValueError`` is raised if it is not.  Off by default here: the
+        paper's figures count the paper's schedule; the trainer turns it
+        on through ``DistTrainConfig.cache_input_propagation``.
 
     Every distributed SpMM the model issues in its dtype runs through
     **one compiled operator** (:meth:`repro.core.engine.SpmmEngine.compile`),
@@ -185,6 +196,14 @@ class DistributedGCN:
         # sizes its workspaces on first use.
         self.pipeline_depth = int(pipeline_depth)
         self.cache_input_propagation = bool(cache_input_propagation)
+        if self.cache_input_propagation:
+            asymmetric = adjacency_dist.asymmetric_entries()
+            if asymmetric:
+                raise ValueError(
+                    f"adjacency_dist is not exactly symmetric ({asymmetric} "
+                    "entries differ from their transpose); "
+                    "cache_input_propagation reassociates the backward "
+                    "through A = A^T")
         self._op = self._engine.compile(adjacency_dist, dtype=self.dtype,
                                         pipeline_depth=self.pipeline_depth)
         # (features operand, owned A X): keyed on the operand's identity,
@@ -285,7 +304,8 @@ class DistributedGCN:
 
         The product is computed in column panels ``[c, c + P)`` of
         ``X``, ``P`` the widest width the cached epoch schedule runs
-        (``max(epoch_spmm_widths(layer_dims, True))``), so the plan's
+        (``max(epoch_spmm_widths(layer_dims, True))``; ``f_0`` for a
+        one-layer model, whose epoch runs no SpMM), so the plan's
         workspaces grow only to a width training needs anyway and no
         width-``f_0`` workspace or exchange arena ever exists.  The tail
         panel (``f_0 mod P`` columns) is an ordinary narrower call on the
@@ -308,7 +328,8 @@ class DistributedGCN:
         cached = self._input_propagation
         if cached is not None and cached[0] is features:
             return cached[1]
-        panel = max(epoch_spmm_widths(self.layer_dims, True))
+        panel = max(epoch_spmm_widths(self.layer_dims, True),
+                    default=features.width)
         owned = features.like([np.empty_like(block)
                                for block in features.blocks])
         for lo in range(0, features.width, panel):
@@ -330,8 +351,10 @@ class DistributedGCN:
         model's own feature matrix and return the per-layer
         :class:`DistLayerCache` list the backward pass consumes.  With
         ``cache_input_propagation`` layer 0 reuses the kept ``A X``
-        (:meth:`input_propagation`) instead of running its SpMM; the
-        inference-only forward below never reads or fills that cache.
+        (:meth:`input_propagation`) instead of running its SpMM, and a
+        widening layer (``f_l < f_{l+1}``) keeps an owned copy of its
+        ``A H^l`` for the narrow-side backward; the inference-only forward
+        below never reads or fills either.
 
         With ``features`` given this is the **inference-only** forward:
         propagate the supplied features and return just the logits
@@ -375,30 +398,43 @@ class DistributedGCN:
         caches: List[DistLayerCache] = []
         for l, weight in enumerate(self.weights):
             act, _ = self._activations[l]
+            kept: Optional[DistDenseMatrix] = None
             if l == 0 and self.cache_input_propagation:
-                propagated = self.input_propagation()       # A X, kept
+                propagated = kept = self.input_propagation()  # A X, kept
             else:
-                propagated = self.spmm(h)                   # A H^{l-1}
+                propagated = self.spmm(h)                   # A H^l
+            # A widening layer's backward reads its A H^l, which the
+            # plan's next SpMM overwrites: keep an owned copy.
+            widening = self.cache_input_propagation and l > 0 and \
+                weight.shape[0] < weight.shape[1]
             z_blocks: List[np.ndarray] = [None] * self.dist.nblocks
             h_blocks: List[np.ndarray] = [None] * self.dist.nblocks
+            kept_blocks: List[np.ndarray] = [None] * self.dist.nblocks
 
             def make_task(block, weight=weight, act=act,
-                          propagated=propagated):
+                          propagated=propagated, widening=widening):
                 def task() -> None:
                     rows = self.dist.block_size(block)
-                    z_b = propagated.block(block) @ weight  # (A H) W
+                    p_b = propagated.block(block)
+                    z_b = p_b @ weight                      # (A H) W
                     self._charge_blockwise_gemm(rows, weight.shape[0],
                                                 weight.shape[1], block)
                     h_b = act(z_b)
                     self._charge_blockwise_elementwise(z_b.size, block)
                     z_blocks[block] = z_b
                     h_blocks[block] = h_b
+                    if widening:
+                        kept_blocks[block] = p_b.copy()
                 return task
 
             self._parallel_over_blocks(make_task)
             z = DistDenseMatrix(z_blocks, self.dist, dtype=self.dtype)
             h_out = DistDenseMatrix(h_blocks, self.dist, dtype=self.dtype)
-            caches.append(DistLayerCache(h_in=h, z=z, h_out=h_out))
+            if widening:
+                kept = DistDenseMatrix(kept_blocks, self.dist,
+                                       dtype=self.dtype)
+            caches.append(DistLayerCache(h_in=h, z=z, h_out=h_out,
+                                         propagated=kept))
             h = h_out
         return caches
 
@@ -597,6 +633,15 @@ class DistributedGCN:
         """Backward pass; returns the weight gradients as a
         :class:`~repro.core.gradsync.PendingGradients` sequence.
 
+        The paper's schedule runs one SpMM per layer, ``S = A G^l`` at
+        ``f_{l+1}`` columns, and forms ``dW^l = (H^l)^T S`` and ``dH^l =
+        S (W^l)^T``.  A layer whose forward ``A H^l`` is kept (its cache's
+        ``propagated``) runs at the narrow side instead, using ``A =
+        A^T``: ``dW^l = (A H^l)^T G^l`` needs no SpMM, and ``dH^l = A (G^l
+        (W^l)^T)`` propagates at ``f_l < f_{l+1}`` columns.  Layer 0 with
+        the kept ``A X`` therefore runs no SpMM at all.  Both orders sum
+        the same products differently, so they agree to rounding.
+
         Each layer's per-rank contributions are handed to the gradient
         exchanger the moment they are computed — with ``grad_overlap``
         the reduction is posted nonblocking and the input-gradient SpMM
@@ -609,19 +654,31 @@ class DistributedGCN:
         grad_z = grad_logits
         for l in range(self.n_layers - 1, -1, -1):
             weight = self.weights[l]
+            f_in, f_out = weight.shape
             cache = caches[l]
-            s = self.spmm(grad_z)                           # A G^l
+            narrow = cache.propagated is not None
+            if narrow:
+                left, right = cache.propagated, grad_z      # (A H^l)^T G^l
+            else:
+                s = self.spmm(grad_z)                       # A G^l
+                left, right = cache.h_in, s                 # (H^l)^T A G^l
+            project = narrow and l > 0
 
-            # Local weight-gradient contributions: (H^{l-1}_b)^T S_b
+            # Local weight-gradient contributions (and, at the narrow
+            # side, the projection G^l (W^l)^T the next SpMM propagates).
             local_contribs: List[np.ndarray] = [None] * self.dist.nblocks
+            projected: List[np.ndarray] = [None] * self.dist.nblocks
 
-            def make_contrib_task(block, weight=weight, cache=cache, s=s):
+            def make_contrib_task(block, weight=weight, left=left,
+                                  right=right, project=project):
                 def task() -> None:
                     rows = self.dist.block_size(block)
-                    contrib = cache.h_in.block(block).T @ s.block(block)
-                    self._charge_blockwise_gemm(rows, weight.shape[0],
-                                                weight.shape[1], block)
-                    local_contribs[block] = contrib
+                    local_contribs[block] = \
+                        left.block(block).T @ right.block(block)
+                    self._charge_blockwise_gemm(rows, f_in, f_out, block)
+                    if project:
+                        projected[block] = right.block(block) @ weight.T
+                        self._charge_blockwise_gemm(rows, f_out, f_in, block)
                 return task
 
             self._parallel_over_blocks(make_contrib_task)
@@ -637,15 +694,23 @@ class DistributedGCN:
             if l > 0:
                 _, act_grad = self._activations[l - 1]
                 prev_z = caches[l - 1].z
+                if project:                                 # A (G^l (W^l)^T)
+                    spread = self.spmm(DistDenseMatrix(
+                        projected, self.dist, dtype=self.dtype))
+                else:
+                    spread = s
                 next_blocks: List[np.ndarray] = [None] * self.dist.nblocks
 
-                def make_grad_task(block, weight=weight, s=s,
-                                   act_grad=act_grad, prev_z=prev_z):
+                def make_grad_task(block, weight=weight, spread=spread,
+                                   project=project, act_grad=act_grad,
+                                   prev_z=prev_z):
                     def task() -> None:
-                        rows = self.dist.block_size(block)
-                        input_grad = s.block(block) @ weight.T  # A G^l (W^l)^T
-                        self._charge_blockwise_gemm(rows, weight.shape[1],
-                                                    weight.shape[0], block)
+                        input_grad = spread.block(block)
+                        if not project:                     # (A G^l) (W^l)^T
+                            input_grad = input_grad @ weight.T
+                            self._charge_blockwise_gemm(
+                                self.dist.block_size(block), f_out, f_in,
+                                block)
                         gz = input_grad * act_grad(prev_z.block(block))
                         self._charge_blockwise_elementwise(gz.size, block)
                         next_blocks[block] = gz

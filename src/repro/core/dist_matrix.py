@@ -136,6 +136,12 @@ class DistSparseMatrix:
         (indices local to block ``j``)."""
         return self.blocks[i][j].nnz_cols_local
 
+    def asymmetric_entries(self) -> int:
+        """Entries ``a_ij`` that differ from ``a_ji`` (exact comparison;
+        ``0`` means the matrix is symmetric bit for bit)."""
+        full = sp.vstack(self.block_rows, format="csr")
+        return int((full != full.T).nnz)
+
     def needed_rows_matrix(self) -> np.ndarray:
         """``(P, P)`` matrix: entry ``[i, j]`` is ``|NnzCols(i, j)|`` for
         ``i != j`` — the rows of H that must travel from ``j`` to ``i``."""

@@ -121,8 +121,12 @@ def estimate_rank_memory(n_vertices: int, n_edges_stored: int,
     activation = rows_per_rank * dims[0] * element_bytes + \
         sum(2.0 * rows_per_rank * f * element_bytes for f in dims[1:])
     if config.cache_input_propagation:
-        # The kept layer-0 product A X, resident for the whole run.
-        activation += rows_per_rank * dims[0] * element_bytes
+        # The kept layer-0 product A X, resident for the whole run, and
+        # the A H^l copy each widening layer keeps for its narrow-side
+        # backward.
+        activation += rows_per_rank * dims[0] * element_bytes + \
+            sum(rows_per_rank * dims[l] * element_bytes
+                for l in range(1, len(dims) - 1) if dims[l] < dims[l + 1])
     # One live gradient buffer of the widest layer output.
     gradient = rows_per_rank * max(dims[1:]) * element_bytes
 
@@ -136,7 +140,7 @@ def estimate_rank_memory(n_vertices: int, n_edges_stored: int,
     # the widest plan is the epoch schedule's, and the one-off A X streams
     # through it in column panels.
     if config.cache_input_propagation:
-        widest_input = max(epoch_spmm_widths(dims, True))
+        widest_input = max(epoch_spmm_widths(dims, True), default=dims[0])
     else:
         widest_input = max(dims[:-1])
     buffers = 2.0 * rows_per_rank * widest_input * element_bytes

@@ -204,9 +204,9 @@ class Compiled15DSparsityAware(_Compiled15DBase):
     pack-workspace segments the point-to-point messages view, the
     diagonal gather segments, and the per-column flop constants.  Each
     stage packs on its sources (``before``), exchanges, and multiplies
-    (``after``); every stage owns distinct segments, so the pipelined
-    path can pack stage ``k + 1`` while stage ``k``'s exchange is in
-    flight.
+    (``after``) the rows the exchange *delivered* to each receiver;
+    every stage owns distinct segments, so the pipelined path can pack
+    stage ``k + 1`` while stage ``k``'s exchange is in flight.
     """
 
     def __init__(self, variant, matrix: DistSparseMatrix,
@@ -222,7 +222,7 @@ class Compiled15DSparsityAware(_Compiled15DBase):
         self._ahead = self.pipeline_depth - 1
         # Per stage: messages = [(src, dst, segment)] in col-major
         # order; one pack task per column (on the source rank) and one
-        # multiply task per rank, whose rows come from a pack segment or
+        # multiply task per rank, whose rows are a delivered message or
         # a diagonal gather.
         self._message_segs: List[List[tuple]] = []
         self._stages = []
@@ -236,7 +236,6 @@ class Compiled15DSparsityAware(_Compiled15DBase):
                 src = grid.rank(q, col)
                 sources.append(src)
                 items = []
-                payload_of = {}
                 for i in range(grid.nrows):
                     if i == q:
                         continue
@@ -248,7 +247,6 @@ class Compiled15DSparsityAware(_Compiled15DBase):
                     pack_rows.append(idx.size)
                     items.append((idx, seg))
                     messages.append((src, dst, seg))
-                    payload_of[i] = seg
                 pack_tasks.append(self._make_pack_task(q, src, items))
                 for i in range(grid.nrows):
                     rank = grid.rank(i, col)
@@ -260,7 +258,7 @@ class Compiled15DSparsityAware(_Compiled15DBase):
                         rows_ref = (q, idx, len(diag_rows))
                         diag_rows.append(idx.size)
                     else:
-                        rows_ref = payload_of[i]
+                        rows_ref = (src, rank)
                     mult_tasks[rank] = self._make_mult_task(
                         rank, i, col, info.compact, rows_ref)
             self._message_segs.append(messages)
@@ -297,17 +295,18 @@ class Compiled15DSparsityAware(_Compiled15DBase):
 
     def _make_mult_task(self, rank: int, i: int, col: int, compact,
                         rows_ref):
-        """``rows_ref``: a pack segment, or ``(q, idx, diag segment)``
-        for the diagonal block's local gather."""
+        """``rows_ref``: the ``(src, dst)`` key of the delivered message,
+        or ``(q, idx, diag segment)`` for the diagonal block's local
+        gather."""
         flops = 2.0 * compact.nnz
 
         def task() -> None:
-            if isinstance(rows_ref, tuple):
+            if len(rows_ref) == 3:
                 q, idx, seg = rows_ref
                 rows = np.take(self._dense.block(q), idx, axis=0,
                                out=self._diag[seg])
             else:
-                rows = self._packed[rows_ref]
+                rows = self._received[rows_ref]
             self._partial[i][col] += compact @ rows
             self.comm.charge_spmm(rank, flops * self._width,
                                   category=self.compute_category)

@@ -178,7 +178,8 @@ class Planner:
         Shared by partitioner tie-breaking and the probe operand.
     cache_input_propagation:
         Plan for the trainer's cached schedule (layer 0's ``A X`` computed
-        once, ``2L - 1`` SpMMs per epoch) instead of the paper's ``2L``;
+        once, ``2L - 2`` narrow-side SpMMs per epoch) instead of the
+        paper's ``2L``;
         :func:`resolve_config` passes the config's value, so ``--auto``
         ranks what will actually run.
     cache / use_cache / cache_read_only:

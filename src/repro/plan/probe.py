@@ -70,6 +70,10 @@ def probe_candidate(candidate: PlanCandidate,
     machine = get_machine(machine)
     matrix = matrix_cache.matrix(candidate.partitioner, candidate.n_block_rows)
     widths = epoch_spmm_widths(layer_dims, cache_input_propagation)
+    if not widths:      # a one-layer model's cached epoch runs no SpMM
+        return ProbeResult(probed_s=0.0, runs=max(1, repeats),
+                           backend=probe_backend,
+                           simulated=probe_backend == "sim")
     rng = np.random.default_rng(seed)
     n = matrix.shape[0]
     max_width = max(widths)

@@ -1,5 +1,6 @@
 """The numeric oracle: how close a distributed forward must sit to its
-reference, per (dtype, association order).
+reference, per (dtype, association order), and how close a cached
+(narrow-side) training run must sit to the paper-order one.
 
 ``(A H) W`` (the paper's order, what training runs) and ``A (H W)``
 (weight-first, what the inference forward runs on a layer that narrows)
@@ -19,6 +20,12 @@ Two references:
   one sums per block column, so against it even a paper-order result is a
   reassociation and is held to the bounded row of its dtype
   (:func:`assert_matches_single_node`).
+
+Training has one row (:func:`assert_training_matches`): a run with
+``cache_input_propagation`` runs the backward at the narrow side of each
+layer — ``(A H)^T G`` and ``A (G W^T)`` where the paper's schedule forms
+``H^T (A G)`` and ``(A G) W^T`` — so its losses and weights agree with
+the uncached paper-order run to rounding, per gradient wire dtype.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from repro.core.costmodel import inference_spmm_widths
 
 PAPER_ORDER = "paper"               # (A H) W on every layer
 WEIGHT_FIRST = "weight_first"       # A (H W) on at least one layer
+NARROW_SIDE = "narrow_side"         # cached training vs paper order
 
 #: ``allclose`` tolerances per (dtype, association order); ``None`` is
 #: bit for bit (``np.array_equal``).  The float64 bound is the benchmark
@@ -42,6 +50,15 @@ TOLERANCES: Dict[Tuple[str, str], Optional[Dict[str, float]]] = {
     ("float64", WEIGHT_FIRST): {"rtol": 1e-9, "atol": 1e-12},
     ("float32", PAPER_ORDER): None,
     ("float32", WEIGHT_FIRST): {"rtol": 1e-4, "atol": 1e-5},
+    # Losses and weights after a few epochs, keyed by the gradient wire
+    # dtype (measured on amazon 0.05, 3 epochs, every variant: weights
+    # <= 5.6e-17 / 1.5e-8 / 2.4e-5 absolute, losses <= 0 / 8.3e-10 /
+    # 1.6e-6 relative).  A bfloat16 wire turns a rounding-level change of
+    # a gradient into a flipped bfloat16 rounding, one wire ulp times the
+    # learning rate.
+    ("float64", NARROW_SIDE): {"rtol": 1e-9, "atol": 1e-12},
+    ("float32", NARROW_SIDE): {"rtol": 1e-5, "atol": 1e-6},
+    ("bfloat16", NARROW_SIDE): {"rtol": 1e-3, "atol": 2e-4},
 }
 
 
@@ -79,3 +96,21 @@ def assert_matches_single_node(result: np.ndarray, model,
     a reassociation, whatever order the distributed side ran."""
     assert_matches_reference(result, single_node_logits(model, features),
                              model.dtype, WEIGHT_FIRST)
+
+
+def assert_training_matches(cached, paper_order) -> None:
+    """Two training results of one configuration — ``cached`` with
+    ``cache_input_propagation`` (the narrow-side backward), ``paper_order``
+    without — agree in every epoch's loss and every final weight within
+    the (gradient wire dtype, :data:`NARROW_SIDE`) row."""
+    assert cached.config.cache_input_propagation
+    assert not paper_order.config.cache_input_propagation
+    wire = cached.config.grad_dtype or cached.config.dtype
+    tolerance = TOLERANCES[(wire, NARROW_SIDE)]
+    np.testing.assert_allclose([h.loss for h in cached.history],
+                               [h.loss for h in paper_order.history],
+                               **tolerance)
+    for got, want in zip(cached.model.weight_state(),
+                         paper_order.model.weight_state()):
+        assert got.dtype == want.dtype
+        np.testing.assert_allclose(got, want, **tolerance)

@@ -325,13 +325,23 @@ class TestDistGcnCompiledWiring:
             # Compiling sized nothing: workspaces are allocated on use.
             assert (op.workspace_width, op.calls) == (0, 0)
             widths = epoch_spmm_widths(dims, cached)
+            assert len(widths) == 2 * (len(dims) - 1) - (2 if cached else 0)
             model.train_epoch(0.05)
             calls = op.calls
+            seen = []
+            inner = model.spmm
+            model.spmm = lambda dense: (seen.append(dense.width),
+                                        inner(dense))[1]
             model.train_epoch(0.05)
             # Every SpMM of the epoch ran on the one plan, inside the
             # workspaces the first epoch grew to the schedule's widest
-            # width (the A X panel width with the cache).
+            # width (the A X panel width with the cache); the cached
+            # schedule lists its widths in execution order.
             assert op.calls - calls == len(widths)
+            if cached:
+                assert seen == widths
+            else:
+                assert sorted(seen) == sorted(widths)
             assert op.workspace_width == max(widths)
             stats = model.plan_stats()
             assert stats == {"plan_hits": op.calls - op.grows,

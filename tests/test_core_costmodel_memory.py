@@ -141,22 +141,28 @@ class TestEpochCost:
 
     def test_cached_input_propagation_drops_the_layer0_forward(self, graph):
         dims = [12, 16, 4]
+        # Layer 0 runs no SpMM once A X is kept (its forward is the
+        # one-off, its backward reads the kept product); the output layer
+        # propagates at min(16, 4) either way.
         assert epoch_spmm_widths(dims) == [12, 16, 16, 4]
-        assert epoch_spmm_widths(dims, True) == [16, 16, 4]
+        assert epoch_spmm_widths(dims, True) == [16, 4]
+        assert epoch_spmm_widths([300, 16, 16, 24], True) == [16] * 4
+        assert epoch_spmm_widths([5, 3], True) == []
         matrix = dist_matrix(graph, 4)
         for kwargs, single in (
-                (dict(), spmm_cost_1d_sparsity_aware(matrix, 12,
-                                                     "perlmutter")),
+                (dict(), lambda f: spmm_cost_1d_sparsity_aware(
+                    matrix, f, "perlmutter")),
                 (dict(algorithm="1.5d", nranks=8, replication=2),
-                 spmm_cost_15d_sparsity_aware(matrix, 12, 8, 2,
-                                              "perlmutter"))):
+                 lambda f: spmm_cost_15d_sparsity_aware(
+                     matrix, f, 8, 2, "perlmutter"))):
             paper = epoch_cost(matrix, dims, "perlmutter", **kwargs)
             cached = epoch_cost(matrix, dims, "perlmutter",
                                 cache_input_propagation=True, **kwargs)
             for term in ("latency_s", "bandwidth_s", "reduction_s",
                          "compute_s"):
                 assert getattr(cached, term) == pytest.approx(
-                    getattr(paper, term) - getattr(single, term))
+                    getattr(paper, term) - getattr(single(12), term)
+                    - getattr(single(16), term))
 
     def test_epoch_cost_15d_requires_nranks(self, graph):
         with pytest.raises(ValueError):
@@ -260,18 +266,21 @@ class TestMemoryModel:
             100_000, 5_000_000, 300, 24,
             self.paper_scale_config(16, cache_input_propagation=False))
         rows_per_rank = 1.15 * 100_000 / 16
-        resident = rows_per_rank * 300 * ELEMENT_BYTES
+        # A X, plus the A H^2 copy the widening 16 -> 24 output layer
+        # keeps for its narrow-side backward.
+        resident = rows_per_rank * (300 + 16) * ELEMENT_BYTES
         assert cached.activation_bytes - paper.activation_bytes == \
             pytest.approx(resident)
         # Buffers follow each schedule's widest SpMM: f_0 = 300 for the
-        # paper's, the classes (24) for [300, 16, 16, 24] once A X is kept.
-        assert max(epoch_spmm_widths([300, 16, 16, 24], True)) == 24
+        # paper's, the hidden width (16) for [300, 16, 16, 24] once A X
+        # is kept.
+        assert max(epoch_spmm_widths([300, 16, 16, 24], True)) == 16
         assert paper.buffer_bytes == \
             pytest.approx(2 * rows_per_rank * 300 * ELEMENT_BYTES)
         assert cached.buffer_bytes == \
-            pytest.approx(2 * rows_per_rank * 24 * ELEMENT_BYTES)
+            pytest.approx(2 * rows_per_rank * 16 * ELEMENT_BYTES)
         assert cached.total_bytes - paper.total_bytes == pytest.approx(
-            resident - 2 * rows_per_rank * (300 - 24) * ELEMENT_BYTES)
+            resident - 2 * rows_per_rank * (300 - 16) * ELEMENT_BYTES)
 
     def test_cached_schedule_fits_amazon_at_p4(self):
         """The paper's out-of-memory point at p = 4 is a property of its

@@ -56,6 +56,38 @@ class TestConstruction:
                 grid=None,
             )
 
+    def test_cached_schedule_requires_an_exactly_symmetric_adjacency(
+            self, problem):
+        """The narrow-side backward reassociates through ``A = A^T``, so
+        the cached schedule checks symmetry once, at construction."""
+        ds, matrix = problem
+        dist = BlockRowDistribution.uniform(matrix.shape[0], 4)
+        skewed = matrix.tolil(copy=True)
+        i, j = matrix.nonzero()
+        off = np.flatnonzero(i != j)[0]
+        skewed[i[off], j[off]] = 2.0 * matrix[i[off], j[off]]
+        asymmetric = DistSparseMatrix(skewed.tocsr(), dist)
+        assert asymmetric.asymmetric_entries() == 2
+        assert DistSparseMatrix(matrix, dist).asymmetric_entries() == 0
+
+        def build(adjacency, cached):
+            return DistributedGCN(
+                adjacency_dist=adjacency,
+                features_dist=DistDenseMatrix.from_global(
+                    ds.node_data.features.astype(np.float64), dist),
+                labels=ds.node_data.labels,
+                train_mask=ds.node_data.train_mask,
+                layer_dims=[ds.node_data.n_features, 8,
+                            ds.node_data.n_classes],
+                comm=make_communicator(4),
+                cache_input_propagation=cached)
+
+        with pytest.raises(ValueError, match="adjacency_dist is not exactly "
+                                             r"symmetric \(2 entries"):
+            build(asymmetric, cached=True)
+        build(asymmetric, cached=False)      # the paper's schedule: no check
+        build(DistSparseMatrix(matrix, dist), cached=True)
+
     def test_rejects_block_rank_mismatch_for_1d(self, problem):
         ds, matrix = problem
         dist = BlockRowDistribution.uniform(matrix.shape[0], 2)

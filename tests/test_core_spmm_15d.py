@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.comm import make_communicator
+from repro.comm.base import Communicator
+from repro.comm.simulator import SimCommunicator
 from repro.core import (BlockRowDistribution, DistDenseMatrix, DistSparseMatrix,
-                        ProcessGrid, spmm)
+                        ProcessGrid, SpmmEngine, spmm)
 from repro.core.spmm_15d import _stage_block
 from repro.graphs import gcn_normalize
 from repro.graphs.generators import erdos_renyi_graph
@@ -192,3 +194,34 @@ class TestCommunicationBehaviour:
                  grid=grid)
             volumes[c] = comm.stats.total_bytes("bcast")
         assert volumes[2] < volumes[1]
+
+
+class _PerturbingSim(SimCommunicator):
+    """A simulator whose point-to-point transport corrupts every payload
+    that crosses ranks (adds 1); nonblocking exchanges go through it too."""
+
+    def exchange(self, messages, category="p2p", sync_ranks=None):
+        delivered = super().exchange(messages, category=category,
+                                     sync_ranks=sync_ranks)
+        return {(src, dst): payload if src == dst else payload + 1.0
+                for (src, dst), payload in delivered.items()}
+
+    iexchange = Communicator.iexchange
+
+
+class TestDeliveredPayloads:
+    @pytest.mark.parametrize("pipeline_depth", (1, 2))
+    def test_sparsity_aware_multiplies_what_the_transport_delivered(
+            self, pipeline_depth):
+        """The multiply reads the exchange's result, not the sender's pack
+        buffer: a transport that corrupts payloads changes the product."""
+        grid = ProcessGrid(nranks=8, replication=2)
+        adj, dm, dh, h = make_problem(n=96, nblocks=grid.nrows, seed=8)
+        results = []
+        for comm in (SimCommunicator(8), _PerturbingSim(8)):
+            op = SpmmEngine(comm, algorithm="1.5d", grid=grid).compile(
+                dm, pipeline_depth=pipeline_depth)
+            results.append(op(dh).to_global())
+        clean, corrupted = results
+        np.testing.assert_allclose(clean, adj @ h, atol=1e-10)
+        assert np.abs(corrupted - clean).max() > 0.1
