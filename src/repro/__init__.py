@@ -13,9 +13,8 @@ The package is organised as:
   alpha-beta simulation, real shared-memory worker threads, one OS
   process per rank; machine models, collectives, per-rank clocks,
   event log) — see ``docs/backends.md``;
-* :mod:`repro.partition` — random/block, METIS-like, GVB-like, spectral,
-  label-propagation and column-net hypergraph partitioners plus quality
-  metrics;
+* :mod:`repro.partition` — the paper's three distributions (random/block,
+  METIS-like, GVB-like partitioners) plus quality metrics;
 * :mod:`repro.graphs`    — synthetic stand-ins for the paper's datasets,
   adjacency utilities, features and I/O;
 * :mod:`repro.gcn`       — the single-process reference GCN and its

@@ -15,6 +15,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 from ..core.config import DistTrainConfig
 from ..core.trainer import train_distributed
 from ..graphs.datasets import GraphDataset, load_dataset
+from ..partition import PARTITIONERS
 from .harness import Scheme, run_single
 
 __all__ = ["grid_points", "run_grid", "feature_width_sweep",
@@ -109,10 +110,7 @@ def replication_sweep(dataset_name: str = "amazon",
 
 
 def partitioner_sweep(dataset_name: str = "amazon",
-                      partitioners: Sequence[str] = ("block", "random",
-                                                     "metis_like", "gvb",
-                                                     "spectral", "label_prop",
-                                                     "hypergraph"),
+                      partitioners: Sequence[str] = tuple(sorted(PARTITIONERS)),
                       p: int = 16, scale: float = 0.3, epochs: int = 2,
                       seed: int = 0) -> List[Dict[str, object]]:
     """Every registered partitioner driving sparsity-aware 1D training."""

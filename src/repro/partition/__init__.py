@@ -9,17 +9,16 @@ Implements the three distribution strategies compared in the paper:
 * :class:`GVBPartitioner` — multilevel k-way minimizing total *and*
   maximum send volume, the stand-in for Graph-VB.
 
-Quality metrics for all of them (edgecut, total/max send volume, imbalance)
-live in :mod:`repro.partition.metrics`.
+These are the only partitioners: :data:`PARTITIONERS` registers exactly
+``block``, ``random``, ``metis_like`` and ``gvb``.  Quality metrics for
+all of them (edgecut, total/max send volume, imbalance) live in
+:mod:`repro.partition.metrics`.
 """
 
 from .base import Partitioner, PartitionResult, validate_parts
 from .coarsen import CoarseLevel, coarsen_graph, contract_graph, heavy_edge_matching
 from .gvb import GVBPartitioner
-from .hypergraph import ColumnNetHypergraph, HypergraphPartitioner
 from .initial import fix_empty_parts, greedy_graph_growing
-from .label_propagation import (LabelPropagationPartitioner,
-                                label_propagation_sweep)
 from .metis_like import MetisLikePartitioner
 from .metrics import (CommVolume, boundary_vertices, communication_volumes_1d,
                       edgecut, load_imbalance, part_nonzeros, part_sizes,
@@ -28,16 +27,13 @@ from .multilevel import MultilevelConfig, MultilevelPartitioner
 from .random_block import (BlockPartitioner, RandomPartitioner,
                            balanced_block_bounds, contiguous_parts)
 from .refine import edgecut_refine, weighted_edgecut
-from .spectral import SpectralPartitioner, fiedler_vector
 from .volume_refine import VolumeState, volume_refine
 
 __all__ = [
     "Partitioner", "PartitionResult", "validate_parts",
     "CoarseLevel", "coarsen_graph", "contract_graph", "heavy_edge_matching",
     "GVBPartitioner",
-    "ColumnNetHypergraph", "HypergraphPartitioner",
     "fix_empty_parts", "greedy_graph_growing",
-    "LabelPropagationPartitioner", "label_propagation_sweep",
     "MetisLikePartitioner",
     "CommVolume", "boundary_vertices", "communication_volumes_1d",
     "edgecut", "load_imbalance", "part_nonzeros", "part_sizes",
@@ -46,21 +42,18 @@ __all__ = [
     "BlockPartitioner", "RandomPartitioner", "balanced_block_bounds",
     "contiguous_parts",
     "edgecut_refine", "weighted_edgecut",
-    "SpectralPartitioner", "fiedler_vector",
     "VolumeState", "volume_refine",
     "get_partitioner", "PARTITIONERS",
 ]
 
 
-#: Registry used by the benchmark harness and the examples.
+#: The one list of partitioner names: the CLI's ``--partitioner``
+#: choices, the planner's validation and the benchmark sweeps read it.
 PARTITIONERS = {
     "block": BlockPartitioner,
     "random": RandomPartitioner,
     "metis_like": MetisLikePartitioner,
     "gvb": GVBPartitioner,
-    "spectral": SpectralPartitioner,
-    "label_prop": LabelPropagationPartitioner,
-    "hypergraph": HypergraphPartitioner,
 }
 
 

@@ -10,6 +10,7 @@ import pytest
 from repro.bench import (ascii_bar_chart, ascii_line_plot, feature_width_sweep,
                          grid_points, partitioner_sweep, replication_sweep,
                          run_grid, save_results, write_csv)
+from repro.partition import PARTITIONERS
 
 
 SAMPLE_ROWS = [
@@ -166,10 +167,9 @@ class TestConcreteSweeps:
         assert len(rows) == 4
         assert all("replication" in r or "skipped" in r for r in rows)
 
-    def test_partitioner_sweep_includes_new_partitioners(self):
-        rows = partitioner_sweep(dataset_name="reddit",
-                                 partitioners=("block", "gvb", "hypergraph"),
-                                 p=4, scale=0.05, epochs=1, seed=0)
-        assert {r["partitioner"] for r in rows} == {"block", "gvb", "hypergraph"}
+    def test_partitioner_sweep_defaults_to_the_registry(self):
+        rows = partitioner_sweep(dataset_name="reddit", p=4, scale=0.05,
+                                 epochs=1, seed=0)
+        assert [r["partitioner"] for r in rows] == sorted(PARTITIONERS)
         for row in rows:
             assert math.isfinite(row["epoch_time_s"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.partition import PARTITIONERS
 
 
 class TestParser:
@@ -32,6 +33,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bench", "fig99"])
 
+    @pytest.mark.parametrize("command", ["partition", "train", "tune",
+                                         "cost", "serve"])
+    def test_partitioner_choices_follow_registry(self, command):
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions
+                          if a.dest == "command").choices
+        option = next(a for a in subparsers[command]._actions
+                      if a.dest == "partitioner")
+        named = set(option.choices) - {"none", "auto"}
+        assert named == set(PARTITIONERS)
+
 
 class TestDatasetsCommand:
     def test_prints_all_datasets(self, capsys):
@@ -51,10 +63,19 @@ class TestPartitionCommand:
         assert "edgecut" in out
         assert "max_send_volume" in out
 
-    def test_new_partitioners_available(self, capsys):
-        code = main(["partition", "--dataset", "reddit", "--scale", "0.05",
-                     "--nparts", "4", "--partitioner", "hypergraph"])
-        assert code == 0
+    def test_unregistered_partitioner_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["partition", "--dataset", "reddit", "--scale", "0.05",
+                  "--nparts", "4", "--partitioner", "hypergraph"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_every_registered_partitioner_runs(self, capsys):
+        for name in sorted(PARTITIONERS):
+            code = main(["partition", "--dataset", "reddit", "--scale",
+                         "0.05", "--nparts", "4", "--partitioner", name])
+            assert code == 0, name
+            assert "max_send_volume" in capsys.readouterr().out, name
 
 
 class TestTrainCommand:

@@ -1,11 +1,14 @@
-"""Tests for the partition base classes and the block/random baselines."""
+"""Tests for the partition base classes, the block/random baselines and
+the partitioner registry."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.partition import (BlockPartitioner, RandomPartitioner,
-                             balanced_block_bounds, contiguous_parts,
+from repro.graphs import community_ring_graph, erdos_renyi_graph
+from repro.partition import (PARTITIONERS, BlockPartitioner,
+                             RandomPartitioner, balanced_block_bounds,
+                             communication_volumes_1d, contiguous_parts,
                              get_partitioner, validate_parts)
 from repro.partition.base import PartitionResult
 
@@ -122,6 +125,10 @@ class TestBaselinePartitioners:
 
 
 class TestRegistry:
+    def test_registry_is_the_papers_distributions(self):
+        assert sorted(PARTITIONERS) == ["block", "gvb", "metis_like",
+                                        "random"]
+
     def test_get_partitioner_names(self):
         for name in ("block", "random", "metis_like", "gvb"):
             assert get_partitioner(name) is not None
@@ -133,3 +140,97 @@ class TestRegistry:
     def test_get_partitioner_unknown(self):
         with pytest.raises(KeyError):
             get_partitioner("patoh")
+
+    @pytest.mark.parametrize("name", ["spectral", "label_prop",
+                                      "hypergraph"])
+    def test_deleted_partitioners_are_unknown(self, name):
+        from repro.plan import enumerate_candidates
+        with pytest.raises(KeyError, match="available"):
+            get_partitioner(name)
+        with pytest.raises(ValueError, match="unknown partitioners"):
+            enumerate_candidates(4, partitioners=[name])
+
+
+# ----------------------------------------------------------------------
+# Every registered partitioner
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def community_graph():
+    return community_ring_graph(96, avg_degree=10, n_communities=8,
+                                p_external=0.05, seed=3)
+
+
+@pytest.fixture(scope="module")
+def irregular_graph():
+    return erdos_renyi_graph(80, avg_degree=6, seed=7)
+
+
+REGISTERED = sorted(PARTITIONERS)
+VOLUME_AWARE = ("metis_like", "gvb")
+
+
+class TestEveryRegisteredPartitioner:
+    @pytest.mark.parametrize("name", REGISTERED)
+    def test_name_matches_registry_key(self, name):
+        assert get_partitioner(name, seed=1).name == name
+
+    @pytest.mark.parametrize("nparts", [2, 3, 4, 8])
+    @pytest.mark.parametrize("name", REGISTERED)
+    def test_produces_valid_partitions(self, community_graph, name, nparts):
+        result = get_partitioner(name, seed=0).partition(community_graph,
+                                                         nparts)
+        assert result.parts.shape == (community_graph.shape[0],)
+        assert result.nparts == nparts
+        assert result.parts.min() >= 0 and result.parts.max() < nparts
+        assert np.all(result.part_sizes() > 0)
+
+    @pytest.mark.parametrize("name", REGISTERED)
+    def test_single_part(self, community_graph, name):
+        result = get_partitioner(name, seed=0).partition(community_graph, 1)
+        assert np.all(result.parts == 0)
+
+    @pytest.mark.parametrize("name", REGISTERED)
+    def test_stats_filled(self, community_graph, name):
+        result = get_partitioner(name, seed=0).partition(community_graph, 4)
+        for key in ("edgecut", "total_volume", "max_send_volume"):
+            assert key in result.stats
+
+    @pytest.mark.parametrize("name", VOLUME_AWARE)
+    def test_reduces_volume_versus_block(self, irregular_graph, name):
+        block = get_partitioner("block").partition(irregular_graph, 8)
+        result = get_partitioner(name, seed=0).partition(irregular_graph, 8)
+        assert result.stats["total_volume"] <= block.stats["total_volume"]
+
+    @pytest.mark.parametrize("name", VOLUME_AWARE)
+    def test_beats_random_on_community_graph(self, community_graph, name):
+        result = get_partitioner(name, seed=0).partition(community_graph, 8)
+        random = get_partitioner("random", seed=0).partition(
+            community_graph, 8)
+        assert result.stats["edgecut"] < random.stats["edgecut"]
+
+    @pytest.mark.parametrize("name", REGISTERED)
+    def test_train_distributed_accepts_every_partitioner(self, name):
+        from repro import DistTrainConfig, load_dataset, train_distributed
+        dataset = load_dataset("reddit", scale=0.05, n_features=8,
+                               n_classes=3, seed=0)
+        config = DistTrainConfig(n_ranks=4, partitioner=name, epochs=2,
+                                 machine="laptop", seed=0)
+        result = train_distributed(dataset, config, eval_every=0)
+        assert result.avg_epoch_time_s > 0
+        assert np.isfinite(result.final_loss)
+
+
+@pytest.mark.parametrize("nparts,seed", [(4, 0), (8, 1), (5, 2)])
+def test_volume_is_connectivity_minus_one(irregular_graph, nparts, seed):
+    """The 1D volume is the column-net connectivity-1 metric: vertex ``v``
+    is sent once to every other part that owns one of its neighbours."""
+    adj = irregular_graph.tocsr()
+    parts = np.random.default_rng(seed).integers(0, nparts,
+                                                 size=adj.shape[0])
+    send = np.zeros(nparts, dtype=np.int64)
+    for v in range(adj.shape[0]):
+        neighbours = adj.indices[adj.indptr[v]:adj.indptr[v + 1]]
+        send[parts[v]] += len(set(parts[neighbours].tolist()) - {parts[v]})
+    vol = communication_volumes_1d(adj, parts, nparts)
+    assert vol.total == send.sum()
+    np.testing.assert_array_equal(vol.send_volume, send)

@@ -33,9 +33,9 @@ import pytest
 import scipy.sparse as sp
 
 from repro.graphs import community_ring_graph, load_dataset
-from repro.partition import (coarsen_graph, communication_volumes_1d,
-                             contract_graph, edgecut, get_partitioner,
-                             heavy_edge_matching)
+from repro.partition import (PARTITIONERS, coarsen_graph,
+                             communication_volumes_1d, contract_graph,
+                             edgecut, get_partitioner, heavy_edge_matching)
 from repro.partition.refine import edgecut_refine, rebalance
 from repro.partition.volume_refine import volume_refine
 
@@ -178,6 +178,16 @@ def build_golden() -> dict:
 def golden() -> dict:
     with open(GOLDEN) as fh:
         return json.load(fh)
+
+
+def test_every_partitioning_partitioner_has_golden_records(golden):
+    """Only ``block`` and ``random`` (which ignore the graph) go unpinned:
+    a new partitioner lands with golden records, a deleted one takes its
+    records with it."""
+    assert {case[0] for case in PARTITIONS} == \
+        set(PARTITIONERS) - {"block", "random"}
+    assert sorted(golden["partitions"]) == \
+        sorted(_partition_key(*case) for case in PARTITIONS)
 
 
 @pytest.mark.parametrize("case", PARTITIONS,
