@@ -24,7 +24,8 @@ import numpy as np
 
 from ..comm.machine import MachineModel, get_machine
 from ..core.config import Algorithm
-from ..core.costmodel import epoch_cost, gradient_exchange_cost
+from ..core.costmodel import (epoch_cost, epoch_spmm_widths,
+                              gradient_exchange_cost)
 from ..core.gradsync import bucket_bytes_for_overhead
 from ..core.dist_matrix import BlockRowDistribution, DistSparseMatrix
 from ..graphs.adjacency import (gcn_normalize, permutation_from_parts,
@@ -143,19 +144,19 @@ def _estimated_messages_per_epoch(candidate: PlanCandidate,
     return float(n_spmms) * per_spmm
 
 
-def backend_overhead_s(candidate: PlanCandidate, n_layers: int,
+def backend_overhead_s(candidate: PlanCandidate, layer_dims: Sequence[int],
                        overheads: Optional[Dict[str, float]] = None,
                        cache_input_propagation: bool = False) -> float:
     """Predicted per-epoch host overhead of the candidate's backend.
 
     ``overheads`` defaults to :func:`effective_message_overheads` (the
-    calibrated table when this host has one).  Two SpMMs per layer, one
-    fewer per epoch with ``cache_input_propagation``.
+    calibrated table when this host has one).  The epoch's SpMMs are
+    those :func:`~repro.core.costmodel.epoch_spmm_widths` lists.
     """
     if overheads is None:
         overheads = effective_message_overheads()
     per_message = overheads.get(candidate.backend, 1.0e-4)
-    n_spmms = 2 * n_layers - (1 if cache_input_propagation else 0)
+    n_spmms = len(epoch_spmm_widths(layer_dims, cache_input_propagation))
     return per_message * _estimated_messages_per_epoch(candidate, n_spmms)
 
 
@@ -186,11 +187,11 @@ def score_candidates(candidates: Sequence[PlanCandidate],
     Infeasible candidates (more block rows than vertices) are dropped.
     Ties are broken by the candidate's deterministic sort key, so the
     returned ranking is stable across runs.  ``cache_input_propagation``
-    prices the trainer's cached schedule (no layer-0 forward SpMM per
-    epoch) instead of the paper's.
+    prices the trainer's cached schedule (``2 L - 2`` SpMMs at the narrow
+    side, :func:`~repro.core.costmodel.epoch_spmm_widths`) instead of the
+    paper's.
     """
     machine = get_machine(machine)
-    n_layers = len(layer_dims) - 1
     overheads = effective_message_overheads()
     scored: List[ScoredCandidate] = []
     # epoch_cost is backend-independent and O(nnz); share it across the
@@ -213,7 +214,7 @@ def score_candidates(candidates: Sequence[PlanCandidate],
                               cache_input_propagation=cache_input_propagation)
             cost_memo[group] = cost
         overhead = backend_overhead_s(
-            candidate, n_layers, overheads=overheads,
+            candidate, layer_dims, overheads=overheads,
             cache_input_propagation=cache_input_propagation)
         # Gradient-exchange term: backend-dependent (the wait-free
         # trainer fuses into buckets sized from the backend's calibrated

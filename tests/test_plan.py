@@ -18,9 +18,11 @@ import pytest
 from repro.core import AUTO, DistTrainConfig, train_distributed
 from repro.core.trainer import setup_distributed
 from repro.graphs.datasets import load_dataset
+from repro.core.costmodel import epoch_spmm_widths
 from repro.plan import (BACKEND_MESSAGE_OVERHEAD_S, PlanCache, PlanCandidate,
-                        PlanMatrixCache, Planner, enumerate_candidates,
-                        matrix_fingerprint, resolve_config, score_candidates,
+                        PlanMatrixCache, Planner, backend_overhead_s,
+                        enumerate_candidates, matrix_fingerprint,
+                        resolve_config, score_candidates,
                         valid_replication_factors)
 from repro.plan.planner import ExecutionPlan
 
@@ -145,11 +147,26 @@ class TestScore:
             cands, cache, dims, "perlmutter-scaled",
             cache_input_propagation=True)}
         assert paper.keys() == cached.keys()
+        # 2L - 2 SpMMs' messages out of the paper's 2L: 2 / 4 here
+        ratio = len(epoch_spmm_widths(dims, True)) \
+            / len(epoch_spmm_widths(dims, False))
+        assert ratio == 2 / 4
         for candidate, scored in cached.items():
             assert scored.predicted_s < paper[candidate].predicted_s
-            # one SpMM's messages fewer out of 2L
             assert scored.overhead_s == pytest.approx(
-                paper[candidate].overhead_s * 3 / 4)
+                paper[candidate].overhead_s * ratio)
+
+    def test_cached_one_layer_model_has_no_spmm_overhead(self):
+        cands = enumerate_candidates(8, partitioners=[None],
+                                     algorithms=["1d"],
+                                     modes=["sparsity_aware"])
+        overheads = {"sim": 1e-4, "threaded": 1e-4, "process": 1e-4}
+        for candidate in cands:
+            assert backend_overhead_s(candidate, [300, 24],
+                                      overheads=overheads) > 0
+            assert backend_overhead_s(candidate, [300, 24],
+                                      overheads=overheads,
+                                      cache_input_propagation=True) == 0
 
     def test_matrix_cache_reuses_instances(self, dataset):
         cache = PlanMatrixCache(dataset.adjacency, seed=0)
