@@ -174,30 +174,6 @@ _ALIGN = 64
 MAX_CACHED_PLANS = 512
 
 
-def _plan_cache_capacity() -> int:
-    """Resolve the exchange-plan LRU bound, honouring
-    ``REPRO_PROC_PLAN_CACHE``.
-
-    Training's key population is known and comfortably inside the
-    default; serving workloads cycle through more shapes (one key set
-    per distinct micro-batch width), so the bound is overridable without
-    a code change.  Read at communicator construction, so each engine
-    honours the environment it was started in.
-    """
-    raw = os.environ.get("REPRO_PROC_PLAN_CACHE")
-    if raw is None or not raw.strip():
-        return MAX_CACHED_PLANS
-    try:
-        capacity = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_PROC_PLAN_CACHE must be an integer, got {raw!r}") \
-            from None
-    if capacity < 1:
-        raise ValueError(
-            f"REPRO_PROC_PLAN_CACHE must be >= 1, got {capacity}")
-    return capacity
-
 #: Process-global communicator counter: arena names must stay unique across
 #: every ProcessPoolCommunicator alive in this driver process.
 _UID_COUNTER = itertools.count()
@@ -526,7 +502,6 @@ class ProcessPoolCommunicator(Communicator):
         self._plan_cache: "OrderedDict[tuple, _CachedStep]" = OrderedDict()
         self._free_pids: List[int] = []
         self._pid_counter = itertools.count()
-        self.plan_cache_capacity = _plan_cache_capacity()
         self._plan_hits = 0
         self._plan_misses = 0
         self._plan_evictions = 0
@@ -639,7 +614,7 @@ class ProcessPoolCommunicator(Communicator):
     def _alloc_pid(self) -> int:
         if self._free_pids:
             return self._free_pids.pop()
-        if len(self._plan_cache) >= self.plan_cache_capacity:
+        if len(self._plan_cache) >= MAX_CACHED_PLANS:
             _, evicted = self._plan_cache.popitem(last=False)
             self._plan_evictions += 1
             return evicted.pid
@@ -655,7 +630,7 @@ class ProcessPoolCommunicator(Communicator):
             "misses": self._plan_misses,
             "evictions": self._plan_evictions,
             "size": len(self._plan_cache),
-            "capacity": self.plan_cache_capacity,
+            "capacity": MAX_CACHED_PLANS,
         }
 
     def _entry_cmds(self, entry: _CachedStep) -> List[dict]:
