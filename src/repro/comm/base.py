@@ -270,7 +270,10 @@ def reduce_stack(arrays: Sequence[np.ndarray], op: str,
 #: Below this many members a ``sum`` of ``k`` same-dtype payloads stacked
 #: on axis 0 reduces as a left fold from zero, element by element; from
 #: it on numpy may sum a one-element payload pairwise (unrolled by 8),
-#: which a fold does not reproduce.
+#: which a fold does not reproduce.  A one-element payload is never
+#: folded: numpy reduces it in a scalar loop that keeps the accumulated
+#: NaN where ``np.add(out, part, out=out)`` keeps ``part``'s, so the two
+#: differ in a NaN's sign bit.
 FOLD_MAX_MEMBERS = 8
 
 
@@ -279,15 +282,16 @@ def reduce_into(out: np.ndarray, arrays: Sequence[np.ndarray], op: str,
     """``out[...] = reduce_stack(arrays, op, force_float64)``, bit for
     bit, without the stacked temporary where that is exact.
 
-    A ``sum`` of fewer than :data:`FOLD_MAX_MEMBERS` payloads that all
-    have ``out``'s dtype is a fold straight into ``out``: zero it, then
-    add each payload in group order.  The zero start is what makes an
-    all-``-0.0`` sum ``+0.0``, as ``reduce_stack``'s is.  Every other
-    case (more members, ``max`` / ``min``, ``force_float64``, mixed
-    dtypes) assigns ``reduce_stack``'s result.  ``out`` must not overlap
-    any payload.
+    A ``sum`` of fewer than :data:`FOLD_MAX_MEMBERS` payloads of more
+    than one element that all have ``out``'s dtype is a fold straight
+    into ``out``: zero it, then add each payload in group order.  The
+    zero start is what makes an all-``-0.0`` sum ``+0.0``, as
+    ``reduce_stack``'s is.  Every other case (more members, one-element
+    payloads, ``max`` / ``min``, ``force_float64``, mixed dtypes)
+    assigns ``reduce_stack``'s result.  ``out`` must not overlap any
+    payload.
     """
-    if op == "sum" and not force_float64 \
+    if op == "sum" and not force_float64 and out.size > 1 \
             and len(arrays) < FOLD_MAX_MEMBERS \
             and all(a.dtype == out.dtype for a in arrays):
         out[...] = 0

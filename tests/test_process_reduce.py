@@ -56,6 +56,10 @@ NEGATIVE_ZEROS = ([np.full((1,), -0.0)] * 2, "sum", False)
 # left fold.
 PAIRWISE = ([np.array([v]) for v in (1.0, 1e16, -1e16, 1.0, 1.0, 1e16,
                                      -1e16, 3.0)], "sum", False)
+# numpy sums a one-element payload keeping the first NaN's sign; a fold
+# keeps the last one's.
+NAN_SIGNS = ([np.zeros(1), np.zeros(1), np.full(1, np.nan),
+              np.full(1, -np.nan)], "sum", False)
 
 
 class TestHelper:
@@ -63,6 +67,7 @@ class TestHelper:
     @given(payloads())
     @example(NEGATIVE_ZEROS)
     @example(PAIRWISE)
+    @example(NAN_SIGNS)
     def test_reduce_into_equals_reduce_stack(self, case):
         arrays, op, force64 = case
         want = reduce_stack(arrays, op, force_float64=force64)
@@ -111,6 +116,11 @@ class TestWorkerPath:
 
     def test_signed_zero_sum(self, comm):
         arrays = [np.full((1, 1), -0.0)] * comm.nranks
+        for result in comm.allreduce(arrays):
+            assert_same_bytes(result, reduce_stack(arrays, "sum"))
+
+    def test_nan_sign_sum(self, comm):
+        arrays = NAN_SIGNS[0][-comm.nranks:]
         for result in comm.allreduce(arrays):
             assert_same_bytes(result, reduce_stack(arrays, "sum"))
 
