@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # CI smoke target: exercise the autotuning planner (repro tune --quick,
-# against a throwaway plan cache), the end-to-end bench path (dataset
+# against a throwaway plan cache), repro partition with every registered
+# partitioner (each must print its max_send_volume), the end-to-end bench
+# path (dataset
 # generation, partitioning, distributed training, reporting) on every
 # communicator backend at tiny scale, a pipelined (--pipeline 2,
 # double-buffered nonblocking exchanges) training leg on every backend,
@@ -59,6 +61,15 @@ timeout 60 bash -c '
   echo "== repro tune --quick =="
   REPRO_PLAN_CACHE="$(mktemp -d)/plan_cache.json" \
     python -m repro tune --quick
+  partitioners="$(python -c "from repro.partition import PARTITIONERS
+print(*sorted(PARTITIONERS))")"
+  for partitioner in ${partitioners}; do
+    echo "== repro partition --partitioner ${partitioner} =="
+    report="$(python -m repro partition --dataset reddit --scale 0.05 \
+      --nparts 4 --partitioner "${partitioner}")"
+    echo "${report}"
+    grep -q max_send_volume <<<"${report}"
+  done
   for backend in sim threaded process; do
     echo "== repro bench --quick --backend ${backend} =="
     python -m repro bench --quick --backend "${backend}"
