@@ -122,15 +122,6 @@ class MetricsRegistry:
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
 
-    def prometheus(self) -> str:
-        return prometheus_text(self.as_dict())
-
-    def merge_flat(self, flat: Mapping[str, Any]) -> None:
-        """Absorb a flat snapshot (keys become gauges verbatim)."""
-        with self._lock:
-            for k, v in flat.items():
-                self._gauges[(k, ())] = v
-
 
 def prometheus_text(flat: Mapping[str, Any]) -> str:
     """Render a flat metrics dict as Prometheus text exposition.
