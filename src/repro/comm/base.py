@@ -14,21 +14,28 @@ reproduction ships three:
 
 The interface has five parts:
 
-1. **Collectives** (abstract): :meth:`broadcast`, :meth:`allreduce`,
+1. **Collectives**: :meth:`broadcast`, :meth:`allreduce`,
    :meth:`allgather`, :meth:`reduce`, :meth:`alltoallv` and the batched
    point-to-point :meth:`exchange`.  All of them use the *driver* calling
    convention of the simulator: one call carries every rank's operand and
-   returns every rank's result, indexed by group position.  Backends are
-   free to execute the data movement however they like (simulated clocks,
-   worker threads, real processes) as long as the returned values are
-   bitwise identical — the integration tests assert exactly that.
+   returns every rank's result, indexed by group position.  They are
+   defined here, once: each public method does the open check, group
+   resolution, operand validation and its trace span, then hands the
+   validated operands to the backend's *lowering* for that collective
+   (``_lower_alltoallv`` ... ``_lower_exchange``) through the backend's
+   one *runner*, :meth:`_collective`.  Backends are free to execute the
+   data movement however they like (simulated clocks, worker threads,
+   real processes) as long as the returned values are bitwise identical
+   — the integration tests assert exactly that.
 2. **Nonblocking collectives**: :meth:`ibroadcast`, :meth:`ialltoallv`,
    :meth:`iallreduce`, :meth:`iexchange`, each returning a
-   :class:`CommHandle` (``wait()`` / ``test()``).  The base class
-   defaults execute the blocking counterpart eagerly (always correct,
-   never overlapped); the shipped backends override them with genuinely
-   deferred delivery — the foundation of the compiled operators'
-   ``pipeline_depth`` double buffering.
+   :class:`CommHandle` (``wait()`` / ``test()``).  They share the
+   blocking collective's lowering; the runner either settles it at once
+   (blocking) or returns a handle over the posted work.  A runner that
+   cannot overlap returns the plain result and the base wraps it in a
+   :class:`CompletedCommHandle` (always correct, never overlapped); the
+   shipped backends return genuinely deferred handles — the foundation
+   of the compiled operators' ``pipeline_depth`` double buffering.
 3. **Rank / group queries**: :attr:`nranks`, :meth:`ranks`,
    :meth:`_resolve_ranks` (group validation shared by all backends).
 4. **Accounting hooks**: :meth:`charge_spmm`, :meth:`charge_gemm`,
@@ -56,7 +63,6 @@ across backends and the benchmark harness does not care which one ran.
 from __future__ import annotations
 
 import abc
-import functools
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -69,74 +75,6 @@ from .tracker import CommStats
 
 __all__ = ["CommHandle", "CompletedCommHandle", "Communicator",
            "payload_nbytes", "reduce_into", "reduce_stack"]
-
-# ---------------------------------------------------------------------------
-# Span instrumentation (repro.obs).  Every public collective entry point —
-# blocking, nonblocking post, and handle drain — is bracketed with a span so
-# overlap windows show up as separate post/drain slices in the trace.  The
-# wrapping happens once per class at definition time (``__init_subclass__``),
-# so backends and third-party subclasses are instrumented automatically and
-# the per-call cost while tracing is disabled is a single attribute check.
-# ---------------------------------------------------------------------------
-
-#: Public blocking entry points → default trace category.
-_TRACED_COLLECTIVES = {
-    "alltoallv": "alltoall",
-    "broadcast": "bcast",
-    "allreduce": "allreduce",
-    "allgather": "allgather",
-    "reduce": "reduce",
-    "exchange": "p2p",
-    "barrier": "wait",
-}
-
-#: Nonblocking posts → default trace category.
-_TRACED_POSTS = {
-    "ibroadcast": "bcast",
-    "ialltoallv": "alltoall",
-    "iallreduce": "allreduce",
-    "iexchange": "p2p",
-}
-
-
-def _traced_collective(op: str, default_cat: str, fn):
-    if getattr(fn, "_obs_traced", False):
-        return fn
-
-    @functools.wraps(fn)
-    def wrapper(self, *args, **kwargs):
-        tr = TRACE
-        if not tr.enabled:
-            return fn(self, *args, **kwargs)
-        with tr.span("comm." + op, cat=kwargs.get("category", default_cat),
-                     args={"backend": self.backend_name}):
-            return fn(self, *args, **kwargs)
-
-    wrapper._obs_traced = True
-    return wrapper
-
-
-def _traced_post(op: str, default_cat: str, fn):
-    if getattr(fn, "_obs_traced", False):
-        return fn
-
-    @functools.wraps(fn)
-    def wrapper(self, *args, **kwargs):
-        tr = TRACE
-        if not tr.enabled:
-            return fn(self, *args, **kwargs)
-        cat = kwargs.get("category", default_cat)
-        with tr.span("comm." + op + ".post", cat=cat,
-                     args={"backend": self.backend_name}):
-            handle = fn(self, *args, **kwargs)
-        if isinstance(handle, CommHandle):
-            handle._trace_op = "comm." + op
-            handle._trace_cat = cat
-        return handle
-
-    wrapper._obs_traced = True
-    return wrapper
-
 
 class CommHandle:
     """Completion handle of a nonblocking collective.
@@ -164,8 +102,8 @@ class CommHandle:
     cached and re-raised by every later ``wait()``.
     """
 
-    #: Trace identity stamped by the nonblocking post wrappers so the
-    #: drain shows up as a "<op>.drain" slice (None → no drain span).
+    #: Trace identity stamped by the nonblocking posts while tracing, so
+    #: the drain shows up as a "<op>.drain" slice (None → no drain span).
     _trace_op: Optional[str] = None
     _trace_cat: str = ""
 
@@ -328,19 +266,6 @@ class Communicator(abc.ABC):
         self._closed = False
         self._fault_plan: Optional[FaultPlan] = None
         self._epoch: Optional[int] = None
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        for op, cat in _TRACED_COLLECTIVES.items():
-            fn = cls.__dict__.get(op)
-            if (callable(fn)
-                    and not getattr(fn, "__isabstractmethod__", False)):
-                setattr(cls, op, _traced_collective(op, cat, fn))
-        for op, cat in _TRACED_POSTS.items():
-            fn = cls.__dict__.get(op)
-            if (callable(fn)
-                    and not getattr(fn, "__isabstractmethod__", False)):
-                setattr(cls, op, _traced_post(op, cat, fn))
 
     # ------------------------------------------------------------------
     # Rank / group queries
@@ -568,94 +493,219 @@ class Communicator(abc.ABC):
 
     def barrier(self, ranks: Optional[Sequence[int]] = None) -> float:
         """Synchronise a group of ranks; returns the synchronised time."""
-        return self.timeline.synchronize(self._resolve_ranks(ranks))
+        with self._span("barrier", "wait"):
+            group = self._open_group(ranks)
+            self._rendezvous(group)
+            return self.timeline.synchronize(group)
+
+    def _rendezvous(self, group: List[int]) -> None:
+        """Real rendezvous of ``group`` before :meth:`barrier` aligns
+        its clocks (no-op here; backends with workers override it)."""
 
     # ------------------------------------------------------------------
-    # Collectives (abstract)
+    # The collective front-end.  Every public collective is defined here
+    # and only here: open check, group resolution, operand validation
+    # and the trace span, then one call of the backend's runner with its
+    # lowering.  A rejected call therefore never reaches a backend.
     # ------------------------------------------------------------------
-    @abc.abstractmethod
+    def _span(self, op: str, category: str):
+        """The ``comm.<op>`` span of a public entry point (no-op while
+        tracing is disabled)."""
+        if not TRACE.enabled:
+            return NULL_SPAN
+        return TRACE.span("comm." + op, cat=category,
+                          args={"backend": self.backend_name})
+
+    def _open_group(self, ranks: Optional[Sequence[int]]) -> List[int]:
+        """:meth:`_check_open`, then :meth:`_resolve_ranks`."""
+        self._check_open()
+        return self._resolve_ranks(ranks)
+
+    @staticmethod
+    def _posted(result, op: str, category: str) -> CommHandle:
+        """The handle of a post: the runner's handle, or a
+        :class:`CompletedCommHandle` over a result it settled at once."""
+        handle = (result if isinstance(result, CommHandle)
+                  else CompletedCommHandle(result))
+        if TRACE.enabled:
+            handle._trace_op = "comm." + op
+            handle._trace_cat = category
+        return handle
+
     def alltoallv(self,
                   send: Sequence[Sequence[Optional[np.ndarray]]],
                   ranks: Optional[Sequence[int]] = None,
                   category: str = "alltoall",
                   ) -> List[List[Optional[np.ndarray]]]:
-        """Personalised all-to-all: ``recv[i][j]`` is what member ``i``
-        received from member ``j`` (``send[j][i]``)."""
-
-    @abc.abstractmethod
-    def broadcast(self, value: np.ndarray, root: int,
-                  ranks: Optional[Sequence[int]] = None,
-                  category: str = "bcast") -> List[np.ndarray]:
-        """Broadcast ``value`` from global rank ``root`` to the group."""
-
-    @abc.abstractmethod
-    def allreduce(self, arrays: Sequence[np.ndarray],
-                  ranks: Optional[Sequence[int]] = None,
-                  op: str = "sum",
-                  category: str = "allreduce") -> List[np.ndarray]:
-        """Element-wise reduction delivered to every group member."""
-
-    @abc.abstractmethod
-    def allgather(self, arrays: Sequence[np.ndarray],
-                  ranks: Optional[Sequence[int]] = None,
-                  category: str = "allgather") -> List[List[np.ndarray]]:
-        """Every member receives every member's contribution."""
-
-    @abc.abstractmethod
-    def reduce(self, arrays: Sequence[np.ndarray], root: int,
-               ranks: Optional[Sequence[int]] = None,
-               op: str = "sum",
-               category: str = "reduce") -> List[Optional[np.ndarray]]:
-        """Rooted reduction; only the root's result slot is non-None."""
-
-    @abc.abstractmethod
-    def exchange(self,
-                 messages: Sequence[Tuple[int, int, np.ndarray]],
-                 category: str = "p2p",
-                 sync_ranks: Optional[Sequence[int]] = None,
-                 ) -> Dict[Tuple[int, int], np.ndarray]:
-        """Deliver a batch of ``(src, dst, payload)`` point-to-point
-        messages; returns a dict keyed by ``(src, dst)``."""
-
-    # ------------------------------------------------------------------
-    # Nonblocking collectives (handle-based).  The defaults execute the
-    # blocking counterpart eagerly and return a completed handle — always
-    # correct, never overlapped — so third-party backends conform without
-    # changes.  The shipped backends override them: the simulator defers
-    # the time charge so an overlapped window costs max(comm, compute),
-    # the threaded backend delivers on background threads, the process
-    # backend posts the staged exchange plan and returns immediately.
-    # ------------------------------------------------------------------
-    def ibroadcast(self, value: np.ndarray, root: int,
-                   ranks: Optional[Sequence[int]] = None,
-                   category: str = "bcast") -> CommHandle:
-        """Nonblocking :meth:`broadcast`; returns a :class:`CommHandle`."""
-        return CompletedCommHandle(
-            self.broadcast(value, root, ranks=ranks, category=category))
+        """Personalised all-to-all: ``send[i][j]`` is what member ``i``
+        sends member ``j`` (``None`` or an empty array means nothing);
+        ``recv[i][j]`` is what member ``i`` received from member ``j``."""
+        with self._span("alltoallv", category):
+            group = self._open_group(ranks)
+            self._check_alltoallv_send(send, group)
+            return self._collective(self._lower_alltoallv, True, category,
+                                    send, group)
 
     def ialltoallv(self,
                    send: Sequence[Sequence[Optional[np.ndarray]]],
                    ranks: Optional[Sequence[int]] = None,
                    category: str = "alltoall") -> CommHandle:
         """Nonblocking :meth:`alltoallv`; returns a :class:`CommHandle`."""
-        return CompletedCommHandle(
-            self.alltoallv(send, ranks=ranks, category=category))
+        with self._span("ialltoallv.post", category):
+            group = self._open_group(ranks)
+            self._check_alltoallv_send(send, group)
+            result = self._collective(self._lower_alltoallv, False, category,
+                                      send, group)
+        return self._posted(result, "ialltoallv", category)
+
+    def broadcast(self, value: np.ndarray, root: int,
+                  ranks: Optional[Sequence[int]] = None,
+                  category: str = "bcast") -> List[np.ndarray]:
+        """Broadcast ``value`` from global rank ``root`` to the group.
+
+        The root's slot holds ``value`` itself, every other slot an
+        independent copy (the physically separate buffers each process
+        would own).
+        """
+        with self._span("broadcast", category):
+            group = self._open_group(ranks)
+            self._check_root(root, group)
+            return self._collective(self._lower_broadcast, True, category,
+                                    value, root, group)
+
+    def ibroadcast(self, value: np.ndarray, root: int,
+                   ranks: Optional[Sequence[int]] = None,
+                   category: str = "bcast") -> CommHandle:
+        """Nonblocking :meth:`broadcast`; returns a :class:`CommHandle`."""
+        with self._span("ibroadcast.post", category):
+            group = self._open_group(ranks)
+            self._check_root(root, group)
+            result = self._collective(self._lower_broadcast, False, category,
+                                      value, root, group)
+        return self._posted(result, "ibroadcast", category)
+
+    def allreduce(self, arrays: Sequence[np.ndarray],
+                  ranks: Optional[Sequence[int]] = None,
+                  op: str = "sum",
+                  category: str = "allreduce") -> List[np.ndarray]:
+        """Element-wise reduction (``op``: ``"sum"``, ``"max"`` or
+        ``"min"``) delivered to every group member."""
+        with self._span("allreduce", category):
+            group = self._open_group(ranks)
+            self._check_allreduce_arrays(arrays, group, op)
+            return self._collective(self._lower_allreduce, True, category,
+                                    arrays, group, op)
 
     def iallreduce(self, arrays: Sequence[np.ndarray],
                    ranks: Optional[Sequence[int]] = None,
                    op: str = "sum",
                    category: str = "allreduce") -> CommHandle:
         """Nonblocking :meth:`allreduce`; returns a :class:`CommHandle`."""
-        return CompletedCommHandle(
-            self.allreduce(arrays, ranks=ranks, op=op, category=category))
+        with self._span("iallreduce.post", category):
+            group = self._open_group(ranks)
+            self._check_allreduce_arrays(arrays, group, op)
+            result = self._collective(self._lower_allreduce, False, category,
+                                      arrays, group, op)
+        return self._posted(result, "iallreduce", category)
+
+    def allgather(self, arrays: Sequence[np.ndarray],
+                  ranks: Optional[Sequence[int]] = None,
+                  category: str = "allgather") -> List[List[np.ndarray]]:
+        """Every member receives every member's contribution."""
+        with self._span("allgather", category):
+            group = self._open_group(ranks)
+            self._check_allgather_arrays(arrays, group)
+            return self._collective(self._lower_allgather, True, category,
+                                    arrays, group)
+
+    def reduce(self, arrays: Sequence[np.ndarray], root: int,
+               ranks: Optional[Sequence[int]] = None,
+               op: str = "sum",
+               category: str = "reduce") -> List[Optional[np.ndarray]]:
+        """Rooted reduction; only the root's result slot is non-None."""
+        with self._span("reduce", category):
+            group = self._open_group(ranks)
+            self._check_root(root, group)
+            self._check_reduce_arrays(arrays, group, op)
+            return self._collective(self._lower_reduce, True, category,
+                                    arrays, root, group, op)
+
+    def exchange(self,
+                 messages: Sequence[Tuple[int, int, np.ndarray]],
+                 category: str = "p2p",
+                 sync_ranks: Optional[Sequence[int]] = None,
+                 ) -> Dict[Tuple[int, int], np.ndarray]:
+        """Deliver a batch of ``(src, dst, payload)`` point-to-point
+        messages; returns a dict keyed by ``(src, dst)`` (messages with
+        ``src == dst`` are free).
+
+        This models the paper's 1.5D ``batch_isend_irecv`` grouping: all
+        sends and receives of the batch progress concurrently.
+        """
+        with self._span("exchange", category):
+            self._check_open()
+            sync = self._check_messages(messages, sync_ranks)
+            return self._collective(self._lower_exchange, True, category,
+                                    messages, sync)
 
     def iexchange(self,
                   messages: Sequence[Tuple[int, int, np.ndarray]],
                   category: str = "p2p",
                   sync_ranks: Optional[Sequence[int]] = None) -> CommHandle:
         """Nonblocking :meth:`exchange`; returns a :class:`CommHandle`."""
-        return CompletedCommHandle(
-            self.exchange(messages, category=category, sync_ranks=sync_ranks))
+        with self._span("iexchange.post", category):
+            self._check_open()
+            sync = self._check_messages(messages, sync_ranks)
+            result = self._collective(self._lower_exchange, False, category,
+                                      messages, sync)
+        return self._posted(result, "iexchange", category)
+
+    # ------------------------------------------------------------------
+    # Backend hooks: one lowering per collective plus one runner
+    # ------------------------------------------------------------------
+    @abc.abstractmethod
+    def _collective(self, lower: Callable, blocking: bool, category: str,
+                    *args):
+        """Run ``lower(category, *args)`` and settle it.
+
+        Blocking: return the collective's result.  Posted: return a
+        :class:`CommHandle`, or the plain result when the backend cannot
+        overlap (the base wraps it).  ``args`` are already validated;
+        ``lower`` is one of the ``_lower_*`` hooks below, and what it
+        returns is private to the backend.
+        """
+
+    # Each lowering records the collective's EventLog messages (the
+    # ``_record_*_events`` helpers, or ``_begin_exchange``) and builds
+    # the backend's unit of work and result; it must not advance clocks.
+    @abc.abstractmethod
+    def _lower_alltoallv(self, category: str, send, group: List[int]):
+        """Lower a validated :meth:`alltoallv`."""
+
+    @abc.abstractmethod
+    def _lower_broadcast(self, category: str, value, root: int,
+                         group: List[int]):
+        """Lower a validated :meth:`broadcast`."""
+
+    @abc.abstractmethod
+    def _lower_allreduce(self, category: str, arrays, group: List[int],
+                         op: str):
+        """Lower a validated :meth:`allreduce`."""
+
+    @abc.abstractmethod
+    def _lower_allgather(self, category: str, arrays, group: List[int]):
+        """Lower a validated :meth:`allgather`."""
+
+    @abc.abstractmethod
+    def _lower_reduce(self, category: str, arrays, root: int,
+                      group: List[int], op: str):
+        """Lower a validated :meth:`reduce`."""
+
+    @abc.abstractmethod
+    def _lower_exchange(self, category: str, messages,
+                        sync: Optional[List[int]]):
+        """Lower a validated :meth:`exchange` (``sync`` is the resolved
+        ``sync_ranks`` group, or ``None``)."""
 
     # ------------------------------------------------------------------
     # Reporting (uniform across backends)
@@ -713,15 +763,15 @@ class Communicator(abc.ABC):
         self.timeline.reset()
 
     def _check_open(self) -> None:
-        """Raise if :meth:`close` has been called.
+        """Raise if :meth:`close` has been called on a backend that
+        ``rejects_work_when_closed``.
 
-        Backends with real worker pools (``rejects_work_when_closed``)
-        call this at the top of every work submission, *before* any event
-        or timeline mutation, so rejected work never records phantom
-        traffic.  The simulator keeps accepting work after close and never
-        calls it.
+        The front-end calls it at the top of every collective and
+        :meth:`barrier`, *before* any event or timeline mutation, so
+        rejected work never records phantom traffic.  The simulator keeps
+        accepting work after close.
         """
-        if self._closed:
+        if self._closed and self.rejects_work_when_closed:
             raise RuntimeError("communicator is closed")
 
     def close(self) -> None:
@@ -737,16 +787,3 @@ class Communicator(abc.ABC):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(nranks={self.nranks})"
 
-
-# ``__init_subclass__`` instruments subclasses; the base class's own
-# concrete entry points (barrier + the eager nonblocking defaults) are
-# wrapped here so third-party backends that inherit them still trace.
-for _op, _cat in _TRACED_COLLECTIVES.items():
-    _fn = Communicator.__dict__.get(_op)
-    if callable(_fn) and not getattr(_fn, "__isabstractmethod__", False):
-        setattr(Communicator, _op, _traced_collective(_op, _cat, _fn))
-for _op, _cat in _TRACED_POSTS.items():
-    _fn = Communicator.__dict__.get(_op)
-    if callable(_fn) and not getattr(_fn, "__isabstractmethod__", False):
-        setattr(Communicator, _op, _traced_post(_op, _cat, _fn))
-del _op, _cat, _fn

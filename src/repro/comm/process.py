@@ -76,12 +76,13 @@ arenas; ``copies`` — ``(send index, dst)`` pairs, each landing in
 group-ordered :func:`reduce_stack` of every staged payload.  An
 all-to-allv, allgather, broadcast or point-to-point batch is copies only;
 an allreduce is one reduce per member and a rooted reduce one at the
-root.  A per-collective ``_lower_*`` method validates, records the
-``EventLog`` messages, builds the step and a ``finish`` that assembles
-the caller's result from the read-back slabs; :meth:`_step` (the one
-plan builder) turns it into per-rank worker commands and
-:meth:`_collective` (the one dispatcher) runs them blocking or posts them
-nonblocking.
+root.  The public collectives (defined once, on
+:class:`~repro.comm.base.Communicator`) validate the operands; a
+per-collective ``_lower_*`` method then records the ``EventLog``
+messages, builds the step and a ``finish`` that assembles the caller's
+result from the read-back slabs; :meth:`_step` (the one plan builder)
+turns it into per-rank worker commands and :meth:`_collective` (the one
+runner) runs them blocking or posts them nonblocking.
 
 **The courier rule.**  Blocking and nonblocking steps share one
 grouped-copy rule.  Only members whose plan does work receive a command
@@ -151,7 +152,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..obs.tracer import TRACE
-from .base import (CommHandle, CompletedCommHandle, Communicator,
+from .base import (CommHandle, Communicator,
                    payload_nbytes as _nbytes, reduce_into, reduce_stack)
 from .faults import WatchdogTimeout, WorkerFailure
 
@@ -1123,9 +1124,10 @@ class ProcessPoolCommunicator(Communicator):
         ``lower(category, *args) -> (group, step, finish)``; ``finish``
         maps the read-back result slabs (copies, then reductions) to the
         caller's result.  ``step`` is ``None`` when no byte crosses a
-        process boundary.
+        process boundary.  A post claims its slot before ``lower`` records
+        the events and after the front-end validated the operands, so a
+        rejected post leaves the double buffer's parity alone.
         """
-        self._check_open()
         if blocking:
             slot, skind, rkind = None, "send", "recv"
         else:
@@ -1133,7 +1135,7 @@ class ProcessPoolCommunicator(Communicator):
         group, step, finish = lower(category, *args)
         if step is None:
             if not blocking:
-                return CompletedCommHandle(finish(()))
+                return finish(())
             if group:
                 self._run_step((), (), category, group)
             return finish(())
@@ -1177,25 +1179,18 @@ class ProcessPoolCommunicator(Communicator):
             seconds.append(time.perf_counter() - t0)
         self.timeline.advance_all(seconds, category, ranks=group)
 
-    def barrier(self, ranks: Optional[Sequence[int]] = None) -> float:
+    def _rendezvous(self, group: List[int]) -> None:
         """Real rendezvous of the group's worker processes: one no-op
         command per member.  Workers act only on driver commands, so an
         answer from every member is the rendezvous."""
-        group = self._resolve_ranks(ranks)
         if len(group) > 1:
             self._run_step(group, [self._plan(())] * len(group), "wait")
-        elif self._closed:
-            raise RuntimeError("communicator is closed")
-        return self.timeline.synchronize(group)
-
 
     # ------------------------------------------------------------------
     # Collectives: each lowers to one step (module docstring, "Lowering")
     # ------------------------------------------------------------------
-    def _lower_alltoallv(self, category, send, ranks):
-        group = self._resolve_ranks(ranks)
+    def _lower_alltoallv(self, category, send, group):
         p = len(group)
-        self._check_alltoallv_send(send, group)
         self._record_alltoallv_events(send, group, category)
         recv: List[List[Optional[np.ndarray]]] = [[None] * p for _ in range(p)]
         sends, copies, pairs = [], [], []
@@ -1223,9 +1218,7 @@ class ProcessPoolCommunicator(Communicator):
                     for (i, j), (_, arr) in zip(pairs, sends))
         return group, _Step("a2a", sig, sends, copies), finish
 
-    def _lower_broadcast(self, category, value, root, ranks):
-        group = self._resolve_ranks(ranks)
-        self._check_root(root, group)
+    def _lower_broadcast(self, category, value, root, group):
         p = len(group)
         self._record_broadcast_events(_nbytes(value), root, group, category)
         arr = np.asarray(value)
@@ -1242,10 +1235,8 @@ class ProcessPoolCommunicator(Communicator):
                      [(0, r) for r in group if r != root])
         return group, step, finish
 
-    def _lower_allreduce(self, category, arrays, ranks, op):
-        group = self._resolve_ranks(ranks)
+    def _lower_allreduce(self, category, arrays, group, op):
         p = len(group)
-        self._check_allreduce_arrays(arrays, group, op)
         self._record_allreduce_events(_nbytes(arrays[0]), group, category)
         arrs = [np.asarray(a) for a in arrays]
         if arrs[0].nbytes == 0 or p == 1:
@@ -1258,10 +1249,8 @@ class ProcessPoolCommunicator(Communicator):
                      reduces=[(r, op, False) for r in group])
         return group, step, lambda outs: outs
 
-    def _lower_allgather(self, category, arrays, ranks):
-        group = self._resolve_ranks(ranks)
+    def _lower_allgather(self, category, arrays, group):
         p = len(group)
-        self._check_allgather_arrays(arrays, group)
         self._record_allgather_events(arrays, group, category)
         arrs = [np.asarray(a) for a in arrays]
         moving = [j for j in range(p) if arrs[j].nbytes > 0]
@@ -1282,11 +1271,8 @@ class ProcessPoolCommunicator(Communicator):
                      [(index[j], group[i]) for i, j in pairs])
         return group, step, finish
 
-    def _lower_reduce(self, category, arrays, root, ranks, op):
-        group = self._resolve_ranks(ranks)
+    def _lower_reduce(self, category, arrays, root, group, op):
         p = len(group)
-        self._check_root(root, group)
-        self._check_reduce_arrays(arrays, group, op)
         self._record_reduce_events(_nbytes(arrays[0]), root, group, category)
         arrs = [np.asarray(a) for a in arrays]
         root_pos = group.index(root)
@@ -1300,8 +1286,7 @@ class ProcessPoolCommunicator(Communicator):
         return group, step, lambda outs: [
             outs[0] if pos == root_pos else None for pos in range(p)]
 
-    def _lower_exchange(self, category, messages, sync_ranks):
-        sync = self._check_messages(messages, sync_ranks)
+    def _lower_exchange(self, category, messages, sync):
         step_id = self._begin_exchange(category)
         involved = set()
         delivered: Dict[Tuple[int, int], np.ndarray] = {}
@@ -1335,80 +1320,3 @@ class ProcessPoolCommunicator(Communicator):
         sig = tuple((src, dst, arr.shape, arr.dtype.str)
                     for (src, dst), (_, arr) in zip(pairs, sends))
         return group, _Step("p2p", sig, sends, copies), finish
-
-    def alltoallv(self,
-                  send: Sequence[Sequence[Optional[np.ndarray]]],
-                  ranks: Optional[Sequence[int]] = None,
-                  category: str = "alltoall",
-                  ) -> List[List[Optional[np.ndarray]]]:
-        return self._collective(self._lower_alltoallv, True, category,
-                                send, ranks)
-
-    def ialltoallv(self,
-                   send: Sequence[Sequence[Optional[np.ndarray]]],
-                   ranks: Optional[Sequence[int]] = None,
-                   category: str = "alltoall") -> CommHandle:
-        """Nonblocking all-to-allv: the plan is posted, workers stream."""
-        return self._collective(self._lower_alltoallv, False, category,
-                                send, ranks)
-
-    def broadcast(self, value: np.ndarray, root: int,
-                  ranks: Optional[Sequence[int]] = None,
-                  category: str = "bcast") -> List[np.ndarray]:
-        return self._collective(self._lower_broadcast, True, category,
-                                value, root, ranks)
-
-    def ibroadcast(self, value: np.ndarray, root: int,
-                   ranks: Optional[Sequence[int]] = None,
-                   category: str = "bcast") -> CommHandle:
-        """Nonblocking broadcast: the plan is posted, workers stream the
-        payload into the nonblocking arena slot while the driver returns."""
-        return self._collective(self._lower_broadcast, False, category,
-                                value, root, ranks)
-
-    def allreduce(self, arrays: Sequence[np.ndarray],
-                  ranks: Optional[Sequence[int]] = None,
-                  op: str = "sum",
-                  category: str = "allreduce") -> List[np.ndarray]:
-        return self._collective(self._lower_allreduce, True, category,
-                                arrays, ranks, op)
-
-    def iallreduce(self, arrays: Sequence[np.ndarray],
-                   ranks: Optional[Sequence[int]] = None,
-                   op: str = "sum",
-                   category: str = "allreduce") -> CommHandle:
-        """Nonblocking all-reduce: operand bytes are staged eagerly (the
-        caller may rebind its slots afterwards), the reduction streams in
-        the workers."""
-        return self._collective(self._lower_allreduce, False, category,
-                                arrays, ranks, op)
-
-    def allgather(self, arrays: Sequence[np.ndarray],
-                  ranks: Optional[Sequence[int]] = None,
-                  category: str = "allgather") -> List[List[np.ndarray]]:
-        return self._collective(self._lower_allgather, True, category,
-                                arrays, ranks)
-
-    def reduce(self, arrays: Sequence[np.ndarray], root: int,
-               ranks: Optional[Sequence[int]] = None,
-               op: str = "sum",
-               category: str = "reduce") -> List[Optional[np.ndarray]]:
-        return self._collective(self._lower_reduce, True, category,
-                                arrays, root, ranks, op)
-
-    def exchange(self,
-                 messages: Sequence[Tuple[int, int, np.ndarray]],
-                 category: str = "p2p",
-                 sync_ranks: Optional[Sequence[int]] = None,
-                 ) -> Dict[Tuple[int, int], np.ndarray]:
-        return self._collective(self._lower_exchange, True, category,
-                                messages, sync_ranks)
-
-    def iexchange(self,
-                  messages: Sequence[Tuple[int, int, np.ndarray]],
-                  category: str = "p2p",
-                  sync_ranks: Optional[Sequence[int]] = None) -> CommHandle:
-        """Nonblocking batched point-to-point: the staged plan is posted
-        and the driver returns while workers stream the payload bytes."""
-        return self._collective(self._lower_exchange, False, category,
-                                messages, sync_ranks)

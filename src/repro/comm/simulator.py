@@ -17,6 +17,12 @@ need:
                             algorithm (Algorithm 2),
 * ``allgather`` / ``reduce`` — utility collectives.
 
+Each is one lowering (``_lower_*``; the public collectives are defined
+once, on :class:`~repro.comm.base.Communicator`) that moves the data and
+returns the per-rank busy seconds; :meth:`_collective` charges them at
+once (blocking) or when the handle is waited on (posted, see
+:class:`_SimHandle`).
+
 The communicator is *deterministic*: given the same inputs it produces the
 same data and the same simulated times, which makes the reproduction's
 benchmark tables stable.  Construct it directly or via
@@ -25,7 +31,7 @@ benchmark tables stable.  Construct it directly or via
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -48,9 +54,13 @@ class _SimHandle(CommHandle):
     local compute it performed in between (via the ``charge_*`` hooks).
     The charged cost of an overlapped window is therefore
     ``max(comm, compute)`` — which keeps the simulated cost model honest
-    about what pipelining can and cannot hide.  An immediate
-    ``wait()`` after issue charges exactly what the blocking collective
-    would have, including the group synchronisation.
+    about what pipelining can and cannot hide.  An immediate ``wait()``
+    after issue leaves the rank clocks where the blocking collective
+    would, group synchronisation included, but not always the
+    per-category totals: it charges each rank ``(now + t) - now``, which
+    can differ from ``t`` in the last bit, so a category's seconds may
+    differ by a few ulps.  The blocking runner therefore never goes
+    through a handle.
     """
 
     def __init__(self, comm: "SimCommunicator", ranks, per_rank_time,
@@ -61,17 +71,17 @@ class _SimHandle(CommHandle):
         self._category = category
         self._result = result
         timeline = comm.timeline
-        self._finish_at = [timeline.now(r) + float(t)
-                           for r, t in zip(self._ranks, per_rank_time)]
+        self._finish_at = {r: timeline.now(r) + float(t)
+                           for r, t in per_rank_time.items()}
 
     def _poll(self) -> bool:
         timeline = self._comm.timeline
         return all(timeline.now(r) >= fin - 1e-18
-                   for r, fin in zip(self._ranks, self._finish_at))
+                   for r, fin in self._finish_at.items())
 
     def _finish(self):
         timeline = self._comm.timeline
-        for r, fin in zip(self._ranks, self._finish_at):
+        for r, fin in self._finish_at.items():
             gap = fin - timeline.now(r)
             if gap > 0:
                 timeline.advance(r, gap, self._category)
@@ -118,167 +128,68 @@ class SimCommunicator(Communicator):
         return seconds
 
     # ------------------------------------------------------------------
-    # Collectives
+    # Collectives: each lowering moves the data now and returns the
+    # group, the per-rank busy seconds and the result; the runner charges
+    # the seconds at once (blocking) or at wait() (see _SimHandle).
     # ------------------------------------------------------------------
-    def alltoallv(self,
-                  send: Sequence[Sequence[Optional[np.ndarray]]],
-                  ranks: Optional[Sequence[int]] = None,
-                  category: str = "alltoall",
-                  ) -> List[List[Optional[np.ndarray]]]:
-        """Personalised all-to-all exchange.
+    def _collective(self, lower, blocking, category, *args):
+        group, times, result = lower(category, *args)
+        if not blocking:
+            return _SimHandle(self, group, times, result, category)
+        self.timeline.advance_all(list(times.values()), category,
+                                  ranks=list(times))
+        self.timeline.synchronize(group)
+        return result
 
-        ``send[i][j]`` is the payload the ``i``-th group member sends to the
-        ``j``-th group member (``None`` or an empty array means nothing).
-        Returns ``recv`` with ``recv[i][j]`` being what member ``i`` received
-        *from* member ``j``.
-        """
-        group = self._resolve_ranks(ranks)
+    def _lower_alltoallv(self, category, send, group):
         p = len(group)
-        self._check_alltoallv_send(send, group)
         send_bytes = self._record_alltoallv_events(send, group, category)
-
         times = coll.alltoallv_time_per_rank(self.machine, group, send_bytes)
-        self.timeline.advance_all(times, category, ranks=group)
-        self.timeline.synchronize(group)
+        recv = [[send[j][i] for j in range(p)] for i in range(p)]
+        return group, dict(zip(group, times)), recv
 
-        recv: List[List[Optional[np.ndarray]]] = [
-            [send[j][i] for j in range(p)] for i in range(p)]
-        return recv
-
-    def broadcast(self, value: np.ndarray, root: int,
-                  ranks: Optional[Sequence[int]] = None,
-                  category: str = "bcast") -> List[np.ndarray]:
-        """Broadcast ``value`` from global rank ``root`` to the group.
-
-        Returns a list indexed by group position; the root's slot holds the
-        original object, other slots hold copies (simulating the physically
-        separate buffers each process would own).
-        """
-        group = self._resolve_ranks(ranks)
-        self._check_root(root, group)
-        nbytes = _nbytes(value)
-        self._record_broadcast_events(nbytes, root, group, category)
-        t = coll.broadcast_time(self.machine, group, nbytes)
-        self.timeline.advance_all([t] * len(group), category, ranks=group)
-        self.timeline.synchronize(group)
-
-        out: List[np.ndarray] = []
-        for r in group:
-            if r == root:
-                out.append(value)
-            else:
-                out.append(np.array(value, copy=True))
-        return out
-
-    def allreduce(self, arrays: Sequence[np.ndarray],
-                  ranks: Optional[Sequence[int]] = None,
-                  op: str = "sum",
-                  category: str = "allreduce") -> List[np.ndarray]:
-        """All-reduce: every group member contributes one array, every
-        member receives the element-wise reduction.
-
-        Supported ``op``: ``"sum"``, ``"max"``, ``"min"``.
-        """
-        group = self._resolve_ranks(ranks)
-        p = len(group)
-        self._check_allreduce_arrays(arrays, group, op)
-        result = reduce_stack(arrays, op)
-
-        nbytes = _nbytes(arrays[0])
-        self._record_allreduce_events(nbytes, group, category)
-        t = coll.allreduce_time(self.machine, group, nbytes)
-        self.timeline.advance_all([t] * p, category, ranks=group)
-        self.timeline.synchronize(group)
-
-        return [result.copy() if i > 0 else result for i in range(p)]
-
-    def allgather(self, arrays: Sequence[np.ndarray],
-                  ranks: Optional[Sequence[int]] = None,
-                  category: str = "allgather") -> List[List[np.ndarray]]:
-        """All-gather: every member receives every member's contribution."""
-        group = self._resolve_ranks(ranks)
-        p = len(arrays)
-        self._check_allgather_arrays(arrays, group)
-        max_nbytes = max((_nbytes(a) for a in arrays), default=0)
-        self._record_allgather_events(arrays, group, category)
-        t = coll.allgather_time(self.machine, group, max_nbytes)
-        self.timeline.advance_all([t] * len(group), category, ranks=group)
-        self.timeline.synchronize(group)
-        gathered = [np.array(a, copy=True) for a in arrays]
-        return [[gathered[j] if j != i else arrays[i] for j in range(p)]
-                for i in range(p)]
-
-    def reduce(self, arrays: Sequence[np.ndarray], root: int,
-               ranks: Optional[Sequence[int]] = None,
-               op: str = "sum",
-               category: str = "reduce") -> List[Optional[np.ndarray]]:
-        """Rooted reduction; only the root's slot of the result is non-None."""
-        group = self._resolve_ranks(ranks)
-        p = len(group)
-        self._check_root(root, group)
-        self._check_reduce_arrays(arrays, group, op)
-        result = reduce_stack(arrays, op, force_float64=True)
-        nbytes = _nbytes(arrays[0])
-        self._record_reduce_events(nbytes, root, group, category)
-        t = coll.reduce_time(self.machine, group, nbytes)
-        self.timeline.advance_all([t] * p, category, ranks=group)
-        self.timeline.synchronize(group)
-        return [result if r == root else None for r in group]
-
-    # ------------------------------------------------------------------
-    # Nonblocking collectives (deferred charging; see _SimHandle)
-    # ------------------------------------------------------------------
-    def ibroadcast(self, value: np.ndarray, root: int,
-                   ranks: Optional[Sequence[int]] = None,
-                   category: str = "bcast") -> CommHandle:
-        """Nonblocking broadcast: data moves now, time is charged at wait."""
-        group = self._resolve_ranks(ranks)
-        self._check_root(root, group)
+    def _lower_broadcast(self, category, value, root, group):
         nbytes = _nbytes(value)
         self._record_broadcast_events(nbytes, root, group, category)
         t = coll.broadcast_time(self.machine, group, nbytes)
         out = [value if r == root else np.array(value, copy=True)
                for r in group]
-        return _SimHandle(self, group, [t] * len(group), out, category)
+        return group, dict.fromkeys(group, t), out
 
-    def ialltoallv(self,
-                   send: Sequence[Sequence[Optional[np.ndarray]]],
-                   ranks: Optional[Sequence[int]] = None,
-                   category: str = "alltoall") -> CommHandle:
-        """Nonblocking all-to-allv with deferred per-rank time charges."""
-        group = self._resolve_ranks(ranks)
-        p = len(group)
-        self._check_alltoallv_send(send, group)
-        send_bytes = self._record_alltoallv_events(send, group, category)
-        times = coll.alltoallv_time_per_rank(self.machine, group, send_bytes)
-        recv: List[List[Optional[np.ndarray]]] = [
-            [send[j][i] for j in range(p)] for i in range(p)]
-        return _SimHandle(self, group, times, recv, category)
-
-    def iallreduce(self, arrays: Sequence[np.ndarray],
-                   ranks: Optional[Sequence[int]] = None,
-                   op: str = "sum",
-                   category: str = "allreduce") -> CommHandle:
-        """Nonblocking all-reduce with a deferred time charge."""
-        group = self._resolve_ranks(ranks)
-        p = len(group)
-        self._check_allreduce_arrays(arrays, group, op)
+    def _lower_allreduce(self, category, arrays, group, op):
         result = reduce_stack(arrays, op)
         nbytes = _nbytes(arrays[0])
         self._record_allreduce_events(nbytes, group, category)
         t = coll.allreduce_time(self.machine, group, nbytes)
-        out = [result.copy() if i > 0 else result for i in range(p)]
-        return _SimHandle(self, group, [t] * p, out, category)
+        out = [result.copy() if i > 0 else result for i in range(len(group))]
+        return group, dict.fromkeys(group, t), out
 
-    def iexchange(self,
-                  messages: Sequence[Tuple[int, int, np.ndarray]],
-                  category: str = "p2p",
-                  sync_ranks: Optional[Sequence[int]] = None) -> CommHandle:
-        """Nonblocking batched point-to-point with deferred busy times."""
+    def _lower_allgather(self, category, arrays, group):
+        p = len(group)
+        max_nbytes = max((_nbytes(a) for a in arrays), default=0)
+        self._record_allgather_events(arrays, group, category)
+        t = coll.allgather_time(self.machine, group, max_nbytes)
+        gathered = [np.array(a, copy=True) for a in arrays]
+        out = [[gathered[j] if j != i else arrays[i] for j in range(p)]
+               for i in range(p)]
+        return group, dict.fromkeys(group, t), out
+
+    def _lower_reduce(self, category, arrays, root, group, op):
+        result = reduce_stack(arrays, op, force_float64=True)
+        nbytes = _nbytes(arrays[0])
+        self._record_reduce_events(nbytes, root, group, category)
+        t = coll.reduce_time(self.machine, group, nbytes)
+        out = [result if r == root else None for r in group]
+        return group, dict.fromkeys(group, t), out
+
+    def _lower_exchange(self, category, messages, sync):
+        """A rank's busy time is the maximum of its total send time and
+        its total receive time; only ranks with a positive one are
+        charged, then the senders and receivers (or ``sync``)
+        synchronise."""
         involved = set()
         send_time = np.zeros(self.nranks)
         recv_time = np.zeros(self.nranks)
-        sync = self._check_messages(messages, sync_ranks)
         step = self._begin_exchange(category)
         delivered: Dict[Tuple[int, int], np.ndarray] = {}
         for src, dst, payload in messages:
@@ -293,48 +204,5 @@ class SimCommunicator(Communicator):
             delivered[(src, dst)] = payload
         busy = np.maximum(send_time, recv_time)
         ranks = sorted(involved) if sync is None else sync
-        return _SimHandle(self, ranks, [float(busy[r]) for r in ranks],
-                          delivered, category)
-
-    # ------------------------------------------------------------------
-    # Point-to-point batches
-    # ------------------------------------------------------------------
-    def exchange(self,
-                 messages: Sequence[Tuple[int, int, np.ndarray]],
-                 category: str = "p2p",
-                 sync_ranks: Optional[Sequence[int]] = None,
-                 ) -> Dict[Tuple[int, int], np.ndarray]:
-        """Deliver a batch of point-to-point messages.
-
-        Each entry is ``(src_rank, dst_rank, payload)``.  This models the
-        ``batch_isend_irecv`` grouping used by the paper's 1.5D
-        implementation: all sends and receives of the batch progress
-        concurrently, and a rank's time is the maximum of its total send
-        time and its total receive time.
-
-        Returns a dict keyed by ``(src, dst)`` whose value is the payload as
-        seen by the receiver (messages with ``src == dst`` are free).
-        """
-        involved = set()
-        send_time = np.zeros(self.nranks)
-        recv_time = np.zeros(self.nranks)
-        sync = self._check_messages(messages, sync_ranks)
-        step = self._begin_exchange(category)
-        delivered: Dict[Tuple[int, int], np.ndarray] = {}
-        for src, dst, payload in messages:
-            involved.add(src)
-            involved.add(dst)
-            nb = _nbytes(payload)
-            if src != dst and nb > 0:
-                t = self.machine.p2p_time(src, dst, nb)
-                send_time[src] += t
-                recv_time[dst] += t
-                self.events.record_message("p2p", src, dst, nb, category, step)
-            delivered[(src, dst)] = payload
-        busy = np.maximum(send_time, recv_time)
-        ranks = sorted(involved) if sync is None else sync
-        for r in ranks:
-            if busy[r] > 0:
-                self.timeline.advance(r, float(busy[r]), category)
-        self.timeline.synchronize(ranks)
-        return delivered
+        times = {r: float(busy[r]) for r in ranks if busy[r] > 0}
+        return ranks, times, delivered

@@ -25,6 +25,12 @@ elapsed).  Volume accounting reuses the same
 :class:`~repro.comm.events.EventLog` as the simulator, so Table-2 style
 statistics remain available.
 
+Each collective's lowering (``_lower_*``; the public collectives are
+defined once, on :class:`~repro.comm.base.Communicator`) records the
+events and builds one closure per member; :meth:`_collective` runs them
+on the rank workers (blocking) or on the per-rank delivery workers and
+returns a handle (posted).
+
 Workers are started lazily on first use and torn down by :meth:`close`
 (also called by ``__del__`` and the context-manager protocol).
 """
@@ -38,8 +44,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .base import (CommHandle, CompletedCommHandle, Communicator,
-                   payload_nbytes as _nbytes, reduce_stack)
+from .base import (CommHandle, Communicator, payload_nbytes as _nbytes,
+                   reduce_stack)
 
 __all__ = ["ThreadedCommunicator"]
 
@@ -115,13 +121,13 @@ class _ThreadedHandle(CommHandle):
     """
 
     def __init__(self, comm: "ThreadedCommunicator", group, results,
-                 category: str, reader) -> None:
+                 category: str, result) -> None:
         super().__init__()
         self._comm = comm
         self._group = list(group)
         self._results = results
         self._category = category
-        self._reader = reader
+        self._result = result
 
     def _poll(self) -> bool:
         return all(res.done.is_set() for res in self._results)
@@ -144,7 +150,7 @@ class _ThreadedHandle(CommHandle):
             real = [e for e in errors
                     if not isinstance(e, threading.BrokenBarrierError)]
             raise (real or errors)[0]
-        return self._reader()
+        return self._result
 
 
 class ThreadedCommunicator(Communicator):
@@ -264,8 +270,9 @@ class ThreadedCommunicator(Communicator):
     def _i_step(self, group: Sequence[int],
                 fns: Sequence[Callable[[], None]],
                 category: str, gate: Optional[threading.Barrier],
-                reader: Callable[[], object]) -> _ThreadedHandle:
-        """Run ``fns`` on the persistent delivery workers; return a handle.
+                result) -> _ThreadedHandle:
+        """Run ``fns`` on the persistent delivery workers; return a handle
+        that delivers ``result`` (the slots ``fns`` fill) at ``wait()``.
 
         Unlike :meth:`_run_step` this never touches the per-rank compute
         workers, so compute dispatched through :meth:`parallel_for` while
@@ -279,7 +286,7 @@ class ThreadedCommunicator(Communicator):
         delivery = self._ensure_delivery()
         results = [delivery[r].submit(fn, abort_gate=gate)
                    for r, fn in zip(group, fns)]
-        handle = _ThreadedHandle(self, group, results, category, reader)
+        handle = _ThreadedHandle(self, group, results, category, result)
         self._inflight.append(handle)
         return handle
 
@@ -300,25 +307,29 @@ class ThreadedCommunicator(Communicator):
                 f"{len(tasks)} tasks for a group of {len(group)} ranks")
         self._run_step(group, tasks, category, per_rank_time=True)
 
-    def barrier(self, ranks: Optional[Sequence[int]] = None) -> float:
-        """Real rendezvous of the group's workers + clock synchronisation."""
-        self._check_open()
-        group = self._resolve_ranks(ranks)
+    def _rendezvous(self, group: List[int]) -> None:
+        """Real rendezvous of the group's workers."""
         gate = threading.Barrier(len(group))
         self._run_step(group, [lambda: gate.wait(self.timeout_s)
                                for _ in group], "wait")
-        return self.timeline.synchronize(group)
 
     # ------------------------------------------------------------------
-    # Collectives.  Each is split into a "parts" builder (validation,
-    # event records, member closures, result slots) shared by the
-    # blocking path (_run_step on the rank workers) and the nonblocking
-    # path (_i_step on dedicated background threads).
+    # Collectives.  Each lowering records the events and builds the
+    # member closures, the rendezvous gate and the result slots; the
+    # runner executes the closures on the rank workers (blocking) or on
+    # the delivery workers (posted).
     # ------------------------------------------------------------------
-    def _alltoallv_parts(self, send, ranks, category):
-        group = self._resolve_ranks(ranks)
+    def _collective(self, lower, blocking, category, *args):
+        group, fns, gate, result = lower(category, *args)
+        if not group:
+            return result
+        if blocking:
+            self._run_step(group, fns, category, gate=gate)
+            return result
+        return self._i_step(group, fns, category, gate, result)
+
+    def _lower_alltoallv(self, category, send, group):
         p = len(group)
-        self._check_alltoallv_send(send, group)
         self._record_alltoallv_events(send, group, category)
 
         mailboxes = [queue.Queue() for _ in range(p)]
@@ -343,28 +354,7 @@ class ThreadedCommunicator(Communicator):
 
         return group, [make_member(i) for i in range(p)], gate, recv
 
-    def alltoallv(self,
-                  send: Sequence[Sequence[Optional[np.ndarray]]],
-                  ranks: Optional[Sequence[int]] = None,
-                  category: str = "alltoall",
-                  ) -> List[List[Optional[np.ndarray]]]:
-        self._check_open()
-        group, fns, gate, recv = self._alltoallv_parts(send, ranks, category)
-        self._run_step(group, fns, category, gate=gate)
-        return recv
-
-    def ialltoallv(self,
-                   send: Sequence[Sequence[Optional[np.ndarray]]],
-                   ranks: Optional[Sequence[int]] = None,
-                   category: str = "alltoall") -> CommHandle:
-        """Nonblocking all-to-allv on background delivery threads."""
-        self._check_open()
-        group, fns, gate, recv = self._alltoallv_parts(send, ranks, category)
-        return self._i_step(group, fns, category, gate, lambda: recv)
-
-    def _broadcast_parts(self, value, root, ranks, category):
-        group = self._resolve_ranks(ranks)
-        self._check_root(root, group)
+    def _lower_broadcast(self, category, value, root, group):
         p = len(group)
         self._record_broadcast_events(_nbytes(value), root, group, category)
 
@@ -387,28 +377,8 @@ class ThreadedCommunicator(Communicator):
         fns = [make_member(pos, r) for pos, r in enumerate(group)]
         return group, fns, gate, out
 
-    def broadcast(self, value: np.ndarray, root: int,
-                  ranks: Optional[Sequence[int]] = None,
-                  category: str = "bcast") -> List[np.ndarray]:
-        self._check_open()
-        group, fns, gate, out = self._broadcast_parts(value, root, ranks,
-                                                      category)
-        self._run_step(group, fns, category, gate=gate)
-        return out  # type: ignore[return-value]
-
-    def ibroadcast(self, value: np.ndarray, root: int,
-                   ranks: Optional[Sequence[int]] = None,
-                   category: str = "bcast") -> CommHandle:
-        """Nonblocking broadcast on background delivery threads."""
-        self._check_open()
-        group, fns, gate, out = self._broadcast_parts(value, root, ranks,
-                                                      category)
-        return self._i_step(group, fns, category, gate, lambda: out)
-
-    def _allreduce_parts(self, arrays, ranks, op, category):
-        group = self._resolve_ranks(ranks)
+    def _lower_allreduce(self, category, arrays, group, op):
         p = len(group)
-        self._check_allreduce_arrays(arrays, group, op)
         self._record_allreduce_events(_nbytes(arrays[0]), group, category)
         # Snapshot the operand list: nonblocking callers may rebind their
         # slots (e.g. the next pipeline stage's partials) while delivery
@@ -441,33 +411,8 @@ class ThreadedCommunicator(Communicator):
 
         return group, [make_member(pos) for pos in range(p)], gate, out
 
-    def allreduce(self, arrays: Sequence[np.ndarray],
-                  ranks: Optional[Sequence[int]] = None,
-                  op: str = "sum",
-                  category: str = "allreduce") -> List[np.ndarray]:
-        self._check_open()
-        group, fns, gate, out = self._allreduce_parts(arrays, ranks, op,
-                                                      category)
-        self._run_step(group, fns, category, gate=gate)
-        return out  # type: ignore[return-value]
-
-    def iallreduce(self, arrays: Sequence[np.ndarray],
-                   ranks: Optional[Sequence[int]] = None,
-                   op: str = "sum",
-                   category: str = "allreduce") -> CommHandle:
-        """Nonblocking all-reduce on background delivery threads."""
-        self._check_open()
-        group, fns, gate, out = self._allreduce_parts(arrays, ranks, op,
-                                                      category)
-        return self._i_step(group, fns, category, gate, lambda: out)
-
-    def allgather(self, arrays: Sequence[np.ndarray],
-                  ranks: Optional[Sequence[int]] = None,
-                  category: str = "allgather") -> List[List[np.ndarray]]:
-        self._check_open()
-        group = self._resolve_ranks(ranks)
-        p = len(arrays)
-        self._check_allgather_arrays(arrays, group)
+    def _lower_allgather(self, category, arrays, group):
+        p = len(group)
         self._record_allgather_events(arrays, group, category)
 
         mailboxes = [queue.Queue() for _ in range(p)]
@@ -486,19 +431,10 @@ class ThreadedCommunicator(Communicator):
                 gate.wait(self.timeout_s)
             return task
 
-        self._run_step(group, [make_member(i) for i in range(p)], category,
-                       gate=gate)
-        return out  # type: ignore[return-value]
+        return group, [make_member(i) for i in range(p)], gate, out
 
-    def reduce(self, arrays: Sequence[np.ndarray], root: int,
-               ranks: Optional[Sequence[int]] = None,
-               op: str = "sum",
-               category: str = "reduce") -> List[Optional[np.ndarray]]:
-        self._check_open()
-        group = self._resolve_ranks(ranks)
+    def _lower_reduce(self, category, arrays, root, group, op):
         p = len(group)
-        self._check_root(root, group)
-        self._check_reduce_arrays(arrays, group, op)
         self._record_reduce_events(_nbytes(arrays[0]), root, group, category)
 
         inbox: "queue.Queue" = queue.Queue()
@@ -517,16 +453,13 @@ class ThreadedCommunicator(Communicator):
                 gate.wait(self.timeout_s)
             return task
 
-        self._run_step(group, [make_member(pos, r)
-                               for pos, r in enumerate(group)], category,
-                       gate=gate)
-        return out
+        fns = [make_member(pos, r) for pos, r in enumerate(group)]
+        return group, fns, gate, out
 
     # ------------------------------------------------------------------
     # Point-to-point batches
     # ------------------------------------------------------------------
-    def _exchange_parts(self, messages, category, sync_ranks):
-        sync = self._check_messages(messages, sync_ranks)
+    def _lower_exchange(self, category, messages, sync):
         step = self._begin_exchange(category)
         involved = set()
         outgoing: Dict[int, List[Tuple[int, int, np.ndarray]]] = {}
@@ -563,28 +496,3 @@ class ThreadedCommunicator(Communicator):
             return task
 
         return group, [make_member(r) for r in group], gate, delivered
-
-    def exchange(self,
-                 messages: Sequence[Tuple[int, int, np.ndarray]],
-                 category: str = "p2p",
-                 sync_ranks: Optional[Sequence[int]] = None,
-                 ) -> Dict[Tuple[int, int], np.ndarray]:
-        self._check_open()
-        group, fns, gate, delivered = self._exchange_parts(messages, category,
-                                                           sync_ranks)
-        if not group:
-            return delivered
-        self._run_step(group, fns, category, gate=gate)
-        return delivered
-
-    def iexchange(self,
-                  messages: Sequence[Tuple[int, int, np.ndarray]],
-                  category: str = "p2p",
-                  sync_ranks: Optional[Sequence[int]] = None) -> CommHandle:
-        """Nonblocking batched point-to-point on background threads."""
-        self._check_open()
-        group, fns, gate, delivered = self._exchange_parts(messages, category,
-                                                           sync_ranks)
-        if not group:
-            return CompletedCommHandle(delivered)
-        return self._i_step(group, fns, category, gate, lambda: delivered)

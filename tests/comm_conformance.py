@@ -372,6 +372,53 @@ def check_nonblocking_exchange_delivery(make):
     np.testing.assert_array_equal(delivered[(2, 3)], np.full(5, 2.0))
 
 
+def _result_bytes(value):
+    """A collective's result as nested (dtype, shape, bytes) leaves."""
+    if isinstance(value, dict):
+        return {key: _result_bytes(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_result_bytes(v) for v in value]
+    if value is None:
+        return None
+    arr = np.asarray(value)
+    return arr.dtype.str, arr.shape, arr.tobytes()
+
+
+@contract_check
+def check_posted_then_waited_equals_blocking(make):
+    """Each post waited at once equals its blocking twin: byte-identical
+    results, the same EventLog records in one step per call and, on the
+    simulator, bit-identical per-rank clocks — the two share one
+    lowering."""
+    arrays = [_rng(i).normal(size=(5, 3)) for i in range(4)]
+    send = [[None if i == j else np.full((i + 1, 2), 10.0 * i + j)
+             for j in range(4)] for i in range(4)]
+    msgs = [(0, 1, np.arange(6.0)), (2, 3, np.ones((2, 2))),
+            (1, 1, np.ones(2)), (3, 0, np.full(4, 3.0))]
+    calls = [("broadcast", (arrays[0],), {"root": 2}),
+             ("allreduce", (arrays,), {"op": "max"}),
+             ("alltoallv", (send,), {"category": "halo"}),
+             ("exchange", (msgs,), {"sync_ranks": range(4)})]
+    blocking, posted = make(4), make(4)
+    for comm in (blocking, posted):
+        for r in comm.ranks():
+            comm.charge_seconds(r, 1e-4 * (r + 1))
+    for k, (name, args, kwargs) in enumerate(calls):
+        logged = len(blocking.events)
+        want = getattr(blocking, name)(*args, **kwargs)
+        got = getattr(posted, "i" + name)(*args, **kwargs).wait()
+        assert _result_bytes(got) == _result_bytes(want), name
+        records = [[(e.kind, e.src, e.dst, e.nbytes, e.category, e.step)
+                    for e in comm.events] for comm in (blocking, posted)]
+        assert records[0] == records[1], name
+        assert {rec[-1] for rec in records[0][logged:]} == {k}, \
+            f"{name} logs one step"
+        assert blocking.events._step == posted.events._step == k + 1
+        if blocking.backend_name == "sim":
+            assert posted.timeline.clocks.tobytes() \
+                == blocking.timeline.clocks.tobytes(), name
+
+
 @contract_check
 def check_nonblocking_overlap_with_local_compute(make):
     """Local compute dispatched between issue and wait must neither

@@ -46,43 +46,41 @@ class FakeCommunicator(Communicator):
         return 0.0
 
     # -- collectives: passthrough with simulator-compatible semantics ------
-    def alltoallv(self, send, ranks=None, category="alltoall"):
-        group = self._resolve_ranks(ranks)
+    def _collective(self, lower, blocking, category, *args):
+        return lower(category, *args)
+
+    def _lower_alltoallv(self, category, send, group):
         p = len(group)
         volume = sum(payload_nbytes(send[i][j])
                      for i in range(p) for j in range(p) if i != j)
         self._log("alltoallv", category, volume)
         return [[send[j][i] for j in range(p)] for i in range(p)]
 
-    def broadcast(self, value, root, ranks=None, category="bcast"):
-        group = self._resolve_ranks(ranks)
+    def _lower_broadcast(self, category, value, root, group):
         self._log("broadcast", category,
                   payload_nbytes(value) * (len(group) - 1))
         return [value if r == root else np.array(value, copy=True)
                 for r in group]
 
-    def allreduce(self, arrays, ranks=None, op="sum", category="allreduce"):
-        group = self._resolve_ranks(ranks)
+    def _lower_allreduce(self, category, arrays, group, op):
         self._log("allreduce", category, payload_nbytes(arrays[0]))
         result = reduce_stack(arrays, op)
         return [result.copy() if i > 0 else result
                 for i in range(len(group))]
 
-    def allgather(self, arrays, ranks=None, category="allgather"):
-        group = self._resolve_ranks(ranks)
+    def _lower_allgather(self, category, arrays, group):
         p = len(group)
         self._log("allgather", category,
                   sum(payload_nbytes(a) for a in arrays) * (p - 1))
         return [[np.array(arrays[j], copy=True) if j != i else arrays[i]
                  for j in range(p)] for i in range(p)]
 
-    def reduce(self, arrays, root, ranks=None, op="sum", category="reduce"):
-        group = self._resolve_ranks(ranks)
+    def _lower_reduce(self, category, arrays, root, group, op):
         self._log("reduce", category, payload_nbytes(arrays[0]))
         result = reduce_stack(arrays, op, force_float64=True)
         return [result if r == root else None for r in group]
 
-    def exchange(self, messages, category="p2p", sync_ranks=None):
+    def _lower_exchange(self, category, messages, sync):
         volume = sum(payload_nbytes(p) for s, d, p in messages if s != d)
         self._log("exchange", category, volume)
         return {(s, d): p for s, d, p in messages}
@@ -104,11 +102,30 @@ class TestAbstractContract:
 
     def test_partial_implementation_rejected(self):
         class Partial(Communicator):
-            def broadcast(self, value, root, ranks=None, category="bcast"):
+            def _lower_broadcast(self, category, value, root, group):
                 return [value]
 
         with pytest.raises(TypeError):
             Partial(2)
+
+    def test_base_owns_the_collective_front_end(self):
+        """The ten public collectives are defined on Communicator and
+        nowhere else; a backend writes one lowering per collective plus
+        the runner, and nothing more is abstract."""
+        from repro.comm.factory import BACKENDS
+        public = {"alltoallv", "broadcast", "allreduce", "allgather",
+                  "reduce", "exchange", "ialltoallv", "ibroadcast",
+                  "iallreduce", "iexchange"}
+        assert public <= set(vars(Communicator))
+        for name in available_backends():
+            cls = BACKENDS[name]
+            below_base = cls.__mro__[:cls.__mro__.index(Communicator)]
+            for klass in below_base:
+                assert not public & set(vars(klass)), (name, klass)
+        assert Communicator.__abstractmethods__ == {
+            "_collective", "_lower_alltoallv", "_lower_broadcast",
+            "_lower_allreduce", "_lower_allgather", "_lower_reduce",
+            "_lower_exchange"}
 
     def test_fake_satisfies_the_abc(self):
         comm = FakeCommunicator(4)

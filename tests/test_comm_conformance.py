@@ -182,6 +182,27 @@ class TestProcessBackendSpecifics:
             kinds = {kind for _, kind in comm._arenas}
             assert {"send1", "recv1"} <= kinds
 
+    def test_rejected_post_keeps_the_slot_parity(self):
+        """A post that fails validation claims no nonblocking arena slot:
+        the slot toggle, the in-flight handle and the event log stay as
+        they were, so the next valid post still streams through the free
+        slot instead of waiting out the in-flight one."""
+        with make_communicator(2, backend="process") as comm:
+            send = [[None, np.arange(4.0)], [np.ones(3), None]]
+            first = comm.ialltoallv(send)
+            before = (comm._nb_slot, list(comm._nb_handles), len(comm.events))
+            with pytest.raises(ValueError):
+                comm.ialltoallv([[None, None]])     # one row for two ranks
+            assert (comm._nb_slot, comm._nb_handles,
+                    len(comm.events)) == before
+            assert not first.done
+            second = comm.ialltoallv(send)
+            assert not first.done, "the next post waited out the first"
+            for handle in (first, second):
+                recv = handle.wait()
+                np.testing.assert_array_equal(recv[1][0], np.arange(4.0))
+                np.testing.assert_array_equal(recv[0][1], np.ones(3))
+
     def test_lost_worker_closes_communicator(self):
         """A watchdog timeout leaves no chance of pairing the lost
         worker's late response with a later collective: the communicator

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.comm import make_communicator
-from repro.comm.base import Communicator
 from repro.comm.simulator import SimCommunicator
 from repro.core import (BlockRowDistribution, DistDenseMatrix, DistSparseMatrix,
                         ProcessGrid, SpmmEngine, spmm)
@@ -198,15 +197,15 @@ class TestCommunicationBehaviour:
 
 class _PerturbingSim(SimCommunicator):
     """A simulator whose point-to-point transport corrupts every payload
-    that crosses ranks (adds 1); nonblocking exchanges go through it too."""
+    that crosses ranks (adds 1); blocking and nonblocking exchanges share
+    the one lowering."""
 
-    def exchange(self, messages, category="p2p", sync_ranks=None):
-        delivered = super().exchange(messages, category=category,
-                                     sync_ranks=sync_ranks)
-        return {(src, dst): payload if src == dst else payload + 1.0
-                for (src, dst), payload in delivered.items()}
-
-    iexchange = Communicator.iexchange
+    def _lower_exchange(self, category, messages, sync):
+        ranks, times, delivered = super()._lower_exchange(category, messages,
+                                                          sync)
+        return ranks, times, {
+            (src, dst): payload if src == dst else payload + 1.0
+            for (src, dst), payload in delivered.items()}
 
 
 class TestDeliveredPayloads:

@@ -191,36 +191,35 @@ class TestPipelinedCompiled:
 # ----------------------------------------------------------------------
 class TestDefaultHandles:
     def test_base_defaults_return_completed_handles(self):
-        """A backend that only implements the blocking collectives gets
+        """A backend whose runner settles every collective at once gets
         correct (eager) nonblocking semantics for free."""
 
         class MinimalComm(Communicator):
             backend_name = "minimal"
 
-            def alltoallv(self, send, ranks=None, category="alltoall"):
-                group = self._resolve_ranks(ranks)
+            def _collective(self, lower, blocking, category, *args):
+                return lower(category, *args)
+
+            def _lower_alltoallv(self, category, send, group):
                 p = len(group)
                 return [[send[j][i] for j in range(p)] for i in range(p)]
 
-            def broadcast(self, value, root, ranks=None, category="bcast"):
-                group = self._resolve_ranks(ranks)
+            def _lower_broadcast(self, category, value, root, group):
                 return [value if r == root else np.array(value, copy=True)
                         for r in group]
 
-            def allreduce(self, arrays, ranks=None, op="sum",
-                          category="allreduce"):
+            def _lower_allreduce(self, category, arrays, group, op):
                 from repro.comm.base import reduce_stack
                 result = reduce_stack(arrays, op)
-                return [result.copy() for _ in self._resolve_ranks(ranks)]
+                return [result.copy() for _ in group]
 
-            def allgather(self, arrays, ranks=None, category="allgather"):
+            def _lower_allgather(self, category, arrays, group):
                 raise NotImplementedError
 
-            def reduce(self, arrays, root, ranks=None, op="sum",
-                       category="reduce"):
+            def _lower_reduce(self, category, arrays, root, group, op):
                 raise NotImplementedError
 
-            def exchange(self, messages, category="p2p", sync_ranks=None):
+            def _lower_exchange(self, category, messages, sync):
                 return {(s, d): payload for s, d, payload in messages}
 
         comm = MinimalComm(3)
