@@ -16,9 +16,11 @@
 # a kill-and-resume fault-tolerance leg (SIGKILL a process-backend
 # worker mid-run, supervised restart restores the checkpoint, final
 # weights asserted bit-identical to the uninterrupted run),
-# an observability leg (repro train --trace on the process backend:
-# the emitted Chrome/Perfetto JSON must parse, carry >= 1 slice per
-# rank track, and contain gradsync + checkpoint spans),
+# an observability leg (repro train --trace on the process backend,
+# 1.5D c = 2: the emitted Chrome/Perfetto JSON must parse, carry >= 1
+# slice per rank track, contain gradsync + checkpoint spans and both
+# comm.allreduce and comm.iallreduce.post slices, and no comm.*.post
+# slice may lie inside a blocking comm.<op> slice on the driver track),
 # an inference-serving leg (repro serve --bench --quick on the sim and
 # process backends: train a throwaway checkpoint, sweep the closed-loop
 # load generator batched vs --no-batch, and assert the emitted
@@ -150,6 +152,7 @@ PYEOF
   trace_dir="$(mktemp -d)"
   python -m repro train --dataset reddit --scale 0.05 --ranks 4 \
     --epochs 1 --partitioner none --grad-overlap --backend process \
+    --algorithm 1.5d --replication 2 \
     --checkpoint-dir "${trace_dir}/ckpt" --checkpoint-every 1 \
     --trace "${trace_dir}/trace.json" --metrics "${trace_dir}/run.prom"
   TRACE_JSON="${trace_dir}/trace.json" python - <<"PYEOF"
@@ -167,9 +170,24 @@ for rank in range(4):
     tid = tracks[f"rank{rank}"]
     assert any(s["tid"] == tid for s in slices), f"no slices on rank{rank}"
 names = {s["name"] for s in slices}
-for want in ("gradsync.post", "gradsync.drain", "checkpoint.save"):
+for want in ("gradsync.post", "gradsync.drain", "checkpoint.save",
+             "comm.allreduce", "comm.iallreduce.post"):
     assert want in names, f"missing span {want}: {sorted(names)}"
-print(f"trace: {len(slices)} slices over {len(tracks)} tracks")
+# A blocking collective never goes through a public post: a post slice
+# inside a blocking one would count the same bytes twice.
+blocking = {f"comm.{op}" for op in ("alltoallv", "broadcast", "allreduce",
+                                    "allgather", "reduce", "exchange",
+                                    "barrier")}
+driver = [s for s in slices if s["tid"] == tracks["driver"]]
+outer = [s for s in driver if s["name"] in blocking]
+for post in (s for s in driver if s["name"].endswith(".post")
+             and s["name"].startswith("comm.")):
+    for b in outer:
+        assert not (b["ts"] <= post["ts"]
+                    and post["ts"] + post["dur"] <= b["ts"] + b["dur"]), (
+            f"{post['name']} inside {b['name']}")
+print(f"trace: {len(slices)} slices over {len(tracks)} tracks, "
+      f"{len(outer)} blocking collectives with no post inside")
 PYEOF
   for backend in sim process; do
     echo "== repro serve --bench --quick --backend ${backend} =="
