@@ -120,7 +120,9 @@ plan.
 ``iallreduce`` / ``iexchange`` post the staged step and return a
 :class:`~repro.comm.base.CommHandle` immediately; the workers stream the
 payload bytes while the driver computes (``parallel_for`` runs
-driver-side here, so the overlap is genuine).  Posted steps move through
+driver-side here, so the overlap is genuine).  A post stages the operand
+bytes before it returns, so the caller may rebind its operand slots
+afterwards.  Posted steps move through
 a dedicated, *alternating* pair of arena slots (kinds ``send0/recv0`` and
 ``send1/recv1`` — the transport-level double buffer, so an in-flight
 payload can never be clobbered by the next step's staging).  Responses
