@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # CI smoke target: exercise the autotuning planner (repro tune --quick,
-# against a throwaway plan cache), repro partition with every registered
+# against a throwaway plan cache: it must simulate exactly one run per
+# distinct candidate group of its printed table), repro partition with
+# every registered
 # partitioner (each must print its max_send_volume), the end-to-end bench
 # path (dataset
 # generation, partitioning, distributed training, reporting) on every
@@ -61,8 +63,26 @@ shm_before="$(shm_segments)"
 timeout 60 bash -c '
   set -euo pipefail
   echo "== repro tune --quick =="
-  REPRO_PLAN_CACHE="$(mktemp -d)/plan_cache.json" \
-    python -m repro tune --quick
+  tune_out="$(REPRO_PLAN_CACHE="$(mktemp -d)/plan_cache.json" \
+    python -m repro tune --quick --limit 1000)"
+  echo "${tune_out}"
+  TUNE_OUT="${tune_out}" python - <<"PYEOF"
+import os, re
+
+out = os.environ["TUNE_OUT"]
+lines = out.splitlines()
+cols = [c.strip() for c in next(l for l in lines
+                                if l.startswith("rank")).split("|")]
+rows = [dict(zip(cols, (c.strip() for c in l.split("|"))))
+        for l in lines if re.match(r"\d+ +\|", l)]
+groups = {tuple(r[k] for k in ("algorithm", "mode", "partitioner", "c",
+                                "p", "depth")) for r in rows}
+simulated = int(re.search(r"plan cache: MISS \((\d+) groups simulated\)",
+                          out).group(1))
+assert simulated == len(groups) > 0, (simulated, len(groups))
+print(f"tune: {simulated} groups simulated == {len(groups)} distinct groups "
+      f"over {len(rows)} candidates")
+PYEOF
   partitioners="$(python -c "from repro.partition import PARTITIONERS
 print(*sorted(PARTITIONERS))")"
   for partitioner in ${partitioners}; do

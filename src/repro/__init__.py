@@ -19,9 +19,10 @@ The package is organised as:
   adjacency utilities, features and I/O;
 * :mod:`repro.gcn`       — the single-process reference GCN and its
   plain-SGD trainer (the correctness baseline);
-* :mod:`repro.plan`      — the autotuning planner: cost-model ranking +
-  empirical probes over variants, backends, partitioners and replication
-  factors, with a persisted plan cache (``docs/tuning.md``);
+* :mod:`repro.plan`      — the autotuning planner: every variant,
+  partitioner and replication factor priced by a run on the simulator,
+  backends by their message overhead, with a persisted plan cache
+  (``docs/tuning.md``);
 * :mod:`repro.bench`     — the experiment harness regenerating every table
   and figure of the paper plus the ablation studies;
 * :mod:`repro.cli`       — the ``python -m repro`` command-line interface.

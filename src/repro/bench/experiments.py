@@ -301,8 +301,8 @@ def auto_plan_rows(datasets: Sequence[str],
     Plotted next to the fixed CAGNET / SA / SA+GVB lines this shows
     whether the planner tracks the lower envelope of the figure.  The
     planner is constrained to the sweep's ``backend`` so the rows stay
-    comparable; it runs analytically (no probes, no cache writes), which
-    keeps ``--auto`` sweeps deterministic and cheap.
+    comparable; it prices every candidate on the simulator, which is
+    deterministic, and writes no plan cache.
     """
     from ..plan import Planner
     scale = bench_scale() if scale is None else scale
@@ -313,7 +313,7 @@ def auto_plan_rows(datasets: Sequence[str],
     for name in datasets:
         dataset = load_dataset(name, scale=scale, seed=seed)
         planner = Planner(machine=machine, backends=[backend],
-                          probe=False, use_cache=False, seed=seed)
+                          use_cache=False, seed=seed)
         for p in p_values:
             try:
                 report = planner.plan_for_dataset(dataset, p)

@@ -222,12 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "planner choose)")
     p_tune.add_argument("--hidden", type=int, default=16)
     p_tune.add_argument("--layers", type=int, default=3)
-    p_tune.add_argument("--topk", type=int, default=3,
-                        help="distinct candidates to probe empirically")
-    p_tune.add_argument("--no-probe", action="store_true",
-                        help="rank analytically only (no empirical probes)")
-    p_tune.add_argument("--probe-budget", type=float, default=10.0,
-                        help="wall-clock budget for the probe loop (seconds)")
     p_tune.add_argument("--cache", default=None,
                         help="plan cache path (default: REPRO_PLAN_CACHE or "
                              "~/.cache/repro/plan_cache.json)")
@@ -247,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "gradient exchange against synchronous "
                              "per-layer reduces")
     p_tune.add_argument("--quick", action="store_true",
-                        help="CI smoke mode: tiny scale, p=4, 2 probes")
+                        help="CI smoke mode: tiny scale, p=4")
 
     p_cal = sub.add_parser(
         "calibrate",
@@ -599,7 +593,7 @@ def _cmd_cost(args) -> int:
     from .plan import PlanMatrixCache
     dataset = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
     # The same partition -> permute -> distribute pipeline the planner
-    # scores with, shared across the replication factors probed below.
+    # prices with, shared across the replication factors tried below.
     matrices = PlanMatrixCache(dataset.adjacency, seed=args.seed)
     part_name = None if args.partitioner == "none" else args.partitioner
     matrix = matrices.matrix(part_name, args.ranks)
@@ -643,11 +637,9 @@ def _cmd_tune(args) -> int:
     from .plan import PlanCache, Planner
     scale = args.scale
     nranks: List[int] = list(args.nranks)
-    topk, budget = args.topk, args.probe_budget
     if args.quick:
         scale = min(scale, 0.05)
         nranks = [4]
-        topk, budget = 2, 2.0
     dataset = load_dataset(args.dataset, scale=scale, seed=args.seed)
 
     backends = None if args.backend == AUTO else [args.backend]
@@ -663,9 +655,6 @@ def _cmd_tune(args) -> int:
         partitioners=partitioners,
         pipeline_depths=args.pipeline_depths,
         grad_overlaps=(False, True) if args.grad_overlap else (False,),
-        probe=not args.no_probe,
-        top_k=topk,
-        probe_budget_s=budget,
         seed=args.seed,
         # Tune for what `repro train` runs (and shares a cache key with).
         cache_input_propagation=True,
@@ -678,8 +667,8 @@ def _cmd_tune(args) -> int:
 
     shown = [{**row,
               "partitioner": row.get("partitioner") or "none",
-              "probed_s": "-" if row.get("probed_s") is None
-              else row["probed_s"]}
+              "simulated_s": "-" if row.get("simulated_s") is None
+              else row["simulated_s"]}
              for row in report.table[:max(1, args.limit)]]
     title = (f"Autotuned plan space — {dataset.name} "
              f"(machine={args.machine}, p={','.join(map(str, nranks))})")
@@ -703,13 +692,14 @@ def _cmd_tune(args) -> int:
         "pipeline_depth": plan.pipeline_depth,
         "grad_overlap": plan.grad_overlap,
         "predicted_s": plan.predicted_s,
-        "probed_s": plan.probed_s if plan.probed_s is not None else "-",
+        "simulated_s": plan.simulated_s if plan.simulated_s is not None
+        else "-",
         "source": plan.source,
         "machine": plan.machine,
         "matrix_fingerprint": plan.fingerprint,
     }, title="chosen plan"))
-    status = "HIT (0 probes)" if report.cache_hit \
-        else f"MISS ({report.probes_run} probes)"
+    status = "HIT (0 groups simulated)" if report.cache_hit \
+        else f"MISS ({report.groups_simulated} groups simulated)"
     location = report.cache_path or "disabled"
     print(f"\nplan cache: {status} [{location}]")
     return 0

@@ -34,7 +34,7 @@ def training_layer_dims(n_features: int, n_classes: int, hidden: int,
     """Layer widths ``[f_0, ..., f_L]`` of the GCN the trainer builds.
 
     The single source of truth shared by the trainer and the autotuning
-    planner — the planner must score/probe exactly the architecture that
+    planner — the planner must price exactly the architecture that
     will be trained, or "auto" would silently optimise a different model.
     """
     if n_layers == 1:

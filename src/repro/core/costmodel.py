@@ -299,7 +299,7 @@ def epoch_spmm_widths(layer_dims: Sequence[int],
     layers ``1 .. L-1``, then the backward ones of layers ``L-1 .. 1``.
 
     The single definition of the schedule that :func:`epoch_cost`, the
-    planner's message estimate and its probes price, and whose widest
+    planner's message estimate and its simulated runs price, and whose widest
     entry sizes the memory model's buffers and the column panels of the
     cached run's one-off ``A X``.
     """

@@ -357,7 +357,6 @@ def _recover_config(dataset: GraphDataset, config: DistTrainConfig,
         pipeline_depths=[config.pipeline_depth],
         grad_overlaps=[config.grad_overlap],
         cache_input_propagation=config.cache_input_propagation,
-        probe=False,
         seed=config.seed,
         cache=cache,
         cache_read_only=True,

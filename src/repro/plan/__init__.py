@@ -8,11 +8,9 @@ process count.  This package closes that loop (see ``docs/tuning.md``):
 * :mod:`repro.plan.space`   — enumerate the plan space over the engine
   registry x communicator backends x partitioners x replication factors
   x rank counts;
-* :mod:`repro.plan.score`   — rank candidates with the closed-form
-  alpha-beta cost model on a chosen machine;
-* :mod:`repro.plan.probe`   — ground the top-k candidates with short real
-  ``SpmmEngine`` runs (``sim`` backend by default; budgeted, seeded,
-  deterministic order);
+* :mod:`repro.plan.score`   — price every candidate group by running its
+  compiled plan on the simulator of a chosen machine (the closed-form
+  alpha-beta cost model reports alongside);
 * :mod:`repro.plan.cache`   — persist winning plans keyed by matrix +
   machine + layer dims + plan-space fingerprints;
 * :mod:`repro.plan.calibrate` — measure the per-backend message-overhead
@@ -36,10 +34,10 @@ from .calibrate import (CalibrationResult, calibration_path,
                         write_calibration)
 from .planner import (ExecutionPlan, Planner, PlanReport, plan_for_dataset,
                       resolve_config)
-from .probe import ProbeResult, probe_candidate, probe_ranked
 from .score import (BACKEND_MESSAGE_OVERHEAD_S, PlanMatrixCache,
                     ScoredCandidate, backend_overhead_s,
-                    effective_message_overheads, score_candidates)
+                    effective_message_overheads, score_candidates,
+                    simulate_epoch_s)
 from .space import (DEFAULT_PARTITIONERS, DEFAULT_PIPELINE_DEPTHS,
                     DEFAULT_REPLICATION_CANDIDATES, PlanCandidate,
                     enumerate_candidates, valid_replication_factors)
@@ -52,9 +50,9 @@ __all__ = [
     "run_calibration", "write_calibration",
     "ExecutionPlan", "Planner", "PlanReport", "plan_for_dataset",
     "resolve_config",
-    "ProbeResult", "probe_candidate", "probe_ranked",
     "BACKEND_MESSAGE_OVERHEAD_S", "PlanMatrixCache", "ScoredCandidate",
     "backend_overhead_s", "effective_message_overheads", "score_candidates",
+    "simulate_epoch_s",
     "DEFAULT_PARTITIONERS", "DEFAULT_PIPELINE_DEPTHS",
     "DEFAULT_REPLICATION_CANDIDATES",
     "PlanCandidate", "enumerate_candidates", "valid_replication_factors",

@@ -1,6 +1,6 @@
 """Persisted plan cache: JSON keyed by matrix/machine/plan-space identity.
 
-A planner run (enumerate, score, probe) for a given matrix and machine is
+A planner run (enumerate, price, rank) for a given matrix and machine is
 deterministic, so its result can be reused across processes.  The cache
 stores one JSON record per key; the key hashes together
 
@@ -11,10 +11,7 @@ stores one JSON record per key; the key hashes together
 * the **layer dims** (feature widths drive every cost term), and
 * the **plan-space signature** (rank counts, resolved backend /
   partitioner / variant axes, replication candidates, backend-overhead
-  constants, seed).  Probing parameters are deliberately *not* part of
-  the key — a probed and an analytic run of the same space share one
-  entry, with compatibility checked record-side (see
-  :meth:`~repro.plan.planner.Planner.plan`).
+  constants, seed, and the pricing rule: simulated or closed-form).
 
 The default location is ``~/.cache/repro/plan_cache.json``; override it
 with the ``REPRO_PLAN_CACHE`` environment variable or by passing a path.
@@ -45,7 +42,7 @@ __all__ = ["CACHE_ENV_VAR", "PlanCache", "default_cache_path",
 CACHE_ENV_VAR = "REPRO_PLAN_CACHE"
 
 #: Bump when the record layout changes; old files are ignored, not migrated.
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
 
 def default_cache_path() -> pathlib.Path:
@@ -93,7 +90,7 @@ def plan_key(fingerprint: str, machine: "str | MachineModel",
 
 class PlanCache:
     """A tiny JSON key-value store for :class:`~repro.plan.planner.PlanReport`
-    records (used so repeat ``repro tune`` runs skip probing entirely)."""
+    records (used so repeat ``repro tune`` runs simulate nothing)."""
 
     def __init__(self, path: "str | os.PathLike | None" = None) -> None:
         self.path = pathlib.Path(path) if path is not None \

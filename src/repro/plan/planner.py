@@ -1,4 +1,4 @@
-"""The autotuning planner: enumerate, score, probe, cache, decide.
+"""The autotuning planner: enumerate, price, cache, decide.
 
 This is the module that closes the paper's loop: instead of the user
 hand-picking ``algorithm`` / ``sparsity_aware`` / ``backend`` /
@@ -8,15 +8,13 @@ space for a concrete graph and machine —
 1. :func:`~repro.plan.space.enumerate_candidates` spans the engine
    registry x communicator backends x partitioners x valid 1.5D
    replication factors x candidate rank counts;
-2. :func:`~repro.plan.score.score_candidates` ranks the space with the
-   closed-form alpha-beta :func:`~repro.core.costmodel.epoch_cost`;
-3. :func:`~repro.plan.probe.probe_ranked` optionally grounds the top-k
-   candidates with short real :class:`~repro.core.engine.SpmmEngine`
-   runs (``sim`` backend by default — deterministic and comparable to
-   the predictions);
-4. the winning :class:`ExecutionPlan` plus the full ranked table are
+2. :func:`~repro.plan.score.score_candidates` prices every group by
+   running its compiled plan on the simulator and ranks the space by
+   that price (the closed-form :func:`~repro.core.costmodel.epoch_cost`
+   fills the ``predicted_s`` column beside it);
+3. the winning :class:`ExecutionPlan` plus the full ranked table are
    persisted in the :class:`~repro.plan.cache.PlanCache`, so a repeat
-   run with the same matrix/machine/space skips probing entirely.
+   run with the same matrix/machine/space simulates nothing.
 
 :func:`resolve_config` is the bridge the trainer uses: it turns a
 :class:`~repro.core.config.DistTrainConfig` with ``"auto"`` fields into a
@@ -28,7 +26,7 @@ changes execution).
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..comm.machine import MachineModel, get_machine
@@ -38,11 +36,10 @@ from ..core.config import scheme_label as _scheme_label
 from ..core.engine import mode_name
 from ..graphs.datasets import GraphDataset
 from .cache import PlanCache, matrix_fingerprint, plan_key
-from .probe import ProbeResult, probe_ranked
-from .score import PlanMatrixCache, ScoredCandidate, score_candidates
+from .score import PlanMatrixCache, score_candidates
 from .space import (DEFAULT_GRAD_OVERLAPS, DEFAULT_PARTITIONERS,
                     DEFAULT_PIPELINE_DEPTHS, DEFAULT_REPLICATION_CANDIDATES,
-                    PlanCandidate, enumerate_candidates)
+                    enumerate_candidates)
 
 __all__ = ["ExecutionPlan", "PlanReport", "Planner", "plan_for_dataset",
            "resolve_config"]
@@ -59,8 +56,8 @@ class ExecutionPlan:
     replication_factor: int
     n_ranks: int
     predicted_s: float
-    probed_s: Optional[float]
-    source: str                  # "analytic" | "probed" | "cache"
+    simulated_s: Optional[float]
+    source: str                  # "analytic" | "simulated" | "cache"
     machine: str
     fingerprint: str
     pipeline_depth: int = 1
@@ -106,7 +103,7 @@ class ExecutionPlan:
             "pipeline_depth": self.pipeline_depth,
             "grad_overlap": self.grad_overlap,
             "predicted_s": self.predicted_s,
-            "probed_s": self.probed_s,
+            "simulated_s": self.simulated_s,
             "source": self.source,
             "machine": self.machine,
             "fingerprint": self.fingerprint,
@@ -123,15 +120,11 @@ class ExecutionPlan:
                          else str(payload["partitioner"])),
             replication_factor=int(payload["replication_factor"]),
             n_ranks=int(payload["n_ranks"]),
-            # Records written before the overlap work carry no depth;
-            # they described synchronous execution.  Likewise records
-            # written before the wait-free backward pass carry no
-            # grad_overlap; they described blocking gradient reduces.
-            pipeline_depth=int(payload.get("pipeline_depth", 1)),
-            grad_overlap=bool(payload.get("grad_overlap", False)),
+            pipeline_depth=int(payload["pipeline_depth"]),
+            grad_overlap=bool(payload["grad_overlap"]),
             predicted_s=float(payload["predicted_s"]),
-            probed_s=(None if payload.get("probed_s") is None
-                      else float(payload["probed_s"])),
+            simulated_s=(None if payload["simulated_s"] is None
+                         else float(payload["simulated_s"])),
             source=source if source is not None else str(payload["source"]),
             machine=str(payload["machine"]),
             fingerprint=str(payload["fingerprint"]),
@@ -144,15 +137,13 @@ class PlanReport:
 
     plan: ExecutionPlan
     table: List[Dict[str, object]]
-    probes_run: int
+    groups_simulated: int
     cache_hit: bool
     key: str
     cache_path: Optional[str] = None
     #: The matrix/partition cache of a *fresh* planning run (``None`` on
     #: cache hits); lets callers reuse the planner's partitioning work.
     matrix_cache: Optional[PlanMatrixCache] = None
-
-
 
 
 class Planner:
@@ -162,20 +153,16 @@ class Planner:
     ----------
     machine:
         Machine preset name or :class:`~repro.comm.machine.MachineModel`
-        the analytic scorer (and the ``sim`` prober) run against.
+        the simulator (and the closed forms) price candidates on.
     backends / partitioners / algorithms / modes / replication_candidates:
         Plan-space axes; ``None`` means the full default axis (every
         registered backend, :data:`~repro.plan.space.DEFAULT_PARTITIONERS`,
         every trainable engine variant).
     probe:
-        Run empirical probes on the analytically top-ranked candidates.
-    top_k / probe_budget_s / probe_repeats / probe_backend:
-        Probing controls: how many distinct (algorithm, mode, partitioner,
-        c) groups to probe, the wall-clock budget (``None`` = unlimited,
-        making the probe count deterministic), repeats per probe, and the
-        backend probes execute on (``sim`` by default).
+        Price every candidate group by running it on the simulator
+        (default).  ``False`` ranks by the closed forms and runs nothing.
     seed:
-        Shared by partitioner tie-breaking and the probe operand.
+        Shared by partitioner tie-breaking and the simulated operand.
     cache_input_propagation:
         Plan for the trainer's cached schedule (layer 0's ``A X`` computed
         once, ``2L - 2`` narrow-side SpMMs per epoch) instead of the
@@ -200,10 +187,6 @@ class Planner:
                  pipeline_depths: Sequence[int] = DEFAULT_PIPELINE_DEPTHS,
                  grad_overlaps: Sequence[bool] = DEFAULT_GRAD_OVERLAPS,
                  probe: bool = True,
-                 top_k: int = 3,
-                 probe_budget_s: Optional[float] = 10.0,
-                 probe_repeats: int = 1,
-                 probe_backend: str = "sim",
                  seed: int = 0,
                  cache_input_propagation: bool = False,
                  cache: Optional[PlanCache] = None,
@@ -218,10 +201,6 @@ class Planner:
         self.pipeline_depths = tuple(pipeline_depths)
         self.grad_overlaps = tuple(grad_overlaps)
         self.probe = probe
-        self.top_k = top_k
-        self.probe_budget_s = probe_budget_s
-        self.probe_repeats = probe_repeats
-        self.probe_backend = probe_backend
         self.seed = seed
         self.cache_input_propagation = bool(cache_input_propagation)
         self.use_cache = use_cache
@@ -236,11 +215,9 @@ class Planner:
         expanded to their resolved contents (and the backend-overhead
         constants are included) so registering a new backend/variant or
         recalibrating the overhead table invalidates cached plans instead
-        of silently serving a space that never saw the change.  Probing
-        parameters are deliberately NOT part of the key: a probed and an
-        analytic run of the same space share an entry (compatibility is
-        checked record-side in :meth:`plan`), which is what lets ``train
-        --auto`` reuse the plan a ``repro tune`` run cached."""
+        of silently serving a space that never saw the change.  The
+        pricing rule (``probe``) is part of the key too: a closed-form
+        ranking is never served to a planner that simulates."""
         from ..comm.factory import available_backends
         from ..core.engine import available_spmm_variants
         from .score import effective_message_overheads
@@ -262,6 +239,7 @@ class Planner:
                 effective_message_overheads().items())),
             "seed": self.seed,
             "cache_input_propagation": self.cache_input_propagation,
+            "probe": self.probe,
         }
 
     # ------------------------------------------------------------------
@@ -279,22 +257,16 @@ class Planner:
 
         if self.use_cache and self.cache is not None:
             record = self.cache.get(key)
-            # A record is reusable when (a) it is not a budget-truncated
-            # probe run (complete=False records are host-speed artefacts,
-            # not deterministic planner output), (b) it carries at
-            # least as much information as this planner would produce: a
-            # probing planner rejects analytic-only records, while an
-            # analytic planner happily reuses probed ones, and (c) its
-            # winning configuration was not marked dead since (a rank
-            # loss on that (backend, n_ranks) — elastic restart records
-            # it; the stale winner must be re-planned, not served).
-            if record is not None and record.get("complete", True) and \
-                    (not self.probe or record.get("probed", False)):
+            # A record is served unless its winning configuration was
+            # marked dead since (a rank loss on that (backend, n_ranks) —
+            # elastic restart records it; the stale winner must be
+            # re-planned, not served).
+            if record is not None:
                 plan = ExecutionPlan.from_dict(record["plan"], source="cache")
                 if (plan.backend, plan.n_ranks) not in dead:
-                    return PlanReport(plan=plan,
-                                      table=list(record.get("table", [])),
-                                      probes_run=0, cache_hit=True, key=key,
+                    return PlanReport(plan=plan, table=list(record["table"]),
+                                      groups_simulated=0, cache_hit=True,
+                                      key=key,
                                       cache_path=str(self.cache.path))
 
         matrix_cache = PlanMatrixCache(adjacency, seed=self.seed)
@@ -314,24 +286,15 @@ class Planner:
                           if (c.backend, c.n_ranks) not in dead]
         ranked = score_candidates(
             candidates, matrix_cache, layer_dims, self.machine,
-            cache_input_propagation=self.cache_input_propagation)
+            cache_input_propagation=self.cache_input_propagation,
+            simulate=self.probe, seed=self.seed)
         if not ranked:
             raise ValueError(
                 "the plan space is empty for this matrix/rank combination "
                 f"(n_ranks={rank_counts}, n_vertices={matrix_cache.n_vertices}"
                 f"{', after excluding dead configurations' if dead else ''})")
 
-        probes: Dict[PlanCandidate, ProbeResult] = {}
-        if self.probe:
-            probes = probe_ranked(
-                ranked, matrix_cache, layer_dims, self.machine,
-                top_k=self.top_k, budget_s=self.probe_budget_s,
-                probe_backend=self.probe_backend,
-                repeats=self.probe_repeats, seed=self.seed,
-                cache_input_propagation=self.cache_input_propagation)
-
-        best = min(ranked, key=lambda s: self._final_key(s, probes))
-        best_probe = probes.get(best.candidate)
+        best = ranked[0]
         plan = ExecutionPlan(
             algorithm=best.candidate.algorithm,
             sparsity_aware=best.candidate.sparsity_aware,
@@ -342,30 +305,23 @@ class Planner:
             pipeline_depth=best.candidate.pipeline_depth,
             grad_overlap=best.candidate.grad_overlap,
             predicted_s=best.predicted_s,
-            probed_s=best_probe.probed_s if best_probe else None,
-            source="probed" if best_probe else "analytic",
+            simulated_s=best.simulated_s,
+            source="simulated" if self.probe else "analytic",
             machine=self.machine.name,
             fingerprint=fingerprint,
         )
-        table = self._table(ranked, probes, plan)
-        probes_run = len({id(r) for r in probes.values()})
-        # Did the wall-clock budget cut the probe loop short of the top_k
-        # distinct groups actually present in the space?
-        n_groups = len({s.candidate.group_key() for s in ranked})
-        complete = (not self.probe) or \
-            probes_run >= min(max(0, self.top_k), n_groups)
+        table = [{"rank": rank, **scored.as_dict(),
+                  "chosen": "*" if rank == 1 else ""}
+                 for rank, scored in enumerate(ranked, start=1)]
+        groups_simulated = len({s.candidate.group_key() for s in ranked}) \
+            if self.probe else 0
 
         if self.use_cache and self.cache is not None and \
                 not self.cache_read_only:
             self.cache.put(key, {"plan": plan.as_dict(), "table": table,
-                                 "probes_run": probes_run,
-                                 # A record only counts as probed if probes
-                                 # actually ran (probe=True with top_k=0
-                                 # produces analytic-only data).
-                                 "probed": self.probe and probes_run > 0,
-                                 "complete": complete,
                                  "layer_dims": [int(d) for d in layer_dims]})
-        return PlanReport(plan=plan, table=table, probes_run=probes_run,
+        return PlanReport(plan=plan, table=table,
+                          groups_simulated=groups_simulated,
                           cache_hit=False, key=key,
                           cache_path=str(self.cache.path) if self.cache else None,
                           matrix_cache=matrix_cache)
@@ -380,33 +336,6 @@ class Planner:
                                    hidden, n_layers)
         return self.plan(dataset.adjacency, dims, n_ranks)
 
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _final_key(scored: ScoredCandidate,
-                   probes: Dict[PlanCandidate, ProbeResult]) -> Tuple:
-        """Selection order: probed time first (probed candidates always
-        beat unprobed ones), then analytic prediction, then the stable
-        candidate order."""
-        probe = probes.get(scored.candidate)
-        probed_rank = (0, probe.probed_s) if probe is not None \
-            else (1, 0.0)
-        return (probed_rank, scored.predicted_s, scored.candidate.sort_key())
-
-    def _table(self, ranked: Sequence[ScoredCandidate],
-               probes: Dict[PlanCandidate, ProbeResult],
-               plan: ExecutionPlan) -> List[Dict[str, object]]:
-        ordered = sorted(ranked, key=lambda s: self._final_key(s, probes))
-        rows: List[Dict[str, object]] = []
-        for rank, scored in enumerate(ordered, start=1):
-            probe = probes.get(scored.candidate)
-            row: Dict[str, object] = {"rank": rank}
-            row.update(scored.candidate.as_dict())
-            row["predicted_s"] = scored.predicted_s
-            row["probed_s"] = probe.probed_s if probe is not None else None
-            row["chosen"] = "*" if rank == 1 else ""
-            rows.append(row)
-        return rows
-
 
 def plan_for_dataset(dataset: GraphDataset, n_ranks: "int | Sequence[int]",
                      machine: "str | MachineModel" = "perlmutter-scaled",
@@ -420,7 +349,6 @@ def plan_for_dataset(dataset: GraphDataset, n_ranks: "int | Sequence[int]",
 
 def resolve_config(dataset: GraphDataset, config: DistTrainConfig,
                    *,
-                   probe: bool = False,
                    cache: Optional[PlanCache] = None,
                    use_cache: bool = True,
                    return_partition: bool = False,
@@ -433,13 +361,13 @@ def resolve_config(dataset: GraphDataset, config: DistTrainConfig,
     sparsity mode, plus the replication factor).  Configs without any
     ``"auto"`` field are returned unchanged.
 
-    By default resolution first consults the plan cache **read-only** —
-    so ``train --auto`` after a ``repro tune`` of the same dataset,
-    machine and constraints trains exactly the plan tune reported — and
-    otherwise falls back to analytic-only planning (no probes, no cache
-    writes), keeping :func:`~repro.core.trainer.train_distributed` fast
-    and free of write side effects.  Pass ``probe=True`` for ``repro
-    tune`` semantics (probing planners also write the cache).
+    Resolution consults the plan cache **read-only** — so ``train
+    --auto`` after a ``repro tune`` of the same dataset, machine and
+    constraints trains exactly the plan tune reported — and otherwise
+    prices the space on the simulator like ``repro tune`` does, without
+    writing the cache, keeping
+    :func:`~repro.core.trainer.train_distributed` free of write side
+    effects.
 
     Returns ``(resolved_config, plan)`` — plus, with
     ``return_partition=True``, the planner's memoized
@@ -477,11 +405,10 @@ def resolve_config(dataset: GraphDataset, config: DistTrainConfig,
         pipeline_depths=[config.pipeline_depth],
         grad_overlaps=[config.grad_overlap],
         cache_input_propagation=config.cache_input_propagation,
-        probe=probe,
         seed=config.seed,
         cache=cache,
         use_cache=use_cache or cache is not None,
-        cache_read_only=not probe,
+        cache_read_only=True,
         **planner_kwargs,
     )
     report = planner.plan_for_dataset(dataset, config.n_ranks,

@@ -1,14 +1,20 @@
-"""Analytic scoring of plan candidates with the paper's alpha-beta model.
+"""Price plan candidates: run each one on the simulator.
 
-The scorer evaluates :func:`repro.core.costmodel.epoch_cost` for every
-candidate on the chosen :class:`~repro.comm.machine.MachineModel` — the
-same closed-form formulas behind ``crossover_process_count`` and
-``best_replication_factor`` — plus a small per-message host-overhead term
-that differentiates the communicator backends (the alpha-beta model alone
-is backend-agnostic: it describes the modelled machine, not the runtime
-that executes the schedule).
+Every candidate group (the backend-independent execution,
+:meth:`~repro.plan.space.PlanCandidate.group_key`) is priced by one rule:
+compile its SpMM plan once, run it on a
+:class:`~repro.comm.simulator.SimCommunicator` at every width of
+:func:`repro.core.costmodel.epoch_spmm_widths`, and read the simulated
+clock (:func:`simulate_epoch_s`).  The price of a candidate is that clock
+plus a per-message host-overhead term that differentiates the
+communicator backends (the simulator describes the modelled machine, not
+the runtime that executes the schedule) and the gradient-exchange term.
 
-Building the distributed matrix dominates scoring time (each partitioner x
+The paper's closed forms (:func:`repro.core.costmodel.epoch_cost`) fill
+the ``predicted_s`` column next to it, so the planner's table reports
+model against simulator; with ``simulate=False`` they are the price.
+
+Building the distributed matrix dominates pricing time (each partitioner x
 block-row count pair needs a partition + permutation), so
 :class:`PlanMatrixCache` shares those matrices across all candidates that
 agree on them.
@@ -23,20 +29,25 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..comm.machine import MachineModel, get_machine
+from ..comm.simulator import SimCommunicator
 from ..core.config import Algorithm
 from ..core.costmodel import (epoch_cost, epoch_spmm_widths,
                               gradient_exchange_cost)
 from ..core.gradsync import bucket_bytes_for_overhead
-from ..core.dist_matrix import BlockRowDistribution, DistSparseMatrix
+from ..core.dist_matrix import (BlockRowDistribution, DistDenseMatrix,
+                                DistSparseMatrix)
+from ..core.engine import SpmmEngine
+from ..core.spmm_15d import ProcessGrid
 from ..graphs.adjacency import (gcn_normalize, permutation_from_parts,
                                 symmetric_permutation)
+from ..obs.tracer import TRACE
 from ..partition import get_partitioner
 from .calibrate import load_message_overheads
 from .space import PlanCandidate
 
 __all__ = ["BACKEND_MESSAGE_OVERHEAD_S", "PlanMatrixCache", "ScoredCandidate",
            "backend_overhead_s", "effective_message_overheads",
-           "score_candidates"]
+           "score_candidates", "simulate_epoch_s"]
 
 #: Crude per-message *host* overhead of each communicator backend, added on
 #: top of the machine model's communication cost.  ``sim`` replays the
@@ -160,19 +171,75 @@ def backend_overhead_s(candidate: PlanCandidate, layer_dims: Sequence[int],
     return per_message * _estimated_messages_per_epoch(candidate, n_spmms)
 
 
+def simulate_epoch_s(candidate: PlanCandidate,
+                     matrix_cache: PlanMatrixCache,
+                     layer_dims: Sequence[int],
+                     machine: "str | MachineModel",
+                     seed: int = 0,
+                     cache_input_propagation: bool = False) -> float:
+    """Simulated seconds of one epoch's SpMMs for ``candidate`` — the
+    schedule :func:`repro.core.costmodel.epoch_spmm_widths` defines.
+
+    The candidate's algorithm, mode, partitioner, replication factor and
+    pipeline depth are compiled into the one persistent plan the trainer
+    would run; its backend is not (see :func:`backend_overhead_s`).  The
+    operand is seeded, so the price is deterministic.
+    """
+    widths = epoch_spmm_widths(layer_dims, cache_input_propagation)
+    if not widths:      # a one-layer model's cached epoch runs no SpMM
+        return 0.0
+    matrix = matrix_cache.matrix(candidate.partitioner, candidate.n_block_rows)
+    # One seeded operand wide enough for every layer; each width slices
+    # its first f columns so all candidates see identical data.
+    operand = np.random.default_rng(seed).standard_normal(
+        (matrix.shape[0], max(widths)))
+    grid = None
+    if candidate.algorithm == Algorithm.ONE_POINT_FIVE_D:
+        grid = ProcessGrid(nranks=candidate.n_ranks,
+                           replication=candidate.replication_factor)
+    comm = SimCommunicator(candidate.n_ranks, machine=machine)
+    span = TRACE.span("plan.simulate", cat="plan",
+                      args={"algorithm": candidate.algorithm,
+                            "partitioner": candidate.partitioner,
+                            "replication": candidate.replication_factor,
+                            "n_ranks": candidate.n_ranks,
+                            "pipeline_depth": candidate.pipeline_depth})
+    with span, comm:
+        engine = SpmmEngine(comm, algorithm=candidate.algorithm,
+                            sparsity_aware=candidate.sparsity_aware,
+                            grid=grid)
+        denses = {f: DistDenseMatrix.from_global(
+            np.ascontiguousarray(operand[:, :f]), matrix.dist)
+            for f in sorted(set(widths))}
+        op = engine.compile(matrix, pipeline_depth=candidate.pipeline_depth)
+        start = comm.elapsed()
+        for f in widths:
+            op(denses[f])
+        return comm.elapsed() - start
+
+
 @dataclass(frozen=True)
 class ScoredCandidate:
-    """A candidate with its analytic per-epoch prediction (seconds)."""
+    """A candidate with its per-epoch prices (seconds): the closed-form
+    prediction and, when the group was run, the simulated one."""
 
     candidate: PlanCandidate
     predicted_s: float
+    simulated_s: Optional[float]
     communication_s: float
     compute_s: float
     overhead_s: float
 
+    @property
+    def price_s(self) -> float:
+        """The rank key: the simulated price, else the closed form."""
+        return self.predicted_s if self.simulated_s is None \
+            else self.simulated_s
+
     def as_dict(self) -> Dict[str, object]:
         row = self.candidate.as_dict()
         row["predicted_s"] = self.predicted_s
+        row["simulated_s"] = self.simulated_s
         return row
 
 
@@ -180,29 +247,32 @@ def score_candidates(candidates: Sequence[PlanCandidate],
                      matrix_cache: PlanMatrixCache,
                      layer_dims: Sequence[int],
                      machine: "str | MachineModel",
-                     cache_input_propagation: bool = False
-                     ) -> List[ScoredCandidate]:
-    """Rank candidates by predicted epoch cost, ascending.
+                     cache_input_propagation: bool = False,
+                     simulate: bool = True,
+                     seed: int = 0) -> List[ScoredCandidate]:
+    """Rank candidates by price, ascending.
 
-    Infeasible candidates (more block rows than vertices) are dropped.
-    Ties are broken by the candidate's deterministic sort key, so the
-    returned ranking is stable across runs.  ``cache_input_propagation``
-    prices the trainer's cached schedule (``2 L - 2`` SpMMs at the narrow
-    side, :func:`~repro.core.costmodel.epoch_spmm_widths`) instead of the
+    With ``simulate`` every group runs once on the simulator
+    (:func:`simulate_epoch_s`); otherwise the closed form is the price
+    and nothing executes.  Infeasible candidates (more block rows than
+    vertices) are dropped.  Ties are broken by the candidate's
+    deterministic sort key, so the returned ranking is stable across
+    runs.  ``cache_input_propagation`` prices the trainer's cached
+    schedule (``2 L - 2`` SpMMs at the narrow side,
+    :func:`~repro.core.costmodel.epoch_spmm_widths`) instead of the
     paper's.
     """
     machine = get_machine(machine)
     overheads = effective_message_overheads()
     scored: List[ScoredCandidate] = []
-    # epoch_cost is backend-independent and O(nnz); share it across the
+    # Both prices are backend-independent; share them across the
     # candidates that differ only in backend.
-    cost_memo: Dict[Tuple, object] = {}
+    group_memo: Dict[Tuple, Tuple[object, Optional[float]]] = {}
     for candidate in candidates:
         if candidate.n_block_rows > matrix_cache.n_vertices:
             continue
         group = candidate.group_key()
-        cost = cost_memo.get(group)
-        if cost is None:
+        if group not in group_memo:
             matrix = matrix_cache.matrix(candidate.partitioner,
                                          candidate.n_block_rows)
             cost = epoch_cost(matrix, layer_dims, machine,
@@ -212,7 +282,12 @@ def score_candidates(candidates: Sequence[PlanCandidate],
                               replication=candidate.replication_factor,
                               pipeline_depth=candidate.pipeline_depth,
                               cache_input_propagation=cache_input_propagation)
-            cost_memo[group] = cost
+            sim_s = simulate_epoch_s(
+                candidate, matrix_cache, layer_dims, machine, seed=seed,
+                cache_input_propagation=cache_input_propagation) \
+                if simulate else None
+            group_memo[group] = (cost, sim_s)
+        cost, sim_s = group_memo[group]
         overhead = backend_overhead_s(
             candidate, layer_dims, overheads=overheads,
             cache_input_propagation=cache_input_propagation)
@@ -233,9 +308,11 @@ def score_candidates(candidates: Sequence[PlanCandidate],
         scored.append(ScoredCandidate(
             candidate=candidate,
             predicted_s=cost.total_s + grad_s + overhead,
+            simulated_s=None if sim_s is None
+            else sim_s + grad_s + overhead,
             communication_s=cost.communication_s + grad_s,
             compute_s=cost.compute_s,
             overhead_s=overhead,
         ))
-    scored.sort(key=lambda s: (s.predicted_s, s.candidate.sort_key()))
+    scored.sort(key=lambda s: (s.price_s, s.candidate.sort_key()))
     return scored

@@ -6,7 +6,7 @@ factory, a partitioner from the partitioner registry, a 1.5D replication
 factor and a rank count.  :func:`enumerate_candidates` produces the cross
 product of those axes, pruned to configurations the trainer can actually
 execute (grid divisibility, block rows <= vertices), in a deterministic
-order so scoring, probing and caching are reproducible.
+order so pricing and caching are reproducible.
 """
 
 from __future__ import annotations
@@ -94,13 +94,13 @@ class PlanCandidate:
 
     def group_key(self) -> Tuple:
         """Identity of the backend-independent execution: candidates with
-        the same group share one probe measurement and one analytic
-        epoch cost (the scorer, prober and planner all group by this).
+        the same group share one simulated run and one analytic epoch
+        cost (the scorer and planner group by this).
         ``pipeline_depth`` is part of the group — pipelined execution is
-        a genuinely different schedule, probed separately.
-        ``grad_overlap`` is *not*: probes time SpMM schedules, which the
-        gradient exchange does not change (the scorer adds its analytic
-        term per candidate)."""
+        a genuinely different schedule, simulated separately.
+        ``grad_overlap`` is *not*: the simulation runs SpMM schedules,
+        which the gradient exchange does not change (the scorer adds its
+        analytic term per candidate)."""
         return (self.algorithm, self.mode, self.partitioner,
                 self.replication_factor, self.n_ranks, self.pipeline_depth)
 

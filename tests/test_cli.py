@@ -162,27 +162,31 @@ class TestTuneCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "Autotuned plan space" in out
-        assert "predicted_s" in out and "probed_s" in out
+        assert "predicted_s" in out and "simulated_s" in out
         assert "chosen plan" in out
         assert "plan cache: MISS" in out
 
-    def test_second_run_hits_cache_with_zero_probes(self, capsys, tmp_path):
+    def test_second_run_hits_cache_and_simulates_nothing(self, capsys,
+                                                         tmp_path):
         argv = ["tune", "--quick", "--dataset", "amazon",
                 "--cache", str(tmp_path / "plans.json")]
         assert main(argv) == 0
         capsys.readouterr()
         assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "plan cache: HIT (0 probes)" in out
+        assert "plan cache: HIT (0 groups simulated)" in out
 
-    def test_nranks_and_no_probe(self, capsys, tmp_path):
+    def test_nranks_simulates_every_group(self, capsys, tmp_path):
         code = main(["tune", "--dataset", "reddit", "--scale", "0.05",
-                     "--nranks", "4", "8", "--no-probe",
+                     "--nranks", "4", "8", "--limit", "1000",
                      "--cache", str(tmp_path / "plans.json")])
         assert code == 0
         out = capsys.readouterr().out
-        assert "MISS (0 probes)" in out
-        assert "source = analytic" in out
+        # p=4 and p=8 each span 1D and 1.5D c=2, two modes, three
+        # partitioners: 24 groups, each simulated once.
+        assert "MISS (24 groups simulated)" in out
+        assert "source = simulated" in out
+        assert "p=4,8" in out
 
     def test_no_cache_disables_persistence(self, capsys):
         code = main(["tune", "--quick", "--dataset", "amazon", "--no-cache"])

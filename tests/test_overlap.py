@@ -308,17 +308,16 @@ class TestOverlapPlanning:
                     for s in scored}
         assert by_depth[2] < by_depth[1]
 
-    def test_planner_probes_pipelined_candidates(self, tiny_dataset):
+    def test_planner_simulates_pipelined_candidates(self, tiny_dataset):
         planner = Planner(machine="perlmutter-scaled", backends=["sim"],
                           partitioners=[None], algorithms=["1d"],
                           modes=["oblivious"], pipeline_depths=(1, 2),
-                          probe=True, top_k=2, probe_budget_s=None,
                           use_cache=False)
         report = planner.plan_for_dataset(tiny_dataset, 4)
         depths = {row["depth"] for row in report.table}
         assert depths == {1, 2}
-        assert report.probes_run == 2, \
-            "depth-1 and depth-2 schedules are distinct probe groups"
+        assert report.groups_simulated == 2, \
+            "depth-1 and depth-2 schedules are distinct simulated groups"
         assert report.plan.pipeline_depth in (1, 2)
 
     def test_plan_roundtrips_pipeline_depth(self):
@@ -326,14 +325,10 @@ class TestOverlapPlanning:
         plan = ExecutionPlan(
             algorithm="1d", sparsity_aware=False, backend="sim",
             partitioner=None, replication_factor=1, n_ranks=4,
-            predicted_s=1.0, probed_s=None, source="analytic",
+            predicted_s=1.0, simulated_s=None, source="analytic",
             machine="perlmutter", fingerprint="x", pipeline_depth=2)
         clone = ExecutionPlan.from_dict(json.loads(json.dumps(plan.as_dict())))
         assert clone == plan
-        # Pre-overlap cache records (no depth key) default to synchronous.
-        legacy = dict(plan.as_dict())
-        legacy.pop("pipeline_depth")
-        assert ExecutionPlan.from_dict(legacy).pipeline_depth == 1
 
 
 # ----------------------------------------------------------------------

@@ -1,29 +1,37 @@
 """Tests for the autotuning planner subsystem (repro.plan).
 
-Covers the ISSUE-3 acceptance criteria: deterministic ranking under a
-fixed seed, plan-cache round trip (a second planner run does zero
-probes), cache invalidation when the matrix fingerprint changes, and
-end-to-end bit-identity of ``"auto"`` training against the explicitly
-configured equivalent on every communicator backend.
+Covers deterministic ranking under a fixed seed, the pricing rule (the
+pick is the argmin of the simulator over the enumerated space; the
+closed-form planner runs nothing), plan-cache round trip (a second
+planner run simulates nothing), cache invalidation when the matrix
+fingerprint changes, and end-to-end bit-identity of ``"auto"`` training
+against the explicitly configured equivalent on every communicator
+backend.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 
 import numpy as np
 import pytest
 
+from repro.comm import SimCommunicator
 from repro.core import AUTO, DistTrainConfig, train_distributed
+from repro.core.config import Algorithm, training_layer_dims
+from repro.core.dist_matrix import DistDenseMatrix
+from repro.core.engine import SpmmEngine
+from repro.core.spmm_15d import ProcessGrid
 from repro.core.trainer import setup_distributed
 from repro.graphs.datasets import load_dataset
 from repro.core.costmodel import epoch_spmm_widths
-from repro.plan import (BACKEND_MESSAGE_OVERHEAD_S, PlanCache, PlanCandidate,
-                        PlanMatrixCache, Planner, backend_overhead_s,
-                        enumerate_candidates, matrix_fingerprint,
-                        resolve_config, score_candidates,
-                        valid_replication_factors)
+from repro.plan import (BACKEND_MESSAGE_OVERHEAD_S, CACHE_ENV_VAR, PlanCache,
+                        PlanCandidate, PlanMatrixCache, Planner,
+                        backend_overhead_s, enumerate_candidates,
+                        matrix_fingerprint, plan_for_dataset, resolve_config,
+                        score_candidates, valid_replication_factors)
 from repro.plan.planner import ExecutionPlan
 
 
@@ -39,9 +47,8 @@ def other_dataset():
 
 
 def make_planner(tmp_cache=None, **overrides):
-    """A small, fully deterministic planner (no wall-clock budget)."""
-    kwargs = dict(machine="perlmutter-scaled", probe=True, top_k=2,
-                  probe_budget_s=None, seed=0)
+    """A fully deterministic planner on the default pricing rule."""
+    kwargs = dict(machine="perlmutter-scaled", seed=0)
     if tmp_cache is not None:
         kwargs.update(cache=PlanCache(tmp_cache), use_cache=True)
     else:
@@ -111,7 +118,7 @@ class TestSpace:
 
 
 # ----------------------------------------------------------------------
-# Analytic scoring
+# Pricing
 # ----------------------------------------------------------------------
 class TestScore:
     def test_ranking_sorted_and_positive(self, dataset):
@@ -120,9 +127,20 @@ class TestScore:
         scored = score_candidates(cands, cache, [300, 16, 24],
                                   "perlmutter-scaled")
         assert len(scored) == len(cands)
+        prices = [s.price_s for s in scored]
+        assert prices == sorted(prices)
+        assert prices == [s.simulated_s for s in scored]
+        assert all(s.predicted_s > 0 and s.simulated_s > 0 for s in scored)
+
+    def test_closed_form_ranking_simulates_nothing(self, dataset):
+        cache = PlanMatrixCache(dataset.adjacency, seed=0)
+        cands = enumerate_candidates(8, n_vertices=cache.n_vertices)
+        scored = score_candidates(cands, cache, [300, 16, 24],
+                                  "perlmutter-scaled", simulate=False)
+        assert all(s.simulated_s is None for s in scored)
         predictions = [s.predicted_s for s in scored]
         assert predictions == sorted(predictions)
-        assert all(p > 0 for p in predictions)
+        assert predictions == [s.price_s for s in scored]
 
     def test_backend_overhead_orders_backends(self, dataset):
         cache = PlanMatrixCache(dataset.adjacency, seed=0)
@@ -211,6 +229,26 @@ class TestCache:
         path.write_text(json.dumps({"version": 999, "plans": {"k": {}}}))
         assert PlanCache(path).get("k") is None
 
+    def test_version_1_file_is_read_as_empty(self, dataset, tmp_path):
+        """Records ranked under the closed-form-then-top-k rule are misses
+        for every planner, and the next write replaces the file."""
+        path = tmp_path / "plans.json"
+        planner = make_planner(path)
+        key = planner.plan_for_dataset(dataset, 4).key
+        plan = dict(PlanCache(path).get(key)["plan"])
+        del plan["simulated_s"]
+        record = {"plan": {**plan, "probed_s": 1.0, "source": "probed"},
+                  "table": [], "probes_run": 3, "probed": True,
+                  "complete": True}
+        path.write_text(json.dumps({"version": 1, "plans": {key: record}}))
+        cache = PlanCache(path)
+        assert cache.get(key) is None and len(cache) == 0
+        assert cache.dead_configs(plan["fingerprint"]) == set()
+        again = make_planner(path).plan_for_dataset(dataset, 4)
+        assert not again.cache_hit and again.groups_simulated > 0
+        assert json.loads(path.read_text())["version"] == 2
+        assert make_planner(path).plan_for_dataset(dataset, 4).cache_hit
+
 
 # ----------------------------------------------------------------------
 # Planner
@@ -221,7 +259,7 @@ class TestPlanner:
         rep2 = make_planner().plan_for_dataset(dataset, 8)
         assert rep1.table == rep2.table
         assert rep1.plan == rep2.plan
-        assert rep1.probes_run == rep2.probes_run > 0
+        assert rep1.groups_simulated == rep2.groups_simulated > 0
 
     def test_table_is_ranked_and_marks_choice(self, dataset):
         report = make_planner().plan_for_dataset(dataset, 8)
@@ -231,17 +269,21 @@ class TestPlanner:
         assert len(chosen) == 1 and chosen[0]["rank"] == 1
         assert chosen[0]["algorithm"] == report.plan.algorithm
         assert chosen[0]["backend"] == report.plan.backend
-        # The empirically probed candidates carry a probed_s column.
-        assert any(row["probed_s"] is not None for row in report.table)
+        # Every candidate carries both prices: model and simulator.
+        assert all(row["predicted_s"] is not None
+                   and row["simulated_s"] is not None for row in report.table)
+        groups = {(row["algorithm"], row["mode"], row["partitioner"],
+                   row["c"], row["p"], row["depth"]) for row in report.table}
+        assert report.groups_simulated == len(groups)
 
-    def test_plan_cache_round_trip_skips_probes(self, dataset, tmp_path):
+    def test_plan_cache_round_trip_skips_simulation(self, dataset, tmp_path):
         cache_path = tmp_path / "plans.json"
         first = make_planner(cache_path).plan_for_dataset(dataset, 8)
-        assert not first.cache_hit and first.probes_run > 0
+        assert not first.cache_hit and first.groups_simulated > 0
 
         second = make_planner(cache_path).plan_for_dataset(dataset, 8)
         assert second.cache_hit
-        assert second.probes_run == 0
+        assert second.groups_simulated == 0
         assert second.plan.source == "cache"
         assert second.plan.as_config_kwargs() == first.plan.as_config_kwargs()
         assert second.table == first.table
@@ -252,31 +294,35 @@ class TestPlanner:
         first = make_planner(cache_path).plan_for_dataset(dataset, 8)
         other = make_planner(cache_path).plan_for_dataset(other_dataset, 8)
         assert not other.cache_hit          # different fingerprint -> re-plan
-        assert other.probes_run > 0
+        assert other.groups_simulated > 0
         assert other.plan.fingerprint != first.plan.fingerprint
         # ... and both entries now coexist in the cache.
         assert make_planner(cache_path).plan_for_dataset(dataset, 8).cache_hit
         assert make_planner(cache_path) \
             .plan_for_dataset(other_dataset, 8).cache_hit
 
-    def test_analytic_resolution_reuses_probed_plans(self, dataset, tmp_path):
-        """The tune -> train --auto handoff: an analytic (read-only)
-        planner over the same space reuses a probed cache entry, while a
-        probing planner refuses to reuse an analytic-only one."""
+    def test_read_only_resolution_reuses_tuned_plans(self, dataset, tmp_path):
+        """The tune -> train --auto handoff: a read-only planner over the
+        same space reuses the cache entry, while the pricing rule keys it:
+        a closed-form record is never served to a simulating planner, nor
+        the other way round."""
         cache_path = tmp_path / "plans.json"
-        probed = make_planner(cache_path).plan_for_dataset(dataset, 8)
-        analytic = Planner(machine="perlmutter-scaled", probe=False, seed=0,
-                           cache=PlanCache(cache_path), cache_read_only=True)
-        reused = analytic.plan_for_dataset(dataset, 8)
+        tuned = make_planner(cache_path).plan_for_dataset(dataset, 8)
+        read_only = Planner(machine="perlmutter-scaled", seed=0,
+                            cache=PlanCache(cache_path), cache_read_only=True)
+        reused = read_only.plan_for_dataset(dataset, 8)
         assert reused.cache_hit
         assert reused.plan.as_config_kwargs() == \
-            probed.plan.as_config_kwargs()
+            tuned.plan.as_config_kwargs()
+        closed_form = Planner(machine="perlmutter-scaled", probe=False,
+                              seed=0, cache=PlanCache(cache_path))
+        assert not closed_form.plan_for_dataset(dataset, 8).cache_hit
 
         other_path = tmp_path / "plans2.json"
         Planner(machine="perlmutter-scaled", probe=False, seed=0,
                 cache=PlanCache(other_path)).plan_for_dataset(dataset, 8)
         again = make_planner(other_path).plan_for_dataset(dataset, 8)
-        assert not again.cache_hit          # analytic record, probing run
+        assert not again.cache_hit          # closed-form record
 
     def test_read_only_planner_never_writes(self, dataset, tmp_path):
         cache_path = tmp_path / "plans.json"
@@ -284,20 +330,6 @@ class TestPlanner:
                           cache=PlanCache(cache_path), cache_read_only=True)
         planner.plan_for_dataset(dataset, 8)
         assert not cache_path.exists()
-
-    def test_budget_truncated_records_are_not_served(self, dataset, tmp_path):
-        """A cache record marked complete=False (probe loop cut short by
-        the wall-clock budget) must be ignored, not returned as a hit."""
-        cache_path = tmp_path / "plans.json"
-        planner = make_planner(cache_path)
-        first = planner.plan_for_dataset(dataset, 8)
-        record = planner.cache.get(first.key)
-        assert record["complete"] is True
-        planner.cache.put(first.key, {**record, "complete": False})
-        again = make_planner(cache_path).plan_for_dataset(dataset, 8)
-        assert not again.cache_hit and again.probes_run > 0
-        # ... and the fresh, complete run overwrites the truncated record.
-        assert planner.cache.get(first.key)["complete"] is True
 
     def test_cache_invalidated_when_backend_registry_grows(self, dataset,
                                                            tmp_path,
@@ -325,9 +357,9 @@ class TestPlanner:
 
     def test_probeless_planner_is_analytic(self, dataset):
         report = make_planner(probe=False).plan_for_dataset(dataset, 8)
-        assert report.probes_run == 0
+        assert report.groups_simulated == 0
         assert report.plan.source == "analytic"
-        assert report.plan.probed_s is None
+        assert report.plan.simulated_s is None
 
     def test_empty_space_raises(self, dataset):
         tiny = load_dataset("reddit", scale=0.01, seed=0)
@@ -338,6 +370,79 @@ class TestPlanner:
         plan = make_planner(probe=False).plan_for_dataset(dataset, 8).plan
         clone = ExecutionPlan.from_dict(json.loads(json.dumps(plan.as_dict())))
         assert clone == plan
+
+
+# ----------------------------------------------------------------------
+# The pricing rule
+# ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=None)
+def tier1_dataset(name):
+    return load_dataset(name, scale=0.05, seed=0)
+
+
+def reference_sim_s(candidate, matrices, dims, machine):
+    """One epoch's SpMMs of ``candidate`` on a fresh simulator, written out
+    independently of the planner: the oracle its pick must minimise."""
+    widths = epoch_spmm_widths(dims, False)
+    matrix = matrices.matrix(candidate.partitioner, candidate.n_block_rows)
+    operand = np.random.default_rng(0).standard_normal(
+        (matrix.shape[0], max(widths)))
+    grid = ProcessGrid(nranks=candidate.n_ranks,
+                       replication=candidate.replication_factor) \
+        if candidate.algorithm == Algorithm.ONE_POINT_FIVE_D else None
+    with SimCommunicator(candidate.n_ranks, machine=machine) as comm:
+        op = SpmmEngine(comm, algorithm=candidate.algorithm,
+                        sparsity_aware=candidate.sparsity_aware,
+                        grid=grid).compile(matrix)
+        for f in widths:
+            op(DistDenseMatrix.from_global(
+                np.ascontiguousarray(operand[:, :f]), matrix.dist))
+        return comm.elapsed()
+
+
+class TestPricingRule:
+    @pytest.mark.parametrize("p", [4, 8, 16])
+    @pytest.mark.parametrize("name", ["amazon", "protein", "reddit"])
+    def test_pick_is_the_sim_argmin(self, name, p):
+        """Over everything ``enumerate_candidates`` spans, the planner picks
+        a group the simulator prices cheapest."""
+        dataset = tier1_dataset(name)
+        machine = "perlmutter-scaled"
+        report = Planner(machine=machine, backends=["sim"], use_cache=False,
+                         seed=0).plan_for_dataset(dataset, p)
+        dims = training_layer_dims(dataset.node_data.n_features,
+                                   dataset.node_data.n_classes, 16, 3)
+        matrices = report.matrix_cache
+        prices = {c: reference_sim_s(c, matrices, dims, machine)
+                  for c in enumerate_candidates(
+                      p, backends=["sim"], n_vertices=matrices.n_vertices)}
+        plan = report.plan
+        pick = PlanCandidate(plan.algorithm, plan.sparsity_aware,
+                             plan.backend, plan.partitioner,
+                             plan.replication_factor, plan.n_ranks)
+        cheapest = min(prices.values())
+        argmin = [c for c, s in prices.items() if s == cheapest]
+        assert prices[pick] == cheapest, (pick, prices[pick], argmin)
+
+    def test_gate_call_runs_no_simulation(self, dataset, tmp_path,
+                                          monkeypatch):
+        """``probe=False`` ranks by the closed forms and executes nothing."""
+        from repro.plan import score
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the closed-form planner ran a simulation")
+
+        monkeypatch.setattr(score, "simulate_epoch_s", refuse)
+        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "plans.json"))
+        report = plan_for_dataset(dataset, 4, machine="perlmutter",
+                                  hidden=16, n_layers=3, probe=False, seed=0)
+        assert not report.cache_hit and report.groups_simulated == 0
+        assert report.plan.source == "analytic"
+        assert report.plan.simulated_s is None
+        assert all(row["simulated_s"] is None for row in report.table)
+        predicted = [row["predicted_s"] for row in report.table]
+        assert predicted == sorted(predicted)
+        assert report.plan.predicted_s == predicted[0]
 
 
 # ----------------------------------------------------------------------
