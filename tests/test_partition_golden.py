@@ -43,6 +43,7 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "partition_golden.json")
 
 #: graph name -> builder of its (unweighted, loop-free) adjacency
 GRAPHS = {
+    "amazon-1.0": lambda: load_dataset("amazon", scale=1.0).adjacency,
     "amazon-0.25": lambda: load_dataset("amazon", scale=0.25).adjacency,
     "protein-1.0": lambda: load_dataset("protein", scale=1.0).adjacency,
     "reddit-0.1": lambda: load_dataset("reddit", scale=0.1).adjacency,
@@ -50,12 +51,15 @@ GRAPHS = {
         1200, avg_degree=10, n_communities=20, p_external=0.1, seed=0),
 }
 
-#: (partitioner, graph, nparts)
+#: (partitioner, graph, nparts); the last two are the end-to-end gate's
+#: partitions (``train_1d_exchange`` at p = 4 and ``train_15d_overlap``'s
+#: two block rows at p = 2)
 PARTITIONS = [(method, graph, p)
               for method in ("gvb", "metis_like")
               for graph, p in (("amazon-0.25", 2), ("amazon-0.25", 4),
                                ("protein-1.0", 4), ("reddit-0.1", 2),
-                               ("reddit-0.1", 4), ("community-1200", 8))]
+                               ("reddit-0.1", 4), ("community-1200", 8))
+              ] + [("gvb", "amazon-1.0", 4), ("gvb", "amazon-1.0", 2)]
 
 
 def _digest(*arrays: np.ndarray) -> str:
