@@ -40,7 +40,9 @@
 # never writing CI hosts' numbers anywhere), and the
 # kernel/compiled-epoch/overlap microbenchmark (scripts/bench_kernels.py
 # --quick, writing to a throwaway path so CI never touches the
-# checked-in BENCH_serve.json / BENCH_kernels.json).  Afterwards, no
+# checked-in BENCH_serve.json / BENCH_kernels.json; its partition_gvb
+# cells must report the edgecut and volumes of the gvb/amazon-0.25
+# records in tests/partition_golden.json).  Afterwards, no
 # process-backend segment (/dev/shm/rpr*) created during the run may
 # survive it.  Hard 60 s budget for everything —
 # each run takes ~1 s; anything slower signals a performance regression
@@ -306,8 +308,26 @@ PYEOF
   echo "== repro calibrate --quick --dry-run =="
   python -m repro calibrate --quick --dry-run
   echo "== bench_kernels --quick =="
-  python scripts/bench_kernels.py --quick \
-    --output "$(mktemp -d)/BENCH_kernels.json"
+  kernels_json="$(mktemp -d)/BENCH_kernels.json"
+  python scripts/bench_kernels.py --quick --output "${kernels_json}"
+  KERNELS_JSON="${kernels_json}" python - <<"PYEOF"
+import json, os
+
+# The GVB cold-start cell must time the pinned partition: its edgecut and
+# volumes equal the golden records of the same graph and seed.
+with open(os.environ["KERNELS_JSON"]) as fh:
+    cell = json.load(fh)["partition_gvb"]
+with open("tests/partition_golden.json") as fh:
+    golden = json.load(fh)["partitions"]
+scale = cell["scale"]
+for p in (2, 4):
+    want = golden[f"gvb/amazon-{scale}/p{p}"]
+    got = cell[f"p{p}"]
+    for key in ("edgecut", "total_volume", "max_send_volume"):
+        assert got[key] == want[key], (p, key, got[key], want[key])
+print(f"partition_gvb: amazon {scale} p=2, p=4 match the golden edgecut "
+      "and volumes")
+PYEOF
 '
 
 echo "== no shared-memory segment outlives the run =="

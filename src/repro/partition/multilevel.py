@@ -46,6 +46,19 @@ class MultilevelConfig:
     volume_refine_passes: int = 6
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        # Reject settings the refiners would silently churn on (a balance
+        # below 1.0 is infeasible) or skip (negative counts).
+        for name in ("balance_factor", "volume_balance_factor"):
+            if not getattr(self, name) >= 1.0:
+                raise ValueError(f"{name} must be >= 1.0, got "
+                                 f"{getattr(self, name)}")
+        for name in ("refine_passes", "volume_refine_passes", "max_levels",
+                     "volume_refine_levels"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got "
+                                 f"{getattr(self, name)}")
+
 
 class MultilevelPartitioner(Partitioner):
     """Generic multilevel k-way partitioner."""

@@ -55,6 +55,24 @@ class TestMultilevelDriver:
         result = MultilevelPartitioner().partition(adj, 16)
         assert result.part_sizes().max() == 1
 
+    @pytest.mark.parametrize("field, value", [
+        ("balance_factor", 0.99), ("volume_balance_factor", 0.5),
+        ("refine_passes", -1), ("volume_refine_passes", -1),
+        ("max_levels", -1), ("volume_refine_levels", -1)])
+    def test_config_rejects_settings_the_refiners_cannot_honour(
+            self, field, value):
+        # A balance below 1.0 made rebalance churn and the volume pass
+        # silently make no move; a negative pass count silently skipped a
+        # refinement.
+        with pytest.raises(ValueError, match=field):
+            MultilevelConfig(**{field: value})
+
+    def test_partitioner_constructors_validate_their_config(self):
+        with pytest.raises(ValueError, match="volume_balance_factor"):
+            GVBPartitioner(volume_balance_factor=0.5)
+        with pytest.raises(ValueError, match="refine_passes"):
+            MetisLikePartitioner(refine_passes=-1)
+
 
 class TestMetisLike:
     def test_beats_random_on_structured_graph(self, structured_graph):

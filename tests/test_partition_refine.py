@@ -59,6 +59,7 @@ class TestEdgecutRefine:
         refined, moves = edgecut_refine(adj, parts, 2, seed=0)
         assert edgecut(adj, refined) <= edgecut(adj, parts)
 
+
     def test_invalid_balance_factor(self):
         adj = grid_graph(4)
         with pytest.raises(ValueError):
@@ -188,6 +189,24 @@ class TestVolumeState:
             np.testing.assert_array_equal(state.recv_volume, vol.recv_volume)
             np.testing.assert_array_equal(state.nbr_part_count,
                                           rebuilt.nbr_part_count)
+
+
+def _rebalance(adj, parts, nparts, **kwargs):
+    return rebalance(adj, parts, nparts, **kwargs), 0
+
+
+@pytest.mark.parametrize("refiner, setting", [
+    (refiner, setting)
+    for refiner in (edgecut_refine, volume_refine, _rebalance)
+    for setting in ({"balance_factor": 0.9}, {"balance_factor": float("nan")},
+                    {"max_passes": -1})
+    if refiner is not _rebalance or "max_passes" not in setting])
+def test_refiners_reject_invalid_settings_before_any_work(refiner, setting):
+    # A partition vector of the wrong length: the setting is rejected
+    # before the inputs are even read.
+    name = next(iter(setting))
+    with pytest.raises(ValueError, match=name):
+        refiner(grid_graph(4), np.zeros(3, dtype=int), 2, **setting)
 
 
 @pytest.mark.parametrize("refiner", [edgecut_refine, volume_refine])
