@@ -86,8 +86,13 @@ def _assert_same(got, want):
     assert got_moves == want_moves
 
 
+#: unit edge weights make gain ties (zero gains) common, non-integer ones
+#: make the summation order matter
+ANY_WEIGHTS = st.booleans().flatmap(lambda fw: refine_case(float_weights=fw))
+
+
 @settings(**SETTINGS)
-@given(refine_case(float_weights=True), st.integers(1, 8))
+@given(ANY_WEIGHTS, st.integers(1, 8))
 def test_edgecut_refine_matches_reference(case, passes):
     adj, parts, nparts, vw, balance, seed = case
     kwargs = dict(vertex_weights=vw, balance_factor=balance,
@@ -97,7 +102,7 @@ def test_edgecut_refine_matches_reference(case, passes):
 
 
 @settings(**SETTINGS)
-@given(refine_case(float_weights=True))
+@given(ANY_WEIGHTS)
 def test_rebalance_matches_reference(case):
     adj, parts, nparts, vw, balance, seed = case
     kwargs = dict(vertex_weights=vw, balance_factor=balance, seed=seed)

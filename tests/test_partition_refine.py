@@ -59,7 +59,6 @@ class TestEdgecutRefine:
         refined, moves = edgecut_refine(adj, parts, 2, seed=0)
         assert edgecut(adj, refined) <= edgecut(adj, parts)
 
-
     def test_invalid_balance_factor(self):
         adj = grid_graph(4)
         with pytest.raises(ValueError):
@@ -191,16 +190,12 @@ class TestVolumeState:
                                           rebuilt.nbr_part_count)
 
 
-def _rebalance(adj, parts, nparts, **kwargs):
-    return rebalance(adj, parts, nparts, **kwargs), 0
-
-
 @pytest.mark.parametrize("refiner, setting", [
     (refiner, setting)
-    for refiner in (edgecut_refine, volume_refine, _rebalance)
+    for refiner in (edgecut_refine, volume_refine, rebalance)
     for setting in ({"balance_factor": 0.9}, {"balance_factor": float("nan")},
                     {"max_passes": -1})
-    if refiner is not _rebalance or "max_passes" not in setting])
+    if refiner is not rebalance or "max_passes" not in setting])
 def test_refiners_reject_invalid_settings_before_any_work(refiner, setting):
     # A partition vector of the wrong length: the setting is rejected
     # before the inputs are even read.
