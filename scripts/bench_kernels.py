@@ -4,16 +4,10 @@
 The measurements, host wall-clock unless a cell says ``simulated`` (best
 of ``--repeats`` timed runs after one warm-up):
 
-* **compiled vs uncompiled epoch** — one epoch's worth of distributed
-  1D sparsity-aware SpMMs through ``repro.core.engine``: per-call
-  compile-and-run dispatch against a persistent
-  :class:`~repro.core.engine.CompiledSpmm` plan, on the ``sim`` backend
-  (pure host-side cost; the simulated clocks are identical by
-  construction) and on the real ``process`` backend (where the plan
-  additionally exercises the shared-memory replay fast path).
-* **overlapped vs synchronous epoch** — the same compiled 1D oblivious
-  epoch with ``pipeline_depth=2`` (nonblocking prefetch of the next
-  broadcast step + the process backend's grouped-copy latency protocol)
+* **overlapped vs synchronous epoch** — one epoch's worth of compiled
+  1D oblivious SpMMs with ``pipeline_depth=2`` (nonblocking prefetch of
+  the next broadcast step + the process backend's grouped-copy latency
+  protocol)
   against the synchronous compiled plan, measured interleaved (sync,
   piped, sync, ...) so host-speed drift cancels out of the ratio.  The
   acceptance bar for the overlap work is >= 1.2x on the process backend
@@ -101,7 +95,7 @@ from repro.core import (BlockRowDistribution, DistDenseMatrix,  # noqa: E402
                         DistSparseMatrix, DistTrainConfig,
                         inference_spmm_widths, predicted_bytes_per_forward,
                         setup_distributed, train_distributed)
-from repro.core.engine import compile as compile_spmm, spmm  # noqa: E402
+from repro.core.engine import compile as compile_spmm      # noqa: E402
 from repro.graphs import gcn_normalize                          # noqa: E402
 from repro.graphs.datasets import load_dataset                  # noqa: E402
 from repro.graphs.generators import erdos_renyi_graph           # noqa: E402
@@ -117,41 +111,6 @@ def best_of(fn, repeats: int) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
-
-
-def bench_compiled_epoch(n: int, avg_degree: int, widths, p: int,
-                         backend: str, epochs: int, repeats: int) -> dict:
-    adj = gcn_normalize(erdos_renyi_graph(n, avg_degree=avg_degree, seed=1))
-    dist = BlockRowDistribution.uniform(n, p)
-    matrix = DistSparseMatrix(adj, dist)
-    rng = np.random.default_rng(1)
-    denses = {f: DistDenseMatrix.from_global(rng.normal(size=(n, f)), dist)
-              for f in sorted(set(widths))}
-
-    with make_communicator(p, backend=backend) as comm:
-        def uncompiled():
-            for _ in range(epochs):
-                for f in widths:
-                    spmm(matrix, denses[f], comm, algorithm="1d",
-                         sparsity_aware=True)
-        t_uncompiled = best_of(uncompiled, repeats)
-
-    with make_communicator(p, backend=backend) as comm:
-        op = compile_spmm(matrix, comm, algorithm="1d", sparsity_aware=True)
-
-        def compiled():
-            for _ in range(epochs):
-                for f in widths:
-                    op(denses[f])
-        t_compiled = best_of(compiled, repeats)
-
-    return {
-        "n": n, "nnz": int(adj.nnz), "widths": list(widths), "p": p,
-        "backend": backend, "epochs_per_run": epochs,
-        "uncompiled_s": t_uncompiled,
-        "compiled_s": t_compiled,
-        "compiled_speedup": t_uncompiled / t_compiled,
-    }
 
 
 def bench_overlapped_epoch(n: int, avg_degree: int, widths, p: int,
@@ -501,13 +460,6 @@ def main(argv=None) -> int:
     # backward 16, 16, n_classes collapse onto these distinct widths.
     widths = (32, 16, 16, 16, 16, 8)
     cells = {
-        "compiled_epoch_sim": lambda: bench_compiled_epoch(
-            n=1500 if quick else 6000, avg_degree=10, widths=widths, p=4,
-            backend="sim", epochs=1 if quick else 2, repeats=repeats),
-        "compiled_epoch_process": lambda: bench_compiled_epoch(
-            n=1000 if quick else 4000, avg_degree=10, widths=widths, p=2,
-            backend="process", epochs=1 if quick else 2,
-            repeats=min(repeats, 3)),
         # Overlapped (pipeline_depth=2) vs synchronous compiled epoch.
         # The sim cell compares *simulated clocks* (deterministic model
         # prediction of the overlap win); the process cell is wall-clock.
@@ -575,9 +527,6 @@ def main(argv=None) -> int:
         if args.only else round(time.time() - start, 2)
     out_path.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {out_path}")
-    for backend in ("sim", "process"):
-        print(f"  compiled vs uncompiled epoch ({backend}): "
-              f"{payload[f'compiled_epoch_{backend}']['compiled_speedup']:.2f}x")
     print(f"  overlapped vs synchronous epoch (sim, simulated clock): "
           f"{payload['overlapped_epoch_sim']['overlap_speedup']:.2f}x")
     overlap_process = payload["overlapped_epoch_process"]
