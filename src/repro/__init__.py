@@ -41,7 +41,7 @@ Quickstart::
 from .comm import (Communicator, MachineModel, available_backends,
                    make_communicator, perlmutter)
 from .core import (Algorithm, DistTrainConfig, DistTrainResult, DistributedGCN,
-                   ProcessGrid, SpmmEngine, setup_distributed,
+                   ProcessGrid, setup_distributed,
                    single_spmm_volume_table, spmm, train_distributed)
 from .gcn import GCNModel, ReferenceTrainConfig, train_reference
 from .graphs import GraphDataset, load_dataset
@@ -55,7 +55,7 @@ __all__ = [
     "Communicator", "MachineModel", "available_backends", "make_communicator",
     "perlmutter",
     "Algorithm", "DistTrainConfig", "DistTrainResult", "DistributedGCN",
-    "ProcessGrid", "SpmmEngine", "setup_distributed",
+    "ProcessGrid", "setup_distributed",
     "single_spmm_volume_table", "spmm", "train_distributed",
     "GCNModel", "ReferenceTrainConfig", "train_reference",
     "GraphDataset", "load_dataset",

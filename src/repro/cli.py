@@ -754,7 +754,7 @@ def _cmd_trace(args) -> int:
 
 def _cmd_memory(args) -> int:
     # The paper's out-of-memory points are for its schedule (A X
-    # recomputed every epoch), as in feasible_process_counts.
+    # recomputed every epoch).
     config = DistTrainConfig(n_ranks=args.ranks, hidden=args.hidden,
                              n_layers=args.layers, epochs=1,
                              cache_input_propagation=False)

@@ -20,9 +20,7 @@ swappable communicator backends behind one abstract interface:
 * :mod:`repro.comm.machine`     — alpha-beta machine models (Perlmutter preset),
 * :mod:`repro.comm.events`      — per-message event log,
 * :mod:`repro.comm.timeline`    — per-rank clocks and category attribution,
-* :mod:`repro.comm.collectives` — cost formulas for collectives,
-* :mod:`repro.comm.tracker`     — volume/timing statistics used by the
-  benchmark harness.
+* :mod:`repro.comm.collectives` — cost formulas for collectives.
 
 See ``docs/backends.md`` for how to pick a backend and how to add one.
 """
@@ -40,7 +38,6 @@ from .process import ProcessPoolCommunicator
 from .simulator import SimCommunicator
 from .threaded import ThreadedCommunicator
 from .timeline import Timeline, WAIT_CATEGORY
-from .tracker import CommStats, VolumeStats, volume_stats_from_send_bytes
 
 __all__ = [
     "CommHandle",
@@ -69,7 +66,4 @@ __all__ = [
     "SimCommunicator",
     "Timeline",
     "WAIT_CATEGORY",
-    "CommStats",
-    "VolumeStats",
-    "volume_stats_from_send_bytes",
 ]

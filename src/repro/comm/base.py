@@ -55,8 +55,8 @@ The interface has five parts:
 
 Every backend owns an :class:`~repro.comm.events.EventLog` (per-message
 volume ground truth) and a :class:`~repro.comm.timeline.Timeline` (per-rank
-clocks — simulated or wall), so the reporting surface (:attr:`stats`,
-:meth:`elapsed`, :meth:`breakdown`, :meth:`stats_summary`) is uniform
+clocks — simulated or wall), so the reporting surface (:meth:`elapsed`,
+:meth:`breakdown`, :meth:`stats_summary`) is uniform
 across backends and the benchmark harness does not care which one ran.
 """
 
@@ -71,7 +71,6 @@ from ..obs.tracer import NULL_SPAN, TRACE
 from .events import EventLog
 from .faults import FaultPlan
 from .timeline import Timeline
-from .tracker import CommStats
 
 __all__ = ["CommHandle", "CompletedCommHandle", "Communicator",
            "payload_nbytes", "reduce_into", "reduce_stack"]
@@ -710,14 +709,28 @@ class Communicator(abc.ABC):
     # ------------------------------------------------------------------
     # Reporting (uniform across backends)
     # ------------------------------------------------------------------
-    @property
-    def stats(self) -> CommStats:
-        """Aggregated statistics view over this communicator's history."""
-        return CommStats(self.nranks, self.events, self.timeline)
-
     def stats_summary(self) -> Dict[str, float]:
-        """Flat summary dict (volume + timing) for benchmark rows."""
-        return self.stats.summary()
+        """Flat summary dict (volume + timing) for benchmark rows.
+
+        Per-rank send volume as in the paper's Table 2 (total, average
+        and maximum MB, imbalance ``(max / avg - 1) * 100`` percent), the
+        message count, the makespan and the bottleneck rank's seconds per
+        category (``time_<category>_s``).
+        """
+        sends = self.events.bytes_sent_by_rank(self.nranks)
+        avg = float(sends.mean())
+        peak = int(sends.max())
+        out: Dict[str, float] = {
+            "elapsed_s": self.timeline.elapsed(),
+            "total_MB": int(sends.sum()) / 1e6,
+            "avg_MB_per_rank": avg / 1e6,
+            "max_MB_per_rank": peak / 1e6,
+            "imbalance_pct": ((peak / avg) - 1.0) * 100.0 if avg > 0 else 0.0,
+            "messages": float(self.events.message_count()),
+        }
+        for cat, sec in self.timeline.breakdown().items():
+            out[f"time_{cat}_s"] = sec
+        return out
 
     def elapsed(self) -> float:
         """Makespan so far: the maximum rank clock (simulated or wall)."""

@@ -10,8 +10,8 @@ sends more bytes than the oblivious one".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
@@ -144,15 +144,6 @@ class EventLog:
                 out[e.src] += e.nbytes
         return out
 
-    def bytes_received_by_rank(self, nranks: int,
-                               category: Optional[str] = None) -> np.ndarray:
-        """Vector of bytes received by each rank."""
-        out = np.zeros(nranks, dtype=np.int64)
-        for e in self._events:
-            if category is None or e.category == category:
-                out[e.dst] += e.nbytes
-        return out
-
     def traffic_matrix(self, nranks: int,
                        category: Optional[str] = None) -> np.ndarray:
         """``(nranks, nranks)`` matrix: entry ``[i, j]`` is bytes ``i -> j``."""
@@ -170,12 +161,3 @@ class EventLog:
         self._events.clear()
         self._step = 0
         self._totals = {None: [0, 0]}
-
-    def merge(self, other: "EventLog") -> None:
-        """Append all events of ``other`` (step ids are re-based)."""
-        base = self._step
-        for e in other._events:
-            self.record(CommEvent(kind=e.kind, src=e.src, dst=e.dst,
-                                  nbytes=e.nbytes, category=e.category,
-                                  step=e.step + base))
-        self._step = base + other._step

@@ -13,7 +13,7 @@ are the advance of ``max(clock)`` over an epoch.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -97,15 +97,6 @@ class Timeline:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    def categories(self) -> List[str]:
-        return sorted(self._by_category)
-
-    def category_seconds(self, category: str) -> np.ndarray:
-        """Per-rank seconds spent in ``category`` (zeros if unknown)."""
-        if category in self._by_category:
-            return self._by_category[category].copy()
-        return np.zeros(self.nranks, dtype=np.float64)
-
     def breakdown(self, reduce: str = "max",
                   include_wait: bool = False) -> Dict[str, float]:
         """Per-category summary across ranks.
@@ -133,12 +124,6 @@ class Timeline:
     def per_rank_breakdown(self) -> Dict[str, np.ndarray]:
         """Full per-rank, per-category matrix of seconds."""
         return {cat: arr.copy() for cat, arr in self._by_category.items()}
-
-    # ------------------------------------------------------------------
-    def checkpoint(self) -> float:
-        """Convenience for epoch timing: returns the current makespan so a
-        caller can later subtract it from a new :meth:`elapsed`."""
-        return self.elapsed()
 
     def reset(self) -> None:
         self._clock[:] = 0.0

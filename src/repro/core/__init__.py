@@ -18,14 +18,12 @@ from .checkpoint import (CheckpointError, CheckpointManager,
                          read_checkpoint, write_checkpoint)
 from .dist_gcn import DistLayerCache, DistributedGCN
 from .dist_matrix import BlockRowDistribution, DistDenseMatrix, DistSparseMatrix
-from .engine import (SpmmEngine, SpmmVariant, available_spmm_variants,
-                     get_spmm, spmm)
+from .engine import SpmmVariant, available_spmm_variants, get_spmm, spmm
 from .gradsync import (GRAD_DTYPES, DeferredScalar, GradientExchanger,
                        PendingGradients, decode_bfloat16,
                        default_bucket_bytes, encode_bfloat16)
-from .memory import (MemoryEstimate, estimate_rank_memory,
-                     feasible_process_counts, fits_in_memory)
-from .nnzcols import BlockColumnInfo, nnz_columns_per_block, split_block_row
+from .memory import MemoryEstimate, estimate_rank_memory, fits_in_memory
+from .nnzcols import BlockColumnInfo, split_block_row
 from .spmm_15d import ProcessGrid
 from .trainer import (DistEpochRecord, DistributedSetup, DistTrainResult,
                       setup_distributed, train_distributed)
@@ -45,13 +43,11 @@ __all__ = [
     "spmm_cost_15d_oblivious", "spmm_cost_15d_sparsity_aware",
     "DistLayerCache", "DistributedGCN",
     "BlockRowDistribution", "DistDenseMatrix", "DistSparseMatrix",
-    "SpmmEngine", "SpmmVariant", "available_spmm_variants", "get_spmm",
-    "spmm",
+    "SpmmVariant", "available_spmm_variants", "get_spmm", "spmm",
     "GRAD_DTYPES", "DeferredScalar", "GradientExchanger", "PendingGradients",
     "decode_bfloat16", "default_bucket_bytes", "encode_bfloat16",
-    "MemoryEstimate", "estimate_rank_memory", "feasible_process_counts",
-    "fits_in_memory",
-    "BlockColumnInfo", "nnz_columns_per_block", "split_block_row",
+    "MemoryEstimate", "estimate_rank_memory", "fits_in_memory",
+    "BlockColumnInfo", "split_block_row",
     "ProcessGrid",
     "DistEpochRecord", "DistributedSetup", "DistTrainResult",
     "setup_distributed", "train_distributed",

@@ -6,8 +6,8 @@ backward ``A G`` per layer, ``2L`` per epoch, or ``2L - 2`` at the narrow
 side of each layer once the constant layer-0 product ``A X`` is cached
 (``cache_input_propagation``, :meth:`DistributedGCN.backward`) —
 replaced by the distributed 1D / 1.5D,
-sparsity-oblivious / sparsity-aware algorithms of the paper, dispatched
-through the :class:`~repro.core.engine.SpmmEngine` on any
+sparsity-oblivious / sparsity-aware algorithms of the paper, compiled by
+:func:`repro.core.engine.compile` for any
 :class:`~repro.comm.base.Communicator` backend (simulated or real).  Activations,
 losses and weight updates are computed on the simulated ranks that own the
 corresponding block rows, with weight gradients combined by a small
@@ -33,8 +33,8 @@ from ..gcn.init import init_weights
 from ..gcn.loss import softmax
 from .config import Algorithm
 from .costmodel import epoch_spmm_widths, inference_spmm_widths
-from .dist_matrix import BlockRowDistribution, DistDenseMatrix, DistSparseMatrix
-from .engine import CompiledSpmm, SpmmEngine
+from .dist_matrix import DistDenseMatrix, DistSparseMatrix
+from .engine import CompiledSpmm, compile as compile_spmm
 from .gradsync import DeferredScalar, GradientExchanger, PendingGradients
 from .spmm_15d import ProcessGrid
 
@@ -118,8 +118,8 @@ class DistributedGCN:
         paper's figures count the paper's schedule; the trainer turns it
         on through ``DistTrainConfig.cache_input_propagation``.
 
-    Every distributed SpMM the model issues in its dtype runs through
-    **one compiled operator** (:meth:`repro.core.engine.SpmmEngine.compile`),
+    Every distributed SpMM the model issues runs through **one compiled
+    operator** (:func:`repro.core.engine.compile`),
     compiled at construction time — i.e. once per training run or serving
     engine.  The plan is width-free: the training forward/backward SpMMs,
     the one-off ``A X`` panels and every serving batch width run on it,
@@ -172,8 +172,6 @@ class DistributedGCN:
             raise ValueError(f"unknown algorithm {algorithm!r}")
         self.grid = grid
         self.dtype = np.dtype(dtype)
-        self._engine = SpmmEngine(comm, algorithm=algorithm,
-                                  sparsity_aware=sparsity_aware, grid=grid)
 
         self.layer_dims = [int(d) for d in layer_dims]
         if self.layer_dims[0] != features_dist.width:
@@ -204,8 +202,10 @@ class DistributedGCN:
                     "entries differ from their transpose); "
                     "cache_input_propagation reassociates the backward "
                     "through A = A^T")
-        self._op = self._engine.compile(adjacency_dist, dtype=self.dtype,
-                                        pipeline_depth=self.pipeline_depth)
+        self._op = compile_spmm(adjacency_dist, comm, algorithm=algorithm,
+                                sparsity_aware=sparsity_aware, grid=grid,
+                                dtype=self.dtype,
+                                pipeline_depth=self.pipeline_depth)
         # (features operand, owned A X): keyed on the operand's identity,
         # so assigning new ``features`` to a live model recomputes.
         self._input_propagation: Optional[
@@ -267,22 +267,15 @@ class DistributedGCN:
     # ------------------------------------------------------------------
     # distributed SpMM dispatch
     # ------------------------------------------------------------------
-    @property
-    def engine(self) -> SpmmEngine:
-        """The engine dispatching this model's distributed SpMMs."""
-        return self._engine
-
     def spmm(self, dense: DistDenseMatrix) -> DistDenseMatrix:
         """``A^T @ dense`` with the configured distributed algorithm.
 
         Any width in the model dtype runs on the compiled plan
-        (metadata-free hot path); another dtype falls back to
-        compile-and-run-once dispatch.  The result is valid until the
-        model's next SpMM of any width (the plan's lifetime rule).
+        (metadata-free hot path); another dtype raises ``ValueError``.
+        The result is valid until the model's next SpMM of any width
+        (the plan's lifetime rule).
         """
-        if dense.dtype == self.dtype:
-            return self._op(dense)
-        return self._engine.run(self.adjacency, dense)
+        return self._op(dense)
 
     def compiled_op(self, width: int) -> CompiledSpmm:
         """The model's compiled plan, which runs ``width`` like any

@@ -72,12 +72,6 @@ class BlockRowDistribution:
             raise ValueError(f"block {block} out of range [0, {self.nblocks})")
         return int(self.bounds[block]), int(self.bounds[block + 1])
 
-    def owner_of(self, row: int) -> int:
-        """The block owning a global row index."""
-        if not (0 <= row < self.n):
-            raise ValueError(f"row {row} out of range [0, {self.n})")
-        return int(np.searchsorted(self.bounds, row, side="right") - 1)
-
     def block_size(self, block: int) -> int:
         return int(self.block_sizes[block])
 

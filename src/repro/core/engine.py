@@ -12,9 +12,8 @@ seam:
   :func:`register_spmm_compiler`;
 * **common operand-compatibility checks** (:func:`check_block_operands`,
   :func:`check_grid_operands`) shared by the algorithm implementations;
-* **dispatch** (:func:`spmm`, :class:`SpmmEngine`) that works with any
-  :class:`~repro.comm.base.Communicator` backend — simulated or real;
-* **compiled execution** (:func:`compile`, :class:`CompiledSpmm`): the
+* **compiled execution** (:func:`compile`, :class:`CompiledSpmm`) on any
+  :class:`~repro.comm.base.Communicator` backend, simulated or real: the
   plan/execute split.  Compiling a variant against one matrix
   precomputes every piece of per-call metadata the sparsity-aware
   exchanges need (packed NnzCols gather indices, compacted CSR blocks,
@@ -33,22 +32,22 @@ seam:
 Typical use::
 
     from repro.comm import make_communicator
-    from repro.core.engine import SpmmEngine
+    from repro.core.engine import compile, spmm
 
     comm = make_communicator(p, backend="threaded")
-    engine = SpmmEngine(comm, algorithm="1d", sparsity_aware=True)
-    z = engine.run(matrix, dense)          # Z = M H (compile + run once)
+    z = spmm(matrix, dense, comm, algorithm="1d", sparsity_aware=True)
+                                            # Z = M H (compile + run once)
 
-    op = engine.compile(matrix)
+    op = compile(matrix, comm, algorithm="1d", sparsity_aware=True)
     for _ in range(epochs):
         z = op(dense)                       # plan reuse, zero re-setup
 
-:func:`spmm` and :meth:`SpmmEngine.run` are the one-shot path: they
-compile the variant at ``dense.dtype`` and call the plan once, so a
-one-shot product runs exactly the communication and accounting sequence
-of a compiled plan's call.  Compiled results are views into the
-operator's reused workspaces: they stay valid until the operator's next
-call, at any width (see ``docs/performance.md`` for the lifetime rules).
+:func:`spmm` is the one-shot path: it compiles the variant at
+``dense.dtype`` and calls the plan once, so a one-shot product runs
+exactly the communication and accounting sequence of a compiled plan's
+call.  Compiled results are views into the operator's reused
+workspaces: they stay valid until the operator's next call, at any
+width (see ``docs/performance.md`` for the lifetime rules).
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ from ..comm.base import Communicator
 from ..obs.tracer import TRACE
 
 __all__ = [
-    "CompiledSpmm", "MODES", "SpmmEngine", "SpmmVariant", "Stage",
+    "CompiledSpmm", "MODES", "SpmmVariant", "Stage",
     "Workspace", "available_spmm_variants", "check_block_operands",
     "check_grid_operands", "compile", "get_spmm", "mode_name",
     "register_spmm_compiler", "spmm",
@@ -437,9 +436,6 @@ def compile(matrix, comm: Communicator, algorithm: str = "1d",
                             pipeline_depth=pipeline_depth, **categories)
 
 
-# ----------------------------------------------------------------------
-# Dispatch
-# ----------------------------------------------------------------------
 def spmm(matrix, dense, comm: Communicator, algorithm: str = "1d",
          sparsity_aware: bool = True, grid=None, **categories):
     """Compute ``Z = M H`` once with the registered (algorithm, mode)
@@ -451,50 +447,6 @@ def spmm(matrix, dense, comm: Communicator, algorithm: str = "1d",
     block-row distribution; 1.5D requires the matching
     :class:`~repro.core.spmm_15d.ProcessGrid`.
     """
-    return SpmmEngine(comm, algorithm=algorithm,
-                      sparsity_aware=sparsity_aware,
-                      grid=grid).run(matrix, dense, **categories)
-
-
-class SpmmEngine:
-    """A communicator-bound dispatcher for one (algorithm, mode) variant.
-
-    The engine is the object the distributed GCN, the trainer and the
-    benchmark harness hold instead of concrete plan classes; swapping
-    the algorithm or the communicator backend never touches those layers.
-    """
-
-    def __init__(self, comm: Communicator, algorithm: str = "1d",
-                 sparsity_aware: bool = True, grid=None) -> None:
-        self.comm = comm
-        self.variant = get_spmm(algorithm, sparsity_aware=sparsity_aware)
-        self.variant.check_grid(grid)
-        self.grid = grid
-
-    @property
-    def algorithm(self) -> str:
-        return self.variant.algorithm
-
-    @property
-    def mode(self) -> str:
-        return self.variant.mode
-
-    def run(self, matrix, dense, **categories):
-        """Compute ``Z = M H`` once: compile this engine's variant at
-        ``dense.dtype`` and call the plan once."""
-        return self.compile(matrix, dtype=dense.dtype, **categories)(dense)
-
-    def compile(self, matrix, dtype=np.float64, pipeline_depth: int = 1,
-                **categories) -> CompiledSpmm:
-        """Build a persistent plan for this engine's variant/communicator.
-
-        See :func:`compile`; the engine supplies the variant, grid and
-        communicator it was constructed with.
-        """
-        return compile(matrix, self.comm, algorithm=self.algorithm,
-                       mode=self.mode, grid=self.grid, dtype=dtype,
-                       pipeline_depth=pipeline_depth, **categories)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"SpmmEngine(algorithm={self.algorithm!r}, mode={self.mode!r}, "
-                f"backend={self.comm.backend_name!r}, nranks={self.comm.nranks})")
+    return compile(matrix, comm, algorithm=algorithm,
+                   sparsity_aware=sparsity_aware, grid=grid,
+                   dtype=dense.dtype, **categories)(dense)

@@ -22,18 +22,18 @@ infeasible, and so users can size runs before launching them:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..comm.machine import MachineModel, get_machine
 from .analysis import ELEMENT_BYTES
-from .config import Algorithm, DistTrainConfig
+from .config import Algorithm, DistTrainConfig, training_layer_dims
 from .costmodel import epoch_spmm_widths
 
 __all__ = ["MemoryEstimate", "estimate_rank_memory", "fits_in_memory",
-           "feasible_process_counts", "measure_dist_matrix_bytes",
+           "measure_dist_matrix_bytes",
            "CSR_INDEX_BYTES"]
 
 #: bytes per CSR stored nonzero: one float64 value plus one int32 column index.
@@ -77,13 +77,6 @@ class MemoryEstimate:
         }
 
 
-def _layer_dims(n_features: int, n_classes: int, hidden: int,
-                n_layers: int) -> List[int]:
-    if n_layers == 1:
-        return [n_features, n_classes]
-    return [n_features] + [hidden] * (n_layers - 1) + [n_classes]
-
-
 def estimate_rank_memory(n_vertices: int, n_edges_stored: int,
                          n_features: int, n_classes: int,
                          config: DistTrainConfig,
@@ -115,7 +108,8 @@ def estimate_rank_memory(n_vertices: int, n_edges_stored: int,
     adjacency = nnz_per_rank * (CSR_VALUE_BYTES + CSR_INDEX_BYTES) + \
         (rows_per_rank + 1) * CSR_INDEX_BYTES
 
-    dims = _layer_dims(n_features, n_classes, config.hidden, config.n_layers)
+    dims = training_layer_dims(n_features, n_classes, config.hidden,
+                               config.n_layers)
     # Forward caches: the input features plus pre-activation and activation
     # of every layer (the trainer stores h_in, z, h_out per layer).
     activation = rows_per_rank * dims[0] * element_bytes + \
@@ -218,34 +212,3 @@ def fits_in_memory(estimate: MemoryEstimate,
         raise ValueError("safety_factor must lie in (0, 1]")
     machine = get_machine(machine)
     return estimate.total_bytes <= safety_factor * machine.memory_bytes
-
-
-def feasible_process_counts(n_vertices: int, n_edges_stored: int,
-                            n_features: int, n_classes: int,
-                            p_values: Sequence[int],
-                            machine: "str | MachineModel",
-                            algorithm: str = "1d",
-                            replication_factor: int = 1,
-                            hidden: int = 16, n_layers: int = 3,
-                            safety_factor: float = 0.9) -> List[int]:
-    """The subset of ``p_values`` whose per-rank footprint fits in memory.
-
-    This is how the benchmark harness reproduces the paper's missing data
-    points (the out-of-memory runs) without actually allocating anything.
-    """
-    feasible = []
-    for p in p_values:
-        try:
-            config = DistTrainConfig(n_ranks=p, algorithm=algorithm,
-                                     replication_factor=replication_factor,
-                                     hidden=hidden, n_layers=n_layers,
-                                     epochs=1,
-                                     # the paper's runs recompute A X
-                                     cache_input_propagation=False)
-        except ValueError:
-            continue
-        estimate = estimate_rank_memory(n_vertices, n_edges_stored,
-                                        n_features, n_classes, config)
-        if fits_in_memory(estimate, machine, safety_factor=safety_factor):
-            feasible.append(p)
-    return feasible

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["BlockColumnInfo", "split_block_row", "nnz_columns_per_block"]
+__all__ = ["BlockColumnInfo", "split_block_row"]
 
 
 class BlockColumnInfo:
@@ -136,9 +136,3 @@ def split_block_row(block_row: sp.spmatrix, bounds: Sequence[int]
             width=hi - lo,
         ))
     return infos
-
-
-def nnz_columns_per_block(block_row: sp.spmatrix, bounds: Sequence[int]
-                          ) -> List[np.ndarray]:
-    """Just the ``NnzCols`` index lists (local to each block)."""
-    return [info.nnz_cols_local for info in split_block_row(block_row, bounds)]

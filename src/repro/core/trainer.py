@@ -127,10 +127,6 @@ class DistributedSetup:
     plan: Optional[object] = None
 
 
-def _layer_dims(n_features: int, n_classes: int, cfg: DistTrainConfig) -> List[int]:
-    return training_layer_dims(n_features, n_classes, cfg.hidden, cfg.n_layers)
-
-
 def setup_distributed(dataset: GraphDataset, config: DistTrainConfig,
                       partition: Optional[PartitionResult] = None
                       ) -> DistributedSetup:
@@ -244,7 +240,8 @@ def _build_setup(dataset: GraphDataset, config: DistTrainConfig,
         grid = ProcessGrid(nranks=config.n_ranks,
                            replication=config.replication_factor)
 
-    dims = _layer_dims(node_data.n_features, node_data.n_classes, config)
+    dims = training_layer_dims(node_data.n_features, node_data.n_classes,
+                               config.hidden, config.n_layers)
     model = DistributedGCN(
         adjacency_dist=adjacency_dist,
         features_dist=features_dist,
@@ -361,8 +358,9 @@ def _recover_config(dataset: GraphDataset, config: DistTrainConfig,
         cache=cache,
         cache_read_only=True,
     )
-    dims = _layer_dims(dataset.node_data.n_features,
-                       dataset.node_data.n_classes, config)
+    dims = training_layer_dims(dataset.node_data.n_features,
+                               dataset.node_data.n_classes, config.hidden,
+                               config.n_layers)
     report = planner.plan(dataset.adjacency, dims, survivors)
     return dataclasses.replace(config, **report.plan.as_config_kwargs()), None
 

@@ -14,7 +14,7 @@ from .init import glorot_normal, glorot_uniform, init_weights, layer_seeds
 from .layers import GraphConvLayer, LayerCache, LayerGradients
 from .loss import (loss_and_grad, masked_cross_entropy,
                    masked_cross_entropy_grad, softmax)
-from .metrics import accuracy, confusion_counts, f1_macro, masked_accuracy
+from .metrics import accuracy, masked_accuracy
 from .model import ForwardState, GCNModel
 from .train import (EpochRecord, ReferenceTrainConfig, TrainResult,
                     train_reference)
@@ -25,7 +25,7 @@ __all__ = [
     "GraphConvLayer", "LayerCache", "LayerGradients",
     "loss_and_grad", "masked_cross_entropy", "masked_cross_entropy_grad",
     "softmax",
-    "accuracy", "confusion_counts", "f1_macro", "masked_accuracy",
+    "accuracy", "masked_accuracy",
     "ForwardState", "GCNModel",
     "EpochRecord", "ReferenceTrainConfig", "TrainResult", "train_reference",
 ]

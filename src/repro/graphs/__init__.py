@@ -14,8 +14,8 @@ from .features import (NodeData, make_features, make_node_data,
                        planted_labels, train_val_test_split)
 from .generators import (chung_lu_graph, community_ring_graph,
                          erdos_renyi_graph, grid_graph,
-                         preferential_attachment_graph, remove_self_loops,
-                         rmat_graph, symmetrize)
+                         preferential_attachment_graph, rmat_graph,
+                         symmetrize)
 from .io import load_dataset_file, load_partition, save_dataset, save_partition
 
 __all__ = [
@@ -27,7 +27,7 @@ __all__ = [
     "NodeData", "make_features", "make_node_data", "planted_labels",
     "train_val_test_split",
     "chung_lu_graph", "community_ring_graph", "erdos_renyi_graph",
-    "grid_graph", "preferential_attachment_graph", "remove_self_loops",
-    "rmat_graph", "symmetrize",
+    "grid_graph", "preferential_attachment_graph", "rmat_graph",
+    "symmetrize",
     "load_dataset_file", "load_partition", "save_dataset", "save_partition",
 ]

@@ -34,7 +34,6 @@ __all__ = [
     "erdos_renyi_graph",
     "grid_graph",
     "symmetrize",
-    "remove_self_loops",
 ]
 
 
@@ -48,15 +47,6 @@ def symmetrize(adj: sp.spmatrix) -> sp.csr_matrix:
     sym.data[:] = 1.0
     sym.eliminate_zeros()
     return sym.tocsr()
-
-
-def remove_self_loops(adj: sp.spmatrix) -> sp.csr_matrix:
-    """Zero out the diagonal of an adjacency matrix."""
-    adj = adj.tolil(copy=True)
-    adj.setdiag(0)
-    out = adj.tocsr()
-    out.eliminate_zeros()
-    return out
 
 
 def _edges_to_csr(n: int, rows: np.ndarray, cols: np.ndarray) -> sp.csr_matrix:

@@ -17,7 +17,7 @@ The package has three layers (see docs/observability.md):
   summarizer.
 """
 
-from .tracer import NULL_SPAN, TRACE, Tracer, disable, enable, is_enabled
+from .tracer import NULL_SPAN, TRACE, Tracer, enable
 from .metrics import MetricsRegistry, percentile, prometheus_text
 from .export import (metrics_from_spans, save_trace, trace_events,
                      trace_summary)
@@ -27,9 +27,7 @@ __all__ = [
     "TRACE",
     "Tracer",
     "MetricsRegistry",
-    "disable",
     "enable",
-    "is_enabled",
     "metrics_from_spans",
     "percentile",
     "prometheus_text",

@@ -5,23 +5,25 @@ for the full catalogue): snake_case metric names, ``_total`` suffix for
 counters, ``_seconds`` / ``_bytes`` unit suffixes, labels for
 categorical axes (``comm_bytes_total{category="alltoall"}``).
 
-The registry renders three ways:
+The registry renders two ways:
 
 * :meth:`MetricsRegistry.as_dict` — a flat ``{key: value}`` mapping
   whose keys already carry the labels in Prometheus sample syntax.
   Histograms expand into ``_count`` / ``_sum`` / ``_min`` / ``_max`` /
   ``_mean`` / ``_p50`` / ``_p95`` / ``_p99`` summary samples.  This is what
   ``DistTrainResult.metrics`` stores (plain JSON-able dict, picklable).
-* :meth:`MetricsRegistry.to_json` — the same dict as a JSON document.
 * :func:`prometheus_text` — Prometheus text exposition rendered from a
   flat dict, so a snapshot that travelled through a result object can
   still be exported without the registry that produced it.  String
   values render as info-style samples (``name{value="..."} 1``).
+
+Label values are escaped as the text format requires (backslash, double
+quote and newline), so a client-supplied value such as a tenant name
+cannot close its label set or start a sample line of its own.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 from typing import Any, Dict, List, Mapping, Tuple
@@ -35,10 +37,16 @@ def _key(name: str, labels: Dict[str, Any]) -> _Key:
     return name, tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
+def _escape(value: str) -> str:
+    """A label value in text-exposition syntax."""
+    return value.replace("\\", "\\\\").replace('"', '\\"') \
+        .replace("\n", "\\n")
+
+
 def _fmt(name: str, labels: Tuple[Tuple[str, str], ...]) -> str:
     if not labels:
         return name
-    inner = ",".join(f'{k}="{v}"' for k, v in labels)
+    inner = ",".join(f'{k}="{_escape(v)}"' for k, v in labels)
     return f"{name}{{{inner}}}"
 
 
@@ -119,16 +127,14 @@ class MetricsRegistry:
             flat[_fmt(name + "_p99", labels)] = _percentile(ordered, 0.99)
         return dict(sorted(flat.items()))
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
-
 
 def prometheus_text(flat: Mapping[str, Any]) -> str:
     """Render a flat metrics dict as Prometheus text exposition.
 
     Keys are assumed to already be in sample syntax
-    (``name{label="v"}`` or bare names); booleans render as 0/1 and
-    strings as info-style samples with a ``value`` label.
+    (``name{label="v"}`` or bare names); booleans render as 0/1, NaN and
+    infinities as ``NaN`` / ``+Inf`` / ``-Inf``, and strings as
+    info-style samples with a ``value`` label.
     """
     lines = []
     for key in sorted(flat):
@@ -136,11 +142,11 @@ def prometheus_text(flat: Mapping[str, Any]) -> str:
         if isinstance(v, bool):
             v = int(v)
         if isinstance(v, (int, float)):
-            if isinstance(v, float) and math.isnan(v):
-                v = "NaN"
+            if isinstance(v, float) and not math.isfinite(v):
+                v = "NaN" if math.isnan(v) else ("+Inf" if v > 0 else "-Inf")
             lines.append(f"{key} {v}")
         else:
-            label = f'value="{v}"'
+            label = f'value="{_escape(str(v))}"'
             if key.endswith("}"):
                 lines.append(f"{key[:-1]},{label}}} 1")
             else:

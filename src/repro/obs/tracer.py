@@ -35,8 +35,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
-__all__ = ["NULL_SPAN", "Span", "TRACE", "Tracer", "disable", "enable",
-           "is_enabled"]
+__all__ = ["NULL_SPAN", "Span", "TRACE", "Tracer", "enable"]
 
 #: Track name for spans recorded in the driver process.
 DRIVER_TRACK = "driver"
@@ -136,13 +135,6 @@ class Tracer:
         if self.enabled:
             self._spans.append((track, name, cat, t0, t1, args or {}))
 
-    def instant(self, name: str, cat: str = "", track: str = DRIVER_TRACK,
-                args: Optional[Dict[str, Any]] = None) -> None:
-        """Record a zero-duration marker."""
-        if self.enabled:
-            t = perf_counter()
-            self._spans.append((track, name, cat, t, t, args or {}))
-
     def annotate(self, **args) -> None:
         """Attach annotations to the innermost open driver span, if any.
 
@@ -169,12 +161,3 @@ TRACE = Tracer()
 def enable() -> Tracer:
     """Turn span recording on (module-level convenience)."""
     return TRACE.enable()
-
-
-def disable() -> Tracer:
-    """Turn span recording off."""
-    return TRACE.disable()
-
-
-def is_enabled() -> bool:
-    return TRACE.enabled

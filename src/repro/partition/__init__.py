@@ -20,8 +20,8 @@ from .coarsen import CoarseLevel, coarsen_graph, contract_graph, heavy_edge_matc
 from .gvb import GVBPartitioner
 from .initial import fix_empty_parts, greedy_graph_growing
 from .metis_like import MetisLikePartitioner
-from .metrics import (CommVolume, boundary_vertices, communication_volumes_1d,
-                      edgecut, load_imbalance, part_nonzeros, part_sizes,
+from .metrics import (CommVolume, communication_volumes_1d, edgecut,
+                      load_imbalance, part_nonzeros, part_sizes,
                       partition_report)
 from .multilevel import MultilevelConfig, MultilevelPartitioner
 from .random_block import (BlockPartitioner, RandomPartitioner,
@@ -35,7 +35,7 @@ __all__ = [
     "GVBPartitioner",
     "fix_empty_parts", "greedy_graph_growing",
     "MetisLikePartitioner",
-    "CommVolume", "boundary_vertices", "communication_volumes_1d",
+    "CommVolume", "communication_volumes_1d",
     "edgecut", "load_imbalance", "part_nonzeros", "part_sizes",
     "partition_report",
     "MultilevelConfig", "MultilevelPartitioner",

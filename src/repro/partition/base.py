@@ -67,13 +67,6 @@ class PartitionResult:
             raise ValueError(f"part {part} out of range [0, {self.nparts})")
         return np.flatnonzero(self.parts == part)
 
-    def relabeling(self) -> np.ndarray:
-        """Permutation ``perm[old_id] = new_id`` grouping parts contiguously."""
-        order = np.argsort(self.parts, kind="stable")
-        perm = np.empty_like(order)
-        perm[order] = np.arange(self.parts.size)
-        return perm
-
     def block_sizes(self) -> np.ndarray:
         """Row counts of the contiguous blocks after relabelling (== part sizes)."""
         return self.part_sizes()

@@ -30,7 +30,6 @@ __all__ = [
     "part_nonzeros",
     "load_imbalance",
     "edgecut",
-    "boundary_vertices",
     "CommVolume",
     "communication_volumes_1d",
     "partition_report",
@@ -74,18 +73,6 @@ def edgecut(adj: sp.spmatrix, parts: np.ndarray) -> int:
     mask = parts[adj.row] != parts[adj.col]
     # Each undirected edge appears twice in a symmetric matrix.
     return int(mask.sum() // 2)
-
-
-def boundary_vertices(adj: sp.spmatrix, parts: np.ndarray) -> np.ndarray:
-    """Boolean mask of vertices with at least one neighbour in another part."""
-    adj = adj.tocoo()
-    n = adj.shape[0]
-    parts = validate_parts(parts, int(parts.max()) + 1 if parts.size else 1, n)
-    out = np.zeros(n, dtype=bool)
-    cut_mask = parts[adj.row] != parts[adj.col]
-    out[adj.row[cut_mask]] = True
-    out[adj.col[cut_mask]] = True
-    return out
 
 
 @dataclass(frozen=True)

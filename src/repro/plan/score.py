@@ -36,7 +36,7 @@ from ..core.costmodel import (epoch_cost, epoch_spmm_widths,
 from ..core.gradsync import bucket_bytes_for_overhead
 from ..core.dist_matrix import (BlockRowDistribution, DistDenseMatrix,
                                 DistSparseMatrix)
-from ..core.engine import SpmmEngine
+from ..core.engine import compile as compile_spmm
 from ..core.spmm_15d import ProcessGrid
 from ..graphs.adjacency import (gcn_normalize, permutation_from_parts,
                                 symmetric_permutation)
@@ -205,13 +205,12 @@ def simulate_epoch_s(candidate: PlanCandidate,
                             "n_ranks": candidate.n_ranks,
                             "pipeline_depth": candidate.pipeline_depth})
     with span, comm:
-        engine = SpmmEngine(comm, algorithm=candidate.algorithm,
-                            sparsity_aware=candidate.sparsity_aware,
-                            grid=grid)
         denses = {f: DistDenseMatrix.from_global(
             np.ascontiguousarray(operand[:, :f]), matrix.dist)
             for f in sorted(set(widths))}
-        op = engine.compile(matrix, pipeline_depth=candidate.pipeline_depth)
+        op = compile_spmm(matrix, comm, algorithm=candidate.algorithm,
+                          sparsity_aware=candidate.sparsity_aware, grid=grid,
+                          pipeline_depth=candidate.pipeline_depth)
         start = comm.elapsed()
         for f in widths:
             op(denses[f])

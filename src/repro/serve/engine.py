@@ -53,6 +53,7 @@ dequeue with :class:`RequestExpired` before any SpMM work.  See
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 from dataclasses import dataclass
 from time import monotonic, perf_counter
@@ -125,6 +126,13 @@ class RequestExpired(RuntimeError):
             f"{waited_s * 1e3:.1f}ms in queue; shed before execution")
 
 
+def _finite_positive(value: float) -> bool:
+    """Whether a deadline or grace period is usable: NaN passes a plain
+    ``<= 0`` check yet sheds a request at once, and an infinite one
+    never fires."""
+    return math.isfinite(value) and value > 0
+
+
 @dataclass(frozen=True)
 class ServeOptions:
     """Knobs of one serving engine (see ``docs/serving.md``).
@@ -157,9 +165,9 @@ class ServeOptions:
         if self.max_batch_width < 1:
             raise ValueError(
                 f"max_batch_width must be >= 1, got {self.max_batch_width}")
-        if self.max_wait_ms < 0:
+        if not (math.isfinite(self.max_wait_ms) and self.max_wait_ms >= 0):
             raise ValueError(
-                f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
+                f"max_wait_ms must be finite and >= 0, got {self.max_wait_ms}")
         if self.queue_depth < 1:
             raise ValueError(
                 f"queue_depth must be >= 1, got {self.queue_depth}")
@@ -167,12 +175,12 @@ class ServeOptions:
             raise ValueError(
                 f"max_restarts must be >= 0, got {self.max_restarts}")
         if self.default_deadline_ms is not None \
-                and self.default_deadline_ms <= 0:
-            raise ValueError("default_deadline_ms must be positive, got "
-                             f"{self.default_deadline_ms}")
-        if self.stop_grace_s <= 0:
-            raise ValueError(
-                f"stop_grace_s must be positive, got {self.stop_grace_s}")
+                and not _finite_positive(self.default_deadline_ms):
+            raise ValueError("default_deadline_ms must be finite and "
+                             f"positive, got {self.default_deadline_ms}")
+        if not _finite_positive(self.stop_grace_s):
+            raise ValueError("stop_grace_s must be finite and positive, "
+                             f"got {self.stop_grace_s}")
 
 
 @dataclass
@@ -524,9 +532,9 @@ class ServingEngine:
                 f"{self.input_width}), got {features.shape}")
         if deadline_ms is None:
             deadline_ms = self.options.default_deadline_ms
-        elif deadline_ms <= 0:
+        elif not _finite_positive(deadline_ms):
             raise ValueError(
-                f"deadline_ms must be positive, got {deadline_ms}")
+                f"deadline_ms must be finite and positive, got {deadline_ms}")
         deadline = None if deadline_ms is None \
             else monotonic() + deadline_ms / 1000.0
         features = np.ascontiguousarray(features, dtype=self.model.dtype)

@@ -26,7 +26,8 @@ import comm_conformance as cc
 from repro.comm import make_communicator
 from repro.comm.process import ProcessPoolCommunicator
 from repro.core import (BlockRowDistribution, DistDenseMatrix,
-                        DistSparseMatrix, ProcessGrid, SpmmEngine)
+                        DistSparseMatrix, ProcessGrid, spmm)
+from repro.core.engine import compile as compile_spmm
 
 pytestmark = pytest.mark.conformance
 
@@ -257,11 +258,10 @@ def _sim_accounting(matrix, operands, grid, algorithm, mode, p, compiled):
     """``(events, clocks, breakdown)`` of running ``operands`` in order on
     a fresh simulator, uncompiled or through one compiled plan."""
     with make_communicator(p, backend="sim") as comm:
-        engine = SpmmEngine(comm, algorithm=algorithm,
-                            sparsity_aware=(mode == "sparsity_aware"),
-                            grid=grid)
-        run = engine.compile(matrix) if compiled else \
-            (lambda x: engine.run(matrix, x))
+        variant = dict(algorithm=algorithm, grid=grid,
+                       sparsity_aware=(mode == "sparsity_aware"))
+        run = compile_spmm(matrix, comm, **variant) if compiled else \
+            (lambda x: spmm(matrix, x, comm, **variant))
         for x in operands:
             run(x)
         return list(comm.events), comm.timeline.clocks.copy(), \
@@ -288,12 +288,13 @@ def _run_all_backends(matrix, wrap, h, widths, grid, algorithm, mode, p):
     for backend in cc.CONFORMANT_BACKENDS:
         comm = make_communicator(p, backend=backend)
         try:
-            engine = SpmmEngine(comm, algorithm=algorithm,
-                                sparsity_aware=(mode == "sparsity_aware"),
-                                grid=grid)
-            ref = [engine.run(matrix, x).to_global() for x in operands]
+            variant = dict(algorithm=algorithm, grid=grid,
+                           sparsity_aware=(mode == "sparsity_aware"))
+            ref = [spmm(matrix, x, comm, **variant).to_global()
+                   for x in operands]
             for depth in (1, 2):
-                op = engine.compile(matrix, pipeline_depth=depth)
+                op = compile_spmm(matrix, comm, pipeline_depth=depth,
+                                  **variant)
                 for call, (x, want) in enumerate(zip(operands, ref)):
                     np.testing.assert_array_equal(
                         op(x).to_global(), want,

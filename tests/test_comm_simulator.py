@@ -13,15 +13,15 @@ class TestConstruction:
 
     def test_stats_facade(self):
         comm = make_communicator(2)
-        assert comm.stats.total_bytes() == 0
-        assert comm.stats.elapsed() == 0.0
+        assert comm.events.total_bytes() == 0
+        assert comm.elapsed() == 0.0
 
     def test_reset(self):
         comm = make_communicator(2)
         comm.charge_seconds(0, 1.0)
         comm.broadcast(np.ones(4), root=0)
         comm.reset()
-        assert comm.stats.elapsed() == 0.0
+        assert comm.elapsed() == 0.0
         assert len(comm.events) == 0
 
     def test_group_validation(self):
@@ -167,13 +167,13 @@ class TestAlltoallv:
         send = self._payloads(3, size=8)
         comm.alltoallv(send)
         total = sum(arr.nbytes for row in send for arr in row if arr is not None)
-        assert comm.stats.total_bytes("alltoall") == total
+        assert comm.events.total_bytes("alltoall") == total
 
     def test_none_payloads_cost_nothing(self):
         comm = make_communicator(2)
         recv = comm.alltoallv([[None, None], [None, None]])
         assert recv[0][1] is None
-        assert comm.stats.total_bytes() == 0
+        assert comm.events.total_bytes() == 0
         assert comm.timeline.elapsed() == 0.0
 
     def test_shape_validation(self):
@@ -201,7 +201,7 @@ class TestExchange:
     def test_self_message_is_free(self):
         comm = make_communicator(2)
         comm.exchange([(1, 1, np.ones(100))])
-        assert comm.stats.total_bytes() == 0
+        assert comm.events.total_bytes() == 0
 
     def test_invalid_rank_rejected(self):
         comm = make_communicator(2)

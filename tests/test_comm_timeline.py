@@ -60,8 +60,9 @@ class TestSynchronize:
         t = Timeline(2)
         t.advance(0, 3.0, "local")
         t.synchronize()
-        assert t.category_seconds(WAIT_CATEGORY)[1] == pytest.approx(3.0)
-        assert t.category_seconds(WAIT_CATEGORY)[0] == 0.0
+        waited = t.per_rank_breakdown()[WAIT_CATEGORY]
+        assert waited[1] == pytest.approx(3.0)
+        assert waited[0] == 0.0
 
 
 class TestBreakdown:
@@ -85,10 +86,6 @@ class TestBreakdown:
         assert WAIT_CATEGORY not in t.breakdown()
         assert WAIT_CATEGORY in t.breakdown(include_wait=True)
 
-    def test_category_seconds_for_unknown_category(self):
-        t = Timeline(2)
-        assert t.category_seconds("nope").tolist() == [0.0, 0.0]
-
     def test_per_rank_breakdown_shapes(self):
         t = Timeline(3)
         t.advance(1, 2.0, "bcast")
@@ -102,14 +99,3 @@ class TestBreakdown:
         t.reset()
         assert t.elapsed() == 0.0
         assert t.breakdown() == {}
-
-    def test_checkpoint_equals_elapsed(self):
-        t = Timeline(2)
-        t.advance(1, 4.0, "local")
-        assert t.checkpoint() == t.elapsed()
-
-    def test_categories_sorted(self):
-        t = Timeline(1)
-        t.advance(0, 1.0, "z")
-        t.advance(0, 1.0, "a")
-        assert t.categories() == ["a", "z"]

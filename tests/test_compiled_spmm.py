@@ -373,14 +373,16 @@ class TestDistGcnCompiledWiring:
             z = model.spmm(DistDenseMatrix.from_global(ones, model.dist))
             assert z.width == odd_width
             assert (op.calls, op.workspace_width) == (1, odd_width)
-            want = model.engine.run(model.adjacency,
-                                    DistDenseMatrix.from_global(
-                                        ones, model.dist)).to_global()
+            want = spmm(model.adjacency,
+                        DistDenseMatrix.from_global(ones, model.dist),
+                        setup.comm, algorithm=model.algorithm,
+                        sparsity_aware=model.sparsity_aware).to_global()
             np.testing.assert_array_equal(z.to_global(), want)
-            # Another dtype falls back to compile-and-run-once dispatch.
+            # Another dtype is the plan's operand error, not a fallback.
             f32 = DistDenseMatrix.from_global(ones, model.dist,
                                               dtype=np.float32)
-            assert model.spmm(f32).dtype == np.float32
+            with pytest.raises(ValueError, match="compiled for dtype"):
+                model.spmm(f32)
             assert op.calls == 1
 
 

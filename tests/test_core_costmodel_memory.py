@@ -8,7 +8,7 @@ from repro.core import (BlockRowDistribution, DistDenseMatrix, DistSparseMatrix,
                         DistTrainConfig, MemoryEstimate,
                         best_replication_factor, crossover_process_count,
                         epoch_cost, epoch_spmm_widths, estimate_rank_memory,
-                        feasible_process_counts, fits_in_memory,
+                        fits_in_memory,
                         spmm, spmm_cost_15d_oblivious,
                         spmm_cost_15d_sparsity_aware, spmm_cost_1d_oblivious,
                         spmm_cost_1d_sparsity_aware)
@@ -250,14 +250,6 @@ class TestMemoryModel:
                                      self.paper_scale_config(16, **paper))
         assert not fits_in_memory(small, "perlmutter")
         assert fits_in_memory(large, "perlmutter")
-
-    def test_feasible_process_counts_filters_oom(self):
-        vertices, edges_stored = 14_249_639, 2 * 230_788_269
-        feasible = feasible_process_counts(vertices, edges_stored, 300, 24,
-                                           p_values=(4, 16, 32, 64),
-                                           machine="perlmutter")
-        assert 4 not in feasible
-        assert 64 in feasible
 
     def test_cached_input_propagation_is_one_resident_input_block(self):
         cached = estimate_rank_memory(100_000, 5_000_000, 300, 24,

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.core import (BlockRowDistribution, DistDenseMatrix, DistSparseMatrix,
-                        nnz_columns_per_block, split_block_row)
+                        split_block_row)
 from repro.graphs import gcn_normalize
 from repro.graphs.generators import (chung_lu_graph, community_ring_graph,
                                      erdos_renyi_graph, grid_graph, rmat_graph)
@@ -134,15 +134,6 @@ class TestBlockRowDistribution:
         assert dist.block_range(1) == (2, 7)
         assert dist.block_size(2) == 3
 
-    def test_owner_of(self):
-        dist = BlockRowDistribution([3, 3, 4])
-        assert dist.owner_of(0) == 0
-        assert dist.owner_of(2) == 0
-        assert dist.owner_of(3) == 1
-        assert dist.owner_of(9) == 2
-        with pytest.raises(ValueError):
-            dist.owner_of(10)
-
     def test_equality(self):
         assert BlockRowDistribution([2, 2]) == BlockRowDistribution([2, 2])
         assert BlockRowDistribution([2, 2]) != BlockRowDistribution([1, 3])
@@ -197,14 +188,6 @@ class TestSplitBlockRow:
             split_block_row(block, [5, 48])       # does not start at 0
         with pytest.raises(ValueError):
             split_block_row(block, [0, 30, 20, 48])  # decreasing
-
-    def test_nnz_columns_per_block_helper(self, matrix):
-        dist = BlockRowDistribution.uniform(48, 3)
-        lo, hi = dist.block_range(2)
-        cols = nnz_columns_per_block(matrix[lo:hi, :], dist.bounds)
-        infos = split_block_row(matrix[lo:hi, :], dist.bounds)
-        for c, info in zip(cols, infos):
-            np.testing.assert_array_equal(c, info.nnz_cols_local)
 
 
 class TestDistSparseMatrix:

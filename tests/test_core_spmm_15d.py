@@ -6,7 +6,8 @@ import pytest
 from repro.comm import make_communicator
 from repro.comm.simulator import SimCommunicator
 from repro.core import (BlockRowDistribution, DistDenseMatrix, DistSparseMatrix,
-                        ProcessGrid, SpmmEngine, spmm)
+                        ProcessGrid, spmm)
+from repro.core.engine import compile as compile_spmm
 from repro.core.spmm_15d import _stage_block
 from repro.graphs import gcn_normalize
 from repro.graphs.generators import erdos_renyi_graph
@@ -134,8 +135,8 @@ class TestCommunicationBehaviour:
         spmm(dm, dh, comm_ob, algorithm="1.5d", sparsity_aware=False,
              grid=grid)
         spmm(dm, dh, comm_sa, algorithm="1.5d", grid=grid)
-        assert comm_sa.stats.total_bytes("alltoall") <= \
-            comm_ob.stats.total_bytes("bcast")
+        assert comm_sa.events.total_bytes("alltoall") <= \
+            comm_ob.events.total_bytes("bcast")
 
     def test_allreduce_volume_identical_between_variants(self):
         grid = ProcessGrid(nranks=8, replication=2)
@@ -145,9 +146,9 @@ class TestCommunicationBehaviour:
         spmm(dm, dh, comm_ob, algorithm="1.5d", sparsity_aware=False,
              grid=grid)
         spmm(dm, dh, comm_sa, algorithm="1.5d", grid=grid)
-        assert comm_ob.stats.total_bytes("allreduce") == \
-            comm_sa.stats.total_bytes("allreduce")
-        assert comm_ob.stats.total_bytes("allreduce") > 0
+        assert comm_ob.events.total_bytes("allreduce") == \
+            comm_sa.events.total_bytes("allreduce")
+        assert comm_ob.events.total_bytes("allreduce") > 0
 
     @pytest.mark.parametrize("p,c", [(4, 2), (9, 3), (16, 4), (18, 3)])
     def test_modes_differ_only_in_the_h_exchange(self, p, c):
@@ -163,10 +164,10 @@ class TestCommunicationBehaviour:
         z_sa = spmm(dm, dh, comm_sa, algorithm="1.5d", grid=grid)
         np.testing.assert_allclose(z_sa.to_global(), z_ob.to_global(),
                                    atol=1e-10)
-        assert comm_ob.stats.total_bytes("allreduce") == \
-            comm_sa.stats.total_bytes("allreduce") > 0
-        assert comm_sa.stats.total_bytes("alltoall") <= \
-            comm_ob.stats.total_bytes("bcast")
+        assert comm_ob.events.total_bytes("allreduce") == \
+            comm_sa.events.total_bytes("allreduce") > 0
+        assert comm_sa.events.total_bytes("alltoall") <= \
+            comm_ob.events.total_bytes("bcast")
 
     def test_no_allreduce_traffic_when_c_is_1(self):
         grid = ProcessGrid(nranks=4, replication=1)
@@ -174,7 +175,7 @@ class TestCommunicationBehaviour:
         comm = make_communicator(4)
         spmm(dm, dh, comm, algorithm="1.5d", grid=grid)
         # A single-member group all-reduce moves no data.
-        assert comm.stats.total_bytes("allreduce") == 0
+        assert comm.events.total_bytes("allreduce") == 0
 
     def test_replication_reduces_exchange_volume(self):
         """Increasing c reduces the amount of H data moved between ranks
@@ -191,7 +192,7 @@ class TestCommunicationBehaviour:
             comm = make_communicator(nranks)
             spmm(dm, dh, comm, algorithm="1.5d", sparsity_aware=False,
                  grid=grid)
-            volumes[c] = comm.stats.total_bytes("bcast")
+            volumes[c] = comm.events.total_bytes("bcast")
         assert volumes[2] < volumes[1]
 
 
@@ -218,8 +219,8 @@ class TestDeliveredPayloads:
         adj, dm, dh, h = make_problem(n=96, nblocks=grid.nrows, seed=8)
         results = []
         for comm in (SimCommunicator(8), _PerturbingSim(8)):
-            op = SpmmEngine(comm, algorithm="1.5d", grid=grid).compile(
-                dm, pipeline_depth=pipeline_depth)
+            op = compile_spmm(dm, comm, algorithm="1.5d", grid=grid,
+                              pipeline_depth=pipeline_depth)
             results.append(op(dh).to_global())
         clean, corrupted = results
         np.testing.assert_allclose(clean, adj @ h, atol=1e-10)

@@ -72,7 +72,7 @@ class TestCommunicationVolume:
         comm_sa = make_communicator(5)
         spmm(dm, dh, comm_ob, sparsity_aware=False)
         spmm(dm, dh, comm_sa)
-        assert comm_sa.stats.total_bytes() <= comm_ob.stats.total_bytes()
+        assert comm_sa.events.total_bytes() <= comm_ob.events.total_bytes()
 
     def test_sparsity_aware_volume_matches_nnzcols_prediction(self):
         adj, dm, dh, _ = make_problem(n=80, p=5, seed=4)
@@ -80,7 +80,7 @@ class TestCommunicationVolume:
         spmm(dm, dh, comm)
         f = dh.width
         predicted = dm.needed_rows_matrix().sum() * f * 8
-        assert comm.stats.total_bytes("alltoall") == predicted
+        assert comm.events.total_bytes("alltoall") == predicted
 
     @pytest.mark.parametrize("p", [2, 3, 4, 7])
     def test_exchange_volume_is_the_needed_rows_at_every_rank_count(self, p):
@@ -90,8 +90,8 @@ class TestCommunicationVolume:
         comm = make_communicator(p)
         spmm(dm, dh, comm)
         predicted = int(dm.needed_rows_matrix().sum()) * dh.width * 8
-        assert comm.stats.total_bytes("alltoall") == predicted
-        assert comm.stats.total_bytes("bcast") == 0
+        assert comm.events.total_bytes("alltoall") == predicted
+        assert comm.events.total_bytes("bcast") == 0
 
     def test_oblivious_volume_is_full_blocks(self):
         adj, dm, dh, _ = make_problem(n=80, p=4, seed=5)
@@ -100,7 +100,7 @@ class TestCommunicationVolume:
         f = dh.width
         n = 80
         expected = sum(dm.dist.block_size(j) * f * 8 * 3 for j in range(4))
-        assert comm.stats.total_bytes("bcast") == expected
+        assert comm.events.total_bytes("bcast") == expected
 
     def test_block_diagonal_graph_is_communication_free(self):
         """If the graph has no edges across blocks, the sparsity-aware
@@ -118,20 +118,20 @@ class TestCommunicationVolume:
         comm = make_communicator(3)
         result = spmm(dm, dh, comm)
         np.testing.assert_allclose(result.to_global(), adj @ h, atol=1e-12)
-        assert comm.stats.total_bytes("alltoall") == 0
+        assert comm.events.total_bytes("alltoall") == 0
         # The oblivious algorithm still pays the full price.
         comm_ob = make_communicator(3)
         spmm(dm, dh, comm_ob, sparsity_aware=False)
-        assert comm_ob.stats.total_bytes("bcast") > 0
+        assert comm_ob.events.total_bytes("bcast") > 0
 
     def test_categories_are_disjoint(self):
         adj, dm, dh, _ = make_problem(p=4, seed=6)
         comm = make_communicator(4)
         spmm(dm, dh, comm)
-        assert comm.stats.total_bytes("bcast") == 0
+        assert comm.events.total_bytes("bcast") == 0
         comm2 = make_communicator(4)
         spmm(dm, dh, comm2, sparsity_aware=False)
-        assert comm2.stats.total_bytes("alltoall") == 0
+        assert comm2.events.total_bytes("alltoall") == 0
 
     def test_compute_time_charged(self):
         adj, dm, dh, _ = make_problem(p=4, seed=7)

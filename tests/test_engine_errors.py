@@ -13,10 +13,11 @@ import pytest
 from repro.comm import make_communicator
 from repro.core import (BlockRowDistribution, DistDenseMatrix,
                         DistSparseMatrix, DistTrainConfig, ProcessGrid,
-                        SpmmEngine, spmm)
+                        spmm)
 from repro.core import engine as engine_mod
 from repro.core.engine import (check_block_operands, check_grid_operands,
-                               get_spmm, register_spmm_compiler)
+                               compile as compile_spmm, get_spmm,
+                               register_spmm_compiler)
 from repro.graphs import gcn_normalize
 from repro.graphs.generators import erdos_renyi_graph
 
@@ -52,7 +53,7 @@ class TestUnknownNames:
     def test_engine_rejects_unknown_variant(self):
         comm = make_communicator(2)
         with pytest.raises(ValueError, match="available"):
-            SpmmEngine(comm, algorithm="4d")
+            compile_spmm(None, comm, algorithm="4d")
 
     def test_unknown_backend_lists_available(self):
         with pytest.raises(ValueError, match=r"carrier-pigeon.*sim"):
@@ -81,7 +82,7 @@ class TestGridRequirements:
         with pytest.raises(ValueError, match="requires a process grid"):
             spmm(matrix, dense, comm, algorithm="1.5d")
         with pytest.raises(ValueError, match="requires a process grid"):
-            SpmmEngine(comm, algorithm="1.5d")
+            compile_spmm(matrix, comm, algorithm="1.5d")
 
     def test_gridless_algorithm_with_grid(self, problem):
         adj, h = problem
@@ -91,7 +92,7 @@ class TestGridRequirements:
         with pytest.raises(ValueError, match="does not take a process grid"):
             spmm(matrix, dense, comm, algorithm="1d", grid=grid)
         with pytest.raises(ValueError, match="does not take a process grid"):
-            SpmmEngine(comm, algorithm="1d", grid=grid)
+            compile_spmm(matrix, comm, algorithm="1d", grid=grid)
 
     @pytest.mark.parametrize("algorithm,mode", VARIANTS)
     def test_variant_checks_its_grid(self, algorithm, mode):

@@ -4,10 +4,10 @@ metrics)."""
 import numpy as np
 import pytest
 
-from repro.gcn import (accuracy, confusion_counts, f1_macro, glorot_normal,
-                       glorot_uniform, init_weights, layer_seeds,
-                       loss_and_grad, masked_accuracy, masked_cross_entropy,
-                       masked_cross_entropy_grad, softmax)
+from repro.gcn import (accuracy, glorot_normal, glorot_uniform, init_weights,
+                       layer_seeds, loss_and_grad, masked_accuracy,
+                       masked_cross_entropy, masked_cross_entropy_grad,
+                       softmax)
 from repro.gcn.activations import get_activation, identity, relu, relu_grad, sigmoid
 
 
@@ -172,24 +172,3 @@ class TestMetrics:
         mask = np.array([True, True, False, False])
         assert masked_accuracy(preds, labels, mask) == 1.0
         assert masked_accuracy(preds, labels, np.zeros(4, dtype=bool)) == 0.0
-
-    def test_confusion_counts(self):
-        preds = np.array([0, 1, 1])
-        labels = np.array([0, 1, 0])
-        mat = confusion_counts(preds, labels, n_classes=2)
-        assert mat[0, 0] == 1 and mat[0, 1] == 1 and mat[1, 1] == 1
-        with pytest.raises(ValueError, match="label id out of range"):
-            confusion_counts(np.array([0, 1]), np.array([-1, 1]))
-        with pytest.raises(ValueError, match="prediction id out of range"):
-            confusion_counts(np.array([0, 2]), np.array([0, 1]), n_classes=2)
-        with pytest.raises(ValueError, match="same shape"):
-            confusion_counts(np.array([0, 1]), np.array([0]))
-
-    def test_f1_macro_perfect(self):
-        labels = np.array([0, 1, 2, 0, 1, 2])
-        assert f1_macro(labels, labels) == pytest.approx(1.0)
-
-    def test_f1_macro_ignores_absent_classes(self):
-        preds = np.array([0, 0])
-        labels = np.array([0, 0])
-        assert f1_macro(preds, labels, n_classes=5) == pytest.approx(1.0)

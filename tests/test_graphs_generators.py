@@ -174,9 +174,3 @@ class TestHelpers:
         adj = sp.csr_matrix(np.array([[0, 2.0], [0, 0]]))
         sym = gen.symmetrize(adj)
         assert sym[0, 1] == 1.0 and sym[1, 0] == 1.0
-
-    def test_remove_self_loops(self):
-        adj = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-        out = gen.remove_self_loops(adj)
-        assert out.diagonal().sum() == 0
-        assert out.nnz == 2

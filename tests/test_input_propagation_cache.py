@@ -25,7 +25,7 @@ import pytest
 from repro.comm import make_communicator
 from repro.comm.faults import FaultPlan
 from repro.core import (DistDenseMatrix, DistributedGCN, DistTrainConfig,
-                        SpmmEngine, epoch_spmm_widths,
+                        epoch_spmm_widths, spmm,
                         predicted_bytes_per_spmm, setup_distributed,
                         train_distributed)
 from repro.core.engine import CompiledSpmm
@@ -255,10 +255,9 @@ def spmm_volume(setup, config, width: int):
     model = setup.model
     with make_communicator(config.n_ranks, backend="sim",
                            machine=config.machine) as comm:
-        engine = SpmmEngine(comm, algorithm=config.algorithm,
-                            sparsity_aware=config.sparsity_aware,
-                            grid=setup.grid)
-        engine.run(model.adjacency, random_operand(model, width, seed=1))
+        spmm(model.adjacency, random_operand(model, width, seed=1), comm,
+             algorithm=config.algorithm,
+             sparsity_aware=config.sparsity_aware, grid=setup.grid)
         return comm.events.total_bytes(), comm.events.message_count()
 
 
@@ -396,10 +395,9 @@ class TestPanels:
 
         # Column-separable: the panels assemble the one-shot product.
         with make_communicator(config.n_ranks, backend="sim") as comm:
-            engine = SpmmEngine(comm, algorithm=config.algorithm,
-                                sparsity_aware=sparsity_aware,
-                                grid=setup.grid)
-            one_shot = engine.run(model.adjacency, model.features)
+            one_shot = spmm(model.adjacency, model.features, comm,
+                            algorithm=config.algorithm,
+                            sparsity_aware=sparsity_aware, grid=setup.grid)
             for got, want in zip(kept.blocks, one_shot.blocks):
                 np.testing.assert_array_equal(got, want)
 
@@ -441,8 +439,8 @@ class TestPanels:
             model.train_epoch(0.05)
             trained = max(arena.size for arena in comm._arenas.values())
         with make_communicator(config.n_ranks, backend="process") as comm:
-            SpmmEngine(comm, algorithm=config.algorithm, grid=setup.grid) \
-                .run(model.adjacency, model.features)
+            spmm(model.adjacency, model.features, comm,
+                 algorithm=config.algorithm, grid=setup.grid)
             wide = max(arena.size for arena in comm._arenas.values())
         assert trained < wide
 

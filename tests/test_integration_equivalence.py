@@ -176,20 +176,22 @@ class TestSpmmEngineBackendMatrix:
 
     @pytest.mark.parametrize("backend", ["sim", "threaded", "process"])
     def test_engine_run_charges_timing_and_volume(self, problem, backend):
-        """``SpmmEngine.run`` is compile-and-call-once: its product equals
-        a compiled plan's, and the communicator it runs on accounts for
+        """``spmm`` is compile-and-call-once: its product equals a
+        compiled plan's, and the communicator it runs on accounts for
         the time and the messages of the call."""
-        from repro.core import SpmmEngine
+        from repro.core.engine import compile as compile_spmm, spmm
         adj, h, reference = problem
         matrix, dense, _ = self._operands("1d", adj, h)
         with make_communicator(self.P, backend=backend) as comm:
-            engine = SpmmEngine(comm, algorithm="1d", sparsity_aware=True)
-            z = engine.run(matrix, dense).to_global()
-            assert (engine.algorithm, engine.mode) == ("1d", "sparsity_aware")
+            z = spmm(matrix, dense, comm, algorithm="1d",
+                     sparsity_aware=True).to_global()
             assert comm.elapsed() > 0.0
             assert comm.events.total_bytes() > 0
             assert comm.events.message_count() > 0
-            planned = engine.compile(matrix)(dense).to_global()
+            op = compile_spmm(matrix, comm, algorithm="1d",
+                              sparsity_aware=True)
+            assert (op.algorithm, op.mode) == ("1d", "sparsity_aware")
+            planned = op(dense).to_global()
         np.testing.assert_allclose(z, reference, atol=1e-10)
         np.testing.assert_array_equal(z, planned)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 import threading
 from types import SimpleNamespace
@@ -59,7 +60,6 @@ class TestTracer:
             s.set(b=2)                      # must be a silent no-op
         TRACE.add_span("rank0", "w", "worker", 0.0, 1.0)
         TRACE.annotate(c=3)
-        TRACE.instant("marker")
         assert len(TRACE) == 0
 
     def test_nested_spans_record_in_exit_order(self):
@@ -183,6 +183,47 @@ class TestMetrics:
         assert "overlap 1" in lines
         assert 'wire_dtype{value="float32"} 1' in lines
         assert text.endswith("\n")
+
+    def test_client_label_values_cannot_forge_samples(self):
+        """A label value carrying a quote, a newline and a backslash is
+        escaped, so the exposition stays one sample per series."""
+        reg = MetricsRegistry()
+        tenant = 'acme"} 999\nfake_metric 1'
+        reg.counter("serve_requests_total", 1, tenant=tenant)
+        reg.counter("serve_requests_total", 2, tenant="a\\b")
+        reg.gauge("note", 'say "hi"\n')
+        lines = prometheus_text(reg.as_dict()).splitlines()
+        assert lines == [
+            'note{value="say \\"hi\\"\\n"} 1',
+            'serve_requests_total{tenant="a\\\\b"} 2.0',
+            'serve_requests_total{tenant="acme\\"} 999\\nfake_metric 1"}'
+            ' 1.0',
+        ]
+
+    @pytest.mark.parametrize("value", [
+        "plain", 'a"b', "a\\b", "a\nb", '\\"', '"} 1\nx 2', "\\n",
+        "trailing\\"])
+    def test_label_values_round_trip_through_the_exposition(self, value):
+        """Each sample stays one well-formed line (only the three legal
+        escapes inside a label value), and unescaping gives the value
+        back, for a counter label and a string gauge alike."""
+        reg = MetricsRegistry()
+        reg.counter("hits_total", 1, tenant=value)
+        reg.gauge("build", value)
+        lines = prometheus_text(reg.as_dict()).splitlines()
+        sample = re.compile(r'(\w+)\{(\w+)="((?:[^"\\\n]|\\[\\"n])*)"\} \S+')
+        matches = [sample.fullmatch(line) for line in lines]
+        assert len(lines) == 2 and all(matches), lines
+        unescaped = {m.group(1): re.sub(r"\\(.)", lambda e: "\n" if
+                                        e.group(1) == "n" else e.group(1),
+                                        m.group(3))
+                     for m in matches}
+        assert unescaped == {"build": value, "hits_total": value}
+
+    def test_prometheus_text_renders_infinities(self):
+        text = prometheus_text({"hi": math.inf, "lo": -math.inf,
+                                "nan": math.nan})
+        assert text.splitlines() == ["hi +Inf", "lo -Inf", "nan NaN"]
 
 
 # ----------------------------------------------------------------------

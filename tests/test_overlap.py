@@ -30,7 +30,7 @@ from repro.comm.base import CommHandle, CompletedCommHandle, Communicator
 from repro.core import (BlockRowDistribution, DistDenseMatrix,
                         DistSparseMatrix, DistTrainConfig, ProcessGrid,
                         epoch_cost, train_distributed)
-from repro.core.engine import SpmmEngine, compile as compile_spmm
+from repro.core.engine import compile as compile_spmm
 from repro.plan import (PlanCandidate, Planner, effective_message_overheads,
                         enumerate_candidates, load_message_overheads,
                         measure_message_overhead, run_calibration,
@@ -153,9 +153,9 @@ class TestPipelinedCompiled:
         results = {}
         for depth in (1, 2):
             comm = make_communicator(8, backend="sim")
-            engine = SpmmEngine(comm, algorithm="1.5d", sparsity_aware=False,
-                                grid=grid)
-            op = engine.compile(matrix, pipeline_depth=depth)
+            op = compile_spmm(matrix, comm, algorithm="1.5d",
+                              sparsity_aware=False, grid=grid,
+                              pipeline_depth=depth)
             results[depth] = np.array(op(dense).to_global(), copy=True)
             times[depth] = comm.elapsed()
         np.testing.assert_array_equal(results[2], results[1])

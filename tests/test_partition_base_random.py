@@ -49,13 +49,6 @@ class TestPartitionResult:
         with pytest.raises(ValueError):
             result.members(5)
 
-    def test_relabeling_groups_parts(self):
-        result = PartitionResult(parts=np.array([1, 0, 1, 0]), nparts=2)
-        perm = result.relabeling()
-        # Part-0 vertices (ids 1, 3) map to new ids 0, 1.
-        assert sorted(perm[[1, 3]].tolist()) == [0, 1]
-        assert sorted(perm[[0, 2]].tolist()) == [2, 3]
-
     def test_block_sizes_alias(self):
         result = PartitionResult(parts=np.array([0, 0, 1]), nparts=2)
         assert result.block_sizes().tolist() == [2, 1]

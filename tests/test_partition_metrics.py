@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.partition import (boundary_vertices, communication_volumes_1d,
-                             edgecut, load_imbalance, part_nonzeros,
-                             part_sizes, partition_report)
+from repro.partition import (communication_volumes_1d, edgecut,
+                             load_imbalance, part_nonzeros, part_sizes,
+                             partition_report)
 from repro.graphs.generators import erdos_renyi_graph, grid_graph
 
 
@@ -59,18 +59,6 @@ class TestEdgecut:
         # Split the grid into top / bottom halves: cut = side edges.
         parts = (np.arange(side * side) // (side * side // 2)).astype(int)
         assert edgecut(adj, parts) == side
-
-
-class TestBoundary:
-    def test_boundary_of_path_split(self):
-        adj = path_graph(6)
-        parts = np.array([0, 0, 0, 1, 1, 1])
-        mask = boundary_vertices(adj, parts)
-        assert mask.tolist() == [False, False, True, True, False, False]
-
-    def test_no_boundary_single_part(self):
-        adj = path_graph(4)
-        assert not boundary_vertices(adj, np.zeros(4, dtype=int)).any()
 
 
 class TestCommunicationVolumes:

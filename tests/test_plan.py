@@ -22,7 +22,7 @@ from repro.comm import SimCommunicator
 from repro.core import AUTO, DistTrainConfig, train_distributed
 from repro.core.config import Algorithm, training_layer_dims
 from repro.core.dist_matrix import DistDenseMatrix
-from repro.core.engine import SpmmEngine
+from repro.core.engine import compile as compile_spmm
 from repro.core.spmm_15d import ProcessGrid
 from repro.core.trainer import setup_distributed
 from repro.graphs.datasets import load_dataset
@@ -391,9 +391,8 @@ def reference_sim_s(candidate, matrices, dims, machine):
                        replication=candidate.replication_factor) \
         if candidate.algorithm == Algorithm.ONE_POINT_FIVE_D else None
     with SimCommunicator(candidate.n_ranks, machine=machine) as comm:
-        op = SpmmEngine(comm, algorithm=candidate.algorithm,
-                        sparsity_aware=candidate.sparsity_aware,
-                        grid=grid).compile(matrix)
+        op = compile_spmm(matrix, comm, algorithm=candidate.algorithm,
+                          sparsity_aware=candidate.sparsity_aware, grid=grid)
         for f in widths:
             op(DistDenseMatrix.from_global(
                 np.ascontiguousarray(operand[:, :f]), matrix.dist))

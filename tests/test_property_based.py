@@ -110,7 +110,7 @@ class TestSpMMProperties:
         comm_ob = make_communicator(dist.nblocks)
         spmm(dm, dh, comm_sa)
         spmm(dm, dh, comm_ob, sparsity_aware=False)
-        assert comm_sa.stats.total_bytes() <= comm_ob.stats.total_bytes()
+        assert comm_sa.events.total_bytes() <= comm_ob.events.total_bytes()
 
     @given(problem=graph_with_blocks())
     @settings(**SETTINGS)
@@ -233,6 +233,6 @@ class TestSimulatorProperties:
         recv = comm.alltoallv(send)
         expected = sum(arr.nbytes for row in send for arr in row
                        if arr is not None and arr.size)
-        assert comm.stats.total_bytes() == expected
+        assert comm.events.total_bytes() == expected
         if send[1][0] is not None and send[1][0].size:
             np.testing.assert_array_equal(recv[0][1], send[1][0])

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import queue
 
 import numpy as np
@@ -566,6 +567,20 @@ class TestServeCommand:
             {"batched", "no_batch"}
         assert payload["saturation"]["no_batch_qps"] > 0.0
 
+    @pytest.mark.parametrize("flag,value,option", [
+        ("--max-wait-ms", "nan", "max_wait_ms"),
+        ("--max-wait-ms", "inf", "max_wait_ms"),
+        ("--deadline-ms", "nan", "default_deadline_ms"),
+        ("--deadline-ms", "inf", "default_deadline_ms"),
+    ])
+    def test_non_finite_time_flag_exits_2(self, capsys, flag, value, option):
+        code = main(["serve", "--dataset", "reddit", "--scale", "0.05",
+                     "--ranks", "2", "--backend", "sim", "--requests", "1",
+                     "--hidden", "8", "--layers", "2", "--train-epochs", "1",
+                     "--quick", flag, value])
+        assert code == 2
+        assert f"{option} must be finite" in capsys.readouterr().err
+
     def test_parser_defaults(self):
         from repro.cli import build_parser
         args = build_parser().parse_args(["serve"])
@@ -732,6 +747,26 @@ class TestRequestDeadlines:
             ServeOptions(default_deadline_ms=-5.0)
         with pytest.raises(ValueError, match="stop_grace_s"):
             ServeOptions(stop_grace_s=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["max_wait_ms", "default_deadline_ms",
+                                       "stop_grace_s"])
+    def test_options_reject_non_finite_times(self, field, value):
+        """A NaN wait never times out and a NaN deadline sheds at once;
+        an infinite one never fires."""
+        with pytest.raises(ValueError, match=field):
+            ServeOptions(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_deadline_rejected_at_submit(self, dataset, config,
+                                                    value):
+        engine = make_engine(dataset, config)
+        features = request_features(dataset, 1, seed=14)[0]
+        try:
+            with pytest.raises(ValueError, match="deadline_ms"):
+                engine.submit(features, deadline_ms=value)
+        finally:
+            engine.close()
 
 
 # ----------------------------------------------------------------------

@@ -14,8 +14,8 @@ regrow-free).  For every case the test records:
 * a digest of the four results.
 
 It compares them with ``spmm_schedule_golden.json``.  The conformance
-suite's sim check compares a compiled plan with the one-shot
-``SpmmEngine.run``, which compiles the same plan class, so a changed
+suite's sim check compares a compiled plan with the one-shot ``spmm``,
+which compiles the same plan class, so a changed
 schedule moves both sides; this file is what pins the schedule itself.
 Regenerate the golden (only when the schedule is meant to change) with::
 

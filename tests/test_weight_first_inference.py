@@ -21,7 +21,7 @@ import oracle
 from repro.comm.faults import FaultPlan
 from repro.core import (DistDenseMatrix, DistTrainConfig,
                         inference_spmm_widths, predicted_bytes_per_forward,
-                        setup_distributed)
+                        setup_distributed, spmm)
 from repro.graphs import load_dataset
 from repro.serve import (ServeError, ServeOptions, ServingEngine,
                          prepare_checkpoint)
@@ -254,10 +254,12 @@ class TestEngine:
 
             def standalone_spmms(widths):
                 for w in widths:
-                    model.engine.run(
-                        model.adjacency, DistDenseMatrix.from_global(
-                            rng.standard_normal((dataset.n_vertices, w)),
-                            model.dist, dtype=model.dtype))
+                    dense = DistDenseMatrix.from_global(
+                        rng.standard_normal((dataset.n_vertices, w)),
+                        model.dist, dtype=model.dtype)
+                    spmm(model.adjacency, dense, model.comm,
+                         algorithm=model.algorithm,
+                         sparsity_aware=model.sparsity_aware, grid=model.grid)
 
             widths = [k * w for w in inference_spmm_widths(model.layer_dims)]
             served = traffic_of(
