@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# CI smoke target: exercise the autotuning planner (repro tune --quick,
-# against a throwaway plan cache: it must simulate exactly one run per
-# distinct candidate group of its printed table), repro partition with
+# CI smoke target: exercise the autotuning planner (repro tune --quick
+# priced for the sim and the process backend, each against a throwaway
+# plan cache: it must simulate exactly one run per row of its printed
+# table, every row its own group, and report the priced backend in its
+# chosen plan), repro partition with
 # every registered
 # partitioner (each must print its max_send_volume), the end-to-end bench
 # path (dataset
@@ -64,11 +66,12 @@ shm_before="$(shm_segments)"
 
 timeout 60 bash -c '
   set -euo pipefail
-  echo "== repro tune --quick =="
-  tune_out="$(REPRO_PLAN_CACHE="$(mktemp -d)/plan_cache.json" \
-    python -m repro tune --quick --limit 1000)"
-  echo "${tune_out}"
-  TUNE_OUT="${tune_out}" python - <<"PYEOF"
+  for backend in sim process; do
+    echo "== repro tune --quick --backend ${backend} =="
+    tune_out="$(REPRO_PLAN_CACHE="$(mktemp -d)/plan_cache.json" \
+      python -m repro tune --quick --backend "${backend}" --limit 1000)"
+    echo "${tune_out}"
+    TUNE_OUT="${tune_out}" BACKEND="${backend}" python - <<"PYEOF"
 import os, re
 
 out = os.environ["TUNE_OUT"]
@@ -81,10 +84,16 @@ groups = {tuple(r[k] for k in ("algorithm", "mode", "partitioner", "c",
                                 "p", "depth")) for r in rows}
 simulated = int(re.search(r"plan cache: MISS \((\d+) groups simulated\)",
                           out).group(1))
-assert simulated == len(groups) > 0, (simulated, len(groups))
+# One backend is priced, not searched: every row is its own group.
+assert simulated == len(groups) == len(rows) > 0, \
+    (simulated, len(groups), len(rows))
+backend = os.environ["BACKEND"]
+assert re.search(rf"^  backend = {backend}$", out, re.M), \
+    f"chosen plan does not report backend = {backend}"
 print(f"tune: {simulated} groups simulated == {len(groups)} distinct groups "
-      f"over {len(rows)} candidates")
+      f"== {len(rows)} candidates, priced for {backend}")
 PYEOF
+  done
   partitioners="$(python -c "from repro.partition import PARTITIONERS
 print(*sorted(PARTITIONERS))")"
   for partitioner in ${partitioners}; do

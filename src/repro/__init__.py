@@ -20,9 +20,9 @@ The package is organised as:
 * :mod:`repro.gcn`       — the single-process reference GCN and its
   plain-SGD trainer (the correctness baseline);
 * :mod:`repro.plan`      — the autotuning planner: every variant,
-  partitioner and replication factor priced by a run on the simulator,
-  backends by their message overhead, with a persisted plan cache
-  (``docs/tuning.md``);
+  partitioner and replication factor priced by a run on the simulator
+  plus the message overhead of the backend that will run it, with a
+  persisted plan cache (``docs/tuning.md``);
 * :mod:`repro.bench`     — the experiment harness regenerating every table
   and figure of the paper plus the ablation studies;
 * :mod:`repro.cli`       — the ``python -m repro`` command-line interface.

@@ -300,8 +300,8 @@ def auto_plan_rows(datasets: Sequence[str],
 
     Plotted next to the fixed CAGNET / SA / SA+GVB lines this shows
     whether the planner tracks the lower envelope of the figure.  The
-    planner is constrained to the sweep's ``backend`` so the rows stay
-    comparable; it prices every candidate on the simulator, which is
+    planner prices its candidates for the sweep's ``backend`` so the rows
+    stay comparable; it runs every candidate on the simulator, which is
     deterministic, and writes no plan cache.
     """
     from ..plan import Planner
@@ -312,7 +312,7 @@ def auto_plan_rows(datasets: Sequence[str],
     rows: List[Dict[str, object]] = []
     for name in datasets:
         dataset = load_dataset(name, scale=scale, seed=seed)
-        planner = Planner(machine=machine, backends=[backend],
+        planner = Planner(machine=machine, backend=backend,
                           use_cache=False, seed=seed)
         for p in p_values:
             try:

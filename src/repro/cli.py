@@ -107,16 +107,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--layers", type=int, default=3)
     p_train.add_argument("--machine", choices=sorted(PRESETS),
                          default=_machine_default("perlmutter-scaled"))
-    p_train.add_argument("--backend", choices=available_backends() + [AUTO],
+    p_train.add_argument("--backend", choices=available_backends(),
                          default="sim",
                          help="communicator backend (sim = deterministic "
                               "simulation, threaded = real worker threads, "
-                              "process = one OS process per rank, auto = "
-                              "planner-chosen)")
+                              "process = one OS process per rank)")
     p_train.add_argument("--auto", action="store_true",
                          help="let the autotuning planner pick algorithm, "
-                              "sparsity mode, backend, partitioner and "
-                              "replication factor (overrides those flags)")
+                              "sparsity mode, partitioner and replication "
+                              "factor for --backend (overrides those flags)")
     p_train.add_argument("--dtype", choices=["float64", "float32"],
                          default="float64",
                          help="training precision (float32 halves the "
@@ -211,10 +210,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="candidate rank counts the planner considers")
     p_tune.add_argument("--machine", choices=sorted(PRESETS),
                         default=_machine_default("perlmutter-scaled"))
-    p_tune.add_argument("--backend", choices=available_backends() + [AUTO],
-                        default=AUTO,
-                        help="pin the communicator backend (default: let "
-                             "the planner choose)")
+    p_tune.add_argument("--backend", choices=available_backends(),
+                        default="sim",
+                        help="communicator backend the plan will run on "
+                             "(prices its per-message overhead and "
+                             "gradient buckets)")
     p_tune.add_argument("--partitioner",
                         choices=sorted(PARTITIONERS) + ["none", AUTO],
                         default=AUTO,
@@ -419,7 +419,7 @@ def _cmd_train(args) -> int:
         n_layers=args.layers,
         epochs=args.epochs,
         machine=args.machine,
-        backend=AUTO if args.auto else args.backend,
+        backend=args.backend,
         seed=args.seed,
         dtype=args.dtype,
         pipeline_depth=args.pipeline,
@@ -439,7 +439,6 @@ def _cmd_train(args) -> int:
     if args.auto:
         print(f"planner chose: algorithm={config.algorithm} "
               f"mode={'sparsity_aware' if config.sparsity_aware else 'oblivious'} "
-              f"backend={config.backend} "
               f"partitioner={config.partitioner or 'none'} "
               f"c={config.replication_factor}\n")
     summary = {
@@ -642,7 +641,6 @@ def _cmd_tune(args) -> int:
         nranks = [4]
     dataset = load_dataset(args.dataset, scale=scale, seed=args.seed)
 
-    backends = None if args.backend == AUTO else [args.backend]
     if args.partitioner == AUTO:
         partitioners = None
     else:
@@ -651,7 +649,7 @@ def _cmd_tune(args) -> int:
     cache = None if args.no_cache else PlanCache(args.cache)
     planner = Planner(
         machine=args.machine,
-        backends=backends,
+        backend=args.backend,
         partitioners=partitioners,
         pipeline_depths=args.pipeline_depths,
         grad_overlaps=(False, True) if args.grad_overlap else (False,),
@@ -681,23 +679,11 @@ def _cmd_tune(args) -> int:
 
     plan = report.plan
     print()
-    print(format_kv({
-        "algorithm": plan.algorithm,
-        "mode": plan.mode,
-        "scheme": plan.scheme_label,
-        "backend": plan.backend,
-        "partitioner": plan.partitioner or "none",
-        "replication_factor": plan.replication_factor,
-        "n_ranks": plan.n_ranks,
-        "pipeline_depth": plan.pipeline_depth,
-        "grad_overlap": plan.grad_overlap,
-        "predicted_s": plan.predicted_s,
-        "simulated_s": plan.simulated_s if plan.simulated_s is not None
-        else "-",
-        "source": plan.source,
-        "machine": plan.machine,
-        "matrix_fingerprint": plan.fingerprint,
-    }, title="chosen plan"))
+    print(format_kv({"algorithm": plan.algorithm, "mode": plan.mode,
+                     "scheme": plan.scheme_label, **plan.as_dict(),
+                     "partitioner": plan.partitioner or "none",
+                     "simulated_s": "-" if plan.simulated_s is None
+                     else plan.simulated_s}, title="chosen plan"))
     status = "HIT (0 groups simulated)" if report.cache_hit \
         else f"MISS ({report.groups_simulated} groups simulated)"
     location = report.cache_path or "disabled"

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from ..comm.factory import available_backends
@@ -18,7 +19,7 @@ ALGORITHMS = ("1d", "1.5d")
 
 #: Sentinel value for fields the autotuning planner should choose
 #: (``algorithm`` — which also frees the sparsity mode and replication
-#: factor —, ``backend`` and ``partitioner``); see :mod:`repro.plan`.
+#: factor — and ``partitioner``); see :mod:`repro.plan`.
 AUTO = "auto"
 
 
@@ -85,8 +86,8 @@ class DistTrainConfig:
         Communicator backend name from :func:`repro.comm.available_backends`
         (``"sim"`` for the deterministic simulator, ``"threaded"`` for real
         shared-memory worker threads, ``"process"`` for one OS process per
-        rank with shared-memory transport), or ``"auto"`` to let the
-        planner pick.
+        rank with shared-memory transport).  Never ``"auto"``: the planner
+        prices the backend it is given, it does not choose one.
     seed:
         Seed shared by weight init, partitioner tie-breaking and dataset
         generation helpers.
@@ -116,8 +117,8 @@ class DistTrainConfig:
         Tensor-fusion bucket size (wire bytes) for the gradient exchange:
         consecutive small per-layer gradients are packed into one flat
         fused buffer before reduction.  ``None`` (default) sizes buckets
-        from the calibrated per-message overhead of the active backend —
-        fusion engages only when ``grad_overlap`` or a reduced
+        for the active backend and machine
+        (:func:`~repro.core.gradsync.default_bucket_bytes`) — fusion engages only when ``grad_overlap`` or a reduced
         ``grad_dtype`` is requested, keeping the default path identical
         to the synchronous trainer.  ``0`` forces one reduction per
         layer.
@@ -180,10 +181,10 @@ class DistTrainConfig:
     def __post_init__(self) -> None:
         if self.n_ranks <= 0:
             raise ValueError("n_ranks must be positive")
-        if self.backend != AUTO and self.backend not in available_backends():
+        if self.backend not in available_backends():
             raise ValueError(
                 f"unknown communicator backend {self.backend!r}; "
-                f"available: {available_backends()} (or 'auto')")
+                f"available: {available_backends()}")
         if self.algorithm != AUTO and self.algorithm not in ALGORITHMS:
             raise ValueError(
                 f"algorithm must be one of {ALGORITHMS} or 'auto', "
@@ -199,12 +200,15 @@ class DistTrainConfig:
             if (self.n_ranks // c) % c != 0:
                 raise ValueError(
                     f"1.5D requires c | P/c (P={self.n_ranks}, c={c})")
+        if self.hidden < 1:
+            raise ValueError(f"hidden must be at least 1, got {self.hidden!r}")
         if self.n_layers < 1:
             raise ValueError("n_layers must be at least 1")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and positive, "
+                             f"got {self.learning_rate!r}")
         if self.dtype not in ("float64", "float32"):
             raise ValueError(
                 f"dtype must be 'float64' or 'float32', got {self.dtype!r}")
@@ -248,7 +252,7 @@ class DistTrainConfig:
     def needs_planning(self) -> bool:
         """Whether any field is ``"auto"`` and must be resolved by the
         planner (:func:`repro.plan.resolve_config`) before training."""
-        return AUTO in (self.algorithm, self.backend, self.partitioner)
+        return AUTO in (self.algorithm, self.partitioner)
 
     @property
     def n_block_rows(self) -> int:

@@ -47,6 +47,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..comm.base import CommHandle, Communicator, reduce_stack
+from ..comm.machine import MachineModel, get_machine
 from ..obs.tracer import TRACE
 
 __all__ = [
@@ -120,8 +121,10 @@ def bucket_bytes_for_overhead(overhead_s: float) -> int:
     return int(min(nbytes, _MAX_AUTO_BUCKET_BYTES))
 
 
-def default_bucket_bytes(comm: Communicator) -> int:
-    """Fusion bucket size for ``comm``'s backend, from measured overheads.
+def default_bucket_bytes(backend: str, machine: "str | MachineModel",
+                         nranks: int) -> int:
+    """Fusion bucket size for ``nranks`` ranks of ``backend`` on
+    ``machine``: the one rule the trainer runs and the planner prices.
 
     Real backends use the effective per-message overhead table (shipped
     defaults overlaid with this host's ``repro calibrate`` data): fuse
@@ -134,14 +137,13 @@ def default_bucket_bytes(comm: Communicator) -> int:
     # Imported lazily: repro.plan depends on repro.core, not vice versa.
     from ..plan.score import effective_message_overheads
 
-    overhead_s = effective_message_overheads().get(comm.backend_name, 0.0)
+    overhead_s = effective_message_overheads().get(backend, 0.0)
     if overhead_s > 0.0:
         return bucket_bytes_for_overhead(overhead_s)
-    machine = getattr(comm, "machine", None)
-    p = comm.nranks
-    if machine is None or p <= 1:
+    p = int(nranks)
+    if p <= 1:
         return 0
-    alpha, beta = machine.worst_link(p)
+    alpha, beta = get_machine(machine).worst_link(p)
     if beta <= 0.0:
         return 0
     # 2 log2(p) alpha = 2 nbytes beta (p-1)/p  =>  the crossover payload.

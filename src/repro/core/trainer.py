@@ -132,9 +132,9 @@ def setup_distributed(dataset: GraphDataset, config: DistTrainConfig,
                       ) -> DistributedSetup:
     """Partition, permute and distribute a dataset for simulated training.
 
-    A config with ``"auto"`` fields (``algorithm`` / ``backend`` /
-    ``partitioner``) is first resolved by the autotuning planner; the
-    concrete configuration actually used is returned as ``setup.config``.
+    A config with ``"auto"`` fields (``algorithm`` / ``partitioner``) is
+    first resolved by the autotuning planner; the concrete configuration
+    actually used is returned as ``setup.config``.
     Training with an auto config is bit-identical to passing the resolved
     values explicitly — the planner only selects, it never changes the
     execution path.
@@ -206,15 +206,15 @@ def setup_distributed(dataset: GraphDataset, config: DistTrainConfig,
         raise
 
 
-def _resolve_grad_bucket_bytes(config: DistTrainConfig,
-                               comm: Communicator) -> int:
+def _resolve_grad_bucket_bytes(config: DistTrainConfig) -> int:
     """Concrete fusion bucket size for this run.
 
-    Explicit sizes pass through.  ``None`` (auto) sizes buckets from the
-    backend's calibrated per-message overhead — but only when the
-    gradient-exchange subsystem is engaged (overlap or a reduced wire
-    precision); otherwise auto resolves to 0 so the default configuration
-    keeps the synchronous trainer's exact per-layer schedule.
+    Explicit sizes pass through.  ``None`` (auto) sizes buckets with
+    :func:`~repro.core.gradsync.default_bucket_bytes`, the rule the
+    planner prices — but only when the gradient-exchange subsystem is
+    engaged (overlap or a reduced wire precision); otherwise auto
+    resolves to 0 so the default configuration keeps the synchronous
+    trainer's exact per-layer schedule.
     """
     if config.grad_bucket_bytes is not None:
         return config.grad_bucket_bytes
@@ -223,7 +223,8 @@ def _resolve_grad_bucket_bytes(config: DistTrainConfig,
     if not engaged:
         return 0
     from .gradsync import default_bucket_bytes
-    return default_bucket_bytes(comm)
+    return default_bucket_bytes(config.backend, config.machine,
+                                config.n_ranks)
 
 
 def _build_setup(dataset: GraphDataset, config: DistTrainConfig,
@@ -256,7 +257,7 @@ def _build_setup(dataset: GraphDataset, config: DistTrainConfig,
         dtype=dtype,
         pipeline_depth=config.pipeline_depth,
         grad_overlap=config.grad_overlap,
-        grad_bucket_bytes=_resolve_grad_bucket_bytes(config, comm),
+        grad_bucket_bytes=_resolve_grad_bucket_bytes(config),
         grad_dtype=config.grad_dtype,
         cache_input_propagation=config.cache_input_propagation,
     )
@@ -346,7 +347,7 @@ def _recover_config(dataset: GraphDataset, config: DistTrainConfig,
     survivors = config.n_ranks - 1
     planner = Planner(
         machine=config.machine,
-        backends=[config.backend],
+        backend=config.backend,
         partitioners=[config.partitioner],
         algorithms=[config.algorithm],
         modes=[mode_name(config.sparsity_aware)],

@@ -6,23 +6,28 @@ factor — depends on the graph's sparsity structure, the machine and the
 process count.  This package closes that loop (see ``docs/tuning.md``):
 
 * :mod:`repro.plan.space`   — enumerate the plan space over the engine
-  registry x communicator backends x partitioners x replication factors
-  x rank counts;
+  registry x partitioners x replication factors x rank counts;
 * :mod:`repro.plan.score`   — price every candidate group by running its
-  compiled plan on the simulator of a chosen machine (the closed-form
-  alpha-beta cost model reports alongside);
+  compiled plan on the simulator of a chosen machine, plus the host
+  overhead of the backend that will run it (the closed-form alpha-beta
+  cost model reports alongside);
 * :mod:`repro.plan.cache`   — persist winning plans keyed by matrix +
   machine + layer dims + plan-space fingerprints;
 * :mod:`repro.plan.calibrate` — measure the per-backend message-overhead
-  table on the current host (``repro calibrate``) so the scorer's
-  backend axis uses measured numbers instead of shipped guesses;
+  table on the current host (``repro calibrate``) so the scorer prices
+  a real backend with measured numbers instead of shipped guesses;
 * :mod:`repro.plan.planner` — the :class:`Planner` orchestrating all of
   the above, the :class:`ExecutionPlan` the rest of the stack consumes,
   and :func:`resolve_config`, which turns ``DistTrainConfig`` fields set
   to ``"auto"`` into concrete values.
 
+The communicator backend is an input, not an axis: the simulated clock
+does not depend on it, so the planner prices the backend it is given
+(``Planner(backend=...)``, the config's ``backend``) and searches the
+rest.
+
 Entry points: ``repro tune`` on the CLI, ``--auto`` on ``repro train`` /
-``repro bench``, or ``DistTrainConfig(algorithm="auto", backend="auto",
+``repro bench``, or ``DistTrainConfig(algorithm="auto",
 partitioner="auto")`` in code.
 """
 

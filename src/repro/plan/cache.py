@@ -9,9 +9,10 @@ stores one JSON record per key; the key hashes together
 * the **machine fingerprint** (every field of the
   :class:`~repro.comm.machine.MachineModel`, not just its name),
 * the **layer dims** (feature widths drive every cost term), and
-* the **plan-space signature** (rank counts, resolved backend /
-  partitioner / variant axes, replication candidates, backend-overhead
-  constants, seed, and the pricing rule: simulated or closed-form).
+* the **plan-space signature** (rank counts, the priced backend,
+  resolved partitioner / variant axes, replication candidates,
+  backend-overhead constants, seed, and the pricing rule: simulated or
+  closed-form).
 
 The default location is ``~/.cache/repro/plan_cache.json``; override it
 with the ``REPRO_PLAN_CACHE`` environment variable or by passing a path.
@@ -42,7 +43,7 @@ __all__ = ["CACHE_ENV_VAR", "PlanCache", "default_cache_path",
 CACHE_ENV_VAR = "REPRO_PLAN_CACHE"
 
 #: Bump when the record layout changes; old files are ignored, not migrated.
-CACHE_FORMAT_VERSION = 2
+CACHE_FORMAT_VERSION = 3
 
 
 def default_cache_path() -> pathlib.Path:

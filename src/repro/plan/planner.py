@@ -1,17 +1,18 @@
 """The autotuning planner: enumerate, price, cache, decide.
 
 This is the module that closes the paper's loop: instead of the user
-hand-picking ``algorithm`` / ``sparsity_aware`` / ``backend`` /
-``partitioner`` / ``replication_factor``, :class:`Planner` searches that
-space for a concrete graph and machine —
+hand-picking ``algorithm`` / ``sparsity_aware`` / ``partitioner`` /
+``replication_factor``, :class:`Planner` searches that space for a
+concrete graph, machine and communicator backend —
 
 1. :func:`~repro.plan.space.enumerate_candidates` spans the engine
-   registry x communicator backends x partitioners x valid 1.5D
-   replication factors x candidate rank counts;
+   registry x partitioners x valid 1.5D replication factors x candidate
+   rank counts;
 2. :func:`~repro.plan.score.score_candidates` prices every group by
-   running its compiled plan on the simulator and ranks the space by
-   that price (the closed-form :func:`~repro.core.costmodel.epoch_cost`
-   fills the ``predicted_s`` column beside it);
+   running its compiled plan on the simulator, adds the host overhead of
+   the backend that will run it, and ranks the space by that price (the
+   closed-form :func:`~repro.core.costmodel.epoch_cost` fills the
+   ``predicted_s`` column beside it);
 3. the winning :class:`ExecutionPlan` plus the full ranked table are
    persisted in the :class:`~repro.plan.cache.PlanCache`, so a repeat
    run with the same matrix/machine/space simulates nothing.
@@ -29,106 +30,52 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..comm.factory import available_backends
 from ..comm.machine import MachineModel, get_machine
 from ..core.config import (AUTO, Algorithm, DistTrainConfig,
                            training_layer_dims)
-from ..core.config import scheme_label as _scheme_label
 from ..core.engine import mode_name
 from ..graphs.datasets import GraphDataset
 from .cache import PlanCache, matrix_fingerprint, plan_key
 from .score import PlanMatrixCache, score_candidates
 from .space import (DEFAULT_GRAD_OVERLAPS, DEFAULT_PARTITIONERS,
                     DEFAULT_PIPELINE_DEPTHS, DEFAULT_REPLICATION_CANDIDATES,
-                    enumerate_candidates)
+                    PlanCandidate, enumerate_candidates)
 
 __all__ = ["ExecutionPlan", "PlanReport", "Planner", "plan_for_dataset",
            "resolve_config"]
 
 
-@dataclass(frozen=True)
-class ExecutionPlan:
-    """A fully concrete training configuration chosen by the planner."""
+@dataclass(frozen=True, kw_only=True)
+class ExecutionPlan(PlanCandidate):
+    """The plan point the planner chose, with what it was priced on: the
+    backend that will execute it, its prices and where they came from."""
 
-    algorithm: str
-    sparsity_aware: bool
     backend: str
-    partitioner: Optional[str]
-    replication_factor: int
-    n_ranks: int
     predicted_s: float
     simulated_s: Optional[float]
     source: str                  # "analytic" | "simulated" | "cache"
     machine: str
     fingerprint: str
-    pipeline_depth: int = 1
-    grad_overlap: bool = False
-
-    @property
-    def mode(self) -> str:
-        return mode_name(self.sparsity_aware)
-
-    @property
-    def n_block_rows(self) -> int:
-        """Block rows of the data distribution (P for 1D, P/c for 1.5D)."""
-        if self.algorithm == Algorithm.ONE_POINT_FIVE_D:
-            return self.n_ranks // self.replication_factor
-        return self.n_ranks
-
-    @property
-    def scheme_label(self) -> str:
-        return _scheme_label(self.sparsity_aware, self.partitioner)
 
     def as_config_kwargs(self) -> Dict[str, object]:
         """Keyword overrides for :func:`dataclasses.replace` on a
-        :class:`~repro.core.config.DistTrainConfig`."""
-        return {
-            "algorithm": self.algorithm,
-            "sparsity_aware": self.sparsity_aware,
-            "backend": self.backend,
-            "partitioner": self.partitioner,
-            "replication_factor": self.replication_factor,
-            "n_ranks": self.n_ranks,
-            "pipeline_depth": self.pipeline_depth,
-            "grad_overlap": self.grad_overlap,
-        }
+        :class:`~repro.core.config.DistTrainConfig`: the plan point,
+        never the backend (the config chose it)."""
+        return {f.name: getattr(self, f.name)
+                for f in dataclasses.fields(PlanCandidate)}
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "algorithm": self.algorithm,
-            "sparsity_aware": self.sparsity_aware,
-            "backend": self.backend,
-            "partitioner": self.partitioner,
-            "replication_factor": self.replication_factor,
-            "n_ranks": self.n_ranks,
-            "pipeline_depth": self.pipeline_depth,
-            "grad_overlap": self.grad_overlap,
-            "predicted_s": self.predicted_s,
-            "simulated_s": self.simulated_s,
-            "source": self.source,
-            "machine": self.machine,
-            "fingerprint": self.fingerprint,
-        }
+        """The persisted record (every field; :meth:`from_dict` inverts
+        it)."""
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object],
                   source: Optional[str] = None) -> "ExecutionPlan":
-        return cls(
-            algorithm=str(payload["algorithm"]),
-            sparsity_aware=bool(payload["sparsity_aware"]),
-            backend=str(payload["backend"]),
-            partitioner=(None if payload.get("partitioner") is None
-                         else str(payload["partitioner"])),
-            replication_factor=int(payload["replication_factor"]),
-            n_ranks=int(payload["n_ranks"]),
-            pipeline_depth=int(payload["pipeline_depth"]),
-            grad_overlap=bool(payload["grad_overlap"]),
-            predicted_s=float(payload["predicted_s"]),
-            simulated_s=(None if payload["simulated_s"] is None
-                         else float(payload["simulated_s"])),
-            source=source if source is not None else str(payload["source"]),
-            machine=str(payload["machine"]),
-            fingerprint=str(payload["fingerprint"]),
-        )
+        plan = cls(**payload)
+        return plan if source is None else dataclasses.replace(plan,
+                                                               source=source)
 
 
 @dataclass
@@ -154,10 +101,14 @@ class Planner:
     machine:
         Machine preset name or :class:`~repro.comm.machine.MachineModel`
         the simulator (and the closed forms) price candidates on.
-    backends / partitioners / algorithms / modes / replication_candidates:
-        Plan-space axes; ``None`` means the full default axis (every
-        registered backend, :data:`~repro.plan.space.DEFAULT_PARTITIONERS`,
-        every trainable engine variant).
+    backend:
+        The communicator backend that will execute the plan.  It is not
+        searched: it prices the per-message host overhead and the
+        gradient bucket of every candidate.
+    partitioners / algorithms / modes / replication_candidates:
+        Plan-space axes; ``None`` means the full default axis
+        (:data:`~repro.plan.space.DEFAULT_PARTITIONERS`, every trainable
+        engine variant).
     probe:
         Price every candidate group by running it on the simulator
         (default).  ``False`` ranks by the closed forms and runs nothing.
@@ -178,7 +129,7 @@ class Planner:
 
     def __init__(self, machine: "str | MachineModel" = "perlmutter-scaled",
                  *,
-                 backends: Optional[Sequence[str]] = None,
+                 backend: str = "sim",
                  partitioners: Optional[Sequence[Optional[str]]] = None,
                  algorithms: Optional[Sequence[str]] = None,
                  modes: Optional[Sequence[str]] = None,
@@ -193,7 +144,10 @@ class Planner:
                  use_cache: bool = True,
                  cache_read_only: bool = False) -> None:
         self.machine = get_machine(machine)
-        self.backends = None if backends is None else tuple(backends)
+        if backend not in available_backends():
+            raise ValueError(f"unknown communicator backend {backend!r}; "
+                             f"available: {available_backends()}")
+        self.backend = backend
         self.partitioners = None if partitioners is None else tuple(partitioners)
         self.algorithms = None if algorithms is None else tuple(algorithms)
         self.modes = None if modes is None else tuple(modes)
@@ -211,19 +165,18 @@ class Planner:
     # ------------------------------------------------------------------
     def _space_signature(self) -> Dict[str, object]:
         """Everything (besides matrix/machine/dims/ranks) that changes the
-        *search space* — part of the cache key.  Defaulted axes are
-        expanded to their resolved contents (and the backend-overhead
-        constants are included) so registering a new backend/variant or
-        recalibrating the overhead table invalidates cached plans instead
-        of silently serving a space that never saw the change.  The
-        pricing rule (``probe``) is part of the key too: a closed-form
-        ranking is never served to a planner that simulates."""
-        from ..comm.factory import available_backends
+        *search space* or its prices — part of the cache key.  Defaulted
+        axes are expanded to their resolved contents (and the
+        backend-overhead constants are included) so registering a new
+        variant or recalibrating the overhead table invalidates cached
+        plans instead of silently serving a space that never saw the
+        change.  The pricing rule (``probe``) is part of the key too: a
+        closed-form ranking is never served to a planner that
+        simulates."""
         from ..core.engine import available_spmm_variants
         from .score import effective_message_overheads
         return {
-            "backends": self.backends if self.backends is not None
-            else tuple(available_backends()),
+            "backend": self.backend,
             "partitioners": self.partitioners if self.partitioners is not None
             else DEFAULT_PARTITIONERS,
             "algorithms": self.algorithms,
@@ -251,19 +204,21 @@ class Planner:
         fingerprint = matrix_fingerprint(adjacency)
         key = plan_key(fingerprint, self.machine, layer_dims, rank_counts,
                        self._space_signature())
-        dead: set = set()
+        dead_ranks: set = set()
         if self.cache is not None:
-            dead = self.cache.dead_configs(fingerprint)
+            dead_ranks = {p for backend, p
+                          in self.cache.dead_configs(fingerprint)
+                          if backend == self.backend}
 
         if self.use_cache and self.cache is not None:
             record = self.cache.get(key)
             # A record is served unless its winning configuration was
-            # marked dead since (a rank loss on that (backend, n_ranks) —
-            # elastic restart records it; the stale winner must be
-            # re-planned, not served).
+            # marked dead since (a rank loss on this backend at its
+            # n_ranks — elastic restart records it; the stale winner must
+            # be re-planned, not served).
             if record is not None:
                 plan = ExecutionPlan.from_dict(record["plan"], source="cache")
-                if (plan.backend, plan.n_ranks) not in dead:
+                if plan.n_ranks not in dead_ranks:
                     return PlanReport(plan=plan, table=list(record["table"]),
                                       groups_simulated=0, cache_hit=True,
                                       key=key,
@@ -272,7 +227,6 @@ class Planner:
         matrix_cache = PlanMatrixCache(adjacency, seed=self.seed)
         candidates = enumerate_candidates(
             rank_counts,
-            backends=self.backends,
             partitioners=self.partitioners,
             algorithms=self.algorithms,
             modes=self.modes,
@@ -281,29 +235,24 @@ class Planner:
             pipeline_depths=self.pipeline_depths,
             grad_overlaps=self.grad_overlaps,
         )
-        if dead:
-            candidates = [c for c in candidates
-                          if (c.backend, c.n_ranks) not in dead]
+        candidates = [c for c in candidates if c.n_ranks not in dead_ranks]
         ranked = score_candidates(
             candidates, matrix_cache, layer_dims, self.machine,
+            backend=self.backend,
             cache_input_propagation=self.cache_input_propagation,
             simulate=self.probe, seed=self.seed)
         if not ranked:
+            excluded = ", after excluding dead configurations" \
+                if dead_ranks else ""
             raise ValueError(
                 "the plan space is empty for this matrix/rank combination "
                 f"(n_ranks={rank_counts}, n_vertices={matrix_cache.n_vertices}"
-                f"{', after excluding dead configurations' if dead else ''})")
+                f"{excluded})")
 
         best = ranked[0]
         plan = ExecutionPlan(
-            algorithm=best.candidate.algorithm,
-            sparsity_aware=best.candidate.sparsity_aware,
-            backend=best.candidate.backend,
-            partitioner=best.candidate.partitioner,
-            replication_factor=best.candidate.replication_factor,
-            n_ranks=best.candidate.n_ranks,
-            pipeline_depth=best.candidate.pipeline_depth,
-            grad_overlap=best.candidate.grad_overlap,
+            **dataclasses.asdict(best.candidate),
+            backend=self.backend,
             predicted_s=best.predicted_s,
             simulated_s=best.simulated_s,
             source="simulated" if self.probe else "analytic",
@@ -358,8 +307,9 @@ def resolve_config(dataset: GraphDataset, config: DistTrainConfig,
 
     Fields the user pinned stay pinned — the planner only searches the
     ``"auto"`` axes (``algorithm="auto"`` frees both the family and the
-    sparsity mode, plus the replication factor).  Configs without any
-    ``"auto"`` field are returned unchanged.
+    sparsity mode, plus the replication factor) and prices them on the
+    config's backend, which resolution never changes.  Configs without
+    any ``"auto"`` field are returned unchanged.
 
     Resolution consults the plan cache **read-only** — so ``train
     --auto`` after a ``repro tune`` of the same dataset, machine and
@@ -387,13 +337,12 @@ def resolve_config(dataset: GraphDataset, config: DistTrainConfig,
             replication_candidates = [config.replication_factor]
         else:
             replication_candidates = [1]
-    backends = None if config.backend == AUTO else [config.backend]
     partitioners = None if config.partitioner == AUTO \
         else [config.partitioner]
 
     planner = Planner(
         machine=config.machine,
-        backends=backends,
+        backend=config.backend,
         partitioners=partitioners,
         algorithms=algorithms,
         modes=modes,

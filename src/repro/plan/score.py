@@ -1,14 +1,14 @@
 """Price plan candidates: run each one on the simulator.
 
-Every candidate group (the backend-independent execution,
+Every candidate group (the candidate without its gradient-exchange mode,
 :meth:`~repro.plan.space.PlanCandidate.group_key`) is priced by one rule:
 compile its SpMM plan once, run it on a
 :class:`~repro.comm.simulator.SimCommunicator` at every width of
 :func:`repro.core.costmodel.epoch_spmm_widths`, and read the simulated
 clock (:func:`simulate_epoch_s`).  The price of a candidate is that clock
-plus a per-message host-overhead term that differentiates the
-communicator backends (the simulator describes the modelled machine, not
-the runtime that executes the schedule) and the gradient-exchange term.
+plus the per-message host overhead of the backend that will execute the
+schedule (the simulator describes the modelled machine, not the runtime)
+and the gradient-exchange term.
 
 The paper's closed forms (:func:`repro.core.costmodel.epoch_cost`) fill
 the ``predicted_s`` column next to it, so the planner's table reports
@@ -33,7 +33,7 @@ from ..comm.simulator import SimCommunicator
 from ..core.config import Algorithm
 from ..core.costmodel import (epoch_cost, epoch_spmm_widths,
                               gradient_exchange_cost)
-from ..core.gradsync import bucket_bytes_for_overhead
+from ..core.gradsync import default_bucket_bytes
 from ..core.dist_matrix import (BlockRowDistribution, DistDenseMatrix,
                                 DistSparseMatrix)
 from ..core.engine import compile as compile_spmm
@@ -56,10 +56,7 @@ __all__ = ["BACKEND_MESSAGE_OVERHEAD_S", "PlanMatrixCache", "ScoredCandidate",
 #: memory arena bookkeeping per message.  These are the *fallback*
 #: guesses: ``repro calibrate`` measures the real numbers on the current
 #: host and :func:`effective_message_overheads` overlays them (see
-#: :mod:`repro.plan.calibrate`).  Consequence of the defaults: with no
-#: calibration file, ``backend="auto"`` always resolves to ``sim`` (zero
-#: overhead on an otherwise backend-independent cost); a real backend is
-#: only chosen when the user pins it or calibrates.
+#: :mod:`repro.plan.calibrate`).
 BACKEND_MESSAGE_OVERHEAD_S: Dict[str, float] = {
     "sim": 0.0,
     "threaded": 2.0e-5,
@@ -156,9 +153,11 @@ def _estimated_messages_per_epoch(candidate: PlanCandidate,
 
 
 def backend_overhead_s(candidate: PlanCandidate, layer_dims: Sequence[int],
+                       backend: str,
                        overheads: Optional[Dict[str, float]] = None,
                        cache_input_propagation: bool = False) -> float:
-    """Predicted per-epoch host overhead of the candidate's backend.
+    """Predicted per-epoch host overhead of running ``candidate`` on
+    ``backend``.
 
     ``overheads`` defaults to :func:`effective_message_overheads` (the
     calibrated table when this host has one).  The epoch's SpMMs are
@@ -166,7 +165,7 @@ def backend_overhead_s(candidate: PlanCandidate, layer_dims: Sequence[int],
     """
     if overheads is None:
         overheads = effective_message_overheads()
-    per_message = overheads.get(candidate.backend, 1.0e-4)
+    per_message = overheads.get(backend, 1.0e-4)
     n_spmms = len(epoch_spmm_widths(layer_dims, cache_input_propagation))
     return per_message * _estimated_messages_per_epoch(candidate, n_spmms)
 
@@ -182,8 +181,9 @@ def simulate_epoch_s(candidate: PlanCandidate,
 
     The candidate's algorithm, mode, partitioner, replication factor and
     pipeline depth are compiled into the one persistent plan the trainer
-    would run; its backend is not (see :func:`backend_overhead_s`).  The
-    operand is seeded, so the price is deterministic.
+    would run; the backend that executes it is priced by
+    :func:`backend_overhead_s`.  The operand is seeded, so the price is
+    deterministic.
     """
     widths = epoch_spmm_widths(layer_dims, cache_input_propagation)
     if not widths:      # a one-layer model's cached epoch runs no SpMM
@@ -246,10 +246,11 @@ def score_candidates(candidates: Sequence[PlanCandidate],
                      matrix_cache: PlanMatrixCache,
                      layer_dims: Sequence[int],
                      machine: "str | MachineModel",
+                     backend: str = "sim",
                      cache_input_propagation: bool = False,
                      simulate: bool = True,
                      seed: int = 0) -> List[ScoredCandidate]:
-    """Rank candidates by price, ascending.
+    """Rank candidates by their price on ``backend``, ascending.
 
     With ``simulate`` every group runs once on the simulator
     (:func:`simulate_epoch_s`); otherwise the closed form is the price
@@ -264,8 +265,8 @@ def score_candidates(candidates: Sequence[PlanCandidate],
     machine = get_machine(machine)
     overheads = effective_message_overheads()
     scored: List[ScoredCandidate] = []
-    # Both prices are backend-independent; share them across the
-    # candidates that differ only in backend.
+    # Both prices ignore the gradient exchange; share them across the
+    # candidates that differ only in grad_overlap.
     group_memo: Dict[Tuple, Tuple[object, Optional[float]]] = {}
     for candidate in candidates:
         if candidate.n_block_rows > matrix_cache.n_vertices:
@@ -288,16 +289,14 @@ def score_candidates(candidates: Sequence[PlanCandidate],
             group_memo[group] = (cost, sim_s)
         cost, sim_s = group_memo[group]
         overhead = backend_overhead_s(
-            candidate, layer_dims, overheads=overheads,
+            candidate, layer_dims, backend, overheads=overheads,
             cache_input_propagation=cache_input_propagation)
-        # Gradient-exchange term: backend-dependent (the wait-free
-        # trainer fuses into buckets sized from the backend's calibrated
-        # per-message overhead), so it lives outside the group memo.  A
-        # synchronous candidate reduces per layer with nothing hidden; an
-        # overlapped one fuses and hides all but the last bucket behind
-        # the backward-pass compute.
-        grad_bucket = bucket_bytes_for_overhead(
-            overheads.get(candidate.backend, 0.0)) \
+        # Gradient-exchange term, outside the group memo.  A synchronous
+        # candidate reduces per layer with nothing hidden; an overlapped
+        # one fuses into the trainer's buckets and hides all but the last
+        # behind the backward-pass compute.
+        grad_bucket = default_bucket_bytes(
+            backend, machine, candidate.n_ranks) \
             if candidate.grad_overlap else 0
         grad_s = gradient_exchange_cost(
             layer_dims, machine, candidate.n_ranks,

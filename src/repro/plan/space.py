@@ -1,9 +1,11 @@
 """Plan-space enumeration for the autotuning planner.
 
-A *plan candidate* is one fully concrete way to run distributed training:
-an SpMM variant from the engine registry, a communicator backend from the
-factory, a partitioner from the partitioner registry, a 1.5D replication
-factor and a rank count.  :func:`enumerate_candidates` produces the cross
+A *plan candidate* is one fully concrete schedule for distributed
+training: an SpMM variant from the engine registry, a partitioner from
+the partitioner registry, a 1.5D replication factor, a rank count, a
+pipeline depth and a gradient-exchange mode.  The communicator backend
+that executes the schedule is not an axis: the planner prices the one it
+is given (:class:`~repro.plan.planner.Planner`).  :func:`enumerate_candidates` produces the cross
 product of those axes, pruned to configurations the trainer can actually
 execute (grid divisibility, block rows <= vertices), in a deterministic
 order so pricing and caching are reproducible.
@@ -11,10 +13,10 @@ order so pricing and caching are reproducible.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..comm.factory import available_backends
 from ..core.config import ALGORITHMS, Algorithm
 from ..core.config import scheme_label as _scheme_label
 from ..core.engine import available_spmm_variants, mode_name
@@ -63,7 +65,6 @@ class PlanCandidate:
 
     algorithm: str
     sparsity_aware: bool
-    backend: str
     partitioner: Optional[str]
     replication_factor: int
     n_ranks: int
@@ -89,20 +90,16 @@ class PlanCandidate:
     def sort_key(self) -> Tuple:
         """Deterministic tie-break order (stable across runs)."""
         return (self.algorithm, self.mode, self.partitioner or "",
-                self.backend, self.replication_factor, self.n_ranks,
+                self.replication_factor, self.n_ranks,
                 self.pipeline_depth, self.grad_overlap)
 
-    def group_key(self) -> Tuple:
-        """Identity of the backend-independent execution: candidates with
-        the same group share one simulated run and one analytic epoch
-        cost (the scorer and planner group by this).
-        ``pipeline_depth`` is part of the group — pipelined execution is
-        a genuinely different schedule, simulated separately.
-        ``grad_overlap`` is *not*: the simulation runs SpMM schedules,
-        which the gradient exchange does not change (the scorer adds its
-        analytic term per candidate)."""
-        return (self.algorithm, self.mode, self.partitioner,
-                self.replication_factor, self.n_ranks, self.pipeline_depth)
+    def group_key(self) -> "PlanCandidate":
+        """The candidate without ``grad_overlap``: candidates with the same
+        group share one simulated run and one analytic epoch cost (the
+        scorer and planner group by this).  The simulation runs SpMM
+        schedules, which the gradient exchange does not change (the
+        scorer adds its analytic term per candidate)."""
+        return dataclasses.replace(self, grad_overlap=False)
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -110,7 +107,6 @@ class PlanCandidate:
             "mode": self.mode,
             "scheme": self.scheme_label,
             "partitioner": self.partitioner,
-            "backend": self.backend,
             "c": self.replication_factor,
             "p": self.n_ranks,
             "depth": self.pipeline_depth,
@@ -150,7 +146,6 @@ def _trainable_variants(algorithms: Sequence[str],
 
 
 def enumerate_candidates(n_ranks: "int | Sequence[int]",
-                         backends: Optional[Sequence[str]] = None,
                          partitioners: Optional[Sequence[Optional[str]]] = None,
                          algorithms: Optional[Sequence[str]] = None,
                          modes: Optional[Sequence[str]] = None,
@@ -168,8 +163,6 @@ def enumerate_candidates(n_ranks: "int | Sequence[int]",
     ----------
     n_ranks:
         One rank count or a sequence of candidate rank counts.
-    backends:
-        Communicator backend names (default: every registered backend).
     partitioners:
         Partitioner registry names, ``None`` meaning the natural block
         distribution (default: :data:`DEFAULT_PARTITIONERS`).
@@ -199,12 +192,6 @@ def enumerate_candidates(n_ranks: "int | Sequence[int]",
     rank_counts = [n_ranks] if isinstance(n_ranks, int) else list(n_ranks)
     if not rank_counts or any(p <= 0 for p in rank_counts):
         raise ValueError(f"rank counts must be positive, got {rank_counts}")
-
-    backends = list(available_backends()) if backends is None else list(backends)
-    unknown = set(backends) - set(available_backends())
-    if unknown:
-        raise ValueError(f"unknown backends {sorted(unknown)}; "
-                         f"available: {available_backends()}")
 
     partitioners = DEFAULT_PARTITIONERS if partitioners is None \
         else tuple(partitioners)
@@ -238,27 +225,24 @@ def enumerate_candidates(n_ranks: "int | Sequence[int]",
                 if n_vertices is not None and nblocks > n_vertices:
                     continue
                 for partitioner in partitioners:
-                    for backend in backends:
-                        for depth in depths:
-                            if depth != depths[0] \
-                                    and algorithm == Algorithm.ONE_D \
-                                    and mode == "sparsity_aware":
-                                # A single un-staged all-to-allv per call:
-                                # identical execution at every depth, so
-                                # only one (the smallest requested depth)
-                                # is enumerated — the rest would be
-                                # duplicates.
-                                continue
-                            for grad_overlap in overlaps:
-                                out.append(PlanCandidate(
-                                    algorithm=algorithm,
-                                    sparsity_aware=(mode == "sparsity_aware"),
-                                    backend=backend,
-                                    partitioner=partitioner,
-                                    replication_factor=c,
-                                    n_ranks=p,
-                                    pipeline_depth=depth,
-                                    grad_overlap=grad_overlap,
-                                ))
+                    for depth in depths:
+                        if depth != depths[0] \
+                                and algorithm == Algorithm.ONE_D \
+                                and mode == "sparsity_aware":
+                            # A single un-staged all-to-allv per call:
+                            # identical execution at every depth, so only
+                            # one (the smallest requested depth) is
+                            # enumerated — the rest would be duplicates.
+                            continue
+                        for grad_overlap in overlaps:
+                            out.append(PlanCandidate(
+                                algorithm=algorithm,
+                                sparsity_aware=(mode == "sparsity_aware"),
+                                partitioner=partitioner,
+                                replication_factor=c,
+                                n_ranks=p,
+                                pipeline_depth=depth,
+                                grad_overlap=grad_overlap,
+                            ))
     out.sort(key=PlanCandidate.sort_key)
     return out

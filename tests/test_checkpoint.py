@@ -311,13 +311,17 @@ class TestElasticRestart:
         cache = PlanCache(tmp_path / "cache.json")
 
         def make_planner():
-            return Planner("perlmutter", backends=["sim"],
+            return Planner("perlmutter", backend="sim",
                            partitioners=["block"], algorithms=["1d"],
                            modes=["sparsity_aware"], probe=False,
                            cache=cache)
 
         report = make_planner().plan(adjacency, dims, [3, 4])
         winner = report.plan
+        # Another backend's dead configuration does not touch this one's.
+        cache.mark_dead(matrix_fingerprint(adjacency), "threaded",
+                        winner.n_ranks)
+        assert make_planner().plan(adjacency, dims, [3, 4]).cache_hit
         cache.mark_dead(matrix_fingerprint(adjacency), winner.backend,
                         winner.n_ranks)
         # Same planner space again: the cached record now matches a dead

@@ -188,6 +188,17 @@ class TestTuneCommand:
         assert "source = simulated" in out
         assert "p=4,8" in out
 
+    def test_backend_is_priced_not_searched(self, capsys):
+        code = main(["tune", "--quick", "--dataset", "amazon", "--no-cache",
+                     "--backend", "process", "--limit", "1000"])
+        assert code == 0
+        out = capsys.readouterr().out
+        header = next(line for line in out.splitlines()
+                      if line.startswith("rank"))
+        assert "backend" not in header
+        assert "backend = process" in out
+        assert "MISS (12 groups simulated)" in out
+
     def test_no_cache_disables_persistence(self, capsys):
         code = main(["tune", "--quick", "--dataset", "amazon", "--no-cache"])
         assert code == 0
@@ -203,6 +214,26 @@ class TestAutoTrainFlag:
         out = capsys.readouterr().out
         assert "planner chose:" in out
         assert "AUTO" not in out.split("scheme = ")[1].splitlines()[0]
+
+    def test_train_auto_keeps_the_backend_flag(self, capsys):
+        code = main(["train", "--dataset", "reddit", "--scale", "0.05",
+                     "--ranks", "2", "--epochs", "1", "--machine", "laptop",
+                     "--auto", "--backend", "process"])
+        assert code == 0
+        assert "backend = process" in capsys.readouterr().out
+
+    def test_train_auto_on_one_rank_stays_on_sim(self, capsys):
+        code = main(["train", "--dataset", "reddit", "--scale", "0.05",
+                     "--ranks", "1", "--epochs", "1", "--machine", "laptop",
+                     "--auto"])
+        assert code == 0
+        assert "backend = sim" in capsys.readouterr().out
+
+    def test_backend_auto_is_not_a_choice(self, capsys):
+        for command in ("train", "tune"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--backend", "auto"])
+        assert build_parser().parse_args(["tune"]).backend == "sim"
 
     def test_bench_auto_appends_planner_rows(self, capsys):
         code = main(["bench", "--quick", "--auto"])

@@ -46,6 +46,18 @@ class TestDistTrainConfig:
         with pytest.raises(ValueError):
             DistTrainConfig(replication_factor=0)
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"),
+                                      float("-inf"), -0.1])
+    def test_learning_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(ValueError, match="learning_rate"):
+            DistTrainConfig(learning_rate=rate)
+
+    @pytest.mark.parametrize("hidden", [0, -4])
+    def test_hidden_width_must_be_positive(self, hidden):
+        with pytest.raises(ValueError, match="hidden"):
+            DistTrainConfig(hidden=hidden)
+        assert DistTrainConfig(hidden=1).hidden == 1
+
     def test_scheme_labels(self):
         assert DistTrainConfig(sparsity_aware=False).scheme_label == "CAGNET"
         assert DistTrainConfig(sparsity_aware=True,

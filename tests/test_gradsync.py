@@ -225,10 +225,45 @@ class TestBucketSizing:
         assert bucket_bytes_for_overhead(1.0) == 1 << 22
 
     def test_sim_default_comes_from_machine_model(self):
-        assert default_bucket_bytes(make_communicator(4)) > 0
+        assert default_bucket_bytes("sim", "perlmutter", 4) > 0
 
     def test_single_rank_needs_no_fusion(self):
-        assert default_bucket_bytes(make_communicator(1)) == 0
+        assert default_bucket_bytes("sim", "perlmutter", 1) == 0
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_planner_prices_the_trainers_bucket(self, dataset, backend,
+                                                monkeypatch):
+        """The scorer prices a grad-overlap candidate with the fusion
+        bucket the trainer then runs on that backend."""
+        from repro.core.config import training_layer_dims
+        from repro.core.trainer import setup_distributed
+        from repro.plan import (PlanMatrixCache, enumerate_candidates,
+                                score, score_candidates)
+
+        priced = []
+        exchange_cost = score.gradient_exchange_cost
+
+        def spy(*args, **kwargs):
+            priced.append(kwargs["bucket_bytes"])
+            return exchange_cost(*args, **kwargs)
+
+        monkeypatch.setattr(score, "gradient_exchange_cost", spy)
+        config = DistTrainConfig(n_ranks=4, partitioner=None, epochs=1,
+                                 backend=backend, grad_overlap=True,
+                                 machine="perlmutter-scaled")
+        dims = training_layer_dims(dataset.node_data.n_features,
+                                   dataset.node_data.n_classes,
+                                   config.hidden, config.n_layers)
+        candidates = enumerate_candidates(
+            4, partitioners=[None], algorithms=["1d"],
+            modes=["sparsity_aware"], grad_overlaps=(True,))
+        score_candidates(candidates, PlanMatrixCache(dataset.adjacency),
+                         dims, config.machine, backend=backend,
+                         simulate=False)
+        setup = setup_distributed(dataset, config)
+        with setup.comm:
+            trained = setup.model.gradsync.bucket_bytes
+        assert priced == [trained] and trained > 0
 
 
 # ----------------------------------------------------------------------

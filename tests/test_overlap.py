@@ -284,10 +284,9 @@ class TestOverlapPlanning:
         assert sa_piped.as_dict() == sa_sync.as_dict()
 
     def test_enumerate_pipeline_depth_axis(self):
-        default = enumerate_candidates(4, backends=["sim"])
+        default = enumerate_candidates(4)
         assert all(c.pipeline_depth == 1 for c in default)
-        deep = enumerate_candidates(4, backends=["sim"],
-                                    pipeline_depths=(1, 2))
+        deep = enumerate_candidates(4, pipeline_depths=(1, 2))
         depths = {(c.algorithm, c.mode, c.pipeline_depth) for c in deep}
         assert ("1d", "oblivious", 2) in depths
         # 1D SA executes identically at every depth: only one enumerated.
@@ -300,7 +299,7 @@ class TestOverlapPlanning:
         adj, _ = self._matrix()
         cache = PlanMatrixCache(adj)
         candidates = enumerate_candidates(
-            4, backends=["sim"], partitioners=[None],
+            4, partitioners=[None],
             algorithms=["1d"], modes=["oblivious"], pipeline_depths=(1, 2))
         scored = score_candidates(candidates, cache, [32, 16, 8],
                                   "perlmutter")
@@ -309,7 +308,7 @@ class TestOverlapPlanning:
         assert by_depth[2] < by_depth[1]
 
     def test_planner_simulates_pipelined_candidates(self, tiny_dataset):
-        planner = Planner(machine="perlmutter-scaled", backends=["sim"],
+        planner = Planner(machine="perlmutter-scaled",
                           partitioners=[None], algorithms=["1d"],
                           modes=["oblivious"], pipeline_depths=(1, 2),
                           use_cache=False)

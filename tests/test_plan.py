@@ -77,7 +77,6 @@ class TestSpace:
         cands = enumerate_candidates(16)
         assert {c.algorithm for c in cands} == {"1d", "1.5d"}
         assert {c.mode for c in cands} == {"oblivious", "sparsity_aware"}
-        assert {c.backend for c in cands} == {"process", "sim", "threaded"}
         assert {c.partitioner for c in cands} == {None, "metis_like", "gvb"}
         assert {c.replication_factor
                 for c in cands if c.algorithm == "1.5d"} == {2, 4}
@@ -86,22 +85,21 @@ class TestSpace:
 
     def test_constrained_space(self):
         cands = enumerate_candidates(
-            8, backends=["sim"], partitioners=[None], algorithms=["1d"],
+            8, partitioners=[None], algorithms=["1d"],
             modes=["sparsity_aware"])
         assert len(cands) == 1
         only = cands[0]
-        assert (only.algorithm, only.backend, only.partitioner) == \
-            ("1d", "sim", None)
+        assert (only.algorithm, only.partitioner) == ("1d", None)
         assert only.sparsity_aware
 
     def test_multiple_rank_counts(self):
-        cands = enumerate_candidates([4, 8], backends=["sim"],
-                                     partitioners=[None], algorithms=["1d"])
+        cands = enumerate_candidates([4, 8], partitioners=[None],
+                                     algorithms=["1d"])
         assert {c.n_ranks for c in cands} == {4, 8}
 
     def test_rejects_unknown_axes(self):
-        with pytest.raises(ValueError, match="unknown backends"):
-            enumerate_candidates(4, backends=["nope"])
+        with pytest.raises(ValueError, match="unknown communicator backend"):
+            Planner(backend="nope", use_cache=False)
         with pytest.raises(ValueError, match="unknown partitioners"):
             enumerate_candidates(4, partitioners=["nope"])
         with pytest.raises(ValueError, match="cannot train"):
@@ -147,9 +145,11 @@ class TestScore:
         cands = enumerate_candidates(
             8, partitioners=[None], algorithms=["1d"],
             modes=["sparsity_aware"])
-        scored = score_candidates(cands, cache, [300, 16, 24],
-                                  "perlmutter-scaled")
-        by_backend = {s.candidate.backend: s.predicted_s for s in scored}
+        by_backend = {
+            backend: score_candidates(cands, cache, [300, 16, 24],
+                                      "perlmutter-scaled",
+                                      backend=backend)[0].predicted_s
+            for backend in ("sim", "threaded", "process")}
         assert by_backend["sim"] < by_backend["threaded"] \
             < by_backend["process"]
         assert BACKEND_MESSAGE_OVERHEAD_S["sim"] == 0.0
@@ -180,11 +180,12 @@ class TestScore:
                                      modes=["sparsity_aware"])
         overheads = {"sim": 1e-4, "threaded": 1e-4, "process": 1e-4}
         for candidate in cands:
-            assert backend_overhead_s(candidate, [300, 24],
-                                      overheads=overheads) > 0
-            assert backend_overhead_s(candidate, [300, 24],
-                                      overheads=overheads,
-                                      cache_input_propagation=True) == 0
+            for backend in overheads:
+                assert backend_overhead_s(candidate, [300, 24], backend,
+                                          overheads=overheads) > 0
+                assert backend_overhead_s(candidate, [300, 24], backend,
+                                          overheads=overheads,
+                                          cache_input_propagation=True) == 0
 
     def test_matrix_cache_reuses_instances(self, dataset):
         cache = PlanMatrixCache(dataset.adjacency, seed=0)
@@ -246,7 +247,7 @@ class TestCache:
         assert cache.dead_configs(plan["fingerprint"]) == set()
         again = make_planner(path).plan_for_dataset(dataset, 4)
         assert not again.cache_hit and again.groups_simulated > 0
-        assert json.loads(path.read_text())["version"] == 2
+        assert json.loads(path.read_text())["version"] == 3
         assert make_planner(path).plan_for_dataset(dataset, 4).cache_hit
 
 
@@ -268,13 +269,14 @@ class TestPlanner:
         chosen = [row for row in report.table if row["chosen"] == "*"]
         assert len(chosen) == 1 and chosen[0]["rank"] == 1
         assert chosen[0]["algorithm"] == report.plan.algorithm
-        assert chosen[0]["backend"] == report.plan.backend
+        assert "backend" not in chosen[0] and report.plan.backend == "sim"
         # Every candidate carries both prices: model and simulator.
         assert all(row["predicted_s"] is not None
                    and row["simulated_s"] is not None for row in report.table)
         groups = {(row["algorithm"], row["mode"], row["partitioner"],
                    row["c"], row["p"], row["depth"]) for row in report.table}
-        assert report.groups_simulated == len(groups)
+        # One backend is priced: every row is its own group.
+        assert report.groups_simulated == len(groups) == len(report.table)
 
     def test_plan_cache_round_trip_skips_simulation(self, dataset, tmp_path):
         cache_path = tmp_path / "plans.json"
@@ -331,26 +333,10 @@ class TestPlanner:
         planner.plan_for_dataset(dataset, 8)
         assert not cache_path.exists()
 
-    def test_cache_invalidated_when_backend_registry_grows(self, dataset,
-                                                           tmp_path,
-                                                           monkeypatch):
-        """Registering a new backend must invalidate cached default-space
-        plans (the resolved axes are part of the key)."""
-        from repro.comm import factory
-        cache_path = tmp_path / "plans.json"
-        first = make_planner(cache_path, probe=False) \
-            .plan_for_dataset(dataset, 8)
-        assert not first.cache_hit
-        monkeypatch.setitem(factory.BACKENDS, "zzz-fake",
-                            factory.BACKENDS["sim"])
-        report = make_planner(cache_path, probe=False) \
-            .plan_for_dataset(dataset, 8)
-        assert not report.cache_hit
-
     def test_cache_key_separates_plan_spaces(self, dataset, tmp_path):
         cache_path = tmp_path / "plans.json"
         make_planner(cache_path).plan_for_dataset(dataset, 8)
-        constrained = make_planner(cache_path, backends=["threaded"])
+        constrained = make_planner(cache_path, backend="threaded")
         report = constrained.plan_for_dataset(dataset, 8)
         assert not report.cache_hit         # different space, different key
         assert report.plan.backend == "threaded"
@@ -407,18 +393,15 @@ class TestPricingRule:
         a group the simulator prices cheapest."""
         dataset = tier1_dataset(name)
         machine = "perlmutter-scaled"
-        report = Planner(machine=machine, backends=["sim"], use_cache=False,
+        report = Planner(machine=machine, use_cache=False,
                          seed=0).plan_for_dataset(dataset, p)
         dims = training_layer_dims(dataset.node_data.n_features,
                                    dataset.node_data.n_classes, 16, 3)
         matrices = report.matrix_cache
         prices = {c: reference_sim_s(c, matrices, dims, machine)
                   for c in enumerate_candidates(
-                      p, backends=["sim"], n_vertices=matrices.n_vertices)}
-        plan = report.plan
-        pick = PlanCandidate(plan.algorithm, plan.sparsity_aware,
-                             plan.backend, plan.partitioner,
-                             plan.replication_factor, plan.n_ranks)
+                      p, n_vertices=matrices.n_vertices)}
+        pick = PlanCandidate(**report.plan.as_config_kwargs())
         cheapest = min(prices.values())
         argmin = [c for c, s in prices.items() if s == cheapest]
         assert prices[pick] == cheapest, (pick, prices[pick], argmin)
@@ -454,7 +437,7 @@ class TestResolveConfig:
         assert resolved is config and plan is None
 
     def test_auto_fields_are_resolved(self, dataset):
-        config = DistTrainConfig(n_ranks=4, algorithm=AUTO, backend=AUTO,
+        config = DistTrainConfig(n_ranks=4, algorithm=AUTO,
                                  partitioner=AUTO, epochs=1,
                                  machine="perlmutter-scaled")
         assert config.needs_planning and config.scheme_label == "AUTO"
@@ -462,19 +445,23 @@ class TestResolveConfig:
         assert plan is not None
         assert not resolved.needs_planning
         assert resolved.algorithm in ("1d", "1.5d")
-        assert resolved.backend in ("sim", "threaded", "process")
+        assert resolved.backend == plan.backend == config.backend
         assert resolved.n_ranks == 4 and resolved.epochs == 1
 
     def test_pinned_fields_stay_pinned(self, dataset):
         config = DistTrainConfig(n_ranks=4, algorithm="1d",
-                                 sparsity_aware=False, backend=AUTO,
-                                 partitioner="metis_like", epochs=1)
+                                 sparsity_aware=False, backend="threaded",
+                                 partitioner=AUTO, epochs=1)
         resolved, plan = resolve_config(dataset, config)
         assert resolved.algorithm == "1d"
         assert resolved.sparsity_aware is False
-        assert resolved.partitioner == "metis_like"
         assert resolved.replication_factor == 1
-        assert resolved.backend in ("sim", "threaded", "process")
+        assert resolved.backend == plan.backend == "threaded"
+        resolved, plan = resolve_config(dataset, dataclasses.replace(
+            config, algorithm=AUTO, partitioner="metis_like"))
+        assert plan is not None
+        assert resolved.partitioner == "metis_like"
+        assert resolved.backend == "threaded"
 
     def test_resolution_plans_the_schedule_that_will_run(self, dataset):
         """The config's cache flag reaches the scorer: same space, two
@@ -496,6 +483,12 @@ class TestResolveConfig:
             config.n_block_rows
         with pytest.raises(ValueError, match="unknown communicator backend"):
             DistTrainConfig(backend="autooo")
+
+    def test_backend_is_never_auto(self):
+        """The planner prices a backend, it does not pick one."""
+        with pytest.raises(ValueError, match="available: .*'sim'"):
+            DistTrainConfig(backend=AUTO)
+        assert not DistTrainConfig(backend="process").needs_planning
 
     def test_resolve_config_returns_reusable_partition(self, dataset):
         from repro.partition import get_partitioner
