@@ -14,12 +14,10 @@ import numpy as np
 
 from repro.bench import bench_scale, format_table
 from repro.comm import make_communicator
-from repro.core import (BlockRowDistribution, DistDenseMatrix, DistSparseMatrix,
-                        predicted_bytes_per_spmm, spmm, spmm_cost_1d_oblivious,
-                        spmm_cost_1d_sparsity_aware)
-from repro.graphs import gcn_normalize, load_dataset
-from repro.graphs.adjacency import permutation_from_parts, symmetric_permutation
-from repro.partition import get_partitioner
+from repro.core import (DistDenseMatrix, predicted_bytes_per_spmm, spmm,
+                        spmm_cost_1d_oblivious, spmm_cost_1d_sparsity_aware)
+from repro.core.distribute import distribute
+from repro.graphs import load_dataset
 
 P_VALUES = (4, 8, 16)
 MACHINE = "perlmutter"
@@ -30,13 +28,9 @@ def run_validation(scale: float, seed: int = 0):
     dataset = load_dataset("amazon", scale=scale, seed=seed)
     rows = []
     for p in P_VALUES:
-        part = get_partitioner("gvb", seed=seed).partition(dataset.adjacency, p)
-        perm = permutation_from_parts(part.parts, p)
-        permuted = symmetric_permutation(gcn_normalize(dataset.adjacency), perm)
-        dist = BlockRowDistribution.from_partition(part.part_sizes())
-        matrix = DistSparseMatrix(permuted, dist)
+        matrix, _, _ = distribute(dataset.adjacency, "gvb", p, seed=seed)
         h = np.random.default_rng(seed).normal(size=(dataset.n_vertices, F))
-        dense = DistDenseMatrix.from_global(h, dist)
+        dense = DistDenseMatrix.from_global(h, matrix.dist)
 
         for label, aware in (("SA", True), ("CAGNET", False)):
             comm = make_communicator(p, backend="sim", machine=MACHINE)

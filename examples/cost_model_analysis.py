@@ -16,25 +16,17 @@ Run with::
     python examples/cost_model_analysis.py
 """
 
-import numpy as np
-
 from repro import DistTrainConfig, load_dataset, train_distributed
 from repro.bench import format_table
-from repro.core import (BlockRowDistribution, DistSparseMatrix,
-                        best_replication_factor, crossover_process_count,
+from repro.core import (best_replication_factor, crossover_process_count,
                         spmm_cost_1d_oblivious, spmm_cost_1d_sparsity_aware)
-from repro.graphs.adjacency import (gcn_normalize, permutation_from_parts,
-                                    symmetric_permutation)
-from repro.partition import get_partitioner
+from repro.core.distribute import distribute
+from repro.graphs.adjacency import gcn_normalize
 
 
 def partitioned_matrix(adjacency, nblocks, seed=0):
     """GVB-partition the graph and return the distributed (permuted) matrix."""
-    part = get_partitioner("gvb", seed=seed).partition(adjacency, nblocks)
-    perm = permutation_from_parts(part.parts, nblocks)
-    permuted = symmetric_permutation(gcn_normalize(adjacency), perm)
-    dist = BlockRowDistribution.from_partition(part.part_sizes())
-    return DistSparseMatrix(permuted, dist), part
+    return distribute(adjacency, "gvb", nblocks, seed=seed)[0]
 
 
 def main() -> None:
@@ -49,7 +41,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     rows = []
     for p in p_values:
-        matrix, _ = partitioned_matrix(adjacency, p)
+        matrix = partitioned_matrix(adjacency, p)
         predicted_sa = spmm_cost_1d_sparsity_aware(matrix, f, machine)
         predicted_obl = spmm_cost_1d_oblivious(matrix, f, machine)
 
@@ -81,8 +73,7 @@ def main() -> None:
     print(f"\npredicted crossover (SA starts to beat CAGNET): p = {crossover}")
 
     def builder(c):
-        matrix, _ = partitioned_matrix(adjacency, max(1, 16 // c))
-        return matrix
+        return partitioned_matrix(adjacency, max(1, 16 // c))
 
     best_c = best_replication_factor(builder, f=f, nranks=16, machine=machine,
                                      candidates=(1, 2, 4))

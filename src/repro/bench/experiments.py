@@ -323,13 +323,9 @@ def auto_plan_rows(datasets: Sequence[str],
                                 algorithm=plan.algorithm,
                                 replication_factor=plan.replication_factor)
                 # Reuse the planner's partitioning instead of repeating it.
-                partition = None
-                if report.matrix_cache is not None:
-                    partition = report.matrix_cache.partition_result(
-                        plan.partitioner, plan.n_block_rows)
                 row = run_single(dataset, scheme, p, epochs=epochs,
                                  backend=backend, machine=machine, seed=seed,
-                                 partition=partition)
+                                 partition=report.partition)
                 row["planned_algorithm"] = plan.algorithm
                 row["planned_mode"] = plan.mode
                 row["planned_partitioner"] = plan.partitioner or "none"

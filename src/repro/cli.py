@@ -589,13 +589,16 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_cost(args) -> int:
-    from .plan import PlanMatrixCache
+    from .core.distribute import distribute
     dataset = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
-    # The same partition -> permute -> distribute pipeline the planner
-    # prices with, shared across the replication factors tried below.
-    matrices = PlanMatrixCache(dataset.adjacency, seed=args.seed)
     part_name = None if args.partitioner == "none" else args.partitioner
-    matrix = matrices.matrix(part_name, args.ranks)
+
+    def matrix_over(nblocks: int):
+        # The same distribution the planner prices with.
+        return distribute(dataset.adjacency, part_name, nblocks,
+                          seed=args.seed)[0]
+
+    matrix = matrix_over(args.ranks)
     f = dataset.n_features
     aware = spmm_cost_1d_sparsity_aware(matrix, f, args.machine)
     oblivious = spmm_cost_1d_oblivious(matrix, f, args.machine)
@@ -620,7 +623,7 @@ def _cmd_cost(args) -> int:
           f"blocks): {xover_str}")
 
     def matrix_for_replication(c: int):
-        return matrices.matrix(part_name, args.ranks // c)
+        return matrix if c == 1 else matrix_over(args.ranks // c)
 
     try:
         best_c = best_replication_factor(matrix_for_replication, f,

@@ -409,39 +409,19 @@ def epoch_cost(matrix: DistSparseMatrix, layer_dims: Sequence[int],
 
 def crossover_process_count(adjacency: sp.spmatrix, f: int,
                             p_values: Sequence[int],
-                            machine: "str | MachineModel",
-                            partitioner_parts: Optional[dict] = None
-                            ) -> Optional[int]:
+                            machine: "str | MachineModel") -> Optional[int]:
     """Smallest process count at which the sparsity-aware 1D SpMM is
-    predicted to be faster than the oblivious one.
-
-    Parameters
-    ----------
-    partitioner_parts:
-        Optional mapping ``p -> partition vector``; when given, the matrix
-        is permuted accordingly before the analysis (i.e. the SA+partitioner
-        curve).  Without it the natural block distribution is used (the
-        plain SA curve).
+    predicted to be faster than the oblivious one, with ``adjacency`` in
+    natural equal blocks (the plain SA curve).
 
     Returns None when the sparsity-aware variant never wins in the range.
     """
-    from ..graphs.adjacency import permutation_from_parts, symmetric_permutation
-    from .dist_matrix import BlockRowDistribution
+    from .distribute import distribute
 
-    adjacency = adjacency.tocsr()
     for p in sorted(p_values):
         if p > adjacency.shape[0]:
             continue
-        matrix_csr = adjacency
-        if partitioner_parts and p in partitioner_parts:
-            parts = np.asarray(partitioner_parts[p])
-            perm = permutation_from_parts(parts, p)
-            matrix_csr = symmetric_permutation(adjacency, perm)
-            sizes = np.bincount(parts, minlength=p)
-            dist = BlockRowDistribution.from_partition(sizes)
-        else:
-            dist = BlockRowDistribution.uniform(adjacency.shape[0], p)
-        matrix = DistSparseMatrix(matrix_csr, dist)
+        matrix, _, _ = distribute(adjacency, None, p, normalize=False)
         aware = spmm_cost_1d_sparsity_aware(matrix, f, machine)
         oblivious = spmm_cost_1d_oblivious(matrix, f, machine)
         if aware.communication_s < oblivious.communication_s:

@@ -32,24 +32,22 @@ from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..comm.base import Communicator
 from ..comm.factory import make_communicator
 from ..comm.faults import FaultPlan, WorkerFailure
 from ..gcn.metrics import masked_accuracy
-from ..graphs.adjacency import gcn_normalize, permutation_from_parts
 from ..graphs.datasets import GraphDataset
 from ..graphs.features import NodeData
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import TRACE
-from ..partition import get_partitioner
 from ..partition.base import PartitionResult
 from .checkpoint import (CheckpointManager, TrainingCheckpoint,
                          config_fingerprint)
 from .config import Algorithm, DistTrainConfig, training_layer_dims
 from .dist_gcn import DistributedGCN
 from .dist_matrix import BlockRowDistribution, DistDenseMatrix, DistSparseMatrix
+from .distribute import distribute
 from .spmm_15d import ProcessGrid
 
 __all__ = ["DistEpochRecord", "DistTrainResult", "DistributedSetup",
@@ -130,7 +128,7 @@ class DistributedSetup:
 def setup_distributed(dataset: GraphDataset, config: DistTrainConfig,
                       partition: Optional[PartitionResult] = None
                       ) -> DistributedSetup:
-    """Partition, permute and distribute a dataset for simulated training.
+    """Partition, permute and distribute a dataset on ``config.backend``.
 
     A config with ``"auto"`` fields (``algorithm`` / ``partitioner``) is
     first resolved by the autotuning planner; the concrete configuration
@@ -141,61 +139,28 @@ def setup_distributed(dataset: GraphDataset, config: DistTrainConfig,
 
     ``partition`` lets a caller supply a precomputed
     :class:`~repro.partition.base.PartitionResult` for ``config.partitioner``
-    over ``config.n_block_rows`` parts (e.g. the planner's own) instead of
-    partitioning again; partitioners are seed-deterministic, so supplying
-    the matching result is bit-identical to recomputation.
+    over ``config.n_block_rows`` parts instead of partitioning again
+    (see :func:`~repro.core.distribute.distribute`).
     """
     plan = None
-    plan_partition: Optional[PartitionResult] = partition
     if config.needs_planning:
         # Imported lazily: repro.plan depends on repro.core, not vice versa.
         from ..plan import resolve_config
-        config, plan, plan_partition = resolve_config(dataset, config,
-                                                      return_partition=True)
+        config, plan, partition = resolve_config(dataset, config)
 
     node_data = dataset.node_data
     node_data.validate()
-    adjacency = dataset.adjacency
-
-    nblocks = config.n_block_rows
-    if nblocks > adjacency.shape[0]:
-        raise ValueError(
-            f"cannot distribute {adjacency.shape[0]} vertices over "
-            f"{nblocks} block rows")
-
-    partition: Optional[PartitionResult] = None
-    if config.partitioner is not None:
-        if plan_partition is not None:
-            sizes = plan_partition.part_sizes()
-            if len(sizes) != nblocks or int(np.sum(sizes)) != \
-                    adjacency.shape[0]:
-                raise ValueError(
-                    f"supplied partition has {len(sizes)} parts over "
-                    f"{int(np.sum(sizes))} vertices; this configuration "
-                    f"needs {nblocks} parts over {adjacency.shape[0]}")
-            # Reuse the planner's partitioning (same partitioner, seed and
-            # block count — partitioners are seed-deterministic, so this is
-            # bit-identical to recomputing, just not paid for twice).
-            partition = plan_partition
-        else:
-            partitioner = get_partitioner(config.partitioner, seed=config.seed)
-            partition = partitioner.partition(adjacency, nblocks)
-        perm = permutation_from_parts(partition.parts, nblocks)
-        dataset = dataset.permuted(perm)
-        node_data = dataset.node_data
-        adjacency = dataset.adjacency
-        distribution = BlockRowDistribution.from_partition(partition.part_sizes())
-    else:
-        distribution = BlockRowDistribution.uniform(adjacency.shape[0], nblocks)
-
-    matrix = gcn_normalize(adjacency) if config.normalize_adjacency \
-        else adjacency.tocsr().astype(config.np_dtype)
+    matrix, perm, partition = distribute(
+        dataset.adjacency, config.partitioner, config.n_block_rows,
+        seed=config.seed, normalize=config.normalize_adjacency,
+        dtype=config.np_dtype, partition=partition)
+    if perm is not None:
+        node_data = node_data.permuted(perm)
 
     comm = make_communicator(config.n_ranks, backend=config.backend,
                              machine=config.machine)
     try:
-        setup = _build_setup(dataset, config, comm, node_data, matrix,
-                             partition, distribution)
+        setup = _build_setup(config, comm, node_data, matrix, partition)
         setup.plan = plan
         return setup
     except BaseException:
@@ -227,14 +192,13 @@ def _resolve_grad_bucket_bytes(config: DistTrainConfig) -> int:
                                 config.n_ranks)
 
 
-def _build_setup(dataset: GraphDataset, config: DistTrainConfig,
-                 comm: Communicator, node_data: NodeData, matrix,
-                 partition: Optional[PartitionResult],
-                 distribution: BlockRowDistribution) -> DistributedSetup:
+def _build_setup(config: DistTrainConfig, comm: Communicator,
+                 node_data: NodeData, adjacency_dist: DistSparseMatrix,
+                 partition: Optional[PartitionResult]) -> DistributedSetup:
     dtype = config.np_dtype
-    adjacency_dist = DistSparseMatrix(matrix, distribution, dtype=dtype)
     features_dist = DistDenseMatrix.from_global(node_data.features,
-                                                distribution, dtype=dtype)
+                                                adjacency_dist.dist,
+                                                dtype=dtype)
 
     grid = None
     if config.algorithm == Algorithm.ONE_POINT_FIVE_D:
@@ -262,7 +226,8 @@ def _build_setup(dataset: GraphDataset, config: DistTrainConfig,
         cache_input_propagation=config.cache_input_propagation,
     )
     return DistributedSetup(model=model, comm=comm, node_data=node_data,
-                            partition=partition, distribution=distribution,
+                            partition=partition,
+                            distribution=adjacency_dist.dist,
                             grid=grid, config=config)
 
 
@@ -321,20 +286,22 @@ def _build_metrics(comm: Communicator,
 
 
 def _recover_config(dataset: GraphDataset, config: DistTrainConfig,
-                    failure: WorkerFailure
+                    partition: Optional[PartitionResult]
                     ) -> Tuple[DistTrainConfig, Optional[PartitionResult]]:
-    """The configuration the supervised retry should run with.
+    """The configuration and partition the supervised retry should run
+    with.
 
-    Non-elastic: retry the same configuration (the failed worker pool is
-    simply rebuilt), which keeps the restart bit-identical to the
-    uninterrupted run.  Elastic: record the dead ``(backend, n_ranks)``
-    in the plan cache (so it is never served again for this matrix) and
-    re-plan at the surviving rank count — the planner's candidate space
-    already covers every p, so this is a lookup, not new machinery.  The
-    partition is recomputed by :func:`setup_distributed` either way.
+    Non-elastic: retry the same configuration on the same partition (the
+    failed worker pool is simply rebuilt), which keeps the restart
+    bit-identical to the uninterrupted run.  Elastic: record the dead
+    ``(backend, n_ranks)`` in the plan cache (so it is never served again
+    for this matrix) and re-plan at the surviving rank count — the
+    planner's candidate space already covers every p, so this is a
+    lookup, not new machinery.  The retry runs on the re-plan's partition
+    (``None`` on a plan-cache hit: :func:`setup_distributed` partitions).
     """
     if not config.elastic or config.n_ranks <= 1:
-        return config, None
+        return config, partition
     # Imported lazily: repro.plan depends on repro.core, not vice versa.
     from ..plan import PlanCache, Planner, matrix_fingerprint
     from ..plan.space import DEFAULT_REPLICATION_CANDIDATES
@@ -363,7 +330,8 @@ def _recover_config(dataset: GraphDataset, config: DistTrainConfig,
                                dataset.node_data.n_classes, config.hidden,
                                config.n_layers)
     report = planner.plan(dataset.adjacency, dims, survivors)
-    return dataclasses.replace(config, **report.plan.as_config_kwargs()), None
+    return (dataclasses.replace(config, **report.plan.as_config_kwargs()),
+            report.partition)
 
 
 def train_distributed(dataset: GraphDataset, config: DistTrainConfig,
@@ -371,7 +339,7 @@ def train_distributed(dataset: GraphDataset, config: DistTrainConfig,
                       partition: Optional[PartitionResult] = None,
                       fault_plan: Optional[FaultPlan] = None
                       ) -> DistTrainResult:
-    """Run simulated distributed full-graph GCN training end to end.
+    """Run distributed full-graph GCN training end to end.
 
     Parameters
     ----------
@@ -400,12 +368,12 @@ def train_distributed(dataset: GraphDataset, config: DistTrainConfig,
             return _train_attempt(dataset, current_config, eval_every,
                                   current_partition, fault_plan,
                                   resume=resume, restarts=attempt)
-        except WorkerFailure as failure:
+        except WorkerFailure:
             attempt += 1
             if attempt > config.max_restarts:
                 raise
             current_config, current_partition = _recover_config(
-                dataset, current_config, failure)
+                dataset, current_config, current_partition)
             # Restart from the newest checkpoint when there is one;
             # _train_attempt starts from scratch when the dir is empty.
             resume = current_config.checkpoint_dir is not None

@@ -90,16 +90,6 @@ class GraphDataset:
     def avg_degree(self) -> float:
         return self.adjacency.nnz / max(1, self.n_vertices)
 
-    def permuted(self, perm: np.ndarray) -> "GraphDataset":
-        """Apply a symmetric vertex relabelling to adjacency and node data."""
-        from .adjacency import symmetric_permutation
-        return GraphDataset(
-            name=self.name,
-            adjacency=symmetric_permutation(self.adjacency, perm),
-            node_data=self.node_data.permuted(perm),
-            spec=self.spec,
-        )
-
 
 # ----------------------------------------------------------------------
 # Scaled synthetic builders

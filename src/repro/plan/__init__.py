@@ -39,8 +39,8 @@ from .calibrate import (CalibrationResult, calibration_path,
                         write_calibration)
 from .planner import (ExecutionPlan, Planner, PlanReport, plan_for_dataset,
                       resolve_config)
-from .score import (BACKEND_MESSAGE_OVERHEAD_S, PlanMatrixCache,
-                    ScoredCandidate, backend_overhead_s,
+from .score import (BACKEND_MESSAGE_OVERHEAD_S, ScoredCandidate,
+                    backend_overhead_s,
                     effective_message_overheads, score_candidates,
                     simulate_epoch_s)
 from .space import (DEFAULT_PARTITIONERS, DEFAULT_PIPELINE_DEPTHS,
@@ -55,7 +55,7 @@ __all__ = [
     "run_calibration", "write_calibration",
     "ExecutionPlan", "Planner", "PlanReport", "plan_for_dataset",
     "resolve_config",
-    "BACKEND_MESSAGE_OVERHEAD_S", "PlanMatrixCache", "ScoredCandidate",
+    "BACKEND_MESSAGE_OVERHEAD_S", "ScoredCandidate",
     "backend_overhead_s", "effective_message_overheads", "score_candidates",
     "simulate_epoch_s",
     "DEFAULT_PARTITIONERS", "DEFAULT_PIPELINE_DEPTHS",

@@ -36,8 +36,9 @@ from ..core.config import (AUTO, Algorithm, DistTrainConfig,
                            training_layer_dims)
 from ..core.engine import mode_name
 from ..graphs.datasets import GraphDataset
+from ..partition.base import PartitionResult
 from .cache import PlanCache, matrix_fingerprint, plan_key
-from .score import PlanMatrixCache, score_candidates
+from .score import score_candidates
 from .space import (DEFAULT_GRAD_OVERLAPS, DEFAULT_PARTITIONERS,
                     DEFAULT_PIPELINE_DEPTHS, DEFAULT_REPLICATION_CANDIDATES,
                     PlanCandidate, enumerate_candidates)
@@ -88,9 +89,10 @@ class PlanReport:
     cache_hit: bool
     key: str
     cache_path: Optional[str] = None
-    #: The matrix/partition cache of a *fresh* planning run (``None`` on
-    #: cache hits); lets callers reuse the planner's partitioning work.
-    matrix_cache: Optional[PlanMatrixCache] = None
+    #: The partition the winner was priced on (``None`` on cache hits and
+    #: for a plan without partitioner); lets callers reuse the planner's
+    #: partitioning work.
+    partition: Optional[PartitionResult] = None
 
 
 class Planner:
@@ -224,29 +226,32 @@ class Planner:
                                       key=key,
                                       cache_path=str(self.cache.path))
 
-        matrix_cache = PlanMatrixCache(adjacency, seed=self.seed)
+        n_vertices = adjacency.shape[0]
         candidates = enumerate_candidates(
             rank_counts,
             partitioners=self.partitioners,
             algorithms=self.algorithms,
             modes=self.modes,
             replication_candidates=self.replication_candidates,
-            n_vertices=matrix_cache.n_vertices,
+            n_vertices=n_vertices,
             pipeline_depths=self.pipeline_depths,
             grad_overlaps=self.grad_overlaps,
         )
         candidates = [c for c in candidates if c.n_ranks not in dead_ranks]
+        # distribute() results of this call only, keyed (partitioner,
+        # nblocks): nothing outlives the plan but the winner's partition.
+        distributed: Dict = {}
         ranked = score_candidates(
-            candidates, matrix_cache, layer_dims, self.machine,
+            candidates, adjacency, layer_dims, self.machine,
             backend=self.backend,
             cache_input_propagation=self.cache_input_propagation,
-            simulate=self.probe, seed=self.seed)
+            simulate=self.probe, seed=self.seed, distributed=distributed)
         if not ranked:
             excluded = ", after excluding dead configurations" \
                 if dead_ranks else ""
             raise ValueError(
                 "the plan space is empty for this matrix/rank combination "
-                f"(n_ranks={rank_counts}, n_vertices={matrix_cache.n_vertices}"
+                f"(n_ranks={rank_counts}, n_vertices={n_vertices}"
                 f"{excluded})")
 
         best = ranked[0]
@@ -273,7 +278,8 @@ class Planner:
                           groups_simulated=groups_simulated,
                           cache_hit=False, key=key,
                           cache_path=str(self.cache.path) if self.cache else None,
-                          matrix_cache=matrix_cache)
+                          partition=distributed[best.candidate.partitioner,
+                                                best.candidate.n_block_rows][2])
 
     def plan_for_dataset(self, dataset: GraphDataset,
                          n_ranks: "int | Sequence[int]",
@@ -300,9 +306,9 @@ def resolve_config(dataset: GraphDataset, config: DistTrainConfig,
                    *,
                    cache: Optional[PlanCache] = None,
                    use_cache: bool = True,
-                   return_partition: bool = False,
                    **planner_kwargs
-                   ) -> Tuple:
+                   ) -> Tuple[DistTrainConfig, Optional[ExecutionPlan],
+                              Optional[PartitionResult]]:
     """Resolve ``"auto"`` fields of a training config into concrete values.
 
     Fields the user pinned stay pinned — the planner only searches the
@@ -319,13 +325,13 @@ def resolve_config(dataset: GraphDataset, config: DistTrainConfig,
     :func:`~repro.core.trainer.train_distributed` free of write side
     effects.
 
-    Returns ``(resolved_config, plan)`` — plus, with
-    ``return_partition=True``, the planner's memoized
-    :class:`~repro.partition.base.PartitionResult` for the chosen
-    partitioner (or ``None``), so the trainer can skip re-partitioning.
+    Returns ``(resolved_config, plan, partition)``: ``partition`` is the
+    :class:`~repro.partition.base.PartitionResult` the plan was priced on
+    (``None`` on a plan-cache hit or without partitioner), so the trainer
+    can skip re-partitioning.
     """
     if not config.needs_planning:
-        return (config, None, None) if return_partition else (config, None)
+        return config, None, None
 
     algorithms = None
     modes = None
@@ -363,12 +369,5 @@ def resolve_config(dataset: GraphDataset, config: DistTrainConfig,
     report = planner.plan_for_dataset(dataset, config.n_ranks,
                                       hidden=config.hidden,
                                       n_layers=config.n_layers)
-    plan = report.plan
-    resolved = dataclasses.replace(config, **plan.as_config_kwargs())
-    if not return_partition:
-        return resolved, plan
-    partition = None
-    if report.matrix_cache is not None:
-        partition = report.matrix_cache.partition_result(
-            plan.partitioner, resolved.n_block_rows)
-    return resolved, plan, partition
+    resolved = dataclasses.replace(config, **report.plan.as_config_kwargs())
+    return resolved, report.plan, report.partition

@@ -16,8 +16,9 @@ model against simulator; with ``simulate=False`` they are the price.
 
 Building the distributed matrix dominates pricing time (each partitioner x
 block-row count pair needs a partition + permutation), so
-:class:`PlanMatrixCache` shares those matrices across all candidates that
-agree on them.
+:func:`score_candidates` distributes each pair once
+(:func:`repro.core.distribute.distribute`) and shares it across all
+candidates that agree on it.
 """
 
 from __future__ import annotations
@@ -34,18 +35,15 @@ from ..core.config import Algorithm
 from ..core.costmodel import (epoch_cost, epoch_spmm_widths,
                               gradient_exchange_cost)
 from ..core.gradsync import default_bucket_bytes
-from ..core.dist_matrix import (BlockRowDistribution, DistDenseMatrix,
-                                DistSparseMatrix)
+from ..core.dist_matrix import DistDenseMatrix, DistSparseMatrix
+from ..core.distribute import distribute
 from ..core.engine import compile as compile_spmm
 from ..core.spmm_15d import ProcessGrid
-from ..graphs.adjacency import (gcn_normalize, permutation_from_parts,
-                                symmetric_permutation)
 from ..obs.tracer import TRACE
-from ..partition import get_partitioner
 from .calibrate import load_message_overheads
 from .space import PlanCandidate
 
-__all__ = ["BACKEND_MESSAGE_OVERHEAD_S", "PlanMatrixCache", "ScoredCandidate",
+__all__ = ["BACKEND_MESSAGE_OVERHEAD_S", "ScoredCandidate",
            "backend_overhead_s", "effective_message_overheads",
            "score_candidates", "simulate_epoch_s"]
 
@@ -73,62 +71,6 @@ def effective_message_overheads() -> Dict[str, float]:
     table.update(load_message_overheads())
     table["sim"] = 0.0
     return table
-
-
-class PlanMatrixCache:
-    """Build-once cache of distributed matrices per (partitioner, nblocks).
-
-    The planner evaluates many candidates that share a data distribution;
-    partitioning is by far the most expensive part of scoring, so the
-    cache keys the permuted, normalised :class:`DistSparseMatrix` by the
-    ``(partitioner, nblocks)`` pair.
-    """
-
-    def __init__(self, adjacency, seed: int = 0,
-                 normalize: bool = True) -> None:
-        self._raw = adjacency.tocsr()
-        self._normalized = gcn_normalize(self._raw) if normalize \
-            else self._raw.astype(np.float64)
-        self.seed = seed
-        self._cache: Dict[Tuple[Optional[str], int], DistSparseMatrix] = {}
-        self._partitions: Dict[Tuple[str, int], object] = {}
-
-    @property
-    def n_vertices(self) -> int:
-        return self._raw.shape[0]
-
-    def matrix(self, partitioner: Optional[str],
-               nblocks: int) -> DistSparseMatrix:
-        """The normalised adjacency distributed over ``nblocks`` block rows
-        under ``partitioner`` (``None`` = natural block distribution)."""
-        if nblocks > self.n_vertices:
-            raise ValueError(
-                f"cannot distribute {self.n_vertices} vertices over "
-                f"{nblocks} block rows")
-        key = (partitioner, nblocks)
-        if key not in self._cache:
-            if partitioner is None:
-                matrix_csr = self._normalized
-                dist = BlockRowDistribution.uniform(self.n_vertices, nblocks)
-            else:
-                part = get_partitioner(partitioner, seed=self.seed).partition(
-                    self._raw, nblocks)
-                self._partitions[(partitioner, nblocks)] = part
-                perm = permutation_from_parts(part.parts, nblocks)
-                matrix_csr = symmetric_permutation(self._normalized, perm)
-                dist = BlockRowDistribution.from_partition(part.part_sizes())
-            self._cache[key] = DistSparseMatrix(matrix_csr, dist)
-        return self._cache[key]
-
-    def partition_result(self, partitioner: Optional[str], nblocks: int):
-        """The memoized :class:`~repro.partition.base.PartitionResult` for
-        a (partitioner, nblocks) pair this cache already partitioned, or
-        ``None`` — lets the trainer reuse the planner's partitioning work
-        instead of repeating it (partitioners are seed-deterministic, so
-        reuse is bit-identical to recomputation)."""
-        if partitioner is None:
-            return None
-        return self._partitions.get((partitioner, nblocks))
 
 
 def _estimated_messages_per_epoch(candidate: PlanCandidate,
@@ -171,7 +113,7 @@ def backend_overhead_s(candidate: PlanCandidate, layer_dims: Sequence[int],
 
 
 def simulate_epoch_s(candidate: PlanCandidate,
-                     matrix_cache: PlanMatrixCache,
+                     matrix: DistSparseMatrix,
                      layer_dims: Sequence[int],
                      machine: "str | MachineModel",
                      seed: int = 0,
@@ -179,16 +121,15 @@ def simulate_epoch_s(candidate: PlanCandidate,
     """Simulated seconds of one epoch's SpMMs for ``candidate`` — the
     schedule :func:`repro.core.costmodel.epoch_spmm_widths` defines.
 
-    The candidate's algorithm, mode, partitioner, replication factor and
-    pipeline depth are compiled into the one persistent plan the trainer
-    would run; the backend that executes it is priced by
-    :func:`backend_overhead_s`.  The operand is seeded, so the price is
-    deterministic.
+    The candidate's algorithm, mode, replication factor and pipeline
+    depth are compiled over ``matrix`` (distributed by its partitioner)
+    into the one persistent plan the trainer would run; the backend that
+    executes it is priced by :func:`backend_overhead_s`.  The operand is
+    seeded, so the price is deterministic.
     """
     widths = epoch_spmm_widths(layer_dims, cache_input_propagation)
     if not widths:      # a one-layer model's cached epoch runs no SpMM
         return 0.0
-    matrix = matrix_cache.matrix(candidate.partitioner, candidate.n_block_rows)
     # One seeded operand wide enough for every layer; each width slices
     # its first f columns so all candidates see identical data.
     operand = np.random.default_rng(seed).standard_normal(
@@ -243,14 +184,17 @@ class ScoredCandidate:
 
 
 def score_candidates(candidates: Sequence[PlanCandidate],
-                     matrix_cache: PlanMatrixCache,
+                     adjacency,
                      layer_dims: Sequence[int],
                      machine: "str | MachineModel",
                      backend: str = "sim",
                      cache_input_propagation: bool = False,
                      simulate: bool = True,
-                     seed: int = 0) -> List[ScoredCandidate]:
-    """Rank candidates by their price on ``backend``, ascending.
+                     seed: int = 0,
+                     distributed: Optional[Dict] = None
+                     ) -> List[ScoredCandidate]:
+    """Rank candidates over the raw ``adjacency`` by their price on
+    ``backend``, ascending.
 
     With ``simulate`` every group runs once on the simulator
     (:func:`simulate_epoch_s`); otherwise the closed form is the price
@@ -261,20 +205,31 @@ def score_candidates(candidates: Sequence[PlanCandidate],
     schedule (``2 L - 2`` SpMMs at the narrow side,
     :func:`~repro.core.costmodel.epoch_spmm_widths`) instead of the
     paper's.
+
+    Each ``(partitioner, nblocks)`` pair is distributed once, normalised
+    at float64, into ``distributed`` (a fresh dict when ``None``): the
+    :func:`~repro.core.distribute.distribute` result per pair, so a
+    caller can read the partitions it priced.
     """
     machine = get_machine(machine)
+    if distributed is None:
+        distributed = {}
     overheads = effective_message_overheads()
     scored: List[ScoredCandidate] = []
     # Both prices ignore the gradient exchange; share them across the
     # candidates that differ only in grad_overlap.
     group_memo: Dict[Tuple, Tuple[object, Optional[float]]] = {}
     for candidate in candidates:
-        if candidate.n_block_rows > matrix_cache.n_vertices:
+        if candidate.n_block_rows > adjacency.shape[0]:
             continue
         group = candidate.group_key()
         if group not in group_memo:
-            matrix = matrix_cache.matrix(candidate.partitioner,
-                                         candidate.n_block_rows)
+            key = (candidate.partitioner, candidate.n_block_rows)
+            if key not in distributed:
+                distributed[key] = distribute(
+                    adjacency, *key, seed=seed, normalize=True,
+                    dtype=np.float64)
+            matrix = distributed[key][0]
             cost = epoch_cost(matrix, layer_dims, machine,
                               algorithm=candidate.algorithm,
                               sparsity_aware=candidate.sparsity_aware,
@@ -283,7 +238,7 @@ def score_candidates(candidates: Sequence[PlanCandidate],
                               pipeline_depth=candidate.pipeline_depth,
                               cache_input_propagation=cache_input_propagation)
             sim_s = simulate_epoch_s(
-                candidate, matrix_cache, layer_dims, machine, seed=seed,
+                candidate, matrix, layer_dims, machine, seed=seed,
                 cache_input_propagation=cache_input_propagation) \
                 if simulate else None
             group_memo[group] = (cost, sim_s)

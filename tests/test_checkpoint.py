@@ -34,6 +34,7 @@ from repro.core.checkpoint import (CheckpointError, CheckpointManager,
                                    read_checkpoint, write_checkpoint)
 from repro.core.config import training_layer_dims
 from repro.graphs import load_dataset
+from repro.partition import get_partitioner
 from repro.plan import PlanCache, Planner, matrix_fingerprint
 
 SETTINGS = dict(max_examples=4, deadline=None,
@@ -277,6 +278,27 @@ class TestResumeBitIdentity:
         assert result.restarts == 1
         assert result.resumed_from_epoch is None
         for got, want in zip(result.model.weight_state(), reference):
+            np.testing.assert_array_equal(got, want)
+
+    def test_restart_keeps_the_supplied_partition(self, dataset):
+        """A non-elastic retry runs on the partition the caller supplied,
+        not on a fresh one from ``config.partitioner``."""
+        cfg = DistTrainConfig(n_ranks=4, epochs=EPOCHS, backend="sim",
+                              hidden=6, n_layers=2, partitioner="gvb",
+                              max_restarts=1)
+        supplied = get_partitioner("random", seed=0).partition(
+            dataset.adjacency, 4)
+        reference = train_distributed(dataset, cfg, eval_every=0,
+                                      partition=supplied)
+        result = train_distributed(dataset, cfg, eval_every=0,
+                                   partition=supplied,
+                                   fault_plan=FaultPlan.kill(rank=1, epoch=1))
+        assert result.restarts == 1
+        assert result.partition_stats == dict(supplied.stats)
+        assert [h.loss for h in result.history] == \
+            [h.loss for h in reference.history]
+        for got, want in zip(result.model.weight_state(),
+                             reference.model.weight_state()):
             np.testing.assert_array_equal(got, want)
 
 

@@ -185,14 +185,6 @@ class TestCrossoverAndReplication:
                                     machine="perlmutter")
         assert p in (2, 4, 8, 16)
 
-    def test_crossover_with_partitions(self, graph):
-        parts = {p: get_partitioner("metis_like", seed=0).partition(graph, p).parts
-                 for p in (4, 8)}
-        p = crossover_process_count(graph, f=16, p_values=(4, 8),
-                                    machine="perlmutter",
-                                    partitioner_parts=parts)
-        assert p in (4, 8)
-
     def test_crossover_none_when_never_better(self):
         # A dense-ish small graph at tiny p: SA pays p2p latency and the cut
         # is nearly the whole block, so it may never win; accept either

@@ -237,8 +237,7 @@ class TestBucketSizing:
         bucket the trainer then runs on that backend."""
         from repro.core.config import training_layer_dims
         from repro.core.trainer import setup_distributed
-        from repro.plan import (PlanMatrixCache, enumerate_candidates,
-                                score, score_candidates)
+        from repro.plan import enumerate_candidates, score, score_candidates
 
         priced = []
         exchange_cost = score.gradient_exchange_cost
@@ -257,7 +256,7 @@ class TestBucketSizing:
         candidates = enumerate_candidates(
             4, partitioners=[None], algorithms=["1d"],
             modes=["sparsity_aware"], grad_overlaps=(True,))
-        score_candidates(candidates, PlanMatrixCache(dataset.adjacency),
+        score_candidates(candidates, dataset.adjacency,
                          dims, config.machine, backend=backend,
                          simulate=False)
         setup = setup_distributed(dataset, config)

@@ -61,17 +61,6 @@ class TestLoadDataset:
         assert ds.n_features == 300
         assert ds.n_classes <= 24
 
-    def test_permuted_consistency(self):
-        ds = load_dataset("reddit", scale=0.05, n_features=6, n_classes=3,
-                          seed=0)
-        perm = np.random.default_rng(0).permutation(ds.n_vertices)
-        permuted = ds.permuted(perm)
-        assert permuted.nnz == ds.nnz
-        # Degree of vertex v is preserved at its new position.
-        deg_old = np.diff(ds.adjacency.indptr)
-        deg_new = np.diff(permuted.adjacency.indptr)
-        np.testing.assert_array_equal(deg_new[perm], deg_old)
-
     def test_dataset_summary_fields(self):
         ds = load_dataset("protein", scale=0.05, seed=0)
         row = dataset_summary(ds)

@@ -35,7 +35,7 @@ from repro.plan import (PlanCandidate, Planner, effective_message_overheads,
                         enumerate_candidates, load_message_overheads,
                         measure_message_overhead, run_calibration,
                         score_candidates, write_calibration)
-from repro.plan.score import BACKEND_MESSAGE_OVERHEAD_S, PlanMatrixCache
+from repro.plan.score import BACKEND_MESSAGE_OVERHEAD_S
 
 
 def _problem(n=64, p=4, f=6, density=0.12, seed=3):
@@ -297,11 +297,10 @@ class TestOverlapPlanning:
 
     def test_scorer_prefers_pipelined_oblivious(self):
         adj, _ = self._matrix()
-        cache = PlanMatrixCache(adj)
         candidates = enumerate_candidates(
             4, partitioners=[None],
             algorithms=["1d"], modes=["oblivious"], pipeline_depths=(1, 2))
-        scored = score_candidates(candidates, cache, [32, 16, 8],
+        scored = score_candidates(candidates, adj, [32, 16, 8],
                                   "perlmutter")
         by_depth = {s.candidate.pipeline_depth: s.predicted_s
                     for s in scored}

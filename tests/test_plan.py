@@ -22,13 +22,14 @@ from repro.comm import SimCommunicator
 from repro.core import AUTO, DistTrainConfig, train_distributed
 from repro.core.config import Algorithm, training_layer_dims
 from repro.core.dist_matrix import DistDenseMatrix
+from repro.core.distribute import distribute
 from repro.core.engine import compile as compile_spmm
 from repro.core.spmm_15d import ProcessGrid
 from repro.core.trainer import setup_distributed
 from repro.graphs.datasets import load_dataset
 from repro.core.costmodel import epoch_spmm_widths
 from repro.plan import (BACKEND_MESSAGE_OVERHEAD_S, CACHE_ENV_VAR, PlanCache,
-                        PlanCandidate, PlanMatrixCache, Planner,
+                        PlanCandidate, Planner,
                         backend_overhead_s, enumerate_candidates,
                         matrix_fingerprint, plan_for_dataset, resolve_config,
                         score_candidates, valid_replication_factors)
@@ -120,9 +121,9 @@ class TestSpace:
 # ----------------------------------------------------------------------
 class TestScore:
     def test_ranking_sorted_and_positive(self, dataset):
-        cache = PlanMatrixCache(dataset.adjacency, seed=0)
-        cands = enumerate_candidates(8, n_vertices=cache.n_vertices)
-        scored = score_candidates(cands, cache, [300, 16, 24],
+        adj = dataset.adjacency
+        cands = enumerate_candidates(8, n_vertices=adj.shape[0])
+        scored = score_candidates(cands, adj, [300, 16, 24],
                                   "perlmutter-scaled")
         assert len(scored) == len(cands)
         prices = [s.price_s for s in scored]
@@ -131,9 +132,9 @@ class TestScore:
         assert all(s.predicted_s > 0 and s.simulated_s > 0 for s in scored)
 
     def test_closed_form_ranking_simulates_nothing(self, dataset):
-        cache = PlanMatrixCache(dataset.adjacency, seed=0)
-        cands = enumerate_candidates(8, n_vertices=cache.n_vertices)
-        scored = score_candidates(cands, cache, [300, 16, 24],
+        adj = dataset.adjacency
+        cands = enumerate_candidates(8, n_vertices=adj.shape[0])
+        scored = score_candidates(cands, adj, [300, 16, 24],
                                   "perlmutter-scaled", simulate=False)
         assert all(s.simulated_s is None for s in scored)
         predictions = [s.predicted_s for s in scored]
@@ -141,12 +142,11 @@ class TestScore:
         assert predictions == [s.price_s for s in scored]
 
     def test_backend_overhead_orders_backends(self, dataset):
-        cache = PlanMatrixCache(dataset.adjacency, seed=0)
         cands = enumerate_candidates(
             8, partitioners=[None], algorithms=["1d"],
             modes=["sparsity_aware"])
         by_backend = {
-            backend: score_candidates(cands, cache, [300, 16, 24],
+            backend: score_candidates(cands, dataset.adjacency, [300, 16, 24],
                                       "perlmutter-scaled",
                                       backend=backend)[0].predicted_s
             for backend in ("sim", "threaded", "process")}
@@ -155,14 +155,14 @@ class TestScore:
         assert BACKEND_MESSAGE_OVERHEAD_S["sim"] == 0.0
 
     def test_cached_input_propagation_prices_the_shorter_epoch(self, dataset):
-        cache = PlanMatrixCache(dataset.adjacency, seed=0)
+        adj = dataset.adjacency
         cands = enumerate_candidates(8, partitioners=[None],
-                                     n_vertices=cache.n_vertices)
+                                     n_vertices=adj.shape[0])
         dims = [300, 16, 24]
         paper = {s.candidate: s for s in score_candidates(
-            cands, cache, dims, "perlmutter-scaled")}
+            cands, adj, dims, "perlmutter-scaled")}
         cached = {s.candidate: s for s in score_candidates(
-            cands, cache, dims, "perlmutter-scaled",
+            cands, adj, dims, "perlmutter-scaled",
             cache_input_propagation=True)}
         assert paper.keys() == cached.keys()
         # 2L - 2 SpMMs' messages out of the paper's 2L: 2 / 4 here
@@ -187,15 +187,33 @@ class TestScore:
                                           overheads=overheads,
                                           cache_input_propagation=True) == 0
 
-    def test_matrix_cache_reuses_instances(self, dataset):
-        cache = PlanMatrixCache(dataset.adjacency, seed=0)
-        assert cache.matrix("gvb", 4) is cache.matrix("gvb", 4)
-        assert cache.matrix("gvb", 4) is not cache.matrix("gvb", 8)
+    def test_scoring_distributes_each_pair_once(self, dataset,
+                                                monkeypatch):
+        """Candidates sharing a (partitioner, nblocks) pair share one
+        distributed matrix; the per-call dict holds one per pair."""
+        from repro.plan import score
+        calls = []
 
-    def test_matrix_cache_rejects_oversized(self, dataset):
-        cache = PlanMatrixCache(dataset.adjacency, seed=0)
-        with pytest.raises(ValueError, match="cannot distribute"):
-            cache.matrix(None, cache.n_vertices + 1)
+        def counting(adjacency, *key, **kwargs):
+            calls.append(key)
+            return distribute(adjacency, *key, **kwargs)
+
+        monkeypatch.setattr(score, "distribute", counting)
+        cands = enumerate_candidates(8, partitioners=["gvb"],
+                                     pipeline_depths=(1, 2))
+        distributed = {}
+        score_candidates(cands, dataset.adjacency, [300, 16, 24],
+                         "perlmutter-scaled", simulate=False,
+                         distributed=distributed)
+        pairs = {(c.partitioner, c.n_block_rows) for c in cands}
+        assert len(cands) > len(pairs) > 1
+        assert sorted(calls) == sorted(pairs) == sorted(distributed)
+
+    def test_distribute_rejects_oversized(self, dataset):
+        n = dataset.n_vertices
+        for partitioner in (None, "gvb"):
+            with pytest.raises(ValueError, match="cannot distribute"):
+                distribute(dataset.adjacency, partitioner, n + 1)
 
 
 # ----------------------------------------------------------------------
@@ -366,11 +384,11 @@ def tier1_dataset(name):
     return load_dataset(name, scale=0.05, seed=0)
 
 
-def reference_sim_s(candidate, matrices, dims, machine):
-    """One epoch's SpMMs of ``candidate`` on a fresh simulator, written out
-    independently of the planner: the oracle its pick must minimise."""
+def reference_sim_s(candidate, matrix, dims, machine):
+    """One epoch's SpMMs of ``candidate`` over ``matrix`` on a fresh
+    simulator, written out independently of the planner: the oracle its
+    pick must minimise."""
     widths = epoch_spmm_widths(dims, False)
-    matrix = matrices.matrix(candidate.partitioner, candidate.n_block_rows)
     operand = np.random.default_rng(0).standard_normal(
         (matrix.shape[0], max(widths)))
     grid = ProcessGrid(nranks=candidate.n_ranks,
@@ -397,10 +415,12 @@ class TestPricingRule:
                          seed=0).plan_for_dataset(dataset, p)
         dims = training_layer_dims(dataset.node_data.n_features,
                                    dataset.node_data.n_classes, 16, 3)
-        matrices = report.matrix_cache
-        prices = {c: reference_sim_s(c, matrices, dims, machine)
-                  for c in enumerate_candidates(
-                      p, n_vertices=matrices.n_vertices)}
+        matrices, prices = {}, {}
+        for c in enumerate_candidates(p, n_vertices=dataset.n_vertices):
+            key = (c.partitioner, c.n_block_rows)
+            if key not in matrices:
+                matrices[key] = distribute(dataset.adjacency, *key)[0]
+            prices[c] = reference_sim_s(c, matrices[key], dims, machine)
         pick = PlanCandidate(**report.plan.as_config_kwargs())
         cheapest = min(prices.values())
         argmin = [c for c, s in prices.items() if s == cheapest]
@@ -433,15 +453,15 @@ class TestPricingRule:
 class TestResolveConfig:
     def test_concrete_config_passes_through(self, dataset):
         config = DistTrainConfig(n_ranks=4, epochs=1)
-        resolved, plan = resolve_config(dataset, config)
-        assert resolved is config and plan is None
+        resolved, plan, partition = resolve_config(dataset, config)
+        assert resolved is config and plan is None and partition is None
 
     def test_auto_fields_are_resolved(self, dataset):
         config = DistTrainConfig(n_ranks=4, algorithm=AUTO,
                                  partitioner=AUTO, epochs=1,
                                  machine="perlmutter-scaled")
         assert config.needs_planning and config.scheme_label == "AUTO"
-        resolved, plan = resolve_config(dataset, config)
+        resolved, plan, _ = resolve_config(dataset, config)
         assert plan is not None
         assert not resolved.needs_planning
         assert resolved.algorithm in ("1d", "1.5d")
@@ -452,12 +472,12 @@ class TestResolveConfig:
         config = DistTrainConfig(n_ranks=4, algorithm="1d",
                                  sparsity_aware=False, backend="threaded",
                                  partitioner=AUTO, epochs=1)
-        resolved, plan = resolve_config(dataset, config)
+        resolved, plan, _ = resolve_config(dataset, config)
         assert resolved.algorithm == "1d"
         assert resolved.sparsity_aware is False
         assert resolved.replication_factor == 1
         assert resolved.backend == plan.backend == "threaded"
-        resolved, plan = resolve_config(dataset, dataclasses.replace(
+        resolved, plan, _ = resolve_config(dataset, dataclasses.replace(
             config, algorithm=AUTO, partitioner="metis_like"))
         assert plan is not None
         assert resolved.partitioner == "metis_like"
@@ -468,8 +488,8 @@ class TestResolveConfig:
         different cache keys and predictions."""
         base = dict(n_ranks=4, algorithm=AUTO, backend="sim",
                     partitioner=None, epochs=1, machine="perlmutter-scaled")
-        _, cached = resolve_config(dataset, DistTrainConfig(**base))
-        _, paper = resolve_config(dataset, DistTrainConfig(
+        _, cached, _ = resolve_config(dataset, DistTrainConfig(**base))
+        _, paper, _ = resolve_config(dataset, DistTrainConfig(
             cache_input_propagation=False, **base))
         assert cached.predicted_s < paper.predicted_s
         planner = dict(machine="perlmutter-scaled", probe=False,
@@ -495,8 +515,7 @@ class TestResolveConfig:
         config = DistTrainConfig(n_ranks=4, algorithm=AUTO, backend="sim",
                                  partitioner="gvb", epochs=1,
                                  machine="perlmutter-scaled")
-        resolved, plan, partition = resolve_config(dataset, config,
-                                                   return_partition=True)
+        resolved, plan, partition = resolve_config(dataset, config)
         assert plan is not None and partition is not None
         recomputed = get_partitioner("gvb", seed=resolved.seed).partition(
             dataset.adjacency, resolved.n_block_rows)
