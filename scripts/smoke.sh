@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # CI smoke target: exercise the autotuning planner (repro tune --quick
 # priced for the sim and the process backend, each against a throwaway
-# plan cache: it must simulate exactly one run per row of its printed
-# table, every row its own group, and report the priced backend in its
-# chosen plan), repro partition with
+# plan cache: it must price exactly one candidate per row of its printed
+# table, every row a distinct plan point, and report the priced backend
+# in its chosen plan), repro partition with
 # every registered
 # partitioner (each must print its max_send_volume), the end-to-end bench
 # path (dataset
@@ -80,18 +80,18 @@ cols = [c.strip() for c in next(l for l in lines
                                 if l.startswith("rank")).split("|")]
 rows = [dict(zip(cols, (c.strip() for c in l.split("|"))))
         for l in lines if re.match(r"\d+ +\|", l)]
-groups = {tuple(r[k] for k in ("algorithm", "mode", "partitioner", "c",
+points = {tuple(r[k] for k in ("algorithm", "mode", "partitioner", "c",
                                 "p", "depth")) for r in rows}
-simulated = int(re.search(r"plan cache: MISS \((\d+) groups simulated\)",
-                          out).group(1))
-# One backend is priced, not searched: every row is its own group.
-assert simulated == len(groups) == len(rows) > 0, \
-    (simulated, len(groups), len(rows))
+priced = int(re.search(r"plan cache: MISS \((\d+) candidates priced\)",
+                       out).group(1))
+# One backend is priced, not searched: every row is its own candidate.
+assert priced == len(points) == len(rows) > 0, \
+    (priced, len(points), len(rows))
 backend = os.environ["BACKEND"]
 assert re.search(rf"^  backend = {backend}$", out, re.M), \
     f"chosen plan does not report backend = {backend}"
-print(f"tune: {simulated} groups simulated == {len(groups)} distinct groups "
-      f"== {len(rows)} candidates, priced for {backend}")
+print(f"tune: {priced} candidates priced == {len(points)} distinct plan "
+      f"points == {len(rows)} rows, priced for {backend}")
 PYEOF
   done
   partitioners="$(python -c "from repro.partition import PARTITIONERS

@@ -687,8 +687,8 @@ def _cmd_tune(args) -> int:
                      "partitioner": plan.partitioner or "none",
                      "simulated_s": "-" if plan.simulated_s is None
                      else plan.simulated_s}, title="chosen plan"))
-    status = "HIT (0 groups simulated)" if report.cache_hit \
-        else f"MISS ({report.groups_simulated} groups simulated)"
+    status = "HIT (0 candidates priced)" if report.cache_hit \
+        else f"MISS ({report.candidates_priced} candidates priced)"
     location = report.cache_path or "disabled"
     print(f"\nplan cache: {status} [{location}]")
     return 0

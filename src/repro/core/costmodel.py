@@ -234,17 +234,15 @@ def gradient_exchange_cost(layer_dims: Sequence[int],
                            machine: "str | MachineModel",
                            nranks: int,
                            element_bytes: int = ELEMENT_BYTES,
-                           grad_element_bytes: Optional[int] = None,
                            bucket_bytes: int = 0,
                            overlap: bool = False,
                            compute_s: float = 0.0) -> float:
     """Predicted per-epoch cost of the weight-gradient all-reduces.
 
-    Each layer contributes one ``f_in x f_out`` ring all-reduce at the
-    gradient wire width (``grad_element_bytes``, defaulting to the model
-    element width).  Fusion packs consecutive layers into buckets of
-    ``bucket_bytes`` — fewer messages, so the per-message latency term is
-    amortised.  With ``overlap`` the buckets post during the backward
+    Each layer contributes one ``f_in x f_out`` ring all-reduce of
+    ``element_bytes`` wide elements.  Fusion packs consecutive layers
+    into buckets of ``bucket_bytes`` — fewer messages, so the
+    per-message latency term is amortised.  With ``overlap`` the buckets post during the backward
     pass: everything except the last bucket's share can hide behind the
     remaining backward compute (``compute_s``), mirroring both the
     simulator's ``max(comm, compute)`` accounting and the fusion/overlap
@@ -255,8 +253,7 @@ def gradient_exchange_cost(layer_dims: Sequence[int],
     p = int(nranks)
     if p <= 1:
         return 0.0
-    geb = element_bytes if grad_element_bytes is None else grad_element_bytes
-    sizes = [int(layer_dims[l - 1]) * int(layer_dims[l]) * geb
+    sizes = [int(layer_dims[l - 1]) * int(layer_dims[l]) * element_bytes
              for l in range(1, len(layer_dims))]
     buckets: List[float] = []
     open_bytes = 0.0
@@ -298,8 +295,8 @@ def epoch_spmm_widths(layer_dims: Sequence[int],
     the ``2 L - 2`` widths in execution order: the forward SpMMs of
     layers ``1 .. L-1``, then the backward ones of layers ``L-1 .. 1``.
 
-    The single definition of the schedule that :func:`epoch_cost`, the
-    planner's message estimate and its simulated runs price, and whose widest
+    The single definition of the schedule that :func:`epoch_cost` prices
+    and the trainer runs, and whose widest
     entry sizes the memory model's buffers and the column panels of the
     cached run's one-off ``A X``.
     """
@@ -338,7 +335,6 @@ def epoch_cost(matrix: DistSparseMatrix, layer_dims: Sequence[int],
                grad_exchange: bool = False,
                grad_overlap: bool = False,
                grad_bucket_bytes: int = 0,
-               grad_element_bytes: Optional[int] = None,
                cache_input_propagation: bool = False) -> CommCostBreakdown:
     """Predicted cost of one training epoch: the sum over its distributed
     SpMMs (:func:`epoch_spmm_widths`).
@@ -361,8 +357,9 @@ def epoch_cost(matrix: DistSparseMatrix, layer_dims: Sequence[int],
     With ``grad_exchange=True`` the model adds the per-layer
     weight-gradient all-reduces (:func:`gradient_exchange_cost`) to the
     reduction term, honouring the trainer's ``grad_overlap`` /
-    ``grad_bucket_bytes`` / wire-width settings; the default keeps the
-    historical SpMM-only prediction so existing tables are unchanged.
+    ``grad_bucket_bytes`` settings at the model's wire width (the
+    planner's ``predicted_s``); the default keeps the SpMM-only
+    prediction the paper's tables report.
     """
     if len(layer_dims) < 2:
         raise ValueError("layer_dims needs at least [in_features, classes]")
@@ -400,7 +397,6 @@ def epoch_cost(matrix: DistSparseMatrix, layer_dims: Sequence[int],
         totals["reduction_s"] += gradient_exchange_cost(
             layer_dims, machine, p,
             element_bytes=element_bytes,
-            grad_element_bytes=grad_element_bytes,
             bucket_bytes=grad_bucket_bytes,
             overlap=grad_overlap,
             compute_s=totals["compute_s"] / 2.0)

@@ -334,6 +334,24 @@ class DistributedGCN:
         self._input_propagation = (features, owned)
         return owned
 
+    def prime_input_propagation(self, product: DistDenseMatrix) -> None:
+        """Keep ``product`` as layer 0's ``A X`` for the current
+        ``features`` instead of computing it (:meth:`input_propagation`).
+
+        The planner prices a cached-schedule epoch this way
+        (:mod:`repro.plan.score`): the simulated clock of an epoch does
+        not depend on the values it multiplies, so any operand of the
+        product's shape prices the epoch the trainer runs after its real
+        one-off.  ``product`` must share the features' distribution,
+        width and dtype; it is kept, not copied, and is only read.
+        """
+        features = self.features
+        if product.dist != features.dist or product.width != features.width \
+                or product.dtype != self.dtype:
+            raise ValueError("the primed A X must match the features' "
+                             "distribution, width and dtype")
+        self._input_propagation = (features, product)
+
     # ------------------------------------------------------------------
     # forward / backward
     # ------------------------------------------------------------------

@@ -51,7 +51,8 @@ from .distribute import distribute
 from .spmm_15d import ProcessGrid
 
 __all__ = ["DistEpochRecord", "DistTrainResult", "DistributedSetup",
-           "setup_distributed", "train_distributed"]
+           "build_setup", "resolve_grad_bucket_bytes", "setup_distributed",
+           "train_distributed"]
 
 
 @dataclass
@@ -160,7 +161,7 @@ def setup_distributed(dataset: GraphDataset, config: DistTrainConfig,
     comm = make_communicator(config.n_ranks, backend=config.backend,
                              machine=config.machine)
     try:
-        setup = _build_setup(config, comm, node_data, matrix, partition)
+        setup = build_setup(config, comm, node_data, matrix, partition)
         setup.plan = plan
         return setup
     except BaseException:
@@ -171,7 +172,7 @@ def setup_distributed(dataset: GraphDataset, config: DistTrainConfig,
         raise
 
 
-def _resolve_grad_bucket_bytes(config: DistTrainConfig) -> int:
+def resolve_grad_bucket_bytes(config: DistTrainConfig) -> int:
     """Concrete fusion bucket size for this run.
 
     Explicit sizes pass through.  ``None`` (auto) sizes buckets with
@@ -192,9 +193,15 @@ def _resolve_grad_bucket_bytes(config: DistTrainConfig) -> int:
                                 config.n_ranks)
 
 
-def _build_setup(config: DistTrainConfig, comm: Communicator,
-                 node_data: NodeData, adjacency_dist: DistSparseMatrix,
-                 partition: Optional[PartitionResult]) -> DistributedSetup:
+def build_setup(config: DistTrainConfig, comm: Communicator,
+                node_data: NodeData, adjacency_dist: DistSparseMatrix,
+                partition: Optional[PartitionResult] = None
+                ) -> DistributedSetup:
+    """Build the GCN a concrete ``config`` trains over
+    ``adjacency_dist`` (already distributed, rows in ``node_data``'s
+    order) on ``comm``.  :func:`setup_distributed` builds every training
+    run through here, and the planner every candidate it prices
+    (:mod:`repro.plan.score`), so both run the same model."""
     dtype = config.np_dtype
     features_dist = DistDenseMatrix.from_global(node_data.features,
                                                 adjacency_dist.dist,
@@ -221,7 +228,7 @@ def _build_setup(config: DistTrainConfig, comm: Communicator,
         dtype=dtype,
         pipeline_depth=config.pipeline_depth,
         grad_overlap=config.grad_overlap,
-        grad_bucket_bytes=_resolve_grad_bucket_bytes(config),
+        grad_bucket_bytes=resolve_grad_bucket_bytes(config),
         grad_dtype=config.grad_dtype,
         cache_input_propagation=config.cache_input_propagation,
     )
@@ -295,41 +302,27 @@ def _recover_config(dataset: GraphDataset, config: DistTrainConfig,
     failed worker pool is simply rebuilt), which keeps the restart
     bit-identical to the uninterrupted run.  Elastic: record the dead
     ``(backend, n_ranks)`` in the plan cache (so it is never served again
-    for this matrix) and re-plan at the surviving rank count — the
-    planner's candidate space already covers every p, so this is a
-    lookup, not new machinery.  The retry runs on the re-plan's partition
-    (``None`` on a plan-cache hit: :func:`setup_distributed` partitions).
+    for this matrix) and re-plan at the surviving rank count over the
+    axes ``config`` leaves free (:func:`~repro.plan.planner
+    .planner_constraints`, the mapping :func:`~repro.plan.resolve_config`
+    uses, so an ``"auto"`` axis is searched again).  The retry runs on
+    the re-plan's partition (``None`` on a plan-cache hit:
+    :func:`setup_distributed` partitions).
     """
     if not config.elastic or config.n_ranks <= 1:
         return config, partition
     # Imported lazily: repro.plan depends on repro.core, not vice versa.
-    from ..plan import PlanCache, Planner, matrix_fingerprint
-    from ..plan.space import DEFAULT_REPLICATION_CANDIDATES
-    from .engine import mode_name
+    from ..plan import (PlanCache, Planner, matrix_fingerprint,
+                        planner_constraints)
 
     cache = PlanCache()
-    fingerprint = matrix_fingerprint(dataset.adjacency)
-    cache.mark_dead(fingerprint, config.backend, config.n_ranks)
-
-    survivors = config.n_ranks - 1
-    planner = Planner(
-        machine=config.machine,
-        backend=config.backend,
-        partitioners=[config.partitioner],
-        algorithms=[config.algorithm],
-        modes=[mode_name(config.sparsity_aware)],
-        replication_candidates=DEFAULT_REPLICATION_CANDIDATES,
-        pipeline_depths=[config.pipeline_depth],
-        grad_overlaps=[config.grad_overlap],
-        cache_input_propagation=config.cache_input_propagation,
-        seed=config.seed,
-        cache=cache,
-        cache_read_only=True,
-    )
-    dims = training_layer_dims(dataset.node_data.n_features,
-                               dataset.node_data.n_classes, config.hidden,
-                               config.n_layers)
-    report = planner.plan(dataset.adjacency, dims, survivors)
+    cache.mark_dead(matrix_fingerprint(dataset.adjacency), config.backend,
+                    config.n_ranks)
+    planner = Planner(**planner_constraints(config), cache=cache,
+                      cache_read_only=True)
+    report = planner.plan_for_dataset(dataset, config.n_ranks - 1,
+                                      hidden=config.hidden,
+                                      n_layers=config.n_layers)
     return (dataclasses.replace(config, **report.plan.as_config_kwargs()),
             report.partition)
 

@@ -7,10 +7,11 @@ process count.  This package closes that loop (see ``docs/tuning.md``):
 
 * :mod:`repro.plan.space`   — enumerate the plan space over the engine
   registry x partitioners x replication factors x rank counts;
-* :mod:`repro.plan.score`   — price every candidate group by running its
-  compiled plan on the simulator of a chosen machine, plus the host
-  overhead of the backend that will run it (the closed-form alpha-beta
-  cost model reports alongside);
+* :mod:`repro.plan.score`   — price every candidate by running one
+  epoch of the trainer's own model for it on the simulator of a chosen
+  machine, plus the host overhead of the backend that will run it for
+  that epoch's exact message count (the closed-form alpha-beta cost
+  model reports alongside);
 * :mod:`repro.plan.cache`   — persist winning plans keyed by matrix +
   machine + layer dims + plan-space fingerprints;
 * :mod:`repro.plan.calibrate` — measure the per-backend message-overhead
@@ -38,11 +39,9 @@ from .calibrate import (CalibrationResult, calibration_path,
                         measure_message_overhead, run_calibration,
                         write_calibration)
 from .planner import (ExecutionPlan, Planner, PlanReport, plan_for_dataset,
-                      resolve_config)
+                      planner_constraints, resolve_config)
 from .score import (BACKEND_MESSAGE_OVERHEAD_S, ScoredCandidate,
-                    backend_overhead_s,
-                    effective_message_overheads, score_candidates,
-                    simulate_epoch_s)
+                    effective_message_overheads, score_candidates, sim_epoch)
 from .space import (DEFAULT_PARTITIONERS, DEFAULT_PIPELINE_DEPTHS,
                     DEFAULT_REPLICATION_CANDIDATES, PlanCandidate,
                     enumerate_candidates, valid_replication_factors)
@@ -54,10 +53,9 @@ __all__ = [
     "load_message_overheads", "measure_message_overhead",
     "run_calibration", "write_calibration",
     "ExecutionPlan", "Planner", "PlanReport", "plan_for_dataset",
-    "resolve_config",
+    "planner_constraints", "resolve_config",
     "BACKEND_MESSAGE_OVERHEAD_S", "ScoredCandidate",
-    "backend_overhead_s", "effective_message_overheads", "score_candidates",
-    "simulate_epoch_s",
+    "effective_message_overheads", "score_candidates", "sim_epoch",
     "DEFAULT_PARTITIONERS", "DEFAULT_PIPELINE_DEPTHS",
     "DEFAULT_REPLICATION_CANDIDATES",
     "PlanCandidate", "enumerate_candidates", "valid_replication_factors",

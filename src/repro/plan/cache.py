@@ -42,8 +42,9 @@ __all__ = ["CACHE_ENV_VAR", "PlanCache", "default_cache_path",
 
 CACHE_ENV_VAR = "REPRO_PLAN_CACHE"
 
-#: Bump when the record layout changes; old files are ignored, not migrated.
-CACHE_FORMAT_VERSION = 3
+#: Bump when the record layout or the pricing rule changes; old files are
+#: ignored, not migrated.
+CACHE_FORMAT_VERSION = 4
 
 
 def default_cache_path() -> pathlib.Path:

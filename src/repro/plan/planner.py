@@ -8,11 +8,12 @@ concrete graph, machine and communicator backend —
 1. :func:`~repro.plan.space.enumerate_candidates` spans the engine
    registry x partitioners x valid 1.5D replication factors x candidate
    rank counts;
-2. :func:`~repro.plan.score.score_candidates` prices every group by
-   running its compiled plan on the simulator, adds the host overhead of
-   the backend that will run it, and ranks the space by that price (the
-   closed-form :func:`~repro.core.costmodel.epoch_cost` fills the
-   ``predicted_s`` column beside it);
+2. :func:`~repro.plan.score.score_candidates` prices every candidate
+   by running one epoch of the trainer's model for it on the simulator,
+   adds the host overhead of the backend that will run it for that
+   epoch's messages, and ranks the space by that price (the closed-form
+   :func:`~repro.core.costmodel.epoch_cost` fills the ``predicted_s``
+   column beside it);
 3. the winning :class:`ExecutionPlan` plus the full ranked table are
    persisted in the :class:`~repro.plan.cache.PlanCache`, so a repeat
    run with the same matrix/machine/space simulates nothing.
@@ -44,7 +45,7 @@ from .space import (DEFAULT_GRAD_OVERLAPS, DEFAULT_PARTITIONERS,
                     PlanCandidate, enumerate_candidates)
 
 __all__ = ["ExecutionPlan", "PlanReport", "Planner", "plan_for_dataset",
-           "resolve_config"]
+           "planner_constraints", "resolve_config"]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -58,13 +59,6 @@ class ExecutionPlan(PlanCandidate):
     source: str                  # "analytic" | "simulated" | "cache"
     machine: str
     fingerprint: str
-
-    def as_config_kwargs(self) -> Dict[str, object]:
-        """Keyword overrides for :func:`dataclasses.replace` on a
-        :class:`~repro.core.config.DistTrainConfig`: the plan point,
-        never the backend (the config chose it)."""
-        return {f.name: getattr(self, f.name)
-                for f in dataclasses.fields(PlanCandidate)}
 
     def as_dict(self) -> Dict[str, object]:
         """The persisted record (every field; :meth:`from_dict` inverts
@@ -85,7 +79,7 @@ class PlanReport:
 
     plan: ExecutionPlan
     table: List[Dict[str, object]]
-    groups_simulated: int
+    candidates_priced: int
     cache_hit: bool
     key: str
     cache_path: Optional[str] = None
@@ -112,10 +106,12 @@ class Planner:
         (:data:`~repro.plan.space.DEFAULT_PARTITIONERS`, every trainable
         engine variant).
     probe:
-        Price every candidate group by running it on the simulator
-        (default).  ``False`` ranks by the closed forms and runs nothing.
+        Price every candidate by running the trainer's epoch for it on
+        the simulator (default).  ``False`` ranks by the closed forms and
+        runs nothing.
     seed:
-        Shared by partitioner tie-breaking and the simulated operand.
+        Shared by partitioner tie-breaking, the priced models' weights
+        and their stand-in node data.
     cache_input_propagation:
         Plan for the trainer's cached schedule (layer 0's ``A X`` computed
         once, ``2L - 2`` narrow-side SpMMs per epoch) instead of the
@@ -222,7 +218,7 @@ class Planner:
                 plan = ExecutionPlan.from_dict(record["plan"], source="cache")
                 if plan.n_ranks not in dead_ranks:
                     return PlanReport(plan=plan, table=list(record["table"]),
-                                      groups_simulated=0, cache_hit=True,
+                                      candidates_priced=0, cache_hit=True,
                                       key=key,
                                       cache_path=str(self.cache.path))
 
@@ -267,15 +263,14 @@ class Planner:
         table = [{"rank": rank, **scored.as_dict(),
                   "chosen": "*" if rank == 1 else ""}
                  for rank, scored in enumerate(ranked, start=1)]
-        groups_simulated = len({s.candidate.group_key() for s in ranked}) \
-            if self.probe else 0
 
         if self.use_cache and self.cache is not None and \
                 not self.cache_read_only:
             self.cache.put(key, {"plan": plan.as_dict(), "table": table,
                                  "layer_dims": [int(d) for d in layer_dims]})
         return PlanReport(plan=plan, table=table,
-                          groups_simulated=groups_simulated,
+                          candidates_priced=len(ranked) if self.probe
+                          else 0,
                           cache_hit=False, key=key,
                           cache_path=str(self.cache.path) if self.cache else None,
                           partition=distributed[best.candidate.partitioner,
@@ -300,6 +295,31 @@ def plan_for_dataset(dataset: GraphDataset, n_ranks: "int | Sequence[int]",
     planner = Planner(machine=machine, **planner_kwargs)
     return planner.plan_for_dataset(dataset, n_ranks, hidden=hidden,
                                     n_layers=n_layers)
+
+
+def planner_constraints(config: DistTrainConfig) -> Dict[str, object]:
+    """The :class:`Planner` keyword arguments a training config implies:
+    every ``"auto"`` axis free (``algorithm="auto"`` frees the family,
+    the sparsity mode and the replication factor), every pinned axis
+    pinned, and the machine, backend, pipeline depth, gradient-exchange
+    overlap, layer-0 cache and seed the run executes with.  Shared by
+    :func:`resolve_config` and the trainer's elastic re-plan."""
+    constraints: Dict[str, object] = dict(
+        machine=config.machine,
+        backend=config.backend,
+        pipeline_depths=[config.pipeline_depth],
+        grad_overlaps=[config.grad_overlap],
+        cache_input_propagation=config.cache_input_propagation,
+        seed=config.seed)
+    if config.algorithm != AUTO:
+        constraints.update(
+            algorithms=[config.algorithm],
+            modes=[mode_name(config.sparsity_aware)],
+            replication_candidates=[config.replication_factor]
+            if config.algorithm == Algorithm.ONE_POINT_FIVE_D else [1])
+    if config.partitioner != AUTO:
+        constraints["partitioners"] = [config.partitioner]
+    return constraints
 
 
 def resolve_config(dataset: GraphDataset, config: DistTrainConfig,
@@ -332,40 +352,9 @@ def resolve_config(dataset: GraphDataset, config: DistTrainConfig,
     """
     if not config.needs_planning:
         return config, None, None
-
-    algorithms = None
-    modes = None
-    replication_candidates: Sequence[int] = DEFAULT_REPLICATION_CANDIDATES
-    if config.algorithm != AUTO:
-        algorithms = [config.algorithm]
-        modes = [mode_name(config.sparsity_aware)]
-        if config.algorithm == Algorithm.ONE_POINT_FIVE_D:
-            replication_candidates = [config.replication_factor]
-        else:
-            replication_candidates = [1]
-    partitioners = None if config.partitioner == AUTO \
-        else [config.partitioner]
-
-    planner = Planner(
-        machine=config.machine,
-        backend=config.backend,
-        partitioners=partitioners,
-        algorithms=algorithms,
-        modes=modes,
-        replication_candidates=replication_candidates,
-        # The pipeline depth is never "auto" on a config: the planner
-        # plans at exactly the depth the training run will execute.
-        # Same for the gradient-exchange overlap flag and the layer-0
-        # cache.
-        pipeline_depths=[config.pipeline_depth],
-        grad_overlaps=[config.grad_overlap],
-        cache_input_propagation=config.cache_input_propagation,
-        seed=config.seed,
-        cache=cache,
-        use_cache=use_cache or cache is not None,
-        cache_read_only=True,
-        **planner_kwargs,
-    )
+    planner = Planner(**planner_constraints(config), cache=cache,
+                      use_cache=use_cache or cache is not None,
+                      cache_read_only=True, **planner_kwargs)
     report = planner.plan_for_dataset(dataset, config.n_ranks,
                                       hidden=config.hidden,
                                       n_layers=config.n_layers)

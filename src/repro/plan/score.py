@@ -1,18 +1,18 @@
-"""Price plan candidates: run each one on the simulator.
+"""Price plan candidates: run the trainer's own epoch on the simulator.
 
-Every candidate group (the candidate without its gradient-exchange mode,
-:meth:`~repro.plan.space.PlanCandidate.group_key`) is priced by one rule:
-compile its SpMM plan once, run it on a
-:class:`~repro.comm.simulator.SimCommunicator` at every width of
-:func:`repro.core.costmodel.epoch_spmm_widths`, and read the simulated
-clock (:func:`simulate_epoch_s`).  The price of a candidate is that clock
+Every candidate is priced by one rule (:func:`sim_epoch`): build the
+model the trainer would build for it
+(:func:`repro.core.trainer.build_setup`) on a
+:class:`~repro.comm.simulator.SimCommunicator`, run one
+``train_epoch`` and read the simulated clock.  Its price is that clock
 plus the per-message host overhead of the backend that will execute the
-schedule (the simulator describes the modelled machine, not the runtime)
-and the gradient-exchange term.
+schedule times the epoch's exact message count (the simulator describes
+the modelled machine, not the runtime).
 
-The paper's closed forms (:func:`repro.core.costmodel.epoch_cost`) fill
-the ``predicted_s`` column next to it, so the planner's table reports
-model against simulator; with ``simulate=False`` they are the price.
+The paper's closed forms (:func:`repro.core.costmodel.epoch_cost`, with
+its gradient-exchange term) fill the ``predicted_s`` column next to it,
+so the planner's table reports model against simulator; with
+``simulate=False`` they are the price and nothing executes.
 
 Building the distributed matrix dominates pricing time (each partitioner x
 block-row count pair needs a partition + permutation), so
@@ -23,7 +23,6 @@ candidates that agree on it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -31,21 +30,18 @@ import numpy as np
 
 from ..comm.machine import MachineModel, get_machine
 from ..comm.simulator import SimCommunicator
-from ..core.config import Algorithm
-from ..core.costmodel import (epoch_cost, epoch_spmm_widths,
-                              gradient_exchange_cost)
-from ..core.gradsync import default_bucket_bytes
-from ..core.dist_matrix import DistDenseMatrix, DistSparseMatrix
+from ..core.config import DistTrainConfig, training_layer_dims
+from ..core.costmodel import epoch_cost
+from ..core.dist_matrix import DistSparseMatrix
 from ..core.distribute import distribute
-from ..core.engine import compile as compile_spmm
-from ..core.spmm_15d import ProcessGrid
+from ..core.trainer import build_setup, resolve_grad_bucket_bytes
+from ..graphs.features import NodeData
 from ..obs.tracer import TRACE
 from .calibrate import load_message_overheads
 from .space import PlanCandidate
 
 __all__ = ["BACKEND_MESSAGE_OVERHEAD_S", "ScoredCandidate",
-           "backend_overhead_s", "effective_message_overheads",
-           "score_candidates", "simulate_epoch_s"]
+           "effective_message_overheads", "score_candidates", "sim_epoch"]
 
 #: Crude per-message *host* overhead of each communicator backend, added on
 #: top of the machine model's communication cost.  ``sim`` replays the
@@ -73,102 +69,76 @@ def effective_message_overheads() -> Dict[str, float]:
     return table
 
 
-def _estimated_messages_per_epoch(candidate: PlanCandidate,
-                                  n_spmms: int) -> float:
-    """Rough per-epoch message count used to charge backend overhead.
+def _training_config(candidate: PlanCandidate, layer_dims: Sequence[int],
+                     machine: MachineModel, backend: str, seed: int,
+                     cache_input_propagation: bool) -> DistTrainConfig:
+    """The concrete config training ``candidate`` on ``backend`` runs."""
+    dims = [int(d) for d in layer_dims]
+    n_layers = len(dims) - 1
+    hidden = dims[1] if n_layers > 1 else 1
+    if n_layers < 1 or training_layer_dims(dims[0], dims[-1], hidden,
+                                           n_layers) != dims:
+        raise ValueError(
+            f"layer_dims {dims} is not a GCN the trainer builds "
+            "([f_0] + [hidden] * (L - 1) + [classes])")
+    return DistTrainConfig(**candidate.as_config_kwargs(), hidden=hidden,
+                           n_layers=n_layers, machine=machine,
+                           backend=backend, seed=seed,
+                           cache_input_propagation=cache_input_propagation)
 
-    1D runs an all-to-allv (p * (p-1) pairs) per SpMM; 1.5D runs
-    ``stages`` staged broadcasts across ``p`` ranks plus the replica
-    all-reduce.  ``n_spmms`` is the epoch's SpMM count, as in
-    :func:`epoch_cost`.
+
+def _stand_in(n: int, layer_dims: Sequence[int], seed: int) -> NodeData:
+    """Seeded node data of the shapes the trainer's model reads: ``(n,
+    f_0)`` features, labels whose largest class is ``f_L - 1`` and an
+    all-true training mask.  The simulated clock does not depend on the
+    values."""
+    classes = int(layer_dims[-1])
+    none = np.zeros(n, dtype=bool)
+    return NodeData(
+        features=np.random.default_rng(seed).random((n, int(layer_dims[0]))),
+        labels=(classes - 1 - np.arange(n)) % classes,
+        train_mask=np.ones(n, dtype=bool), val_mask=none, test_mask=none)
+
+
+def sim_epoch(config: DistTrainConfig, matrix: DistSparseMatrix,
+              node_data: NodeData) -> Tuple[float, int]:
+    """Simulated seconds and exact message count of one training epoch
+    of the model :func:`repro.core.trainer.build_setup` builds for the
+    concrete ``config`` over ``matrix``, on a simulator of
+    ``config.machine``.
+
+    With ``config.cache_input_propagation`` the layer-0 cache is primed
+    from the features operand
+    (:meth:`~repro.core.dist_gcn.DistributedGCN.prime_input_propagation`)
+    instead of computing ``A X``: the epoch after it is the one training
+    repeats.  ``config.backend`` is the runtime being priced; it sizes
+    the gradient buckets, not the communicator.
     """
-    p = candidate.n_ranks
-    if p <= 1:
-        return 0.0
-    if candidate.algorithm == Algorithm.ONE_POINT_FIVE_D:
-        c = candidate.replication_factor
-        stages = max(1, p // (c * c))
-        per_spmm = stages * p + (p * math.log2(c) if c > 1 else 0.0)
-    else:
-        per_spmm = p * (p - 1)
-    return float(n_spmms) * per_spmm
-
-
-def backend_overhead_s(candidate: PlanCandidate, layer_dims: Sequence[int],
-                       backend: str,
-                       overheads: Optional[Dict[str, float]] = None,
-                       cache_input_propagation: bool = False) -> float:
-    """Predicted per-epoch host overhead of running ``candidate`` on
-    ``backend``.
-
-    ``overheads`` defaults to :func:`effective_message_overheads` (the
-    calibrated table when this host has one).  The epoch's SpMMs are
-    those :func:`~repro.core.costmodel.epoch_spmm_widths` lists.
-    """
-    if overheads is None:
-        overheads = effective_message_overheads()
-    per_message = overheads.get(backend, 1.0e-4)
-    n_spmms = len(epoch_spmm_widths(layer_dims, cache_input_propagation))
-    return per_message * _estimated_messages_per_epoch(candidate, n_spmms)
-
-
-def simulate_epoch_s(candidate: PlanCandidate,
-                     matrix: DistSparseMatrix,
-                     layer_dims: Sequence[int],
-                     machine: "str | MachineModel",
-                     seed: int = 0,
-                     cache_input_propagation: bool = False) -> float:
-    """Simulated seconds of one epoch's SpMMs for ``candidate`` — the
-    schedule :func:`repro.core.costmodel.epoch_spmm_widths` defines.
-
-    The candidate's algorithm, mode, replication factor and pipeline
-    depth are compiled over ``matrix`` (distributed by its partitioner)
-    into the one persistent plan the trainer would run; the backend that
-    executes it is priced by :func:`backend_overhead_s`.  The operand is
-    seeded, so the price is deterministic.
-    """
-    widths = epoch_spmm_widths(layer_dims, cache_input_propagation)
-    if not widths:      # a one-layer model's cached epoch runs no SpMM
-        return 0.0
-    # One seeded operand wide enough for every layer; each width slices
-    # its first f columns so all candidates see identical data.
-    operand = np.random.default_rng(seed).standard_normal(
-        (matrix.shape[0], max(widths)))
-    grid = None
-    if candidate.algorithm == Algorithm.ONE_POINT_FIVE_D:
-        grid = ProcessGrid(nranks=candidate.n_ranks,
-                           replication=candidate.replication_factor)
-    comm = SimCommunicator(candidate.n_ranks, machine=machine)
     span = TRACE.span("plan.simulate", cat="plan",
-                      args={"algorithm": candidate.algorithm,
-                            "partitioner": candidate.partitioner,
-                            "replication": candidate.replication_factor,
-                            "n_ranks": candidate.n_ranks,
-                            "pipeline_depth": candidate.pipeline_depth})
+                      args={"algorithm": config.algorithm,
+                            "partitioner": config.partitioner,
+                            "replication": config.replication_factor,
+                            "n_ranks": config.n_ranks,
+                            "pipeline_depth": config.pipeline_depth,
+                            "grad_overlap": config.grad_overlap})
+    comm = SimCommunicator(config.n_ranks, machine=config.machine)
     with span, comm:
-        denses = {f: DistDenseMatrix.from_global(
-            np.ascontiguousarray(operand[:, :f]), matrix.dist)
-            for f in sorted(set(widths))}
-        op = compile_spmm(matrix, comm, algorithm=candidate.algorithm,
-                          sparsity_aware=candidate.sparsity_aware, grid=grid,
-                          pipeline_depth=candidate.pipeline_depth)
+        model = build_setup(config, comm, node_data, matrix).model
+        if model.cache_input_propagation:
+            model.prime_input_propagation(model.features)
         start = comm.elapsed()
-        for f in widths:
-            op(denses[f])
-        return comm.elapsed() - start
+        model.train_epoch(config.learning_rate)
+        return comm.elapsed() - start, comm.events.message_count()
 
 
 @dataclass(frozen=True)
 class ScoredCandidate:
     """A candidate with its per-epoch prices (seconds): the closed-form
-    prediction and, when the group was run, the simulated one."""
+    prediction and, when it was run, the simulated one."""
 
     candidate: PlanCandidate
     predicted_s: float
     simulated_s: Optional[float]
-    communication_s: float
-    compute_s: float
-    overhead_s: float
 
     @property
     def price_s(self) -> float:
@@ -196,12 +166,13 @@ def score_candidates(candidates: Sequence[PlanCandidate],
     """Rank candidates over the raw ``adjacency`` by their price on
     ``backend``, ascending.
 
-    With ``simulate`` every group runs once on the simulator
-    (:func:`simulate_epoch_s`); otherwise the closed form is the price
-    and nothing executes.  Infeasible candidates (more block rows than
-    vertices) are dropped.  Ties are broken by the candidate's
-    deterministic sort key, so the returned ranking is stable across
-    runs.  ``cache_input_propagation`` prices the trainer's cached
+    With ``simulate`` every candidate runs one training epoch on the
+    simulator (:func:`sim_epoch`); otherwise the closed form is the
+    price and nothing executes.  ``layer_dims`` must be a GCN the
+    trainer builds (``training_layer_dims``).  Infeasible candidates
+    (more block rows than vertices) are dropped.  Ties are broken by the
+    candidate's deterministic sort key, so the returned ranking is stable
+    across runs.  ``cache_input_propagation`` prices the trainer's cached
     schedule (``2 L - 2`` SpMMs at the narrow side,
     :func:`~repro.core.costmodel.epoch_spmm_widths`) instead of the
     paper's.
@@ -214,58 +185,38 @@ def score_candidates(candidates: Sequence[PlanCandidate],
     machine = get_machine(machine)
     if distributed is None:
         distributed = {}
-    overheads = effective_message_overheads()
+    per_message = effective_message_overheads().get(backend, 1.0e-4)
+    stand_in: Optional[NodeData] = None
     scored: List[ScoredCandidate] = []
-    # Both prices ignore the gradient exchange; share them across the
-    # candidates that differ only in grad_overlap.
-    group_memo: Dict[Tuple, Tuple[object, Optional[float]]] = {}
     for candidate in candidates:
         if candidate.n_block_rows > adjacency.shape[0]:
             continue
-        group = candidate.group_key()
-        if group not in group_memo:
-            key = (candidate.partitioner, candidate.n_block_rows)
-            if key not in distributed:
-                distributed[key] = distribute(
-                    adjacency, *key, seed=seed, normalize=True,
-                    dtype=np.float64)
-            matrix = distributed[key][0]
-            cost = epoch_cost(matrix, layer_dims, machine,
-                              algorithm=candidate.algorithm,
-                              sparsity_aware=candidate.sparsity_aware,
-                              nranks=candidate.n_ranks,
-                              replication=candidate.replication_factor,
-                              pipeline_depth=candidate.pipeline_depth,
-                              cache_input_propagation=cache_input_propagation)
-            sim_s = simulate_epoch_s(
-                candidate, matrix, layer_dims, machine, seed=seed,
-                cache_input_propagation=cache_input_propagation) \
-                if simulate else None
-            group_memo[group] = (cost, sim_s)
-        cost, sim_s = group_memo[group]
-        overhead = backend_overhead_s(
-            candidate, layer_dims, backend, overheads=overheads,
-            cache_input_propagation=cache_input_propagation)
-        # Gradient-exchange term, outside the group memo.  A synchronous
-        # candidate reduces per layer with nothing hidden; an overlapped
-        # one fuses into the trainer's buckets and hides all but the last
-        # behind the backward-pass compute.
-        grad_bucket = default_bucket_bytes(
-            backend, machine, candidate.n_ranks) \
-            if candidate.grad_overlap else 0
-        grad_s = gradient_exchange_cost(
-            layer_dims, machine, candidate.n_ranks,
-            bucket_bytes=grad_bucket,
-            overlap=candidate.grad_overlap,
-            compute_s=cost.compute_s / 2.0)
-        scored.append(ScoredCandidate(
-            candidate=candidate,
-            predicted_s=cost.total_s + grad_s + overhead,
-            simulated_s=None if sim_s is None
-            else sim_s + grad_s + overhead,
-            communication_s=cost.communication_s + grad_s,
-            compute_s=cost.compute_s,
-            overhead_s=overhead,
-        ))
+        key = (candidate.partitioner, candidate.n_block_rows)
+        if key not in distributed:
+            distributed[key] = distribute(
+                adjacency, *key, seed=seed, normalize=True,
+                dtype=np.float64)
+        matrix = distributed[key][0]
+        config = _training_config(candidate, layer_dims, machine, backend,
+                                  seed, cache_input_propagation)
+        predicted_s = epoch_cost(
+            matrix, layer_dims, machine,
+            algorithm=candidate.algorithm,
+            sparsity_aware=candidate.sparsity_aware,
+            nranks=candidate.n_ranks,
+            replication=candidate.replication_factor,
+            pipeline_depth=candidate.pipeline_depth,
+            grad_exchange=True, grad_overlap=candidate.grad_overlap,
+            grad_bucket_bytes=resolve_grad_bucket_bytes(config),
+            cache_input_propagation=cache_input_propagation).total_s
+        simulated_s = None
+        if simulate:
+            if stand_in is None:
+                stand_in = _stand_in(adjacency.shape[0], layer_dims, seed)
+            seconds, messages = sim_epoch(config, matrix, stand_in)
+            simulated_s = seconds + per_message * messages
+        scored.append(ScoredCandidate(candidate=candidate,
+                                      predicted_s=predicted_s,
+                                      simulated_s=simulated_s))
     scored.sort(key=lambda s: (s.price_s, s.candidate.sort_key()))
     return scored

@@ -93,13 +93,13 @@ class PlanCandidate:
                 self.replication_factor, self.n_ranks,
                 self.pipeline_depth, self.grad_overlap)
 
-    def group_key(self) -> "PlanCandidate":
-        """The candidate without ``grad_overlap``: candidates with the same
-        group share one simulated run and one analytic epoch cost (the
-        scorer and planner group by this).  The simulation runs SpMM
-        schedules, which the gradient exchange does not change (the
-        scorer adds its analytic term per candidate)."""
-        return dataclasses.replace(self, grad_overlap=False)
+    def as_config_kwargs(self) -> Dict[str, object]:
+        """The plan point as :class:`~repro.core.config.DistTrainConfig`
+        keyword arguments (an :class:`~repro.plan.planner.ExecutionPlan`'s
+        backend and prices are not among them: the config chose the
+        backend)."""
+        return {f.name: getattr(self, f.name)
+                for f in dataclasses.fields(PlanCandidate)}
 
     def as_dict(self) -> Dict[str, object]:
         return {

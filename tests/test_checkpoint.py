@@ -28,7 +28,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.comm.faults import FaultPlan, WorkerFailure
-from repro.core import DistTrainConfig, train_distributed
+from repro.core import AUTO, DistTrainConfig, train_distributed
 from repro.core.checkpoint import (CheckpointError, CheckpointManager,
                                    TrainingCheckpoint, config_fingerprint,
                                    read_checkpoint, write_checkpoint)
@@ -324,6 +324,22 @@ class TestElasticRestart:
         # The failed configuration is on record for this matrix.
         assert PlanCache().is_dead(matrix_fingerprint(dataset.adjacency),
                                    "sim", 4)
+
+    def test_elastic_restart_replans_auto_axes(self):
+        """An ``"auto"`` run's elastic retry searches the auto axes again
+        at the surviving rank count instead of planning for a partitioner
+        named ``"auto"``."""
+        reddit = load_dataset("reddit", scale=0.05, seed=0)
+        cfg = DistTrainConfig(n_ranks=4, algorithm=AUTO, partitioner=AUTO,
+                              epochs=3, backend="sim", max_restarts=1,
+                              elastic=True, machine="perlmutter-scaled")
+        result = train_distributed(reddit, cfg, eval_every=0,
+                                   fault_plan=FaultPlan.kill(rank=1,
+                                                             epoch=1))
+        assert result.restarts == 1
+        assert result.config.n_ranks == 3
+        assert not result.config.needs_planning
+        assert len(result.history) == 3
 
     def test_planner_never_serves_dead_config(self, dataset, tmp_path):
         adjacency = dataset.adjacency

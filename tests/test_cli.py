@@ -174,7 +174,7 @@ class TestTuneCommand:
         capsys.readouterr()
         assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "plan cache: HIT (0 groups simulated)" in out
+        assert "plan cache: HIT (0 candidates priced)" in out
 
     def test_nranks_simulates_every_group(self, capsys, tmp_path):
         code = main(["tune", "--dataset", "reddit", "--scale", "0.05",
@@ -183,8 +183,8 @@ class TestTuneCommand:
         assert code == 0
         out = capsys.readouterr().out
         # p=4 and p=8 each span 1D and 1.5D c=2, two modes, three
-        # partitioners: 24 groups, each simulated once.
-        assert "MISS (24 groups simulated)" in out
+        # partitioners: 24 candidates, each priced once.
+        assert "MISS (24 candidates priced)" in out
         assert "source = simulated" in out
         assert "p=4,8" in out
 
@@ -197,7 +197,7 @@ class TestTuneCommand:
                       if line.startswith("rank"))
         assert "backend" not in header
         assert "backend = process" in out
-        assert "MISS (12 groups simulated)" in out
+        assert "MISS (12 candidates priced)" in out
 
     def test_no_cache_disables_persistence(self, capsys):
         code = main(["tune", "--quick", "--dataset", "amazon", "--no-cache"])

@@ -233,20 +233,21 @@ class TestBucketSizing:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_planner_prices_the_trainers_bucket(self, dataset, backend,
                                                 monkeypatch):
-        """The scorer prices a grad-overlap candidate with the fusion
-        bucket the trainer then runs on that backend."""
+        """The scorer prices a grad-overlap candidate on a model with the
+        fusion bucket the trainer then runs on that backend."""
         from repro.core.config import training_layer_dims
         from repro.core.trainer import setup_distributed
         from repro.plan import enumerate_candidates, score, score_candidates
 
         priced = []
-        exchange_cost = score.gradient_exchange_cost
+        build = score.build_setup
 
         def spy(*args, **kwargs):
-            priced.append(kwargs["bucket_bytes"])
-            return exchange_cost(*args, **kwargs)
+            setup = build(*args, **kwargs)
+            priced.append(setup.model.gradsync.bucket_bytes)
+            return setup
 
-        monkeypatch.setattr(score, "gradient_exchange_cost", spy)
+        monkeypatch.setattr(score, "build_setup", spy)
         config = DistTrainConfig(n_ranks=4, partitioner=None, epochs=1,
                                  backend=backend, grad_overlap=True,
                                  machine="perlmutter-scaled")
@@ -257,8 +258,7 @@ class TestBucketSizing:
             4, partitioners=[None], algorithms=["1d"],
             modes=["sparsity_aware"], grad_overlaps=(True,))
         score_candidates(candidates, dataset.adjacency,
-                         dims, config.machine, backend=backend,
-                         simulate=False)
+                         dims, config.machine, backend=backend)
         setup = setup_distributed(dataset, config)
         with setup.comm:
             trained = setup.model.gradsync.bucket_bytes

@@ -314,8 +314,8 @@ class TestOverlapPlanning:
         report = planner.plan_for_dataset(tiny_dataset, 4)
         depths = {row["depth"] for row in report.table}
         assert depths == {1, 2}
-        assert report.groups_simulated == 2, \
-            "depth-1 and depth-2 schedules are distinct simulated groups"
+        assert report.candidates_priced == 2, \
+            "depth-1 and depth-2 schedules are priced as two candidates"
         assert report.plan.pipeline_depth in (1, 2)
 
     def test_plan_roundtrips_pipeline_depth(self):

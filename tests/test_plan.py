@@ -1,9 +1,10 @@
 """Tests for the autotuning planner subsystem (repro.plan).
 
 Covers deterministic ranking under a fixed seed, the pricing rule (the
-pick is the argmin of the simulator over the enumerated space; the
-closed-form planner runs nothing), plan-cache round trip (a second
-planner run simulates nothing), cache invalidation when the matrix
+pick is the argmin of the trainer's own simulated epoch over the
+enumerated space, and a price is that epoch plus the backend's overhead
+for its exact messages; the closed-form planner runs nothing),
+plan-cache round trip (a second planner run prices nothing), cache invalidation when the matrix
 fingerprint changes, and end-to-end bit-identity of ``"auto"`` training
 against the explicitly configured equivalent on every communicator
 backend.
@@ -11,6 +12,7 @@ backend.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import json
@@ -18,19 +20,15 @@ import json
 import numpy as np
 import pytest
 
-from repro.comm import SimCommunicator
 from repro.core import AUTO, DistTrainConfig, train_distributed
-from repro.core.config import Algorithm, training_layer_dims
-from repro.core.dist_matrix import DistDenseMatrix
+from repro.core.config import training_layer_dims
+from repro.core.costmodel import epoch_cost, gradient_exchange_cost
 from repro.core.distribute import distribute
-from repro.core.engine import compile as compile_spmm
-from repro.core.spmm_15d import ProcessGrid
+from repro.core.gradsync import default_bucket_bytes
 from repro.core.trainer import setup_distributed
 from repro.graphs.datasets import load_dataset
-from repro.core.costmodel import epoch_spmm_widths
 from repro.plan import (BACKEND_MESSAGE_OVERHEAD_S, CACHE_ENV_VAR, PlanCache,
-                        PlanCandidate, Planner,
-                        backend_overhead_s, enumerate_candidates,
+                        PlanCandidate, Planner, enumerate_candidates,
                         matrix_fingerprint, plan_for_dataset, resolve_config,
                         score_candidates, valid_replication_factors)
 from repro.plan.planner import ExecutionPlan
@@ -45,6 +43,27 @@ def dataset():
 def other_dataset():
     """Same name/scale, different seed: a different matrix fingerprint."""
     return load_dataset("amazon", scale=0.05, seed=1)
+
+
+def trainer_epoch(dataset, candidate, dims, cache, partition=None):
+    """``(simulated seconds, messages by category)`` of one epoch of the
+    trainer's own sim run of ``candidate`` on ``dataset``'s real features,
+    after its real one-off ``A X`` when ``cache`` is on: the oracle the
+    planner's price answers to, built through ``setup_distributed``."""
+    config = DistTrainConfig(**candidate.as_config_kwargs(), hidden=dims[1],
+                             n_layers=len(dims) - 1, epochs=1,
+                             machine="perlmutter-scaled",
+                             cache_input_propagation=cache)
+    setup = setup_distributed(dataset, config, partition=partition)
+    with setup.comm as comm:
+        if cache:
+            setup.model.input_propagation()
+        before, start = len(comm.events), comm.elapsed()
+        setup.model.train_epoch(config.learning_rate)
+        seconds = comm.elapsed() - start
+        messages = collections.Counter(
+            event.category for event in list(comm.events)[before:])
+    return seconds, messages
 
 
 def make_planner(tmp_cache=None, **overrides):
@@ -142,16 +161,27 @@ class TestScore:
         assert predictions == [s.price_s for s in scored]
 
     def test_backend_overhead_orders_backends(self, dataset):
+        """A backend's overhead is its per-message cost times the exact
+        message count of the epoch it prices; the model carries none."""
         cands = enumerate_candidates(
             8, partitioners=[None], algorithms=["1d"],
             modes=["sparsity_aware"])
+        dims = [300, 16, 24]
         by_backend = {
-            backend: score_candidates(cands, dataset.adjacency, [300, 16, 24],
+            backend: score_candidates(cands, dataset.adjacency, dims,
                                       "perlmutter-scaled",
-                                      backend=backend)[0].predicted_s
+                                      backend=backend)[0]
             for backend in ("sim", "threaded", "process")}
-        assert by_backend["sim"] < by_backend["threaded"] \
-            < by_backend["process"]
+        _, messages = trainer_epoch(dataset, cands[0], dims, cache=False)
+        assert sum(messages.values()) > 0
+        sim = by_backend["sim"]
+        for backend, scored in by_backend.items():
+            assert scored.predicted_s == sim.predicted_s
+            assert scored.simulated_s - sim.simulated_s == pytest.approx(
+                BACKEND_MESSAGE_OVERHEAD_S[backend]
+                * sum(messages.values()), rel=1e-9)
+        assert sim.simulated_s < by_backend["threaded"].simulated_s \
+            < by_backend["process"].simulated_s
         assert BACKEND_MESSAGE_OVERHEAD_S["sim"] == 0.0
 
     def test_cached_input_propagation_prices_the_shorter_epoch(self, dataset):
@@ -159,33 +189,59 @@ class TestScore:
         cands = enumerate_candidates(8, partitioners=[None],
                                      n_vertices=adj.shape[0])
         dims = [300, 16, 24]
-        paper = {s.candidate: s for s in score_candidates(
-            cands, adj, dims, "perlmutter-scaled")}
-        cached = {s.candidate: s for s in score_candidates(
-            cands, adj, dims, "perlmutter-scaled",
-            cache_input_propagation=True)}
-        assert paper.keys() == cached.keys()
-        # 2L - 2 SpMMs' messages out of the paper's 2L: 2 / 4 here
-        ratio = len(epoch_spmm_widths(dims, True)) \
-            / len(epoch_spmm_widths(dims, False))
-        assert ratio == 2 / 4
+        per_message = BACKEND_MESSAGE_OVERHEAD_S["threaded"]
+
+        def prices(backend, cache):
+            return {s.candidate: s for s in score_candidates(
+                cands, adj, dims, "perlmutter-scaled", backend=backend,
+                cache_input_propagation=cache)}
+
+        paper, cached = prices("sim", False), prices("sim", True)
+        assert paper.keys() == cached.keys() == set(cands)
+        messages = {}
+        for cache, sim in ((False, paper), (True, cached)):
+            threaded = prices("threaded", cache)
+            for candidate in cands:
+                count = sum(trainer_epoch(dataset, candidate, dims,
+                                          cache)[1].values())
+                messages[cache, candidate] = count
+                assert threaded[candidate].simulated_s \
+                    - sim[candidate].simulated_s \
+                    == pytest.approx(per_message * count, rel=1e-9)
         for candidate, scored in cached.items():
             assert scored.predicted_s < paper[candidate].predicted_s
-            assert scored.overhead_s == pytest.approx(
-                paper[candidate].overhead_s * ratio)
+            assert scored.simulated_s < paper[candidate].simulated_s
+            assert messages[True, candidate] < messages[False, candidate]
 
-    def test_cached_one_layer_model_has_no_spmm_overhead(self):
+    def test_cached_one_layer_model_has_no_spmm_overhead(self, dataset):
+        """A one-layer cached epoch runs no SpMM: its overhead is the
+        gradient all-reduce's messages alone."""
         cands = enumerate_candidates(8, partitioners=[None],
                                      algorithms=["1d"],
                                      modes=["sparsity_aware"])
-        overheads = {"sim": 1e-4, "threaded": 1e-4, "process": 1e-4}
-        for candidate in cands:
-            for backend in overheads:
-                assert backend_overhead_s(candidate, [300, 24], backend,
-                                          overheads=overheads) > 0
-                assert backend_overhead_s(candidate, [300, 24], backend,
-                                          overheads=overheads,
-                                          cache_input_propagation=True) == 0
+        dims = [300, 24]
+        per_message = BACKEND_MESSAGE_OVERHEAD_S["process"]
+        for cache in (False, True):
+            sim, process = (score_candidates(
+                cands, dataset.adjacency, dims, "perlmutter-scaled",
+                backend=backend, cache_input_propagation=cache)[0]
+                for backend in ("sim", "process"))
+            _, messages = trainer_epoch(dataset, cands[0], dims, cache)
+            assert process.simulated_s - sim.simulated_s == pytest.approx(
+                per_message * sum(messages.values()), rel=1e-9)
+            spmm = sum(messages.values()) - messages["allreduce"]
+            assert messages["allreduce"] > 0
+            assert (spmm == 0) == cache, messages
+
+    def test_prices_only_the_trainers_gcn(self, dataset):
+        """A price is the epoch of a model the trainer builds: uneven
+        hidden widths are refused, not priced as something else."""
+        cands = enumerate_candidates(4, partitioners=[None],
+                                     algorithms=["1d"],
+                                     modes=["sparsity_aware"])
+        with pytest.raises(ValueError, match="not a GCN the trainer"):
+            score_candidates(cands, dataset.adjacency, [300, 16, 8, 24],
+                             "perlmutter-scaled", simulate=False)
 
     def test_scoring_distributes_each_pair_once(self, dataset,
                                                 monkeypatch):
@@ -264,8 +320,8 @@ class TestCache:
         assert cache.get(key) is None and len(cache) == 0
         assert cache.dead_configs(plan["fingerprint"]) == set()
         again = make_planner(path).plan_for_dataset(dataset, 4)
-        assert not again.cache_hit and again.groups_simulated > 0
-        assert json.loads(path.read_text())["version"] == 3
+        assert not again.cache_hit and again.candidates_priced > 0
+        assert json.loads(path.read_text())["version"] == 4
         assert make_planner(path).plan_for_dataset(dataset, 4).cache_hit
 
 
@@ -278,7 +334,7 @@ class TestPlanner:
         rep2 = make_planner().plan_for_dataset(dataset, 8)
         assert rep1.table == rep2.table
         assert rep1.plan == rep2.plan
-        assert rep1.groups_simulated == rep2.groups_simulated > 0
+        assert rep1.candidates_priced == rep2.candidates_priced > 0
 
     def test_table_is_ranked_and_marks_choice(self, dataset):
         report = make_planner().plan_for_dataset(dataset, 8)
@@ -293,17 +349,17 @@ class TestPlanner:
                    and row["simulated_s"] is not None for row in report.table)
         groups = {(row["algorithm"], row["mode"], row["partitioner"],
                    row["c"], row["p"], row["depth"]) for row in report.table}
-        # One backend is priced: every row is its own group.
-        assert report.groups_simulated == len(groups) == len(report.table)
+        # One backend is priced: every row is its own candidate.
+        assert report.candidates_priced == len(groups) == len(report.table)
 
     def test_plan_cache_round_trip_skips_simulation(self, dataset, tmp_path):
         cache_path = tmp_path / "plans.json"
         first = make_planner(cache_path).plan_for_dataset(dataset, 8)
-        assert not first.cache_hit and first.groups_simulated > 0
+        assert not first.cache_hit and first.candidates_priced > 0
 
         second = make_planner(cache_path).plan_for_dataset(dataset, 8)
         assert second.cache_hit
-        assert second.groups_simulated == 0
+        assert second.candidates_priced == 0
         assert second.plan.source == "cache"
         assert second.plan.as_config_kwargs() == first.plan.as_config_kwargs()
         assert second.table == first.table
@@ -314,7 +370,7 @@ class TestPlanner:
         first = make_planner(cache_path).plan_for_dataset(dataset, 8)
         other = make_planner(cache_path).plan_for_dataset(other_dataset, 8)
         assert not other.cache_hit          # different fingerprint -> re-plan
-        assert other.groups_simulated > 0
+        assert other.candidates_priced > 0
         assert other.plan.fingerprint != first.plan.fingerprint
         # ... and both entries now coexist in the cache.
         assert make_planner(cache_path).plan_for_dataset(dataset, 8).cache_hit
@@ -361,7 +417,7 @@ class TestPlanner:
 
     def test_probeless_planner_is_analytic(self, dataset):
         report = make_planner(probe=False).plan_for_dataset(dataset, 8)
-        assert report.groups_simulated == 0
+        assert report.candidates_priced == 0
         assert report.plan.source == "analytic"
         assert report.plan.simulated_s is None
 
@@ -384,47 +440,77 @@ def tier1_dataset(name):
     return load_dataset(name, scale=0.05, seed=0)
 
 
-def reference_sim_s(candidate, matrix, dims, machine):
-    """One epoch's SpMMs of ``candidate`` over ``matrix`` on a fresh
-    simulator, written out independently of the planner: the oracle its
-    pick must minimise."""
-    widths = epoch_spmm_widths(dims, False)
-    operand = np.random.default_rng(0).standard_normal(
-        (matrix.shape[0], max(widths)))
-    grid = ProcessGrid(nranks=candidate.n_ranks,
-                       replication=candidate.replication_factor) \
-        if candidate.algorithm == Algorithm.ONE_POINT_FIVE_D else None
-    with SimCommunicator(candidate.n_ranks, machine=machine) as comm:
-        op = compile_spmm(matrix, comm, algorithm=candidate.algorithm,
-                          sparsity_aware=candidate.sparsity_aware, grid=grid)
-        for f in widths:
-            op(DistDenseMatrix.from_global(
-                np.ascontiguousarray(operand[:, :f]), matrix.dist))
-        return comm.elapsed()
-
-
 class TestPricingRule:
     @pytest.mark.parametrize("p", [4, 8, 16])
     @pytest.mark.parametrize("name", ["amazon", "protein", "reddit"])
     def test_pick_is_the_sim_argmin(self, name, p):
         """Over everything ``enumerate_candidates`` spans, the planner picks
-        a group the simulator prices cheapest."""
+        a candidate whose trainer epoch the simulator prices cheapest."""
         dataset = tier1_dataset(name)
-        machine = "perlmutter-scaled"
-        report = Planner(machine=machine, use_cache=False,
+        report = Planner(machine="perlmutter-scaled", use_cache=False,
                          seed=0).plan_for_dataset(dataset, p)
         dims = training_layer_dims(dataset.node_data.n_features,
                                    dataset.node_data.n_classes, 16, 3)
-        matrices, prices = {}, {}
+        partitions, prices = {}, {}
         for c in enumerate_candidates(p, n_vertices=dataset.n_vertices):
             key = (c.partitioner, c.n_block_rows)
-            if key not in matrices:
-                matrices[key] = distribute(dataset.adjacency, *key)[0]
-            prices[c] = reference_sim_s(c, matrices[key], dims, machine)
+            if key not in partitions:
+                partitions[key] = distribute(dataset.adjacency, *key)[2]
+            prices[c] = trainer_epoch(dataset, c, dims, cache=False,
+                                      partition=partitions[key])[0]
         pick = PlanCandidate(**report.plan.as_config_kwargs())
         cheapest = min(prices.values())
         argmin = [c for c, s in prices.items() if s == cheapest]
         assert prices[pick] == cheapest, (pick, prices[pick], argmin)
+        assert report.plan.simulated_s == cheapest
+
+    @pytest.mark.parametrize("grad_overlap", [False, True])
+    @pytest.mark.parametrize("algorithm, c", [("1d", 1), ("1.5d", 2)])
+    def test_price_is_the_trainers_mean_epoch(self, dataset, algorithm, c,
+                                              grad_overlap):
+        """The chosen plan's price is the epoch ``train_distributed`` then
+        runs for the resolved config (cached schedule, real ``A X``)."""
+        config = DistTrainConfig(n_ranks=4, algorithm=algorithm,
+                                 replication_factor=c, partitioner=AUTO,
+                                 epochs=3, grad_overlap=grad_overlap,
+                                 machine="perlmutter-scaled")
+        resolved, plan, partition = resolve_config(dataset, config)
+        result = train_distributed(dataset, resolved, partition=partition)
+        mean = np.mean([rec.epoch_time_s for rec in result.history])
+        assert plan.simulated_s == pytest.approx(mean, rel=5e-3)
+
+    @pytest.mark.parametrize("grad_overlap", [False, True])
+    def test_closed_form_price_is_the_paper_model(self, dataset,
+                                                  grad_overlap):
+        """On ``sim``, ``predicted_s`` is the SpMM model plus the
+        gradient exchange hiding all but its last bucket behind half the
+        SpMM compute, with no host overhead."""
+        machine = "perlmutter-scaled"
+        dims = training_layer_dims(dataset.node_data.n_features,
+                                   dataset.node_data.n_classes, 16, 3)
+        report = Planner(machine=machine, probe=False, use_cache=False,
+                         seed=0, grad_overlaps=(grad_overlap,),
+                         cache_input_propagation=True,
+                         pipeline_depths=(1, 2)).plan_for_dataset(dataset, 8)
+        matrices = {}
+        for row in report.table:
+            c, p = row["c"], row["p"]
+            key = (row["partitioner"], p // c)
+            if key not in matrices:
+                matrices[key] = distribute(dataset.adjacency, *key)[0]
+            cost = epoch_cost(matrices[key], dims, machine,
+                              algorithm=row["algorithm"],
+                              sparsity_aware=row["mode"] == "sparsity_aware",
+                              nranks=p, replication=c,
+                              pipeline_depth=row["depth"],
+                              cache_input_propagation=True)
+            grad_s = gradient_exchange_cost(
+                dims, machine, p, overlap=grad_overlap,
+                bucket_bytes=default_bucket_bytes("sim", machine, p)
+                if grad_overlap else 0,
+                compute_s=cost.compute_s / 2)
+            assert row["predicted_s"] == pytest.approx(cost.total_s + grad_s,
+                                                       rel=1e-12, abs=0)
 
     def test_gate_call_runs_no_simulation(self, dataset, tmp_path,
                                           monkeypatch):
@@ -434,11 +520,11 @@ class TestPricingRule:
         def refuse(*args, **kwargs):
             raise AssertionError("the closed-form planner ran a simulation")
 
-        monkeypatch.setattr(score, "simulate_epoch_s", refuse)
+        monkeypatch.setattr(score, "sim_epoch", refuse)
         monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "plans.json"))
         report = plan_for_dataset(dataset, 4, machine="perlmutter",
                                   hidden=16, n_layers=3, probe=False, seed=0)
-        assert not report.cache_hit and report.groups_simulated == 0
+        assert not report.cache_hit and report.candidates_priced == 0
         assert report.plan.source == "analytic"
         assert report.plan.simulated_s is None
         assert all(row["simulated_s"] is None for row in report.table)
