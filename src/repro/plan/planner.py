@@ -332,8 +332,7 @@ def resolve_config(dataset: GraphDataset, config: DistTrainConfig,
     """Resolve ``"auto"`` fields of a training config into concrete values.
 
     Fields the user pinned stay pinned — the planner only searches the
-    ``"auto"`` axes (``algorithm="auto"`` frees both the family and the
-    sparsity mode, plus the replication factor) and prices them on the
+    ``"auto"`` axes (:func:`planner_constraints`) and prices them on the
     config's backend, which resolution never changes.  Configs without
     any ``"auto"`` field are returned unchanged.
 
