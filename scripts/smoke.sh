@@ -16,7 +16,9 @@
 # a train-schedule leg (one cached 1D and one cached 1.5D c = 2 epoch on
 # the sim backend must run exactly the SpMMs epoch_spmm_widths(dims,
 # True) prices: the same count and the same widths in order, read from
-# the model's compiled plan),
+# the model's compiled plan; and, float64 over float32 features, its
+# global_logits must be bitwise the one-shot host product and match the
+# training forward within tests/oracle.py's float64 row),
 # a kill-and-resume fault-tolerance leg (SIGKILL a process-backend
 # worker mid-run, supervised restart restores the checkpoint, final
 # weights asserted bit-identical to the uninterrupted run),
@@ -121,12 +123,20 @@ print(*sorted(PARTITIONERS))")"
   done
   echo "== cached train schedule == epoch_spmm_widths (sim) =="
   python - <<"PYEOF"
+import sys
+
+import numpy as np
+
 from repro.core import DistTrainConfig, epoch_spmm_widths, setup_distributed
 from repro.core.engine import CompiledSpmm
 from repro.graphs import load_dataset
 
+sys.path.insert(0, "tests")
+import oracle
+
 dataset = load_dataset("amazon", scale=0.05, n_features=12, n_classes=3,
                        seed=3)
+assert dataset.node_data.features.dtype == np.float32
 widths = []
 plan_call = CompiledSpmm.__call__
 
@@ -152,9 +162,19 @@ for variant in ({"algorithm": "1d"},
         want = epoch_spmm_widths(model.layer_dims, True)
         assert widths == want, (variant, widths, want)
         assert plan.calls - calls == len(want), (variant, plan.calls)
+        # float64 epoch over float32 storage: A X and global_logits cast
+        # X panel by panel as they read it.
+        assert model.dtype == np.float64
+        logits = model.global_logits()
+        host = oracle.row_blocked_logits(model, setup.node_data.features)
+        assert np.array_equal(logits, host), variant
+        oracle.assert_matches_reference(
+            model.forward()[-1].h_out.to_global(), logits, "float64",
+            oracle.WEIGHT_FIRST)
     name = variant["algorithm"]
     print(f"train schedule {name}: {model.layer_dims} ran {widths} "
-          "== epoch_spmm_widths(dims, True)")
+          "== epoch_spmm_widths(dims, True); global_logits == one-shot "
+          "host product")
 PYEOF
   echo "== kill-and-resume (process backend) =="
   python - <<"PYEOF"

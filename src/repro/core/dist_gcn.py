@@ -56,9 +56,11 @@ class DistLayerCache:
     ``propagated`` is the layer's ``A H`` in owned blocks when the
     narrow-side backward reads it (layer 0's kept ``A X`` and every
     widening layer, with ``cache_input_propagation``), else ``None``.
+    ``h_in`` is ``None`` exactly when layer 0 reads the kept ``A X``:
+    nothing reads ``X`` then.
     """
 
-    h_in: DistDenseMatrix
+    h_in: Optional[DistDenseMatrix]
     z: DistDenseMatrix
     h_out: DistDenseMatrix
     propagated: Optional[DistDenseMatrix] = None
@@ -73,7 +75,11 @@ class DistributedGCN:
         The (already normalised, already permuted) adjacency distributed in
         block rows — ``P`` blocks for 1D, ``P/c`` blocks for 1.5D.
     features_dist:
-        Input features distributed over the same block rows.
+        Input features distributed over the same block rows, at any
+        dtype: the model keeps this operand as given (read, never
+        written; :func:`~repro.core.trainer.build_setup` passes read-only
+        views of ``node_data.features``) and casts only what it reads to
+        ``dtype`` (see :attr:`features`).
     labels / train_mask:
         Global label vector and training mask, *in the permuted vertex
         order* (each rank only reads its own slice).
@@ -89,9 +95,9 @@ class DistributedGCN:
         equivalence checks).
     dtype:
         Training precision (``float64`` default; ``float32`` halves every
-        exchanged payload and activation buffer).  Weights, features and
-        the adjacency should share it — the trainer threads one config
-        value through all three.
+        exchanged payload and activation buffer).  Weights and the
+        adjacency should share it — the trainer threads one config value
+        through both; the features keep their storage dtype.
     pipeline_depth:
         Double-buffering depth of the model's compiled SpMM plan
         (``1`` = synchronous exchanges; ``> 1`` overlaps staged exchanges
@@ -147,6 +153,7 @@ class DistributedGCN:
         if adjacency_dist.dist != features_dist.dist:
             raise ValueError("adjacency and features use different distributions")
         self.adjacency = adjacency_dist
+        self.dtype = np.dtype(dtype)
         self.features = features_dist
         self.dist = adjacency_dist.dist
         self.labels = np.asarray(labels)
@@ -171,7 +178,6 @@ class DistributedGCN:
         else:
             raise ValueError(f"unknown algorithm {algorithm!r}")
         self.grid = grid
-        self.dtype = np.dtype(dtype)
 
         self.layer_dims = [int(d) for d in layer_dims]
         if self.layer_dims[0] != features_dist.width:
@@ -206,8 +212,9 @@ class DistributedGCN:
                                 sparsity_aware=sparsity_aware, grid=grid,
                                 dtype=self.dtype,
                                 pipeline_depth=self.pipeline_depth)
-        # (features operand, owned A X): keyed on the operand's identity,
-        # so assigning new ``features`` to a live model recomputes.
+        # (stored features operand, owned A X): keyed on the operand's
+        # identity, so assigning new ``features`` to a live model
+        # recomputes.
         self._input_propagation: Optional[
             Tuple[DistDenseMatrix, DistDenseMatrix]] = None
 
@@ -228,6 +235,40 @@ class DistributedGCN:
     @property
     def n_layers(self) -> int:
         return len(self.weights)
+
+    @property
+    def features(self) -> DistDenseMatrix:
+        """Layer 0's input ``X`` in the model dtype.
+
+        The stored operand itself when its dtype is the model's; else a
+        model-dtype copy, built on first access and kept.  Only the
+        uncached training forward and callers that pass ``X`` on (the
+        inference forward, the planner's primed ``A X``) read this: the
+        cached ``A X`` and :meth:`global_logits` cast the stored operand
+        one column panel at a time.  Assigning a new operand drops the
+        copy and makes :meth:`input_propagation` recompute.
+        """
+        stored = self._features
+        if stored.dtype == self.dtype:
+            return stored
+        if self._features_cast is None:
+            self._features_cast = DistDenseMatrix(stored.blocks, stored.dist,
+                                                  dtype=self.dtype)
+        return self._features_cast
+
+    @features.setter
+    def features(self, operand: DistDenseMatrix) -> None:
+        self._features = operand
+        self._features_cast: Optional[DistDenseMatrix] = None
+
+    def _input_panels(self) -> List[Tuple[int, int]]:
+        """``[lo, hi)`` column panels of ``X``, each at most ``P`` wide,
+        ``P`` the widest width the cached epoch schedule runs
+        (``max(epoch_spmm_widths(layer_dims, True))``; ``f_0`` for a
+        one-layer model, whose epoch runs no SpMM)."""
+        width = self.layer_dims[0]
+        panel = max(epoch_spmm_widths(self.layer_dims, True), default=width)
+        return [(lo, min(lo + panel, width)) for lo in range(0, width, panel)]
 
     def _owners_of_block(self, block: int) -> List[int]:
         """Ranks that own (a replica of) block row ``block``."""
@@ -296,11 +337,11 @@ class DistributedGCN:
         through the distributed SpMM on first use and kept.
 
         The product is computed in column panels ``[c, c + P)`` of
-        ``X``, ``P`` the widest width the cached epoch schedule runs
-        (``max(epoch_spmm_widths(layer_dims, True))``; ``f_0`` for a
-        one-layer model, whose epoch runs no SpMM), so the plan's
+        ``X`` (:meth:`_input_panels`), each cast from the stored operand
+        to the model dtype as it is read, so the plan's
         workspaces grow only to a width training needs anyway and no
-        width-``f_0`` workspace or exchange arena ever exists.  The tail
+        width-``f_0`` workspace, exchange arena or model-dtype ``X`` ever
+        exists.  The tail
         panel (``f_0 mod P`` columns) is an ordinary narrower call on the
         same plan; with ``f_0 <= P`` the product is one SpMM.  CSR @ dense
         is column-separable, so the panels assemble the one-shot product
@@ -312,23 +353,22 @@ class DistributedGCN:
         each panel is copied out into ``(n_b x f_0)`` blocks as soon as it
         is computed.
 
-        Keyed on the identity of ``self.features``: assigning a new
-        operand recomputes, mutating the blocks in place does not.
+        Keyed on the identity of the stored operand: assigning a new
+        ``features`` recomputes, mutating the blocks in place does not.
         ``A X`` does not depend on the weights, so
         :meth:`load_weight_state` leaves it alone.
         """
-        features = self.features
+        features = self._features
         cached = self._input_propagation
         if cached is not None and cached[0] is features:
             return cached[1]
-        panel = max(epoch_spmm_widths(self.layer_dims, True),
-                    default=features.width)
-        owned = features.like([np.empty_like(block)
-                               for block in features.blocks])
-        for lo in range(0, features.width, panel):
-            hi = min(lo + panel, features.width)
-            product = self.spmm(features.like(
-                [block[:, lo:hi] for block in features.blocks]))
+        owned = DistDenseMatrix(
+            [np.empty((block.shape[0], features.width), dtype=self.dtype)
+             for block in features.blocks], self.dist, dtype=self.dtype)
+        for lo, hi in self._input_panels():
+            product = self.spmm(DistDenseMatrix(
+                [block[:, lo:hi] for block in features.blocks], self.dist,
+                dtype=self.dtype))
             for out, block in zip(owned.blocks, product.blocks):
                 out[:, lo:hi] = block
         self._input_propagation = (features, owned)
@@ -345,7 +385,7 @@ class DistributedGCN:
         one-off.  ``product`` must share the features' distribution,
         width and dtype; it is kept, not copied, and is only read.
         """
-        features = self.features
+        features = self._features
         if product.dist != features.dist or product.width != features.width \
                 or product.dtype != self.dtype:
             raise ValueError("the primed A X must match the features' "
@@ -405,7 +445,8 @@ class DistributedGCN:
         if streams != 1:
             raise ValueError("streams > 1 requires an explicit features "
                              "operand (inference-only path)")
-        h = self.features
+        # The cached layer 0 reads its kept A X, never X itself.
+        h = None if self.cache_input_propagation else self.features
         caches: List[DistLayerCache] = []
         for l, weight in enumerate(self.weights):
             act, _ = self._activations[l]
@@ -802,12 +843,30 @@ class DistributedGCN:
         This is a diagnostic utility — the paper's timed training loop never
         gathers activations, and neither does ours.  Each layer runs one
         adjacency block row at a time, so neither a stacked global
-        adjacency nor a global ``n x f_0`` ``A X`` is ever built.
+        adjacency nor a global ``n x f_0`` ``A X`` is ever built.  Layer
+        0 reads the stored ``X`` in the column panels of
+        :meth:`input_propagation`, each cast to the model dtype as it is
+        read, so no global model-dtype ``X`` is built either.  The host
+        CSR product is column-separable: the panels give the one-shot
+        ``A X`` bit for bit.
         """
-        h = self.features.to_global()
+        features = self._features
+        panels = self._input_panels()
+        h = None
         for weight, (act, _) in zip(self.weights, self._activations):
-            h = np.concatenate([act((rows @ h) @ weight)
-                                for rows in self.adjacency.block_rows])
+            out = []
+            for rows in self.adjacency.block_rows:
+                if h is None:                               # layer 0
+                    propagated = np.empty((rows.shape[0], features.width),
+                                          dtype=self.dtype)
+                    for lo, hi in panels:
+                        propagated[:, lo:hi] = rows @ np.concatenate(
+                            [block[:, lo:hi] for block in features.blocks],
+                            dtype=self.dtype)
+                else:
+                    propagated = rows @ h
+                out.append(act(propagated @ weight))
+            h = np.concatenate(out)
         return h
 
     def predictions(self) -> np.ndarray:

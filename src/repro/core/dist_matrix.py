@@ -111,6 +111,7 @@ class DistSparseMatrix:
             block_row = matrix[lo:hi, :].tocsr()
             self.block_rows.append(block_row)
             self.blocks.append(split_block_row(block_row, dist.bounds))
+        self._asymmetric: Optional[int] = None
 
     # ------------------------------------------------------------------
     @property
@@ -132,9 +133,13 @@ class DistSparseMatrix:
 
     def asymmetric_entries(self) -> int:
         """Entries ``a_ij`` that differ from ``a_ji`` (exact comparison;
-        ``0`` means the matrix is symmetric bit for bit)."""
-        full = sp.vstack(self.block_rows, format="csr")
-        return int((full != full.T).nnz)
+        ``0`` means the matrix is symmetric bit for bit).  Counted on the
+        first call and kept: the matrix never changes, and every model
+        built over it asks."""
+        if self._asymmetric is None:
+            full = sp.vstack(self.block_rows, format="csr")
+            self._asymmetric = int((full != full.T).nnz)
+        return self._asymmetric
 
     def needed_rows_matrix(self) -> np.ndarray:
         """``(P, P)`` matrix: entry ``[i, j]`` is ``|NnzCols(i, j)|`` for

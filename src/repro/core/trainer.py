@@ -18,7 +18,8 @@ newest intact one — bit-identically to the uninterrupted run on the same
 plan.  A detected rank loss (:class:`~repro.comm.faults.WorkerFailure`)
 is retried by a supervised loop up to ``config.max_restarts`` times,
 restoring the last checkpoint; with ``config.elastic`` the retry
-re-partitions and re-plans at the surviving rank count (the dead
+re-partitions and re-plans at the largest surviving rank count the
+planner accepts (the dead
 configuration is recorded in the plan cache so it is never served
 again).  Deterministic failures for tests come from
 :class:`~repro.comm.faults.FaultPlan` via the ``fault_plan`` argument.
@@ -110,7 +111,13 @@ class DistTrainResult:
 
 @dataclass
 class DistributedSetup:
-    """The distributed state built by :func:`setup_distributed`."""
+    """The distributed state built by :func:`setup_distributed`.
+
+    ``model``'s features blocks are read-only views that alias
+    ``node_data.features`` (no copy, at its storage dtype); with no
+    partitioner that is the caller's ``dataset.node_data.features``, so
+    writing that array in place changes what the model reads.
+    """
 
     model: DistributedGCN
     comm: Communicator
@@ -201,11 +208,23 @@ def build_setup(config: DistTrainConfig, comm: Communicator,
     ``adjacency_dist`` (already distributed, rows in ``node_data``'s
     order) on ``comm``.  :func:`setup_distributed` builds every training
     run through here, and the planner every candidate it prices
-    (:mod:`repro.plan.score`), so both run the same model."""
+    (:mod:`repro.plan.score`), so both run the same model.
+
+    Layer 0's input is not copied: the model's features blocks are
+    read-only row-block views of ``node_data.features`` at its storage
+    dtype, so they alias it — and, with no partitioner, the caller's
+    ``dataset.node_data.features`` itself.  The model casts what it reads
+    to ``config.dtype`` (:attr:`DistributedGCN.features`)."""
     dtype = config.np_dtype
-    features_dist = DistDenseMatrix.from_global(node_data.features,
-                                                adjacency_dist.dist,
-                                                dtype=dtype)
+    features = np.asarray(node_data.features)
+    views = []
+    for block in range(adjacency_dist.nblocks):
+        lo, hi = adjacency_dist.dist.block_range(block)
+        view = features[lo:hi]
+        view.flags.writeable = False
+        views.append(view)
+    features_dist = DistDenseMatrix(views, adjacency_dist.dist,
+                                    dtype=features.dtype)
 
     grid = None
     if config.algorithm == Algorithm.ONE_POINT_FIVE_D:
@@ -302,29 +321,37 @@ def _recover_config(dataset: GraphDataset, config: DistTrainConfig,
     failed worker pool is simply rebuilt), which keeps the restart
     bit-identical to the uninterrupted run.  Elastic: record the dead
     ``(backend, n_ranks)`` in the plan cache (so it is never served again
-    for this matrix) and re-plan at the surviving rank count over the
-    axes ``config`` leaves free (:func:`~repro.plan.planner
-    .planner_constraints`, the mapping :func:`~repro.plan.resolve_config`
-    uses, so an ``"auto"`` axis is searched again).  The retry runs on
-    the re-plan's partition (``None`` on a plan-cache hit:
+    for this matrix) and re-plan over the axes ``config`` leaves free
+    (:func:`~repro.plan.planner.planner_constraints`, the mapping
+    :func:`~repro.plan.resolve_config` uses, so an ``"auto"`` axis is
+    searched again) at the largest surviving rank count the planner
+    accepts: ``n_ranks - 1``, else ``n_ranks - 2``, and so on — a pinned
+    1.5D run fits no grid at most counts.  The retry runs on the
+    re-plan's partition (``None`` on a plan-cache hit:
     :func:`setup_distributed` partitions).
     """
     if not config.elastic or config.n_ranks <= 1:
         return config, partition
     # Imported lazily: repro.plan depends on repro.core, not vice versa.
-    from ..plan import (PlanCache, Planner, matrix_fingerprint,
-                        planner_constraints)
+    from ..plan import (EmptyPlanSpace, PlanCache, Planner,
+                        matrix_fingerprint, planner_constraints)
 
     cache = PlanCache()
     cache.mark_dead(matrix_fingerprint(dataset.adjacency), config.backend,
                     config.n_ranks)
     planner = Planner(**planner_constraints(config), cache=cache,
                       cache_read_only=True)
-    report = planner.plan_for_dataset(dataset, config.n_ranks - 1,
-                                      hidden=config.hidden,
-                                      n_layers=config.n_layers)
-    return (dataclasses.replace(config, **report.plan.as_config_kwargs()),
-            report.partition)
+    for n_ranks in range(config.n_ranks - 1, 0, -1):
+        try:
+            report = planner.plan_for_dataset(dataset, n_ranks,
+                                              hidden=config.hidden,
+                                              n_layers=config.n_layers)
+        except EmptyPlanSpace:
+            if n_ranks == 1:
+                raise
+            continue
+        return (dataclasses.replace(config, **report.plan.as_config_kwargs()),
+                report.partition)
 
 
 def train_distributed(dataset: GraphDataset, config: DistTrainConfig,

@@ -38,8 +38,8 @@ from .calibrate import (CalibrationResult, calibration_path,
                         load_calibration, load_message_overheads,
                         measure_message_overhead, run_calibration,
                         write_calibration)
-from .planner import (ExecutionPlan, Planner, PlanReport, plan_for_dataset,
-                      planner_constraints, resolve_config)
+from .planner import (EmptyPlanSpace, ExecutionPlan, Planner, PlanReport,
+                      plan_for_dataset, planner_constraints, resolve_config)
 from .score import (BACKEND_MESSAGE_OVERHEAD_S, ScoredCandidate,
                     effective_message_overheads, score_candidates, sim_epoch)
 from .space import (DEFAULT_PARTITIONERS, DEFAULT_PIPELINE_DEPTHS,
@@ -52,7 +52,8 @@ __all__ = [
     "CalibrationResult", "calibration_path", "load_calibration",
     "load_message_overheads", "measure_message_overhead",
     "run_calibration", "write_calibration",
-    "ExecutionPlan", "Planner", "PlanReport", "plan_for_dataset",
+    "EmptyPlanSpace", "ExecutionPlan", "Planner", "PlanReport",
+    "plan_for_dataset",
     "planner_constraints", "resolve_config",
     "BACKEND_MESSAGE_OVERHEAD_S", "ScoredCandidate",
     "effective_message_overheads", "score_candidates", "sim_epoch",

@@ -44,8 +44,13 @@ from .space import (DEFAULT_GRAD_OVERLAPS, DEFAULT_PARTITIONERS,
                     DEFAULT_PIPELINE_DEPTHS, DEFAULT_REPLICATION_CANDIDATES,
                     PlanCandidate, enumerate_candidates)
 
-__all__ = ["ExecutionPlan", "PlanReport", "Planner", "plan_for_dataset",
-           "planner_constraints", "resolve_config"]
+__all__ = ["EmptyPlanSpace", "ExecutionPlan", "PlanReport", "Planner",
+           "plan_for_dataset", "planner_constraints", "resolve_config"]
+
+
+class EmptyPlanSpace(ValueError):
+    """No candidate of the planner's space runs at the requested rank
+    counts (or every one that does was marked dead)."""
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -245,7 +250,7 @@ class Planner:
         if not ranked:
             excluded = ", after excluding dead configurations" \
                 if dead_ranks else ""
-            raise ValueError(
+            raise EmptyPlanSpace(
                 "the plan space is empty for this matrix/rank combination "
                 f"(n_ranks={rank_counts}, n_vertices={n_vertices}"
                 f"{excluded})")

@@ -79,6 +79,21 @@ def single_node_logits(model, features: np.ndarray) -> np.ndarray:
     return h
 
 
+def row_blocked_logits(model, features: np.ndarray) -> np.ndarray:
+    """Paper-order forward of ``features`` on the host, cast to the model
+    dtype up front and propagated one adjacency block row at a time with
+    each product in one shot — ``global_logits``' association, so the two
+    agree bit for bit however ``global_logits`` splits the columns of
+    ``X``.  (Against :func:`single_node_logits` they agree only where
+    BLAS rounds a row of a GEMM the same for every row count; it does
+    not, e.g., for float64 on reddit 0.05's tiny blocks.)"""
+    h = np.asarray(features).astype(model.dtype)
+    for weight, (act, _) in zip(model.weights, model._activations):
+        h = np.concatenate([act((rows @ h) @ weight)
+                            for rows in model.adjacency.block_rows])
+    return h
+
+
 def assert_matches_reference(result: np.ndarray, reference: np.ndarray,
                              dtype, order: str) -> None:
     """``result`` agrees with ``reference`` within the (dtype, order) row."""

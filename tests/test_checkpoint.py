@@ -12,7 +12,8 @@ Four layers, matching the fault-tolerance claims bottom-up:
    backend): train with checkpoint-every-1, kill a rank mid-run, let the
    supervised retry restore and finish — the final weights must be
    **bitwise identical** to the uninterrupted run;
-4. elastic restart: a killed rank at p=4 re-plans to p=3, training
+4. elastic restart: a killed rank at p=4 re-plans to p=3 (a pinned 1.5D
+   run at p=8 walks down to the first count with a grid, p=4), training
    continues and converges, and the dead configuration is recorded in
    the plan cache and never served again.
 """
@@ -339,6 +340,24 @@ class TestElasticRestart:
         assert result.restarts == 1
         assert result.config.n_ranks == 3
         assert not result.config.needs_planning
+        assert len(result.history) == 3
+
+    def test_elastic_restart_of_pinned_15d_walks_down_to_a_grid(self):
+        """Survivor counts 7, 6 and 5 fit no c = 2 grid, so the re-plan
+        walks down to the first count the planner accepts instead of
+        dying on an empty plan space at 7."""
+        reddit = load_dataset("reddit", scale=0.05, seed=0)
+        cfg = DistTrainConfig(n_ranks=8, algorithm="1.5d",
+                              replication_factor=2, partitioner=None,
+                              epochs=3, backend="sim", max_restarts=1,
+                              elastic=True)
+        result = train_distributed(reddit, cfg, eval_every=0,
+                                   fault_plan=FaultPlan.kill(rank=1,
+                                                             epoch=1))
+        assert result.restarts == 1
+        assert result.config.n_ranks == 4
+        assert (result.config.algorithm,
+                result.config.replication_factor) == ("1.5d", 2)
         assert len(result.history) == 3
 
     def test_planner_never_serves_dead_config(self, dataset, tmp_path):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.comm import make_communicator
 from repro.core import (Algorithm, BlockRowDistribution, DistDenseMatrix,
@@ -87,6 +88,35 @@ class TestConstruction:
             build(asymmetric, cached=True)
         build(asymmetric, cached=False)      # the paper's schedule: no check
         build(DistSparseMatrix(matrix, dist), cached=True)
+
+    def test_symmetry_is_checked_once_per_matrix(self, problem, monkeypatch):
+        """A ``DistSparseMatrix`` never changes, so every model built over
+        one matrix shares a single symmetry check (one stacked copy)."""
+        ds, matrix = problem
+        dist = BlockRowDistribution.uniform(matrix.shape[0], 4)
+        stacks = []
+        vstack = sp.vstack
+
+        def counting_vstack(*args, **kwargs):
+            stacks.append(args)
+            return vstack(*args, **kwargs)
+
+        monkeypatch.setattr(sp, "vstack", counting_vstack)
+        adjacency = DistSparseMatrix(matrix, dist)
+        for _ in range(2):
+            DistributedGCN(
+                adjacency_dist=adjacency,
+                features_dist=DistDenseMatrix.from_global(
+                    ds.node_data.features, dist),
+                labels=ds.node_data.labels,
+                train_mask=ds.node_data.train_mask,
+                layer_dims=[ds.node_data.n_features, 8,
+                            ds.node_data.n_classes],
+                comm=make_communicator(4),
+                cache_input_propagation=True)
+        assert len(stacks) == 1
+        assert adjacency.asymmetric_entries() == 0
+        assert len(stacks) == 1
 
     def test_rejects_block_rank_mismatch_for_1d(self, problem):
         ds, matrix = problem

@@ -18,6 +18,7 @@ inference forward, the host-side oracle, serving).
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -508,6 +509,85 @@ class TestInvalidation:
             kept = model.input_propagation()
             model.load_weight_state(model.weight_state())
             assert model.input_propagation() is kept
+
+
+# ----------------------------------------------------------------------
+# Layer 0's operand: held once, at its storage dtype
+# ----------------------------------------------------------------------
+class TestLayerZeroOperand:
+    @pytest.fixture(scope="class")
+    def amazon(self):
+        return load_dataset("amazon", scale=0.2, seed=0)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_driver_holds_x_once(self, amazon, variant):
+        """After set-up plus one cached epoch the driver holds the
+        permuted storage-dtype ``X`` (half of ``n f_0`` float64 words),
+        the kept ``A X`` (one) and the rest of the model — never a
+        model-dtype copy of ``X`` on top (that was 2.86x)."""
+        n, f0 = amazon.node_data.features.shape
+        assert amazon.node_data.features.dtype == np.float32
+        config = DistTrainConfig(n_ranks=4, partitioner="gvb",
+                                 dtype="float64", **variant)
+        tracemalloc.start()
+        try:
+            setup = setup_distributed(amazon, config)
+            with setup.comm:
+                setup.model.train_epoch(0.05)
+                held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 2.25 * n * f0 * 8
+
+    @pytest.mark.parametrize("cached", (True, False))
+    @pytest.mark.parametrize("dtype", ("float64", "float32"))
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_global_logits_is_the_one_shot_product(self, amazon, variant,
+                                                   dtype, cached):
+        setup = setup_distributed(amazon, DistTrainConfig(
+            n_ranks=4, partitioner="gvb", dtype=dtype,
+            cache_input_propagation=cached, **variant))
+        with setup.comm:
+            model = setup.model
+            assert model.layer_dims[0] % panel_width(model.layer_dims)
+            model.train_epoch(0.05)
+            logits = model.global_logits()
+        assert logits.dtype == np.dtype(dtype)
+        np.testing.assert_array_equal(
+            logits, oracle.row_blocked_logits(model,
+                                              setup.node_data.features))
+
+    @pytest.mark.parametrize("dtype", ("float64", "float32"))
+    def test_features_are_the_permuted_input_in_the_model_dtype(
+            self, dataset, dtype):
+        setup = setup_distributed(dataset, make_config(partitioner="gvb",
+                                                       dtype=dtype))
+        with setup.comm:
+            model = setup.model
+            features = model.features
+            assert isinstance(features, DistDenseMatrix)
+            assert features.dtype == model.dtype == np.dtype(dtype)
+            np.testing.assert_array_equal(
+                features.to_global(),
+                setup.node_data.features.astype(dtype))
+            assert model.features is features           # built once
+            model.train_epoch(0.05)
+            assert model.features is features
+
+    def test_storage_dtype_operand_is_a_read_only_view_of_the_input(
+            self, dataset):
+        """With no partitioner and a float32 model the model reads the
+        caller's own array: no copy at all."""
+        setup = setup_distributed(dataset, make_config(dtype="float32"))
+        with setup.comm:
+            model = setup.model
+            model.train_epoch(0.05)
+            for lo, block in zip(model.dist.bounds, model.features.blocks):
+                assert np.shares_memory(block,
+                                        dataset.node_data.features)
+                assert not block.flags.writeable
+                np.testing.assert_array_equal(
+                    block, dataset.node_data.features[lo:lo + len(block)])
 
 
 # ----------------------------------------------------------------------
