@@ -1,6 +1,6 @@
 """Setuptools entry point.
 
-A classic ``setup.py`` is kept alongside ``pyproject.toml`` so that
+The package is declared here alone (there is no ``pyproject.toml``), so
 ``pip install -e .`` works in fully offline environments (no wheel /
 build-isolation downloads required for a legacy editable install).
 """
@@ -16,6 +16,6 @@ setup(
     package_dir={"": "src"},
     python_requires=">=3.10",
     install_requires=["numpy>=1.24", "scipy>=1.10", "networkx>=3.0"],
-    extras_require={"dev": ["pytest", "pytest-benchmark", "hypothesis"]},
+    extras_require={"dev": ["pytest", "hypothesis"]},
     entry_points={"console_scripts": ["repro = repro.cli:main"]},
 )

@@ -24,7 +24,8 @@ The package is organised as:
   plus the message overhead of the backend that will run it, with a
   persisted plan cache (``docs/tuning.md``);
 * :mod:`repro.bench`     — the experiment harness regenerating every table
-  and figure of the paper plus the ablation studies;
+  and figure of the paper, and its claims as predicates over the
+  recorded rows (docs/performance.md, "Paper claims");
 * :mod:`repro.cli`       — the ``python -m repro`` command-line interface.
 
 Quickstart::

@@ -3,7 +3,7 @@
 The paper's figures sweep (dataset, scheme, process count, replication
 factor); :func:`run_scheme_grid` executes those sweeps against the
 simulated runtime and returns one flat row dict per configuration, ready
-for :mod:`repro.bench.reporting` or pytest-benchmark's ``extra_info``.
+for :mod:`repro.bench.reporting` or a ``BENCH_*.json`` record.
 """
 
 from __future__ import annotations

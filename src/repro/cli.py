@@ -569,9 +569,9 @@ def _cmd_bench(args) -> int:
         p_values = (kwargs["p"],) if "p" in kwargs \
             else kwargs.get("p_values", p_values)
         rows = rows + bench.auto_plan_rows(
-            datasets, p_values, scale=kwargs.get("scale"),
-            epochs=kwargs.get("epochs"), backend=kwargs.get("backend"),
-            machine=kwargs.get("machine"), seed=args.seed)
+            datasets, p_values, seed=args.seed,
+            **{k: kwargs[k] for k in ("scale", "epochs", "backend", "machine")
+               if k in kwargs})
         title += " + planner AUTO rows"
     print(format_table(rows, title=title))
     if experiment in ("fig3", "fig6", "fig7"):

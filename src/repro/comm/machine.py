@@ -137,7 +137,7 @@ def perlmutter_scaled(factor: float = 1000.0) -> MachineModel:
     latency-bound regime.  Scaling the latencies by the same factor keeps
     the compute : bandwidth : latency proportions of the paper's setting,
     which is what the figure-shape reproductions rely on (see
-    EXPERIMENTS.md).
+    docs/performance.md, "Paper claims").
     """
     if factor <= 0:
         raise ValueError("factor must be positive")

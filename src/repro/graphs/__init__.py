@@ -2,7 +2,9 @@
 
 The paper's evaluation graphs (Reddit, Amazon, Protein, Papers) are
 reproduced as synthetic stand-ins with the same character; see
-:mod:`repro.graphs.generators` and DESIGN.md for the substitution notes.
+:mod:`repro.graphs.generators` for the substitution notes and
+docs/performance.md, "Paper claims", for the checks that the stand-ins
+keep the paper's conclusions.
 """
 
 from .adjacency import (add_self_loops, degrees, gcn_normalize, is_symmetric,

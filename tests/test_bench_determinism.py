@@ -1,8 +1,10 @@
 """Seeded determinism of the benchmark pipeline on the sim backend.
 
 ``scripts/record_baseline.py`` relies on the simulator being a pure
-function of (dataset seed, config): future PRs diff their Figure-3 sweep
-against ``BENCH_spmm.json`` cell by cell, so any nondeterminism in the
+function of (dataset seed, config): a change diffs its sweeps against
+``BENCH_spmm.json`` and ``BENCH_paper.json`` cell by cell, and the paper's
+claims (``tests/test_paper_claims.py``) are read off those records, so any
+nondeterminism in the
 pipeline (partitioner tie-breaking, dict ordering, RNG reuse) would show
 up as phantom perf regressions.  These tests pin that property: the same
 seed must reproduce the identical BENCH-style row structure — every
@@ -12,17 +14,21 @@ backends' rows and in the recorder's ``recorder_wall_s``, are exempt by
 construction: sim rows contain none).
 """
 
+import importlib.util
 import json
 import pathlib
 
 import numpy as np
 import pytest
 
-from repro.bench import figure3_1d_scaling
+from repro.bench import (figure3_1d_scaling, figure5_papers_breakdown,
+                         figure6_partitioner_comparison, figure7_15d_scaling,
+                         table2_metis_comm_stats, table3_dataset_stats)
 from repro.bench.harness import STANDARD_SCHEMES, run_single
 from repro.core import DistTrainConfig, train_distributed
 from repro.graphs import load_dataset
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 QUICK = dict(datasets=("reddit",), p_values=(2, 4), scale=0.05, epochs=1,
              backend="sim", seed=0)
 
@@ -86,7 +92,7 @@ class TestSimBackendDeterminism:
 class TestBaselineRecorderContract:
     """The checked-in baseline file stays consistent with the recorder."""
 
-    BASELINE = pathlib.Path(__file__).resolve().parents[1] / "BENCH_spmm.json"
+    BASELINE = ROOT / "BENCH_spmm.json"
 
     @pytest.fixture(scope="class")
     def payload(self):
@@ -117,3 +123,72 @@ class TestBaselineRecorderContract:
         assert recorded, "recorded baseline missing the probed cell"
         for key in ("epoch_time_s", "comm_total_MB_per_epoch", "final_loss"):
             assert rows[0][key] == pytest.approx(recorded[0][key], rel=1e-12)
+
+
+#: One cheap row (or a few) per section of ``BENCH_paper.json``, through
+#: the entry point or recorder function that recorded it.
+PAPER_CELLS = {
+    "table2": lambda rec, cfg, run: table2_metis_comm_stats(
+        p_values=(4,), scale=cfg["scale"], seed=cfg["seed"]),
+    "table3": lambda rec, cfg, run: table3_dataset_stats(
+        scale=cfg["scale"], seed=cfg["seed"]),
+    "fig5": lambda rec, cfg, run: figure5_papers_breakdown(
+        scale=cfg["scale"], **run),
+    "fig6": lambda rec, cfg, run: [
+        row for row in figure6_partitioner_comparison(
+            datasets=("protein",), p_values=(16,), scale=cfg["scale"], **run)
+        if row["scheme"] == "SA+METIS"],
+    "fig7": lambda rec, cfg, run: figure7_15d_scaling(
+        datasets=("protein",), p_values=(16,), replication_factors=(2,),
+        scale=cfg["scale"], **run),
+    "feature_width": lambda rec, cfg, run: rec.feature_width_rows(
+        widths=(32,), schemes=("CAGNET",), **run),
+    "partitioners": lambda rec, cfg, run: rec.partitioner_rows(
+        partitioners=("block",), **run),
+    "replication": lambda rec, cfg, run: rec.replication_rows(
+        factors=(2,), schemes=("SA+GVB",), **run),
+    "balance": lambda rec, cfg, run: rec.balance_rows(
+        factors=(1.02,), seed=cfg["seed"]),
+    "costmodel": lambda rec, cfg, run: rec.costmodel_rows(
+        p_values=(4,), seed=cfg["seed"]),
+}
+
+
+def _host_free(row):
+    """The fields that do not depend on the host: everything but the loss
+    and accuracy, which can move in the last bit with the BLAS."""
+    return {k: v for k, v in row.items()
+            if k not in ("final_loss", "test_accuracy")}
+
+
+class TestPaperRecordReproducible:
+    """Re-running a cell of ``BENCH_paper.json`` reproduces its sim clock,
+    ``time_*`` breakdown, bytes and partition statistics exactly."""
+
+    @pytest.fixture(scope="class")
+    def paper(self):
+        return json.loads((ROOT / "BENCH_paper.json").read_text())
+
+    @pytest.fixture(scope="class")
+    def recorder(self):
+        spec = importlib.util.spec_from_file_location(
+            "record_baseline", ROOT / "scripts" / "record_baseline.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_header(self, paper):
+        assert paper["backend"] == "sim" and paper["deterministic"] is True
+        assert set(paper["figures"]) == set(PAPER_CELLS)
+        assert paper["blas"]["numpy"] and paper["blas"]["name"]
+
+    @pytest.mark.parametrize("section", sorted(PAPER_CELLS))
+    def test_rows_reproduce(self, paper, recorder, section):
+        cfg = paper["config"]
+        run = {"epochs": cfg["epochs"], "machine": cfg["machine"],
+               "seed": cfg["seed"]}
+        rows = PAPER_CELLS[section](recorder, cfg, run)
+        recorded = [_host_free(r) for r in paper["figures"][section]]
+        assert rows
+        for row in rows:
+            assert _host_free(row) in recorded, row

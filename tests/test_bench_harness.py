@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from repro.bench import (STANDARD_SCHEMES, Scheme, bench_epochs, bench_scale,
-                         format_kv, format_series, format_table,
-                         run_scheme_grid, run_single, speedup_table,
-                         table2_metis_comm_stats, table3_dataset_stats)
+from repro.bench import (STANDARD_SCHEMES, Scheme, format_kv, format_series,
+                         format_table, run_scheme_grid, run_single,
+                         speedup_table, table2_metis_comm_stats,
+                         table3_dataset_stats)
 from repro.graphs import load_dataset
 
 
@@ -93,12 +93,6 @@ class TestHarness:
 
 
 class TestExperimentEntryPoints:
-    def test_bench_scale_and_epochs_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "0.125")
-        monkeypatch.setenv("REPRO_BENCH_EPOCHS", "7")
-        assert bench_scale() == 0.125
-        assert bench_epochs() == 7
-
     def test_table3_rows(self):
         rows = table3_dataset_stats(scale=0.05)
         assert {r["name"] for r in rows} == {"reddit", "amazon", "protein",

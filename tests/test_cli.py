@@ -1,8 +1,11 @@
 """Tests for the command-line interface (repro.cli / python -m repro)."""
 
+import functools
+
 import numpy as np
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 from repro.partition import PARTITIONERS
 
@@ -117,12 +120,18 @@ class TestBenchCommand:
         out = capsys.readouterr().out
         assert "load_imbalance_pct" in out
 
-    def test_fig3_prints_series(self, capsys):
+    def test_fig3_prints_series(self, capsys, monkeypatch):
+        """The figure-name path through ``format_series``, on one
+        (dataset, p) cell of Figure 3's sweep."""
+        fn, title = cli._BENCH_DISPATCH["fig3"]
+        monkeypatch.setitem(cli._BENCH_DISPATCH, "fig3", (functools.partial(
+            fn, datasets=("reddit",), p_values=(4,)), title))
         code = main(["bench", "fig3", "--scale", "0.05", "--epochs", "1"])
         assert code == 0
         out = capsys.readouterr().out
         assert "Figure 3" in out
         assert "epoch time per scheme" in out
+        assert out.count("reddit") == 3
 
     def test_quick_smoke_sim_backend(self, capsys):
         """The CI smoke target: ``python -m repro bench --quick --backend sim``
