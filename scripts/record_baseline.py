@@ -27,7 +27,9 @@ Every mode runs the default bench config: dataset scale 0.4, two epochs
   row covers, run as the ablation benches ran them.  The header records
   numpy's BLAS: ``final_loss`` and ``test_accuracy`` can differ in the
   last bit with it, while the sim clock, bytes and partition statistics
-  do not.  Prints which claims hold afterwards.
+  do not.  The claims compare these rows with ``BENCH_spmm.json``'s, so
+  this mode refuses any other config than that file's, and any
+  ``--datasets`` / ``--p-values``.  Prints which claims hold afterwards.
 
 Usage::
 
@@ -68,6 +70,9 @@ from repro.partition import (PARTITIONERS, GVBPartitioner,  # noqa: E402
 SCALE = 0.4
 #: The ablation and cost-model cells ran at scale 0.3.
 ABLATION_SCALE = 0.3
+#: The cost-model cells' feature width and (unscaled) machine preset.
+COSTMODEL_F = 64
+COSTMODEL_MACHINE = "perlmutter"
 P_VALUES = (4, 16, 32, 64)
 DATASETS = ("reddit", "amazon", "protein")
 KEEP_COLUMNS = (
@@ -125,7 +130,7 @@ def balance_rows(factors=(1.02, 1.10, 1.30), seed=0):
     return rows
 
 
-def costmodel_rows(p_values=(4, 8, 16), seed=0, f=64, machine="perlmutter"):
+def costmodel_rows(p_values=(4, 8, 16), seed=0):
     """One SpMM per scheme on GVB-partitioned amazon: the bytes each rank
     sends, predicted from NnzCols and logged by the simulator, and the
     alpha-beta model's communication time."""
@@ -133,13 +138,16 @@ def costmodel_rows(p_values=(4, 8, 16), seed=0, f=64, machine="perlmutter"):
     rows = []
     for p in p_values:
         matrix = distribute(dataset.adjacency, "gvb", p, seed=seed)[0]
+        f = COSTMODEL_F
         h = np.random.default_rng(seed).normal(size=(dataset.n_vertices, f))
         dense = DistDenseMatrix.from_global(h, matrix.dist)
         for label, aware in (("SA", True), ("CAGNET", False)):
-            comm = make_communicator(p, backend="sim", machine=machine)
+            comm = make_communicator(p, backend="sim",
+                                     machine=COSTMODEL_MACHINE)
             spmm(matrix, dense, comm, sparsity_aware=aware)
             model = (spmm_cost_1d_sparsity_aware if aware
-                     else spmm_cost_1d_oblivious)(matrix, f, machine)
+                     else spmm_cost_1d_oblivious)(matrix, f,
+                                                  COSTMODEL_MACHINE)
             rows.append({
                 "dataset": dataset.name, "scheme": label, "p": p, "f": f,
                 "predicted_bytes": predicted_bytes_per_spmm(
@@ -169,7 +177,10 @@ def paper_figures(epochs: int, machine: str, seed: int) -> dict:
 
 
 def blas_info() -> dict:
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy < 1.25 only prints its build config
+        return {"numpy": np.__version__}
     return {"numpy": np.__version__, "name": blas.get("name"),
             "version": blas.get("version"),
             "configuration": blas.get("openblas configuration")}
@@ -213,6 +224,8 @@ def main(argv=None) -> int:
     backend = args.backend
     if args.paper and (backend != "sim" or args.plan != "fixed"):
         parser.error("--paper records the sim backend's fixed schemes")
+    if args.paper and (args.datasets or args.p_values):
+        parser.error("--paper records its own datasets and p values")
     p_values = tuple(args.p_values) if args.p_values else P_VALUES
     datasets = tuple(args.datasets) if args.datasets else DATASETS
     out = args.output_flag or args.output
@@ -233,6 +246,13 @@ def main(argv=None) -> int:
     machine = args.machine if args.machine is not None else bench_machine()
     config = {"scale": SCALE, "epochs": epochs, "machine": machine,
               "seed": args.seed}
+    if args.paper:
+        # The claims compare these rows with BENCH_spmm.json's.
+        spmm = json.loads((REPO_ROOT / "BENCH_spmm.json").read_text())
+        spmm = {k: spmm["config"][k] for k in config}
+        if spmm != config:
+            parser.error(f"--paper records at BENCH_spmm.json's config "
+                         f"{spmm}, not {config}")
     start = time.time()
     if args.paper:
         figures = paper_figures(epochs, machine, args.seed)

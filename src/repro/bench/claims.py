@@ -116,6 +116,16 @@ def _costmodel_mb(figs: Figures) -> List[Cell]:
             for p in sorted({r["p"] for r in rows})]
 
 
+def _width_gap(figs: Figures) -> List[Cell]:
+    """CAGNET's epoch time over SA+GVB's at the widest f against the
+    narrowest."""
+    def gap(f):
+        rows = figs["feature_width"]
+        return (_get(rows, "epoch_time_s", scheme="CAGNET", f=f)
+                / _get(rows, "epoch_time_s", scheme="SA+GVB", f=f))
+    return [("f=300 vs f=32", gap(300), gap(32))]
+
+
 def _both(a, b) -> bool:
     """``a`` is positive and ``b`` is zero."""
     return a > 0 and b == 0
@@ -251,6 +261,9 @@ CLAIMS: Tuple[Claim, ...] = (
                         scheme=s, **w) for w in _WIDTHS])
               for s in ("CAGNET", "SA+GVB"))],
           operator.eq),
+    Claim("width.gap_does_not_shrink", "ablation",
+          "CAGNET / SA+GVB at f = 300 is at least 0.8x the ratio at f = 32",
+          _width_gap, lambda a, b: a >= 0.8 * b),
     # Ablation: every partitioner driving SA 1D (amazon 0.3, p = 16).
     Claim("partitioners.every_registered", "ablation",
           "every registered partitioner has a row",
@@ -318,26 +331,35 @@ CLAIMS: Tuple[Claim, ...] = (
 )
 
 
+#: The config keys every record the claims read must share.
+_CONFIG_KEYS = ("scale", "epochs", "machine", "seed")
+
+
 def load_figures(root, paper="BENCH_paper.json") -> Figures:
     """The recorded rows the claims read, by figure: ``BENCH_spmm.json``
     and ``BENCH_spmm_plan.json`` under ``root`` and the ``paper`` record
-    (a path relative to ``root``, or absolute)."""
+    (a path relative to ``root``, or absolute).  The claims compare rows
+    across the three, so they must share the keys in ``_CONFIG_KEYS``."""
     root = pathlib.Path(root)
-
-    def payload(name) -> dict:
-        return json.loads((root / name).read_text())
-
-    figures = dict(payload(paper)["figures"])
-    figures["fig3"] = payload("BENCH_spmm.json")["rows"]
-    figures["auto"] = payload("BENCH_spmm_plan.json")["rows"]
+    records = {str(name): json.loads((root / name).read_text())
+               for name in (paper, "BENCH_spmm.json", "BENCH_spmm_plan.json")}
+    configs = {name: {k: record["config"][k] for k in _CONFIG_KEYS}
+               for name, record in records.items()}
+    if len({json.dumps(c, sort_keys=True) for c in configs.values()}) > 1:
+        raise ValueError(f"records made at different configs: {configs}")
+    paper, spmm, plan = records.values()
+    figures = dict(paper["figures"])
+    figures["fig3"] = spmm["rows"]
+    figures["auto"] = plan["rows"]
     return figures
 
 
-def evaluate(figures: Figures, claims: Sequence[Claim] = CLAIMS):
-    """``[(claim, holds, cells)]``, ``cells`` as :meth:`Claim.check`
-    returns them; a claim holds when it has cells and each one holds."""
+def evaluate(figures: Figures):
+    """``[(claim, holds, cells)]`` for every claim in :data:`CLAIMS`,
+    ``cells`` as :meth:`Claim.check` returns them; a claim holds when it
+    has cells and each one holds."""
     out = []
-    for claim in claims:
+    for claim in CLAIMS:
         cells = claim.check(figures)
         out.append((claim, bool(cells) and all(c[3] for c in cells), cells))
     return out

@@ -7,7 +7,10 @@ the rows it reads (``scripts/record_baseline.py``), and that change's
 ``CHANGES.md`` entry names it.
 """
 
+import importlib.util
+import json
 import pathlib
+import shutil
 
 import pytest
 
@@ -31,7 +34,7 @@ HOLDS = {
     "fig7.allreduce_everywhere",
     "auto.no_worse_than_fixed",
     "width.sagvb_not_slower", "width.sagvb_fewer_bytes",
-    "width.bytes_grow_with_f",
+    "width.bytes_grow_with_f", "width.gap_does_not_shrink",
     "partitioners.every_registered", "partitioners.gvb_total_volume",
     "partitioners.gvb_max_send", "partitioners.gvb_not_slower",
     "replication.rows", "replication.allreduce_grows",
@@ -72,3 +75,29 @@ def test_claim_outcome_is_the_listed_one(results, claim):
         assert (sum(c[3] for c in cells), len(cells)) == FAILS[claim.name]
     else:
         assert holds, [cell for cell in cells if not cell[3]]
+
+
+def test_records_at_different_configs_are_refused(tmp_path):
+    for name in ("BENCH_spmm.json", "BENCH_spmm_plan.json"):
+        shutil.copy(ROOT / name, tmp_path / name)
+    paper = json.loads((ROOT / "BENCH_paper.json").read_text())
+    paper["config"]["machine"] = "perlmutter"
+    (tmp_path / "BENCH_paper.json").write_text(json.dumps(paper))
+    with pytest.raises(ValueError, match="different configs"):
+        load_figures(tmp_path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--epochs", "3"], ["--machine", "perlmutter"], ["--seed", "1"],
+    ["--datasets", "reddit"], ["--p-values", "4"]])
+def test_recorder_refuses_paper_rows_at_another_config(tmp_path, argv):
+    """``--paper`` stops before it trains when its rows could not be
+    compared with ``BENCH_spmm.json``'s."""
+    spec = importlib.util.spec_from_file_location(
+        "record_baseline", ROOT / "scripts" / "record_baseline.py")
+    recorder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(recorder)
+    out = tmp_path / "paper.json"
+    with pytest.raises(SystemExit):
+        recorder.main(["--paper", "--output", str(out), *argv])
+    assert not out.exists()
