@@ -8,8 +8,9 @@ same at reproduction scale:
 1. evaluate the closed-form model for the sparsity-aware and oblivious 1D
    algorithms over a range of process counts,
 2. run the simulator at the same configurations and compare,
-3. report the predicted crossover point (where SA starts to win) and the
-   predicted best 1.5D replication factor.
+3. report the crossover point (where SA starts to win) from the simulated
+   epochs, and the planner's best 1.5D replication factor with the closed
+   form beside its simulated price.
 
 Run with::
 
@@ -18,10 +19,9 @@ Run with::
 
 from repro import DistTrainConfig, load_dataset, train_distributed
 from repro.bench import format_table
-from repro.core import (best_replication_factor, crossover_process_count,
-                        spmm_cost_1d_oblivious, spmm_cost_1d_sparsity_aware)
+from repro.core import spmm_cost_1d_oblivious, spmm_cost_1d_sparsity_aware
 from repro.core.distribute import distribute
-from repro.graphs.adjacency import gcn_normalize
+from repro.plan import Planner
 
 
 def partitioned_matrix(adjacency, nblocks, seed=0):
@@ -66,18 +66,22 @@ def main() -> None:
                                    "(Amazon stand-in, one SpMM vs one epoch)"))
 
     # ------------------------------------------------------------------
-    # 3: crossover point and best replication factor
+    # 3: crossover point and best replication factor — decided by
+    # simulated epochs (the rows above, and the planner), never by the
+    # closed form
     # ------------------------------------------------------------------
-    crossover = crossover_process_count(gcn_normalize(adjacency), f=f,
-                                        p_values=p_values, machine=machine)
-    print(f"\npredicted crossover (SA starts to beat CAGNET): p = {crossover}")
+    crossover = next((row["p"] for row in rows
+                      if row["sim_SA_epoch_s"] < row["sim_CAGNET_epoch_s"]),
+                     None)
+    print(f"\nsimulated crossover (SA+GVB starts to beat CAGNET): "
+          f"p = {crossover}")
 
-    def builder(c):
-        return partitioned_matrix(adjacency, max(1, 16 // c))
-
-    best_c = best_replication_factor(builder, f=f, nranks=16, machine=machine,
-                                     candidates=(1, 2, 4))
-    print(f"predicted best 1.5D replication factor at P = 16: c = {best_c}")
+    best = Planner(machine, modes=["sparsity_aware"], partitioners=["gvb"],
+                   replication_candidates=(2, 4), use_cache=False
+                   ).plan_for_dataset(dataset, 16).plan
+    print(f"planner's best 1.5D replication factor at P = 16: "
+          f"c = {best.replication_factor} (simulated "
+          f"{best.simulated_s:.3e} s, closed form {best.predicted_s:.3e} s)")
 
 
 if __name__ == "__main__":

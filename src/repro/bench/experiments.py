@@ -20,6 +20,7 @@ import os
 from typing import Dict, List, Optional, Sequence
 
 from ..core.analysis import single_spmm_volume_table
+from ..core.spmm_15d import ProcessGrid
 from ..graphs.datasets import dataset_summary, load_dataset
 from .harness import STANDARD_SCHEMES, Scheme, run_scheme_grid, run_single
 
@@ -203,8 +204,7 @@ def figure7_15d_scaling(datasets: Sequence[str] = ("amazon", "protein"),
                 Scheme("SA+GVB", sparsity_aware=True, partitioner="gvb",
                        algorithm="1.5d", replication_factor=c),
             ]
-            valid_p = [p for p in p_values
-                       if p % c == 0 and (p // c) % c == 0]
+            valid_p = [p for p in p_values if ProcessGrid.fits(p, c)]
             rows.extend(run_scheme_grid(dataset, schemes, valid_p,
                                         epochs=epochs, backend=backend,
                                         machine=machine, seed=seed))

@@ -12,7 +12,8 @@ Python:
 * ``repro tune``       — autotune the distributed configuration (variant,
   backend, partitioner, replication factor, pipeline depth) for a dataset
   and machine,
-* ``repro cost``       — closed-form cost-model predictions,
+* ``repro cost``       — the paper's closed-form cost of one SpMM, and the
+  planner's crossover p and best 1.5D c with the closed form beside them,
 * ``repro calibrate``  — measure per-backend message overheads on this
   host and persist them for the planner (see docs/tuning.md),
 * ``repro memory``     — per-rank memory footprint / OOM check under the
@@ -45,12 +46,9 @@ from . import bench
 from .bench.reporting import format_kv, format_series, format_table
 from .comm.factory import available_backends
 from .comm.machine import PRESETS
-from .core import (AUTO, GRAD_DTYPES, DistTrainConfig,
-                   best_replication_factor, crossover_process_count,
-                   estimate_rank_memory, fits_in_memory,
-                   spmm_cost_1d_oblivious, spmm_cost_1d_sparsity_aware,
-                   train_distributed)
-from .graphs.adjacency import gcn_normalize
+from .core import (AUTO, GRAD_DTYPES, DistTrainConfig, estimate_rank_memory,
+                   fits_in_memory, spmm_cost_1d_oblivious,
+                   spmm_cost_1d_sparsity_aware, train_distributed)
 from .graphs.datasets import DATASET_NAMES, dataset_summary, load_dataset
 from .obs import (TRACE, metrics_from_spans, percentile, prometheus_text,
                   save_trace, trace_summary)
@@ -266,7 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="CI smoke mode: short bursts (noisier numbers, "
                             "right order of magnitude)")
 
-    p_cost = sub.add_parser("cost", help="cost-model prediction for one SpMM")
+    p_cost = sub.add_parser(
+        "cost", help="closed-form cost of one SpMM; the planner's crossover "
+                     "p and best c beside the closed form")
     add_dataset_args(p_cost)
     p_cost.add_argument("--ranks", type=int, default=16)
     p_cost.add_argument("--partitioner",
@@ -590,15 +590,12 @@ def _cmd_bench(args) -> int:
 
 def _cmd_cost(args) -> int:
     from .core.distribute import distribute
+    from .plan import Planner
     dataset = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
     part_name = None if args.partitioner == "none" else args.partitioner
-
-    def matrix_over(nblocks: int):
-        # The same distribution the planner prices with.
-        return distribute(dataset.adjacency, part_name, nblocks,
-                          seed=args.seed)[0]
-
-    matrix = matrix_over(args.ranks)
+    # The same distribution the planner prices with.
+    matrix = distribute(dataset.adjacency, part_name, args.ranks,
+                        seed=args.seed)[0]
     f = dataset.n_features
     aware = spmm_cost_1d_sparsity_aware(matrix, f, args.machine)
     oblivious = spmm_cost_1d_oblivious(matrix, f, args.machine)
@@ -610,28 +607,32 @@ def _cmd_cost(args) -> int:
         if aware.communication_s > 0 else float("inf")
     print(f"\npredicted communication speedup of sparsity-aware: {ratio:.2f}x")
 
-    # The two analytic answers the autotuning planner builds on, printed
-    # here so they are visible standalone (see docs/tuning.md).
-    n = dataset.n_vertices
+    # "Which configuration" is the planner's question: each answer is its
+    # pick over a pinned space (the trainer's epoch simulated), with the
+    # closed form priced beside it.  Nothing is cached.
+    def pick(n_ranks: int, **space):
+        return Planner(args.machine, seed=args.seed, use_cache=False,
+                       **space).plan_for_dataset(dataset, n_ranks).plan
+
+    def prices(plan) -> str:
+        return (f"simulated {plan.simulated_s:.3e} s, "
+                f"closed form {plan.predicted_s:.3e} s")
+
     p_values = [p for p in sorted({2, 4, 8, 16, 32, 64} | {args.ranks})
-                if p <= n]
-    xover = crossover_process_count(gcn_normalize(dataset.adjacency), f,
-                                    p_values, args.machine)
-    xover_str = str(xover) if xover is not None \
+                if p <= dataset.n_vertices]
+    xover = next((plan for plan in
+                  (pick(p, algorithms=["1d"], partitioners=[None])
+                   for p in p_values) if plan.sparsity_aware), None)
+    xover_str = f"p = {xover.n_ranks} ({prices(xover)})" if xover \
         else f"never for p in {p_values}"
-    print(f"crossover_process_count (sparsity-aware 1D wins from, natural "
+    print(f"crossover (planner: sparsity-aware 1D wins from, natural "
           f"blocks): {xover_str}")
 
-    def matrix_for_replication(c: int):
-        return matrix if c == 1 else matrix_over(args.ranks // c)
-
-    try:
-        best_c = best_replication_factor(matrix_for_replication, f,
-                                         args.ranks, args.machine)
-        print(f"best_replication_factor (P={args.ranks}, c in (1, 2, 4)): "
-              f"{best_c}")
-    except ValueError as exc:
-        print(f"best_replication_factor (P={args.ranks}): n/a ({exc})")
+    best = pick(args.ranks, modes=["sparsity_aware"],
+                partitioners=[part_name], replication_candidates=(2, 4))
+    print(f"best replication factor (planner: P={args.ranks}, "
+          f"c in (1, 2, 4)): c = {best.replication_factor} "
+          f"({prices(best)})")
     return 0
 
 

@@ -7,11 +7,9 @@ from .analysis import (ELEMENT_BYTES, VolumeTableRow,
                        predicted_rows_sparsity_aware_1d,
                        single_spmm_volume_table)
 from .config import AUTO, Algorithm, DistTrainConfig
-from .costmodel import (CommCostBreakdown, best_replication_factor,
-                        crossover_process_count, epoch_cost,
-                        epoch_spmm_widths, gradient_exchange_cost,
-                        inference_spmm_widths, spmm_cost_15d_oblivious,
-                        spmm_cost_15d_sparsity_aware,
+from .costmodel import (CommCostBreakdown, epoch_cost, epoch_spmm_widths,
+                        gradient_exchange_cost, inference_spmm_widths,
+                        spmm_cost_15d_oblivious, spmm_cost_15d_sparsity_aware,
                         spmm_cost_1d_oblivious, spmm_cost_1d_sparsity_aware)
 from .checkpoint import (CheckpointError, CheckpointManager,
                          TrainingCheckpoint, config_fingerprint,
@@ -36,9 +34,8 @@ __all__ = [
     "AUTO", "Algorithm", "DistTrainConfig",
     "CheckpointError", "CheckpointManager", "TrainingCheckpoint",
     "config_fingerprint", "read_checkpoint", "write_checkpoint",
-    "CommCostBreakdown", "best_replication_factor", "crossover_process_count",
-    "epoch_cost", "epoch_spmm_widths", "gradient_exchange_cost",
-    "inference_spmm_widths",
+    "CommCostBreakdown", "epoch_cost", "epoch_spmm_widths",
+    "gradient_exchange_cost", "inference_spmm_widths",
     "spmm_cost_1d_oblivious", "spmm_cost_1d_sparsity_aware",
     "spmm_cost_15d_oblivious", "spmm_cost_15d_sparsity_aware",
     "DistLayerCache", "DistributedGCN",

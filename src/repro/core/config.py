@@ -9,6 +9,7 @@ from typing import Optional, Union
 from ..comm.factory import available_backends
 from ..comm.machine import MachineModel
 from .gradsync import GRAD_DTYPES
+from .spmm_15d import ProcessGrid
 
 __all__ = ["AUTO", "Algorithm", "DistTrainConfig", "scheme_label",
            "training_layer_dims"]
@@ -192,14 +193,7 @@ class DistTrainConfig:
         if self.replication_factor <= 0:
             raise ValueError("replication_factor must be positive")
         if self.algorithm == Algorithm.ONE_POINT_FIVE_D:
-            c = self.replication_factor
-            if self.n_ranks % c != 0:
-                raise ValueError(
-                    f"replication factor {c} must divide n_ranks "
-                    f"{self.n_ranks}")
-            if (self.n_ranks // c) % c != 0:
-                raise ValueError(
-                    f"1.5D requires c | P/c (P={self.n_ranks}, c={c})")
+            ProcessGrid(self.n_ranks, self.replication_factor)  # or raise
         if self.hidden < 1:
             raise ValueError(f"hidden must be at least 1, got {self.hidden!r}")
         if self.n_layers < 1:

@@ -15,13 +15,10 @@ alpha-beta model:
   ``A X`` (:func:`epoch_spmm_widths`).
 
 This module evaluates those formulas for a concrete distributed matrix and
-machine so that
-
-* the benchmarks can print predicted-vs-simulated columns,
-* :func:`crossover_process_count` can answer "from how many GPUs on does
-  the sparsity-aware algorithm win?" analytically, and
-* :func:`best_replication_factor` can pick the 1.5D ``c`` the way the
-  paper's Figure 7 discussion does.
+machine so that the benchmarks, ``repro cost`` and the planner can print
+predicted-vs-simulated columns.  Choosing a configuration is the planner's
+job (:mod:`repro.plan`): it ranks by simulating the trainer's epoch and
+reports these formulas beside that price.
 
 The *volume* quantities are exact (they come from the same ``NnzCols``
 analysis the algorithms use); the *time* quantities are model estimates.
@@ -34,11 +31,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..comm.machine import MachineModel, get_machine
 from .analysis import ELEMENT_BYTES
 from .dist_matrix import DistSparseMatrix
+from .spmm_15d import ProcessGrid
 
 __all__ = [
     "CommCostBreakdown",
@@ -50,8 +47,6 @@ __all__ = [
     "epoch_spmm_widths",
     "inference_spmm_widths",
     "gradient_exchange_cost",
-    "crossover_process_count",
-    "best_replication_factor",
 ]
 
 
@@ -190,8 +185,7 @@ def spmm_cost_15d_sparsity_aware(matrix: DistSparseMatrix, f: int, nranks: int,
 
 
 def _check_15d(matrix: DistSparseMatrix, nranks: int, c: int) -> None:
-    if c <= 0 or nranks % c != 0 or (nranks // c) % c != 0:
-        raise ValueError(f"invalid 1.5D configuration P={nranks}, c={c}")
+    ProcessGrid(nranks, c)  # or raise
     if matrix.nblocks != nranks // c:
         raise ValueError(
             f"matrix has {matrix.nblocks} block rows; 1.5D with P={nranks}, "
@@ -401,59 +395,3 @@ def epoch_cost(matrix: DistSparseMatrix, layer_dims: Sequence[int],
             overlap=grad_overlap,
             compute_s=totals["compute_s"] / 2.0)
     return CommCostBreakdown(**totals)
-
-
-def crossover_process_count(adjacency: sp.spmatrix, f: int,
-                            p_values: Sequence[int],
-                            machine: "str | MachineModel") -> Optional[int]:
-    """Smallest process count at which the sparsity-aware 1D SpMM is
-    predicted to be faster than the oblivious one, with ``adjacency`` in
-    natural equal blocks (the plain SA curve).
-
-    Returns None when the sparsity-aware variant never wins in the range.
-    """
-    from .distribute import distribute
-
-    for p in sorted(p_values):
-        if p > adjacency.shape[0]:
-            continue
-        matrix, _, _ = distribute(adjacency, None, p, normalize=False)
-        aware = spmm_cost_1d_sparsity_aware(matrix, f, machine)
-        oblivious = spmm_cost_1d_oblivious(matrix, f, machine)
-        if aware.communication_s < oblivious.communication_s:
-            return p
-    return None
-
-
-def best_replication_factor(matrix_builder, f: int, nranks: int,
-                            machine: "str | MachineModel",
-                            candidates: Sequence[int] = (1, 2, 4),
-                            sparsity_aware: bool = True) -> int:
-    """Pick the 1.5D replication factor with the lowest predicted cost.
-
-    Parameters
-    ----------
-    matrix_builder:
-        Callable ``c -> DistSparseMatrix`` producing the matrix distributed
-        over ``nranks / c`` block rows (the caller decides how to partition
-        for each candidate).
-    """
-    best_c, best_time = None, float("inf")
-    for c in candidates:
-        if c <= 0 or nranks % c != 0 or (nranks // c) % c != 0:
-            continue
-        matrix = matrix_builder(c)
-        if c == 1:
-            fn = spmm_cost_1d_sparsity_aware if sparsity_aware \
-                else spmm_cost_1d_oblivious
-            cost = fn(matrix, f, machine)
-        else:
-            fn = spmm_cost_15d_sparsity_aware if sparsity_aware \
-                else spmm_cost_15d_oblivious
-            cost = fn(matrix, f, nranks, c, machine)
-        if cost.total_s < best_time:
-            best_time, best_c = cost.total_s, c
-    if best_c is None:
-        raise ValueError(f"no feasible replication factor among {candidates} "
-                         f"for P={nranks}")
-    return best_c

@@ -52,16 +52,17 @@ class ProcessGrid:
     replication: int
 
     def __post_init__(self) -> None:
-        c = self.replication
-        if c <= 0:
-            raise ValueError("replication factor must be positive")
-        if self.nranks % c != 0:
+        if not self.fits(self.nranks, self.replication):
             raise ValueError(
-                f"replication factor {c} does not divide {self.nranks} ranks")
-        rows = self.nranks // c
-        if rows % c != 0:
-            raise ValueError(
-                f"1.5D algorithm needs c | P/c; got P={self.nranks}, c={c}")
+                f"1.5D needs a positive c with c | P and c | P/c; got "
+                f"P={self.nranks}, c={self.replication}")
+
+    @staticmethod
+    def fits(nranks: int, replication: int) -> bool:
+        """Whether ``nranks`` ranks form a ``P/c x c`` grid with ``s = P/c^2``
+        whole stages per replica — the one 1.5D feasibility rule."""
+        c = replication
+        return c > 0 and nranks % c == 0 and (nranks // c) % c == 0
 
     # ------------------------------------------------------------------
     @property

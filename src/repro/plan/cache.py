@@ -181,10 +181,6 @@ class PlanCache:
         return {(str(b), int(p))
                 for b, p in self._load_dead().get(str(fingerprint), [])}
 
-    def is_dead(self, fingerprint: str, backend: str, n_ranks: int) -> bool:
-        """Whether ``(backend, n_ranks)`` was marked dead for this matrix."""
-        return (str(backend), int(n_ranks)) in self.dead_configs(fingerprint)
-
     def clear(self) -> None:
         """Drop every cached plan and dead-config record (keeps the file)."""
         self._store({}, dead={})

@@ -20,6 +20,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..core.config import ALGORITHMS, Algorithm
 from ..core.config import scheme_label as _scheme_label
 from ..core.engine import available_spmm_variants, mode_name
+from ..core.spmm_15d import ProcessGrid
 from ..partition import PARTITIONERS
 
 __all__ = [
@@ -117,17 +118,11 @@ class PlanCandidate:
 def valid_replication_factors(n_ranks: int,
                               candidates: Sequence[int]
                               = DEFAULT_REPLICATION_CANDIDATES) -> List[int]:
-    """Replication factors among ``candidates`` satisfying the 1.5D grid
-    constraints (``c | P`` and ``c | P/c``) for ``n_ranks`` ranks.  The
+    """Replication factors among ``candidates`` that form a 1.5D grid
+    (:meth:`~repro.core.spmm_15d.ProcessGrid.fits`) for ``n_ranks`` ranks.  The
     defaults start at ``c = 2`` because ``c = 1`` degenerates to the 1D
     layout (which the planner enumerates separately)."""
-    out = []
-    for c in sorted(set(candidates)):
-        if c < 1:
-            continue
-        if n_ranks % c == 0 and (n_ranks // c) % c == 0:
-            out.append(c)
-    return out
+    return [c for c in sorted(set(candidates)) if ProcessGrid.fits(n_ranks, c)]
 
 
 def _trainable_variants(algorithms: Sequence[str],

@@ -323,8 +323,8 @@ class TestElasticRestart:
         assert len(losses) == 6
         assert losses[-1] < losses[0], "training must keep converging"
         # The failed configuration is on record for this matrix.
-        assert PlanCache().is_dead(matrix_fingerprint(dataset.adjacency),
-                                   "sim", 4)
+        assert ("sim", 4) in PlanCache().dead_configs(
+            matrix_fingerprint(dataset.adjacency))
 
     def test_elastic_restart_replans_auto_axes(self):
         """An ``"auto"`` run's elastic retry searches the auto axes again

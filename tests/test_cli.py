@@ -1,13 +1,17 @@
 """Tests for the command-line interface (repro.cli / python -m repro)."""
 
 import functools
+import re
 
 import numpy as np
 import pytest
 
 from repro import cli
 from repro.cli import build_parser, main
+from repro.core.config import training_layer_dims
+from repro.graphs import load_dataset
 from repro.partition import PARTITIONERS
+from repro.plan import Planner
 
 
 class TestParser:
@@ -300,13 +304,36 @@ class TestCostCommand:
         assert "sparsity-aware 1D SpMM cost" in out
         assert "speedup" in out
 
-    def test_reports_planner_analytics(self, capsys):
+    def test_decisions_are_the_planners(self, capsys):
+        """The crossover p and best c that ``repro cost`` prints are
+        ``Planner.plan``'s picks over the same pinned spaces, with the
+        winner's closed form beside its simulated price."""
         code = main(["cost", "--dataset", "amazon", "--scale", "0.05",
-                     "--ranks", "8"])
+                     "--ranks", "8", "--machine", "perlmutter"])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "crossover_process_count" in out
-        assert "best_replication_factor" in out
+        lines = capsys.readouterr().out.splitlines()
+        xover_line, = [ln for ln in lines if ln.startswith("crossover")]
+        best_line, = [ln for ln in lines if ln.startswith("best replication")]
+
+        dataset = load_dataset("amazon", scale=0.05, seed=0)
+        dims = training_layer_dims(dataset.node_data.n_features,
+                                   dataset.node_data.n_classes, 16, 3)
+
+        def pick(n_ranks, **space):
+            return Planner("perlmutter", use_cache=False, **space).plan(
+                dataset.adjacency, dims, n_ranks).plan
+
+        xover = next(plan for plan in
+                     (pick(p, algorithms=["1d"], partitioners=[None])
+                      for p in (2, 4, 8, 16, 32, 64)) if plan.sparsity_aware)
+        assert re.search(r": p = (\d+) ", xover_line).group(1) \
+            == str(xover.n_ranks)
+        best = pick(8, modes=["sparsity_aware"], partitioners=["gvb"],
+                    replication_candidates=(2, 4))
+        assert re.search(r": c = (\d+) ", best_line).group(1) \
+            == str(best.replication_factor)
+        assert f"simulated {best.simulated_s:.3e} s, closed form " \
+               f"{best.predicted_s:.3e} s" in best_line
 
     def test_block_distribution_without_partitioner(self, capsys):
         code = main(["cost", "--dataset", "reddit", "--scale", "0.05",

@@ -6,15 +6,13 @@ import pytest
 from repro.comm import make_communicator, perlmutter
 from repro.core import (BlockRowDistribution, DistDenseMatrix, DistSparseMatrix,
                         DistTrainConfig, MemoryEstimate,
-                        best_replication_factor, crossover_process_count,
                         epoch_cost, epoch_spmm_widths, estimate_rank_memory,
                         fits_in_memory,
                         spmm, spmm_cost_15d_oblivious,
                         spmm_cost_15d_sparsity_aware, spmm_cost_1d_oblivious,
                         spmm_cost_1d_sparsity_aware)
 from repro.core.analysis import ELEMENT_BYTES
-from repro.graphs import (community_ring_graph, erdos_renyi_graph,
-                          gcn_normalize)
+from repro.graphs import community_ring_graph, gcn_normalize
 from repro.partition import get_partitioner
 
 
@@ -177,36 +175,6 @@ class TestEpochCost:
     def test_layer_dims_validation(self, graph):
         with pytest.raises(ValueError):
             epoch_cost(dist_matrix(graph, 4), [8], "perlmutter")
-
-
-class TestCrossoverAndReplication:
-    def test_crossover_exists_for_community_graph(self, graph):
-        p = crossover_process_count(graph, f=16, p_values=(2, 4, 8, 16),
-                                    machine="perlmutter")
-        assert p in (2, 4, 8, 16)
-
-    def test_crossover_none_when_never_better(self):
-        # A dense-ish small graph at tiny p: SA pays p2p latency and the cut
-        # is nearly the whole block, so it may never win; accept either
-        # outcome but make sure the function handles the range cleanly.
-        graph = gcn_normalize(erdos_renyi_graph(16, avg_degree=12, seed=0))
-        result = crossover_process_count(graph, f=4, p_values=(2,),
-                                         machine="perlmutter")
-        assert result in (None, 2)
-
-    def test_best_replication_factor(self, graph):
-        def builder(c):
-            return dist_matrix(graph, 16 // c)
-        best = best_replication_factor(builder, f=16, nranks=16,
-                                       machine="perlmutter",
-                                       candidates=(1, 2, 4))
-        assert best in (1, 2, 4)
-
-    def test_best_replication_factor_no_candidates(self, graph):
-        with pytest.raises(ValueError):
-            best_replication_factor(lambda c: dist_matrix(graph, 4), f=16,
-                                    nranks=6, machine="perlmutter",
-                                    candidates=(4,))
 
 
 # ----------------------------------------------------------------------

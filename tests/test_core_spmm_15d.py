@@ -6,11 +6,12 @@ import pytest
 from repro.comm import make_communicator
 from repro.comm.simulator import SimCommunicator
 from repro.core import (BlockRowDistribution, DistDenseMatrix, DistSparseMatrix,
-                        ProcessGrid, spmm)
+                        DistTrainConfig, ProcessGrid, spmm)
 from repro.core.engine import compile as compile_spmm
 from repro.core.spmm_15d import _stage_block
 from repro.graphs import gcn_normalize
 from repro.graphs.generators import erdos_renyi_graph
+from repro.plan.space import valid_replication_factors
 
 
 def make_problem(n, nblocks, f=5, seed=0):
@@ -67,6 +68,25 @@ class TestProcessGrid:
             ProcessGrid(nranks=8, replication=4)    # c does not divide P/c
         with pytest.raises(ValueError):
             ProcessGrid(nranks=8, replication=0)
+
+    def test_one_grid_rule(self):
+        """The config, the grid and the planner's space accept exactly the
+        same (P, c): those where c^2 divides P."""
+        def accepts(build, *args, **kwargs):
+            try:
+                build(*args, **kwargs)
+            except ValueError:
+                return False
+            return True
+
+        for p in range(1, 65):
+            planned = valid_replication_factors(p, range(1, 9))
+            for c in range(1, 9):
+                expected = p % (c * c) == 0
+                assert accepts(DistTrainConfig, algorithm="1.5d", n_ranks=p,
+                               replication_factor=c) == expected, (p, c)
+                assert accepts(ProcessGrid, p, c) == expected, (p, c)
+                assert (c in planned) == expected, (p, c)
 
     def test_out_of_range_access(self):
         grid = ProcessGrid(nranks=4, replication=2)

@@ -55,3 +55,13 @@ def test_partitioning_comparison_runs_end_to_end():
         cwd=str(EXAMPLES_DIR.parent))
     assert result.returncode == 0, result.stderr
     assert "partition quality" in result.stdout
+
+
+def test_cost_model_analysis_runs_end_to_end():
+    result = subprocess.run(
+        [sys.executable, str(EXAMPLES_DIR / "cost_model_analysis.py")],
+        capture_output=True, text=True, timeout=600,
+        cwd=str(EXAMPLES_DIR.parent))
+    assert result.returncode == 0, result.stderr
+    assert "simulated crossover" in result.stdout
+    assert "best 1.5D replication factor at P = 16: c = " in result.stdout
