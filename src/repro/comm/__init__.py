@@ -7,11 +7,15 @@ swappable communicator backends behind one abstract interface:
   distributed algorithm in :mod:`repro.core` is written against,
 * :mod:`repro.comm.simulator`   — :class:`SimCommunicator`, deterministic
   alpha-beta simulation (the reproduction's benchmark backend),
+* :mod:`repro.comm.lowering`    — :class:`~repro.comm.lowering.StepLowering`,
+  the one lowering of each collective to a step of copies and
+  reductions, shared by the two real backends below,
 * :mod:`repro.comm.threaded`    — :class:`ThreadedCommunicator`, real
-  shared-memory execution with one worker thread per rank,
+  shared-memory execution with one worker thread per rank (runs each
+  step in place on the member ranks' threads),
 * :mod:`repro.comm.process`     — :class:`ProcessPoolCommunicator`, one OS
   process per rank with shared-memory transport (no shared interpreter
-  state between ranks),
+  state between ranks; runs each step as cached worker commands),
 * :mod:`repro.comm.factory`     — :func:`make_communicator` /
   :func:`register_backend`, the backend registry call sites go through,
 * :mod:`repro.comm.faults`      — deterministic fault injection

@@ -69,20 +69,17 @@ whole group by the measured step duration and synchronise; the
 :class:`~repro.comm.events.EventLog` records as the simulator, so the
 Table-2 statistics are backend-independent.
 
-**Lowering.**  Every collective lowers to one staged step (:class:`_Step`):
-``sends`` — the payloads staged, in order, into their owners' send
+**Lowering.**  Every collective lowers to one
+:class:`~repro.comm.lowering.Step` through the lowerings this backend
+shares with the threaded one (:class:`~repro.comm.lowering.StepLowering`):
+``sends`` — the payloads, staged in order into their owners' send
 arenas; ``copies`` — ``(send index, dst)`` pairs, each landing in
 ``dst``'s recv arena; ``reduces`` — ``(dst, op, force64)``, each the
-group-ordered :func:`reduce_stack` of every staged payload.  An
-all-to-allv, allgather, broadcast or point-to-point batch is copies only;
-an allreduce is one reduce per member and a rooted reduce one at the
-root.  The public collectives (defined once, on
-:class:`~repro.comm.base.Communicator`) validate the operands; a
-per-collective ``_lower_*`` method then records the ``EventLog``
-messages, builds the step and a ``finish`` that assembles the caller's
-result from the read-back slabs; :meth:`_step` (the one plan builder)
-turns it into per-rank worker commands and :meth:`_collective` (the one
-runner) runs them blocking or posts them nonblocking.
+group-ordered :func:`reduce_stack` of every staged payload.  The
+lowering's ``finish`` assembles the caller's result from the read-back
+slabs; :meth:`_step` (the one plan builder) turns the step into
+per-rank worker commands and :meth:`_collective` (the one runner) runs
+them blocking or posts them nonblocking.
 
 **The courier rule.**  Blocking and nonblocking steps share one
 grouped-copy rule.  Only members whose plan does work receive a command
@@ -154,9 +151,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..obs.tracer import TRACE
-from .base import (CommHandle, Communicator,
-                   payload_nbytes as _nbytes, reduce_into, reduce_stack)
+from .base import CommHandle, reduce_into, reduce_stack
 from .faults import WatchdogTimeout, WorkerFailure
+from .lowering import Step, StepLowering
 
 __all__ = ["ProcessPoolCommunicator"]
 
@@ -355,31 +352,6 @@ class _Slab:
         self.nbytes = nbytes
 
 
-class _Step:
-    """One collective lowered for the workers (module docstring,
-    "Lowering").
-
-    ``sends`` are ``(rank, array)`` pairs staged in order into the send
-    arenas; ``copies`` are ``(send index, dst rank)`` pairs, each landing
-    in ``dst``'s recv arena (a rank's result slabs follow copy order);
-    ``reduces`` are ``(dst, op, force64)``, each the group-ordered
-    :func:`reduce_stack` of every staged payload.  ``tag`` and ``sig`` — a
-    cheap shape signature — key the plan cache.
-    """
-
-    __slots__ = ("tag", "sig", "sends", "copies", "reduces")
-
-    def __init__(self, tag: str, sig: tuple,
-                 sends: List[Tuple[int, np.ndarray]],
-                 copies: Sequence[Tuple[int, int]] = (),
-                 reduces: Sequence[tuple] = ()) -> None:
-        self.tag = tag
-        self.sig = sig
-        self.sends = sends
-        self.copies = copies
-        self.reduces = reduces
-
-
 class _CachedStep:
     """One cached exchange schedule (see the module docstring).
 
@@ -475,7 +447,7 @@ class _ProcessHandle(CommHandle):
         return self._reader()
 
 
-class ProcessPoolCommunicator(Communicator):
+class ProcessPoolCommunicator(StepLowering):
     """Real multi-process backend: per-rank OS processes + shared memory."""
 
     backend_name = "process"
@@ -1009,7 +981,7 @@ class ProcessPoolCommunicator(Communicator):
     # ------------------------------------------------------------------
     # Lowered steps: the one plan builder and the one dispatcher
     # ------------------------------------------------------------------
-    def _step(self, step: _Step, group: List[int], skind: str,
+    def _step(self, step: Step, group: List[int], skind: str,
               rkind: str) -> _CachedStep:
         """The per-rank worker plans of ``step``, built or from the cache.
 
@@ -1187,138 +1159,3 @@ class ProcessPoolCommunicator(Communicator):
         answer from every member is the rendezvous."""
         if len(group) > 1:
             self._run_step(group, [self._plan(())] * len(group), "wait")
-
-    # ------------------------------------------------------------------
-    # Collectives: each lowers to one step (module docstring, "Lowering")
-    # ------------------------------------------------------------------
-    def _lower_alltoallv(self, category, send, group):
-        p = len(group)
-        self._record_alltoallv_events(send, group, category)
-        recv: List[List[Optional[np.ndarray]]] = [[None] * p for _ in range(p)]
-        sends, copies, pairs = [], [], []
-        for i in range(p):
-            recv[i][i] = send[i][i]
-            for j in range(p):
-                if j == i or send[i][j] is None:
-                    continue
-                arr = np.asarray(send[i][j])
-                if arr.nbytes == 0:
-                    recv[j][i] = np.array(arr, copy=True)
-                else:
-                    copies.append((len(sends), group[j]))
-                    sends.append((group[i], arr))
-                    pairs.append((i, j))
-
-        def finish(outs):
-            for (i, j), out in zip(pairs, outs):
-                recv[j][i] = out
-            return recv
-
-        if not sends:
-            return group, None, finish
-        sig = tuple((i, j, arr.shape, arr.dtype.str)
-                    for (i, j), (_, arr) in zip(pairs, sends))
-        return group, _Step("a2a", sig, sends, copies), finish
-
-    def _lower_broadcast(self, category, value, root, group):
-        p = len(group)
-        self._record_broadcast_events(_nbytes(value), root, group, category)
-        arr = np.asarray(value)
-        root_pos = group.index(root)
-        if arr.nbytes == 0 or p == 1:
-            result = [value if pos == root_pos else np.array(arr, copy=True)
-                      for pos in range(p)]
-            return group, None, lambda _: result
-
-        def finish(outs):
-            return outs[:root_pos] + [value] + outs[root_pos:]
-
-        step = _Step("bc", (root, arr.shape, arr.dtype.str), [(root, arr)],
-                     [(0, r) for r in group if r != root])
-        return group, step, finish
-
-    def _lower_allreduce(self, category, arrays, group, op):
-        p = len(group)
-        self._record_allreduce_events(_nbytes(arrays[0]), group, category)
-        arrs = [np.asarray(a) for a in arrays]
-        if arrs[0].nbytes == 0 or p == 1:
-            result = reduce_stack(arrays, op)
-            results = [result.copy() if i > 0 else result for i in range(p)]
-            return group, None, lambda _: results
-        step = _Step("ar", (op, arrs[0].shape, tuple(a.dtype.str
-                                                     for a in arrs)),
-                     list(zip(group, arrs)),
-                     reduces=[(r, op, False) for r in group])
-        return group, step, lambda outs: outs
-
-    def _lower_allgather(self, category, arrays, group):
-        p = len(group)
-        self._record_allgather_events(arrays, group, category)
-        arrs = [np.asarray(a) for a in arrays]
-        moving = [j for j in range(p) if arrs[j].nbytes > 0]
-        pairs = [(i, j) for i in range(p) for j in moving if j != i]
-
-        def finish(outs):
-            got = dict(zip(pairs, outs))
-            return [[arrays[i] if j == i
-                     else got[(i, j)] if (i, j) in got
-                     else np.array(arrs[j], copy=True)
-                     for j in range(p)] for i in range(p)]
-
-        if not pairs:
-            return group, None, finish
-        sig = tuple((j, arrs[j].shape, arrs[j].dtype.str) for j in moving)
-        index = {j: k for k, j in enumerate(moving)}
-        step = _Step("ag", sig, [(group[j], arrs[j]) for j in moving],
-                     [(index[j], group[i]) for i, j in pairs])
-        return group, step, finish
-
-    def _lower_reduce(self, category, arrays, root, group, op):
-        p = len(group)
-        self._record_reduce_events(_nbytes(arrays[0]), root, group, category)
-        arrs = [np.asarray(a) for a in arrays]
-        root_pos = group.index(root)
-        if arrs[0].nbytes == 0 or p == 1:
-            result = reduce_stack(arrays, op, force_float64=True)
-            return group, None, lambda _: [
-                result if pos == root_pos else None for pos in range(p)]
-        step = _Step("red", (root, op, arrs[0].shape,
-                             tuple(a.dtype.str for a in arrs)),
-                     list(zip(group, arrs)), reduces=[(root, op, True)])
-        return group, step, lambda outs: [
-            outs[0] if pos == root_pos else None for pos in range(p)]
-
-    def _lower_exchange(self, category, messages, sync):
-        step_id = self._begin_exchange(category)
-        involved = set()
-        delivered: Dict[Tuple[int, int], np.ndarray] = {}
-        # Grouped by sender (first appearance), then message order: the
-        # send and receive slab order of the batch.
-        by_src: Dict[int, List[Tuple[int, np.ndarray]]] = {}
-        for src, dst, payload in messages:
-            involved.add(src)
-            involved.add(dst)
-            if src == dst or _nbytes(payload) == 0:
-                delivered[(src, dst)] = payload
-                continue
-            arr = np.asarray(payload)
-            self.events.record_message("p2p", src, dst, arr.nbytes,
-                                       category, step_id)
-            by_src.setdefault(src, []).append((dst, arr))
-        group = sorted(involved if sync is None else involved.union(sync))
-        sends, copies, pairs = [], [], []
-        for src, items in by_src.items():
-            for dst, arr in items:
-                copies.append((len(sends), dst))
-                sends.append((src, arr))
-                pairs.append((src, dst))
-
-        def finish(outs):
-            delivered.update(zip(pairs, outs))
-            return delivered
-
-        if not pairs:
-            return group, None, finish
-        sig = tuple((src, dst, arr.shape, arr.dtype.str)
-                    for (src, dst), (_, arr) in zip(pairs, sends))
-        return group, _Step("p2p", sig, sends, copies), finish

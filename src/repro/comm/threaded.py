@@ -2,13 +2,23 @@
 
 :class:`ThreadedCommunicator` is the first *real* (non-simulated) backend
 of the :class:`~repro.comm.base.Communicator` interface.  Each rank owns a
-persistent daemon worker thread with a task queue; collectives move NumPy
-arrays through per-rank mailbox queues and rendezvous on a genuine
-``threading.Barrier``, and :meth:`parallel_for` dispatches each rank's
-compute closure to the owning rank's worker — so the distributed SpMM
-algorithms in :mod:`repro.core` execute on actual parallel workers (NumPy
-releases the GIL inside its BLAS/sparse kernels) rather than only in
-simulation.
+persistent daemon worker thread with a task queue, and
+:meth:`parallel_for` dispatches each rank's compute closure to the owning
+rank's worker — so the distributed SpMM algorithms in :mod:`repro.core`
+execute on actual parallel workers (NumPy releases the GIL inside its
+BLAS/sparse kernels) rather than only in simulation.
+
+Collectives run the same lowerings as the process backend
+(:class:`~repro.comm.lowering.StepLowering`: each collective is one
+:class:`~repro.comm.lowering.Step` of copies and reductions).  The ranks
+share the driver's heap, so :meth:`_collective` needs no transport: each
+group member performs the copies and reductions landing on its rank,
+reading the senders' arrays in place, then meets the rest of the group
+at the step's ``threading.Barrier``.  A blocking step runs on the rank
+workers; a posted one runs the same closures on the per-rank delivery
+workers and its handle assembles the result at ``wait()``.  Every
+delivered payload is a fresh copy, as on ``process``: a received array
+never aliases the sender's buffer.
 
 Determinism / equivalence guarantees (asserted by the integration tests):
 
@@ -25,12 +35,6 @@ elapsed).  Volume accounting reuses the same
 :class:`~repro.comm.events.EventLog` as the simulator, so Table-2 style
 statistics remain available.
 
-Each collective's lowering (``_lower_*``; the public collectives are
-defined once, on :class:`~repro.comm.base.Communicator`) records the
-events and builds one closure per member; :meth:`_collective` runs them
-on the rank workers (blocking) or on the per-rank delivery workers and
-returns a handle (posted).
-
 Workers are started lazily on first use and torn down by :meth:`close`
 (also called by ``__del__`` and the context-manager protocol).
 """
@@ -40,12 +44,11 @@ from __future__ import annotations
 import queue
 import threading
 import time
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .base import (CommHandle, Communicator, payload_nbytes as _nbytes,
-                   reduce_stack)
+from .base import CommHandle, reduce_stack
+from .lowering import StepLowering
 
 __all__ = ["ThreadedCommunicator"]
 
@@ -121,13 +124,13 @@ class _ThreadedHandle(CommHandle):
     """
 
     def __init__(self, comm: "ThreadedCommunicator", group, results,
-                 category: str, result) -> None:
+                 category: str, reader: Callable[[], object]) -> None:
         super().__init__()
         self._comm = comm
         self._group = list(group)
         self._results = results
         self._category = category
-        self._result = result
+        self._reader = reader
 
     def _poll(self) -> bool:
         return all(res.done.is_set() for res in self._results)
@@ -150,11 +153,11 @@ class _ThreadedHandle(CommHandle):
             real = [e for e in errors
                     if not isinstance(e, threading.BrokenBarrierError)]
             raise (real or errors)[0]
-        return self._result
+        return self._reader()
 
 
-class ThreadedCommunicator(Communicator):
-    """Shared-memory backend: per-rank worker threads + mailbox queues."""
+class ThreadedCommunicator(StepLowering):
+    """Shared-memory backend: per-rank worker threads run the steps."""
 
     backend_name = "threaded"
     rejects_work_when_closed = True
@@ -270,9 +273,9 @@ class ThreadedCommunicator(Communicator):
     def _i_step(self, group: Sequence[int],
                 fns: Sequence[Callable[[], None]],
                 category: str, gate: Optional[threading.Barrier],
-                result) -> _ThreadedHandle:
+                reader: Callable[[], object]) -> _ThreadedHandle:
         """Run ``fns`` on the persistent delivery workers; return a handle
-        that delivers ``result`` (the slots ``fns`` fill) at ``wait()``.
+        that returns ``reader()`` (the result ``fns`` fill) at ``wait()``.
 
         Unlike :meth:`_run_step` this never touches the per-rank compute
         workers, so compute dispatched through :meth:`parallel_for` while
@@ -286,7 +289,7 @@ class ThreadedCommunicator(Communicator):
         delivery = self._ensure_delivery()
         results = [delivery[r].submit(fn, abort_gate=gate)
                    for r, fn in zip(group, fns)]
-        handle = _ThreadedHandle(self, group, results, category, result)
+        handle = _ThreadedHandle(self, group, results, category, reader)
         self._inflight.append(handle)
         return handle
 
@@ -313,186 +316,38 @@ class ThreadedCommunicator(Communicator):
         self._run_step(group, [lambda: gate.wait(self.timeout_s)
                                for _ in group], "wait")
 
+
     # ------------------------------------------------------------------
-    # Collectives.  Each lowering records the events and builds the
-    # member closures, the rendezvous gate and the result slots; the
-    # runner executes the closures on the rank workers (blocking) or on
-    # the delivery workers (posted).
+    # The runner.  Every collective is one Step (comm/lowering.py); each
+    # member performs the copies and reductions landing on its rank,
+    # reading the senders' arrays in place, then meets the group at the
+    # step's barrier.
     # ------------------------------------------------------------------
     def _collective(self, lower, blocking, category, *args):
-        group, fns, gate, result = lower(category, *args)
+        group, step, finish = lower(category, *args)
         if not group:
-            return result
-        if blocking:
-            self._run_step(group, fns, category, gate=gate)
-            return result
-        return self._i_step(group, fns, category, gate, result)
-
-    def _lower_alltoallv(self, category, send, group):
-        p = len(group)
-        self._record_alltoallv_events(send, group, category)
-
-        mailboxes = [queue.Queue() for _ in range(p)]
-        expected = [sum(1 for j in range(p)
-                        if j != i and send[j][i] is not None)
-                    for i in range(p)]
-        recv: List[List[Optional[np.ndarray]]] = [
-            [None] * p for _ in range(p)]
-        gate = threading.Barrier(p) if p else None
-
-        def make_member(i: int) -> Callable[[], None]:
-            def task() -> None:
-                for j in range(p):
-                    if j != i and send[i][j] is not None:
-                        mailboxes[j].put((i, send[i][j]))
-                recv[i][i] = send[i][i]
-                for _ in range(expected[i]):
-                    j, payload = mailboxes[i].get(timeout=self.timeout_s)
-                    recv[i][j] = payload
-                gate.wait(self.timeout_s)
-            return task
-
-        return group, [make_member(i) for i in range(p)], gate, recv
-
-    def _lower_broadcast(self, category, value, root, group):
-        p = len(group)
-        self._record_broadcast_events(_nbytes(value), root, group, category)
-
-        mailboxes = {r: queue.Queue() for r in group if r != root}
-        out: List[Optional[np.ndarray]] = [None] * p
-        gate = threading.Barrier(p)
-
-        def make_member(pos: int, r: int) -> Callable[[], None]:
-            def task() -> None:
-                if r == root:
-                    for box in mailboxes.values():
-                        box.put(value)
-                    out[pos] = value
-                else:
-                    received = mailboxes[r].get(timeout=self.timeout_s)
-                    out[pos] = np.array(received, copy=True)
-                gate.wait(self.timeout_s)
-            return task
-
-        fns = [make_member(pos, r) for pos, r in enumerate(group)]
-        return group, fns, gate, out
-
-    def _lower_allreduce(self, category, arrays, group, op):
-        p = len(group)
-        self._record_allreduce_events(_nbytes(arrays[0]), group, category)
-        # Snapshot the operand list: nonblocking callers may rebind their
-        # slots (e.g. the next pipeline stage's partials) while delivery
-        # is in flight; the arrays themselves must stay unmutated, as per
-        # the nonblocking contract.
-        arrays = list(arrays)
-
-        inbox: "queue.Queue" = queue.Queue()
-        outboxes = [queue.Queue() for _ in range(p)]
-        out: List[Optional[np.ndarray]] = [None] * p
-        gate = threading.Barrier(p)
-
-        def make_member(pos: int) -> Callable[[], None]:
-            def task() -> None:
-                inbox.put((pos, arrays[pos]))
-                if pos == 0:
-                    contribs: List[Optional[np.ndarray]] = [None] * p
-                    for _ in range(p):
-                        k, a = inbox.get(timeout=self.timeout_s)
-                        contribs[k] = a
-                    result = reduce_stack(contribs, op)
-                    for other in range(1, p):
-                        outboxes[other].put(result)
-                    out[0] = result
-                else:
-                    result = outboxes[pos].get(timeout=self.timeout_s)
-                    out[pos] = result.copy()
-                gate.wait(self.timeout_s)
-            return task
-
-        return group, [make_member(pos) for pos in range(p)], gate, out
-
-    def _lower_allgather(self, category, arrays, group):
-        p = len(group)
-        self._record_allgather_events(arrays, group, category)
-
-        mailboxes = [queue.Queue() for _ in range(p)]
-        out: List[List[Optional[np.ndarray]]] = [[None] * p for _ in range(p)]
-        gate = threading.Barrier(p)
-
-        def make_member(i: int) -> Callable[[], None]:
-            def task() -> None:
-                for j in range(p):
-                    if j != i:
-                        mailboxes[j].put((i, arrays[i]))
-                out[i][i] = arrays[i]
-                for _ in range(p - 1):
-                    j, a = mailboxes[i].get(timeout=self.timeout_s)
-                    out[i][j] = np.array(a, copy=True)
-                gate.wait(self.timeout_s)
-            return task
-
-        return group, [make_member(i) for i in range(p)], gate, out
-
-    def _lower_reduce(self, category, arrays, root, group, op):
-        p = len(group)
-        self._record_reduce_events(_nbytes(arrays[0]), root, group, category)
-
-        inbox: "queue.Queue" = queue.Queue()
-        out: List[Optional[np.ndarray]] = [None] * p
-        gate = threading.Barrier(p)
-
-        def make_member(pos: int, r: int) -> Callable[[], None]:
-            def task() -> None:
-                inbox.put((pos, arrays[pos]))
-                if r == root:
-                    contribs: List[Optional[np.ndarray]] = [None] * p
-                    for _ in range(p):
-                        k, a = inbox.get(timeout=self.timeout_s)
-                        contribs[k] = a
-                    out[pos] = reduce_stack(contribs, op, force_float64=True)
-                gate.wait(self.timeout_s)
-            return task
-
-        fns = [make_member(pos, r) for pos, r in enumerate(group)]
-        return group, fns, gate, out
-
-    # ------------------------------------------------------------------
-    # Point-to-point batches
-    # ------------------------------------------------------------------
-    def _lower_exchange(self, category, messages, sync):
-        step = self._begin_exchange(category)
-        involved = set()
-        outgoing: Dict[int, List[Tuple[int, int, np.ndarray]]] = {}
-        expected: Dict[int, int] = {}
-        delivered: Dict[Tuple[int, int], np.ndarray] = {}
-        for src, dst, payload in messages:
-            involved.add(src)
-            involved.add(dst)
-            if src == dst or _nbytes(payload) == 0:
-                delivered[(src, dst)] = payload
-                continue
-            self.events.record_message("p2p", src, dst, _nbytes(payload),
-                                       category, step)
-            outgoing.setdefault(src, []).append((src, dst, payload))
-            expected[dst] = expected.get(dst, 0) + 1
-
-        # Every sender and receiver must participate for delivery to
-        # complete, even when the caller names a narrower sync group.
-        group = sorted(involved if sync is None else involved.union(sync))
-        if not group:
-            return group, [], None, delivered
-        mailboxes = {r: queue.Queue() for r in group}
+            return finish(())
+        parts, copies, reduces = [], (), ()
+        if step is not None:
+            parts = [arr for _, arr in step.sends]
+            copies, reduces = step.copies, step.reduces
+        outs: list = [None] * (len(copies) + len(reduces))
+        jobs: Dict[int, list] = {r: [] for r in group}
+        for k, (i, dst) in enumerate(copies):
+            jobs[dst].append((k, parts[i].copy))
+        for k, (dst, op, force64) in enumerate(reduces, len(copies)):
+            jobs[dst].append((k, partial(reduce_stack, parts, op, force64)))
         gate = threading.Barrier(len(group))
 
-        def make_member(r: int) -> Callable[[], None]:
+        def member(mine: list) -> Callable[[], None]:
             def task() -> None:
-                for src, dst, payload in outgoing.get(r, ()):
-                    mailboxes[dst].put((src, dst, payload))
-                for _ in range(expected.get(r, 0)):
-                    src, dst, payload = mailboxes[r].get(
-                        timeout=self.timeout_s)
-                    delivered[(src, dst)] = payload
+                for k, job in mine:
+                    outs[k] = job()
                 gate.wait(self.timeout_s)
             return task
 
-        return group, [make_member(r) for r in group], gate, delivered
+        fns = [member(jobs[r]) for r in group]
+        if blocking:
+            self._run_step(group, fns, category, gate=gate)
+            return finish(outs)
+        return self._i_step(group, fns, category, gate, lambda: finish(outs))

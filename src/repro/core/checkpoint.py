@@ -66,8 +66,8 @@ _HEADER = struct.Struct("<8sIQI")  # magic, version, payload len, crc32
 #: rank-count independent).
 FINGERPRINT_FIELDS = (
     "algorithm", "sparsity_aware", "partitioner", "replication_factor",
-    "n_ranks", "hidden", "n_layers", "learning_rate", "seed",
-    "normalize_adjacency", "dtype", "grad_dtype",
+    "n_ranks", "hidden", "n_layers", "learning_rate", "seed", "dtype",
+    "grad_dtype",
 )
 
 

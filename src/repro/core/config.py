@@ -92,8 +92,6 @@ class DistTrainConfig:
     seed:
         Seed shared by weight init, partitioner tie-breaking and dataset
         generation helpers.
-    normalize_adjacency:
-        Apply the symmetric GCN normalisation before training.
     dtype:
         Training precision: ``"float64"`` (default, bit-compatible with
         the reference model) or ``"float32"`` (half the communication
@@ -166,7 +164,6 @@ class DistTrainConfig:
     machine: Union[str, MachineModel] = "perlmutter"
     backend: str = "sim"
     seed: int = 0
-    normalize_adjacency: bool = True
     dtype: str = "float64"
     pipeline_depth: int = 1
     grad_overlap: bool = False

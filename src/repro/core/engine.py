@@ -137,7 +137,7 @@ class SpmmVariant:
 
 #: (algorithm, mode) -> its variant; :func:`compile` constructs the
 #: variant's compiler as ``compiler(variant, matrix, comm, grid=...,
-#: dtype=..., pipeline_depth=..., **categories)``.
+#: dtype=..., pipeline_depth=...)``.
 _REGISTRY: Dict[Tuple[str, str], SpmmVariant] = {}
 
 
@@ -292,6 +292,11 @@ class CompiledSpmm:
     failure, so a failed SpMM never keeps its operand alive.
     """
 
+    #: Timeline category of every per-rank pack and multiply; each
+    #: variant names its exchange's ``comm_category`` (1.5D also its
+    #: replica reduction's ``reduce_category``).
+    compute_category = "local"
+
     def __init__(self, variant: SpmmVariant, matrix, comm: Communicator,
                  grid=None, dtype=np.float64,
                  pipeline_depth: int = 1) -> None:
@@ -416,14 +421,13 @@ class CompiledSpmm:
 
 def compile(matrix, comm: Communicator, algorithm: str = "1d",
             sparsity_aware: bool = True, mode: Optional[str] = None,
-            grid=None, dtype=np.float64, pipeline_depth: int = 1,
-            **categories) -> CompiledSpmm:
+            grid=None, dtype=np.float64,
+            pipeline_depth: int = 1) -> CompiledSpmm:
     """Build a persistent :class:`CompiledSpmm` for a registered variant.
 
     All per-variant exchange metadata is derived here, once, for dense
     operands of ``dtype`` and any width; the returned operator's
-    ``__call__`` only moves data.  The ``**categories`` keyword overrides
-    are fixed at compile time.
+    ``__call__`` only moves data.
 
     ``pipeline_depth > 1`` enables double-buffered execution: staged
     variants prefetch the next stage's operand with nonblocking
@@ -433,11 +437,11 @@ def compile(matrix, comm: Communicator, algorithm: str = "1d",
     variant = get_spmm(algorithm, sparsity_aware=sparsity_aware, mode=mode)
     variant.check_grid(grid)
     return variant.compiler(variant, matrix, comm, grid=grid, dtype=dtype,
-                            pipeline_depth=pipeline_depth, **categories)
+                            pipeline_depth=pipeline_depth)
 
 
 def spmm(matrix, dense, comm: Communicator, algorithm: str = "1d",
-         sparsity_aware: bool = True, grid=None, **categories):
+         sparsity_aware: bool = True, grid=None):
     """Compute ``Z = M H`` once with the registered (algorithm, mode)
     variant: compile it at ``dense.dtype`` and call the plan once.
 
@@ -449,4 +453,4 @@ def spmm(matrix, dense, comm: Communicator, algorithm: str = "1d",
     """
     return compile(matrix, comm, algorithm=algorithm,
                    sparsity_aware=sparsity_aware, grid=grid,
-                   dtype=dense.dtype, **categories)(dense)
+                   dtype=dense.dtype)(dense)

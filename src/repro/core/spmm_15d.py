@@ -109,22 +109,20 @@ class _Compiled15DBase(CompiledSpmm):
     blocking) and keeps one replica's copy as the result's block row.
     """
 
+    reduce_category = "allreduce"
+
     def __init__(self, variant, matrix: DistSparseMatrix,
                  comm: Communicator, grid: ProcessGrid, dtype,
-                 compute_category: str, comm_category: str,
-                 reduce_category: str, pipeline_depth: int = 1) -> None:
+                 pipeline_depth: int = 1) -> None:
         super().__init__(variant, matrix, comm, grid=grid, dtype=dtype,
                          pipeline_depth=pipeline_depth)
         check_grid_operands(matrix, grid, comm)
-        self.compute_category = compute_category
-        self.comm_category = comm_category
-        self.reduce_category = reduce_category
         self._partial_ws = Workspace(
             [matrix.dist.block_size(i) for i in range(grid.nrows)
              for _ in range(grid.replication)], self.dtype)
         self._reduce = [Stage(
             "allreduce", lambda dense, i=i: (self._partial[i],),
-            {"ranks": grid.row_group(i), "category": reduce_category},
+            {"ranks": grid.row_group(i), "category": self.reduce_category},
             after=itemgetter(0), span={"phase": "reduce", "row": i})
             for i in range(grid.nrows)]
 
@@ -155,15 +153,12 @@ class Compiled15DOblivious(_Compiled15DBase):
     keeps its natural meaning of "stages in flight per column".
     """
 
+    comm_category = "bcast"
+
     def __init__(self, variant, matrix: DistSparseMatrix,
                  comm: Communicator, grid: ProcessGrid = None,
-                 dtype=np.float64,
-                 compute_category: str = "local",
-                 comm_category: str = "bcast",
-                 reduce_category: str = "allreduce",
-                 pipeline_depth: int = 1) -> None:
+                 dtype=np.float64, pipeline_depth: int = 1) -> None:
         super().__init__(variant, matrix, comm, grid, dtype,
-                         compute_category, comm_category, reduce_category,
                          pipeline_depth=pipeline_depth)
         self._ahead = (self.pipeline_depth - 1) * grid.replication
         self._stages = []
@@ -178,7 +173,7 @@ class Compiled15DOblivious(_Compiled15DBase):
                 self._stages.append(Stage(
                     "broadcast", lambda dense, q=q: (dense.block(q),),
                     {"root": root, "ranks": group,
-                     "category": comm_category},
+                     "category": self.comm_category},
                     after=lambda _, tasks=tasks, group=group:
                     self.comm.parallel_for(tasks, ranks=group,
                                            category=self.compute_category),
@@ -210,15 +205,12 @@ class Compiled15DSparsityAware(_Compiled15DBase):
     stage ``k + 1`` while stage ``k``'s exchange is in flight.
     """
 
+    comm_category = "alltoall"
+
     def __init__(self, variant, matrix: DistSparseMatrix,
                  comm: Communicator, grid: ProcessGrid = None,
-                 dtype=np.float64,
-                 compute_category: str = "local",
-                 comm_category: str = "alltoall",
-                 reduce_category: str = "allreduce",
-                 pipeline_depth: int = 1) -> None:
+                 dtype=np.float64, pipeline_depth: int = 1) -> None:
         super().__init__(variant, matrix, comm, grid, dtype,
-                         compute_category, comm_category, reduce_category,
                          pipeline_depth=pipeline_depth)
         self._ahead = self.pipeline_depth - 1
         # Per stage: messages = [(src, dst, segment)] in col-major
@@ -265,7 +257,7 @@ class Compiled15DSparsityAware(_Compiled15DBase):
             self._message_segs.append(messages)
             self._stages.append(Stage(
                 "exchange", lambda dense, k=stage: (self._messages[k],),
-                {"category": comm_category,
+                {"category": self.comm_category,
                  "sync_ranks": range(comm.nranks)},
                 before=lambda tasks=pack_tasks, sources=sources:
                 self.comm.parallel_for(tasks, ranks=sources,

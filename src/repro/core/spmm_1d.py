@@ -58,16 +58,14 @@ class Compiled1DOblivious(CompiledSpmm):
     ``j`` is unchanged).
     """
 
+    comm_category = "bcast"
+
     def __init__(self, variant, matrix: DistSparseMatrix,
                  comm: Communicator, grid=None, dtype=np.float64,
-                 compute_category: str = "local",
-                 comm_category: str = "bcast",
                  pipeline_depth: int = 1) -> None:
         super().__init__(variant, matrix, comm, grid=grid, dtype=dtype,
                          pipeline_depth=pipeline_depth)
         check_block_operands(matrix, comm)
-        self.compute_category = compute_category
-        self.comm_category = comm_category
         p = comm.nranks
         self._out_ws = Workspace(
             [matrix.dist.block_size(i) for i in range(p)], self.dtype)
@@ -78,7 +76,7 @@ class Compiled1DOblivious(CompiledSpmm):
                      for i in range(p)]
             self._stages.append(Stage(
                 "broadcast", lambda dense, j=j: (dense.block(j),),
-                {"root": j, "category": comm_category},
+                {"root": j, "category": self.comm_category},
                 after=lambda _, tasks=tasks: self.comm.parallel_for(
                     tasks, category=self.compute_category),
                 span={"stage": j, "peer": j}))
@@ -116,16 +114,14 @@ class Compiled1DSparsityAware(CompiledSpmm):
     so it runs blocking at every ``pipeline_depth``.
     """
 
+    comm_category = "alltoall"
+
     def __init__(self, variant, matrix: DistSparseMatrix,
                  comm: Communicator, grid=None, dtype=np.float64,
-                 compute_category: str = "local",
-                 comm_category: str = "alltoall",
                  pipeline_depth: int = 1) -> None:
         super().__init__(variant, matrix, comm, grid=grid, dtype=dtype,
                          pipeline_depth=pipeline_depth)
         check_block_operands(matrix, comm)
-        self.compute_category = compute_category
-        self.comm_category = comm_category
         p = comm.nranks
         # pack[j] = [(i, idx, segment)] in destination order.
         self._pack: List[List[tuple]] = []
@@ -167,7 +163,7 @@ class Compiled1DSparsityAware(CompiledSpmm):
         mult_tasks = [self._make_mult_task(i) for i in range(p)]
         self._stages = [Stage(
             "alltoallv", lambda dense: (self._send,),
-            {"category": comm_category},
+            {"category": self.comm_category},
             before=lambda: self.comm.parallel_for(
                 pack_tasks, category=self.compute_category),
             after=lambda _: self.comm.parallel_for(

@@ -160,8 +160,7 @@ def setup_distributed(dataset: GraphDataset, config: DistTrainConfig,
     node_data.validate()
     matrix, perm, partition = distribute(
         dataset.adjacency, config.partitioner, config.n_block_rows,
-        seed=config.seed, normalize=config.normalize_adjacency,
-        dtype=config.np_dtype, partition=partition)
+        seed=config.seed, dtype=config.np_dtype, partition=partition)
     if perm is not None:
         node_data = node_data.permuted(perm)
 

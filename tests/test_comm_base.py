@@ -127,6 +127,33 @@ class TestAbstractContract:
             "_lower_allreduce", "_lower_allgather", "_lower_reduce",
             "_lower_exchange"}
 
+    def test_real_backends_share_one_lowering(self):
+        """threaded and process run StepLowering's six lowerings; only the
+        simulator (it prices collectives) keeps lowerings of its own."""
+        import inspect
+
+        import repro.comm
+        from repro.comm.lowering import StepLowering
+        from repro.comm.process import ProcessPoolCommunicator
+        from repro.comm.simulator import SimCommunicator
+        lowerings = sorted(n for n in vars(Communicator)
+                           if n.startswith("_lower_"))
+        assert len(lowerings) == 6
+        for cls in (ThreadedCommunicator, ProcessPoolCommunicator):
+            for name in lowerings:
+                assert getattr(cls, name) is vars(StepLowering)[name], \
+                    (cls.__name__, name)
+        modules = [m for n, m in vars(repro.comm).items()
+                   if inspect.ismodule(m)
+                   and m.__name__.startswith("repro.comm.")]
+        assert {m.__name__.rsplit(".", 1)[1] for m in modules} >= {
+            "base", "lowering", "process", "simulator", "threaded"}
+        owners = {cls for m in modules for _, cls in inspect.getmembers(
+                      m, inspect.isclass)
+                  if issubclass(cls, Communicator) and cls is not Communicator
+                  and any(n.startswith("_lower_") for n in vars(cls))}
+        assert owners == {SimCommunicator, StepLowering}
+
     def test_fake_satisfies_the_abc(self):
         comm = FakeCommunicator(4)
         assert isinstance(comm, Communicator)

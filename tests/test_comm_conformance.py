@@ -227,6 +227,67 @@ class TestProcessBackendSpecifics:
         comm.close()  # still idempotent after the automatic close
 
 
+class TestThreadedBackendSpecifics:
+    """Properties of the threaded backend beyond the shared contract."""
+
+    @pytest.mark.parametrize("blocking", [True, False],
+                             ids=["blocking", "posted"])
+    def test_delivered_payloads_do_not_alias_the_sender(self, blocking):
+        """The ranks share one heap, yet every delivered all-to-allv and
+        exchange payload is a fresh copy (as on ``process``): writing to
+        it leaves the sender's buffer alone.  The diagonal slot and a
+        self-message stay the caller's own objects."""
+        with make_communicator(3, backend="threaded") as comm:
+            send = [[np.full(4, 10.0 * i + j) for j in range(3)]
+                    for i in range(3)]
+            msgs = [(0, 1, np.arange(5.0)), (2, 0, np.ones((2, 2))),
+                    (1, 1, np.zeros(3))]
+            if blocking:
+                recv, delivered = comm.alltoallv(send), comm.exchange(msgs)
+            else:
+                recv = comm.ialltoallv(send).wait()
+                delivered = comm.iexchange(msgs).wait()
+            for i in range(3):
+                assert recv[i][i] is send[i][i]
+                for j in range(3):
+                    if j != i:
+                        assert not np.shares_memory(recv[i][j], send[j][i])
+                        recv[i][j][:] = -1.0
+                        assert send[j][i][0] == 10.0 * j + i
+            assert delivered[(1, 1)] is msgs[2][2]
+            for src, dst, payload in msgs[:2]:
+                got = delivered[(src, dst)]
+                np.testing.assert_array_equal(got, payload)
+                assert not np.shares_memory(got, payload)
+
+    def test_members_fill_their_slots_under_contention(self):
+        """More ranks than cores and a tiny switch interval: every member
+        writes its own output slots of a shared step concurrently, and no
+        slot is lost or mixed up, blocking or posted."""
+        import os
+        import sys
+        p = min(16, len(os.sched_getaffinity(0)) + 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with make_communicator(p, backend="threaded",
+                                   timeout_s=60.0) as comm:
+                for rnd in range(10):
+                    send = [[np.full(3, 100.0 * rnd + 10 * i + j)
+                             for j in range(p)] for i in range(p)]
+                    posted = comm.iallreduce([np.full(2, float(i + rnd))
+                                              for i in range(p)])
+                    recv = comm.alltoallv(send)
+                    for i in range(p):
+                        for j in range(p):
+                            assert recv[i][j][0] == 100.0 * rnd + 10 * j + i
+                    want = float(sum(range(p)) + p * rnd)
+                    for out in posted.wait():
+                        np.testing.assert_array_equal(out, [want, want])
+        finally:
+            sys.setswitchinterval(interval)
+
+
 # ----------------------------------------------------------------------
 # Part 2: randomized SpMM equivalence properties
 # ----------------------------------------------------------------------

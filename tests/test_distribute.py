@@ -65,7 +65,7 @@ class TestPlannerMatchesTrainer:
         resolved, plan, _ = resolve_config(dataset, config, use_cache=False,
                                            probe=False)
         assert plan is not None
-        assert resolved.dtype == "float64" and resolved.normalize_adjacency
+        assert resolved.dtype == "float64"
         setup = setup_distributed(dataset, resolved)
         with setup.comm:
             assert_bitwise_equal(
