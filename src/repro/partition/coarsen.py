@@ -47,8 +47,7 @@ def heavy_edge_matching(adj: sp.csr_matrix, rng: np.random.Generator,
     balanced partitions no longer exist).
     """
     n = adj.shape[0]
-    indptr, indices = adj.indptr.tolist(), adj.indices.tolist()
-    data = adj.data.tolist()
+    indptr, order = _pick_order(adj)
     weights = (np.ones(n) if vertex_weights is None
                else np.asarray(vertex_weights)).tolist()
     cap = max_vertex_weight
@@ -56,21 +55,32 @@ def heavy_edge_matching(adj: sp.csr_matrix, rng: np.random.Generator,
     for v in rng.permutation(n).tolist():
         if match[v] != v:
             continue
-        start, end = indptr[v], indptr[v + 1]
-        best = -1
-        best_w = -np.inf
-        for u, w in zip(indices[start:end], data[start:end]):
-            if u == v or match[u] != u:
-                continue
-            if cap is not None and weights[v] + weights[u] > cap:
-                continue
-            if w > best_w:
-                best_w = w
-                best = u
-        if best >= 0:
-            match[v] = best
-            match[best] = v
+        wv = weights[v]
+        # The first eligible neighbour in pick order is the heaviest one,
+        # the first in CSR order among equals: a strict ``>`` scan's pick.
+        for u in order[indptr[v]:indptr[v + 1]]:
+            if match[u] == u and (cap is None or not wv + weights[u] > cap):
+                match[v] = u
+                match[u] = v
+                break
     return np.array(match)
+
+
+def _pick_order(adj: sp.csr_matrix):
+    """Each vertex's neighbours in the order heavy-edge matching tries
+    them: descending edge weight, then CSR position; self-loops and edges
+    a strict ``> -inf`` scan never picks (weight -inf or NaN) dropped.
+    Returns ``(indptr, neighbours)`` as lists."""
+    n = adj.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(adj.indptr))
+    keep = (adj.indices != rows) & (adj.data > -np.inf)
+    rows, cols, data = rows[keep], adj.indices[keep], adj.data[keep]
+    if data.size and data.min() != data.max():
+        # (lexsort is stable: equal weights keep their CSR order)
+        cols = cols[np.lexsort((-data.astype(np.float64), rows))]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr.tolist(), cols.tolist()
 
 
 def contract_graph(adj: sp.csr_matrix, match: np.ndarray,

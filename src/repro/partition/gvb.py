@@ -35,10 +35,14 @@ class GVBPartitioner(MultilevelPartitioner):
                  volume_refine_levels: int = 2,
                  config: Optional[MultilevelConfig] = None) -> None:
         if config is None:
+            if volume_refine_levels < 1:
+                raise ValueError(f"volume_refine_levels must be >= 1 (GVB "
+                                 f"refines the volume on at least the finest "
+                                 f"level), got {volume_refine_levels}")
             config = MultilevelConfig(
                 balance_factor=balance_factor,
                 refine_passes=refine_passes,
-                volume_refine_levels=max(1, volume_refine_levels),
+                volume_refine_levels=volume_refine_levels,
                 volume_balance_factor=volume_balance_factor,
                 volume_max_weight=max_volume_weight,
                 volume_refine_passes=volume_refine_passes,

@@ -9,8 +9,10 @@ comparison the paper draws in Section 5 and Figure 6.
 
 from __future__ import annotations
 
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,10 +21,16 @@ from . import metrics
 from .base import Partitioner, PartitionResult
 from .coarsen import CoarseLevel, coarsen_graph
 from .initial import fix_empty_parts, greedy_graph_growing
-from .refine import edgecut_refine, rebalance
+from .refine import LevelGraph, edgecut_refine, rebalance
 from .volume_refine import volume_refine
 
-__all__ = ["MultilevelConfig", "MultilevelPartitioner"]
+__all__ = ["MultilevelConfig", "MultilevelPartitioner", "PHASES"]
+
+#: the phases ``MultilevelPartitioner.partition`` times; each adds
+#: ``<phase>_s`` wall seconds to ``PartitionResult.stats``
+#: (``rebalance`` includes ``fix_empty_parts``)
+PHASES = ("coarsen", "initial_partition", "rebalance", "edgecut_refine",
+          "volume_refine")
 
 
 @dataclass(frozen=True)
@@ -60,6 +68,15 @@ class MultilevelConfig:
                                  f"{getattr(self, name)}")
 
 
+@contextmanager
+def _timed(seconds: Dict[str, float], phase: str) -> Iterator[None]:
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        seconds[phase] += time.perf_counter() - start
+
+
 class MultilevelPartitioner(Partitioner):
     """Generic multilevel k-way partitioner."""
 
@@ -73,73 +90,75 @@ class MultilevelPartitioner(Partitioner):
         adj = self._check_input(adj, nparts)
         cfg = self.config
         n = adj.shape[0]
+        seconds = dict.fromkeys(PHASES, 0.0)
 
         if nparts == 1:
             parts = np.zeros(n, dtype=np.int64)
             result = PartitionResult(parts=parts, nparts=1, method=self.name)
             result.stats.update(metrics.partition_report(adj, parts, 1))
+            result.stats.update({f"{k}_s": v for k, v in seconds.items()})
             return result
 
         target = max(cfg.min_coarse_vertices, cfg.coarse_to * nparts)
-        levels = coarsen_graph(adj, target_vertices=target, seed=cfg.seed,
-                               max_levels=cfg.max_levels)
+        with _timed(seconds, "coarsen"):
+            levels = coarsen_graph(adj, target_vertices=target, seed=cfg.seed,
+                                   max_levels=cfg.max_levels)
 
-        # Initial partition on the coarsest graph.
-        if levels:
-            coarsest_adj = levels[-1].adj
-            coarsest_weights = levels[-1].vertex_weights
-        else:
-            coarsest_adj = adj.astype(np.float64)
-            coarsest_weights = np.ones(n)
-        parts = greedy_graph_growing(coarsest_adj, nparts,
-                                     vertex_weights=coarsest_weights,
-                                     seed=cfg.seed)
-        parts = rebalance(coarsest_adj, parts, nparts,
-                          vertex_weights=coarsest_weights,
-                          balance_factor=cfg.balance_factor, seed=cfg.seed)
-        parts, _ = edgecut_refine(coarsest_adj, parts, nparts,
-                                  vertex_weights=coarsest_weights,
-                                  balance_factor=cfg.balance_factor,
-                                  max_passes=cfg.refine_passes,
-                                  seed=cfg.seed)
-
-        # Uncoarsen: project to each finer level and refine there.
-        graphs: List[Tuple[sp.csr_matrix, np.ndarray]] = [
-            (adj.astype(np.float64), np.ones(n))]
-        for level in levels[:-1]:
-            graphs.append((level.adj, level.vertex_weights))
         # graphs[i] is the graph at level i (0 = finest); levels[i].coarse_map
         # maps level i vertices to level i+1 vertices.
+        graphs: List[Tuple[sp.csr_matrix, np.ndarray]] = [
+            (adj.astype(np.float64), np.ones(n))]
+        graphs += [(level.adj, level.vertex_weights) for level in levels]
 
-        total_levels = len(levels)
-        for level_idx in range(total_levels - 1, -1, -1):
-            coarse_map = levels[level_idx].coarse_map
-            parts = parts[coarse_map]  # project coarse parts to finer graph
-            fine_adj, fine_weights = graphs[level_idx]
-            parts = fix_empty_parts(fine_adj, parts, nparts, fine_weights)
-            parts = rebalance(fine_adj, parts, nparts,
-                              vertex_weights=fine_weights,
-                              balance_factor=cfg.balance_factor,
-                              seed=cfg.seed + level_idx + 1)
-            parts, _ = edgecut_refine(fine_adj, parts, nparts,
-                                      vertex_weights=fine_weights,
-                                      balance_factor=cfg.balance_factor,
-                                      max_passes=cfg.refine_passes,
-                                      seed=cfg.seed + level_idx + 1)
-            if cfg.volume_refine_levels and \
-                    level_idx < cfg.volume_refine_levels:
-                parts, _ = volume_refine(
-                    fine_adj, parts, nparts,
-                    vertex_weights=fine_weights,
-                    balance_factor=cfg.volume_balance_factor,
-                    max_volume_weight=cfg.volume_max_weight,
-                    max_passes=cfg.volume_refine_passes,
-                    seed=cfg.seed + 100 + level_idx)
+        def refine(level_idx: int, parts: np.ndarray, seed: int
+                   ) -> np.ndarray:
+            """Rebalance and edgecut-refine ``parts`` on level ``level_idx``,
+            then volume-refine it on the finest ``volume_refine_levels``;
+            the three share one conversion of the level's adjacency."""
+            level_adj, level_weights = graphs[level_idx]
+            level_adj = LevelGraph(level_adj)
+            with _timed(seconds, "rebalance"):
+                parts = rebalance(level_adj, parts, nparts,
+                                  vertex_weights=level_weights,
+                                  balance_factor=cfg.balance_factor,
+                                  seed=seed)
+            with _timed(seconds, "edgecut_refine"):
+                parts, _ = edgecut_refine(level_adj, parts, nparts,
+                                          vertex_weights=level_weights,
+                                          balance_factor=cfg.balance_factor,
+                                          max_passes=cfg.refine_passes,
+                                          seed=seed)
+            if level_idx < min(cfg.volume_refine_levels, len(levels)):
+                with _timed(seconds, "volume_refine"):
+                    parts, _ = volume_refine(
+                        level_adj, parts, nparts,
+                        vertex_weights=level_weights,
+                        balance_factor=cfg.volume_balance_factor,
+                        max_volume_weight=cfg.volume_max_weight,
+                        max_passes=cfg.volume_refine_passes,
+                        seed=cfg.seed + 100 + level_idx)
+            return parts
 
-        if total_levels == 0:
+        # Initial partition on the coarsest graph.
+        coarsest_adj, coarsest_weights = graphs[-1]
+        with _timed(seconds, "initial_partition"):
+            parts = greedy_graph_growing(coarsest_adj, nparts,
+                                         vertex_weights=coarsest_weights,
+                                         seed=cfg.seed)
+        parts = refine(len(levels), parts, cfg.seed)
+
+        # Uncoarsen: project to each finer level and refine there.
+        for level_idx in range(len(levels) - 1, -1, -1):
+            parts = parts[levels[level_idx].coarse_map]
+            with _timed(seconds, "rebalance"):
+                parts = fix_empty_parts(graphs[level_idx][0], parts, nparts,
+                                        graphs[level_idx][1])
+            parts = refine(level_idx, parts, cfg.seed + level_idx + 1)
+
+        if not levels and cfg.volume_refine_levels:
             # No coarsening happened: parts already refer to the input graph,
             # but run the optional volume refinement on it.
-            if cfg.volume_refine_levels:
+            with _timed(seconds, "volume_refine"):
                 parts, _ = volume_refine(
                     adj, parts, nparts, vertex_weights=np.ones(n),
                     balance_factor=cfg.volume_balance_factor,
@@ -147,8 +166,10 @@ class MultilevelPartitioner(Partitioner):
                     max_passes=cfg.volume_refine_passes,
                     seed=cfg.seed + 100)
 
-        parts = fix_empty_parts(adj, parts, nparts, np.ones(n))
+        with _timed(seconds, "rebalance"):
+            parts = fix_empty_parts(adj, parts, nparts, np.ones(n))
         result = PartitionResult(parts=parts, nparts=nparts, method=self.name)
         result.stats.update(metrics.partition_report(adj, parts, nparts))
-        result.stats["coarsening_levels"] = float(total_levels)
+        result.stats["coarsening_levels"] = float(len(levels))
+        result.stats.update({f"{k}_s": v for k, v in seconds.items()})
         return result

@@ -11,6 +11,7 @@ what its row ``v`` lists as neighbours.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -18,8 +19,12 @@ import scipy.sparse as sp
 
 from .base import validate_parts
 
-__all__ = ["edgecut_refine", "rebalance", "weighted_edgecut",
+__all__ = ["LevelGraph", "edgecut_refine", "rebalance", "weighted_edgecut",
            "part_weight_vector"]
+
+#: rows up to this long sum their connectivity in a Python loop; longer
+#: ones pay one numpy call instead
+_SCALAR_ROW = 64
 
 #: ``conn_of`` marker of an idle vertex: every part it is connected to
 #: has a strictly negative gain, so no part weight can make it move
@@ -40,17 +45,6 @@ def weighted_edgecut(adj: sp.spmatrix, parts: np.ndarray) -> float:
     coo = adj.tocoo()
     mask = parts[coo.row] != parts[coo.col]
     return float(coo.data[mask].sum() / 2.0)
-
-
-def boundary_ids(rows: np.ndarray, cols: np.ndarray,
-                 parts: np.ndarray) -> np.ndarray:
-    """Sorted vertex ids with at least one neighbour in a different part,
-    from the COO ``rows`` / ``cols`` of the adjacency."""
-    mask = parts[rows] != parts[cols]
-    marked = np.zeros(len(parts), dtype=bool)
-    marked[rows[mask]] = True
-    marked[cols[mask]] = True
-    return np.flatnonzero(marked)
 
 
 def _connectivity(indptr, indices, data, parts, v: int, nparts: int
@@ -93,18 +87,113 @@ def check_refine_settings(balance_factor: float, max_passes: int = 0
         raise ValueError(f"max_passes must be >= 0, got {max_passes}")
 
 
-def refine_inputs(adj: sp.spmatrix, parts: np.ndarray, nparts: int,
+class LevelGraph:
+    """One level's adjacency in every form the refiners read, converted
+    once per level and shared by ``rebalance``, ``edgecut_refine`` and
+    ``volume_refine``: the CSR matrix, its arrays as lists for the
+    per-vertex loops, and the row of every stored entry (the COO ``row``,
+    in CSR order) for whole-graph numpy work.  Each form is built on its
+    first use."""
+
+    def __init__(self, adj: sp.spmatrix) -> None:
+        self.csr = adj.tocsr()
+        self.n = self.csr.shape[0]
+
+    @cached_property
+    def indptr(self) -> List[int]:
+        return self.csr.indptr.tolist()
+
+    @cached_property
+    def indices(self) -> List[int]:
+        return self.csr.indices.tolist()
+
+    @cached_property
+    def data(self) -> List[float]:
+        return self.csr.data.tolist()
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        return np.repeat(np.arange(self.n), np.diff(self.csr.indptr))
+
+
+def refine_inputs(adj, parts: np.ndarray, nparts: int,
                   vertex_weights: Optional[np.ndarray]):
-    """CSR matrix, validated copy of ``parts`` and float vertex weights."""
-    adj = adj.tocsr()
-    n = adj.shape[0]
-    parts = validate_parts(parts, nparts, n).copy()
+    """:class:`LevelGraph` of ``adj`` (itself, if it is one), a validated
+    copy of ``parts`` and float vertex weights."""
+    graph = adj if isinstance(adj, LevelGraph) else LevelGraph(adj)
+    parts = validate_parts(parts, nparts, graph.n).copy()
     if vertex_weights is None:
-        vertex_weights = np.ones(n)
-    return adj, parts, np.asarray(vertex_weights, dtype=np.float64)
+        vertex_weights = np.ones(graph.n)
+    return graph, parts, np.asarray(vertex_weights, dtype=np.float64)
 
 
-def edgecut_refine(adj: sp.spmatrix, parts: np.ndarray, nparts: int,
+class CutState:
+    """``edgecut_refine``'s bookkeeping, kept across moves by :meth:`move`.
+
+    * ``part_of[v]`` / ``parts[v]`` (a list and a numpy copy) and
+      ``weights[p]``: each vertex's part and each part's total vertex
+      weight;
+    * ``ext[v]``: how many stored entries of row ``v`` lie in another part
+      (the boundary is ``ext > 0``), updated in O(deg) per move instead of
+      an O(nnz) edge mask per pass;
+    * ``conn_of[v]``: ``v``'s connectivity, or ``_IDLE``, kept until a
+      neighbour of ``v`` moves (recomputed, never patched, so the sums stay
+      in CSR order).
+    """
+
+    __slots__ = ("graph", "nparts", "parts", "part_of", "weights", "ext",
+                 "conn_of")
+
+    def __init__(self, graph: LevelGraph, parts: np.ndarray,
+                 vertex_weights: np.ndarray, nparts: int) -> None:
+        self.graph, self.nparts, self.parts = graph, nparts, parts
+        cross = parts[graph.rows] != parts[graph.csr.indices]
+        self.ext = np.bincount(graph.rows[cross], minlength=graph.n).tolist()
+        self.part_of = parts.tolist()
+        self.weights = part_weight_vector(parts, vertex_weights,
+                                          nparts).tolist()
+        self.conn_of: List[Optional[List[float]]] = [None] * graph.n
+
+    def boundary(self) -> np.ndarray:
+        """Sorted ids of the vertices with a neighbour in another part."""
+        return np.flatnonzero(np.fromiter(self.ext, np.int64, len(self.ext)))
+
+    def connectivity(self, v: int) -> List[float]:
+        """``v``'s edge weight to each part, summed in CSR order: by one
+        ``np.bincount`` (which adds in input order) for a long row."""
+        graph = self.graph
+        start, end = graph.indptr[v], graph.indptr[v + 1]
+        if end - start <= _SCALAR_ROW:
+            return _connectivity(graph.indptr, graph.indices, graph.data,
+                                 self.part_of, v, self.nparts)
+        return np.bincount(self.parts[graph.csr.indices[start:end]],
+                           weights=graph.csr.data[start:end],
+                           minlength=self.nparts).astype(
+                               np.float64, copy=False).tolist()
+
+    def move(self, v: int, q: int, wv: float) -> None:
+        """Move ``v`` (of weight ``wv``) to part ``q``."""
+        part_of, ext, conn_of = self.part_of, self.ext, self.conn_of
+        indptr, indices = self.graph.indptr, self.graph.indices
+        p = part_of[v]
+        self.weights[p] -= wv
+        self.weights[q] += wv
+        part_of[v] = q
+        self.parts[v] = q
+        for u in indices[indptr[v]:indptr[v + 1]]:
+            conn_of[u] = None
+            if u == v:
+                continue
+            r = part_of[u]
+            if r == p:
+                ext[u] += 1
+                ext[v] += 1
+            elif r == q:
+                ext[u] -= 1
+                ext[v] -= 1
+
+
+def edgecut_refine(adj, parts: np.ndarray, nparts: int,
                    vertex_weights: Optional[np.ndarray] = None,
                    balance_factor: float = 1.05,
                    max_passes: int = 8,
@@ -113,6 +202,8 @@ def edgecut_refine(adj: sp.spmatrix, parts: np.ndarray, nparts: int,
 
     Parameters
     ----------
+    adj:
+        The adjacency, as a sparse matrix or a :class:`LevelGraph`.
     balance_factor:
         Maximum allowed part weight as a multiple of the ideal
         ``total_weight / nparts``.
@@ -125,43 +216,38 @@ def edgecut_refine(adj: sp.spmatrix, parts: np.ndarray, nparts: int,
         The refined partition vector and the number of vertex moves made.
     """
     check_refine_settings(balance_factor, max_passes)
-    adj, parts, vertex_weights = refine_inputs(adj, parts, nparts,
-                                               vertex_weights)
-    indptr, indices, data = (adj.indptr.tolist(), adj.indices.tolist(),
-                             adj.data.tolist())
-
-    coo = adj.tocoo()
-    vw, part_of = vertex_weights.tolist(), parts.tolist()
-    weights = part_weight_vector(parts, vertex_weights, nparts).tolist()
+    graph, parts, vertex_weights = refine_inputs(adj, parts, nparts,
+                                                 vertex_weights)
+    state = CutState(graph, parts, vertex_weights, nparts)
+    part_of, weights, conn_of = state.part_of, state.weights, state.conn_of
+    vw = vertex_weights.tolist()
     max_weight = balance_factor * (vertex_weights.sum() / nparts)
 
     rng = np.random.default_rng(seed)
     total_moves = 0
-    # conn_of[v] is v's connectivity (or _IDLE), kept until a neighbour of
-    # v moves (recomputed, never patched, so the sums stay in CSR order).
-    conn_of: List[Optional[List[float]]] = [None] * adj.shape[0]
-
+    # seen[v] is the move count at v's last visit that did not move it: a
+    # visit with no move since then repeats that outcome, so it is skipped.
+    seen = [-1] * graph.n
     for _ in range(max_passes):
-        parts = np.array(part_of)
-        boundary = boundary_ids(coo.row, coo.col, parts)
+        boundary = state.boundary()
         if boundary.size == 0:
             break
         # The connectivity the pass would compute on its first visits,
         # in one numpy call; a neighbour moving first resets it as usual.
         todo = boundary[[conn_of[v] is None for v in boundary.tolist()]]
-        for v, conn in zip(todo.tolist(), connectivity_rows(
-                adj, parts, todo, nparts).tolist()):
-            conn_of[v] = conn
+        if todo.size:
+            for v, conn in zip(todo.tolist(), connectivity_rows(
+                    graph.csr, state.parts, todo, nparts).tolist()):
+                conn_of[v] = conn
         rng.shuffle(boundary)
-        moves_this_pass = 0
+        moves_before = total_moves
         for v in boundary.tolist():
             conn = conn_of[v]
-            if conn is _IDLE:
+            if conn is _IDLE or seen[v] == total_moves:
                 continue
             p = part_of[v]
             if conn is None:
-                conn = conn_of[v] = _connectivity(indptr, indices, data,
-                                                  part_of, v, nparts)
+                conn = conn_of[v] = state.connectivity(v)
             internal = conn[p]
             best_q = -1
             best_gain = 0.0
@@ -186,19 +272,16 @@ def edgecut_refine(adj: sp.spmatrix, parts: np.ndarray, nparts: int,
             elif best_q >= 0 and (best_gain > 0 or
                                   (best_gain == 0.0 and weights[p] >
                                    weights[best_q] + wv)):
-                weights[p] -= wv
-                weights[best_q] += wv
-                part_of[v] = best_q
-                for idx in range(indptr[v], indptr[v + 1]):
-                    conn_of[indices[idx]] = None
-                moves_this_pass += 1
-        total_moves += moves_this_pass
-        if moves_this_pass == 0:
+                state.move(v, best_q, wv)
+                total_moves += 1
+                continue
+            seen[v] = total_moves
+        if total_moves == moves_before:
             break
-    return np.array(part_of, dtype=np.int64), total_moves
+    return state.parts, total_moves
 
 
-def rebalance(adj: sp.spmatrix, parts: np.ndarray, nparts: int,
+def rebalance(adj, parts: np.ndarray, nparts: int,
               vertex_weights: Optional[np.ndarray] = None,
               balance_factor: float = 1.05,
               seed: int = 0,
@@ -213,8 +296,9 @@ def rebalance(adj: sp.spmatrix, parts: np.ndarray, nparts: int,
     weight (or the move budget runs out).
     """
     check_refine_settings(balance_factor)
-    adj, parts, vertex_weights = refine_inputs(adj, parts, nparts,
-                                               vertex_weights)
+    graph, parts, vertex_weights = refine_inputs(adj, parts, nparts,
+                                                 vertex_weights)
+    adj = graph.csr
 
     weights = part_weight_vector(parts, vertex_weights, nparts)
     max_weight = balance_factor * (vertex_weights.sum() / nparts)

@@ -31,9 +31,13 @@ from typing import List, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .refine import boundary_ids, check_refine_settings, refine_inputs
+from .refine import LevelGraph, check_refine_settings, refine_inputs
 
 __all__ = ["VolumeState", "MoveDelta", "volume_refine"]
+
+#: a vertex's kept candidate moves: ``(q, move_deltas(v, q))`` in
+#: ascending ``q``, for the moves that can lower the objective
+LiveDeltas = List[Tuple[int, "MoveDelta"]]
 
 
 @dataclass(slots=True)
@@ -75,30 +79,29 @@ class VolumeState:
     part_weight = _array_view("_weight")
 
     @classmethod
-    def build(cls, adj: sp.csr_matrix, parts: np.ndarray, nparts: int,
+    def build(cls, adj, parts: np.ndarray, nparts: int,
               vertex_weights: np.ndarray) -> "VolumeState":
-        n = adj.shape[0]
-        coo = adj.tocoo()
+        graph = adj if isinstance(adj, LevelGraph) else LevelGraph(adj)
         # A vertex's diagonal entry is not a neighbour (apply_move skips it).
-        off = coo.row != coo.col
-        nbr_part_count = np.zeros((n, nparts), dtype=np.int32)
-        np.add.at(nbr_part_count, (coo.row[off], parts[coo.col[off]]), 1)
+        rows, cols = graph.rows, graph.csr.indices
+        off = rows != cols
+        nbr_part_count = np.bincount(
+            rows[off] * nparts + parts[cols[off]],
+            minlength=graph.n * nparts).reshape(graph.n, nparts)
 
         has_nbr = nbr_part_count > 0
         # send_count[v] = number of parts other than parts[v] that contain a
         # neighbour of v.
-        own = has_nbr[np.arange(n), parts]
+        own = has_nbr[np.arange(graph.n), parts]
         send_count = has_nbr.sum(axis=1) - own.astype(np.int64)
 
-        send_volume = np.zeros(nparts, dtype=np.int64)
-        np.add.at(send_volume, parts, send_count)
+        send_volume = np.bincount(parts, weights=send_count,
+                                  minlength=nparts).astype(np.int64)
 
         # recv_volume[q] = number of (vertex, q) pairs where the vertex is
         # outside q but has a neighbour inside q.
-        recv_volume = has_nbr.sum(axis=0).astype(np.int64)
-        own_counts = np.zeros(nparts, dtype=np.int64)
-        np.add.at(own_counts, parts[own], 1)
-        recv_volume -= own_counts
+        recv_volume = has_nbr.sum(axis=0).astype(np.int64) - \
+            np.bincount(parts[own], minlength=nparts)
 
         part_weight = np.zeros(nparts)
         np.add.at(part_weight, parts, vertex_weights)
@@ -193,6 +196,28 @@ class VolumeState:
         parts[v] = q
 
 
+def _can_improve(delta: MoveDelta) -> bool:
+    """Whether ``delta`` lowers the total or some part's send or receive
+    volume.  A move that does none of these costs >= 0 whatever the
+    bottleneck (every part attaining it keeps its volume), so it never
+    beats -1e-9 until its deltas are dropped."""
+    return delta.total < 0 or min(delta.delta_send) < 0 or \
+        min(delta.delta_recv) < 0
+
+
+def live_deltas(state: VolumeState, indptr, indices, v: int) -> LiveDeltas:
+    """``v``'s candidate moves (parts other than its own that hold a
+    neighbour) that can lower the objective, with their deltas."""
+    p, counts_v = state._parts[v], state._nbr[v]
+    out = []
+    for q in range(len(counts_v)):
+        if q != p and counts_v[q]:
+            delta = state.move_deltas(indptr, indices, v, q)
+            if _can_improve(delta):
+                out.append((q, delta))
+    return out
+
+
 def _bottleneck(send: List[int], recv: List[int]
                 ) -> Tuple[int, List[int], List[int]]:
     """The bottleneck volume, the metric that bounds the all-to-allv time
@@ -216,28 +241,42 @@ def _keeps_bottleneck(delta: MoveDelta, top_send: List[int],
     return False
 
 
-def _forget_deltas(deltas_of: List[Optional[List[Optional[MoveDelta]]]],
-                   indptr, indices, nbr: List[List[int]], x: int, p: int,
-                   q: int) -> None:
-    """Drop the kept deltas that moving ``x`` from ``p`` to ``q`` changes.
+def _forget_deltas(deltas_of: List[Optional[LiveDeltas]], indptr, indices,
+                   state: VolumeState, x: int, q: int) -> None:
+    """Drop the kept deltas that moving ``x`` to ``q`` changes.
 
-    ``move_deltas(v, ·)`` reads ``parts[v]``, ``nbr[v]``, ``send_count[v]``
-    and, per neighbour ``u``, ``parts[u]``, ``[nbr[u][a] == 1]`` and
-    ``[nbr[u][b] == 0]``.  The move changes ``parts[x]`` and, for each
-    neighbour ``u``, ``nbr[u]`` and ``send_count[u]``: the deltas of ``x``
-    and ``N(x)`` go.  ``nbr[u][p]`` falls by one, which flips an indicator
-    only from a count ≤ 2, and ``nbr[u][q]`` rises by one, which flips one
-    only from a count ≤ 1; only then do the deltas of ``N(u)`` go too.
-    Call it before the move, on the old counts.
+    ``move_deltas(w, a)`` reads ``parts[w]``, ``nbr[w]``, ``send_count[w]``
+    and, per neighbour ``u`` of ``w`` in a part ``r``, ``parts[u]``,
+    ``[nbr[u][parts[w]] == 1]`` when ``r != parts[w]`` and
+    ``[nbr[u][a] == 0]`` when ``r != a``.  The move changes ``parts[x]``
+    and, for each neighbour ``u``, ``nbr[u]`` and ``send_count[u]``: the
+    deltas of ``x`` and ``N(x)`` go.  ``nbr[u][p]`` falls by one: that
+    flips ``[· == 1]`` only from a count ≤ 2, read by the ``w`` in ``p``,
+    and ``[· == 0]`` only from 1, read by the ``w`` with a neighbour in
+    ``p``.  ``nbr[u][q]`` rises by one: that flips ``[· == 1]`` only from a
+    count ≤ 1, read by the ``w`` in ``q``, and ``[· == 0]`` only from 0,
+    read by the ``w`` with a neighbour in ``q``.  Only those ``w`` in
+    ``N(u)`` go too.  Call it before the move, on the old counts.
     """
+    parts, nbr = state._parts, state._nbr
+    p = parts[x]
     deltas_of[x] = None
     for u in indices[indptr[x]:indptr[x + 1]]:
         if u == x:
             continue
         deltas_of[u] = None
-        counts_u = nbr[u]
-        if counts_u[p] <= 2 or counts_u[q] <= 1:
-            for w in indices[indptr[u]:indptr[u + 1]]:
+        r = parts[u]
+        count_p, count_q = nbr[u][p], nbr[u][q]
+        at_p = r != p and count_p <= 2
+        at_q = r != q and count_q <= 1
+        if not (at_p or at_q):
+            continue
+        for w in indices[indptr[u]:indptr[u + 1]]:
+            if deltas_of[w] is None:
+                continue
+            r_w = parts[w]
+            if at_p and (r_w == p or (count_p == 1 and nbr[w][p])) or \
+                    at_q and (r_w == q or (count_q == 0 and nbr[w][q])):
                 deltas_of[w] = None
 
 
@@ -269,49 +308,50 @@ def volume_refine(adj: sp.spmatrix, parts: np.ndarray, nparts: int,
     (parts, moves)
     """
     check_refine_settings(balance_factor, max_passes)
-    adj, parts, vertex_weights = refine_inputs(adj, parts, nparts,
-                                               vertex_weights)
-    indptr, indices = adj.indptr.tolist(), adj.indices.tolist()
+    graph, parts, vertex_weights = refine_inputs(adj, parts, nparts,
+                                                 vertex_weights)
+    indptr, indices = graph.indptr, graph.indices
     if max_volume_weight is None:
         max_volume_weight = max(1.0, nparts / 2.0)
 
-    state = VolumeState.build(adj, parts, nparts, vertex_weights)
+    state = VolumeState.build(graph, parts, nparts, vertex_weights)
     part_of, nbr, part_weight = state._parts, state._nbr, state._weight
+    send_count = state._send_count
     weights = vertex_weights.tolist()
-    coo = adj.tocoo()
     max_weight = balance_factor * (vertex_weights.sum() / nparts)
     rng = np.random.default_rng(seed)
-    # deltas_of[v][q] is move_deltas(v, q), kept until one of its inputs
-    # changes (_forget_deltas).
-    deltas_of: List[Optional[List[Optional[MoveDelta]]]] = \
-        [None] * adj.shape[0]
+    # deltas_of[v] is live_deltas(v), kept until one of its inputs changes
+    # (_forget_deltas); [] marks a vertex that cannot move until then.
+    deltas_of: List[Optional[LiveDeltas]] = [None] * graph.n
     bottleneck, top_send, top_recv = _bottleneck(state._send, state._recv)
 
     total_moves = 0
+    # seen[v] is the move count at v's last visit that did not move it: a
+    # visit with no move since then repeats that outcome, so it is skipped.
+    seen = [-1] * graph.n
     for _ in range(max_passes):
-        boundary = boundary_ids(coo.row, coo.col, state.parts)
+        # The boundary: vertices some other part needs.
+        boundary = np.flatnonzero(np.fromiter(send_count, np.int64,
+                                              graph.n))
         if boundary.size == 0:
             break
         rng.shuffle(boundary)
 
-        moves_this_pass = 0
+        moves_before = total_moves
         for v in boundary.tolist():
-            p = part_of[v]
-            counts_v = nbr[v]
+            if seen[v] == total_moves:
+                continue
+            live = deltas_of[v]
+            if live is None:
+                live = deltas_of[v] = live_deltas(state, indptr, indices, v)
+            if not live:
+                continue
             wv = weights[v]
-            deltas = deltas_of[v]
             best_delta_cost = -1e-9  # strict improvement required
             best_q, best_delta = -1, None
-            for q in range(nparts):
-                if q == p or counts_v[q] == 0 or \
-                        part_weight[q] + wv > max_weight:
+            for q, delta in live:
+                if part_weight[q] + wv > max_weight:
                     continue
-                if deltas is None:
-                    deltas = deltas_of[v] = [None] * nparts
-                delta = deltas[q]
-                if delta is None:
-                    delta = deltas[q] = state.move_deltas(indptr, indices,
-                                                          v, q)
                 # A move that does not lower the total volume and leaves
                 # the bottleneck standing costs >= 0 (in floating point
                 # too): it never beats -1e-9, so it is not priced.
@@ -323,13 +363,14 @@ def volume_refine(adj: sp.spmatrix, parts: np.ndarray, nparts: int,
                 if delta_cost < best_delta_cost:
                     best_delta_cost, best_q, best_delta = delta_cost, q, delta
             if best_delta is not None:
-                _forget_deltas(deltas_of, indptr, indices, nbr, v, p, best_q)
+                _forget_deltas(deltas_of, indptr, indices, state, v, best_q)
                 state.apply_move(indptr, indices, v, best_q, weights,
                                  best_delta)
                 bottleneck, top_send, top_recv = _bottleneck(state._send,
                                                              state._recv)
-                moves_this_pass += 1
-        total_moves += moves_this_pass
-        if moves_this_pass == 0:
+                total_moves += 1
+            else:
+                seen[v] = total_moves
+        if total_moves == moves_before:
             break
     return state.parts, total_moves

@@ -72,6 +72,9 @@ class TestMultilevelDriver:
             GVBPartitioner(volume_balance_factor=0.5)
         with pytest.raises(ValueError, match="refine_passes"):
             MetisLikePartitioner(refine_passes=-1)
+        for levels in (0, -1):
+            with pytest.raises(ValueError, match="volume_refine_levels"):
+                GVBPartitioner(volume_refine_levels=levels)
 
 
 class TestMetisLike:

@@ -15,14 +15,16 @@ from __future__ import annotations
 import pathlib
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import partition_reference as reference
-from repro.partition.refine import edgecut_refine, rebalance
+from repro.partition.refine import (_IDLE, CutState, LevelGraph,
+                                    edgecut_refine, rebalance)
 from repro.partition.volume_refine import (VolumeState, _forget_deltas,
-                                           volume_refine)
+                                           live_deltas, volume_refine)
 
 SETTINGS = dict(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -123,28 +125,106 @@ def test_volume_refine_matches_reference(case, passes, max_volume_weight):
                  reference.volume_refine(adj, parts, nparts, **kwargs))
 
 
+def _random_moves(state_parts, n, nparts, rng, count):
+    """``count`` random ``(vertex, new part)`` moves, drawn as they go."""
+    for _ in range(count):
+        x = int(rng.integers(n))
+        p = state_parts[x]
+        yield x, (p + 1 + int(rng.integers(nparts - 1))) % nparts
+
+
 @settings(**dict(SETTINGS, max_examples=40))
 @given(refine_case(float_weights=False))
 def test_kept_deltas_equal_fresh_ones_after_a_move(case):
-    """Every delta ``_forget_deltas`` keeps equals a recomputation."""
+    """Every live list ``_forget_deltas`` keeps, idle markers (``[]``)
+    included, equals a recomputation after every move."""
     adj, parts, nparts, _, _, seed = case
     n = adj.shape[0]
     indptr, indices = adj.indptr.tolist(), adj.indices.tolist()
     state = VolumeState.build(adj, parts, nparts, np.ones(n))
-    rng = np.random.default_rng(seed)
-    for _ in range(3):
-        deltas_of = [[state.move_deltas(indptr, indices, v, q)
-                      for q in range(nparts)] for v in range(n)]
-        x = int(rng.integers(n))
-        p = state._parts[x]
-        q = (p + 1 + int(rng.integers(nparts - 1))) % nparts
-        _forget_deltas(deltas_of, indptr, indices, state._nbr, x, p, q)
+    deltas_of = [live_deltas(state, indptr, indices, v) for v in range(n)]
+    for x, q in _random_moves(state._parts, n, nparts,
+                              np.random.default_rng(seed), 6):
+        _forget_deltas(deltas_of, indptr, indices, state, x, q)
         state.apply_move(indptr, indices, x, q, np.ones(n),
                          state.move_deltas(indptr, indices, x, q))
-        for v, deltas in enumerate(deltas_of):
-            for r, kept in enumerate(deltas or ()):
-                if r != state._parts[v]:
-                    assert kept == state.move_deltas(indptr, indices, v, r)
+        for v, kept in enumerate(deltas_of):
+            if kept is not None:
+                assert kept == live_deltas(state, indptr, indices, v)
+        # refill what was dropped, as a later visit would
+        deltas_of = [kept if kept is not None else
+                     live_deltas(state, indptr, indices, v)
+                     for v, kept in enumerate(deltas_of)]
+
+
+@settings(**dict(SETTINGS, max_examples=40))
+@given(refine_case(float_weights=False))
+def test_live_deltas_are_the_moves_that_can_improve(case):
+    """``live_deltas`` keeps exactly the candidate moves whose deltas lower
+    the total or some part's volume: the rest cost >= 0 under any
+    bottleneck, and a vertex with none left cannot move."""
+    adj, parts, nparts, _, _, _ = case
+    n = adj.shape[0]
+    indptr, indices = adj.indptr.tolist(), adj.indices.tolist()
+    state = VolumeState.build(adj, parts, nparts, np.ones(n))
+    for v in range(n):
+        want = []
+        for q in range(nparts):
+            if q == state._parts[v] or not state._nbr[v][q]:
+                continue
+            delta = state.move_deltas(indptr, indices, v, q)
+            if delta.total < 0 or min(delta.delta_send) < 0 or \
+                    min(delta.delta_recv) < 0:
+                want.append((q, delta))
+            else:   # never priced: it costs >= 0 whatever the weighting
+                bottleneck = max(state._send + state._recv)
+                for weight in (0.0, 0.5, 1.0, nparts / 2.0):
+                    assert state.cost_change(delta, weight, bottleneck) >= 0
+        assert live_deltas(state, indptr, indices, v) == want
+
+
+@settings(**dict(SETTINGS, max_examples=40))
+@given(ANY_WEIGHTS)
+def test_cut_state_equals_a_fresh_one_after_every_move(case):
+    """``CutState``'s external-degree counts, numpy part copy, kept
+    connectivities and idle markers equal a recomputation after every
+    move."""
+    adj, parts, nparts, vw, _, seed = case
+    n = adj.shape[0]
+    vw = np.ones(n) if vw is None else vw
+    graph = LevelGraph(adj)
+    state = CutState(graph, np.asarray(parts, dtype=np.int64).copy(), vw,
+                     nparts)
+    rng = np.random.default_rng(seed)
+    for x, q in _random_moves(state.part_of, n, nparts, rng, 6):
+        # what a pass would have cached, then the move (of a vertex the
+        # refiner could move: never an idle one)
+        for v in range(n):
+            if state.conn_of[v] is None and rng.random() < 0.7:
+                conn = state.connectivity(v)
+                p = state.part_of[v]
+                idle = all(conn[r] - conn[p] < 0 for r in range(nparts)
+                           if r != p and conn[r] > 0)
+                state.conn_of[v] = _IDLE if idle else conn
+        if state.conn_of[x] is _IDLE:
+            continue
+        state.move(x, q, float(vw[x]))
+
+        fresh = CutState(graph, np.array(state.part_of), vw, nparts)
+        assert state.ext == fresh.ext
+        assert state.weights == pytest.approx(fresh.weights)
+        np.testing.assert_array_equal(state.parts, state.part_of)
+        for v, kept in enumerate(state.conn_of):
+            conn = reference._connectivity(graph.indptr, graph.indices,
+                                           graph.data, state.part_of, v,
+                                           nparts)
+            assert state.connectivity(v) == conn
+            if kept is _IDLE:
+                p = state.part_of[v]
+                assert all(conn[r] - conn[p] < 0 for r in range(nparts)
+                           if r != p and conn[r] > 0)
+            elif kept is not None:
+                assert kept == conn
 
 
 def test_no_src_module_imports_the_reference():
