@@ -53,6 +53,7 @@ from .graphs.datasets import DATASET_NAMES, dataset_summary, load_dataset
 from .obs import (TRACE, metrics_from_spans, percentile, prometheus_text,
                   save_trace, trace_summary)
 from .partition import PARTITIONERS, get_partitioner, partition_report
+from .partition.multilevel import PHASES
 
 __all__ = ["main", "build_parser"]
 
@@ -403,6 +404,10 @@ def _cmd_partition(args) -> int:
     print(format_kv(report,
                     title=f"{args.partitioner} on {dataset.name} "
                           f"(n={dataset.n_vertices}, nparts={args.nparts})"))
+    phases = {f"{phase}_s": result.stats[f"{phase}_s"] for phase in PHASES
+              if f"{phase}_s" in result.stats}
+    if phases:
+        print(format_kv(phases, title="wall seconds per phase"))
     return 0
 
 

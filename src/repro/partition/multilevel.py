@@ -9,6 +9,7 @@ comparison the paper draws in Section 5 and Figure 6.
 
 from __future__ import annotations
 
+import gc
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -69,6 +70,25 @@ class MultilevelConfig:
 
 
 @contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, if it runs, for one partition.
+
+    The refiners allocate some 10^5 lists and delta records per amazon
+    partition and create no reference cycles, so the collections those
+    allocations trigger only traverse live state (≈ 13 % of GVB at amazon
+    p = 4).  Reference counting still frees every temporary at once.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+@contextmanager
 def _timed(seconds: Dict[str, float], phase: str) -> Iterator[None]:
     start = time.perf_counter()
     try:
@@ -87,6 +107,10 @@ class MultilevelPartitioner(Partitioner):
 
     # ------------------------------------------------------------------
     def partition(self, adj: sp.spmatrix, nparts: int) -> PartitionResult:
+        with _collector_paused():
+            return self._partition(adj, nparts)
+
+    def _partition(self, adj: sp.spmatrix, nparts: int) -> PartitionResult:
         adj = self._check_input(adj, nparts)
         cfg = self.config
         n = adj.shape[0]

@@ -57,6 +57,19 @@ def _connectivity(indptr, indices, data, parts, v: int, nparts: int
     return conn
 
 
+def row_entries(indptr: np.ndarray, vertices: np.ndarray
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(row, pos)``: the CSR position of every stored entry of the
+    vertices' rows, in order, and the index into ``vertices`` of its
+    row."""
+    starts = indptr[vertices]
+    lengths = indptr[vertices + 1] - starts
+    row = np.repeat(np.arange(len(vertices)), lengths)
+    pos = np.arange(int(lengths.sum())) + np.repeat(
+        starts - (np.cumsum(lengths) - lengths), lengths)
+    return row, pos
+
+
 def connectivity_rows(adj: sp.csr_matrix, parts: np.ndarray,
                       vertices: np.ndarray, nparts: int) -> np.ndarray:
     """``(len(vertices), nparts)`` edge weight from each vertex to each part.
@@ -65,11 +78,7 @@ def connectivity_rows(adj: sp.csr_matrix, parts: np.ndarray,
     input order, i.e. CSR order per vertex, so each row has the same bits
     as :func:`_connectivity`.
     """
-    starts = adj.indptr[vertices]
-    lengths = adj.indptr[vertices + 1] - starts
-    row = np.repeat(np.arange(len(vertices)), lengths)
-    pos = np.arange(int(lengths.sum())) + np.repeat(
-        starts - (np.cumsum(lengths) - lengths), lengths)
+    row, pos = row_entries(adj.indptr, vertices)
     conn = np.bincount(row * nparts + parts[adj.indices[pos]],
                        weights=adj.data[pos],
                        minlength=len(vertices) * nparts)
@@ -168,8 +177,7 @@ class CutState:
                                  self.part_of, v, self.nparts)
         return np.bincount(self.parts[graph.csr.indices[start:end]],
                            weights=graph.csr.data[start:end],
-                           minlength=self.nparts).astype(
-                               np.float64, copy=False).tolist()
+                           minlength=self.nparts).tolist()
 
     def move(self, v: int, q: int, wv: float) -> None:
         """Move ``v`` (of weight ``wv``) to part ``q``."""
@@ -281,6 +289,36 @@ def edgecut_refine(adj, parts: np.ndarray, nparts: int,
     return state.parts, total_moves
 
 
+class ConnCache:
+    """``rebalance``'s connectivity rows, kept across moves.
+
+    A row is computed (:func:`connectivity_rows`) the first time its
+    vertex is asked for and kept until a neighbour of the vertex moves:
+    recomputed, never patched, so the sums stay in CSR order.  It reads
+    ``parts`` in place; call :meth:`moved` after each move.
+    """
+
+    def __init__(self, adj: sp.csr_matrix, parts: np.ndarray,
+                 nparts: int) -> None:
+        self.adj, self.parts, self.nparts = adj, parts, nparts
+        self.conn = np.empty((adj.shape[0], nparts))
+        self.fresh = np.zeros(adj.shape[0], dtype=bool)
+
+    def rows(self, vertices: np.ndarray) -> np.ndarray:
+        """``(len(vertices), nparts)`` connectivity of ``vertices``."""
+        stale = vertices[~self.fresh[vertices]]
+        if stale.size:
+            self.conn[stale] = connectivity_rows(self.adj, self.parts, stale,
+                                                 self.nparts)
+            self.fresh[stale] = True
+        return self.conn[vertices]
+
+    def moved(self, v: int) -> None:
+        """``v`` changed part: its neighbours' rows are stale."""
+        self.fresh[self.adj.indices[self.adj.indptr[v]:
+                                    self.adj.indptr[v + 1]]] = False
+
+
 def rebalance(adj, parts: np.ndarray, nparts: int,
               vertex_weights: Optional[np.ndarray] = None,
               balance_factor: float = 1.05,
@@ -307,6 +345,7 @@ def rebalance(adj, parts: np.ndarray, nparts: int,
     rng = np.random.default_rng(seed)
 
     moves = 0
+    cache = ConnCache(adj, parts, nparts)
     overweight = [p for p in range(nparts) if weights[p] > max_weight]
     while overweight and moves < max_moves:
         p = max(overweight, key=lambda q: weights[q])
@@ -326,7 +365,7 @@ def rebalance(adj, parts: np.ndarray, nparts: int,
         # scan with a strict ``>`` keeps.
         sample = members if members.size <= 256 else \
             rng.choice(members, size=256, replace=False)
-        conn = connectivity_rows(adj, parts, sample, nparts)
+        conn = cache.rows(sample)
         score = conn[:, receivers] - conn[:, [p]]
         infeasible = weights[receivers][None, :] + \
             vertex_weights[sample][:, None] > max_weight
@@ -339,6 +378,7 @@ def rebalance(adj, parts: np.ndarray, nparts: int,
         weights[p] -= vertex_weights[v]
         weights[q] += vertex_weights[v]
         parts[v] = q
+        cache.moved(v)
         moves += 1
         overweight = [r for r in range(nparts) if weights[r] > max_weight]
     return parts

@@ -31,9 +31,15 @@ from typing import List, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .refine import LevelGraph, check_refine_settings, refine_inputs
+from .refine import (LevelGraph, check_refine_settings, refine_inputs,
+                     row_entries)
 
 __all__ = ["VolumeState", "MoveDelta", "volume_refine"]
+
+#: a visit that finds its deltas missing looks this far ahead in the
+#: pass's visit order and prices the missing ones in one numpy pass when
+#: there are at least ``_BATCH_MIN`` (at most ``_BATCH_MAX``)
+_LOOKAHEAD, _BATCH_MIN, _BATCH_MAX = 512, 32, 256
 
 #: a vertex's kept candidate moves: ``(q, move_deltas(v, q))`` in
 #: ascending ``q``, for the moves that can lower the objective
@@ -82,12 +88,7 @@ class VolumeState:
     def build(cls, adj, parts: np.ndarray, nparts: int,
               vertex_weights: np.ndarray) -> "VolumeState":
         graph = adj if isinstance(adj, LevelGraph) else LevelGraph(adj)
-        # A vertex's diagonal entry is not a neighbour (apply_move skips it).
-        rows, cols = graph.rows, graph.csr.indices
-        off = rows != cols
-        nbr_part_count = np.bincount(
-            rows[off] * nparts + parts[cols[off]],
-            minlength=graph.n * nparts).reshape(graph.n, nparts)
+        nbr_part_count = neighbour_part_counts(graph, parts, nparts)
 
         has_nbr = nbr_part_count > 0
         # send_count[v] = number of parts other than parts[v] that contain a
@@ -196,6 +197,16 @@ class VolumeState:
         parts[v] = q
 
 
+def neighbour_part_counts(graph: LevelGraph, parts: np.ndarray,
+                          nparts: int) -> np.ndarray:
+    """``(n, nparts)`` neighbours of each vertex per part.  A vertex's
+    diagonal entry is not a neighbour (``apply_move`` skips it)."""
+    rows, cols = graph.rows, graph.csr.indices
+    off = rows != cols
+    return np.bincount(rows[off] * nparts + parts[cols[off]],
+                       minlength=graph.n * nparts).reshape(graph.n, nparts)
+
+
 def _can_improve(delta: MoveDelta) -> bool:
     """Whether ``delta`` lowers the total or some part's send or receive
     volume.  A move that does none of these costs >= 0 whatever the
@@ -216,6 +227,88 @@ def live_deltas(state: VolumeState, indptr, indices, v: int) -> LiveDeltas:
             if _can_improve(delta):
                 out.append((q, delta))
     return out
+
+
+class DeltaBatch:
+    """:func:`live_deltas` of many vertices in one numpy pass.
+
+    It reads numpy copies of the parts and the neighbour-part counts.
+    :meth:`note_move` keeps the parts current and queues the move; the
+    queued moves reach the counts (integers, so in any order) before the
+    next batch.
+    """
+
+    def __init__(self, graph: LevelGraph, state: VolumeState) -> None:
+        self.graph, self.state = graph, state
+        self.parts = np.array(state._parts)
+        self.nparts = len(state._send)
+        self.counts = neighbour_part_counts(graph, self.parts, self.nparts)
+        self.pending: List[Tuple[int, int, int]] = []
+
+    def note_move(self, v: int, p: int, q: int) -> None:
+        """``v`` moved from ``p`` to ``q``."""
+        self.parts[v] = q
+        self.pending.append((v, p, q))
+
+    def _neighbours(self, vertices: np.ndarray):
+        """``(k, u)``: each neighbour ``u`` (self-loops dropped) of
+        ``vertices[k]``, in CSR order."""
+        k, pos = row_entries(self.graph.csr.indptr, vertices)
+        u = self.graph.csr.indices[pos]
+        keep = u != vertices[k]
+        return k[keep], u[keep]
+
+    def live_deltas(self, vertices: List[int]) -> List[LiveDeltas]:
+        nparts, parts = self.nparts, self.parts
+        if self.pending:
+            moved, p, q = np.array(self.pending).T
+            k, u = self._neighbours(moved)
+            flat = self.counts.reshape(-1)
+            np.add.at(flat, u * nparts + p[k], -1)
+            np.add.at(flat, u * nparts + q[k], 1)
+            self.pending.clear()
+        send_count = np.array([self.state._send_count[v] for v in vertices])
+        vertices = np.array(vertices)
+        counts = self.counts[vertices] > 0
+        own = parts[vertices]
+        candidate = counts.copy()
+        candidate[np.arange(len(vertices)), own] = False
+        # One row per candidate move (vertex i to part q), in (i, q) order,
+        # and move_deltas' neighbour loop over each move's row.
+        pair_i, pair_q = np.nonzero(candidate)
+        pair_p = own[pair_i]
+        k, u = self._neighbours(vertices[pair_i])
+        r, p, q = parts[u], pair_p[k], pair_q[k]
+        flat = self.counts.reshape(-1)
+        # u stops sending to p if v was its only neighbour there, and starts
+        # sending to q if it had none there.
+        leave = (r != p) & (flat[u * nparts + p] == 1)
+        join = (r != q) & (flat[u * nparts + q] == 0)
+        n_pairs = len(pair_i)
+        cells = n_pairs * nparts
+        delta_send = (np.bincount(k[join] * nparts + r[join], minlength=cells)
+                      - np.bincount(k[leave] * nparts + r[leave],
+                                    minlength=cells)
+                      ).reshape(n_pairs, nparts)
+        # v's own contributions move from p to q.
+        at = np.arange(n_pairs)
+        new_send_count = counts.sum(axis=1)[pair_i] - 1
+        delta_send[at, pair_p] -= send_count[pair_i]
+        delta_send[at, pair_q] += new_send_count
+        delta_recv = np.zeros((n_pairs, nparts), dtype=np.int64)
+        delta_recv[at, pair_p] = counts[pair_i, pair_p] - \
+            np.bincount(k[leave], minlength=n_pairs)
+        delta_recv[at, pair_q] = np.bincount(k[join], minlength=n_pairs) - 1
+        total = delta_send.sum(axis=1)
+        live = np.flatnonzero((total < 0) | (delta_send < 0).any(axis=1) |
+                              (delta_recv < 0).any(axis=1))
+        out: List[LiveDeltas] = [[] for _ in range(len(vertices))]
+        for i, q, send, recv, count, tot in zip(
+                pair_i[live].tolist(), pair_q[live].tolist(),
+                delta_send[live].tolist(), delta_recv[live].tolist(),
+                new_send_count[live].tolist(), total[live].tolist()):
+            out[i].append((q, MoveDelta(send, recv, count, tot)))
+        return out
 
 
 def _bottleneck(send: List[int], recv: List[int]
@@ -315,8 +408,7 @@ def volume_refine(adj: sp.spmatrix, parts: np.ndarray, nparts: int,
         max_volume_weight = max(1.0, nparts / 2.0)
 
     state = VolumeState.build(graph, parts, nparts, vertex_weights)
-    part_of, nbr, part_weight = state._parts, state._nbr, state._weight
-    send_count = state._send_count
+    part_weight, send_count = state._weight, state._send_count
     weights = vertex_weights.tolist()
     max_weight = balance_factor * (vertex_weights.sum() / nparts)
     rng = np.random.default_rng(seed)
@@ -324,6 +416,8 @@ def volume_refine(adj: sp.spmatrix, parts: np.ndarray, nparts: int,
     # (_forget_deltas); [] marks a vertex that cannot move until then.
     deltas_of: List[Optional[LiveDeltas]] = [None] * graph.n
     bottleneck, top_send, top_recv = _bottleneck(state._send, state._recv)
+
+    batch = DeltaBatch(graph, state)
 
     total_moves = 0
     # seen[v] is the move count at v's last visit that did not move it: a
@@ -338,12 +432,28 @@ def volume_refine(adj: sp.spmatrix, parts: np.ndarray, nparts: int,
         rng.shuffle(boundary)
 
         moves_before = total_moves
-        for v in boundary.tolist():
+        order = boundary.tolist()
+        scalar_until = 0
+        for i, v in enumerate(order):
             if seen[v] == total_moves:
                 continue
             live = deltas_of[v]
             if live is None:
-                live = deltas_of[v] = live_deltas(state, indptr, indices, v)
+                # The deltas the next visits need, in one numpy pass when
+                # enough of them are missing; a move before a visit drops
+                # them as usual.
+                if i >= scalar_until:
+                    ahead = [w for w in order[i:i + _LOOKAHEAD]
+                             if deltas_of[w] is None][:_BATCH_MAX]
+                    if len(ahead) >= _BATCH_MIN:
+                        for w, live_w in zip(ahead, batch.live_deltas(ahead)):
+                            deltas_of[w] = live_w
+                    else:
+                        scalar_until = i + _LOOKAHEAD
+                live = deltas_of[v]
+                if live is None:
+                    live = deltas_of[v] = live_deltas(state, indptr,
+                                                      indices, v)
             if not live:
                 continue
             wv = weights[v]
@@ -363,6 +473,7 @@ def volume_refine(adj: sp.spmatrix, parts: np.ndarray, nparts: int,
                 if delta_cost < best_delta_cost:
                     best_delta_cost, best_q, best_delta = delta_cost, q, delta
             if best_delta is not None:
+                batch.note_move(v, state._parts[v], best_q)
                 _forget_deltas(deltas_of, indptr, indices, state, v, best_q)
                 state.apply_move(indptr, indices, v, best_q, weights,
                                  best_delta)

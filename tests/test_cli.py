@@ -69,6 +69,11 @@ class TestPartitionCommand:
         out = capsys.readouterr().out
         assert "edgecut" in out
         assert "max_send_volume" in out
+        # the multilevel partitioners time each phase
+        assert "wall seconds per phase" in out
+        for phase in ("coarsen", "initial_partition", "rebalance",
+                      "edgecut_refine", "volume_refine"):
+            assert f"{phase}_s = " in out
 
     def test_unregistered_partitioner_is_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -8,6 +8,11 @@ must not move a vertex, so on random graphs they must return exactly the
 evaluate everything every time.  The graphs mix hubs, stars, self-loops,
 non-integer edge weights and vertex weights, with 2 to 16 parts from
 random or skewed starting partitions.
+
+The state the refiners keep across moves (``CutState``'s external-degree
+counts, part copy, connectivities and idle markers; ``volume_refine``'s
+live delta lists; ``DeltaBatch``'s numpy copies; ``rebalance``'s
+``ConnCache``) is checked against a fresh recomputation after every move.
 """
 
 from __future__ import annotations
@@ -21,10 +26,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import partition_reference as reference
-from repro.partition.refine import (_IDLE, CutState, LevelGraph,
-                                    edgecut_refine, rebalance)
-from repro.partition.volume_refine import (VolumeState, _forget_deltas,
-                                           live_deltas, volume_refine)
+from repro.partition.refine import (_IDLE, ConnCache, CutState, LevelGraph,
+                                    connectivity_rows, edgecut_refine,
+                                    rebalance)
+from repro.partition.volume_refine import (DeltaBatch, VolumeState,
+                                           _forget_deltas, live_deltas,
+                                           volume_refine)
 
 SETTINGS = dict(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -225,6 +232,50 @@ def test_cut_state_equals_a_fresh_one_after_every_move(case):
                            if r != p and conn[r] > 0)
             elif kept is not None:
                 assert kept == conn
+
+
+@settings(**dict(SETTINGS, max_examples=40))
+@given(refine_case(float_weights=False))
+def test_batched_deltas_equal_scalar_ones_after_every_move(case):
+    """``DeltaBatch`` prices vertices from numpy copies of the parts and
+    neighbour-part counts that it keeps across moves: after every move its
+    live lists equal ``live_deltas``."""
+    adj, parts, nparts, _, _, seed = case
+    n = adj.shape[0]
+    indptr, indices = adj.indptr.tolist(), adj.indices.tolist()
+    state = VolumeState.build(adj, parts, nparts, np.ones(n))
+    batch = DeltaBatch(LevelGraph(adj), state)
+    rng = np.random.default_rng(seed)
+    for x, q in _random_moves(state._parts, n, nparts, rng, 6):
+        vertices = rng.permutation(n)[: int(rng.integers(1, n + 1))].tolist()
+        assert batch.live_deltas(vertices) == \
+            [live_deltas(state, indptr, indices, v) for v in vertices]
+        batch.note_move(x, state._parts[x], q)
+        state.apply_move(indptr, indices, x, q, np.ones(n),
+                         state.move_deltas(indptr, indices, x, q))
+        np.testing.assert_array_equal(batch.parts, state._parts)
+    assert batch.live_deltas(list(range(n))) == \
+        [live_deltas(state, indptr, indices, v) for v in range(n)]
+    np.testing.assert_array_equal(batch.counts, state.nbr_part_count)
+
+
+@settings(**dict(SETTINGS, max_examples=40))
+@given(ANY_WEIGHTS)
+def test_rebalance_cache_equals_fresh_rows_after_every_move(case):
+    """Every row ``ConnCache`` hands out equals a fresh
+    ``connectivity_rows`` bit for bit, after every move."""
+    adj, parts, nparts, _, _, seed = case
+    n = adj.shape[0]
+    parts = np.asarray(parts, dtype=np.int64).copy()
+    cache = ConnCache(adj, parts, nparts)
+    rng = np.random.default_rng(seed)
+    for x, q in _random_moves(parts, n, nparts, rng, 8):
+        sample = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+        got = cache.rows(sample)
+        want = connectivity_rows(adj, parts, sample, nparts)
+        assert got.tobytes() == want.tobytes()
+        parts[x] = q
+        cache.moved(x)
 
 
 def test_no_src_module_imports_the_reference():
