@@ -26,6 +26,11 @@ __all__ = ["LevelGraph", "edgecut_refine", "rebalance", "weighted_edgecut",
 #: ones pay one numpy call instead
 _SCALAR_ROW = 64
 
+#: a visit that finds its kept value missing looks this far ahead in the
+#: pass's visit order and computes the missing ones in one numpy pass
+#: when there are at least ``_BATCH_MIN`` of them (at most ``_BATCH_MAX``)
+_LOOKAHEAD, _BATCH_MIN, _BATCH_MAX = 512, 32, 256
+
 #: ``conn_of`` marker of an idle vertex: every part it is connected to
 #: has a strictly negative gain, so no part weight can make it move
 #: until a neighbour moves (which resets the marker like any connectivity)
@@ -136,6 +141,40 @@ def refine_inputs(adj, parts: np.ndarray, nparts: int,
     return graph, parts, np.asarray(vertex_weights, dtype=np.float64)
 
 
+class Lookahead:
+    """Fills the kept per-vertex values a pass is about to read in batches.
+
+    ``kept[v]`` is ``None`` while ``v``'s value is missing;
+    ``compute(vertices)`` returns the values of a list of vertices, each
+    equal to what the visit would compute.  Values filled ahead are kept
+    like any other: a move before their visit drops them as usual.
+    """
+
+    def __init__(self, kept: list, compute) -> None:
+        self.kept, self.compute = kept, compute
+        self.order: List[int] = []
+        self.scalar_until = 0
+
+    def start(self, order: List[int]) -> None:
+        """A pass begins: its visit order."""
+        self.order, self.scalar_until = order, 0
+
+    def fill(self, i: int) -> None:
+        """Visit ``i`` found its value missing: fill the missing values of
+        the next visits if enough of them are missing, else leave them to
+        the visits for the next ``_LOOKAHEAD`` positions."""
+        if i < self.scalar_until:
+            return
+        kept = self.kept
+        ahead = [w for w in self.order[i:i + _LOOKAHEAD]
+                 if kept[w] is None][:_BATCH_MAX]
+        if len(ahead) < _BATCH_MIN:
+            self.scalar_until = i + _LOOKAHEAD
+            return
+        for w, value in zip(ahead, self.compute(ahead)):
+            kept[w] = value
+
+
 class CutState:
     """``edgecut_refine``'s bookkeeping, kept across moves by :meth:`move`.
 
@@ -236,26 +275,26 @@ def edgecut_refine(adj, parts: np.ndarray, nparts: int,
     # seen[v] is the move count at v's last visit that did not move it: a
     # visit with no move since then repeats that outcome, so it is skipped.
     seen = [-1] * graph.n
+    ahead = Lookahead(conn_of, lambda vertices: connectivity_rows(
+        graph.csr, state.parts, np.array(vertices), nparts).tolist())
     for _ in range(max_passes):
         boundary = state.boundary()
         if boundary.size == 0:
             break
-        # The connectivity the pass would compute on its first visits,
-        # in one numpy call; a neighbour moving first resets it as usual.
-        todo = boundary[[conn_of[v] is None for v in boundary.tolist()]]
-        if todo.size:
-            for v, conn in zip(todo.tolist(), connectivity_rows(
-                    graph.csr, state.parts, todo, nparts).tolist()):
-                conn_of[v] = conn
         rng.shuffle(boundary)
         moves_before = total_moves
-        for v in boundary.tolist():
+        order = boundary.tolist()
+        ahead.start(order)
+        for i, v in enumerate(order):
             conn = conn_of[v]
             if conn is _IDLE or seen[v] == total_moves:
                 continue
             p = part_of[v]
             if conn is None:
-                conn = conn_of[v] = state.connectivity(v)
+                ahead.fill(i)
+                conn = conn_of[v]
+                if conn is None:
+                    conn = conn_of[v] = state.connectivity(v)
             internal = conn[p]
             best_q = -1
             best_gain = 0.0

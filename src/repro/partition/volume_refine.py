@@ -31,15 +31,10 @@ from typing import List, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .refine import (LevelGraph, check_refine_settings, refine_inputs,
-                     row_entries)
+from .refine import (LevelGraph, Lookahead, check_refine_settings,
+                     refine_inputs, row_entries)
 
 __all__ = ["VolumeState", "MoveDelta", "volume_refine"]
-
-#: a visit that finds its deltas missing looks this far ahead in the
-#: pass's visit order and prices the missing ones in one numpy pass when
-#: there are at least ``_BATCH_MIN`` (at most ``_BATCH_MAX``)
-_LOOKAHEAD, _BATCH_MIN, _BATCH_MAX = 512, 32, 256
 
 #: a vertex's kept candidate moves: ``(q, move_deltas(v, q))`` in
 #: ascending ``q``, for the moves that can lower the objective
@@ -281,33 +276,35 @@ class DeltaBatch:
         r, p, q = parts[u], pair_p[k], pair_q[k]
         flat = self.counts.reshape(-1)
         # u stops sending to p if v was its only neighbour there, and starts
-        # sending to q if it had none there.
+        # sending to q if it had none there: u's part r sends one row less
+        # or more, and p receives one less or q one more.
         leave = (r != p) & (flat[u * nparts + p] == 1)
         join = (r != q) & (flat[u * nparts + q] == 0)
         n_pairs = len(pair_i)
-        cells = n_pairs * nparts
-        delta_send = (np.bincount(k[join] * nparts + r[join], minlength=cells)
-                      - np.bincount(k[leave] * nparts + r[leave],
-                                    minlength=cells)
-                      ).reshape(n_pairs, nparts)
+        delta_send = np.bincount(
+            k * nparts + r, weights=join.view(np.int8) - leave.view(np.int8),
+            minlength=n_pairs * nparts).astype(np.int64).reshape(n_pairs,
+                                                                 nparts)
         # v's own contributions move from p to q.
         at = np.arange(n_pairs)
         new_send_count = counts.sum(axis=1)[pair_i] - 1
         delta_send[at, pair_p] -= send_count[pair_i]
         delta_send[at, pair_q] += new_send_count
         delta_recv = np.zeros((n_pairs, nparts), dtype=np.int64)
-        delta_recv[at, pair_p] = counts[pair_i, pair_p] - \
-            np.bincount(k[leave], minlength=n_pairs)
-        delta_recv[at, pair_q] = np.bincount(k[join], minlength=n_pairs) - 1
+        delta_recv[at, pair_p] = counts[pair_i, pair_p] - np.bincount(
+            k, weights=leave, minlength=n_pairs).astype(np.int64)
+        delta_recv[at, pair_q] = np.bincount(
+            k, weights=join, minlength=n_pairs).astype(np.int64) - 1
         total = delta_send.sum(axis=1)
-        live = np.flatnonzero((total < 0) | (delta_send < 0).any(axis=1) |
-                              (delta_recv < 0).any(axis=1))
+        live = np.flatnonzero(
+            (total < 0) | (np.minimum(delta_send, delta_recv).min(axis=1) < 0))
         out: List[LiveDeltas] = [[] for _ in range(len(vertices))]
-        for i, q, send, recv, count, tot in zip(
-                pair_i[live].tolist(), pair_q[live].tolist(),
-                delta_send[live].tolist(), delta_recv[live].tolist(),
-                new_send_count[live].tolist(), total[live].tolist()):
-            out[i].append((q, MoveDelta(send, recv, count, tot)))
+        for i, q, delta in zip(pair_i[live].tolist(), pair_q[live].tolist(),
+                               map(MoveDelta, delta_send[live].tolist(),
+                                   delta_recv[live].tolist(),
+                                   new_send_count[live].tolist(),
+                                   total[live].tolist())):
+            out[i].append((q, delta))
         return out
 
 
@@ -418,6 +415,7 @@ def volume_refine(adj: sp.spmatrix, parts: np.ndarray, nparts: int,
     bottleneck, top_send, top_recv = _bottleneck(state._send, state._recv)
 
     batch = DeltaBatch(graph, state)
+    ahead = Lookahead(deltas_of, batch.live_deltas)
 
     total_moves = 0
     # seen[v] is the move count at v's last visit that did not move it: a
@@ -433,23 +431,13 @@ def volume_refine(adj: sp.spmatrix, parts: np.ndarray, nparts: int,
 
         moves_before = total_moves
         order = boundary.tolist()
-        scalar_until = 0
+        ahead.start(order)
         for i, v in enumerate(order):
             if seen[v] == total_moves:
                 continue
             live = deltas_of[v]
             if live is None:
-                # The deltas the next visits need, in one numpy pass when
-                # enough of them are missing; a move before a visit drops
-                # them as usual.
-                if i >= scalar_until:
-                    ahead = [w for w in order[i:i + _LOOKAHEAD]
-                             if deltas_of[w] is None][:_BATCH_MAX]
-                    if len(ahead) >= _BATCH_MIN:
-                        for w, live_w in zip(ahead, batch.live_deltas(ahead)):
-                            deltas_of[w] = live_w
-                    else:
-                        scalar_until = i + _LOOKAHEAD
+                ahead.fill(i)
                 live = deltas_of[v]
                 if live is None:
                     live = deltas_of[v] = live_deltas(state, indptr,
