@@ -102,9 +102,9 @@ def check_refine_settings(balance_factor: float, max_passes: int = 0
 
 
 class LevelGraph:
-    """One level's adjacency in every form the refiners read, converted
-    once per level and shared by ``rebalance``, ``edgecut_refine`` and
-    ``volume_refine``: the CSR matrix, its arrays as lists for the
+    """One level's adjacency in the forms the refiners share, converted
+    once per level for ``rebalance``, ``edgecut_refine`` and
+    ``volume_refine``: the CSR matrix, its structure as lists for the
     per-vertex loops, and the row of every stored entry (the COO ``row``,
     in CSR order) for whole-graph numpy work.  Each form is built on its
     first use."""
@@ -122,12 +122,9 @@ class LevelGraph:
         return self.csr.indices.tolist()
 
     @cached_property
-    def data(self) -> List[float]:
-        return self.csr.data.tolist()
-
-    @cached_property
     def rows(self) -> np.ndarray:
-        return np.repeat(np.arange(self.n), np.diff(self.csr.indptr))
+        return np.repeat(np.arange(self.n, dtype=self.csr.indices.dtype),
+                         np.diff(self.csr.indptr))
 
 
 def refine_inputs(adj, parts: np.ndarray, nparts: int,
@@ -189,12 +186,13 @@ class CutState:
       in CSR order).
     """
 
-    __slots__ = ("graph", "nparts", "parts", "part_of", "weights", "ext",
-                 "conn_of")
+    __slots__ = ("graph", "data", "nparts", "parts", "part_of", "weights",
+                 "ext", "conn_of")
 
     def __init__(self, graph: LevelGraph, parts: np.ndarray,
                  vertex_weights: np.ndarray, nparts: int) -> None:
         self.graph, self.nparts, self.parts = graph, nparts, parts
+        self.data = graph.csr.data.tolist()      # edge weights, CSR order
         cross = parts[graph.rows] != parts[graph.csr.indices]
         self.ext = np.bincount(graph.rows[cross], minlength=graph.n).tolist()
         self.part_of = parts.tolist()
@@ -212,7 +210,7 @@ class CutState:
         graph = self.graph
         start, end = graph.indptr[v], graph.indptr[v + 1]
         if end - start <= _SCALAR_ROW:
-            return _connectivity(graph.indptr, graph.indices, graph.data,
+            return _connectivity(graph.indptr, graph.indices, self.data,
                                  self.part_of, v, self.nparts)
         return np.bincount(self.parts[graph.csr.indices[start:end]],
                            weights=graph.csr.data[start:end],

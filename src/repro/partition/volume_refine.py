@@ -198,7 +198,7 @@ def neighbour_part_counts(graph: LevelGraph, parts: np.ndarray,
     diagonal entry is not a neighbour (``apply_move`` skips it)."""
     rows, cols = graph.rows, graph.csr.indices
     off = rows != cols
-    return np.bincount(rows[off] * nparts + parts[cols[off]],
+    return np.bincount(rows[off] * np.int64(nparts) + parts[cols[off]],
                        minlength=graph.n * nparts).reshape(graph.n, nparts)
 
 

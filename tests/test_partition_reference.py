@@ -223,7 +223,7 @@ def test_cut_state_equals_a_fresh_one_after_every_move(case):
         np.testing.assert_array_equal(state.parts, state.part_of)
         for v, kept in enumerate(state.conn_of):
             conn = reference._connectivity(graph.indptr, graph.indices,
-                                           graph.data, state.part_of, v,
+                                           state.data, state.part_of, v,
                                            nparts)
             assert state.connectivity(v) == conn
             if kept is _IDLE:
