@@ -56,7 +56,9 @@ of ``--repeats`` timed runs after one warm-up):
   ``GVBPartitioner(seed=0).partition`` on amazon at p = 4 and p = 2 (the
   ``train_1d_exchange`` / 1.5D block-row partitions), with a sha256 of the
   ``parts`` vector and its volumes: the digest must not move when the
-  partitioner gets faster.  ``--quick`` runs it on amazon 0.25.
+  partitioner gets faster.  ``phases_s`` splits the fastest run into the
+  multilevel phases (coarsening, initial partition, rebalance, edgecut
+  and volume refinement).  ``--quick`` runs it on amazon 0.25.
 
 Usage::
 
@@ -101,6 +103,7 @@ from repro.graphs.datasets import load_dataset                  # noqa: E402
 from repro.graphs.generators import erdos_renyi_graph           # noqa: E402
 from repro.partition import (GVBPartitioner,                    # noqa: E402
                              communication_volumes_1d, edgecut)
+from repro.partition.multilevel import PHASES                  # noqa: E402
 
 
 def best_of(fn, repeats: int) -> float:
@@ -411,23 +414,28 @@ def bench_process_control_plane(p_values, rounds: int) -> dict:
 def bench_partition_gvb(scale: float, part_counts, repeats: int) -> dict:
     """GVB partitioning wall time on amazon, with the partition's digest.
 
-    Best of ``repeats`` after one warm-up per part count.  The digest and
-    volumes pin *which* partition was timed: a faster partitioner that
-    moves a vertex is a different benchmark.
+    Best of ``repeats`` after one warm-up per part count, with that run's
+    wall seconds per multilevel phase.  The digest and volumes pin *which*
+    partition was timed: a faster partitioner that moves a vertex is a
+    different benchmark.
     """
     adj = load_dataset("amazon", scale=scale, seed=0).adjacency
     cell = {"dataset": "amazon", "scale": scale, "n": int(adj.shape[0]),
             "nnz": int(adj.nnz), "repeats": repeats}
     for p in part_counts:
-        result = {}
-
         def run():
-            result["parts"] = GVBPartitioner(seed=0).partition(adj, p).parts
-        seconds = best_of(run, repeats)
-        parts = result["parts"]
+            t0 = time.perf_counter()
+            result = GVBPartitioner(seed=0).partition(adj, p)
+            return time.perf_counter() - t0, result
+        run()                              # warm-up outside the timing
+        seconds, result = min((run() for _ in range(max(1, repeats))),
+                              key=lambda timed: timed[0])
+        parts = result.parts
         vol = communication_volumes_1d(adj, parts, p)
         cell[f"p{p}"] = {
             "seconds": seconds,
+            "phases_s": {phase: result.stats[f"{phase}_s"]
+                         for phase in PHASES},
             "parts_sha256": hashlib.sha256(parts.tobytes()).hexdigest(),
             "edgecut": int(edgecut(adj, parts)),
             "total_volume": vol.total, "max_send_volume": vol.max_send,
@@ -564,7 +572,10 @@ def main(argv=None) -> int:
         for p in (2, 4)))
     gvb = payload["partition_gvb"]
     print(f"  GVB partitioning, amazon {gvb['scale']}: " + ", ".join(
-        f"p={p} {gvb[f'p{p}']['seconds']:.2f} s" for p in (4, 2)))
+        f"p={p} {gvb[f'p{p}']['seconds']:.2f} s (" + ", ".join(
+            f"{phase} {s:.3f}"
+            for phase, s in gvb[f"p{p}"].get("phases_s", {}).items()) + ")"
+        for p in (4, 2)))
     return 0
 
 
