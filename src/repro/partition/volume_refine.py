@@ -254,6 +254,7 @@ class DeltaBatch:
         return k[keep], u[keep]
 
     def live_deltas(self, vertices: List[int]) -> List[LiveDeltas]:
+        """:func:`live_deltas` of each vertex in ``vertices``."""
         nparts, parts = self.nparts, self.parts
         if self.pending:
             moved, p, q = np.array(self.pending).T
