@@ -326,7 +326,7 @@ def edgecut_refine(adj, parts: np.ndarray, nparts: int,
     return state.parts, total_moves
 
 
-class ConnCache:
+class KeptRows:
     """``rebalance``'s connectivity rows, kept across moves.
 
     A row is computed (:func:`connectivity_rows`) the first time its
@@ -382,7 +382,7 @@ def rebalance(adj, parts: np.ndarray, nparts: int,
     rng = np.random.default_rng(seed)
 
     moves = 0
-    cache = ConnCache(adj, parts, nparts)
+    kept = KeptRows(adj, parts, nparts)
     overweight = [p for p in range(nparts) if weights[p] > max_weight]
     while overweight and moves < max_moves:
         p = max(overweight, key=lambda q: weights[q])
@@ -402,7 +402,7 @@ def rebalance(adj, parts: np.ndarray, nparts: int,
         # scan with a strict ``>`` keeps.
         sample = members if members.size <= 256 else \
             rng.choice(members, size=256, replace=False)
-        conn = cache.rows(sample)
+        conn = kept.rows(sample)
         score = conn[:, receivers] - conn[:, [p]]
         infeasible = weights[receivers][None, :] + \
             vertex_weights[sample][:, None] > max_weight
@@ -415,7 +415,7 @@ def rebalance(adj, parts: np.ndarray, nparts: int,
         weights[p] -= vertex_weights[v]
         weights[q] += vertex_weights[v]
         parts[v] = q
-        cache.moved(v)
+        kept.moved(v)
         moves += 1
         overweight = [r for r in range(nparts) if weights[r] > max_weight]
     return parts

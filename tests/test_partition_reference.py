@@ -12,7 +12,7 @@ random or skewed starting partitions.
 The state the refiners keep across moves (``CutState``'s external-degree
 counts, part copy, connectivities and idle markers; ``volume_refine``'s
 live delta lists; ``DeltaBatch``'s numpy copies; ``rebalance``'s
-``ConnCache``) is checked against a fresh recomputation after every move.
+``KeptRows``) is checked against a fresh recomputation after every move.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import partition_reference as reference
-from repro.partition.refine import (_IDLE, ConnCache, CutState, LevelGraph,
+from repro.partition.refine import (_IDLE, KeptRows, CutState, LevelGraph,
                                     connectivity_rows, edgecut_refine,
                                     rebalance)
 from repro.partition.volume_refine import (DeltaBatch, VolumeState,
@@ -261,21 +261,21 @@ def test_batched_deltas_equal_scalar_ones_after_every_move(case):
 
 @settings(**dict(SETTINGS, max_examples=40))
 @given(ANY_WEIGHTS)
-def test_rebalance_cache_equals_fresh_rows_after_every_move(case):
-    """Every row ``ConnCache`` hands out equals a fresh
+def test_rebalance_rows_equal_fresh_ones_after_every_move(case):
+    """Every row ``KeptRows`` hands out equals a fresh
     ``connectivity_rows`` bit for bit, after every move."""
     adj, parts, nparts, _, _, seed = case
     n = adj.shape[0]
     parts = np.asarray(parts, dtype=np.int64).copy()
-    cache = ConnCache(adj, parts, nparts)
+    kept = KeptRows(adj, parts, nparts)
     rng = np.random.default_rng(seed)
     for x, q in _random_moves(parts, n, nparts, rng, 8):
         sample = rng.permutation(n)[: int(rng.integers(1, n + 1))]
-        got = cache.rows(sample)
+        got = kept.rows(sample)
         want = connectivity_rows(adj, parts, sample, nparts)
         assert got.tobytes() == want.tobytes()
         parts[x] = q
-        cache.moved(x)
+        kept.moved(x)
 
 
 def test_no_src_module_imports_the_reference():
