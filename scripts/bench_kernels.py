@@ -106,13 +106,17 @@ from repro.partition import (GVBPartitioner,                    # noqa: E402
 from repro.partition.multilevel import PHASES                  # noqa: E402
 
 
-def best_of(fn, repeats: int) -> float:
-    fn()                                   # warm-up outside the timing
-    best = float("inf")
+def best_of(fn, repeats: int):
+    """``(seconds, value)`` of the fastest of ``repeats`` timed calls of
+    ``fn``, after one warm-up outside the timing."""
+    fn()
+    best = (float("inf"), None)
     for _ in range(max(1, repeats)):
         t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
+        value = fn()
+        seconds = time.perf_counter() - t0
+        if seconds < best[0]:
+            best = (seconds, value)
     return best
 
 
@@ -423,13 +427,8 @@ def bench_partition_gvb(scale: float, part_counts, repeats: int) -> dict:
     cell = {"dataset": "amazon", "scale": scale, "n": int(adj.shape[0]),
             "nnz": int(adj.nnz), "repeats": repeats}
     for p in part_counts:
-        def run():
-            t0 = time.perf_counter()
-            result = GVBPartitioner(seed=0).partition(adj, p)
-            return time.perf_counter() - t0, result
-        run()                              # warm-up outside the timing
-        seconds, result = min((run() for _ in range(max(1, repeats))),
-                              key=lambda timed: timed[0])
+        seconds, result = best_of(
+            lambda: GVBPartitioner(seed=0).partition(adj, p), repeats)
         parts = result.parts
         vol = communication_volumes_1d(adj, parts, p)
         cell[f"p{p}"] = {

@@ -76,16 +76,8 @@ def _pick_order(adj: sp.csr_matrix):
     keep = (adj.indices != rows) & (adj.data > -np.inf)
     rows, cols, data = rows[keep], adj.indices[keep], adj.data[keep]
     if data.size and data.min() != data.max():
-        # Both sorts are stable: equal weights keep their CSR order.
-        top = data.max()
-        if data.min() >= 0 and top < 2 ** 31 and \
-                np.array_equal(data, np.trunc(data)):
-            # Whole weights (every coarse level of an unweighted graph):
-            # one integer key, row-major, heaviest first.
-            key = rows * (int(top) + 1) + (int(top) - data.astype(np.int64))
-            cols = cols[np.argsort(key, kind="stable")]
-        else:
-            cols = cols[np.lexsort((-data.astype(np.float64), rows))]
+        # lexsort is stable: equal weights keep their CSR order.
+        cols = cols[np.lexsort((-data.astype(np.float64), rows))]
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     return indptr.tolist(), cols.tolist()

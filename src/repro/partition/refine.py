@@ -22,14 +22,9 @@ from .base import validate_parts
 __all__ = ["LevelGraph", "edgecut_refine", "rebalance", "weighted_edgecut",
            "part_weight_vector"]
 
-#: rows up to this long sum their connectivity in a Python loop; longer
-#: ones pay one numpy call instead
-_SCALAR_ROW = 64
-
-#: a visit that finds its kept value missing looks this far ahead in the
-#: pass's visit order and computes the missing ones in one numpy pass
-#: when there are at least ``_BATCH_MIN`` of them (at most ``_BATCH_MAX``)
-_LOOKAHEAD, _BATCH_MIN, _BATCH_MAX = 512, 32, 256
+#: a visit that finds its kept value missing computes the missing values
+#: of this many visits of the pass (its own first) in one numpy pass
+_LOOKAHEAD = 256
 
 #: ``conn_of`` marker of an idle vertex: every part it is connected to
 #: has a strictly negative gain, so no part weight can make it move
@@ -52,16 +47,6 @@ def weighted_edgecut(adj: sp.spmatrix, parts: np.ndarray) -> float:
     return float(coo.data[mask].sum() / 2.0)
 
 
-def _connectivity(indptr, indices, data, parts, v: int, nparts: int
-                  ) -> List[float]:
-    """Edge weight from ``v`` to each part, summed in CSR order (the order
-    ``np.add.at`` would use, so the floats are the same bit for bit)."""
-    conn = [0.0] * nparts
-    for idx in range(indptr[v], indptr[v + 1]):
-        conn[parts[indices[idx]]] += data[idx]
-    return conn
-
-
 def row_entries(indptr: np.ndarray, vertices: np.ndarray
                 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(row, pos)``: the CSR position of every stored entry of the
@@ -81,7 +66,7 @@ def connectivity_rows(adj: sp.csr_matrix, parts: np.ndarray,
 
     One ``np.bincount`` over the vertices' CSR slices: it accumulates in
     input order, i.e. CSR order per vertex, so each row has the same bits
-    as :func:`_connectivity`.
+    as a loop adding the row's weights one by one.
     """
     row, pos = row_entries(adj.indptr, vertices)
     conn = np.bincount(row * nparts + parts[adj.indices[pos]],
@@ -138,46 +123,25 @@ def refine_inputs(adj, parts: np.ndarray, nparts: int,
     return graph, parts, np.asarray(vertex_weights, dtype=np.float64)
 
 
-class Lookahead:
-    """Fills the kept per-vertex values a pass is about to read in batches.
+def fill_ahead(kept: list, upcoming: List[int], compute) -> None:
+    """Fill the missing kept values of the vertices a pass visits next.
 
     ``kept[v]`` is ``None`` while ``v``'s value is missing;
     ``compute(vertices)`` returns the values of a list of vertices, each
-    equal to what the visit would compute.  Values filled ahead are kept
+    equal to what a visit would compute.  Values filled ahead are kept
     like any other: a move before their visit drops them as usual.
     """
-
-    def __init__(self, kept: list, compute) -> None:
-        self.kept, self.compute = kept, compute
-        self.order: List[int] = []
-        self.scalar_until = 0
-
-    def start(self, order: List[int]) -> None:
-        """A pass begins: its visit order."""
-        self.order, self.scalar_until = order, 0
-
-    def fill(self, i: int) -> None:
-        """Visit ``i`` found its value missing: fill the missing values of
-        the next visits if enough of them are missing, else leave them to
-        the visits for the next ``_LOOKAHEAD`` positions."""
-        if i < self.scalar_until:
-            return
-        kept = self.kept
-        ahead = [w for w in self.order[i:i + _LOOKAHEAD]
-                 if kept[w] is None][:_BATCH_MAX]
-        if len(ahead) < _BATCH_MIN:
-            self.scalar_until = i + _LOOKAHEAD
-            return
-        for w, value in zip(ahead, self.compute(ahead)):
-            kept[w] = value
+    missing = [w for w in upcoming if kept[w] is None]
+    for w, value in zip(missing, compute(missing)):
+        kept[w] = value
 
 
 class CutState:
     """``edgecut_refine``'s bookkeeping, kept across moves by :meth:`move`.
 
-    * ``part_of[v]`` / ``parts[v]`` (a list and a numpy copy) and
-      ``weights[p]``: each vertex's part and each part's total vertex
-      weight;
+    * ``part_of[v]`` / ``parts[v]`` (a list for the moves, a numpy copy
+      for :func:`connectivity_rows`) and ``weights[p]``: each vertex's
+      part and each part's total vertex weight;
     * ``ext[v]``: how many stored entries of row ``v`` lie in another part
       (the boundary is ``ext > 0``), updated in O(deg) per move instead of
       an O(nnz) edge mask per pass;
@@ -186,13 +150,11 @@ class CutState:
       in CSR order).
     """
 
-    __slots__ = ("graph", "data", "nparts", "parts", "part_of", "weights",
-                 "ext", "conn_of")
+    __slots__ = ("graph", "parts", "part_of", "weights", "ext", "conn_of")
 
     def __init__(self, graph: LevelGraph, parts: np.ndarray,
                  vertex_weights: np.ndarray, nparts: int) -> None:
-        self.graph, self.nparts, self.parts = graph, nparts, parts
-        self.data = graph.csr.data.tolist()      # edge weights, CSR order
+        self.graph, self.parts = graph, parts
         cross = parts[graph.rows] != parts[graph.csr.indices]
         self.ext = np.bincount(graph.rows[cross], minlength=graph.n).tolist()
         self.part_of = parts.tolist()
@@ -203,18 +165,6 @@ class CutState:
     def boundary(self) -> np.ndarray:
         """Sorted ids of the vertices with a neighbour in another part."""
         return np.flatnonzero(np.fromiter(self.ext, np.int64, len(self.ext)))
-
-    def connectivity(self, v: int) -> List[float]:
-        """``v``'s edge weight to each part, summed in CSR order: by one
-        ``np.bincount`` (which adds in input order) for a long row."""
-        graph = self.graph
-        start, end = graph.indptr[v], graph.indptr[v + 1]
-        if end - start <= _SCALAR_ROW:
-            return _connectivity(graph.indptr, graph.indices, self.data,
-                                 self.part_of, v, self.nparts)
-        return np.bincount(self.parts[graph.csr.indices[start:end]],
-                           weights=graph.csr.data[start:end],
-                           minlength=self.nparts).tolist()
 
     def move(self, v: int, q: int, wv: float) -> None:
         """Move ``v`` (of weight ``wv``) to part ``q``."""
@@ -273,8 +223,11 @@ def edgecut_refine(adj, parts: np.ndarray, nparts: int,
     # seen[v] is the move count at v's last visit that did not move it: a
     # visit with no move since then repeats that outcome, so it is skipped.
     seen = [-1] * graph.n
-    ahead = Lookahead(conn_of, lambda vertices: connectivity_rows(
-        graph.csr, state.parts, np.array(vertices), nparts).tolist())
+
+    def conn_rows(vertices: List[int]) -> List[List[float]]:
+        return connectivity_rows(graph.csr, state.parts, np.array(vertices),
+                                 nparts).tolist()
+
     for _ in range(max_passes):
         boundary = state.boundary()
         if boundary.size == 0:
@@ -282,17 +235,14 @@ def edgecut_refine(adj, parts: np.ndarray, nparts: int,
         rng.shuffle(boundary)
         moves_before = total_moves
         order = boundary.tolist()
-        ahead.start(order)
         for i, v in enumerate(order):
             conn = conn_of[v]
             if conn is _IDLE or seen[v] == total_moves:
                 continue
             p = part_of[v]
             if conn is None:
-                ahead.fill(i)
+                fill_ahead(conn_of, order[i:i + _LOOKAHEAD], conn_rows)
                 conn = conn_of[v]
-                if conn is None:
-                    conn = conn_of[v] = state.connectivity(v)
             internal = conn[p]
             best_q = -1
             best_gain = 0.0

@@ -31,8 +31,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .refine import (LevelGraph, Lookahead, check_refine_settings,
-                     refine_inputs, row_entries)
+from .refine import (_LOOKAHEAD, LevelGraph, check_refine_settings,
+                     fill_ahead, refine_inputs, row_entries)
 
 __all__ = ["VolumeState", "MoveDelta", "volume_refine"]
 
@@ -81,9 +81,13 @@ class VolumeState:
 
     @classmethod
     def build(cls, adj, parts: np.ndarray, nparts: int,
-              vertex_weights: np.ndarray) -> "VolumeState":
+              vertex_weights: np.ndarray,
+              nbr_part_count: Optional[np.ndarray] = None) -> "VolumeState":
+        """The state of ``parts``; ``nbr_part_count`` is
+        :func:`neighbour_part_counts`, computed here unless given."""
         graph = adj if isinstance(adj, LevelGraph) else LevelGraph(adj)
-        nbr_part_count = neighbour_part_counts(graph, parts, nparts)
+        if nbr_part_count is None:
+            nbr_part_count = neighbour_part_counts(graph, parts, nparts)
 
         has_nbr = nbr_part_count > 0
         # send_count[v] = number of parts other than parts[v] that contain a
@@ -202,42 +206,29 @@ def neighbour_part_counts(graph: LevelGraph, parts: np.ndarray,
                        minlength=graph.n * nparts).reshape(graph.n, nparts)
 
 
-def _can_improve(delta: MoveDelta) -> bool:
-    """Whether ``delta`` lowers the total or some part's send or receive
-    volume.  A move that does none of these costs >= 0 whatever the
-    bottleneck (every part attaining it keeps its volume), so it never
-    beats -1e-9 until its deltas are dropped."""
-    return delta.total < 0 or min(delta.delta_send) < 0 or \
-        min(delta.delta_recv) < 0
-
-
-def live_deltas(state: VolumeState, indptr, indices, v: int) -> LiveDeltas:
-    """``v``'s candidate moves (parts other than its own that hold a
-    neighbour) that can lower the objective, with their deltas."""
-    p, counts_v = state._parts[v], state._nbr[v]
-    out = []
-    for q in range(len(counts_v)):
-        if q != p and counts_v[q]:
-            delta = state.move_deltas(indptr, indices, v, q)
-            if _can_improve(delta):
-                out.append((q, delta))
-    return out
-
-
 class DeltaBatch:
-    """:func:`live_deltas` of many vertices in one numpy pass.
+    """Many vertices' live deltas in one numpy pass.
 
-    It reads numpy copies of the parts and the neighbour-part counts.
-    :meth:`note_move` keeps the parts current and queues the move; the
-    queued moves reach the counts (integers, so in any order) before the
-    next batch.
+    A vertex's live deltas are its candidate moves (parts other than its
+    own that hold a neighbour) that can lower the objective: those whose
+    deltas lower the total or some part's send or receive volume.  A move
+    that does none of these costs >= 0 whatever the bottleneck (every
+    part attaining it keeps its volume), so it never beats -1e-9 until
+    its deltas are dropped.  Each is ``(q, move_deltas(v, q))``, in
+    ascending ``q``.
+
+    It reads numpy copies of the parts and the neighbour-part counts
+    (``counts``, which it takes over).  :meth:`note_move` keeps the parts
+    current and queues the move; the queued moves reach the counts
+    (integers, so in any order) before the next batch.
     """
 
-    def __init__(self, graph: LevelGraph, state: VolumeState) -> None:
+    def __init__(self, graph: LevelGraph, state: VolumeState,
+                 counts: np.ndarray) -> None:
         self.graph, self.state = graph, state
         self.parts = np.array(state._parts)
         self.nparts = len(state._send)
-        self.counts = neighbour_part_counts(graph, self.parts, self.nparts)
+        self.counts = counts
         self.pending: List[Tuple[int, int, int]] = []
 
     def note_move(self, v: int, p: int, q: int) -> None:
@@ -254,7 +245,7 @@ class DeltaBatch:
         return k[keep], u[keep]
 
     def live_deltas(self, vertices: List[int]) -> List[LiveDeltas]:
-        """:func:`live_deltas` of each vertex in ``vertices``."""
+        """The live deltas of each vertex in ``vertices``."""
         nparts, parts = self.nparts, self.parts
         if self.pending:
             moved, p, q = np.array(self.pending).T
@@ -405,18 +396,19 @@ def volume_refine(adj: sp.spmatrix, parts: np.ndarray, nparts: int,
     if max_volume_weight is None:
         max_volume_weight = max(1.0, nparts / 2.0)
 
-    state = VolumeState.build(graph, parts, nparts, vertex_weights)
+    counts = neighbour_part_counts(graph, parts, nparts)
+    state = VolumeState.build(graph, parts, nparts, vertex_weights, counts)
     part_weight, send_count = state._weight, state._send_count
     weights = vertex_weights.tolist()
     max_weight = balance_factor * (vertex_weights.sum() / nparts)
     rng = np.random.default_rng(seed)
-    # deltas_of[v] is live_deltas(v), kept until one of its inputs changes
-    # (_forget_deltas); [] marks a vertex that cannot move until then.
+    # deltas_of[v] is v's live deltas (DeltaBatch), kept until one of their
+    # inputs changes (_forget_deltas); [] marks a vertex that cannot move
+    # until then.
     deltas_of: List[Optional[LiveDeltas]] = [None] * graph.n
     bottleneck, top_send, top_recv = _bottleneck(state._send, state._recv)
 
-    batch = DeltaBatch(graph, state)
-    ahead = Lookahead(deltas_of, batch.live_deltas)
+    batch = DeltaBatch(graph, state, counts)
 
     total_moves = 0
     # seen[v] is the move count at v's last visit that did not move it: a
@@ -432,17 +424,14 @@ def volume_refine(adj: sp.spmatrix, parts: np.ndarray, nparts: int,
 
         moves_before = total_moves
         order = boundary.tolist()
-        ahead.start(order)
         for i, v in enumerate(order):
             if seen[v] == total_moves:
                 continue
             live = deltas_of[v]
             if live is None:
-                ahead.fill(i)
+                fill_ahead(deltas_of, order[i:i + _LOOKAHEAD],
+                           batch.live_deltas)
                 live = deltas_of[v]
-                if live is None:
-                    live = deltas_of[v] = live_deltas(state, indptr,
-                                                      indices, v)
             if not live:
                 continue
             wv = weights[v]

@@ -30,7 +30,8 @@ from repro.partition.refine import (_IDLE, KeptRows, CutState, LevelGraph,
                                     connectivity_rows, edgecut_refine,
                                     rebalance)
 from repro.partition.volume_refine import (DeltaBatch, VolumeState,
-                                           _forget_deltas, live_deltas,
+                                           _forget_deltas,
+                                           neighbour_part_counts,
                                            volume_refine)
 
 SETTINGS = dict(max_examples=150, deadline=None,
@@ -132,6 +133,26 @@ def test_volume_refine_matches_reference(case, passes, max_volume_weight):
                  reference.volume_refine(adj, parts, nparts, **kwargs))
 
 
+def live_deltas(state, indptr, indices, v):
+    """``v``'s live deltas recomputed one move at a time: ``(q,
+    move_deltas(v, q))`` for each part ``q`` other than its own that holds
+    a neighbour, if the deltas lower the total or some part's volume."""
+    out = []
+    for q in range(len(state._send)):
+        if q != state._parts[v] and state._nbr[v][q]:
+            delta = state.move_deltas(indptr, indices, v, q)
+            if delta.total < 0 or min(delta.delta_send) < 0 or \
+                    min(delta.delta_recv) < 0:
+                out.append((q, delta))
+    return out
+
+
+def _delta_batch(adj, state, parts, nparts):
+    graph = LevelGraph(adj)
+    return DeltaBatch(graph, state, neighbour_part_counts(graph, parts,
+                                                          nparts))
+
+
 def _random_moves(state_parts, n, nparts, rng, count):
     """``count`` random ``(vertex, new part)`` moves, drawn as they go."""
     for _ in range(count):
@@ -167,13 +188,15 @@ def test_kept_deltas_equal_fresh_ones_after_a_move(case):
 @settings(**dict(SETTINGS, max_examples=40))
 @given(refine_case(float_weights=False))
 def test_live_deltas_are_the_moves_that_can_improve(case):
-    """``live_deltas`` keeps exactly the candidate moves whose deltas lower
+    """``DeltaBatch`` keeps exactly the candidate moves whose deltas lower
     the total or some part's volume: the rest cost >= 0 under any
     bottleneck, and a vertex with none left cannot move."""
     adj, parts, nparts, _, _, _ = case
     n = adj.shape[0]
     indptr, indices = adj.indptr.tolist(), adj.indices.tolist()
     state = VolumeState.build(adj, parts, nparts, np.ones(n))
+    got = _delta_batch(adj, state, parts, nparts).live_deltas(
+        list(range(n)))
     for v in range(n):
         want = []
         for q in range(nparts):
@@ -187,32 +210,35 @@ def test_live_deltas_are_the_moves_that_can_improve(case):
                 bottleneck = max(state._send + state._recv)
                 for weight in (0.0, 0.5, 1.0, nparts / 2.0):
                     assert state.cost_change(delta, weight, bottleneck) >= 0
-        assert live_deltas(state, indptr, indices, v) == want
+        assert got[v] == want
 
 
 @settings(**dict(SETTINGS, max_examples=40))
 @given(ANY_WEIGHTS)
 def test_cut_state_equals_a_fresh_one_after_every_move(case):
     """``CutState``'s external-degree counts, numpy part copy, kept
-    connectivities and idle markers equal a recomputation after every
-    move."""
+    connectivities (filled by ``connectivity_rows``, as the refiner fills
+    them) and idle markers equal a recomputation after every move."""
     adj, parts, nparts, vw, _, seed = case
     n = adj.shape[0]
     vw = np.ones(n) if vw is None else vw
     graph = LevelGraph(adj)
+    data = graph.csr.data.tolist()
     state = CutState(graph, np.asarray(parts, dtype=np.int64).copy(), vw,
                      nparts)
     rng = np.random.default_rng(seed)
     for x, q in _random_moves(state.part_of, n, nparts, rng, 6):
         # what a pass would have cached, then the move (of a vertex the
         # refiner could move: never an idle one)
-        for v in range(n):
-            if state.conn_of[v] is None and rng.random() < 0.7:
-                conn = state.connectivity(v)
-                p = state.part_of[v]
-                idle = all(conn[r] - conn[p] < 0 for r in range(nparts)
-                           if r != p and conn[r] > 0)
-                state.conn_of[v] = _IDLE if idle else conn
+        missing = [v for v in range(n)
+                   if state.conn_of[v] is None and rng.random() < 0.7]
+        for v, conn in zip(missing, connectivity_rows(
+                graph.csr, state.parts, np.array(missing, dtype=np.int64),
+                nparts).tolist()):
+            p = state.part_of[v]
+            idle = all(conn[r] - conn[p] < 0 for r in range(nparts)
+                       if r != p and conn[r] > 0)
+            state.conn_of[v] = _IDLE if idle else conn
         if state.conn_of[x] is _IDLE:
             continue
         state.move(x, q, float(vw[x]))
@@ -223,9 +249,7 @@ def test_cut_state_equals_a_fresh_one_after_every_move(case):
         np.testing.assert_array_equal(state.parts, state.part_of)
         for v, kept in enumerate(state.conn_of):
             conn = reference._connectivity(graph.indptr, graph.indices,
-                                           state.data, state.part_of, v,
-                                           nparts)
-            assert state.connectivity(v) == conn
+                                           data, state.part_of, v, nparts)
             if kept is _IDLE:
                 p = state.part_of[v]
                 assert all(conn[r] - conn[p] < 0 for r in range(nparts)
@@ -239,12 +263,13 @@ def test_cut_state_equals_a_fresh_one_after_every_move(case):
 def test_batched_deltas_equal_scalar_ones_after_every_move(case):
     """``DeltaBatch`` prices vertices from numpy copies of the parts and
     neighbour-part counts that it keeps across moves: after every move its
-    live lists equal ``live_deltas``."""
+    live lists equal ones recomputed a move at a time by
+    ``VolumeState.move_deltas``."""
     adj, parts, nparts, _, _, seed = case
     n = adj.shape[0]
     indptr, indices = adj.indptr.tolist(), adj.indices.tolist()
     state = VolumeState.build(adj, parts, nparts, np.ones(n))
-    batch = DeltaBatch(LevelGraph(adj), state)
+    batch = _delta_batch(adj, state, parts, nparts)
     rng = np.random.default_rng(seed)
     for x, q in _random_moves(state._parts, n, nparts, rng, 6):
         vertices = rng.permutation(n)[: int(rng.integers(1, n + 1))].tolist()
