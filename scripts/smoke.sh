@@ -18,7 +18,9 @@
 # True) prices: the same count and the same widths in order, read from
 # the model's compiled plan; and, float64 over float32 features, its
 # global_logits must be bitwise the one-shot host product and match the
-# training forward within tests/oracle.py's float64 row),
+# training forward within tests/oracle.py's float64 row; with no
+# partitioner at amazon 0.05 and with GVB at amazon 1.0, whose blocks
+# split into >= 2 global_logits row chunks),
 # a kill-and-resume fault-tolerance leg (SIGKILL a process-backend
 # worker mid-run, supervised restart restores the checkpoint, final
 # weights asserted bit-identical to the uninterrupted run),
@@ -123,20 +125,25 @@ print(*sorted(PARTITIONERS))")"
   done
   echo "== cached train schedule == epoch_spmm_widths (sim) =="
   python - <<"PYEOF"
+import itertools
 import sys
 
 import numpy as np
 
 from repro.core import DistTrainConfig, epoch_spmm_widths, setup_distributed
+from repro.core.dist_gcn import _row_chunks
 from repro.core.engine import CompiledSpmm
 from repro.graphs import load_dataset
 
 sys.path.insert(0, "tests")
 import oracle
 
-dataset = load_dataset("amazon", scale=0.05, n_features=12, n_classes=3,
-                       seed=3)
-assert dataset.node_data.features.dtype == np.float32
+# No partitioner at amazon 0.05; GVB at amazon 1.0, whose blocks split
+# into several global_logits row chunks and whose features the model
+# reads in the original vertex order through the recorded feature order.
+runs = [(load_dataset("amazon", scale=scale, n_features=12, n_classes=3,
+                      seed=3), partitioner)
+        for scale, partitioner in ((0.05, None), (1.0, "gvb"))]
 widths = []
 plan_call = CompiledSpmm.__call__
 
@@ -147,11 +154,14 @@ def recording_call(plan, dense):
 
 
 CompiledSpmm.__call__ = recording_call
-for variant in ({"algorithm": "1d"},
-                {"algorithm": "1.5d", "replication_factor": 2}):
-    config = DistTrainConfig(n_ranks=4, partitioner=None, hidden=8,
+for (dataset, partitioner), variant in itertools.product(
+        runs, ({"algorithm": "1d"},
+               {"algorithm": "1.5d", "replication_factor": 2})):
+    assert dataset.node_data.features.dtype == np.float32
+    config = DistTrainConfig(n_ranks=4, partitioner=partitioner, hidden=8,
                              n_layers=3, **variant)
     setup = setup_distributed(dataset, config)
+    assert (setup.node_data.feature_order is None) == (partitioner is None)
     with setup.comm:
         model = setup.model
         model.input_propagation()
@@ -166,15 +176,20 @@ for variant in ({"algorithm": "1d"},
         # X panel by panel as they read it.
         assert model.dtype == np.float64
         logits = model.global_logits()
-        host = oracle.row_blocked_logits(model, setup.node_data.features)
-        assert np.array_equal(logits, host), variant
+        host = oracle.row_blocked_logits(
+            model, oracle.vertex_order_features(setup.node_data))
+        assert np.array_equal(logits, host), (partitioner, variant)
         oracle.assert_matches_reference(
             model.forward()[-1].h_out.to_global(), logits, "float64",
             oracle.WEIGHT_FIRST)
+    chunks = max(len(_row_chunks(rows.shape[0]))
+                 for rows in model.adjacency.block_rows)
+    assert (chunks >= 2) == (partitioner is not None), chunks
     name = variant["algorithm"]
-    print(f"train schedule {name}: {model.layer_dims} ran {widths} "
+    print(f"train schedule {name} partitioner={partitioner}: "
+          f"{model.layer_dims} ran {widths} "
           "== epoch_spmm_widths(dims, True); global_logits == one-shot "
-          "host product")
+          f"host product ({chunks} row chunks per block row at most)")
 PYEOF
   echo "== kill-and-resume (process backend) =="
   python - <<"PYEOF"

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..comm.base import Communicator
 from ..gcn.activations import get_activation
@@ -39,6 +40,22 @@ from .gradsync import DeferredScalar, GradientExchanger, PendingGradients
 from .spmm_15d import ProcessGrid
 
 __all__ = ["DistLayerCache", "DistributedGCN"]
+
+#: Rows per layer-0 chunk of :meth:`DistributedGCN.global_logits`.  BLAS
+#: may round a GEMM row differently at small row counts (chunks of 64
+#: rows or fewer did not match the whole block row at ``K >= 500``; from
+#: 256 rows on every ``K`` tested, 300–602, matched), so a chunk is never
+#: smaller than this unless its block row is.
+LOGITS_CHUNK_ROWS = 512
+
+
+def _row_chunks(rows: int) -> List[Tuple[int, int]]:
+    """``[lo, hi)`` chunks of ``rows`` rows, :data:`LOGITS_CHUNK_ROWS`
+    each with the tail folded into the last: no chunk is smaller, and a
+    shorter block row is one chunk."""
+    count = max(1, rows // LOGITS_CHUNK_ROWS)
+    bounds = [i * LOGITS_CHUNK_ROWS for i in range(count)] + [rows]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def _column_streams(matrix: DistDenseMatrix, width: int):
@@ -74,12 +91,11 @@ class DistributedGCN:
     adjacency_dist:
         The (already normalised, already permuted) adjacency distributed in
         block rows — ``P`` blocks for 1D, ``P/c`` blocks for 1.5D.
-    features_dist:
-        Input features distributed over the same block rows, at any
-        dtype: the model keeps this operand as given (read, never
-        written; :func:`~repro.core.trainer.build_setup` passes read-only
-        views of ``node_data.features``) and casts only what it reads to
-        ``dtype`` (see :attr:`features`).
+    features:
+        Layer 0's input ``X``: one global ``(n, f_0)`` array at any
+        dtype, held as given (a read-only view, never copied or
+        written) and read only through :meth:`_read_input`; what is
+        read is cast to ``dtype`` one column panel at a time.
     labels / train_mask:
         Global label vector and training mask, *in the permuted vertex
         order* (each rank only reads its own slice).
@@ -111,6 +127,13 @@ class DistributedGCN:
         reduced gradients always apply to the full-precision master
         weights).  The defaults reproduce the synchronous trainer
         bit- and clock-identically.
+    feature_order:
+        ``None`` when ``features`` is in the adjacency's (permuted)
+        vertex order; else model row ``i`` reads ``features[
+        feature_order[i]]`` (``feature_order[new] = old``, what
+        :meth:`~repro.graphs.features.NodeData.permuted` records), so a
+        partitioned run reads the caller's array in the caller's order
+        and no permuted copy of ``X`` exists.
     cache_input_propagation:
         Compute layer 0's ``A X`` once, in the first *training*
         :meth:`forward`, and reuse it every later epoch (see
@@ -135,7 +158,7 @@ class DistributedGCN:
 
     def __init__(self,
                  adjacency_dist: DistSparseMatrix,
-                 features_dist: DistDenseMatrix,
+                 features: np.ndarray,
                  labels: np.ndarray,
                  train_mask: np.ndarray,
                  layer_dims: Sequence[int],
@@ -149,12 +172,10 @@ class DistributedGCN:
                  grad_overlap: bool = False,
                  grad_bucket_bytes: int = 0,
                  grad_dtype: Optional[str] = None,
-                 cache_input_propagation: bool = False) -> None:
-        if adjacency_dist.dist != features_dist.dist:
-            raise ValueError("adjacency and features use different distributions")
+                 cache_input_propagation: bool = False,
+                 feature_order: Optional[np.ndarray] = None) -> None:
         self.adjacency = adjacency_dist
         self.dtype = np.dtype(dtype)
-        self.features = features_dist
         self.dist = adjacency_dist.dist
         self.labels = np.asarray(labels)
         self.train_mask = np.asarray(train_mask, dtype=bool)
@@ -180,10 +201,7 @@ class DistributedGCN:
         self.grid = grid
 
         self.layer_dims = [int(d) for d in layer_dims]
-        if self.layer_dims[0] != features_dist.width:
-            raise ValueError(
-                f"layer_dims[0] = {self.layer_dims[0]} does not match the "
-                f"feature width {features_dist.width}")
+        self.set_features(features, feature_order)
         # Weight matrices are fully replicated; we store one canonical copy
         # and charge the replicated compute to every rank that owns it.
         self.weights: List[np.ndarray] = [
@@ -212,11 +230,10 @@ class DistributedGCN:
                                 sparsity_aware=sparsity_aware, grid=grid,
                                 dtype=self.dtype,
                                 pipeline_depth=self.pipeline_depth)
-        # (stored features operand, owned A X): keyed on the operand's
-        # identity, so assigning new ``features`` to a live model
-        # recomputes.
+        # (stored features array, owned A X): keyed on the array's
+        # identity, so set_features on a live model recomputes.
         self._input_propagation: Optional[
-            Tuple[DistDenseMatrix, DistDenseMatrix]] = None
+            Tuple[np.ndarray, DistDenseMatrix]] = None
 
         # Number of training vertices (global) — needed for the mean in the
         # loss; known to every process after setup.
@@ -236,30 +253,65 @@ class DistributedGCN:
     def n_layers(self) -> int:
         return len(self.weights)
 
+    def set_features(self, features: np.ndarray,
+                     order: Optional[np.ndarray] = None) -> None:
+        """Make ``features`` layer 0's input ``X``, in the caller's row
+        order ``order`` (see the ``feature_order`` parameter).
+
+        The array is held as a read-only view, not copied.  The
+        model-dtype operand :attr:`features` built from the previous one
+        is dropped, and :meth:`input_propagation` recomputes.
+        """
+        source = np.asarray(features).view()
+        source.flags.writeable = False
+        if source.ndim != 2 or source.shape[0] != self.dist.n:
+            raise ValueError(
+                f"features have shape {source.shape}, expected "
+                f"({self.dist.n}, f_0) rows for the graph's vertices")
+        if source.shape[1] != self.layer_dims[0]:
+            raise ValueError(
+                f"layer_dims[0] = {self.layer_dims[0]} does not match the "
+                f"feature width {source.shape[1]}")
+        if order is not None:
+            order = np.asarray(order, dtype=np.intp)
+            if order.shape != (self.dist.n,):
+                raise ValueError(f"feature order has shape {order.shape}, "
+                                 f"expected ({self.dist.n},)")
+        self._source, self._order = source, order
+        #: Each block row's rows of the stored array.
+        self._block_rows = [self._source_rows(self._block_slice(block))
+                            for block in range(self.dist.nblocks)]
+        self._features: Optional[DistDenseMatrix] = None
+
+    def _source_rows(self, rows):
+        """The stored array's rows of model rows ``rows`` (a slice or an
+        index array)."""
+        return rows if self._order is None else self._order[rows]
+
+    def _read_input(self, rows, lo: int, hi: int) -> np.ndarray:
+        """Columns ``[lo, hi)`` of the stored array's rows ``rows`` (see
+        :meth:`_source_rows`), at the storage dtype: the one read of
+        layer 0's input.  A slice is a view and an index array a gather
+        of just those rows; callers cast to the model dtype only what
+        they multiply."""
+        return self._source[rows, lo:hi]
+
     @property
     def features(self) -> DistDenseMatrix:
-        """Layer 0's input ``X`` in the model dtype.
-
-        The stored operand itself when its dtype is the model's; else a
-        model-dtype copy, built on first access and kept.  Only the
-        uncached training forward and callers that pass ``X`` on (the
-        inference forward, the planner's primed ``A X``) read this: the
-        cached ``A X`` and :meth:`global_logits` cast the stored operand
-        one column panel at a time.  Assigning a new operand drops the
-        copy and makes :meth:`input_propagation` recompute.
+        """Layer 0's input ``X`` in the model's row order and dtype,
+        built through :meth:`_read_input` on first access and kept:
+        read-only views of the stored array when it needs neither a
+        reorder nor a cast, else one copy.  Only the uncached training
+        forward and callers that pass ``X`` on (the inference forward,
+        the planner's primed ``A X``) read this: the cached ``A X`` and
+        :meth:`global_logits` read the stored array one panel at a time.
         """
-        stored = self._features
-        if stored.dtype == self.dtype:
-            return stored
-        if self._features_cast is None:
-            self._features_cast = DistDenseMatrix(stored.blocks, stored.dist,
-                                                  dtype=self.dtype)
-        return self._features_cast
-
-    @features.setter
-    def features(self, operand: DistDenseMatrix) -> None:
-        self._features = operand
-        self._features_cast: Optional[DistDenseMatrix] = None
+        if self._features is None:
+            width = self.layer_dims[0]
+            self._features = DistDenseMatrix(
+                [self._read_input(rows, 0, width)
+                 for rows in self._block_rows], self.dist, dtype=self.dtype)
+        return self._features
 
     def _input_panels(self) -> List[Tuple[int, int]]:
         """``[lo, hi)`` column panels of ``X``, each at most ``P`` wide,
@@ -337,8 +389,9 @@ class DistributedGCN:
         through the distributed SpMM on first use and kept.
 
         The product is computed in column panels ``[c, c + P)`` of
-        ``X`` (:meth:`_input_panels`), each cast from the stored operand
-        to the model dtype as it is read, so the plan's
+        ``X`` (:meth:`_input_panels`), each read from the stored array
+        by :meth:`_read_input` (gathered through the feature order, cast
+        to the model dtype), so the plan's
         workspaces grow only to a width training needs anyway and no
         width-``f_0`` workspace, exchange arena or model-dtype ``X`` ever
         exists.  The tail
@@ -353,25 +406,25 @@ class DistributedGCN:
         each panel is copied out into ``(n_b x f_0)`` blocks as soon as it
         is computed.
 
-        Keyed on the identity of the stored operand: assigning a new
-        ``features`` recomputes, mutating the blocks in place does not.
+        Keyed on the identity of the stored array: :meth:`set_features`
+        recomputes, mutating the caller's array in place does not.
         ``A X`` does not depend on the weights, so
         :meth:`load_weight_state` leaves it alone.
         """
-        features = self._features
+        source = self._source
         cached = self._input_propagation
-        if cached is not None and cached[0] is features:
+        if cached is not None and cached[0] is source:
             return cached[1]
         owned = DistDenseMatrix(
-            [np.empty((block.shape[0], features.width), dtype=self.dtype)
-             for block in features.blocks], self.dist, dtype=self.dtype)
+            [np.empty((size, self.layer_dims[0]), dtype=self.dtype)
+             for size in self.dist.block_sizes], self.dist, dtype=self.dtype)
         for lo, hi in self._input_panels():
             product = self.spmm(DistDenseMatrix(
-                [block[:, lo:hi] for block in features.blocks], self.dist,
-                dtype=self.dtype))
+                [self._read_input(rows, lo, hi) for rows in self._block_rows],
+                self.dist, dtype=self.dtype))
             for out, block in zip(owned.blocks, product.blocks):
                 out[:, lo:hi] = block
-        self._input_propagation = (features, owned)
+        self._input_propagation = (source, owned)
         return owned
 
     def prime_input_propagation(self, product: DistDenseMatrix) -> None:
@@ -382,15 +435,15 @@ class DistributedGCN:
         (:mod:`repro.plan.score`): the simulated clock of an epoch does
         not depend on the values it multiplies, so any operand of the
         product's shape prices the epoch the trainer runs after its real
-        one-off.  ``product`` must share the features' distribution,
+        one-off.  ``product`` must share the model's distribution, input
         width and dtype; it is kept, not copied, and is only read.
         """
-        features = self._features
-        if product.dist != features.dist or product.width != features.width \
-                or product.dtype != self.dtype:
+        if product.dist != self.dist or \
+                product.width != self.layer_dims[0] or \
+                product.dtype != self.dtype:
             raise ValueError("the primed A X must match the features' "
                              "distribution, width and dtype")
-        self._input_propagation = (features, product)
+        self._input_propagation = (self._source, product)
 
     # ------------------------------------------------------------------
     # forward / backward
@@ -844,30 +897,51 @@ class DistributedGCN:
         gathers activations, and neither does ours.  Each layer runs one
         adjacency block row at a time, so neither a stacked global
         adjacency nor a global ``n x f_0`` ``A X`` is ever built.  Layer
-        0 reads the stored ``X`` in the column panels of
-        :meth:`input_propagation`, each cast to the model dtype as it is
-        read, so no global model-dtype ``X`` is built either.  The host
-        CSR product is column-separable: the panels give the one-shot
-        ``A X`` bit for bit.
+        0 runs each block row in row chunks (:func:`_row_chunks`): a
+        chunk's CSR is compacted to the columns it touches (each row
+        keeps its entry order), only those rows of ``X`` are gathered
+        (:meth:`_read_input`, at the storage dtype), and the chunk
+        multiplies them in the column panels of :meth:`input_propagation`,
+        each cast to the model dtype as it is read, so neither a
+        model-dtype ``X`` nor an ``n_b x f_0`` block is built.  The host
+        CSR product is row- and column-separable, and every chunk's GEMM
+        sees at least :data:`LOGITS_CHUNK_ROWS` rows (or its whole block
+        row), so the result is the one-shot row-blocked product bit for
+        bit (``tests/oracle.py::row_blocked_logits``).
         """
-        features = self._features
         panels = self._input_panels()
         h = None
         for weight, (act, _) in zip(self.weights, self._activations):
             out = []
             for rows in self.adjacency.block_rows:
                 if h is None:                               # layer 0
-                    propagated = np.empty((rows.shape[0], features.width),
-                                          dtype=self.dtype)
-                    for lo, hi in panels:
-                        propagated[:, lo:hi] = rows @ np.concatenate(
-                            [block[:, lo:hi] for block in features.blocks],
-                            dtype=self.dtype)
+                    out.extend(act(self._propagate_input(rows, lo, hi,
+                                                         panels) @ weight)
+                               for lo, hi in _row_chunks(rows.shape[0]))
                 else:
-                    propagated = rows @ h
-                out.append(act(propagated @ weight))
+                    out.append(act((rows @ h) @ weight))
             h = np.concatenate(out)
         return h
+
+    def _propagate_input(self, rows, lo: int, hi: int,
+                         panels: List[Tuple[int, int]]) -> np.ndarray:
+        """Rows ``[lo, hi)`` of the CSR block row ``rows`` times ``X``,
+        in the model dtype, one column panel at a time.  The touched
+        rows are gathered once, at full width: one gather per panel
+        re-reads every row ``f_0 / P`` times and took 1.85x the
+        unchunked time on amazon 1.0's 1.5D blocks (1.32x this way)."""
+        start, stop = rows.indptr[lo], rows.indptr[hi]
+        cols, local = np.unique(self._source_rows(rows.indices[start:stop]),
+                                return_inverse=True)
+        chunk = sp.csr_matrix(
+            (rows.data[start:stop], local, rows.indptr[lo:hi + 1] - start),
+            shape=(hi - lo, cols.size))
+        width = self.layer_dims[0]
+        touched = self._read_input(cols, 0, width)
+        propagated = np.empty((hi - lo, width), dtype=self.dtype)
+        for a, b in panels:
+            propagated[:, a:b] = chunk @ touched[:, a:b].astype(self.dtype)
+        return propagated
 
     def predictions(self) -> np.ndarray:
         """Predicted class per vertex (permuted vertex order)."""

@@ -47,7 +47,7 @@ from .checkpoint import (CheckpointManager, TrainingCheckpoint,
                          config_fingerprint)
 from .config import Algorithm, DistTrainConfig, training_layer_dims
 from .dist_gcn import DistributedGCN
-from .dist_matrix import BlockRowDistribution, DistDenseMatrix, DistSparseMatrix
+from .dist_matrix import BlockRowDistribution, DistSparseMatrix
 from .distribute import distribute
 from .spmm_15d import ProcessGrid
 
@@ -113,15 +113,18 @@ class DistTrainResult:
 class DistributedSetup:
     """The distributed state built by :func:`setup_distributed`.
 
-    ``model``'s features blocks are read-only views that alias
-    ``node_data.features`` (no copy, at its storage dtype); with no
-    partitioner that is the caller's ``dataset.node_data.features``, so
-    writing that array in place changes what the model reads.
+    ``node_data`` is in the permuted vertex order, except its
+    ``features``: they are the caller's ``dataset.node_data.features``
+    itself, in the caller's order and never copied, and
+    ``node_data.feature_order`` (``None`` with no partitioner) maps
+    permuted vertex ``i`` to its row ``feature_order[i]``.  ``model``
+    reads that one array (read-only, at its storage dtype), so writing
+    it in place changes what the model reads.
     """
 
     model: DistributedGCN
     comm: Communicator
-    node_data: NodeData            # in permuted vertex order
+    node_data: NodeData            # permuted order; features: the caller's
     partition: Optional[PartitionResult]
     distribution: BlockRowDistribution
     grid: Optional[ProcessGrid]
@@ -209,22 +212,11 @@ def build_setup(config: DistTrainConfig, comm: Communicator,
     run through here, and the planner every candidate it prices
     (:mod:`repro.plan.score`), so both run the same model.
 
-    Layer 0's input is not copied: the model's features blocks are
-    read-only row-block views of ``node_data.features`` at its storage
-    dtype, so they alias it — and, with no partitioner, the caller's
-    ``dataset.node_data.features`` itself.  The model casts what it reads
-    to ``config.dtype`` (:attr:`DistributedGCN.features`)."""
-    dtype = config.np_dtype
-    features = np.asarray(node_data.features)
-    views = []
-    for block in range(adjacency_dist.nblocks):
-        lo, hi = adjacency_dist.dist.block_range(block)
-        view = features[lo:hi]
-        view.flags.writeable = False
-        views.append(view)
-    features_dist = DistDenseMatrix(views, adjacency_dist.dist,
-                                    dtype=features.dtype)
-
+    Layer 0's input is not copied: the model holds ``node_data.features``
+    itself (read-only, at its storage dtype) with
+    ``node_data.feature_order``, and gathers and casts to
+    ``config.dtype`` only the panels it reads
+    (:meth:`DistributedGCN._read_input`)."""
     grid = None
     if config.algorithm == Algorithm.ONE_POINT_FIVE_D:
         grid = ProcessGrid(nranks=config.n_ranks,
@@ -234,7 +226,8 @@ def build_setup(config: DistTrainConfig, comm: Communicator,
                                config.hidden, config.n_layers)
     model = DistributedGCN(
         adjacency_dist=adjacency_dist,
-        features_dist=features_dist,
+        features=node_data.features,
+        feature_order=node_data.feature_order,
         labels=node_data.labels,
         train_mask=node_data.train_mask,
         layer_dims=dims,
@@ -243,7 +236,7 @@ def build_setup(config: DistTrainConfig, comm: Communicator,
         sparsity_aware=config.sparsity_aware,
         grid=grid,
         seed=config.seed,
-        dtype=dtype,
+        dtype=config.np_dtype,
         pipeline_depth=config.pipeline_depth,
         grad_overlap=config.grad_overlap,
         grad_bucket_bytes=resolve_grad_bucket_bytes(config),

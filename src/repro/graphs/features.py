@@ -34,6 +34,11 @@ class NodeData:
     train_mask / val_mask / test_mask:
         Boolean masks selecting the supervised, validation and held-out
         vertices.
+    feature_order:
+        ``None`` when ``features`` is in the vertex order of the other
+        fields.  Else vertex ``i``'s features are ``features[
+        feature_order[i]]``: :meth:`permuted` records the relabelling
+        here instead of copying ``features``.
     """
 
     features: np.ndarray
@@ -41,6 +46,7 @@ class NodeData:
     train_mask: np.ndarray
     val_mask: np.ndarray
     test_mask: np.ndarray
+    feature_order: Optional[np.ndarray] = None
 
     @property
     def n_vertices(self) -> int:
@@ -55,21 +61,33 @@ class NodeData:
         return int(self.labels.max()) + 1 if self.labels.size else 0
 
     def permuted(self, perm: np.ndarray) -> "NodeData":
-        """Apply a vertex relabelling ``perm[old] = new`` to every field."""
+        """Apply a vertex relabelling ``perm[old] = new``.
+
+        The labels and masks are copied in the new order.  ``features``
+        is the same array, not copied (an ``(n, f)`` matrix is most of a
+        dataset's bytes): the relabelling is composed into
+        ``feature_order``, so new vertex ``i`` reads ``features[
+        feature_order[i]]``.
+        """
         perm = np.asarray(perm)
         inv = np.empty_like(perm)
         inv[perm] = np.arange(perm.size)
         return NodeData(
-            features=self.features[inv],
+            features=self.features,
             labels=self.labels[inv],
             train_mask=self.train_mask[inv],
             val_mask=self.val_mask[inv],
             test_mask=self.test_mask[inv],
+            feature_order=inv if self.feature_order is None
+            else self.feature_order[inv],
         )
 
     def validate(self) -> None:
         n = self.features.shape[0]
-        for name in ("labels", "train_mask", "val_mask", "test_mask"):
+        names = ["labels", "train_mask", "val_mask", "test_mask"]
+        if self.feature_order is not None:
+            names.append("feature_order")
+        for name in names:
             arr = getattr(self, name)
             if arr.shape[0] != n:
                 raise ValueError(f"{name} has {arr.shape[0]} rows, expected {n}")

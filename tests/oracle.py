@@ -79,6 +79,15 @@ def single_node_logits(model, features: np.ndarray) -> np.ndarray:
     return h
 
 
+def vertex_order_features(node_data) -> np.ndarray:
+    """``node_data``'s features in its vertex order: a permuted
+    ``NodeData`` keeps the caller's array and records the order in
+    ``feature_order``, so an oracle gathers the rows the model reads."""
+    order = node_data.feature_order
+    return node_data.features if order is None else \
+        node_data.features[order]
+
+
 def row_blocked_logits(model, features: np.ndarray) -> np.ndarray:
     """Paper-order forward of ``features`` on the host, cast to the model
     dtype up front and propagated one adjacency block row at a time with

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.comm import make_communicator
-from repro.core import (Algorithm, BlockRowDistribution, DistDenseMatrix,
+from repro.core import (Algorithm, BlockRowDistribution,
                         DistSparseMatrix, DistributedGCN, ProcessGrid)
 from repro.gcn import GCNModel
 from repro.graphs import gcn_normalize, load_dataset
@@ -26,8 +26,7 @@ def build_model(ds, matrix, p=4, algorithm=Algorithm.ONE_D, c=1,
     grid = ProcessGrid(p, c) if algorithm == Algorithm.ONE_POINT_FIVE_D else None
     model = DistributedGCN(
         adjacency_dist=DistSparseMatrix(matrix, dist),
-        features_dist=DistDenseMatrix.from_global(
-            ds.node_data.features.astype(np.float64), dist),
+        features=ds.node_data.features.astype(np.float64),
         labels=ds.node_data.labels,
         train_mask=ds.node_data.train_mask,
         layer_dims=[ds.node_data.n_features, 8, ds.node_data.n_classes],
@@ -47,8 +46,7 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DistributedGCN(
                 adjacency_dist=DistSparseMatrix(matrix, dist),
-                features_dist=DistDenseMatrix.from_global(
-                    ds.node_data.features.astype(np.float64), dist),
+                features=ds.node_data.features.astype(np.float64),
                 labels=ds.node_data.labels,
                 train_mask=ds.node_data.train_mask,
                 layer_dims=[ds.node_data.n_features, 8, ds.node_data.n_classes],
@@ -74,8 +72,7 @@ class TestConstruction:
         def build(adjacency, cached):
             return DistributedGCN(
                 adjacency_dist=adjacency,
-                features_dist=DistDenseMatrix.from_global(
-                    ds.node_data.features.astype(np.float64), dist),
+                features=ds.node_data.features.astype(np.float64),
                 labels=ds.node_data.labels,
                 train_mask=ds.node_data.train_mask,
                 layer_dims=[ds.node_data.n_features, 8,
@@ -106,8 +103,7 @@ class TestConstruction:
         for _ in range(2):
             DistributedGCN(
                 adjacency_dist=adjacency,
-                features_dist=DistDenseMatrix.from_global(
-                    ds.node_data.features, dist),
+                features=ds.node_data.features,
                 labels=ds.node_data.labels,
                 train_mask=ds.node_data.train_mask,
                 layer_dims=[ds.node_data.n_features, 8,
@@ -124,8 +120,7 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DistributedGCN(
                 adjacency_dist=DistSparseMatrix(matrix, dist),
-                features_dist=DistDenseMatrix.from_global(
-                    ds.node_data.features.astype(np.float64), dist),
+                features=ds.node_data.features.astype(np.float64),
                 labels=ds.node_data.labels,
                 train_mask=ds.node_data.train_mask,
                 layer_dims=[ds.node_data.n_features, 8, ds.node_data.n_classes],
@@ -139,8 +134,7 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DistributedGCN(
                 adjacency_dist=DistSparseMatrix(matrix, dist),
-                features_dist=DistDenseMatrix.from_global(
-                    ds.node_data.features.astype(np.float64), dist),
+                features=ds.node_data.features.astype(np.float64),
                 labels=ds.node_data.labels,
                 train_mask=ds.node_data.train_mask,
                 layer_dims=[999, 8, ds.node_data.n_classes],
@@ -153,8 +147,7 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DistributedGCN(
                 adjacency_dist=DistSparseMatrix(matrix, dist),
-                features_dist=DistDenseMatrix.from_global(
-                    ds.node_data.features.astype(np.float64), dist),
+                features=ds.node_data.features.astype(np.float64),
                 labels=ds.node_data.labels,
                 train_mask=np.zeros(matrix.shape[0], dtype=bool),
                 layer_dims=[ds.node_data.n_features, 8, ds.node_data.n_classes],
@@ -167,8 +160,7 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DistributedGCN(
                 adjacency_dist=DistSparseMatrix(matrix, dist),
-                features_dist=DistDenseMatrix.from_global(
-                    ds.node_data.features.astype(np.float64), dist),
+                features=ds.node_data.features.astype(np.float64),
                 labels=ds.node_data.labels,
                 train_mask=ds.node_data.train_mask,
                 layer_dims=[ds.node_data.n_features, 8, ds.node_data.n_classes],

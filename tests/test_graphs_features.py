@@ -108,16 +108,20 @@ class TestNodeData:
         inv[perm] = np.arange(perm.size)
         back = data.permuted(perm).permuted(inv)
         np.testing.assert_array_equal(back.labels, data.labels)
-        np.testing.assert_allclose(back.features, data.features)
+        assert back.features is data.features
+        np.testing.assert_array_equal(back.feature_order,
+                                      np.arange(data.n_vertices))
         np.testing.assert_array_equal(back.train_mask, data.train_mask)
 
     def test_permuted_moves_rows_consistently(self, graph):
         data = make_node_data(graph, 5, 3, seed=0)
         perm = np.random.default_rng(1).permutation(data.n_vertices)
         permuted = data.permuted(perm)
-        # Vertex v ends up at position perm[v] with all its attributes.
+        permuted.validate()
+        # Vertex v ends up at position perm[v] with all its attributes;
+        # its features stay in place and the order points at them.
         v = 17
-        np.testing.assert_allclose(permuted.features[perm[v]],
-                                   data.features[v])
+        assert permuted.features is data.features
+        assert permuted.feature_order[perm[v]] == v
         assert permuted.labels[perm[v]] == data.labels[v]
         assert permuted.train_mask[perm[v]] == data.train_mask[v]

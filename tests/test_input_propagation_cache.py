@@ -29,6 +29,7 @@ from repro.core import (DistDenseMatrix, DistributedGCN, DistTrainConfig,
                         epoch_spmm_widths, spmm,
                         predicted_bytes_per_spmm, setup_distributed,
                         train_distributed)
+from repro.core.dist_gcn import LOGITS_CHUNK_ROWS, _row_chunks
 from repro.core.engine import CompiledSpmm
 from repro.gcn import GCNModel, ReferenceTrainConfig, train_reference
 from repro.graphs import gcn_normalize, load_dataset
@@ -202,9 +203,11 @@ class TestAliasing:
             with setup.comm:
                 m = setup.model
                 model = DistributedGCN(
-                    m.adjacency, m.features, m.labels, m.train_mask, dims,
-                    setup.comm, algorithm=config.algorithm, grid=setup.grid,
-                    cache_input_propagation=cached)
+                    m.adjacency, setup.node_data.features, m.labels,
+                    m.train_mask, dims, setup.comm,
+                    algorithm=config.algorithm, grid=setup.grid,
+                    cache_input_propagation=cached,
+                    feature_order=setup.node_data.feature_order)
                 caches = model.forward()
                 assert [c.propagated is not None for c in caches] == \
                     [cached, cached, False]
@@ -487,8 +490,9 @@ class TestInvalidation:
             model.train_epoch(lr)
             first = model.input_propagation()
             trained = model.weight_state()
-            replacement = random_operand(model, model.layer_dims[0], seed=9)
-            model.features = replacement
+            replacement = random_operand(model, model.layer_dims[0],
+                                         seed=9).to_global()
+            model.set_features(replacement)
             got = [model.train_epoch(lr) for _ in range(2)]
             assert model.input_propagation() is not first
 
@@ -496,7 +500,7 @@ class TestInvalidation:
         fresh = setup_distributed(dataset, config)
         with fresh.comm:
             fresh.model.load_weight_state(trained)
-            fresh.model.features = replacement
+            fresh.model.set_features(replacement)
             want = [fresh.model.train_epoch(lr) for _ in range(2)]
         assert got == want
         for a, b in zip(model.weight_state(), fresh.model.weight_state()):
@@ -514,17 +518,51 @@ class TestInvalidation:
 # ----------------------------------------------------------------------
 # Layer 0's operand: held once, at its storage dtype
 # ----------------------------------------------------------------------
+#: The train gate's graphs and variants (``benchmarks/e2e/workloads.py``):
+#: amazon 1.0 at p = 4 on 1D and 1.5D c = 2, protein 1.0 at p = 4 on 1D.
+GATE_SHAPES = [
+    pytest.param(("amazon", dict(algorithm="1d")), id="amazon-1d"),
+    pytest.param(("amazon", dict(algorithm="1.5d", replication_factor=2)),
+                 id="amazon-1.5d-c2"),
+    pytest.param(("protein", dict(algorithm="1d")), id="protein-1d"),
+]
+
+
+def gate_config(variant: dict, dtype: str) -> DistTrainConfig:
+    return DistTrainConfig(n_ranks=4, partitioner="gvb", hidden=16,
+                           n_layers=3, dtype=dtype, **variant)
+
+
 class TestLayerZeroOperand:
     @pytest.fixture(scope="class")
     def amazon(self):
         return load_dataset("amazon", scale=0.2, seed=0)
 
+    @pytest.fixture(scope="class")
+    def gate_partitions(self):
+        """``(name, variant) -> (dataset, partition)``, each partitioned
+        once for the class."""
+        datasets, partitions = {}, {}
+
+        def get(name: str, variant: dict):
+            if name not in datasets:
+                datasets[name] = load_dataset(name, scale=1.0, seed=0)
+            config = gate_config(variant, "float64")
+            key = (name, config.n_block_rows)
+            if key not in partitions:
+                setup = setup_distributed(datasets[name], config)
+                setup.comm.close()
+                partitions[key] = setup.partition
+            return datasets[name], partitions[key]
+        return get
+
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_driver_holds_x_once(self, amazon, variant):
-        """After set-up plus one cached epoch the driver holds the
-        permuted storage-dtype ``X`` (half of ``n f_0`` float64 words),
-        the kept ``A X`` (one) and the rest of the model — never a
-        model-dtype copy of ``X`` on top (that was 2.86x)."""
+        """After set-up plus one cached epoch the driver holds the kept
+        ``A X`` (one ``n f_0`` float64 word each) and the rest of the
+        model, and reads the caller's storage-dtype ``X`` in place:
+        1.37x (1D) and 1.35x (1.5D c = 2) measured.  A permuted copy of
+        ``X`` (0.5) on top was 1.86x, a model-dtype one 2.86x."""
         n, f0 = amazon.node_data.features.shape
         assert amazon.node_data.features.dtype == np.float32
         config = DistTrainConfig(n_ranks=4, partitioner="gvb",
@@ -537,7 +575,7 @@ class TestLayerZeroOperand:
                 held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert held < 2.25 * n * f0 * 8
+        assert held < 1.6 * n * f0 * 8
 
     @pytest.mark.parametrize("cached", (True, False))
     @pytest.mark.parametrize("dtype", ("float64", "float32"))
@@ -554,8 +592,64 @@ class TestLayerZeroOperand:
             logits = model.global_logits()
         assert logits.dtype == np.dtype(dtype)
         np.testing.assert_array_equal(
-            logits, oracle.row_blocked_logits(model,
-                                              setup.node_data.features))
+            logits, oracle.row_blocked_logits(
+                model, oracle.vertex_order_features(setup.node_data)))
+
+    @pytest.mark.parametrize("dtype", ("float64", "float32"))
+    @pytest.mark.parametrize("shape", GATE_SHAPES)
+    def test_global_logits_chunks_are_bitwise_on_the_gate_shapes(
+            self, gate_partitions, shape, dtype):
+        """The gate's blocks split into several chunks, and the chunked
+        layer 0 (compacted CSR, gathered rows, GEMMs of >= 512 rows)
+        still equals the one-shot row-blocked product bit for bit."""
+        name, variant = shape
+        dataset, partition = gate_partitions(name, variant)
+        setup = setup_distributed(dataset, gate_config(variant, dtype),
+                                  partition=partition)
+        with setup.comm:
+            model = setup.model
+            model.train_epoch(0.05)
+            logits = model.global_logits()
+        chunks = [_row_chunks(rows.shape[0])
+                  for rows in model.adjacency.block_rows]
+        assert max(map(len, chunks)) >= 2
+        assert min(hi - lo for block in chunks for lo, hi in block) >= \
+            LOGITS_CHUNK_ROWS
+        assert logits.dtype == np.dtype(dtype)
+        np.testing.assert_array_equal(
+            logits, oracle.row_blocked_logits(
+                model, oracle.vertex_order_features(setup.node_data)))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_global_logits_holds_no_block_of_a_x(self, gate_partitions,
+                                                 variant):
+        """``global_logits()``' transient peak on amazon 1.0 stays under
+        half of ``n f_0`` float64 words: 0.44x (1.5D c = 2) and 0.38x
+        (1D) measured.  One ``n_b x f_0`` ``A X`` block per block row
+        was 1.03x and 0.57x."""
+        dataset, partition = gate_partitions("amazon", variant)
+        n, f0 = dataset.node_data.features.shape
+        setup = setup_distributed(dataset, gate_config(variant, "float64"),
+                                  partition=partition)
+        with setup.comm:
+            model = setup.model
+            model.train_epoch(0.05)
+            tracemalloc.start()
+            try:
+                model.global_logits()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 0.5 * n * f0 * 8
+
+    def test_row_chunks_fold_the_tail(self):
+        c = LOGITS_CHUNK_ROWS
+        assert _row_chunks(0) == [(0, 0)]
+        assert _row_chunks(c - 1) == [(0, c - 1)]
+        assert _row_chunks(2 * c - 1) == [(0, 2 * c - 1)]
+        assert _row_chunks(2 * c) == [(0, c), (c, 2 * c)]
+        assert _row_chunks(3 * c + 7) == [(0, c), (c, 2 * c),
+                                          (2 * c, 3 * c + 7)]
 
     @pytest.mark.parametrize("dtype", ("float64", "float32"))
     def test_features_are_the_permuted_input_in_the_model_dtype(
@@ -569,7 +663,7 @@ class TestLayerZeroOperand:
             assert features.dtype == model.dtype == np.dtype(dtype)
             np.testing.assert_array_equal(
                 features.to_global(),
-                setup.node_data.features.astype(dtype))
+                oracle.vertex_order_features(setup.node_data).astype(dtype))
             assert model.features is features           # built once
             model.train_epoch(0.05)
             assert model.features is features
