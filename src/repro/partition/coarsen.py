@@ -104,7 +104,6 @@ def contract_graph(adj: sp.csr_matrix, match: np.ndarray,
     keep = crow != ccol
     coarse_adj = sp.coo_matrix(
         (coo.data[keep], (crow[keep], ccol[keep])), shape=(nc, nc)).tocsr()
-    coarse_adj.sum_duplicates()
 
     coarse_weights = np.zeros(nc)
     np.add.at(coarse_weights, coarse_map, vertex_weights)
