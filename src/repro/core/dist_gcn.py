@@ -304,7 +304,8 @@ class DistributedGCN:
         reorder nor a cast, else one copy.  Only the uncached training
         forward and callers that pass ``X`` on (the inference forward,
         the planner's primed ``A X``) read this: the cached ``A X`` and
-        :meth:`global_logits` read the stored array one panel at a time.
+        :meth:`global_logits` read the stored array directly and cast one
+        column panel at a time.
         """
         if self._features is None:
             width = self.layer_dims[0]
