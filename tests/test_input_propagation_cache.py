@@ -559,10 +559,10 @@ class TestLayerZeroOperand:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_driver_holds_x_once(self, amazon, variant):
         """After set-up plus one cached epoch the driver holds the kept
-        ``A X`` (one ``n f_0`` float64 word each) and the rest of the
-        model, and reads the caller's storage-dtype ``X`` in place:
-        1.37x (1D) and 1.35x (1.5D c = 2) measured.  A permuted copy of
-        ``X`` (0.5) on top was 1.86x, a model-dtype one 2.86x."""
+        ``A X`` (1.0 in units of ``n f_0`` float64 words) and the rest
+        of the model, and reads the caller's storage-dtype ``X`` in
+        place: 1.37x (1D) and 1.35x (1.5D c = 2) measured.  A permuted
+        copy of ``X`` (0.5) on top was 1.86x, a model-dtype one 2.86x."""
         n, f0 = amazon.node_data.features.shape
         assert amazon.node_data.features.dtype == np.float32
         config = DistTrainConfig(n_ranks=4, partitioner="gvb",
