@@ -68,7 +68,11 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 shm_segments() { ls /dev/shm 2>/dev/null | { grep '^rpr' || true; } | sort; }
 shm_before="$(shm_segments)"
 
-timeout 60 bash -c '
+# Every leg runs inside one function, exported to the timed shell: quoting
+# inside a leg (an apostrophe in a comment or in inline Python) cannot end
+# its body, as it did a single-quoted `bash -c` string.  The last leg
+# leaves a marker; without it the script fails even if the shell exited 0.
+legs() {
   set -euo pipefail
   for backend in sim process; do
     echo "== repro tune --quick --backend ${backend} =="
@@ -372,7 +376,16 @@ for p in (2, 4):
 print(f"partition_gvb: amazon {scale} p=2, p=4 match the golden edgecut "
       "and volumes")
 PYEOF
-'
+  touch "${SMOKE_LAST_LEG}"
+}
+export -f legs
+SMOKE_LAST_LEG="$(mktemp -d)/last_leg_ran"
+export SMOKE_LAST_LEG
+timeout 60 bash -c legs
+if [ ! -e "${SMOKE_LAST_LEG}" ]; then
+  echo "smoke: the last leg (bench_kernels --quick) did not run" >&2
+  exit 1
+fi
 
 echo "== no shared-memory segment outlives the run =="
 leaked="$(comm -13 <(echo "${shm_before}") <(shm_segments))"

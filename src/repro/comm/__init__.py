@@ -16,8 +16,8 @@ swappable communicator backends behind one abstract interface:
 * :mod:`repro.comm.process`     — :class:`ProcessPoolCommunicator`, one OS
   process per rank with shared-memory transport (no shared interpreter
   state between ranks; runs each step as cached worker commands),
-* :mod:`repro.comm.factory`     — :func:`make_communicator` /
-  :func:`register_backend`, the backend registry call sites go through,
+* :mod:`repro.comm.factory`     — :func:`make_communicator` and the
+  :data:`BACKENDS` table call sites go through,
 * :mod:`repro.comm.faults`      — deterministic fault injection
   (:class:`FaultPlan`) and the structured :class:`WorkerFailure` every
   backend raises when a rank is lost,
@@ -32,8 +32,7 @@ See ``docs/backends.md`` for how to pick a backend and how to add one.
 from .base import (CommHandle, CompletedCommHandle, Communicator,
                    payload_nbytes, reduce_stack)
 from .events import CommEvent, EventLog
-from .factory import (BACKENDS, available_backends, make_communicator,
-                      register_backend)
+from .factory import BACKENDS, available_backends, make_communicator
 from .faults import (FaultPlan, FaultSpec, WatchdogTimeout,
                      WorkerFailure)
 from .machine import (MachineModel, PRESETS, get_machine, laptop, perlmutter,
@@ -52,7 +51,6 @@ __all__ = [
     "BACKENDS",
     "available_backends",
     "make_communicator",
-    "register_backend",
     "FaultPlan",
     "FaultSpec",
     "WatchdogTimeout",

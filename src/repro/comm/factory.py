@@ -1,4 +1,4 @@
-"""Communicator backend registry and factory.
+"""Communicator backend table and factory.
 
 Call sites never instantiate a concrete communicator class; they ask the
 factory for one by name::
@@ -9,10 +9,8 @@ factory for one by name::
     comm = make_communicator(8, backend="threaded")   # real worker threads
     comm = make_communicator(8, backend="process")    # one OS process/rank
 
-New backends (process-based, MPI, GPU models, ...) plug in through
-:func:`register_backend` without touching any call site — this is the seam
-the ROADMAP's multi-backend scaling work builds on (see
-``docs/backends.md``).
+A new backend (MPI, GPU models, ...) is one more :data:`BACKENDS` entry;
+no call site changes (see ``docs/backends.md``).
 """
 
 from __future__ import annotations
@@ -24,31 +22,20 @@ from .process import ProcessPoolCommunicator
 from .simulator import SimCommunicator
 from .threaded import ThreadedCommunicator
 
-__all__ = ["BACKENDS", "available_backends", "make_communicator",
-           "register_backend"]
+__all__ = ["BACKENDS", "available_backends", "make_communicator"]
 
-#: name -> factory callable ``(nranks, **kwargs) -> Communicator``.
-BACKENDS: Dict[str, Callable[..., Communicator]] = {}
-
-
-def register_backend(name: str,
-                     factory: Callable[..., Communicator],
-                     overwrite: bool = False) -> None:
-    """Register a communicator backend under ``name``.
-
-    ``factory`` must accept ``nranks`` as its first positional argument and
-    tolerate a ``machine`` keyword (ignore it if meaningless for the
-    backend) so that configuration objects can be backend-agnostic.
-    """
-    if not name or not isinstance(name, str):
-        raise ValueError(f"backend name must be a non-empty string, got {name!r}")
-    if name in BACKENDS and not overwrite:
-        raise ValueError(f"backend {name!r} is already registered")
-    BACKENDS[name] = factory
+#: name -> factory callable ``(nranks, **kwargs) -> Communicator``; a
+#: factory tolerates a ``machine`` keyword (ignoring it if meaningless
+#: for the backend) so that configuration objects can be backend-agnostic.
+BACKENDS: Dict[str, Callable[..., Communicator]] = {
+    "sim": SimCommunicator,
+    "threaded": ThreadedCommunicator,
+    "process": ProcessPoolCommunicator,
+}
 
 
 def available_backends() -> List[str]:
-    """Names of all registered communicator backends."""
+    """Names of all communicator backends."""
     return sorted(BACKENDS)
 
 
@@ -61,7 +48,7 @@ def make_communicator(nranks: int, backend: str = "sim",
     nranks:
         Number of ranks (simulated clocks or real workers).
     backend:
-        Registered backend name; see :func:`available_backends`.
+        Backend name; see :func:`available_backends`.
     **kwargs:
         Forwarded to the backend factory (e.g. ``machine="perlmutter"``
         for the simulator; real backends ignore the machine model).
@@ -73,8 +60,3 @@ def make_communicator(nranks: int, backend: str = "sim",
             f"unknown communicator backend {backend!r}; "
             f"available: {available_backends()}") from None
     return factory(nranks, **kwargs)
-
-
-register_backend("sim", SimCommunicator)
-register_backend("threaded", ThreadedCommunicator)
-register_backend("process", ProcessPoolCommunicator)

@@ -16,7 +16,7 @@ from .checkpoint import (CheckpointError, CheckpointManager,
                          read_checkpoint, write_checkpoint)
 from .dist_gcn import DistLayerCache, DistributedGCN
 from .dist_matrix import BlockRowDistribution, DistDenseMatrix, DistSparseMatrix
-from .engine import SpmmVariant, available_spmm_variants, get_spmm, spmm
+from .engine import available_spmm_variants, get_spmm, spmm
 from .gradsync import (GRAD_DTYPES, DeferredScalar, GradientExchanger,
                        PendingGradients, decode_bfloat16,
                        default_bucket_bytes, encode_bfloat16)
@@ -40,7 +40,7 @@ __all__ = [
     "spmm_cost_15d_oblivious", "spmm_cost_15d_sparsity_aware",
     "DistLayerCache", "DistributedGCN",
     "BlockRowDistribution", "DistDenseMatrix", "DistSparseMatrix",
-    "SpmmVariant", "available_spmm_variants", "get_spmm", "spmm",
+    "available_spmm_variants", "get_spmm", "spmm",
     "GRAD_DTYPES", "DeferredScalar", "GradientExchanger", "PendingGradients",
     "decode_bfloat16", "default_bucket_bytes", "encode_bfloat16",
     "MemoryEstimate", "estimate_rank_memory", "fits_in_memory",

@@ -22,6 +22,7 @@ integration tests assert this for every algorithm variant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -185,20 +186,23 @@ class DistributedGCN:
         self.comm = comm
         self.algorithm = algorithm
         self.sparsity_aware = sparsity_aware
-
-        if algorithm == Algorithm.ONE_POINT_FIVE_D:
-            if grid is None:
-                raise ValueError("the 1.5D algorithm requires a ProcessGrid")
-            if grid.nrows != self.dist.nblocks:
-                raise ValueError("grid rows must match the block-row count")
-            if grid.nranks != comm.nranks:
-                raise ValueError("grid size must match the communicator size")
-        elif algorithm == Algorithm.ONE_D:
-            if self.dist.nblocks != comm.nranks:
-                raise ValueError("1D needs one block row per rank")
-        else:
-            raise ValueError(f"unknown algorithm {algorithm!r}")
         self.grid = grid
+        # One persistent SpMM plan for the (static) graph: packed gather
+        # indices and exchange schedules, derived once; compiling checks
+        # the algorithm, the grid and the block rows against the ranks.
+        # It serves every width — the epoch schedule's, the A X panels',
+        # and the serving path's coalesced micro-batches at ``streams *
+        # f`` columns — and sizes its workspaces on first use.
+        self.pipeline_depth = int(pipeline_depth)
+        self._op = compile_spmm(adjacency_dist, comm, algorithm=algorithm,
+                                sparsity_aware=sparsity_aware, grid=grid,
+                                dtype=self.dtype,
+                                pipeline_depth=self.pipeline_depth)
+        #: Ranks holding (a replica of) each block row; the first, the
+        #: block's lead, runs its dense work (:meth:`_blockwise`).
+        self._owners = [[block] if grid is None else grid.row_group(block)
+                        for block in range(self.dist.nblocks)]
+        self._leads = [owners[0] for owners in self._owners]
 
         self.layer_dims = [int(d) for d in layer_dims]
         self.set_features(features, feature_order)
@@ -211,12 +215,6 @@ class DistributedGCN:
             get_activation("identity" if l == len(self.weights) - 1 else "relu")
             for l in range(len(self.weights))]
 
-        # One persistent SpMM plan for the (static) graph: packed gather
-        # indices and exchange schedules, derived once.  It serves every
-        # width — the epoch schedule's, the A X panels', and the serving
-        # path's coalesced micro-batches at ``streams * f`` columns — and
-        # sizes its workspaces on first use.
-        self.pipeline_depth = int(pipeline_depth)
         self.cache_input_propagation = bool(cache_input_propagation)
         if self.cache_input_propagation:
             asymmetric = adjacency_dist.asymmetric_entries()
@@ -226,10 +224,6 @@ class DistributedGCN:
                     "entries differ from their transpose); "
                     "cache_input_propagation reassociates the backward "
                     "through A = A^T")
-        self._op = compile_spmm(adjacency_dist, comm, algorithm=algorithm,
-                                sparsity_aware=sparsity_aware, grid=grid,
-                                dtype=self.dtype,
-                                pipeline_depth=self.pipeline_depth)
         # (stored features array, owned A X): keyed on the array's
         # identity, so set_features on a live model recomputes.
         self._input_propagation: Optional[
@@ -309,9 +303,9 @@ class DistributedGCN:
         """
         if self._features is None:
             width = self.layer_dims[0]
-            self._features = DistDenseMatrix(
+            self._features = self._distributed(
                 [self._read_input(rows, 0, width)
-                 for rows in self._block_rows], self.dist, dtype=self.dtype)
+                 for rows in self._block_rows])
         return self._features
 
     def _input_panels(self) -> List[Tuple[int, int]]:
@@ -323,40 +317,52 @@ class DistributedGCN:
         panel = max(epoch_spmm_widths(self.layer_dims, True), default=width)
         return [(lo, min(lo + panel, width)) for lo in range(0, width, panel)]
 
-    def _owners_of_block(self, block: int) -> List[int]:
-        """Ranks that own (a replica of) block row ``block``."""
-        if self.algorithm == Algorithm.ONE_POINT_FIVE_D:
-            assert self.grid is not None
-            return self.grid.row_group(block)
-        return [block]
-
     def _charge_blockwise_gemm(self, rows: int, f_in: int, f_out: int,
                                block: int) -> None:
         flops = 2.0 * rows * f_in * f_out
-        for rank in self._owners_of_block(block):
+        for rank in self._owners[block]:
             self.comm.charge_gemm(rank, flops, category="local")
 
     def _charge_blockwise_elementwise(self, nelements: float, block: int) -> None:
-        for rank in self._owners_of_block(block):
+        for rank in self._owners[block]:
             self.comm.charge_elementwise(rank, nelements, category="local")
 
     def _block_slice(self, block: int) -> slice:
         lo, hi = self.dist.block_range(block)
         return slice(lo, hi)
 
-    def _parallel_over_blocks(self, make_task) -> None:
-        """Run one task per block row on the block's lead owner rank.
+    def _distributed(self, blocks) -> DistDenseMatrix:
+        """``blocks``, one per block row, as a matrix of the model dtype."""
+        return DistDenseMatrix(blocks, self.dist, dtype=self.dtype)
 
-        Under the simulator this executes sequentially (time comes from the
-        ``charge_*`` hooks inside the tasks, attributed to every replica);
-        real backends run the dense per-block math on the owning workers so
-        its wall time lands on the timeline.
+    def _blockwise(self, step) -> list:
+        """``[step(0), ..., step(nblocks - 1)]``: one ``parallel_for``
+        whose task for block row ``b`` runs ``step(b)`` on ``b``'s lead
+        owner rank.
+
+        Under the simulator the steps run sequentially (time comes from
+        the ``charge_*`` hooks inside them, attributed to every replica);
+        real backends run the dense per-block math on the owning workers
+        so its wall time lands on the timeline.
         """
-        leads = [self._owners_of_block(b)[0]
-                 for b in range(self.dist.nblocks)]
+        results = [None] * self.dist.nblocks
+
+        def task(block: int) -> None:
+            results[block] = step(block)
+
         self.comm.parallel_for(
-            [make_task(b) for b in range(self.dist.nblocks)],
-            ranks=leads, category="local")
+            [partial(task, block) for block in range(self.dist.nblocks)],
+            ranks=self._leads, category="local")
+        return results
+
+    def _lead_operands(self, parts) -> List[np.ndarray]:
+        """Per-rank operands of an all-reduce of one part per block row:
+        each block's lead owner contributes its part and every other
+        rank zeros, so a replicated block counts once."""
+        operands = [np.zeros_like(parts[0]) for _ in range(self.comm.nranks)]
+        for lead, part in zip(self._leads, parts):
+            operands[lead] = part
+        return operands
 
     # ------------------------------------------------------------------
     # distributed SpMM dispatch
@@ -416,13 +422,12 @@ class DistributedGCN:
         cached = self._input_propagation
         if cached is not None and cached[0] is source:
             return cached[1]
-        owned = DistDenseMatrix(
+        owned = self._distributed(
             [np.empty((size, self.layer_dims[0]), dtype=self.dtype)
-             for size in self.dist.block_sizes], self.dist, dtype=self.dtype)
+             for size in self.dist.block_sizes])
         for lo, hi in self._input_panels():
-            product = self.spmm(DistDenseMatrix(
-                [self._read_input(rows, lo, hi) for rows in self._block_rows],
-                self.dist, dtype=self.dtype))
+            product = self.spmm(self._distributed(
+                [self._read_input(rows, lo, hi) for rows in self._block_rows]))
             for out, block in zip(owned.blocks, product.blocks):
                 out[:, lo:hi] = block
         self._input_propagation = (source, owned)
@@ -513,34 +518,23 @@ class DistributedGCN:
             # plan's next SpMM overwrites: keep an owned copy.
             widening = self.cache_input_propagation and l > 0 and \
                 weight.shape[0] < weight.shape[1]
-            z_blocks: List[np.ndarray] = [None] * self.dist.nblocks
-            h_blocks: List[np.ndarray] = [None] * self.dist.nblocks
-            kept_blocks: List[np.ndarray] = [None] * self.dist.nblocks
 
-            def make_task(block, weight=weight, act=act,
-                          propagated=propagated, widening=widening):
-                def task() -> None:
-                    rows = self.dist.block_size(block)
-                    p_b = propagated.block(block)
-                    z_b = p_b @ weight                      # (A H) W
-                    self._charge_blockwise_gemm(rows, weight.shape[0],
-                                                weight.shape[1], block)
-                    h_b = act(z_b)
-                    self._charge_blockwise_elementwise(z_b.size, block)
-                    z_blocks[block] = z_b
-                    h_blocks[block] = h_b
-                    if widening:
-                        kept_blocks[block] = p_b.copy()
-                return task
+            def step(block):
+                rows = self.dist.block_size(block)
+                p_b = propagated.block(block)
+                z_b = p_b @ weight                          # (A H) W
+                self._charge_blockwise_gemm(rows, weight.shape[0],
+                                            weight.shape[1], block)
+                h_b = act(z_b)
+                self._charge_blockwise_elementwise(z_b.size, block)
+                return z_b, h_b, p_b.copy() if widening else None
 
-            self._parallel_over_blocks(make_task)
-            z = DistDenseMatrix(z_blocks, self.dist, dtype=self.dtype)
-            h_out = DistDenseMatrix(h_blocks, self.dist, dtype=self.dtype)
+            z, h_out, copies = zip(*self._blockwise(step))
+            h_out = self._distributed(h_out)
             if widening:
-                kept = DistDenseMatrix(kept_blocks, self.dist,
-                                       dtype=self.dtype)
-            caches.append(DistLayerCache(h_in=h, z=z, h_out=h_out,
-                                         propagated=kept))
+                kept = self._distributed(copies)
+            caches.append(DistLayerCache(h_in=h, z=self._distributed(z),
+                                         h_out=h_out, propagated=kept))
             h = h_out
         return caches
 
@@ -622,28 +616,24 @@ class DistributedGCN:
         (bit-identity across batch compositions).
         """
         f_in, f_out = weight.shape
-        out_blocks: List[np.ndarray] = [None] * self.dist.nblocks
 
-        def make_task(block):
-            def task() -> None:
-                rows = self.dist.block_size(block)
-                if streams == 1:
-                    z_b = stream_block(block, 0) @ weight
-                else:
-                    z_b = np.empty((rows, streams * f_out), dtype=self.dtype)
-                    for i in range(streams):
-                        z_b[:, i * f_out:(i + 1) * f_out] = \
-                            stream_block(block, i) @ weight
-                for _ in range(streams):
-                    self._charge_blockwise_gemm(rows, f_in, f_out, block)
-                if act is not None:
-                    z_b = act(z_b)
-                    self._charge_blockwise_elementwise(z_b.size, block)
-                out_blocks[block] = z_b
-            return task
+        def step(block):
+            rows = self.dist.block_size(block)
+            if streams == 1:
+                z_b = stream_block(block, 0) @ weight
+            else:
+                z_b = np.empty((rows, streams * f_out), dtype=self.dtype)
+                for i in range(streams):
+                    z_b[:, i * f_out:(i + 1) * f_out] = \
+                        stream_block(block, i) @ weight
+            for _ in range(streams):
+                self._charge_blockwise_gemm(rows, f_in, f_out, block)
+            if act is not None:
+                z_b = act(z_b)
+                self._charge_blockwise_elementwise(z_b.size, block)
+            return z_b
 
-        self._parallel_over_blocks(make_task)
-        return DistDenseMatrix(out_blocks, self.dist, dtype=self.dtype)
+        return self._distributed(self._blockwise(step))
 
     def _activate(self, propagated: DistDenseMatrix, act) -> DistDenseMatrix:
         """``act`` of a compiled operator's result, in owned blocks.
@@ -653,86 +643,62 @@ class DistributedGCN:
         returns its argument, so anything still sharing that memory is
         copied out.
         """
-        out_blocks: List[np.ndarray] = [None] * self.dist.nblocks
+        def step(block):
+            p_b = propagated.block(block)
+            h_b = act(p_b)
+            if np.may_share_memory(h_b, p_b):
+                h_b = h_b.copy()
+            self._charge_blockwise_elementwise(p_b.size, block)
+            return h_b
 
-        def make_task(block):
-            def task() -> None:
-                p_b = propagated.block(block)
-                h_b = act(p_b)
-                if np.may_share_memory(h_b, p_b):
-                    h_b = h_b.copy()
-                self._charge_blockwise_elementwise(p_b.size, block)
-                out_blocks[block] = h_b
-            return task
-
-        self._parallel_over_blocks(make_task)
-        return DistDenseMatrix(out_blocks, self.dist, dtype=self.dtype)
+        return self._distributed(self._blockwise(step))
 
     def _assemble_streams(self, stream_block,
                           streams: int) -> DistDenseMatrix:
         """The column-concatenated SpMM operand of ``streams`` request
         matrices, built per block row in one copy (none for one stream:
         the plan only reads its operand)."""
-        blocks = [
+        return self._distributed([
             stream_block(block, 0) if streams == 1 else np.concatenate(
                 [stream_block(block, i) for i in range(streams)], axis=1)
-            for block in range(self.dist.nblocks)]
-        return DistDenseMatrix(blocks, self.dist, dtype=self.dtype)
+            for block in range(self.dist.nblocks)])
 
-    def loss_and_logits_grad(self, logits: DistDenseMatrix,
-                             defer: bool = False
+    def loss_and_logits_grad(self, logits: DistDenseMatrix
                              ) -> tuple[float, DistDenseMatrix]:
         """Masked softmax cross-entropy, computed block-locally.
 
         The scalar loss is combined with a tiny all-reduce (a lower-order
-        term, as the paper notes for the ``f x f`` reductions).  With
-        ``defer=True`` (and ``grad_overlap`` configured) the reduction is
-        posted nonblocking and the first element of the returned tuple is
-        a :class:`~repro.core.gradsync.DeferredScalar` — it resolves after
-        the backward pass, so the loss reduction hides behind the first
-        backward SpMM.
+        term, as the paper notes for the ``f x f`` reductions) through the
+        gradient exchanger (:meth:`~repro.core.gradsync.GradientExchanger
+        .reduce_scalar`): blocking without ``grad_overlap``; with it the
+        reduction is posted nonblocking and the first element of the
+        returned tuple is a :class:`~repro.core.gradsync.DeferredScalar`
+        — it resolves after the backward pass, so the loss reduction
+        hides behind the first backward SpMM.
         """
-        local_losses: List[np.ndarray] = [None] * self.dist.nblocks
-        grad_blocks: List[np.ndarray] = [None] * self.dist.nblocks
+        def step(block):
+            sl = self._block_slice(block)
+            z = logits.block(block)
+            labels = self.labels[sl]
+            mask = self.train_mask[sl]
+            probs = softmax(z)
+            grad = probs.copy()
+            idx = np.flatnonzero(mask)
+            if idx.size:
+                picked = probs[idx, labels[idx]]
+                local = float(-np.log(np.clip(picked, 1e-12, None)).sum())
+                grad[idx, labels[idx]] -= 1.0
+            else:
+                local = 0.0
+            grad[~mask] = 0.0
+            grad /= self.n_train
+            self._charge_blockwise_elementwise(z.size * 2, block)
+            return np.array([local]), grad
 
-        def make_task(block):
-            def task() -> None:
-                sl = self._block_slice(block)
-                z = logits.block(block)
-                labels = self.labels[sl]
-                mask = self.train_mask[sl]
-                probs = softmax(z)
-                grad = probs.copy()
-                idx = np.flatnonzero(mask)
-                if idx.size:
-                    picked = probs[idx, labels[idx]]
-                    local = float(-np.log(np.clip(picked, 1e-12, None)).sum())
-                    grad[idx, labels[idx]] -= 1.0
-                else:
-                    local = 0.0
-                grad[~mask] = 0.0
-                grad /= self.n_train
-                local_losses[block] = np.array([local])
-                grad_blocks[block] = grad
-                self._charge_blockwise_elementwise(z.size * 2, block)
-            return task
-
-        self._parallel_over_blocks(make_task)
-
-        # Scalar loss reduction across the owning ranks (replicas contribute
-        # once by letting only the first owner of each block participate).
-        contributions = []
-        for rank in range(self.comm.nranks):
-            contributions.append(np.zeros(1))
-        for block in range(self.dist.nblocks):
-            owner = self._owners_of_block(block)[0]
-            contributions[owner] = local_losses[block]
-        if defer and self.gradsync.overlap:
-            loss = self.gradsync.reduce_scalar(contributions, self.n_train)
-        else:
-            reduced = self.comm.allreduce(contributions, category="allreduce")
-            loss = float(reduced[0][0]) / self.n_train
-        return loss, DistDenseMatrix(grad_blocks, self.dist, dtype=self.dtype)
+        losses, grads = zip(*self._blockwise(step))
+        loss = self.gradsync.reduce_scalar(self._lead_operands(losses),
+                                           self.n_train)
+        return loss, self._distributed(grads)
 
     def backward(self, caches: List[DistLayerCache], grad_logits: DistDenseMatrix
                  ) -> PendingGradients:
@@ -772,58 +738,41 @@ class DistributedGCN:
 
             # Local weight-gradient contributions (and, at the narrow
             # side, the projection G^l (W^l)^T the next SpMM propagates).
-            local_contribs: List[np.ndarray] = [None] * self.dist.nblocks
-            projected: List[np.ndarray] = [None] * self.dist.nblocks
+            def contribute(block):
+                rows = self.dist.block_size(block)
+                contrib = left.block(block).T @ right.block(block)
+                self._charge_blockwise_gemm(rows, f_in, f_out, block)
+                if not project:
+                    return contrib, None
+                projected = right.block(block) @ weight.T
+                self._charge_blockwise_gemm(rows, f_out, f_in, block)
+                return contrib, projected
 
-            def make_contrib_task(block, weight=weight, left=left,
-                                  right=right, project=project):
-                def task() -> None:
-                    rows = self.dist.block_size(block)
-                    local_contribs[block] = \
-                        left.block(block).T @ right.block(block)
-                    self._charge_blockwise_gemm(rows, f_in, f_out, block)
-                    if project:
-                        projected[block] = right.block(block) @ weight.T
-                        self._charge_blockwise_gemm(rows, f_out, f_in, block)
-                return task
-
-            self._parallel_over_blocks(make_contrib_task)
-
+            contribs, projected = zip(*self._blockwise(contribute))
             # All-reduce of the f_in x f_out gradient (lower-order term),
-            # via the gradient exchanger (wait-free when configured).
-            contributions = [np.zeros_like(weight) for _ in range(self.comm.nranks)]
-            for block in range(self.dist.nblocks):
-                owner = self._owners_of_block(block)[0]
-                contributions[owner] = contributions[owner] + local_contribs[block]
-            session.post(l, contributions)
+            # via the gradient exchanger (wait-free when configured); each
+            # contribution is sent as zeros + itself (a -0.0 goes as 0.0).
+            session.post(l, self._lead_operands(
+                [np.zeros_like(weight) + c for c in contribs]))
 
             if l > 0:
                 _, act_grad = self._activations[l - 1]
                 prev_z = caches[l - 1].z
-                if project:                                 # A (G^l (W^l)^T)
-                    spread = self.spmm(DistDenseMatrix(
-                        projected, self.dist, dtype=self.dtype))
-                else:
-                    spread = s
-                next_blocks: List[np.ndarray] = [None] * self.dist.nblocks
+                # A (G^l (W^l)^T) at the narrow side, else the A G^l above.
+                spread = self.spmm(self._distributed(projected)) \
+                    if project else s
 
-                def make_grad_task(block, weight=weight, spread=spread,
-                                   project=project, act_grad=act_grad,
-                                   prev_z=prev_z):
-                    def task() -> None:
-                        input_grad = spread.block(block)
-                        if not project:                     # (A G^l) (W^l)^T
-                            input_grad = input_grad @ weight.T
-                            self._charge_blockwise_gemm(
-                                self.dist.block_size(block), f_out, f_in,
-                                block)
-                        gz = input_grad * act_grad(prev_z.block(block))
-                        self._charge_blockwise_elementwise(gz.size, block)
-                        next_blocks[block] = gz
-                    return task
+                def input_grad(block):
+                    g = spread.block(block)
+                    if not project:                         # (A G^l) (W^l)^T
+                        g = g @ weight.T
+                        self._charge_blockwise_gemm(
+                            self.dist.block_size(block), f_out, f_in, block)
+                    gz = g * act_grad(prev_z.block(block))
+                    self._charge_blockwise_elementwise(gz.size, block)
+                    return gz
 
-                self._parallel_over_blocks(make_grad_task)
-                grad_z = DistDenseMatrix(next_blocks, self.dist, dtype=self.dtype)
+                grad_z = self._distributed(self._blockwise(input_grad))
         session.close()
         return PendingGradients(session)
 
@@ -881,8 +830,7 @@ class DistributedGCN:
         with tr.span("forward", cat="train"):
             caches = self.forward()
         with tr.span("loss", cat="train"):
-            loss, grad_logits = self.loss_and_logits_grad(
-                caches[-1].h_out, defer=self.gradsync.overlap)
+            loss, grad_logits = self.loss_and_logits_grad(caches[-1].h_out)
         with tr.span("backward", cat="train"):
             grads = self.backward(caches, grad_logits)
         with tr.span("optimizer", cat="train"):

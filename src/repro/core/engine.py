@@ -1,4 +1,4 @@
-"""Unified distributed-SpMM engine: registry, checks, dispatch.
+"""Unified distributed-SpMM engine: the variant table, checks, dispatch.
 
 Before this module existed, every caller (the distributed GCN, the trainer,
 the benchmark harness, the CLI) hard-wired itself to individual functions
@@ -6,10 +6,10 @@ in :mod:`~repro.core.spmm_1d` / :mod:`~repro.core.spmm_15d` and to the
 concrete simulator class.  The engine collapses that duplication into one
 seam:
 
-* one **registry** of compiled plan classes keyed by
-  ``{"1d", "1.5d"} x {"oblivious", "sparsity_aware"}`` — the algorithm
-  modules self-register each :class:`CompiledSpmm` subclass via
-  :func:`register_spmm_compiler`;
+* one fixed **table** of compiled plan classes keyed by
+  ``{"1d", "1.5d"} x {"oblivious", "sparsity_aware"}`` — the paper's four
+  variants; each :class:`CompiledSpmm` subclass names its ``algorithm``,
+  ``mode`` and ``needs_grid`` as class constants;
 * **common operand-compatibility checks** (:func:`check_block_operands`,
   :func:`check_grid_operands`) shared by the algorithm implementations;
 * **compiled execution** (:func:`compile`, :class:`CompiledSpmm`) on any
@@ -65,14 +65,10 @@ from ..comm.base import Communicator
 from ..obs.tracer import TRACE
 
 __all__ = [
-    "CompiledSpmm", "MODES", "SpmmVariant", "Stage",
-    "Workspace", "available_spmm_variants", "check_block_operands",
-    "check_grid_operands", "compile", "get_spmm", "mode_name",
-    "register_spmm_compiler", "spmm",
+    "CompiledSpmm", "Stage", "Workspace", "available_spmm_variants",
+    "check_block_operands", "check_grid_operands", "compile", "get_spmm",
+    "mode_name", "spmm",
 ]
-
-#: The two communication modes the paper compares.
-MODES = ("oblivious", "sparsity_aware")
 
 
 def _check_pipeline_depth(depth) -> int:
@@ -108,85 +104,44 @@ def check_grid_operands(matrix, grid, comm: Communicator) -> None:
 
 
 # ----------------------------------------------------------------------
-# Registry
+# The variant table
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class SpmmVariant:
-    """One registered (algorithm family, sparsity mode) variant and the
-    :class:`CompiledSpmm` subclass that compiles it."""
-
-    algorithm: str
-    mode: str
-    compiler: type
-    needs_grid: bool
-
-    @property
-    def key(self) -> Tuple[str, str]:
-        return (self.algorithm, self.mode)
-
-    def check_grid(self, grid) -> None:
-        """Raise unless ``grid`` is given exactly when the variant needs
-        one."""
-        if self.needs_grid and grid is None:
-            raise ValueError(
-                f"the {self.algorithm} algorithm requires a process grid")
-        if not self.needs_grid and grid is not None:
-            raise ValueError(
-                f"the {self.algorithm} algorithm does not take a process grid")
+#: (algorithm, mode) -> its :class:`CompiledSpmm` subclass; built on
+#: first use (the algorithm modules import this one).
+_VARIANTS: Dict[Tuple[str, str], type] = {}
 
 
-#: (algorithm, mode) -> its variant; :func:`compile` constructs the
-#: variant's compiler as ``compiler(variant, matrix, comm, grid=...,
-#: dtype=..., pipeline_depth=...)``.
-_REGISTRY: Dict[Tuple[str, str], SpmmVariant] = {}
+def _variants() -> Dict[Tuple[str, str], type]:
+    if not _VARIANTS:
+        from .spmm_1d import Compiled1DOblivious, Compiled1DSparsityAware
+        from .spmm_15d import Compiled15DOblivious, Compiled15DSparsityAware
+        for cls in (Compiled1DOblivious, Compiled1DSparsityAware,
+                    Compiled15DOblivious, Compiled15DSparsityAware):
+            _VARIANTS[cls.algorithm, cls.mode] = cls
+    return _VARIANTS
 
 
 def mode_name(sparsity_aware: bool) -> str:
-    """Registry mode key for a boolean sparsity flag."""
+    """Mode key for a boolean sparsity flag."""
     return "sparsity_aware" if sparsity_aware else "oblivious"
 
 
-def register_spmm_compiler(algorithm: str, mode: str,
-                           needs_grid: bool = False) -> Callable:
-    """Class decorator: register the :class:`CompiledSpmm` subclass that
-    compiles the ``(algorithm, mode)`` variant; ``needs_grid`` variants
-    take a process grid."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-
-    def decorate(cls: type) -> type:
-        key = (algorithm, mode)
-        if key in _REGISTRY:
-            raise ValueError(f"SpMM variant {key} is already registered")
-        _REGISTRY[key] = SpmmVariant(algorithm=algorithm, mode=mode,
-                                     compiler=cls, needs_grid=needs_grid)
-        return cls
-
-    return decorate
-
-
-def _ensure_algorithms_loaded() -> None:
-    """Import the built-in algorithm modules (they self-register)."""
-    from . import spmm_1d, spmm_15d  # noqa: F401
-
-
 def available_spmm_variants() -> List[Tuple[str, str]]:
-    """All registered (algorithm, mode) keys, sorted."""
-    _ensure_algorithms_loaded()
-    return sorted(_REGISTRY)
+    """All (algorithm, mode) keys, sorted."""
+    return sorted(_variants())
 
 
 def get_spmm(algorithm: str, sparsity_aware: bool = True,
-             mode: Optional[str] = None) -> SpmmVariant:
-    """Look up a registered variant (``mode`` overrides ``sparsity_aware``)."""
-    _ensure_algorithms_loaded()
+             mode: Optional[str] = None) -> type:
+    """The :class:`CompiledSpmm` subclass of a variant (``mode``
+    overrides ``sparsity_aware``)."""
     key = (algorithm, mode if mode is not None else mode_name(sparsity_aware))
     try:
-        return _REGISTRY[key]
+        return _variants()[key]
     except KeyError:
         raise ValueError(
-            f"no SpMM variant registered for {key}; "
-            f"available: {sorted(_REGISTRY)}") from None
+            f"no SpMM variant for {key}; "
+            f"available: {available_spmm_variants()}") from None
 
 
 # ----------------------------------------------------------------------
@@ -253,7 +208,7 @@ class Stage:
 class CompiledSpmm:
     """A persistent execution plan for one (matrix, dtype, variant).
 
-    Subclasses (one per registered variant) precompute all exchange
+    Subclasses (one per variant) precompute all exchange
     metadata at construction — pack index sets, block lists, schedules
     and per-column flop constants, none of which depends on the dense
     width — compile them into lists of :class:`Stage` and own the reused
@@ -292,15 +247,18 @@ class CompiledSpmm:
     failure, so a failed SpMM never keeps its operand alive.
     """
 
+    #: Each variant's key in the table (:func:`get_spmm`) and whether it
+    #: takes a process grid.
+    algorithm: str
+    mode: str
+    needs_grid = False
     #: Timeline category of every per-rank pack and multiply; each
     #: variant names its exchange's ``comm_category`` (1.5D also its
     #: replica reduction's ``reduce_category``).
     compute_category = "local"
 
-    def __init__(self, variant: SpmmVariant, matrix, comm: Communicator,
-                 grid=None, dtype=np.float64,
-                 pipeline_depth: int = 1) -> None:
-        self.variant = variant
+    def __init__(self, matrix, comm: Communicator, grid=None,
+                 dtype=np.float64, pipeline_depth: int = 1) -> None:
         self.matrix = matrix
         self.comm = comm
         self.grid = grid
@@ -404,14 +362,6 @@ class CompiledSpmm:
                             if pipelined else dict(stage.span))
         return outs
 
-    @property
-    def algorithm(self) -> str:
-        return self.variant.algorithm
-
-    @property
-    def mode(self) -> str:
-        return self.variant.mode
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"{type(self).__name__}(algorithm={self.algorithm!r}, "
                 f"mode={self.mode!r}, dtype={self.dtype.name!r}, "
@@ -423,7 +373,7 @@ def compile(matrix, comm: Communicator, algorithm: str = "1d",
             sparsity_aware: bool = True, mode: Optional[str] = None,
             grid=None, dtype=np.float64,
             pipeline_depth: int = 1) -> CompiledSpmm:
-    """Build a persistent :class:`CompiledSpmm` for a registered variant.
+    """Build a persistent :class:`CompiledSpmm` for one of the variants.
 
     All per-variant exchange metadata is derived here, once, for dense
     operands of ``dtype`` and any width; the returned operator's
@@ -435,15 +385,18 @@ def compile(matrix, comm: Communicator, algorithm: str = "1d",
     see the :class:`CompiledSpmm` docstring and ``docs/performance.md``).
     """
     variant = get_spmm(algorithm, sparsity_aware=sparsity_aware, mode=mode)
-    variant.check_grid(grid)
-    return variant.compiler(variant, matrix, comm, grid=grid, dtype=dtype,
-                            pipeline_depth=pipeline_depth)
+    if variant.needs_grid != (grid is not None):
+        raise ValueError(f"the {algorithm} algorithm " + (
+            "requires a process grid" if variant.needs_grid
+            else "does not take a process grid"))
+    return variant(matrix, comm, grid=grid, dtype=dtype,
+                   pipeline_depth=pipeline_depth)
 
 
 def spmm(matrix, dense, comm: Communicator, algorithm: str = "1d",
          sparsity_aware: bool = True, grid=None):
-    """Compute ``Z = M H`` once with the registered (algorithm, mode)
-    variant: compile it at ``dense.dtype`` and call the plan once.
+    """Compute ``Z = M H`` once with the (algorithm, mode) variant:
+    compile it at ``dense.dtype`` and call the plan once.
 
     ``matrix`` / ``dense`` are a
     :class:`~repro.core.dist_matrix.DistSparseMatrix` and a

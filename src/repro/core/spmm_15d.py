@@ -16,9 +16,9 @@ Both variants are implemented as **compiled operators**
 (:class:`~repro.core.engine.CompiledSpmm`): the staged broadcast /
 point-to-point schedules, gather index sets and flop charges are derived
 once at compile time, and the pack buffers plus per-replica partial-sum
-accumulators are reused across calls.  The plans register with
-:mod:`repro.core.engine` under ``("1.5d", "oblivious")`` /
-``("1.5d", "sparsity_aware")``; one-shot callers go through
+accumulators are reused across calls.  The plans are
+:mod:`repro.core.engine`'s ``("1.5d", "oblivious")`` /
+``("1.5d", "sparsity_aware")`` variants; one-shot callers go through
 :func:`repro.core.engine.spmm`.  They run against any
 :class:`~repro.comm.base.Communicator` backend; per-rank compute goes
 through :meth:`~repro.comm.base.Communicator.parallel_for`.
@@ -35,7 +35,7 @@ import numpy as np
 from ..comm.base import Communicator
 from .dist_matrix import DistDenseMatrix, DistSparseMatrix
 from .engine import (CompiledSpmm, Stage, Workspace, check_grid_operands,
-                     idle_task, register_spmm_compiler)
+                     idle_task)
 
 __all__ = ["Compiled15DOblivious", "Compiled15DSparsityAware", "ProcessGrid"]
 
@@ -109,12 +109,13 @@ class _Compiled15DBase(CompiledSpmm):
     blocking) and keeps one replica's copy as the result's block row.
     """
 
+    algorithm, needs_grid = "1.5d", True
     reduce_category = "allreduce"
 
-    def __init__(self, variant, matrix: DistSparseMatrix,
+    def __init__(self, matrix: DistSparseMatrix,
                  comm: Communicator, grid: ProcessGrid, dtype,
                  pipeline_depth: int = 1) -> None:
-        super().__init__(variant, matrix, comm, grid=grid, dtype=dtype,
+        super().__init__(matrix, comm, grid=grid, dtype=dtype,
                          pipeline_depth=pipeline_depth)
         check_grid_operands(matrix, grid, comm)
         self._partial_ws = Workspace(
@@ -140,7 +141,6 @@ class _Compiled15DBase(CompiledSpmm):
         return dense.like(self._run(self._reduce, dense, 0))
 
 
-@register_spmm_compiler("1.5d", "oblivious", needs_grid=True)
 class Compiled15DOblivious(_Compiled15DBase):
     """Persistent plan for the CAGNET 1.5D staged-broadcast algorithm.
 
@@ -153,12 +153,13 @@ class Compiled15DOblivious(_Compiled15DBase):
     keeps its natural meaning of "stages in flight per column".
     """
 
+    mode = "oblivious"
     comm_category = "bcast"
 
-    def __init__(self, variant, matrix: DistSparseMatrix,
+    def __init__(self, matrix: DistSparseMatrix,
                  comm: Communicator, grid: ProcessGrid = None,
                  dtype=np.float64, pipeline_depth: int = 1) -> None:
-        super().__init__(variant, matrix, comm, grid, dtype,
+        super().__init__(matrix, comm, grid, dtype,
                          pipeline_depth=pipeline_depth)
         self._ahead = (self.pipeline_depth - 1) * grid.replication
         self._stages = []
@@ -192,7 +193,6 @@ class Compiled15DOblivious(_Compiled15DBase):
         return task
 
 
-@register_spmm_compiler("1.5d", "sparsity_aware", needs_grid=True)
 class Compiled15DSparsityAware(_Compiled15DBase):
     """Persistent plan for Algorithm 2 (staged NnzCols point-to-point).
 
@@ -205,12 +205,13 @@ class Compiled15DSparsityAware(_Compiled15DBase):
     stage ``k + 1`` while stage ``k``'s exchange is in flight.
     """
 
+    mode = "sparsity_aware"
     comm_category = "alltoall"
 
-    def __init__(self, variant, matrix: DistSparseMatrix,
+    def __init__(self, matrix: DistSparseMatrix,
                  comm: Communicator, grid: ProcessGrid = None,
                  dtype=np.float64, pipeline_depth: int = 1) -> None:
-        super().__init__(variant, matrix, comm, grid, dtype,
+        super().__init__(matrix, comm, grid, dtype,
                          pipeline_depth=pipeline_depth)
         self._ahead = self.pipeline_depth - 1
         # Per stage: messages = [(src, dst, segment)] in col-major

@@ -18,8 +18,8 @@ Both variants are implemented as **compiled operators**
 rows to pack for whom, which blocks are empty, the flop charges) is
 derived once at compile time and the pack/output buffers are reused across
 calls, which is what lets one plan serve hundreds of training epochs.  The
-plans register with :mod:`repro.core.engine` under ``("1d", "oblivious")``
-/ ``("1d", "sparsity_aware")``; one-shot callers go through
+plans are :mod:`repro.core.engine`'s ``("1d", "oblivious")`` /
+``("1d", "sparsity_aware")`` variants; one-shot callers go through
 :func:`repro.core.engine.spmm`.  A call returns only the distributed
 result; all communication volume and timing is recorded on the
 :class:`~repro.comm.base.Communicator` it runs on, and per-rank compute
@@ -36,12 +36,11 @@ import numpy as np
 from ..comm.base import Communicator
 from .dist_matrix import DistDenseMatrix, DistSparseMatrix
 from .engine import (CompiledSpmm, Stage, Workspace, check_block_operands,
-                     idle_task, register_spmm_compiler)
+                     idle_task)
 
 __all__ = ["Compiled1DOblivious", "Compiled1DSparsityAware"]
 
 
-@register_spmm_compiler("1d", "oblivious")
 class Compiled1DOblivious(CompiledSpmm):
     """Persistent plan for the CAGNET 1D broadcast algorithm.
 
@@ -58,12 +57,13 @@ class Compiled1DOblivious(CompiledSpmm):
     ``j`` is unchanged).
     """
 
+    algorithm, mode = "1d", "oblivious"
     comm_category = "bcast"
 
-    def __init__(self, variant, matrix: DistSparseMatrix,
+    def __init__(self, matrix: DistSparseMatrix,
                  comm: Communicator, grid=None, dtype=np.float64,
                  pipeline_depth: int = 1) -> None:
-        super().__init__(variant, matrix, comm, grid=grid, dtype=dtype,
+        super().__init__(matrix, comm, grid=grid, dtype=dtype,
                          pipeline_depth=pipeline_depth)
         check_block_operands(matrix, comm)
         p = comm.nranks
@@ -102,7 +102,6 @@ class Compiled1DOblivious(CompiledSpmm):
         return dense.like(self._out)
 
 
-@register_spmm_compiler("1d", "sparsity_aware")
 class Compiled1DSparsityAware(CompiledSpmm):
     """Persistent plan for Algorithm 1 (NnzCols-packed all-to-allv).
 
@@ -114,12 +113,13 @@ class Compiled1DSparsityAware(CompiledSpmm):
     so it runs blocking at every ``pipeline_depth``.
     """
 
+    algorithm, mode = "1d", "sparsity_aware"
     comm_category = "alltoall"
 
-    def __init__(self, variant, matrix: DistSparseMatrix,
+    def __init__(self, matrix: DistSparseMatrix,
                  comm: Communicator, grid=None, dtype=np.float64,
                  pipeline_depth: int = 1) -> None:
-        super().__init__(variant, matrix, comm, grid=grid, dtype=dtype,
+        super().__init__(matrix, comm, grid=grid, dtype=dtype,
                          pipeline_depth=pipeline_depth)
         check_block_operands(matrix, comm)
         p = comm.nranks

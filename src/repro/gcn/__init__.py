@@ -9,7 +9,7 @@ activations, initialisation, loss and metrics are shared with the
 distributed model.
 """
 
-from .activations import get_activation, identity, relu, relu_grad, sigmoid
+from .activations import get_activation, identity, relu, relu_grad
 from .init import glorot_normal, glorot_uniform, init_weights, layer_seeds
 from .layers import GraphConvLayer, LayerCache, LayerGradients
 from .loss import (loss_and_grad, masked_cross_entropy,
@@ -20,7 +20,7 @@ from .train import (EpochRecord, ReferenceTrainConfig, TrainResult,
                     train_reference)
 
 __all__ = [
-    "get_activation", "identity", "relu", "relu_grad", "sigmoid",
+    "get_activation", "identity", "relu", "relu_grad",
     "glorot_normal", "glorot_uniform", "init_weights", "layer_seeds",
     "GraphConvLayer", "LayerCache", "LayerGradients",
     "loss_and_grad", "masked_cross_entropy", "masked_cross_entropy_grad",

@@ -6,8 +6,8 @@ from typing import Callable, Dict, Tuple
 
 import numpy as np
 
-__all__ = ["relu", "relu_grad", "identity", "identity_grad", "sigmoid",
-           "sigmoid_grad", "get_activation"]
+__all__ = ["relu", "relu_grad", "identity", "identity_grad",
+           "get_activation"]
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -29,25 +29,9 @@ def identity_grad(x: np.ndarray) -> np.ndarray:
     return np.ones_like(x)
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic sigmoid."""
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    expx = np.exp(x[~pos])
-    out[~pos] = expx / (1.0 + expx)
-    return out.astype(x.dtype)
-
-
-def sigmoid_grad(x: np.ndarray) -> np.ndarray:
-    s = sigmoid(x)
-    return s * (1.0 - s)
-
-
 _ACTIVATIONS: Dict[str, Tuple[Callable, Callable]] = {
     "relu": (relu, relu_grad),
     "identity": (identity, identity_grad),
-    "sigmoid": (sigmoid, sigmoid_grad),
 }
 
 

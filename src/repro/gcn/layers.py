@@ -72,10 +72,6 @@ class GraphConvLayer:
     def in_features(self) -> int:
         return self.weight.shape[0]
 
-    @property
-    def out_features(self) -> int:
-        return self.weight.shape[1]
-
     # ------------------------------------------------------------------
     def forward(self, adj: sp.spmatrix, h_in: np.ndarray,
                 propagated: Optional[np.ndarray] = None) -> LayerCache:

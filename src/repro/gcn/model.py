@@ -53,12 +53,6 @@ class GCNModel:
             self.layers.append(GraphConvLayer(w, activation=activation))
 
     # ------------------------------------------------------------------
-    @classmethod
-    def three_layer(cls, in_features: int, n_classes: int,
-                    hidden: int = 16, seed: int = 0) -> "GCNModel":
-        """The paper's 3-layer / 16-hidden-unit configuration."""
-        return cls([in_features, hidden, hidden, n_classes], seed=seed)
-
     @property
     def n_layers(self) -> int:
         return len(self.layers)
@@ -66,14 +60,6 @@ class GCNModel:
     @property
     def weights(self) -> List[np.ndarray]:
         return [layer.weight for layer in self.layers]
-
-    def set_weights(self, weights: Sequence[np.ndarray]) -> None:
-        if len(weights) != self.n_layers:
-            raise ValueError("weight count does not match the layer count")
-        for layer, w in zip(self.layers, weights):
-            if w.shape != layer.weight.shape:
-                raise ValueError("weight shape mismatch")
-            layer.weight = np.asarray(w, dtype=np.float64).copy()
 
     # ------------------------------------------------------------------
     def forward(self, adj: sp.spmatrix, features: np.ndarray,

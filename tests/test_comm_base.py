@@ -10,8 +10,7 @@ timing model.
 import numpy as np
 import pytest
 
-from repro.comm import (Communicator, available_backends, make_communicator,
-                        register_backend)
+from repro.comm import Communicator, available_backends, make_communicator
 from repro.comm.base import payload_nbytes, reduce_stack
 from repro.comm.threaded import ThreadedCommunicator
 from repro.core import (BlockRowDistribution, DistDenseMatrix,
@@ -295,17 +294,6 @@ class TestFactory:
     def test_unknown_backend_lists_alternatives(self):
         with pytest.raises(ValueError, match="sim"):
             make_communicator(2, backend="carrier-pigeon")
-
-    def test_register_custom_backend(self):
-        register_backend("fake-test", FakeCommunicator)
-        try:
-            comm = make_communicator(3, backend="fake-test")
-            assert isinstance(comm, FakeCommunicator)
-            with pytest.raises(ValueError):
-                register_backend("fake-test", FakeCommunicator)
-        finally:
-            from repro.comm.factory import BACKENDS
-            BACKENDS.pop("fake-test", None)
 
     def test_config_rejects_unknown_backend(self):
         from repro.core import DistTrainConfig

@@ -5,9 +5,9 @@ import pytest
 import scipy.sparse as sp
 
 from repro.comm import make_communicator
-from repro.core import (Algorithm, BlockRowDistribution,
+from repro.core import (Algorithm, BlockRowDistribution, DeferredScalar,
                         DistSparseMatrix, DistributedGCN, ProcessGrid)
-from repro.gcn import GCNModel
+from repro.gcn import GCNModel, softmax
 from repro.graphs import gcn_normalize, load_dataset
 
 
@@ -19,7 +19,7 @@ def problem():
 
 
 def build_model(ds, matrix, p=4, algorithm=Algorithm.ONE_D, c=1,
-                sparsity_aware=True, seed=0):
+                sparsity_aware=True, seed=0, grad_overlap=False):
     nblocks = p // c if algorithm == Algorithm.ONE_POINT_FIVE_D else p
     dist = BlockRowDistribution.uniform(matrix.shape[0], nblocks)
     comm = make_communicator(p)
@@ -35,6 +35,7 @@ def build_model(ds, matrix, p=4, algorithm=Algorithm.ONE_D, c=1,
         sparsity_aware=sparsity_aware,
         grid=grid,
         seed=seed,
+        grad_overlap=grad_overlap,
     )
     return model, comm
 
@@ -43,7 +44,7 @@ class TestConstruction:
     def test_requires_grid_for_15d(self, problem):
         ds, matrix = problem
         dist = BlockRowDistribution.uniform(matrix.shape[0], 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="requires a process grid"):
             DistributedGCN(
                 adjacency_dist=DistSparseMatrix(matrix, dist),
                 features=ds.node_data.features.astype(np.float64),
@@ -117,7 +118,7 @@ class TestConstruction:
     def test_rejects_block_rank_mismatch_for_1d(self, problem):
         ds, matrix = problem
         dist = BlockRowDistribution.uniform(matrix.shape[0], 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"2 block rows.*4 ranks"):
             DistributedGCN(
                 adjacency_dist=DistSparseMatrix(matrix, dist),
                 features=ds.node_data.features.astype(np.float64),
@@ -157,7 +158,7 @@ class TestConstruction:
     def test_unknown_algorithm(self, problem):
         ds, matrix = problem
         dist = BlockRowDistribution.uniform(matrix.shape[0], 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no SpMM variant"):
             DistributedGCN(
                 adjacency_dist=DistSparseMatrix(matrix, dist),
                 features=ds.node_data.features.astype(np.float64),
@@ -231,6 +232,77 @@ class TestForwardBackward:
         preds = dist_model.predictions()
         assert preds.shape == (ds.n_vertices,)
         assert preds.min() >= 0 and preds.max() < ds.node_data.n_classes
+
+
+def _spy_allreduces(comm):
+    """Record ``(method, category, operands)`` of every blocking or
+    posted all-reduce on ``comm``."""
+    calls = []
+    for name in ("allreduce", "iallreduce"):
+        def spy(operands, *args, _name=name, _inner=getattr(comm, name),
+                **kwargs):
+            calls.append((_name, kwargs.get("category"),
+                          [np.array(o) for o in operands]))
+            return _inner(operands, *args, **kwargs)
+        setattr(comm, name, spy)
+    return calls
+
+
+LOSS_LAYOUTS = [pytest.param(Algorithm.ONE_D, 1, id="1d"),
+                pytest.param(Algorithm.ONE_POINT_FIVE_D, 2, id="1.5d-c2")]
+
+
+class TestLossReduction:
+    """The loss all-reduce always goes through the gradient exchanger."""
+
+    @pytest.mark.parametrize("algorithm,c", LOSS_LAYOUTS)
+    def test_overlap_posts_the_loss_under_gradsync(self, problem, algorithm,
+                                                    c):
+        """A direct call on an overlapping model defers the reduction:
+        one ``gradsync`` post, no blocking all-reduce, and the resolved
+        value is the blocking model's loss."""
+        ds, matrix = problem
+        model, comm = build_model(ds, matrix, algorithm=algorithm, c=c,
+                                  grad_overlap=True)
+        logits = model.forward()[-1].h_out
+        calls = _spy_allreduces(comm)
+        loss, _ = model.loss_and_logits_grad(logits)
+        assert isinstance(loss, DeferredScalar)
+        assert [call[:2] for call in calls] == [("iallreduce", "gradsync")]
+        plain, _ = build_model(ds, matrix, algorithm=algorithm, c=c)
+        want, _ = plain.loss_and_logits_grad(plain.forward()[-1].h_out)
+        assert loss.value() == want
+
+    @pytest.mark.parametrize("algorithm,c", LOSS_LAYOUTS)
+    def test_without_overlap_one_blocking_allreduce(self, problem, algorithm,
+                                                    c):
+        """Without overlap the call issues one blocking ``allreduce``
+        whose operands are each block's masked ``-log p`` sum on its
+        first owner and zero on every other rank, and the loss is that
+        sum over the training-vertex count, bit for bit."""
+        ds, matrix = problem
+        model, comm = build_model(ds, matrix, algorithm=algorithm, c=c)
+        logits = model.forward()[-1].h_out
+        calls = _spy_allreduces(comm)
+        loss, _ = model.loss_and_logits_grad(logits)
+        assert [call[:2] for call in calls] == [("allreduce", "allreduce")]
+        want = [np.zeros(1) for _ in range(comm.nranks)]
+        for block in range(model.dist.nblocks):
+            lo, hi = model.dist.block_range(block)
+            labels = model.labels[lo:hi]
+            idx = np.flatnonzero(model.train_mask[lo:hi])
+            picked = softmax(logits.block(block))[idx, labels[idx]]
+            owner = block if model.grid is None else \
+                model.grid.row_group(block)[0]
+            want[owner] = np.array(
+                [float(-np.log(np.clip(picked, 1e-12, None)).sum())])
+        operands = calls[0][2]
+        assert len(operands) == comm.nranks
+        for got, expected in zip(operands, want):
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+        reduced = make_communicator(comm.nranks).allreduce(want)
+        assert loss == float(reduced[0][0]) / model.n_train
 
 
 class TestTimingSideEffects:

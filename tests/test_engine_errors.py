@@ -16,14 +16,19 @@ from repro.core import (BlockRowDistribution, DistDenseMatrix,
                         spmm)
 from repro.core import engine as engine_mod
 from repro.core.engine import (check_block_operands, check_grid_operands,
-                               compile as compile_spmm, get_spmm,
-                               register_spmm_compiler)
+                               compile as compile_spmm, get_spmm)
+from repro.core.spmm_1d import Compiled1DOblivious, Compiled1DSparsityAware
+from repro.core.spmm_15d import (Compiled15DOblivious,
+                                 Compiled15DSparsityAware)
 from repro.graphs import gcn_normalize
 from repro.graphs.generators import erdos_renyi_graph
 
 N, F = 32, 5
 VARIANTS = [("1d", "oblivious"), ("1d", "sparsity_aware"),
             ("1.5d", "oblivious"), ("1.5d", "sparsity_aware")]
+PLAN_CLASSES = dict(zip(VARIANTS, (
+    Compiled1DOblivious, Compiled1DSparsityAware,
+    Compiled15DOblivious, Compiled15DSparsityAware)))
 
 
 @pytest.fixture(scope="module")
@@ -65,14 +70,6 @@ class TestUnknownNames:
         with pytest.raises(ValueError, match="algorithm"):
             DistTrainConfig(algorithm="2.5d")
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_spmm_compiler("1d", "oblivious")(type("Dup", (), {}))
-
-    def test_bad_mode_registration_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            register_spmm_compiler("9d", "telepathic")
-
 
 class TestGridRequirements:
     def test_grid_algorithm_without_grid(self, problem):
@@ -96,20 +93,19 @@ class TestGridRequirements:
 
     @pytest.mark.parametrize("algorithm,mode", VARIANTS)
     def test_variant_checks_its_grid(self, algorithm, mode):
-        """Every registered variant carries the one grid-presence check:
-        1.5D needs a grid, 1D refuses one."""
+        """Each variant's plan class names its own key and whether it
+        takes a grid, and compiling checks the grid against it before
+        reading the matrix: 1.5D needs a grid, 1D refuses one."""
         variant = get_spmm(algorithm, mode=mode)
+        assert variant is PLAN_CLASSES[algorithm, mode]
+        assert (variant.algorithm, variant.mode) == (algorithm, mode)
         assert variant.needs_grid == (algorithm == "1.5d")
-        grid = ProcessGrid(4, 2)
-        if variant.needs_grid:
-            variant.check_grid(grid)
-            with pytest.raises(ValueError, match="requires a process grid"):
-                variant.check_grid(None)
-        else:
-            variant.check_grid(None)
-            with pytest.raises(ValueError,
-                               match="does not take a process grid"):
-                variant.check_grid(grid)
+        wrong, message = (None, "requires a process grid") \
+            if variant.needs_grid \
+            else (ProcessGrid(4, 2), "does not take a process grid")
+        with pytest.raises(ValueError, match=message):
+            compile_spmm(None, make_communicator(4), algorithm=algorithm,
+                         mode=mode, grid=wrong)
 
     def test_invalid_process_grid(self):
         with pytest.raises(ValueError):

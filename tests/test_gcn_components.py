@@ -8,7 +8,7 @@ from repro.gcn import (accuracy, glorot_normal, glorot_uniform, init_weights,
                        layer_seeds, loss_and_grad, masked_accuracy,
                        masked_cross_entropy, masked_cross_entropy_grad,
                        softmax)
-from repro.gcn.activations import get_activation, identity, relu, relu_grad, sigmoid
+from repro.gcn.activations import get_activation, identity, relu, relu_grad
 
 
 class TestActivations:
@@ -23,19 +23,6 @@ class TestActivations:
     def test_identity(self):
         x = np.array([1.0, -1.0])
         np.testing.assert_array_equal(identity(x), x)
-
-    def test_sigmoid_bounds_and_symmetry(self):
-        x = np.array([-50.0, 0.0, 50.0])
-        s = sigmoid(x)
-        assert 0 <= s.min() and s.max() <= 1
-        assert s[1] == pytest.approx(0.5)
-
-    def test_sigmoid_grad_numerical(self):
-        from repro.gcn.activations import sigmoid_grad
-        x = np.array([0.3, -0.7])
-        eps = 1e-6
-        numeric = (sigmoid(x + eps) - sigmoid(x - eps)) / (2 * eps)
-        np.testing.assert_allclose(sigmoid_grad(x), numeric, atol=1e-5)
 
     def test_get_activation_registry(self):
         act, grad = get_activation("relu")

@@ -100,21 +100,6 @@ class TestModelGradients:
         b = GCNModel([10, 8, 3], seed=1).forward(adj, data.features).logits
         np.testing.assert_array_equal(a, b)
 
-    def test_three_layer_factory(self):
-        model = GCNModel.three_layer(in_features=12, n_classes=5, hidden=16,
-                                     seed=0)
-        assert model.layer_dims == [12, 16, 16, 5]
-        assert model.layers[-1].activation_name == "identity"
-        assert model.layers[0].activation_name == "relu"
-
-    def test_set_weights_roundtrip(self):
-        model = GCNModel([6, 4, 2], seed=0)
-        weights = [w + 1.0 for w in model.weights]
-        model.set_weights(weights)
-        np.testing.assert_allclose(model.weights[0], weights[0])
-        with pytest.raises(ValueError):
-            model.set_weights(weights[:1])
-
     def test_apply_gradients_validation(self):
         model = GCNModel([6, 4, 2], seed=0)
         with pytest.raises(ValueError):

@@ -7,8 +7,8 @@ executed, and lazy imports inside functions count).
   is not a test: in ``src/`` outside its own definition, ``__all__`` and
   import lines, or in ``scripts/``, ``benchmarks/`` or ``examples/``.
   A reference from inside another unreferenced definition does not
-  count.  Registered definitions (any decorator but ``@dataclass``) are
-  exempt, and so is each name in :data:`ALLOWED`, with its reason.
+  count.  Each name in :data:`ALLOWED` is exempt, with its reason; a
+  decorator exempts nothing.
 
 A module or name that only its own tests reach is dead code: delete it
 rather than keep testing it.
@@ -93,21 +93,15 @@ def test_every_module_is_reachable_from_an_entry_point():
     assert sorted(set(modules) - seen) == []
 
 
-def _registered(node) -> bool:
-    return any(ast.unparse(d).split("(")[0].rsplit(".", 1)[-1] != "dataclass"
-               for d in node.decorator_list)
-
-
 def _public_definitions(trees):
-    """``{dotted name: (path, first line, last line)}`` of every public,
-    unregistered top-level function and class under ``src/repro``."""
+    """``{dotted name: (path, first line, last line)}`` of every public
+    top-level function and class under ``src/repro``."""
     found = {}
     for module, path in _modules().items():
         for node in trees[path].body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)) \
-                    and not node.name.startswith("_") \
-                    and not _registered(node):
+                    and not node.name.startswith("_"):
                 found[f"{module}.{node.name}"] = (path, node.lineno,
                                                   node.end_lineno)
     return found
