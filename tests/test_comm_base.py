@@ -276,6 +276,17 @@ class TestFactory:
         names = available_backends()
         assert "sim" in names and "threaded" in names
 
+    def test_backends_table_is_the_three_shipped_backends(self):
+        """``BACKENDS`` is a fixed table: each shipped name maps to its
+        communicator class and nothing else is listed."""
+        from repro.comm.factory import BACKENDS
+        from repro.comm.process import ProcessPoolCommunicator
+        from repro.comm.simulator import SimCommunicator
+        assert BACKENDS == {"sim": SimCommunicator,
+                            "threaded": ThreadedCommunicator,
+                            "process": ProcessPoolCommunicator}
+        assert available_backends() == sorted(BACKENDS)
+
     def test_make_sim(self):
         comm = make_communicator(4, backend="sim", machine="laptop")
         assert isinstance(comm, Communicator)

@@ -305,6 +305,54 @@ class TestLossReduction:
         assert loss == float(reduced[0][0]) / model.n_train
 
 
+class TestBlockwise:
+    """Per-block dense work runs through one runner on each block's lead."""
+
+    @staticmethod
+    def _leads(model):
+        return [block if model.grid is None else model.grid.row_group(block)[0]
+                for block in range(model.dist.nblocks)]
+
+    @pytest.mark.parametrize("algorithm,c", LOSS_LAYOUTS)
+    def test_one_task_per_block_on_its_lead(self, problem, algorithm, c):
+        """``_blockwise(step)`` issues one ``local`` ``parallel_for`` with
+        a task per block row on the block's first owner, and returns the
+        steps' results in block order."""
+        ds, matrix = problem
+        model, comm = build_model(ds, matrix, algorithm=algorithm, c=c)
+        calls = []
+        inner = comm.parallel_for
+
+        def spy(tasks, ranks=None, category="local"):
+            calls.append((len(tasks), list(ranks), category))
+            return inner(tasks, ranks=ranks, category=category)
+
+        comm.parallel_for = spy
+        results = model._blockwise(lambda block: ("ran", block))
+        nblocks = model.dist.nblocks
+        assert results == [("ran", block) for block in range(nblocks)]
+        assert calls == [(nblocks, self._leads(model), "local")]
+
+    @pytest.mark.parametrize("algorithm,c", LOSS_LAYOUTS)
+    def test_lead_operands_count_a_replicated_block_once(self, problem,
+                                                         algorithm, c):
+        """Each block's part lands on its lead rank only; every other
+        rank contributes zeros of the part's shape and dtype, so the
+        reduced sum counts each block once."""
+        ds, matrix = problem
+        model, comm = build_model(ds, matrix, algorithm=algorithm, c=c)
+        parts = [np.full((2, 3), block + 1.0, dtype=np.float32)
+                 for block in range(model.dist.nblocks)]
+        operands = model._lead_operands(parts)
+        assert len(operands) == comm.nranks
+        by_lead = dict(zip(self._leads(model), parts))
+        for rank, operand in enumerate(operands):
+            want = by_lead.get(rank, np.zeros_like(parts[0]))
+            assert operand.dtype == want.dtype
+            assert operand.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(sum(operands), sum(parts))
+
+
 class TestTimingSideEffects:
     def test_epoch_advances_simulated_time(self, problem):
         ds, matrix = problem
