@@ -239,12 +239,13 @@ def resolve_checkpoint(path: os.PathLike,
 class CheckpointManager:
     """Directory of numbered checkpoints with pruning and safe fallback."""
 
-    def __init__(self, directory: os.PathLike, keep: int = 2) -> None:
-        if keep < 1:
-            raise ValueError(f"keep must be >= 1, got {keep}")
+    #: checkpoints kept after a save: the newest, and one to fall back to
+    #: if the newest turns out corrupt
+    KEEP = 2
+
+    def __init__(self, directory: os.PathLike) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.keep = keep
 
     def path_for(self, epoch: int) -> Path:
         return self.directory / f"ckpt-{epoch:08d}.ckpt"
@@ -254,9 +255,9 @@ class CheckpointManager:
         return sorted(self.directory.glob("ckpt-*.ckpt"))
 
     def save(self, ckpt: TrainingCheckpoint) -> Path:
-        """Write ``ckpt`` atomically; prune beyond the ``keep`` newest."""
+        """Write ``ckpt`` atomically; prune beyond the ``KEEP`` newest."""
         path = write_checkpoint(self.path_for(ckpt.epoch), ckpt)
-        stale_paths = self.paths()[:-self.keep]
+        stale_paths = self.paths()[:-self.KEEP]
         if stale_paths:
             with TRACE.span("checkpoint.prune", cat="checkpoint",
                             args={"pruned": len(stale_paths)}):

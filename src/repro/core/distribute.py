@@ -23,7 +23,7 @@ __all__ = ["distribute"]
 
 
 def distribute(adjacency, partitioner: Optional[str], nblocks: int, *,
-               seed: int = 0, normalize: bool = True, dtype=np.float64,
+               seed: int = 0, dtype=np.float64,
                partition: Optional[PartitionResult] = None
                ) -> Tuple[DistSparseMatrix, Optional[np.ndarray],
                           Optional[PartitionResult]]:
@@ -34,8 +34,8 @@ def distribute(adjacency, partitioner: Optional[str], nblocks: int, *,
     seed-deterministic, so the matching result is bit-identical to
     recomputing it), its vertices are relabelled so every part is
     contiguous, and each block row is one part.  ``partitioner=None``
-    keeps the natural order in equal blocks.  ``normalize`` applies the
-    GCN normalisation after the relabelling.
+    keeps the natural order in equal blocks.  The GCN normalisation is
+    applied after the relabelling.
 
     Returns ``(matrix, perm, partition)``: ``perm[old] = new`` is the
     relabelling to apply to the vertex data, ``None`` with no partitioner
@@ -65,6 +65,5 @@ def distribute(adjacency, partitioner: Optional[str], nblocks: int, *,
         perm = permutation_from_parts(partition.parts, nblocks)
         adjacency = symmetric_permutation(adjacency, perm)
         dist = BlockRowDistribution.from_partition(sizes)
-    matrix = gcn_normalize(adjacency) if normalize \
-        else adjacency.tocsr().astype(dtype)
-    return DistSparseMatrix(matrix, dist, dtype=dtype), perm, partition
+    return (DistSparseMatrix(gcn_normalize(adjacency), dist, dtype=dtype),
+            perm, partition)

@@ -131,11 +131,9 @@ def available_spmm_variants() -> List[Tuple[str, str]]:
     return sorted(_variants())
 
 
-def get_spmm(algorithm: str, sparsity_aware: bool = True,
-             mode: Optional[str] = None) -> type:
-    """The :class:`CompiledSpmm` subclass of a variant (``mode``
-    overrides ``sparsity_aware``)."""
-    key = (algorithm, mode if mode is not None else mode_name(sparsity_aware))
+def get_spmm(algorithm: str, sparsity_aware: bool = True) -> type:
+    """The :class:`CompiledSpmm` subclass of a variant."""
+    key = (algorithm, mode_name(sparsity_aware))
     try:
         return _variants()[key]
     except KeyError:
@@ -155,20 +153,18 @@ class Workspace:
     :meth:`views` allocates the flat buffer on first use, regrows it only
     when ``width`` needs more than it holds (it never shrinks), and hands
     out C-contiguous, mutually disjoint views
-    ``flat[a*width:b*width].reshape(b - a, width)``.  ``zeroed`` roles
-    (the read-only zero partials of empty blocks) are allocated zeroed.
+    ``flat[a*width:b*width].reshape(b - a, width)``.  The views are
+    uninitialised: every plan writes a view in full before it reads it.
     """
 
-    def __init__(self, rows: Sequence[int], dtype, zeroed: bool = False):
+    def __init__(self, rows: Sequence[int], dtype):
         self._starts = [0, *accumulate(int(r) for r in rows)]
-        self._alloc = np.zeros if zeroed else np.empty
-        self._flat = self._alloc(0, dtype=dtype)
+        self._flat = np.empty(0, dtype=dtype)
 
     def views(self, width: int) -> List[np.ndarray]:
         starts = self._starts
         if starts[-1] * width > self._flat.size:
-            self._flat = self._alloc(starts[-1] * width,
-                                     dtype=self._flat.dtype)
+            self._flat = np.empty(starts[-1] * width, dtype=self._flat.dtype)
         flat = self._flat
         return [flat[a * width:b * width].reshape(b - a, width)
                 for a, b in zip(starts, starts[1:])]
@@ -370,8 +366,7 @@ class CompiledSpmm:
 
 
 def compile(matrix, comm: Communicator, algorithm: str = "1d",
-            sparsity_aware: bool = True, mode: Optional[str] = None,
-            grid=None, dtype=np.float64,
+            sparsity_aware: bool = True, grid=None, dtype=np.float64,
             pipeline_depth: int = 1) -> CompiledSpmm:
     """Build a persistent :class:`CompiledSpmm` for one of the variants.
 
@@ -384,7 +379,7 @@ def compile(matrix, comm: Communicator, algorithm: str = "1d",
     collectives while computing the current stage (bit-identical results;
     see the :class:`CompiledSpmm` docstring and ``docs/performance.md``).
     """
-    variant = get_spmm(algorithm, sparsity_aware=sparsity_aware, mode=mode)
+    variant = get_spmm(algorithm, sparsity_aware=sparsity_aware)
     if variant.needs_grid != (grid is not None):
         raise ValueError(f"the {algorithm} algorithm " + (
             "requires a process grid" if variant.needs_grid

@@ -204,11 +204,14 @@ def measure_dist_matrix_bytes(matrix) -> Dict[str, int]:
     }
 
 
+#: share of a rank's device memory :func:`fits_in_memory` lets the
+#: estimate use (the rest is headroom for what the estimate leaves out)
+MEMORY_SAFETY_FACTOR = 0.9
+
+
 def fits_in_memory(estimate: MemoryEstimate,
-                   machine: "str | MachineModel",
-                   safety_factor: float = 0.9) -> bool:
-    """Whether the estimated footprint fits in one rank's device memory."""
-    if not (0.0 < safety_factor <= 1.0):
-        raise ValueError("safety_factor must lie in (0, 1]")
+                   machine: "str | MachineModel") -> bool:
+    """Whether the estimated footprint fits in ``MEMORY_SAFETY_FACTOR``
+    of one rank's device memory."""
     machine = get_machine(machine)
-    return estimate.total_bytes <= safety_factor * machine.memory_bytes
+    return estimate.total_bytes <= MEMORY_SAFETY_FACTOR * machine.memory_bytes

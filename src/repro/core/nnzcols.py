@@ -54,13 +54,13 @@ class BlockColumnInfo:
 
     def __init__(self, block: int, nnz_cols_global: np.ndarray,
                  nnz_cols_local: np.ndarray, compact: sp.csr_matrix,
-                 width: int, full: Optional[sp.csr_matrix] = None) -> None:
+                 width: int) -> None:
         self.block = block
         self.nnz_cols_global = nnz_cols_global
         self.nnz_cols_local = nnz_cols_local
         self.compact = compact
         self.width = int(width)
-        self._full = full
+        self._full: Optional[sp.csr_matrix] = None
 
     @property
     def full(self) -> sp.csr_matrix:

@@ -24,12 +24,12 @@ __all__ = [
 ]
 
 
-def validate_adjacency(adj: sp.spmatrix, require_square: bool = True) -> sp.csr_matrix:
+def validate_adjacency(adj: sp.spmatrix) -> sp.csr_matrix:
     """Canonicalise an adjacency matrix to CSR and sanity check it."""
     if not sp.issparse(adj):
         raise TypeError(f"expected a scipy sparse matrix, got {type(adj)!r}")
     adj = adj.tocsr()
-    if require_square and adj.shape[0] != adj.shape[1]:
+    if adj.shape[0] != adj.shape[1]:
         raise ValueError(f"adjacency must be square, got shape {adj.shape}")
     if adj.nnz and np.any(adj.data < 0):
         raise ValueError("adjacency weights must be non-negative")
@@ -42,32 +42,28 @@ def degrees(adj: sp.spmatrix) -> np.ndarray:
     return np.diff(adj.indptr)
 
 
-def is_symmetric(adj: sp.spmatrix, tol: float = 0.0) -> bool:
-    """Whether the adjacency is (numerically) symmetric."""
+def is_symmetric(adj: sp.spmatrix) -> bool:
+    """Whether the adjacency is exactly symmetric."""
     adj = validate_adjacency(adj)
     diff = (adj - adj.T).tocsr()
-    if diff.nnz == 0:
-        return True
-    return bool(np.abs(diff.data).max() <= tol)
+    return bool(diff.nnz == 0 or not np.any(diff.data))
 
 
-def add_self_loops(adj: sp.spmatrix, weight: float = 1.0) -> sp.csr_matrix:
-    """Return ``A + weight * I`` (the \\tilde{A} of Kipf & Welling)."""
+def add_self_loops(adj: sp.spmatrix) -> sp.csr_matrix:
+    """Return ``A + I`` (the \\tilde{A} of Kipf & Welling)."""
     adj = validate_adjacency(adj)
     n = adj.shape[0]
-    return (adj + weight * sp.identity(n, format="csr", dtype=adj.dtype)).tocsr()
+    return (adj + sp.identity(n, format="csr", dtype=adj.dtype)).tocsr()
 
 
-def gcn_normalize(adj: sp.spmatrix, add_loops: bool = True) -> sp.csr_matrix:
+def gcn_normalize(adj: sp.spmatrix) -> sp.csr_matrix:
     """Symmetric GCN normalisation ``D^{-1/2} (A + I) D^{-1/2}``.
 
     This is the "modified adjacency matrix" ``A`` of the paper's notation
     table; its sparsity pattern is what the partitioners and the
     sparsity-aware algorithms operate on.
     """
-    adj = validate_adjacency(adj)
-    if add_loops:
-        adj = add_self_loops(adj)
+    adj = add_self_loops(adj)
     deg = np.asarray(adj.sum(axis=1)).ravel()
     with np.errstate(divide="ignore"):
         d_inv_sqrt = 1.0 / np.sqrt(deg)

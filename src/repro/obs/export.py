@@ -26,9 +26,9 @@ def _track_order(tracks) -> List[str]:
     return ([DRIVER_TRACK] if DRIVER_TRACK in tracks else []) + ordered
 
 
-def trace_events(tracer: Optional[Tracer] = None,
-                 time_unit_us: float = 1e6) -> List[dict]:
-    """Chrome trace events from recorded spans ([] when none exist)."""
+def trace_events(tracer: Optional[Tracer] = None) -> List[dict]:
+    """Chrome trace events from recorded spans ([] when none exist),
+    timed in microseconds."""
     tracer = TRACE if tracer is None else tracer
     spans = tracer.spans()
     if not spans:
@@ -51,8 +51,8 @@ def trace_events(tracer: Optional[Tracer] = None,
             "ph": "X",
             "pid": 0,
             "tid": tids[track],
-            "ts": (t0 - t_origin) * time_unit_us,
-            "dur": max(0.0, t1 - t0) * time_unit_us,
+            "ts": (t0 - t_origin) * 1e6,
+            "dur": max(0.0, t1 - t0) * 1e6,
             "args": dict(args),
         })
     slices.sort(key=lambda e: (e["tid"], e["ts"], -e["dur"]))

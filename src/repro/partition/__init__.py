@@ -23,7 +23,7 @@ from .metis_like import MetisLikePartitioner
 from .metrics import (CommVolume, communication_volumes_1d, edgecut,
                       load_imbalance, part_nonzeros, part_sizes,
                       partition_report)
-from .multilevel import MultilevelConfig, MultilevelPartitioner
+from .multilevel import MultilevelPartitioner
 from .random_block import (BlockPartitioner, RandomPartitioner,
                            balanced_block_bounds, contiguous_parts)
 from .refine import edgecut_refine, weighted_edgecut
@@ -38,7 +38,7 @@ __all__ = [
     "CommVolume", "communication_volumes_1d",
     "edgecut", "load_imbalance", "part_nonzeros", "part_sizes",
     "partition_report",
-    "MultilevelConfig", "MultilevelPartitioner",
+    "MultilevelPartitioner",
     "BlockPartitioner", "RandomPartitioner", "balanced_block_bounds",
     "contiguous_parts",
     "edgecut_refine", "weighted_edgecut",

@@ -41,14 +41,14 @@ class PartitionResult:
     method:
         Name of the partitioner that produced this result.
     stats:
-        Free-form quality metrics filled in by the partitioner (edgecut,
-        volumes, imbalance, levels, ...).
+        Free-form quality metrics the partitioner fills in after
+        construction (edgecut, volumes, imbalance, levels, ...).
     """
 
     parts: np.ndarray
     nparts: int
     method: str = "unknown"
-    stats: Dict[str, float] = field(default_factory=dict)
+    stats: Dict[str, float] = field(default_factory=dict, init=False)
 
     def __post_init__(self) -> None:
         self.parts = validate_parts(self.parts, self.nparts)

@@ -112,18 +112,21 @@ def contract_graph(adj: sp.csr_matrix, match: np.ndarray,
                        coarse_map=coarse_map)
 
 
-def coarsen_graph(adj: sp.csr_matrix,
-                  target_vertices: int,
-                  seed: int = 0,
-                  max_levels: int = 20,
-                  min_reduction: float = 0.05,
-                  balance_cap_factor: float = 0.06,
-                  ) -> List[CoarseLevel]:
+#: most levels :func:`coarsen_graph` builds
+MAX_LEVELS = 20
+#: a level that shrinks the graph by less than this share ends coarsening
+MIN_REDUCTION = 0.05
+#: no coarse vertex may weigh more than this share of the graph (or 2)
+BALANCE_CAP_FACTOR = 0.06
+
+
+def coarsen_graph(adj: sp.csr_matrix, target_vertices: int,
+                  seed: int = 0) -> List[CoarseLevel]:
     """Build the full coarsening hierarchy.
 
     Coarsening stops when the graph has at most ``target_vertices``
-    vertices, when ``max_levels`` levels were produced, or when a level
-    shrinks the graph by less than ``min_reduction`` (matching stalls on
+    vertices, when ``MAX_LEVELS`` levels were produced, or when a level
+    shrinks the graph by less than ``MIN_REDUCTION`` (matching stalls on
     star-like graphs).
 
     Returns the list of levels, finest first.  An empty list means the
@@ -137,17 +140,17 @@ def coarsen_graph(adj: sp.csr_matrix,
     weights = np.ones(current.shape[0])
     total_weight = float(weights.sum())
 
-    for _ in range(max_levels):
+    for _ in range(MAX_LEVELS):
         n = current.shape[0]
         if n <= target_vertices:
             break
         # Cap coarse vertex weight so no single coarse vertex exceeds a
         # fraction of the average target part weight.
-        cap = max(2.0, balance_cap_factor * total_weight)
+        cap = max(2.0, BALANCE_CAP_FACTOR * total_weight)
         match = heavy_edge_matching(current, rng, vertex_weights=weights,
                                     max_vertex_weight=cap)
         level = contract_graph(current, match, weights)
-        if level.n_vertices >= n * (1.0 - min_reduction):
+        if level.n_vertices >= n * (1.0 - MIN_REDUCTION):
             break
         levels.append(level)
         current = level.adj

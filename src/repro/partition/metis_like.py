@@ -9,12 +9,7 @@ and is oblivious to how that communication is distributed across processes
 
 from __future__ import annotations
 
-from typing import Optional
-
-import scipy.sparse as sp
-
-from .base import PartitionResult
-from .multilevel import MultilevelConfig, MultilevelPartitioner
+from .multilevel import MultilevelPartitioner
 
 __all__ = ["MetisLikePartitioner"]
 
@@ -23,20 +18,4 @@ class MetisLikePartitioner(MultilevelPartitioner):
     """Multilevel partitioner optimising total edgecut (METIS objective)."""
 
     name = "metis_like"
-
-    def __init__(self, balance_factor: float = 1.03, seed: int = 0,
-                 refine_passes: int = 8,
-                 config: Optional[MultilevelConfig] = None) -> None:
-        if config is None:
-            config = MultilevelConfig(
-                balance_factor=balance_factor,
-                refine_passes=refine_passes,
-                volume_refine_levels=0,
-                seed=seed,
-            )
-        super().__init__(config)
-
-    def partition(self, adj: sp.spmatrix, nparts: int) -> PartitionResult:
-        result = super().partition(adj, nparts)
-        result.method = self.name
-        return result
+    BALANCE_FACTOR = 1.03

@@ -12,8 +12,7 @@ from __future__ import annotations
 import gc
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,48 +24,13 @@ from .initial import fix_empty_parts, greedy_graph_growing
 from .refine import LevelGraph, edgecut_refine, rebalance
 from .volume_refine import volume_refine
 
-__all__ = ["MultilevelConfig", "MultilevelPartitioner", "PHASES"]
+__all__ = ["MultilevelPartitioner", "PHASES"]
 
 #: the phases ``MultilevelPartitioner.partition`` times; each adds
 #: ``<phase>_s`` wall seconds to ``PartitionResult.stats``
 #: (``rebalance`` includes ``fix_empty_parts``)
 PHASES = ("coarsen", "initial_partition", "rebalance", "edgecut_refine",
           "volume_refine")
-
-
-@dataclass(frozen=True)
-class MultilevelConfig:
-    """Tuning knobs of the multilevel driver."""
-
-    #: stop coarsening when at most ``coarse_to * nparts`` vertices remain
-    #: (never below ``min_coarse_vertices``).
-    coarse_to: int = 30
-    min_coarse_vertices: int = 64
-    max_levels: int = 20
-    #: balance tolerance of the edgecut refinement
-    balance_factor: float = 1.05
-    #: sweeps per level
-    refine_passes: int = 6
-    #: whether to run volume-aware refinement, and on how many of the
-    #: finest levels
-    volume_refine_levels: int = 0
-    volume_balance_factor: float = 1.10
-    volume_max_weight: Optional[float] = None
-    volume_refine_passes: int = 6
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        # Reject settings the refiners would silently churn on (a balance
-        # below 1.0 is infeasible) or skip (negative counts).
-        for name in ("balance_factor", "volume_balance_factor"):
-            if not getattr(self, name) >= 1.0:
-                raise ValueError(f"{name} must be >= 1.0, got "
-                                 f"{getattr(self, name)}")
-        for name in ("refine_passes", "volume_refine_passes", "max_levels",
-                     "volume_refine_levels"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got "
-                                 f"{getattr(self, name)}")
 
 
 @contextmanager
@@ -98,12 +62,29 @@ def _timed(seconds: Dict[str, float], phase: str) -> Iterator[None]:
 
 
 class MultilevelPartitioner(Partitioner):
-    """Generic multilevel k-way partitioner."""
+    """Generic multilevel k-way partitioner.
+
+    Subclasses differ only in the class constants below; ``seed`` is the
+    one value a caller sets.
+    """
 
     name = "multilevel"
+    #: stop coarsening when at most ``COARSE_TO * nparts`` vertices
+    #: remain (never below ``MIN_COARSE_VERTICES``)
+    COARSE_TO = 30
+    MIN_COARSE_VERTICES = 64
+    #: balance tolerance of the rebalance and edgecut refinement
+    BALANCE_FACTOR = 1.05
+    #: edgecut (and volume) refinement sweeps per level
+    REFINE_PASSES = 8
+    #: volume-aware refinement runs on this many of the finest levels
+    VOLUME_REFINE_LEVELS = 0
+    #: balance tolerance of the volume-aware refinement (set by a
+    #: subclass that refines the volume)
+    volume_balance_factor: float
 
-    def __init__(self, config: Optional[MultilevelConfig] = None) -> None:
-        self.config = config or MultilevelConfig()
+    def __init__(self, seed: int = 0) -> None:
+        self.seed = seed
 
     # ------------------------------------------------------------------
     def partition(self, adj: sp.spmatrix, nparts: int) -> PartitionResult:
@@ -112,7 +93,7 @@ class MultilevelPartitioner(Partitioner):
 
     def _partition(self, adj: sp.spmatrix, nparts: int) -> PartitionResult:
         adj = self._check_input(adj, nparts)
-        cfg = self.config
+        seed = self.seed
         n = adj.shape[0]
         seconds = dict.fromkeys(PHASES, 0.0)
 
@@ -123,10 +104,9 @@ class MultilevelPartitioner(Partitioner):
             result.stats.update({f"{k}_s": v for k, v in seconds.items()})
             return result
 
-        target = max(cfg.min_coarse_vertices, cfg.coarse_to * nparts)
+        target = max(self.MIN_COARSE_VERTICES, self.COARSE_TO * nparts)
         with _timed(seconds, "coarsen"):
-            levels = coarsen_graph(adj, target_vertices=target, seed=cfg.seed,
-                                   max_levels=cfg.max_levels)
+            levels = coarsen_graph(adj, target_vertices=target, seed=seed)
 
         # graphs[i] is the graph at level i (0 = finest); levels[i].coarse_map
         # maps level i vertices to level i+1 vertices.
@@ -134,33 +114,32 @@ class MultilevelPartitioner(Partitioner):
             (adj.astype(np.float64), np.ones(n))]
         graphs += [(level.adj, level.vertex_weights) for level in levels]
 
-        def refine(level_idx: int, parts: np.ndarray, seed: int
+        def refine(level_idx: int, parts: np.ndarray, level_seed: int
                    ) -> np.ndarray:
             """Rebalance and edgecut-refine ``parts`` on level ``level_idx``,
-            then volume-refine it on the finest ``volume_refine_levels``;
+            then volume-refine it on the finest ``VOLUME_REFINE_LEVELS``;
             the three share one conversion of the level's adjacency."""
             level_adj, level_weights = graphs[level_idx]
             level_adj = LevelGraph(level_adj)
             with _timed(seconds, "rebalance"):
                 parts = rebalance(level_adj, parts, nparts,
                                   vertex_weights=level_weights,
-                                  balance_factor=cfg.balance_factor,
-                                  seed=seed)
+                                  balance_factor=self.BALANCE_FACTOR,
+                                  seed=level_seed)
             with _timed(seconds, "edgecut_refine"):
                 parts, _ = edgecut_refine(level_adj, parts, nparts,
                                           vertex_weights=level_weights,
-                                          balance_factor=cfg.balance_factor,
-                                          max_passes=cfg.refine_passes,
-                                          seed=seed)
-            if level_idx < min(cfg.volume_refine_levels, len(levels)):
+                                          balance_factor=self.BALANCE_FACTOR,
+                                          max_passes=self.REFINE_PASSES,
+                                          seed=level_seed)
+            if level_idx < min(self.VOLUME_REFINE_LEVELS, len(levels)):
                 with _timed(seconds, "volume_refine"):
                     parts, _ = volume_refine(
                         level_adj, parts, nparts,
                         vertex_weights=level_weights,
-                        balance_factor=cfg.volume_balance_factor,
-                        max_volume_weight=cfg.volume_max_weight,
-                        max_passes=cfg.volume_refine_passes,
-                        seed=cfg.seed + 100 + level_idx)
+                        balance_factor=self.volume_balance_factor,
+                        max_passes=self.REFINE_PASSES,
+                        seed=seed + 100 + level_idx)
             return parts
 
         # Initial partition on the coarsest graph.
@@ -168,8 +147,8 @@ class MultilevelPartitioner(Partitioner):
         with _timed(seconds, "initial_partition"):
             parts = greedy_graph_growing(coarsest_adj, nparts,
                                          vertex_weights=coarsest_weights,
-                                         seed=cfg.seed)
-        parts = refine(len(levels), parts, cfg.seed)
+                                         seed=seed)
+        parts = refine(len(levels), parts, seed)
 
         # Uncoarsen: project to each finer level and refine there.
         for level_idx in range(len(levels) - 1, -1, -1):
@@ -177,18 +156,17 @@ class MultilevelPartitioner(Partitioner):
             with _timed(seconds, "rebalance"):
                 parts = fix_empty_parts(graphs[level_idx][0], parts, nparts,
                                         graphs[level_idx][1])
-            parts = refine(level_idx, parts, cfg.seed + level_idx + 1)
+            parts = refine(level_idx, parts, seed + level_idx + 1)
 
-        if not levels and cfg.volume_refine_levels:
+        if not levels and self.VOLUME_REFINE_LEVELS:
             # No coarsening happened: parts already refer to the input graph,
             # but run the optional volume refinement on it.
             with _timed(seconds, "volume_refine"):
                 parts, _ = volume_refine(
                     adj, parts, nparts, vertex_weights=np.ones(n),
-                    balance_factor=cfg.volume_balance_factor,
-                    max_volume_weight=cfg.volume_max_weight,
-                    max_passes=cfg.volume_refine_passes,
-                    seed=cfg.seed + 100)
+                    balance_factor=self.volume_balance_factor,
+                    max_passes=self.REFINE_PASSES,
+                    seed=seed + 100)
 
         with _timed(seconds, "rebalance"):
             parts = fix_empty_parts(adj, parts, nparts, np.ones(n))

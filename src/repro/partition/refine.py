@@ -309,8 +309,7 @@ class KeptRows:
 def rebalance(adj, parts: np.ndarray, nparts: int,
               vertex_weights: Optional[np.ndarray] = None,
               balance_factor: float = 1.05,
-              seed: int = 0,
-              max_moves: Optional[int] = None) -> np.ndarray:
+              seed: int = 0) -> np.ndarray:
     """Repair computational balance by draining overweight parts.
 
     Greedy graph growing on awkward (disconnected, star-heavy) graphs can
@@ -318,7 +317,7 @@ def rebalance(adj, parts: np.ndarray, nparts: int,
     vertices out of every overweight part — preferring vertices with the
     highest connectivity to the receiving part, i.e. the smallest edgecut
     damage — until all parts respect ``balance_factor`` times the ideal
-    weight (or the move budget runs out).
+    weight (or ``4 n`` moves were made).
     """
     check_refine_settings(balance_factor)
     graph, parts, vertex_weights = refine_inputs(adj, parts, nparts,
@@ -327,8 +326,7 @@ def rebalance(adj, parts: np.ndarray, nparts: int,
 
     weights = part_weight_vector(parts, vertex_weights, nparts)
     max_weight = balance_factor * (vertex_weights.sum() / nparts)
-    if max_moves is None:
-        max_moves = 4 * adj.shape[0]
+    max_moves = 4 * adj.shape[0]
     rng = np.random.default_rng(seed)
 
     moves = 0

@@ -194,8 +194,7 @@ def score_candidates(candidates: Sequence[PlanCandidate],
         key = (candidate.partitioner, candidate.n_block_rows)
         if key not in distributed:
             distributed[key] = distribute(
-                adjacency, *key, seed=seed, normalize=True,
-                dtype=np.float64)
+                adjacency, *key, seed=seed, dtype=np.float64)
         matrix = distributed[key][0]
         config = _training_config(candidate, layer_dims, machine, backend,
                                   seed, cache_input_propagation)

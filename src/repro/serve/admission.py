@@ -9,7 +9,7 @@ or raises — and counts accepted/rejected totals for the serving
 engine's metrics registry.
 
 :class:`OverloadPolicy` is the *graceful degradation* layer on top of
-the hard bound: it watches EWMA queue depth and batch latency, and when
+the hard bound: it watches the EWMA queue depth, and when
 sustained pressure crosses the high watermark it (a) sheds the
 lowest-priority tenants first (``ServeOptions.tenant_priorities``) and
 (b) shrinks the batching window toward zero so in-queue requests drain
@@ -91,12 +91,11 @@ class AdmissionController:
 class OverloadPolicy:
     """EWMA backpressure: shed lowest-priority tenants, shrink the window.
 
-    The policy tracks two exponentially-weighted moving averages — the
+    The policy tracks an exponentially-weighted moving average of the
     admission queue depth (sampled at every submit and every batch
-    completion) and the coalesced-batch latency — and derives a
-    *pressure* in ``[0, 1]`` (depth EWMA over the queue limit).  It
-    enters the **degraded** state when pressure crosses
-    ``enter_pressure`` and leaves it below ``exit_pressure``
+    completion) and derives a *pressure* in ``[0, 1]`` (depth EWMA over
+    the queue limit).  It enters the **degraded** state when pressure
+    crosses ``ENTER_PRESSURE`` and leaves it below ``EXIT_PRESSURE``
     (hysteresis, so the state does not flap at the boundary).
 
     While degraded:
@@ -104,59 +103,47 @@ class OverloadPolicy:
     * :meth:`should_shed` refuses the lowest-priority tenants first.
       Tenants map to integer priorities via ``tenant_priorities``
       (higher = more important; unlisted tenants get
-      ``default_priority``).  As pressure climbs from the enter
+      ``DEFAULT_PRIORITY``).  As pressure climbs from the enter
       watermark toward 1.0, progressively higher priority tiers are
       shed; the *top* tier is never shed by the policy (the hard queue
       bound still protects the engine).  With a single tier there is
       nothing lower-priority to sacrifice, so shedding stays off and
       degradation acts through the window alone.
     * :meth:`window_scale` shrinks the batching window toward
-      ``min_window_scale`` so queued requests drain at full cadence —
+      ``MIN_WINDOW_SCALE`` so queued requests drain at full cadence —
       trading coalescing opportunity for latency exactly when latency
       is the scarce resource.
     """
 
+    DEFAULT_PRIORITY = 0
+    #: EWMA weight of the newest depth sample
+    ALPHA = 0.3
+    ENTER_PRESSURE = 0.75
+    EXIT_PRESSURE = 0.40
+    MIN_WINDOW_SCALE = 0.2
+
     def __init__(self, queue_limit: int,
-                 tenant_priorities: Optional[Mapping[str, int]] = None,
-                 default_priority: int = 0,
-                 alpha: float = 0.3,
-                 enter_pressure: float = 0.75,
-                 exit_pressure: float = 0.40,
-                 min_window_scale: float = 0.2) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        if not 0.0 < exit_pressure < enter_pressure <= 1.0:
-            raise ValueError(
-                "need 0 < exit_pressure < enter_pressure <= 1, got "
-                f"exit={exit_pressure}, enter={enter_pressure}")
+                 tenant_priorities: Optional[Mapping[str, int]] = None
+                 ) -> None:
         self.queue_limit = max(1, int(queue_limit))
         self.priorities = dict(tenant_priorities or {})
-        self.default_priority = int(default_priority)
-        self.alpha = float(alpha)
-        self.enter_pressure = float(enter_pressure)
-        self.exit_pressure = float(exit_pressure)
-        self.min_window_scale = float(min_window_scale)
         self.depth_ewma = 0.0
-        self.batch_s_ewma = 0.0
         self.degraded = False
         self.shed_total = 0
         levels = set(self.priorities.values())
-        levels.add(self.default_priority)
+        levels.add(self.DEFAULT_PRIORITY)
         self._levels = sorted(levels)
 
-    def observe(self, queue_depth: int,
-                batch_seconds: Optional[float] = None) -> None:
-        """Feed one sample; updates the EWMAs and the degraded state."""
-        a = self.alpha
-        self.depth_ewma += a * (float(queue_depth) - self.depth_ewma)
-        if batch_seconds is not None:
-            self.batch_s_ewma += a * (float(batch_seconds)
-                                      - self.batch_s_ewma)
+    def observe(self, queue_depth: int) -> None:
+        """Feed one depth sample; updates the EWMA and the degraded
+        state."""
+        self.depth_ewma += self.ALPHA * (float(queue_depth)
+                                         - self.depth_ewma)
         p = self.pressure()
         if self.degraded:
-            if p <= self.exit_pressure:
+            if p <= self.EXIT_PRESSURE:
                 self.degraded = False
-        elif p >= self.enter_pressure:
+        elif p >= self.ENTER_PRESSURE:
             self.degraded = True
 
     def pressure(self) -> float:
@@ -164,15 +151,15 @@ class OverloadPolicy:
         return min(1.0, self.depth_ewma / self.queue_limit)
 
     def priority_of(self, tenant: str) -> int:
-        return self.priorities.get(tenant, self.default_priority)
+        return self.priorities.get(tenant, self.DEFAULT_PRIORITY)
 
     def shed_cutoff(self) -> Optional[int]:
         """Priorities strictly below this value are shed; ``None`` = no
         shedding (healthy, or only one priority tier exists)."""
         if not self.degraded or len(self._levels) < 2:
             return None
-        span = max(1e-9, 1.0 - self.enter_pressure)
-        frac = min(1.0, max(0.0, (self.pressure() - self.enter_pressure)
+        span = max(1e-9, 1.0 - self.ENTER_PRESSURE)
+        frac = min(1.0, max(0.0, (self.pressure() - self.ENTER_PRESSURE)
                             / span))
         n_tiers = len(self._levels)
         n_shed = min(n_tiers - 1, 1 + int(frac * (n_tiers - 1)))
@@ -188,7 +175,7 @@ class OverloadPolicy:
 
     def window_scale(self) -> float:
         """Multiplier for the batching window (1.0 healthy, smaller under
-        pressure, never below ``min_window_scale``)."""
+        pressure, never below ``MIN_WINDOW_SCALE``)."""
         if not self.degraded:
             return 1.0
-        return max(self.min_window_scale, 1.0 - self.pressure())
+        return max(self.MIN_WINDOW_SCALE, 1.0 - self.pressure())

@@ -61,6 +61,7 @@ from typing import List, Mapping, Optional, Sequence
 
 import numpy as np
 
+from ..comm import make_communicator
 from ..comm.faults import WorkerFailure
 from ..core.checkpoint import config_fingerprint, resolve_checkpoint
 from ..obs.metrics import MetricsRegistry
@@ -126,8 +127,13 @@ class RequestExpired(RuntimeError):
             f"{waited_s * 1e3:.1f}ms in queue; shed before execution")
 
 
+#: ``stop()``/``close()`` join grace, in seconds, before escalating to
+#: the backend's dead-worker teardown
+STOP_GRACE_S = 10.0
+
+
 def _finite_positive(value: float) -> bool:
-    """Whether a deadline or grace period is usable: NaN passes a plain
+    """Whether a deadline is usable: NaN passes a plain
     ``<= 0`` check yet sheds a request at once, and an infinite one
     never fires."""
     return math.isfinite(value) and value > 0
@@ -157,9 +163,6 @@ class ServeOptions:
     #: tenant -> integer priority (higher = more important) for
     #: overload shedding; unlisted tenants get priority 0.
     tenant_priorities: Optional[Mapping[str, int]] = None
-    #: ``stop()``/``close()`` join grace before escalating to the
-    #: backend's dead-worker teardown.
-    stop_grace_s: float = 10.0
 
     def __post_init__(self) -> None:
         if self.max_batch_width < 1:
@@ -178,9 +181,6 @@ class ServeOptions:
                 and not _finite_positive(self.default_deadline_ms):
             raise ValueError("default_deadline_ms must be finite and "
                              f"positive, got {self.default_deadline_ms}")
-        if not _finite_positive(self.stop_grace_s):
-            raise ValueError("stop_grace_s must be finite and positive, "
-                             f"got {self.stop_grace_s}")
 
 
 @dataclass
@@ -346,11 +346,12 @@ class ServingEngine:
         mismatch raises instead of serving garbage logits.
 
         The engine built here is **recoverable**: it retains the
-        checkpoint's weight state and a rebuild factory over
-        ``(dataset, config)``, so a worker loss triggers a supervised
-        in-place restart instead of a permanent failure.
+        checkpoint's weight state and the distributed graph, and a worker
+        loss triggers a supervised in-place restart that builds a fresh
+        communicator and model over that graph (no re-partitioning and
+        no re-planning) instead of a permanent failure.
         """
-        from ..core.trainer import setup_distributed
+        from ..core.trainer import build_setup, setup_distributed
         setup = setup_distributed(dataset, config)
         try:
             resolved = setup.config if setup.config is not None else config
@@ -360,9 +361,19 @@ class ServingEngine:
         except BaseException:
             setup.comm.close()
             raise
+        node_data, matrix = setup.node_data, setup.model.adjacency
+        partition = setup.partition
 
         def rebuild():
-            fresh = setup_distributed(dataset, config)
+            comm = make_communicator(resolved.n_ranks,
+                                     backend=resolved.backend,
+                                     machine=resolved.machine)
+            try:
+                fresh = build_setup(resolved, comm, node_data, matrix,
+                                    partition)
+            except BaseException:
+                comm.close()
+                raise
             return fresh.model, fresh.comm
 
         return cls(setup.model, comm=setup.comm, options=options,
@@ -389,13 +400,12 @@ class ServingEngine:
         self._thread.start()
         return self
 
-    def stop(self, grace_s: Optional[float] = None) -> None:
+    def stop(self) -> None:
         """Drain everything already admitted, then stop the thread.
 
-        The join is **bounded**: after ``grace_s`` (default
-        ``ServeOptions.stop_grace_s``) the engine escalates to the
-        backend's dead-worker teardown — killing the worker pool so the
-        sentinel wait turns the stuck collective into a
+        The join is **bounded**: after ``STOP_GRACE_S`` the engine
+        escalates to the backend's dead-worker teardown — killing the
+        worker pool so the sentinel wait turns the stuck collective into a
         :class:`WorkerFailure` the serving thread can exit on — instead
         of hanging behind the 600 s watchdog.  The engine can
         :meth:`start` again after a clean stop; warm state (model,
@@ -404,21 +414,20 @@ class ServingEngine:
         thread = self._thread
         if thread is None:
             return
-        grace = self.options.stop_grace_s if grace_s is None else grace_s
         self._stop_requested = True
         self.admission.post_control(SHUTDOWN)
-        thread.join(grace)
+        thread.join(STOP_GRACE_S)
         if thread.is_alive():
             # The serving thread is wedged mid-collective (dead or stuck
             # worker).  Tear the worker pool down; the liveness path
             # raises WorkerFailure and _stop_requested suppresses
             # recovery, so the thread exits.
             self._escalate_teardown()
-            thread.join(grace)
+            thread.join(STOP_GRACE_S)
             if thread.is_alive():
                 self._failed = True
                 self._last_failure = ("serving thread did not stop within "
-                                      f"2x{grace}s grace")
+                                      f"2x{STOP_GRACE_S}s grace")
         self._thread = None
         if not self._failed:
             self._stop_requested = False
@@ -692,7 +701,7 @@ class ServingEngine:
         self.metrics.observe("serve_batch_seconds", batch_s)
         # Backpressure feedback: the policy sees the post-batch queue
         # depth and latency, and its verdict resizes the next window.
-        self.overload.observe(self.admission.depth(), batch_s)
+        self.overload.observe(self.admission.depth())
         self.batcher.window_scale = self.overload.window_scale()
 
         f_out = self.output_width

@@ -36,15 +36,22 @@ from .engine import (RequestExpired, ServeError, ServeOptions, ServeResult,
 __all__ = ["LoadStep", "prepare_checkpoint", "run_load", "run_serve_bench",
            "serve_traffic", "submit_with_retries", "verify_batched_identity"]
 
+#: ceiling of one backoff sleep of :func:`submit_with_retries`, before
+#: jitter
+BACKOFF_CAP_S = 2.0
+#: tries :func:`run_load`'s clients make per request
+RETRY_ATTEMPTS = 3
+#: requests :func:`run_serve_bench` serves batched and one by one to
+#: verify they agree bit for bit
+VERIFY_REQUESTS = 6
+
 
 def submit_with_retries(engine: ServingEngine, features: np.ndarray,
                         tenant: str = "default", *,
                         deadline_ms: Optional[float] = None,
                         attempts: int = 4,
                         backoff_s: float = 0.05,
-                        backoff_cap_s: float = 2.0,
                         timeout_s: float = 120.0,
-                        retry_rejected: bool = False,
                         rng: Optional[random.Random] = None) -> ServeResult:
     """Submit-and-wait with exponential backoff + jitter on retryables.
 
@@ -52,12 +59,12 @@ def submit_with_retries(engine: ServingEngine, features: np.ndarray,
     :class:`~repro.serve.engine.ServeError` marked ``retryable`` means
     the engine is restarting behind the failure (supervised recovery),
     so the right client move is to back off and resubmit — the delay
-    doubles up to ``backoff_cap_s`` per attempt, and each sleep is
+    doubles up to ``BACKOFF_CAP_S`` per attempt, and each sleep is
     jittered by a uniform factor in ``[0.5, 1.5)`` so a fleet of
     retrying clients does not stampede the freshly rebuilt engine.
 
     Non-retryable failures (recovery exhausted, expired deadline),
-    result-wait timeouts and — unless ``retry_rejected`` —
+    result-wait timeouts and
     :class:`~repro.serve.admission.RequestRejected` propagate
     immediately; after ``attempts`` tries the last retryable error is
     re-raised.  ``rng`` pins the jitter for deterministic tests.
@@ -70,16 +77,10 @@ def submit_with_retries(engine: ServingEngine, features: np.ndarray,
     last: Optional[BaseException] = None
     for attempt in range(int(attempts)):
         if attempt:
-            sleep(min(float(backoff_cap_s), delay) * (0.5 + rng.random()))
+            sleep(min(BACKOFF_CAP_S, delay) * (0.5 + rng.random()))
             delay *= 2.0
-        try:
-            future = engine.submit(features, tenant=tenant,
-                                   deadline_ms=deadline_ms)
-        except RequestRejected as exc:
-            if not retry_rejected:
-                raise
-            last = exc
-            continue
+        future = engine.submit(features, tenant=tenant,
+                               deadline_ms=deadline_ms)
         try:
             return future.result(timeout=timeout_s)
         except ServeError as exc:
@@ -116,8 +117,7 @@ def run_load(engine: ServingEngine,
              offered_qps: Optional[float], duration_s: float,
              clients: int = 8,
              tenants: Sequence[str] = ("default",),
-             deadline_ms: Optional[float] = None,
-             retry_attempts: int = 3) -> LoadStep:
+             deadline_ms: Optional[float] = None) -> LoadStep:
     """Drive ``engine`` with closed-loop clients for ``duration_s``.
 
     ``make_features(i)`` supplies the i-th request's feature matrix
@@ -125,7 +125,7 @@ def run_load(engine: ServingEngine,
     are assigned round-robin across requests.  The engine must already
     be started.
 
-    Clients ride :func:`submit_with_retries` (``retry_attempts`` tries
+    Clients ride :func:`submit_with_retries` (``RETRY_ATTEMPTS`` tries
     with backoff+jitter), so a supervised engine restart mid-run costs
     latency, not correctness; requests that still fail — recovery
     exhausted, or an expired ``deadline_ms`` — land in ``failed``.
@@ -165,7 +165,7 @@ def run_load(engine: ServingEngine,
             try:
                 submit_with_retries(engine, features, tenant=tenant,
                                     deadline_ms=deadline_ms,
-                                    attempts=retry_attempts,
+                                    attempts=RETRY_ATTEMPTS,
                                     timeout_s=duration_s + 60.0,
                                     rng=jitter_rng)
             except RequestRejected:
@@ -333,7 +333,6 @@ def run_serve_bench(dataset, config, checkpoint,
                     max_wait_ms: float = 2.0,
                     queue_depth: int = 256,
                     max_restarts: int = 1,
-                    verify_requests: int = 6,
                     seed: int = 0) -> dict:
     """The full ``repro serve --bench`` measurement (one backend).
 
@@ -367,7 +366,7 @@ def run_serve_bench(dataset, config, checkpoint,
                 verify_features = [
                     _feature_factory(n, width, engine.model.dtype,
                                      seed + 1)(i)
-                    for i in range(verify_requests)]
+                    for i in range(VERIFY_REQUESTS)]
                 results["identity"] = verify_batched_identity(
                     engine, verify_features)
             make_features = _feature_factory(n, width, engine.model.dtype,

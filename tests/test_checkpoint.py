@@ -114,15 +114,16 @@ class TestCheckpointFormat:
             read_checkpoint(path)
 
     def test_manager_prunes_to_keep(self, tmp_path):
-        mgr = CheckpointManager(tmp_path, keep=2)
+        mgr = CheckpointManager(tmp_path)
         for epoch in (1, 2, 3, 4):
             mgr.save(_ckpt(epoch))
         names = [p.name for p in mgr.paths()]
-        assert names == ["ckpt-00000003.ckpt", "ckpt-00000004.ckpt"]
+        assert names == [f"ckpt-{epoch:08d}.ckpt"
+                         for epoch in range(5 - CheckpointManager.KEEP, 5)]
         assert mgr.load_latest().epoch == 4
 
     def test_no_temp_files_survive_save(self, tmp_path):
-        mgr = CheckpointManager(tmp_path, keep=3)
+        mgr = CheckpointManager(tmp_path)
         mgr.save(_ckpt(1))
         leftovers = [p for p in tmp_path.iterdir()
                      if not p.name.endswith(".ckpt")]
@@ -137,7 +138,7 @@ class TestCheckpointFormat:
 # ----------------------------------------------------------------------
 class TestCorruptionHandling:
     def test_corrupt_newest_falls_back_to_intact(self, tmp_path):
-        mgr = CheckpointManager(tmp_path, keep=3)
+        mgr = CheckpointManager(tmp_path)
         mgr.save(_ckpt(1, seed=1))
         good = mgr.save(_ckpt(2, seed=2))
         bad = mgr.save(_ckpt(3, seed=3))
@@ -149,7 +150,7 @@ class TestCorruptionHandling:
                                       read_checkpoint(good).weights[0])
 
     def test_all_corrupt_raises_listing_failures(self, tmp_path):
-        mgr = CheckpointManager(tmp_path, keep=3)
+        mgr = CheckpointManager(tmp_path)
         for epoch in (1, 2):
             path = mgr.save(_ckpt(epoch))
             path.write_bytes(b"garbage")

@@ -240,7 +240,8 @@ class TestWorkspaceReuse:
         matrix, grid, wrap, _ = _operands(algorithm, adj,
                                           replication=replication)
         with make_communicator(P, backend="sim") as comm:
-            op = compile_spmm(matrix, comm, algorithm=algorithm, mode=mode,
+            op = compile_spmm(matrix, comm, algorithm=algorithm,
+                              sparsity_aware=mode == "sparsity_aware",
                               grid=grid, pipeline_depth=depth)
             comm.inject_faults(FaultPlan.kill(rank=1, op_index=0))
             dense = wrap(h_a.copy())

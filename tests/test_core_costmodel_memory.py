@@ -5,7 +5,7 @@ import pytest
 
 from repro.comm import make_communicator, perlmutter
 from repro.core import (BlockRowDistribution, DistDenseMatrix, DistSparseMatrix,
-                        DistTrainConfig, MemoryEstimate,
+                        DistTrainConfig,
                         epoch_cost, epoch_spmm_widths, estimate_rank_memory,
                         fits_in_memory,
                         spmm, spmm_cost_15d_oblivious,
@@ -307,6 +307,3 @@ class TestMemoryModel:
     def test_validation(self):
         with pytest.raises(ValueError):
             estimate_rank_memory(0, 10, 8, 2, self.paper_scale_config(2))
-        est = MemoryEstimate(1, 1, 1, 1, 1, 0, 0)
-        with pytest.raises(ValueError):
-            fits_in_memory(est, "perlmutter", safety_factor=0.0)

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.core import AUTO, DistTrainConfig
 from repro.core.distribute import distribute
 from repro.core.trainer import setup_distributed
-from repro.graphs import load_dataset
+from repro.graphs import gcn_normalize, load_dataset
 from repro.partition import get_partitioner
 from repro.plan import resolve_config, score
 
@@ -77,8 +77,7 @@ class TestDistribute:
     def test_relabelling_moves_each_row_to_its_new_position(self):
         ds = load_dataset("reddit", scale=0.05, n_features=6, n_classes=3,
                           seed=0)
-        matrix, perm, part = distribute(ds.adjacency, "random", 4,
-                                        normalize=False)
+        matrix, perm, part = distribute(ds.adjacency, "random", 4)
         assert part.method == "random"
         # Vertices of each part are contiguous, in part order.
         assert np.array_equal(np.sort(perm[part.parts == 0]),
@@ -86,8 +85,8 @@ class TestDistribute:
         # Degree of vertex v is preserved at its new position.
         deg_new = np.concatenate([np.diff(rows.indptr)
                                   for rows in matrix.block_rows])
-        np.testing.assert_array_equal(deg_new[perm],
-                                      np.diff(ds.adjacency.indptr))
+        np.testing.assert_array_equal(
+            deg_new[perm], np.diff(gcn_normalize(ds.adjacency).indptr))
 
     def test_natural_blocks_have_no_relabelling(self):
         ds = load_dataset("reddit", scale=0.05, seed=0)

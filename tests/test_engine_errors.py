@@ -51,9 +51,9 @@ class TestUnknownNames:
         with pytest.raises(ValueError, match=r"no SpMM variant.*3d"):
             spmm(matrix, dense, comm, algorithm="3d")
 
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="oblivious"):
-            get_spmm("1d", mode="half_aware")
+    def test_get_spmm_lists_available_variants(self):
+        with pytest.raises(ValueError, match=r"2d.*oblivious"):
+            get_spmm("2d")
 
     def test_engine_rejects_unknown_variant(self):
         comm = make_communicator(2)
@@ -96,7 +96,8 @@ class TestGridRequirements:
         """Each variant's plan class names its own key and whether it
         takes a grid, and compiling checks the grid against it before
         reading the matrix: 1.5D needs a grid, 1D refuses one."""
-        variant = get_spmm(algorithm, mode=mode)
+        sparsity_aware = mode == "sparsity_aware"
+        variant = get_spmm(algorithm, sparsity_aware=sparsity_aware)
         assert variant is PLAN_CLASSES[algorithm, mode]
         assert (variant.algorithm, variant.mode) == (algorithm, mode)
         assert variant.needs_grid == (algorithm == "1.5d")
@@ -105,7 +106,7 @@ class TestGridRequirements:
             else (ProcessGrid(4, 2), "does not take a process grid")
         with pytest.raises(ValueError, match=message):
             compile_spmm(None, make_communicator(4), algorithm=algorithm,
-                         mode=mode, grid=wrong)
+                         sparsity_aware=sparsity_aware, grid=wrong)
 
     def test_invalid_process_grid(self):
         with pytest.raises(ValueError):
@@ -170,7 +171,8 @@ class TestOperandMismatches:
         matrix, dense = _operands_1d(adj, h, nblocks)
         with make_communicator(4) as comm:
             op = engine_mod.compile(matrix, comm, algorithm=algorithm,
-                                    mode=mode, grid=grid)
+                                    sparsity_aware=mode == "sparsity_aware",
+                                    grid=grid)
             f32 = DistDenseMatrix.from_global(h, matrix.dist,
                                               dtype=np.float32)
             with pytest.raises(ValueError, match="dtype"):

@@ -49,9 +49,8 @@ def any_graph(request):
     return GRAPHS[request.param]().tocsr()
 
 
-def _dense_gcn_normalize(dense, add_loops):
-    if add_loops:
-        dense = dense + np.eye(dense.shape[0])
+def _dense_gcn_normalize(dense):
+    dense = dense + np.eye(dense.shape[0])
     deg = dense.sum(axis=1)
     inv_sqrt = np.zeros_like(deg)
     inv_sqrt[deg > 0] = 1.0 / np.sqrt(deg[deg > 0])
@@ -62,13 +61,11 @@ class TestAdjacencyProperties:
     """Invariants of the preprocessing on every input in ``GRAPHS``."""
 
     def test_gcn_normalize_matches_dense_formula(self, any_graph):
-        dense = any_graph.toarray()
-        for add_loops in (True, False):
-            norm = A.gcn_normalize(any_graph, add_loops=add_loops)
-            assert np.all(np.isfinite(norm.data))
-            np.testing.assert_allclose(norm.toarray(),
-                                       _dense_gcn_normalize(dense, add_loops),
-                                       atol=1e-12)
+        norm = A.gcn_normalize(any_graph)
+        assert np.all(np.isfinite(norm.data))
+        np.testing.assert_allclose(norm.toarray(),
+                                   _dense_gcn_normalize(any_graph.toarray()),
+                                   atol=1e-12)
 
     def test_normalized_spectrum_lies_in_unit_interval(self, any_graph):
         # D^{-1/2} (A + I) D^{-1/2} is similar to a stochastic matrix, so
@@ -159,7 +156,8 @@ class TestNormalisation:
     def test_gcn_normalize_row_col_scaling(self, graph):
         norm = A.gcn_normalize(graph)
         # Symmetric normalisation keeps the matrix symmetric and bounded.
-        assert A.is_symmetric(norm, tol=1e-12)
+        np.testing.assert_allclose(norm.toarray(), norm.T.toarray(),
+                                   atol=1e-12)
         assert norm.data.max() <= 1.0 + 1e-12
         assert norm.data.min() > 0
         # Exactly D^{-1/2} (A + I) D^{-1/2} on an irregular graph.
@@ -179,18 +177,15 @@ class TestNormalisation:
         np.testing.assert_allclose(row_sums, 1.0, rtol=1e-10)
 
     def test_gcn_normalize_handles_isolated_vertices(self):
-        adj = sp.csr_matrix((3, 3))
-        norm = A.gcn_normalize(adj, add_loops=False)
-        assert norm.nnz == 0
-        # One edge plus an isolated vertex: finite, the edge scaled to 1.
+        # An isolated vertex keeps only its self loop, scaled to 1.
+        norm = A.gcn_normalize(sp.csr_matrix((3, 3)))
+        np.testing.assert_array_equal(norm.toarray(), np.eye(3))
+        # One edge plus an isolated vertex: finite, the pair scaled by 1/2.
         adj = sp.csr_matrix(([1.0, 1.0], ([0, 1], [1, 0])), shape=(3, 3))
-        norm = A.gcn_normalize(adj, add_loops=False)
+        norm = A.gcn_normalize(adj)
         assert np.all(np.isfinite(norm.toarray()))
-        np.testing.assert_allclose(norm.toarray()[:2, :2], [[0, 1], [1, 0]])
-
-    def test_gcn_normalize_without_loops(self, graph):
-        norm = A.gcn_normalize(graph, add_loops=False)
-        assert norm.diagonal().sum() == 0
+        np.testing.assert_allclose(norm.toarray(),
+                                   [[0.5, 0.5, 0], [0.5, 0.5, 0], [0, 0, 1]])
 
 
 class TestPermutation:

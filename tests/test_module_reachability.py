@@ -9,9 +9,19 @@ executed, and lazy imports inside functions count).
   A reference from inside another unreferenced definition does not
   count.  Each name in :data:`ALLOWED` is exempt, with its reason; a
   decorator exempts nothing.
+* Every public method of a public class is read by non-test code, by
+  name (an attribute or a string, as ``getattr`` wrappers use it)
+  outside its own body; :data:`ALLOWED_METHODS` lists the exceptions.
+* Every option is set by non-test code: each defaulted parameter of a
+  public function or method, and each field of a public ``@dataclass``,
+  is passed somewhere as a keyword of its name, positionally at its
+  index in a call of its callee, as a string key of a dict literal (the
+  ``**spec`` idiom) or through a ``*`` / ``**`` call of its callee.
+  :data:`ALLOWED_OPTIONS` lists the exceptions.
 
-A module or name that only its own tests reach is dead code: delete it
-rather than keep testing it.
+A module, name, method or option that only its own tests reach is dead
+code: delete it (an option becomes a constant) rather than keep testing
+it.
 """
 
 import ast
@@ -51,6 +61,50 @@ ALLOWED = {
     "repro.graphs.io.load_partition":
         "graphs/io.py: the persisted-artifact seam (ROADMAP item 16)",
 }
+
+
+#: Public methods kept without a non-test reader.
+ALLOWED_METHODS = {
+    "repro.comm.events.EventLog.filtered":
+        "test oracle: the events of one kind, category or rank pair",
+    "repro.comm.events.EventLog.traffic_matrix":
+        "test oracle: the bytes between every rank pair",
+    "repro.comm.timeline.Timeline.per_rank_breakdown":
+        "test oracle: each rank's time per category",
+    "repro.core.dist_matrix.DistSparseMatrix.to_dense_global":
+        "test oracle: the distributed matrix as one dense array",
+    "repro.partition.volume_refine.VolumeState.move_deltas":
+        "test oracle: the one-move deltas DeltaBatch is held to",
+    "repro.comm.base.CommHandle.test":
+        "nonblocking-handle contract (MPI_Test) the conformance suite "
+        "checks on every backend",
+    "repro.comm.timeline.Timeline.clocks":
+        "test oracle: every rank's clock, compared across backends",
+}
+
+#: Options (``qualified.name(parameter)``) kept without a non-test
+#: caller that sets them.
+ALLOWED_OPTIONS = {
+    "repro.core.trainer.train_distributed(fault_plan)":
+        "test seam: the chaos suites inject faults through it",
+    "repro.comm.process.ProcessPoolCommunicator.__init__(start_method)":
+        "test seam: the protocol golden runs fork and spawn",
+    "repro.serve.loadgen.submit_with_retries(backoff_s)":
+        "test seam: retry tests shorten the backoff",
+    "repro.obs.export.metrics_from_spans(tracer)":
+        "test seam: a private tracer instead of the global one",
+    "repro.obs.export.save_trace(tracer)":
+        "test seam: a private tracer instead of the global one",
+    "repro.cli.main(argv)": "test seam: the CLI tests pass argv",
+    "repro.comm.machine.perlmutter_scaled(factor)":
+        "test seam: the cost model's sensitivity slice scales the machine",
+    "repro.partition.volume_refine.volume_refine(max_volume_weight)":
+        "the reference tests drive the bottleneck weight",
+}
+#: Modules whose options are exempt: fixture generators and the
+#: single-process reference model.
+OPTION_EXEMPT_MODULES = ("repro.graphs.generators", "repro.graphs.features",
+                         "repro.gcn")
 
 
 def _modules():
@@ -162,3 +216,183 @@ def test_allowed_names_exist_and_are_unreferenced():
     """An entry that gained a caller, or whose definition is gone, is
     stale: drop it."""
     assert sorted(set(ALLOWED) - _unreferenced()) == []
+
+
+def _caller_trees():
+    paths = list((SRC / "repro").rglob("*.py"))
+    for tree in CALLER_DIRS:
+        paths.extend((ROOT / tree).rglob("*.py"))
+    return {path: ast.parse(path.read_text(encoding="utf-8"))
+            for path in paths}
+
+
+def _public_classes():
+    """``(module, class node)`` of every public top-level class."""
+    for module, path in _modules().items():
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) \
+                    and not node.name.startswith("_"):
+                yield module, path, node
+
+
+def _functions(body):
+    return [node for node in body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def test_every_public_method_is_read_outside_the_tests():
+    methods = {f"{module}.{cls.name}.{fn.name}": (path, fn)
+               for module, path, cls in _public_classes()
+               for fn in _functions(cls.body)
+               if not fn.name.startswith("_")}
+    wanted = {fn.name for _, fn in methods.values()}
+    reads = {}
+    for path, tree in _caller_trees().items():
+        for node in ast.walk(tree):
+            ident = node.id if isinstance(node, ast.Name) else \
+                node.attr if isinstance(node, ast.Attribute) else \
+                node.value if isinstance(node, ast.Constant) else None
+            if isinstance(ident, str) and ident in wanted:
+                reads.setdefault(ident, []).append((path, node.lineno))
+    shell = "\n".join(path.read_text(encoding="utf-8")
+                      for path in (ROOT / "scripts").rglob("*.sh"))
+    unread = sorted(
+        name for name, (path, fn) in methods.items()
+        if not re.search(rf"\b{fn.name}\b", shell)
+        and not any(ref[0] != path
+                    or not fn.lineno <= ref[1] <= fn.end_lineno
+                    for ref in reads.get(fn.name, ())))
+    assert sorted(set(unread) - set(ALLOWED_METHODS)) == []
+    assert sorted(set(ALLOWED_METHODS) - set(unread)) == [], \
+        "stale ALLOWED_METHODS entries"
+
+
+def _dataclass_fields(cls):
+    """Init fields of a ``@dataclass`` that have a default."""
+    decorators = [d.func if isinstance(d, ast.Call) else d
+                  for d in cls.decorator_list]
+    if not any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass"
+               for d in decorators):
+        return
+    index = 0
+    for node in cls.body:
+        if not (isinstance(node, ast.AnnAssign)
+                and isinstance(node.target, ast.Name)) \
+                or "ClassVar" in ast.unparse(node.annotation):
+            continue
+        value = node.value
+        if isinstance(value, ast.Call) and any(
+                k.arg == "init" and isinstance(k.value, ast.Constant)
+                and k.value.value is False for k in value.keywords):
+            continue
+        if value is not None:
+            yield node.target.id, index
+        index += 1
+
+
+def _parameters(fn, skip):
+    """``(name, positional index or None)`` of ``fn``'s defaulted
+    parameters; ``skip`` leading positionals (``self``) are not
+    passed by the caller."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional[first:], first):
+        yield arg.arg, i - skip
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _options():
+    """``{qualified.name(option): (callee name, positional index)}``."""
+    options = {}
+    for module, path in _modules().items():
+        if module.startswith(OPTION_EXEMPT_MODULES):
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if node.__class__ not in (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef) \
+                    or node.name.startswith("_"):
+                continue
+            name = f"{module}.{node.name}"
+            if not isinstance(node, ast.ClassDef):
+                for param, index in _parameters(node, 0):
+                    options[f"{name}({param})"] = (node.name, index)
+                continue
+            for field_name, index in _dataclass_fields(node):
+                options[f"{name}({field_name})"] = (node.name, index)
+            for fn in _functions(node.body):
+                if fn.name != "__init__" and fn.name.startswith("_"):
+                    continue
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in fn.decorator_list)
+                callee = node.name if fn.name == "__init__" else fn.name
+                for param, index in _parameters(fn, 0 if static else 1):
+                    options[f"{name}.{fn.name}({param})"] = (callee, index)
+    return options
+
+
+def _callee(call, owners):
+    """The names a call reaches: ``super().__init__`` inside a class
+    calls its bases and ``cls(...)`` the class itself."""
+    func = call.func
+    if id(call) in owners:
+        return owners[id(call)]
+    return [func.id if isinstance(func, ast.Name) else
+            func.attr if isinstance(func, ast.Attribute) else None]
+
+
+def _settings():
+    """What non-test code passes: keyword names, dict-literal keys,
+    ``(callee, index)`` positions and callees called with ``*``/``**``."""
+    keywords, positions, starred = set(), set(), set()
+    for tree in _caller_trees().values():
+        owners = {}
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            bases = [getattr(b, "id", getattr(b, "attr", None))
+                     for b in cls.bases]
+            for call in ast.walk(cls):
+                if not isinstance(call, ast.Call):
+                    continue
+                func = call.func
+                if getattr(func, "id", None) == "cls":
+                    owners[id(call)] = [cls.name]
+                elif isinstance(func, ast.Attribute) \
+                        and func.attr == "__init__" \
+                        and isinstance(func.value, ast.Call) \
+                        and getattr(func.value.func, "id", None) == "super":
+                    owners[id(call)] = bases
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Dict):
+                keywords.update(k.value for k in node.keys
+                                if isinstance(k, ast.Constant)
+                                and isinstance(k.value, str))
+            if not isinstance(node, ast.Call):
+                continue
+            for callee in _callee(node, owners):
+                for keyword in node.keywords:
+                    if keyword.arg is None:
+                        starred.add(callee)
+                    keywords.add(keyword.arg)
+                for index, arg in enumerate(node.args):
+                    if isinstance(arg, ast.Starred):
+                        starred.add(callee)
+                        break
+                    positions.add((callee, index))
+    return keywords, positions, starred
+
+
+def test_every_option_is_set_outside_the_tests():
+    keywords, positions, starred = _settings()
+    unset = sorted(
+        name for name, (callee, index) in _options().items()
+        if name.rpartition("(")[2][:-1] not in keywords
+        and callee not in starred
+        and (callee, index) not in positions)
+    assert sorted(set(unset) - set(ALLOWED_OPTIONS)) == []
+    assert sorted(set(ALLOWED_OPTIONS) - set(unset)) == [], \
+        "stale ALLOWED_OPTIONS entries"

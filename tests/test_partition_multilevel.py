@@ -6,9 +6,8 @@ import pytest
 from repro.graphs.generators import (community_ring_graph, degree_corrected_sbm,
                                      erdos_renyi_graph, grid_graph)
 from repro.partition import (GVBPartitioner, MetisLikePartitioner,
-                             MultilevelConfig, MultilevelPartitioner,
-                             RandomPartitioner, communication_volumes_1d,
-                             edgecut)
+                             MultilevelPartitioner, RandomPartitioner,
+                             communication_volumes_1d, edgecut)
 
 
 @pytest.fixture(scope="module")
@@ -36,9 +35,8 @@ class TestMultilevelDriver:
             assert sizes.sum() == structured_graph.shape[0]
 
     def test_deterministic_given_seed(self, structured_graph):
-        cfg = MultilevelConfig(seed=4)
-        a = MultilevelPartitioner(cfg).partition(structured_graph, 6).parts
-        b = MultilevelPartitioner(cfg).partition(structured_graph, 6).parts
+        a = MultilevelPartitioner(seed=4).partition(structured_graph, 6).parts
+        b = MultilevelPartitioner(seed=4).partition(structured_graph, 6).parts
         np.testing.assert_array_equal(a, b)
 
     def test_reports_levels(self, structured_graph):
@@ -55,26 +53,11 @@ class TestMultilevelDriver:
         result = MultilevelPartitioner().partition(adj, 16)
         assert result.part_sizes().max() == 1
 
-    @pytest.mark.parametrize("field, value", [
-        ("balance_factor", 0.99), ("volume_balance_factor", 0.5),
-        ("refine_passes", -1), ("volume_refine_passes", -1),
-        ("max_levels", -1), ("volume_refine_levels", -1)])
-    def test_config_rejects_settings_the_refiners_cannot_honour(
-            self, field, value):
-        # A balance below 1.0 made rebalance churn and the volume pass
-        # silently make no move; a negative pass count silently skipped a
-        # refinement.
-        with pytest.raises(ValueError, match=field):
-            MultilevelConfig(**{field: value})
-
-    def test_partitioner_constructors_validate_their_config(self):
+    def test_gvb_rejects_a_volume_balance_below_one(self):
+        # The volume pass cannot meet a balance below 1.0 and would
+        # silently make no move.
         with pytest.raises(ValueError, match="volume_balance_factor"):
             GVBPartitioner(volume_balance_factor=0.5)
-        with pytest.raises(ValueError, match="refine_passes"):
-            MetisLikePartitioner(refine_passes=-1)
-        for levels in (0, -1):
-            with pytest.raises(ValueError, match="volume_refine_levels"):
-                GVBPartitioner(volume_refine_levels=levels)
 
 
 class TestMetisLike:

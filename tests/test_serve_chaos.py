@@ -179,6 +179,45 @@ class TestKillMidBatch:
             engine.close()
 
 
+    def test_restart_reuses_the_distributed_graph(self, dataset, tmp_path,
+                                                  monkeypatch):
+        """A supervised restart rebuilds the communicator and the model
+        over the graph the engine already distributed: it runs no
+        partitioner (nor the planner, which partitions to price) and
+        serves the pre-fault logits."""
+        import repro.core.distribute as distribute_mod
+        config = DistTrainConfig(n_ranks=2, partitioner="metis_like",
+                                 epochs=2, hidden=8, n_layers=2,
+                                 backend="sim", seed=0)
+        checkpoint = prepare_checkpoint(dataset, config,
+                                        tmp_path / "model.ckpt", epochs=2)
+        engine = ServingEngine.from_checkpoint(
+            dataset, config, checkpoint,
+            options=ServeOptions(batching=False, max_restarts=1))
+        partitioned = []
+        real_get_partitioner = distribute_mod.get_partitioner
+
+        def recording(name, **kwargs):
+            partitioned.append(name)
+            return real_get_partitioner(name, **kwargs)
+
+        monkeypatch.setattr(distribute_mod, "get_partitioner", recording)
+        feats = features_for(dataset, seed=9)
+        try:
+            engine.start()
+            ref = engine.submit(feats).result(timeout=120.0).logits.copy()
+            engine.inject_faults(FaultPlan.kill(rank=1, op_index=0))
+            with pytest.raises(ServeError) as excinfo:
+                engine.submit(feats).result(timeout=120.0)
+            assert excinfo.value.retryable
+            out = engine.submit(feats).result(timeout=120.0)
+            assert engine.restarts == 1
+            assert partitioned == []
+            assert np.array_equal(out.logits, ref)
+        finally:
+            engine.close()
+
+
 # ----------------------------------------------------------------------
 # Restart budget exhaustion: fail fast, fail everything, stay bounded
 # ----------------------------------------------------------------------

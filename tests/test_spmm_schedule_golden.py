@@ -135,7 +135,8 @@ def run_case(algorithm, mode, spec, depth) -> Dict[str, object]:
     rng = np.random.default_rng(7)
     log: List = []
     with make_communicator(nranks, backend="sim") as comm:
-        op = compile_spmm(matrix, comm, algorithm=algorithm, mode=mode,
+        op = compile_spmm(matrix, comm, algorithm=algorithm,
+                          sparsity_aware=mode == "sparsity_aware",
                           grid=grid, pipeline_depth=depth)
         _install_log(comm, log)
         results = []
