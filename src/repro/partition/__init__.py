@@ -57,11 +57,11 @@ PARTITIONERS = {
 }
 
 
-def get_partitioner(name: str, **kwargs) -> Partitioner:
+def get_partitioner(name: str, seed: int = 0) -> Partitioner:
     """Instantiate a partitioner by registry name."""
     try:
         cls = PARTITIONERS[name]
     except KeyError:
         raise KeyError(f"unknown partitioner {name!r}; "
                        f"available: {sorted(PARTITIONERS)}") from None
-    return cls(**kwargs)
+    return cls(seed=seed)

@@ -48,7 +48,6 @@ VERIFY_REQUESTS = 6
 
 def submit_with_retries(engine: ServingEngine, features: np.ndarray,
                         tenant: str = "default", *,
-                        deadline_ms: Optional[float] = None,
                         attempts: int = 4,
                         backoff_s: float = 0.05,
                         timeout_s: float = 120.0,
@@ -79,8 +78,7 @@ def submit_with_retries(engine: ServingEngine, features: np.ndarray,
         if attempt:
             sleep(min(BACKOFF_CAP_S, delay) * (0.5 + rng.random()))
             delay *= 2.0
-        future = engine.submit(features, tenant=tenant,
-                               deadline_ms=deadline_ms)
+        future = engine.submit(features, tenant=tenant)
         try:
             return future.result(timeout=timeout_s)
         except ServeError as exc:
@@ -116,8 +114,7 @@ def run_load(engine: ServingEngine,
              make_features: Callable[[int], np.ndarray],
              offered_qps: Optional[float], duration_s: float,
              clients: int = 8,
-             tenants: Sequence[str] = ("default",),
-             deadline_ms: Optional[float] = None) -> LoadStep:
+             tenants: Sequence[str] = ("default",)) -> LoadStep:
     """Drive ``engine`` with closed-loop clients for ``duration_s``.
 
     ``make_features(i)`` supplies the i-th request's feature matrix
@@ -128,7 +125,8 @@ def run_load(engine: ServingEngine,
     Clients ride :func:`submit_with_retries` (``RETRY_ATTEMPTS`` tries
     with backoff+jitter), so a supervised engine restart mid-run costs
     latency, not correctness; requests that still fail — recovery
-    exhausted, or an expired ``deadline_ms`` — land in ``failed``.
+    exhausted, or an expired deadline (``ServeOptions.
+    default_deadline_ms``) — land in ``failed``.
     A retried request's latency covers every attempt, backoff included:
     that *is* the latency the client experienced.
     """
@@ -164,7 +162,6 @@ def run_load(engine: ServingEngine,
             t0 = perf_counter()
             try:
                 submit_with_retries(engine, features, tenant=tenant,
-                                    deadline_ms=deadline_ms,
                                     attempts=RETRY_ATTEMPTS,
                                     timeout_s=duration_s + 60.0,
                                     rng=jitter_rng)

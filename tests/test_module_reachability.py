@@ -1,4 +1,4 @@
-"""Dead-code checks over ``src/repro``, both static (``ast``; nothing is
+"""Dead-code checks over ``src/repro``, all static (``ast``; nothing is
 executed, and lazy imports inside functions count).
 
 * Every module is imported, directly or transitively, from the
@@ -176,17 +176,29 @@ def _references(trees, wanted):
 
 
 @functools.lru_cache(maxsize=None)
-def _unreferenced():
+def _caller_trees():
+    """``{path: ast}`` of every Python file whose code counts as a
+    caller: ``src/repro`` and :data:`CALLER_DIRS`."""
     paths = list((SRC / "repro").rglob("*.py"))
     for tree in CALLER_DIRS:
         paths.extend((ROOT / tree).rglob("*.py"))
-    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
-             for path in paths}
+    return {path: ast.parse(path.read_text(encoding="utf-8"))
+            for path in paths}
+
+
+@functools.lru_cache(maxsize=None)
+def _shell():
+    return "\n".join(path.read_text(encoding="utf-8")
+                     for path in (ROOT / "scripts").rglob("*.sh"))
+
+
+@functools.lru_cache(maxsize=None)
+def _unreferenced():
+    trees = _caller_trees()
     definitions = _public_definitions(trees)
     short = {name: name.rpartition(".")[2] for name in definitions}
     refs = _references(trees, set(short.values()))
-    shell = "\n".join(path.read_text(encoding="utf-8")
-                      for path in (ROOT / "scripts").rglob("*.sh"))
+    shell = _shell()
 
     def outside(ref, spans):
         return not any(ref[0] == path and first <= ref[1] <= last
@@ -218,19 +230,10 @@ def test_allowed_names_exist_and_are_unreferenced():
     assert sorted(set(ALLOWED) - _unreferenced()) == []
 
 
-def _caller_trees():
-    paths = list((SRC / "repro").rglob("*.py"))
-    for tree in CALLER_DIRS:
-        paths.extend((ROOT / tree).rglob("*.py"))
-    return {path: ast.parse(path.read_text(encoding="utf-8"))
-            for path in paths}
-
-
 def _public_classes():
-    """``(module, class node)`` of every public top-level class."""
+    """``(module, path, class node)`` of every public top-level class."""
     for module, path in _modules().items():
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in tree.body:
+        for node in _caller_trees()[path].body:
             if isinstance(node, ast.ClassDef) \
                     and not node.name.startswith("_"):
                 yield module, path, node
@@ -255,11 +258,9 @@ def test_every_public_method_is_read_outside_the_tests():
                 node.value if isinstance(node, ast.Constant) else None
             if isinstance(ident, str) and ident in wanted:
                 reads.setdefault(ident, []).append((path, node.lineno))
-    shell = "\n".join(path.read_text(encoding="utf-8")
-                      for path in (ROOT / "scripts").rglob("*.sh"))
     unread = sorted(
         name for name, (path, fn) in methods.items()
-        if not re.search(rf"\b{fn.name}\b", shell)
+        if not re.search(rf"\b{fn.name}\b", _shell())
         and not any(ref[0] != path
                     or not fn.lineno <= ref[1] <= fn.end_lineno
                     for ref in reads.get(fn.name, ())))
@@ -311,7 +312,7 @@ def _options():
     for module, path in _modules().items():
         if module.startswith(OPTION_EXEMPT_MODULES):
             continue
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        for node in _caller_trees()[path].body:
             if node.__class__ not in (ast.FunctionDef, ast.AsyncFunctionDef,
                                       ast.ClassDef) \
                     or node.name.startswith("_"):

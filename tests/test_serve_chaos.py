@@ -178,7 +178,6 @@ class TestKillMidBatch:
         finally:
             engine.close()
 
-
     def test_restart_reuses_the_distributed_graph(self, dataset, tmp_path,
                                                   monkeypatch):
         """A supervised restart rebuilds the communicator and the model
@@ -197,9 +196,9 @@ class TestKillMidBatch:
         partitioned = []
         real_get_partitioner = distribute_mod.get_partitioner
 
-        def recording(name, **kwargs):
+        def recording(name, seed=0):
             partitioned.append(name)
-            return real_get_partitioner(name, **kwargs)
+            return real_get_partitioner(name, seed=seed)
 
         monkeypatch.setattr(distribute_mod, "get_partitioner", recording)
         feats = features_for(dataset, seed=9)
