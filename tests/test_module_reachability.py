@@ -29,6 +29,8 @@ import functools
 import pathlib
 import re
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 ENTRY_POINTS = ("repro", "repro.cli", "repro.__main__")
@@ -244,26 +246,32 @@ def _functions(body):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
 
 
-def test_every_public_method_is_read_outside_the_tests():
+def _unread_methods(classes, trees, shell):
+    """Public methods of ``classes`` (``(module, path, class node)``)
+    whose name ``trees`` read nowhere outside the method's own body."""
     methods = {f"{module}.{cls.name}.{fn.name}": (path, fn)
-               for module, path, cls in _public_classes()
+               for module, path, cls in classes
                for fn in _functions(cls.body)
                if not fn.name.startswith("_")}
     wanted = {fn.name for _, fn in methods.values()}
     reads = {}
-    for path, tree in _caller_trees().items():
+    for path, tree in trees.items():
         for node in ast.walk(tree):
             ident = node.id if isinstance(node, ast.Name) else \
                 node.attr if isinstance(node, ast.Attribute) else \
                 node.value if isinstance(node, ast.Constant) else None
             if isinstance(ident, str) and ident in wanted:
                 reads.setdefault(ident, []).append((path, node.lineno))
-    unread = sorted(
+    return sorted(
         name for name, (path, fn) in methods.items()
-        if not re.search(rf"\b{fn.name}\b", _shell())
+        if not re.search(rf"\b{fn.name}\b", shell)
         and not any(ref[0] != path
                     or not fn.lineno <= ref[1] <= fn.end_lineno
                     for ref in reads.get(fn.name, ())))
+
+
+def test_every_public_method_is_read_outside_the_tests():
+    unread = _unread_methods(_public_classes(), _caller_trees(), _shell())
     assert sorted(set(unread) - set(ALLOWED_METHODS)) == []
     assert sorted(set(ALLOWED_METHODS) - set(unread)) == [], \
         "stale ALLOWED_METHODS entries"
@@ -310,28 +318,34 @@ def _options():
     """``{qualified.name(option): (callee name, positional index)}``."""
     options = {}
     for module, path in _modules().items():
-        if module.startswith(OPTION_EXEMPT_MODULES):
+        if not module.startswith(OPTION_EXEMPT_MODULES):
+            options.update(_module_options(module, _caller_trees()[path]))
+    return options
+
+
+def _module_options(module, tree):
+    """:func:`_options` of one module's ``tree``."""
+    options = {}
+    for node in tree.body:
+        if node.__class__ not in (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef) \
+                or node.name.startswith("_"):
             continue
-        for node in _caller_trees()[path].body:
-            if node.__class__ not in (ast.FunctionDef, ast.AsyncFunctionDef,
-                                      ast.ClassDef) \
-                    or node.name.startswith("_"):
+        name = f"{module}.{node.name}"
+        if not isinstance(node, ast.ClassDef):
+            for param, index in _parameters(node, 0):
+                options[f"{name}({param})"] = (node.name, index)
+            continue
+        for field_name, index in _dataclass_fields(node):
+            options[f"{name}({field_name})"] = (node.name, index)
+        for fn in _functions(node.body):
+            if fn.name != "__init__" and fn.name.startswith("_"):
                 continue
-            name = f"{module}.{node.name}"
-            if not isinstance(node, ast.ClassDef):
-                for param, index in _parameters(node, 0):
-                    options[f"{name}({param})"] = (node.name, index)
-                continue
-            for field_name, index in _dataclass_fields(node):
-                options[f"{name}({field_name})"] = (node.name, index)
-            for fn in _functions(node.body):
-                if fn.name != "__init__" and fn.name.startswith("_"):
-                    continue
-                static = any(getattr(d, "id", None) == "staticmethod"
-                             for d in fn.decorator_list)
-                callee = node.name if fn.name == "__init__" else fn.name
-                for param, index in _parameters(fn, 0 if static else 1):
-                    options[f"{name}.{fn.name}({param})"] = (callee, index)
+            static = any(getattr(d, "id", None) == "staticmethod"
+                         for d in fn.decorator_list)
+            callee = node.name if fn.name == "__init__" else fn.name
+            for param, index in _parameters(fn, 0 if static else 1):
+                options[f"{name}.{fn.name}({param})"] = (callee, index)
     return options
 
 
@@ -345,11 +359,11 @@ def _callee(call, owners):
             func.attr if isinstance(func, ast.Attribute) else None]
 
 
-def _settings():
-    """What non-test code passes: keyword names, dict-literal keys,
+def _settings(trees):
+    """What ``trees`` pass: keyword names, dict-literal keys,
     ``(callee, index)`` positions and callees called with ``*``/``**``."""
     keywords, positions, starred = set(), set(), set()
-    for tree in _caller_trees().values():
+    for tree in trees:
         owners = {}
         for cls in ast.walk(tree):
             if not isinstance(cls, ast.ClassDef):
@@ -387,13 +401,72 @@ def _settings():
     return keywords, positions, starred
 
 
-def test_every_option_is_set_outside_the_tests():
-    keywords, positions, starred = _settings()
-    unset = sorted(
-        name for name, (callee, index) in _options().items()
+def _unset(options, trees):
+    """The ``options`` no call in ``trees`` sets."""
+    keywords, positions, starred = _settings(trees)
+    return sorted(
+        name for name, (callee, index) in options.items()
         if name.rpartition("(")[2][:-1] not in keywords
         and callee not in starred
         and (callee, index) not in positions)
+
+
+def test_every_option_is_set_outside_the_tests():
+    unset = _unset(_options(), _caller_trees().values())
     assert sorted(set(unset) - set(ALLOWED_OPTIONS)) == []
     assert sorted(set(ALLOWED_OPTIONS) - set(unset)) == [], \
         "stale ALLOWED_OPTIONS entries"
+
+
+#: A module whose options the synthetic checks below look for: ``f(b)``,
+#: ``f(c)``, ``K.__init__(x)``, ``K.m(y)`` and ``D(z)``.
+_OPTION_SOURCE = """
+from dataclasses import dataclass
+
+def f(a, b=1, *, c=2): ...
+
+class K:
+    def __init__(self, x=0): ...
+    def m(self, y=0): ...
+
+@dataclass
+class D:
+    n: int
+    z: int = 0
+"""
+
+
+@pytest.mark.parametrize("caller, option", [
+    ("f(0, b=2)", "f(b)"),                       # a keyword
+    ("f(0, 2)", "f(b)"),                         # its positional index
+    ("K(5)", "K.__init__(x)"),                   # ``self`` is not passed
+    ("k.m(3)", "K.m(y)"),
+    ("D(1, 2)", "D(z)"),                         # a dataclass field
+    ("spec = {'c': 3}", "f(c)"),                 # a ``**spec`` key
+    ("f(*args)", "f(c)"),                        # a ``*`` call
+    ("class L(K):\n    def __init__(self):\n        super().__init__(1)",
+     "K.__init__(x)"),
+], ids=["keyword", "positional", "init-positional", "method-positional",
+        "dataclass-positional", "dict-key", "starred", "super-init"])
+def test_option_check_sees_each_way_to_set_an_option(caller, option):
+    options = _module_options("m", ast.parse(_OPTION_SOURCE))
+    assert f"m.{option}" in _unset(options, [])
+    assert f"m.{option}" not in _unset(options, [ast.parse(caller)])
+
+
+def test_option_check_reports_options_only_their_defaults_set():
+    # ``Workspace(zeroed=False)``'s shape: nothing passes the option.
+    options = _module_options("m", ast.parse(_OPTION_SOURCE))
+    assert _unset(options, [ast.parse("f(0)\nK()\nK().m()\nD(1)")]) == [
+        "m.D(z)", "m.K.__init__(x)", "m.K.m(y)", "m.f(b)", "m.f(c)"]
+
+
+def test_method_check_reports_a_method_only_its_own_body_reads():
+    path = pathlib.Path("m.py")
+    tree = ast.parse("class K:\n"
+                     "    def used(self):\n        return 1\n"
+                     "    def spare(self):\n        return self.spare\n"
+                     "K().used()\n")
+    classes = [("m", path, tree.body[0])]
+    assert _unread_methods(classes, {path: tree}, "") == ["m.K.spare"]
+    assert _unread_methods(classes, {path: tree}, "repro spare") == []

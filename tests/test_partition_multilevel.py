@@ -53,11 +53,24 @@ class TestMultilevelDriver:
         result = MultilevelPartitioner().partition(adj, 16)
         assert result.part_sizes().max() == 1
 
-    def test_gvb_rejects_a_volume_balance_below_one(self):
+    @pytest.mark.parametrize("factor", [0.5, 0.99, float("nan")])
+    def test_gvb_rejects_a_volume_balance_below_one(self, factor):
         # The volume pass cannot meet a balance below 1.0 and would
         # silently make no move.
         with pytest.raises(ValueError, match="volume_balance_factor"):
-            GVBPartitioner(volume_balance_factor=0.5)
+            GVBPartitioner(volume_balance_factor=factor)
+
+    @pytest.mark.parametrize("cls", [MultilevelPartitioner,
+                                     MetisLikePartitioner, GVBPartitioner])
+    def test_class_constants_are_ones_the_refiners_can_honour(self, cls):
+        # A balance below 1.0 made rebalance churn; a negative pass or
+        # level count silently skipped a refinement.
+        assert cls.BALANCE_FACTOR >= 1.0
+        assert cls.REFINE_PASSES >= 1
+        assert cls.VOLUME_REFINE_LEVELS >= 0
+        assert cls.COARSE_TO >= 1 and cls.MIN_COARSE_VERTICES >= 1
+        if cls.VOLUME_REFINE_LEVELS:
+            assert cls().volume_balance_factor >= 1.0
 
 
 class TestMetisLike:

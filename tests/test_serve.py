@@ -807,6 +807,14 @@ class TestOverloadPolicy:
             policy.observe(10)
         assert policy.window_scale() == OverloadPolicy.MIN_WINDOW_SCALE
 
+    def test_constants_keep_a_valid_weight_and_hysteresis(self):
+        # A zero weight never moves the average; an exit watermark at or
+        # above the enter one flaps the degraded state at the boundary.
+        assert 0.0 < OverloadPolicy.ALPHA <= 1.0
+        assert 0.0 < OverloadPolicy.EXIT_PRESSURE \
+            < OverloadPolicy.ENTER_PRESSURE <= 1.0
+        assert 0.0 < OverloadPolicy.MIN_WINDOW_SCALE <= 1.0
+
     def test_engine_sheds_low_priority_under_pressure(self, dataset,
                                                       config):
         engine = make_engine(dataset, config, queue_depth=4,
