@@ -269,7 +269,10 @@ PYEOF
 import json, os
 
 with open(os.environ["SERVE_JSON"]) as fh:
-    payload = json.load(fh)
+    record = json.load(fh)
+# The BENCH_serve.json header wraps the sweep under "serve".
+assert record["benchmark"] == "serve_throughput", sorted(record)
+payload = record["serve"]
 assert payload["identity"]["bit_identical"] is True, payload["identity"]
 modes = {row["mode"] for row in payload["rows"]}
 assert modes == {"batched", "no_batch"}, modes

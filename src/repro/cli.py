@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import json
 import sys
 from typing import List, Optional, Sequence
 
@@ -58,12 +59,6 @@ from .partition.multilevel import PHASES
 __all__ = ["main", "build_parser"]
 
 
-def _machine_default(fallback: str) -> str:
-    """Default machine preset: ``REPRO_MACHINE`` env var, else ``fallback``
-    (one resolution rule shared with the bench suite)."""
-    return bench.bench_machine(fallback)
-
-
 # ----------------------------------------------------------------------
 # Parser
 # ----------------------------------------------------------------------
@@ -81,6 +76,46 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dataset scale factor")
         p.add_argument("--seed", type=int, default=0)
 
+    # The run configuration train and serve share; _run_config maps it.
+    def add_run_config_args(p: argparse.ArgumentParser, ranks: int,
+                            backend: str) -> None:
+        add_dataset_args(p)
+        p.add_argument("--ranks", type=int, default=ranks)
+        p.add_argument("--algorithm", choices=["1d", "1.5d"], default="1d")
+        p.add_argument("--replication", type=int, default=1)
+        p.add_argument("--oblivious", action="store_true",
+                       help="use the sparsity-oblivious (CAGNET) baseline")
+        p.add_argument("--partitioner",
+                       choices=sorted(PARTITIONERS) + ["none"], default="gvb")
+        p.add_argument("--hidden", type=int, default=16)
+        p.add_argument("--layers", type=int, default=3)
+        p.add_argument("--machine", choices=sorted(PRESETS),
+                       default=bench.bench_machine("perlmutter-scaled"))
+        p.add_argument("--backend", choices=available_backends(),
+                       default=backend,
+                       help="communicator backend (sim = deterministic "
+                            "simulation, threaded = real worker threads, "
+                            "process = one OS process per rank; default: "
+                            "%(default)s)")
+        p.add_argument("--dtype", choices=["float64", "float32"],
+                       default="float64",
+                       help="precision (float32 halves the communication "
+                            "volume; see docs/performance.md)")
+        p.add_argument("--pipeline", type=int, default=1, metavar="DEPTH",
+                       help="pipeline depth of the compiled SpMM stage "
+                            "schedules (1 = synchronous exchanges, 2 = "
+                            "double-buffered overlap; bit-identical "
+                            "results — see docs/performance.md)")
+
+    def add_output_args(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--trace", default=None, metavar="PATH",
+                       help="record runtime spans and write a "
+                            "Chrome/Perfetto trace JSON (open at "
+                            "ui.perfetto.dev; see docs/observability.md)")
+        p.add_argument("--metrics", default=None, metavar="PATH",
+                       help="write run metrics (Prometheus text "
+                            "exposition; see docs/observability.md)")
+
     p_datasets = sub.add_parser("datasets", help="print dataset statistics")
     p_datasets.add_argument("--scale", type=float, default=0.3)
     p_datasets.add_argument("--seed", type=int, default=0)
@@ -92,38 +127,12 @@ def build_parser() -> argparse.ArgumentParser:
                              default="gvb")
 
     p_train = sub.add_parser("train", help="run simulated distributed training")
-    add_dataset_args(p_train)
-    p_train.add_argument("--ranks", type=int, default=8)
-    p_train.add_argument("--algorithm", choices=["1d", "1.5d"], default="1d")
-    p_train.add_argument("--replication", type=int, default=1)
-    p_train.add_argument("--oblivious", action="store_true",
-                         help="use the sparsity-oblivious (CAGNET) baseline")
-    p_train.add_argument("--partitioner",
-                         choices=sorted(PARTITIONERS) + ["none"],
-                         default="gvb")
+    add_run_config_args(p_train, ranks=8, backend="sim")
     p_train.add_argument("--epochs", type=int, default=5)
-    p_train.add_argument("--hidden", type=int, default=16)
-    p_train.add_argument("--layers", type=int, default=3)
-    p_train.add_argument("--machine", choices=sorted(PRESETS),
-                         default=_machine_default("perlmutter-scaled"))
-    p_train.add_argument("--backend", choices=available_backends(),
-                         default="sim",
-                         help="communicator backend (sim = deterministic "
-                              "simulation, threaded = real worker threads, "
-                              "process = one OS process per rank)")
     p_train.add_argument("--auto", action="store_true",
                          help="let the autotuning planner pick algorithm, "
                               "sparsity mode, partitioner and replication "
                               "factor for --backend (overrides those flags)")
-    p_train.add_argument("--dtype", choices=["float64", "float32"],
-                         default="float64",
-                         help="training precision (float32 halves the "
-                              "communication volume; see docs/performance.md)")
-    p_train.add_argument("--pipeline", type=int, default=1, metavar="DEPTH",
-                         help="pipeline depth of the compiled SpMM stage "
-                              "schedules (1 = synchronous exchanges, 2 = "
-                              "double-buffered overlap; bit-identical "
-                              "results — see docs/performance.md)")
     p_train.add_argument("--grad-overlap", action="store_true",
                          help="wait-free backward pass: post each layer's "
                               "weight-gradient all-reduce nonblocking and "
@@ -163,13 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="on restart after a rank loss, re-partition "
                               "and re-plan at the surviving rank count "
                               "instead of retrying the same configuration")
-    p_train.add_argument("--trace", default=None, metavar="PATH",
-                         help="record runtime spans and write a "
-                              "Chrome/Perfetto trace JSON (open at "
-                              "ui.perfetto.dev; see docs/observability.md)")
-    p_train.add_argument("--metrics", default=None, metavar="PATH",
-                         help="write run metrics (Prometheus text "
-                              "exposition; see docs/observability.md)")
+    add_output_args(p_train)
 
     p_bench = sub.add_parser("bench", help="regenerate a paper table/figure")
     p_bench.add_argument("experiment", nargs="?", default=None,
@@ -195,12 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="CI smoke mode: tiny scale, one epoch, small "
                               "process counts (defaults to fig3 when no "
                               "experiment is named)")
-    p_bench.add_argument("--trace", default=None, metavar="PATH",
-                         help="record runtime spans across the experiment's "
-                              "runs and write a Chrome/Perfetto trace JSON")
-    p_bench.add_argument("--metrics", default=None, metavar="PATH",
-                         help="write span-derived metrics (Prometheus text "
-                              "exposition)")
+    add_output_args(p_bench)
 
     p_tune = sub.add_parser(
         "tune", help="autotune the distributed training configuration")
@@ -208,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--nranks", type=int, nargs="+", default=[8],
                         help="candidate rank counts the planner considers")
     p_tune.add_argument("--machine", choices=sorted(PRESETS),
-                        default=_machine_default("perlmutter-scaled"))
+                        default=bench.bench_machine("perlmutter-scaled"))
     p_tune.add_argument("--backend", choices=available_backends(),
                         default="sim",
                         help="communicator backend the plan will run on "
@@ -273,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cost.add_argument("--partitioner",
                         choices=sorted(PARTITIONERS) + ["none"], default="gvb")
     p_cost.add_argument("--machine", choices=sorted(PRESETS),
-                        default=_machine_default("perlmutter"))
+                        default=bench.bench_machine("perlmutter"))
 
     p_trace = sub.add_parser("trace",
                              help="inspect a recorded Chrome/Perfetto trace")
@@ -288,26 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve = sub.add_parser(
         "serve", help="serve inference from a trained checkpoint "
                       "(dynamic micro-batching; see docs/serving.md)")
-    add_dataset_args(p_serve)
-    p_serve.add_argument("--ranks", type=int, default=4)
-    p_serve.add_argument("--algorithm", choices=["1d", "1.5d"], default="1d")
-    p_serve.add_argument("--replication", type=int, default=1)
-    p_serve.add_argument("--oblivious", action="store_true",
-                         help="serve with the sparsity-oblivious variant")
-    p_serve.add_argument("--partitioner",
-                         choices=sorted(PARTITIONERS) + ["none"],
-                         default="gvb")
-    p_serve.add_argument("--hidden", type=int, default=16)
-    p_serve.add_argument("--layers", type=int, default=3)
-    p_serve.add_argument("--machine", choices=sorted(PRESETS),
-                         default=_machine_default("perlmutter-scaled"))
-    p_serve.add_argument("--backend", choices=available_backends(),
-                         default="process",
-                         help="communicator backend kept warm across "
-                              "requests (default: process)")
-    p_serve.add_argument("--dtype", choices=["float64", "float32"],
-                         default="float64")
-    p_serve.add_argument("--pipeline", type=int, default=1, metavar="DEPTH")
+    add_run_config_args(p_serve, ranks=4, backend="process")
     p_serve.add_argument("--checkpoint", default=None, metavar="PATH",
                          help="trained checkpoint: a .ckpt file or a "
                               "--checkpoint-dir directory (newest intact "
@@ -351,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "p50/p99 latency + achieved throughput, "
                               "batched vs no-batch")
     p_serve.add_argument("--clients", type=int, default=8,
-                         help="--bench: concurrent closed-loop clients")
+                         help="--bench: concurrent closed-loop clients "
+                              "(also sizes the default --max-batch-width)")
     p_serve.add_argument("--qps", type=float, nargs="+", default=None,
                          metavar="QPS",
                          help="--bench: offered-QPS steps (0 = unpaced, "
@@ -359,16 +339,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--duration", type=float, default=3.0,
                          help="--bench: seconds per offered-QPS step")
     p_serve.add_argument("--output", default=None, metavar="PATH",
-                         help="--bench: write the sweep as JSON "
-                              "(BENCH_serve.json format payload)")
+                         help="--bench: write the sweep in the "
+                              "BENCH_serve.json format (run header + "
+                              "the sweep under \"serve\")")
     p_serve.add_argument("--quick", action="store_true",
                          help="CI smoke mode: tiny scale, short steps")
-    p_serve.add_argument("--trace", default=None, metavar="PATH",
-                         help="record serve.request/serve.batch spans and "
-                              "write a Chrome/Perfetto trace JSON")
-    p_serve.add_argument("--metrics", default=None, metavar="PATH",
-                         help="write serving metrics (Prometheus text "
-                              "exposition)")
+    add_output_args(p_serve)
 
     p_mem = sub.add_parser("memory", help="per-rank memory estimate "
                                           "(the paper's schedule)")
@@ -381,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mem.add_argument("--hidden", type=int, default=16)
     p_mem.add_argument("--layers", type=int, default=3)
     p_mem.add_argument("--machine", choices=sorted(PRESETS),
-                       default=_machine_default("perlmutter"))
+                       default=bench.bench_machine("perlmutter"))
     return parser
 
 
@@ -411,32 +387,39 @@ def _cmd_partition(args) -> int:
     return 0
 
 
+def _run_config(args, **fields) -> DistTrainConfig:
+    """The :class:`DistTrainConfig` the run-config flags describe;
+    ``fields`` add the command's own fields or override shared ones."""
+    shared = dict(
+        n_ranks=args.ranks, algorithm=args.algorithm,
+        sparsity_aware=not args.oblivious,
+        partitioner=None if args.partitioner == "none" else args.partitioner,
+        replication_factor=args.replication, hidden=args.hidden,
+        n_layers=args.layers, machine=args.machine, backend=args.backend,
+        seed=args.seed, dtype=args.dtype, pipeline_depth=args.pipeline)
+    return DistTrainConfig(**{**shared, **fields})
+
+
+def _write_outputs(args, metrics: dict) -> None:
+    """Write ``--trace`` (the spans) and ``--metrics`` (``metrics``)."""
+    if args.trace:
+        save_trace(args.trace)
+        print(f"\nwrote trace: {args.trace} ({len(TRACE)} spans)")
+    if args.metrics:
+        with open(args.metrics, "w", encoding="utf-8") as fh:
+            fh.write(prometheus_text(metrics))
+        print(f"wrote metrics: {args.metrics}")
+
+
 def _cmd_train(args) -> int:
     dataset = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
-    config = DistTrainConfig(
-        n_ranks=args.ranks,
-        algorithm=AUTO if args.auto else args.algorithm,
-        sparsity_aware=not args.oblivious,
-        partitioner=AUTO if args.auto else (
-            None if args.partitioner == "none" else args.partitioner),
-        replication_factor=args.replication,
-        hidden=args.hidden,
-        n_layers=args.layers,
-        epochs=args.epochs,
-        machine=args.machine,
-        backend=args.backend,
-        seed=args.seed,
-        dtype=args.dtype,
-        pipeline_depth=args.pipeline,
-        grad_overlap=args.grad_overlap,
-        grad_bucket_bytes=args.grad_bucket_bytes,
-        grad_dtype=args.grad_dtype,
+    auto = {"algorithm": AUTO, "partitioner": AUTO} if args.auto else {}
+    config = _run_config(
+        args, epochs=args.epochs, grad_overlap=args.grad_overlap,
+        grad_bucket_bytes=args.grad_bucket_bytes, grad_dtype=args.grad_dtype,
         checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=args.checkpoint_every,
-        resume=args.resume,
-        max_restarts=args.max_restarts,
-        elastic=args.elastic,
-    )
+        checkpoint_every=args.checkpoint_every, resume=args.resume,
+        max_restarts=args.max_restarts, elastic=args.elastic, **auto)
     if args.trace:
         TRACE.enable()
     result = train_distributed(dataset, config, eval_every=0)
@@ -486,13 +469,7 @@ def _cmd_train(args) -> int:
             breakdown[key] = m.get(f"gradsync_{key}", value)
         print()
         print(format_kv(breakdown, title="gradient exchange (per epoch)"))
-    if args.trace:
-        save_trace(args.trace)
-        print(f"\nwrote trace: {args.trace} ({len(TRACE)} spans)")
-    if args.metrics:
-        with open(args.metrics, "w", encoding="utf-8") as fh:
-            fh.write(prometheus_text(result.metrics))
-        print(f"wrote metrics: {args.metrics}")
+    _write_outputs(args, result.metrics)
     return 0
 
 
@@ -535,15 +512,13 @@ def _cmd_bench(args) -> int:
     fn, title = _BENCH_DISPATCH[experiment]
     kwargs = {"seed": args.seed}
     timed = experiment not in ("table2", "table3")
-    if not timed and args.backend is not None:
-        raise ValueError(
-            f"--backend has no effect on {experiment} (a static analysis "
-            f"that runs no distributed training)")
-    if not timed and (args.machine is not None or args.auto):
-        flag = "--machine" if args.machine is not None else "--auto"
-        raise ValueError(
-            f"{flag} has no effect on {experiment} (a static analysis "
-            f"that runs no distributed training)")
+    for flag, given in (("--backend", args.backend is not None),
+                        ("--machine", args.machine is not None),
+                        ("--auto", args.auto)):
+        if given and not timed:
+            raise ValueError(
+                f"{flag} has no effect on {experiment} (a static analysis "
+                f"that runs no distributed training)")
     if args.scale is not None:
         kwargs["scale"] = args.scale
     if args.epochs is not None and timed:
@@ -583,13 +558,7 @@ def _cmd_bench(args) -> int:
         print()
         print(format_series(rows, group_by="scheme", x="p", y="epoch_time_s",
                             title="epoch time per scheme"))
-    if args.trace:
-        save_trace(args.trace)
-        print(f"\nwrote trace: {args.trace} ({len(TRACE)} spans)")
-    if args.metrics:
-        with open(args.metrics, "w", encoding="utf-8") as fh:
-            fh.write(prometheus_text(metrics_from_spans().as_dict()))
-        print(f"wrote metrics: {args.metrics}")
+    _write_outputs(args, metrics_from_spans().as_dict())
     return 0
 
 
@@ -728,7 +697,6 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    import json
     with open(args.path, encoding="utf-8") as fh:
         trace = json.load(fh)
     summary = trace_summary(trace, top=args.top)
@@ -763,9 +731,8 @@ def _cmd_memory(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    import contextlib
-    import json
     import tempfile
+    import time
 
     from .serve import (RequestExpired, RequestRejected, ServeError,
                         ServeOptions, ServingEngine, prepare_checkpoint,
@@ -791,29 +758,18 @@ def _cmd_serve(args) -> int:
     tenants = tuple(f"tenant-{i}" for i in range(max(1, args.tenants)))
 
     dataset = load_dataset(args.dataset, scale=scale, seed=args.seed)
-    config = DistTrainConfig(
-        n_ranks=args.ranks,
-        algorithm=args.algorithm,
-        sparsity_aware=not args.oblivious,
-        partitioner=None if args.partitioner == "none" else args.partitioner,
-        replication_factor=args.replication,
-        hidden=args.hidden,
-        n_layers=args.layers,
-        epochs=train_epochs,
-        machine=args.machine,
-        backend=args.backend,
-        seed=args.seed,
-        dtype=args.dtype,
-        pipeline_depth=args.pipeline,
-    )
+    config = _run_config(args, epochs=train_epochs)
+    width = dataset.n_features
+    max_batch_width = (args.max_batch_width
+                       if args.max_batch_width is not None
+                       else width * max(2, clients))
     if args.trace:
         TRACE.enable()
 
-    with contextlib.ExitStack() as stack:
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="repro-serve-") as tmpdir:
         checkpoint = args.checkpoint
         if checkpoint is None:
-            tmpdir = stack.enter_context(
-                tempfile.TemporaryDirectory(prefix="repro-serve-"))
             checkpoint = f"{tmpdir}/serve.ckpt"
             prepare_checkpoint(dataset, config, checkpoint,
                                epochs=train_epochs)
@@ -824,7 +780,7 @@ def _cmd_serve(args) -> int:
             payload = run_serve_bench(
                 dataset, config, checkpoint,
                 qps_steps=qps_steps, duration_s=duration, clients=clients,
-                tenants=tenants, max_batch_width=args.max_batch_width,
+                tenants=tenants, max_batch_width=max_batch_width,
                 max_wait_ms=args.max_wait_ms, queue_depth=args.queue_depth,
                 max_restarts=args.max_restarts, seed=args.seed)
             rows = [{
@@ -852,30 +808,34 @@ def _cmd_serve(args) -> int:
                 "identity_requests": identity["requests"],
                 "batched_max_batch_size": identity["batched_max_batch_size"],
             }, title="saturation (batched vs no-batch)"))
-            if args.health and "health" in payload:
-                print()
-                print(format_kv(payload["health"],
-                                title="engine health (batched sweep)"))
+            health = payload["health"]      # the batched sweep's engine
             if args.output:
+                record = {
+                    "benchmark": "serve_throughput",
+                    "source": "repro.serve.run_serve_bench",
+                    "backend": config.backend,
+                    # Throughput/latency rows are hardware dependent; the
+                    # identity verdict is exact and must hold everywhere.
+                    "deterministic": False,
+                    "config": dict(
+                        dataset=args.dataset, scale=scale,
+                        ranks=config.n_ranks, hidden=config.hidden,
+                        layers=config.n_layers, clients=clients,
+                        duration_s=duration,
+                        qps_steps=[q or 0 for q in qps_steps],
+                        max_wait_ms=args.max_wait_ms,
+                        queue_depth=args.queue_depth,
+                        machine=config.machine, seed=args.seed),
+                    "recorder_wall_s": round(time.perf_counter() - start, 2),
+                    "serve": payload,
+                }
                 with open(args.output, "w", encoding="utf-8") as fh:
-                    fh.write(json.dumps(payload, indent=2) + "\n")
+                    fh.write(json.dumps(record, indent=2) + "\n")
                 print(f"\nwrote bench payload: {args.output}")
-            if args.metrics:
-                merged = dict(payload.get("serve_stats", {}))
-                merged.update(payload.get("tenant_stats", {}))
-                with open(args.metrics, "w", encoding="utf-8") as fh:
-                    fh.write(prometheus_text(merged))
-                print(f"wrote metrics: {args.metrics}")
-            if not identity["bit_identical"]:
-                print("error: batched serving is NOT bit-identical to "
-                      "sequential", file=sys.stderr)
-                return 1
+            metrics = {**payload["serve_stats"], **payload["tenant_stats"]}
         else:
-            width = dataset.n_features
             options = ServeOptions(
-                max_batch_width=(args.max_batch_width
-                                 if args.max_batch_width is not None
-                                 else width * max(2, min(requests, 16))),
+                max_batch_width=max_batch_width,
                 max_wait_ms=args.max_wait_ms,
                 queue_depth=args.queue_depth,
                 batching=not args.no_batch,
@@ -903,7 +863,7 @@ def _cmd_serve(args) -> int:
                         results.append(future.result(timeout=120.0))
                     except (ServeError, RequestExpired):
                         failed += 1
-                stats = engine.stats()
+                metrics = engine.stats()
                 health = engine.health()
             latencies = [r.latency_s for r in results]
             print(format_kv({
@@ -915,38 +875,36 @@ def _cmd_serve(args) -> int:
                 "requests_completed": len(results),
                 "requests_rejected": rejected,
                 "requests_failed": failed,
-                "batches": stats.get("serve_batches_total", 0),
-                "max_batch_size": stats.get("serve_batch_size_max", 1.0),
-                "mean_batch_size": stats.get("serve_batch_size_mean", 1.0),
+                "batches": metrics.get("serve_batches_total", 0),
+                "max_batch_size": metrics.get("serve_batch_size_max", 1.0),
+                "mean_batch_size": metrics.get("serve_batch_size_mean", 1.0),
                 "p50_latency_ms": percentile(latencies, 0.50) * 1e3,
                 "p99_latency_ms": percentile(latencies, 0.99) * 1e3,
-                "plans_retained": stats.get("serve_plans_retained", 0),
-                "plan_hits": stats.get("serve_plan_hits", 0),
-                "plan_misses": stats.get("serve_plan_misses", 0),
+                "plans_retained": metrics.get("serve_plans_retained", 0),
+                "plan_hits": metrics.get("serve_plan_hits", 0),
+                "plan_misses": metrics.get("serve_plan_misses", 0),
             }, title="serving demo"))
             tenant_rows = []
             for tenant in tenants:
                 label = f'{{tenant="{tenant}"}}'
                 tenant_rows.append({
                     "tenant": tenant,
-                    "requests": stats.get(
+                    "requests": metrics.get(
                         f"serve_requests_total{label}", 0),
-                    "comm_MB": f"{stats.get(f'tenant_comm_bytes_total{label}', 0.0) / 1e6:.3f}",
-                    "messages": f"{stats.get(f'tenant_comm_messages_total{label}', 0.0):.1f}",
+                    "comm_MB": f"{metrics.get(f'tenant_comm_bytes_total{label}', 0.0) / 1e6:.3f}",
+                    "messages": f"{metrics.get(f'tenant_comm_messages_total{label}', 0.0):.1f}",
                 })
             print()
             print(format_table(tenant_rows, title="per-tenant accounting"))
-            if args.health:
-                print()
-                print(format_kv(health, title="engine health"))
-            if args.metrics:
-                with open(args.metrics, "w", encoding="utf-8") as fh:
-                    fh.write(prometheus_text(stats))
-                print(f"\nwrote metrics: {args.metrics}")
 
-    if args.trace:
-        save_trace(args.trace)
-        print(f"\nwrote trace: {args.trace} ({len(TRACE)} spans)")
+    if args.health:
+        print()
+        print(format_kv(health, title="engine health"))
+    _write_outputs(args, metrics)
+    if args.bench and not payload["identity"]["bit_identical"]:
+        print("error: batched serving is NOT bit-identical to sequential",
+              file=sys.stderr)
+        return 1
     return 0
 
 

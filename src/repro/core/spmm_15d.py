@@ -157,7 +157,7 @@ class Compiled15DOblivious(_Compiled15DBase):
     comm_category = "bcast"
 
     def __init__(self, matrix: DistSparseMatrix,
-                 comm: Communicator, grid: ProcessGrid = None,
+                 comm: Communicator, grid: ProcessGrid,
                  dtype=np.float64, pipeline_depth: int = 1) -> None:
         super().__init__(matrix, comm, grid, dtype,
                          pipeline_depth=pipeline_depth)
@@ -209,7 +209,7 @@ class Compiled15DSparsityAware(_Compiled15DBase):
     comm_category = "alltoall"
 
     def __init__(self, matrix: DistSparseMatrix,
-                 comm: Communicator, grid: ProcessGrid = None,
+                 comm: Communicator, grid: ProcessGrid,
                  dtype=np.float64, pipeline_depth: int = 1) -> None:
         super().__init__(matrix, comm, grid, dtype,
                          pipeline_depth=pipeline_depth)

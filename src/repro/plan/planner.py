@@ -328,9 +328,6 @@ def planner_constraints(config: DistTrainConfig) -> Dict[str, object]:
 
 
 def resolve_config(dataset: GraphDataset, config: DistTrainConfig,
-                   *,
-                   cache: Optional[PlanCache] = None,
-                   use_cache: bool = True,
                    **planner_kwargs
                    ) -> Tuple[DistTrainConfig, Optional[ExecutionPlan],
                               Optional[PartitionResult]]:
@@ -356,9 +353,8 @@ def resolve_config(dataset: GraphDataset, config: DistTrainConfig,
     """
     if not config.needs_planning:
         return config, None, None
-    planner = Planner(**planner_constraints(config), cache=cache,
-                      use_cache=use_cache or cache is not None,
-                      cache_read_only=True, **planner_kwargs)
+    planner = Planner(**planner_constraints(config), cache_read_only=True,
+                      **planner_kwargs)
     report = planner.plan_for_dataset(dataset, config.n_ranks,
                                       hidden=config.hidden,
                                       n_layers=config.n_layers)

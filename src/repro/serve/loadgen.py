@@ -320,17 +320,12 @@ def _feature_factory(n: int, width: int, dtype,
     return lambda i: pool[i % len(pool)]
 
 
-def run_serve_bench(dataset, config, checkpoint,
-                    qps_steps: Sequence[Optional[float]] = (50.0, 100.0,
-                                                            200.0, None),
-                    duration_s: float = 3.0,
-                    clients: int = 8,
-                    tenants: Sequence[str] = ("tenant-a", "tenant-b"),
-                    max_batch_width: Optional[int] = None,
-                    max_wait_ms: float = 2.0,
-                    queue_depth: int = 256,
-                    max_restarts: int = 1,
-                    seed: int = 0) -> dict:
+def run_serve_bench(dataset, config, checkpoint, *,
+                    qps_steps: Sequence[Optional[float]],
+                    duration_s: float, clients: int,
+                    tenants: Sequence[str], max_batch_width: int,
+                    max_wait_ms: float, queue_depth: int,
+                    max_restarts: int, seed: int) -> dict:
     """The full ``repro serve --bench`` measurement (one backend).
 
     Sweeps ``qps_steps`` twice — dynamic batching vs the ``--no-batch``
@@ -345,8 +340,7 @@ def run_serve_bench(dataset, config, checkpoint,
 
     def build_engine(batching: bool) -> ServingEngine:
         options = ServeOptions(
-            max_batch_width=max_batch_width if max_batch_width is not None
-            else max(width, width * max(2, clients)),
+            max_batch_width=max_batch_width,
             max_wait_ms=max_wait_ms,
             queue_depth=queue_depth,
             batching=batching,

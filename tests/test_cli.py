@@ -14,6 +14,13 @@ from repro.partition import PARTITIONERS
 from repro.plan import Planner
 
 
+def _actions(command):
+    """``{dest: action}`` of one subcommand's parser."""
+    subparsers = next(a for a in build_parser()._actions
+                      if a.dest == "command").choices
+    return {a.dest: a for a in subparsers[command]._actions}
+
+
 class TestParser:
     def test_requires_a_command(self):
         with pytest.raises(SystemExit):
@@ -43,13 +50,53 @@ class TestParser:
     @pytest.mark.parametrize("command", ["partition", "train", "tune",
                                          "cost", "serve"])
     def test_partitioner_choices_follow_registry(self, command):
-        parser = build_parser()
-        subparsers = next(a for a in parser._actions
-                          if a.dest == "command").choices
-        option = next(a for a in subparsers[command]._actions
-                      if a.dest == "partitioner")
+        option = _actions(command)["partitioner"]
         named = set(option.choices) - {"none", "auto"}
         assert named == set(PARTITIONERS)
+
+
+class TestRunConfigGroup:
+    """``train`` and ``serve`` declare the run configuration once."""
+
+    SHARED = {"dataset", "scale", "seed", "ranks", "algorithm",
+              "replication", "oblivious", "partitioner", "hidden", "layers",
+              "machine", "backend", "dtype", "pipeline", "trace", "metrics"}
+
+    def test_train_and_serve_share_the_group(self):
+        train, serve = _actions("train"), _actions("serve")
+        assert self.SHARED <= set(train) & set(serve)
+        for dest in self.SHARED:
+            a, b = train[dest], serve[dest]
+            assert (a.option_strings, a.choices, a.type, a.nargs,
+                    type(a)) == (b.option_strings, b.choices, b.type,
+                                 b.nargs, type(b)), dest
+        differ = {dest for dest in self.SHARED
+                  if train[dest].default != serve[dest].default}
+        assert differ == {"ranks", "backend"}
+        assert (train["ranks"].default, serve["ranks"].default) == (8, 4)
+        assert (train["backend"].default, serve["backend"].default) == \
+            ("sim", "process")
+
+    @pytest.mark.parametrize("command", ["train", "serve"])
+    def test_oblivious_and_no_partitioner_reach_the_config(
+            self, monkeypatch, command):
+        built, real = [], cli.DistTrainConfig
+
+        class Built(Exception):
+            pass
+
+        def capture(**fields):
+            built.append(real(**fields))
+            raise Built
+
+        monkeypatch.setattr(cli, "DistTrainConfig", capture)
+        with pytest.raises(Built):
+            main([command, "--dataset", "reddit", "--scale", "0.05",
+                  "--ranks", "2", "--oblivious", "--partitioner", "none"])
+        [config] = built
+        assert config.sparsity_aware is False
+        assert config.partitioner is None
+        assert config.n_ranks == 2
 
 
 class TestDatasetsCommand:

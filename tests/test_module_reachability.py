@@ -14,10 +14,15 @@ executed, and lazy imports inside functions count).
   outside its own body; :data:`ALLOWED_METHODS` lists the exceptions.
 * Every option is set by non-test code: each defaulted parameter of a
   public function or method, and each field of a public ``@dataclass``,
-  is passed somewhere as a keyword of its name, positionally at its
-  index in a call of its callee, as a string key of a dict literal (the
-  ``**spec`` idiom) or through a ``*`` / ``**`` call of its callee.
-  :data:`ALLOWED_OPTIONS` lists the exceptions.
+  is passed as a keyword of its name or positionally at its index in a
+  call of its callee (the called ``Name.id`` / ``Attribute.attr``; a
+  class call reaches ``__init__`` and the dataclass fields,
+  ``super().__init__`` the bases), as a string key of a dict literal
+  (the ``**spec`` idiom) or through a ``*`` / ``**`` call of its callee.
+  A callee reached only through an alias (``fn = ...; fn(...)``) is not
+  resolved.  :data:`ALLOWED_OPTIONS` lists the exceptions; the options
+  of an :data:`ALLOWED` name or :data:`ALLOWED_METHODS` method are
+  exempt with it.
 
 A module, name, method or option that only its own tests reach is dead
 code: delete it (an option becomes a constant) rather than keep testing
@@ -102,6 +107,41 @@ ALLOWED_OPTIONS = {
         "test seam: the cost model's sensitivity slice scales the machine",
     "repro.partition.volume_refine.volume_refine(max_volume_weight)":
         "the reference tests drive the bottleneck weight",
+    "repro.comm.threaded.ThreadedCommunicator.__init__(timeout_s)":
+        "test seam: the watchdog tests shorten the timeout",
+    "repro.comm.process.ProcessPoolCommunicator.__init__(timeout_s)":
+        "test seam: the watchdog tests shorten the timeout",
+    "repro.comm.faults.FaultPlan.kill(op_index)":
+        "test seam: the chaos suites address the failing collective",
+    "repro.comm.faults.FaultPlan.delay(op_index)":
+        "test seam: the chaos suites address the delayed collective",
+    "repro.serve.engine.ServeOptions(tenant_priorities)":
+        "the documented shedding input (docs/serving.md, overload)",
+    "repro.core.costmodel.epoch_cost(element_bytes)":
+        "ROADMAP item 30 (c) wires it to the config's dtype",
+    "repro.core.memory.estimate_rank_memory(element_bytes)":
+        "ROADMAP item 30 (c) wires it to the config's dtype",
+    "repro.core.analysis.single_spmm_volume_table(element_bytes)":
+        "ROADMAP item 30 (c) wires it to the config's dtype",
+    "repro.core.costmodel.spmm_cost_1d_oblivious(element_bytes)":
+        "set by epoch_cost through its ``fn`` alias",
+    "repro.core.costmodel.spmm_cost_1d_sparsity_aware(element_bytes)":
+        "set by epoch_cost through its ``fn`` alias",
+    "repro.core.costmodel.spmm_cost_15d_oblivious(element_bytes)":
+        "set by epoch_cost through its ``fn`` alias",
+    "repro.core.costmodel.spmm_cost_15d_sparsity_aware(element_bytes)":
+        "set by epoch_cost through its ``fn`` alias",
+    "repro.core.spmm_1d.Compiled1DOblivious.__init__(grid)":
+        "set by engine.compile through its ``variant`` alias",
+    "repro.core.spmm_1d.Compiled1DSparsityAware.__init__(grid)":
+        "set by engine.compile through its ``variant`` alias",
+    "repro.core.engine.spmm(grid)":
+        "the one-shot 1.5D operand the 1.5D and error tests pass",
+    "repro.core.dist_gcn.DistributedGCN.forward(streams)":
+        "the column-concatenated operand the weight-first inference "
+        "tests hold the request-list form to",
+    "repro.graphs.datasets.load_dataset(n_classes)":
+        "fixture knob: the smoke legs and tests build few-class graphs",
 }
 #: Modules whose options are exempt: fixture generators and the
 #: single-process reference model.
@@ -315,12 +355,15 @@ def _parameters(fn, skip):
 
 
 def _options():
-    """``{qualified.name(option): (callee name, positional index)}``."""
+    """``{qualified.name(option): (callee name, positional index)}``,
+    without the options of an allowed name or method."""
     options = {}
     for module, path in _modules().items():
         if not module.startswith(OPTION_EXEMPT_MODULES):
             options.update(_module_options(module, _caller_trees()[path]))
-    return options
+    allowed = set(ALLOWED) | set(ALLOWED_METHODS)
+    return {name: callee for name, callee in options.items()
+            if name.rpartition("(")[0] not in allowed}
 
 
 def _module_options(module, tree):
@@ -360,9 +403,10 @@ def _callee(call, owners):
 
 
 def _settings(trees):
-    """What ``trees`` pass: keyword names, dict-literal keys,
-    ``(callee, index)`` positions and callees called with ``*``/``**``."""
-    keywords, positions, starred = set(), set(), set()
+    """What ``trees`` pass: ``(callee, keyword)`` pairs, dict-literal
+    keys, ``(callee, index)`` positions and callees called with
+    ``*``/``**``."""
+    keywords, keys, positions, starred = set(), set(), set(), set()
     for tree in trees:
         owners = {}
         for cls in ast.walk(tree):
@@ -383,7 +427,7 @@ def _settings(trees):
                     owners[id(call)] = bases
         for node in ast.walk(tree):
             if isinstance(node, ast.Dict):
-                keywords.update(k.value for k in node.keys
+                keys.update(k.value for k in node.keys
                                 if isinstance(k, ast.Constant)
                                 and isinstance(k.value, str))
             if not isinstance(node, ast.Call):
@@ -392,23 +436,26 @@ def _settings(trees):
                 for keyword in node.keywords:
                     if keyword.arg is None:
                         starred.add(callee)
-                    keywords.add(keyword.arg)
+                    keywords.add((callee, keyword.arg))
                 for index, arg in enumerate(node.args):
                     if isinstance(arg, ast.Starred):
                         starred.add(callee)
                         break
                     positions.add((callee, index))
-    return keywords, positions, starred
+    return keywords, keys, positions, starred
 
 
 def _unset(options, trees):
     """The ``options`` no call in ``trees`` sets."""
-    keywords, positions, starred = _settings(trees)
-    return sorted(
-        name for name, (callee, index) in options.items()
-        if name.rpartition("(")[2][:-1] not in keywords
-        and callee not in starred
-        and (callee, index) not in positions)
+    keywords, keys, positions, starred = _settings(trees)
+    unset = []
+    for name, (callee, index) in options.items():
+        option = name.rpartition("(")[2][:-1]
+        if (callee, option) not in keywords and option not in keys \
+                and callee not in starred \
+                and (callee, index) not in positions:
+            unset.append(name)
+    return sorted(unset)
 
 
 def test_every_option_is_set_outside_the_tests():
@@ -452,6 +499,14 @@ def test_option_check_sees_each_way_to_set_an_option(caller, option):
     options = _module_options("m", ast.parse(_OPTION_SOURCE))
     assert f"m.{option}" in _unset(options, [])
     assert f"m.{option}" not in _unset(options, [ast.parse(caller)])
+
+
+def test_option_check_resolves_a_keyword_to_its_callee():
+    # A keyword of the option's name on another callee sets nothing.
+    options = _module_options("m", ast.parse(_OPTION_SOURCE))
+    assert "m.f(b)" in _unset(options, [ast.parse("other(b=2)")])
+    assert "m.K.m(y)" in _unset(options, [ast.parse("k.other(y=2)")])
+    assert "m.D(z)" in _unset(options, [ast.parse("K(z=2)")])
 
 
 def test_option_check_reports_options_only_their_defaults_set():

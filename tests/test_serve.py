@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import pathlib
 import queue
 
 import numpy as np
@@ -561,7 +562,19 @@ class TestServeCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "saturation (batched vs no-batch)" in out
-        payload = json.loads(out_path.read_text())
+        record = json.loads(out_path.read_text())
+        # The recorded header: the same keys as the checked-in baseline.
+        baseline = json.loads((pathlib.Path(__file__).resolve().parents[1]
+                               / "BENCH_serve.json").read_text())
+        assert list(record) == list(baseline)
+        assert list(record["config"]) == list(baseline["config"])
+        assert set(record["serve"]) == set(baseline["serve"])
+        assert record["backend"] == "sim"
+        assert record["config"]["ranks"] == 2
+        assert record["config"]["clients"] == 4
+        assert record["config"]["duration_s"] == 0.4
+        assert record["config"]["qps_steps"] == [60.0, 0]
+        payload = record["serve"]
         assert payload["identity"]["bit_identical"] is True
         assert {row["mode"] for row in payload["rows"]} == \
             {"batched", "no_batch"}
