@@ -311,18 +311,18 @@ def build_parser() -> argparse.ArgumentParser:
                               "before the engine fails permanently")
     p_serve.add_argument("--deadline-ms", type=float, default=None,
                          metavar="MS",
-                         help="per-request deadline; requests still queued "
-                              "past it are shed before any SpMM work")
+                         help="demo: per-request deadline; requests still "
+                              "queued past it are shed before any SpMM work")
     p_serve.add_argument("--health", action="store_true",
                          help="print the engine health snapshot "
-                              "(ready/degraded/failed, restarts, last "
+                              "(ready/failed/stopped, restarts, last "
                               "failure) after the run")
     p_serve.add_argument("--no-batch", action="store_true",
-                         help="serve one request per forward (the baseline "
-                              "--bench compares against)")
-    p_serve.add_argument("--requests", type=int, default=24, metavar="N",
-                         help="concurrent demo requests (ignored with "
-                              "--bench)")
+                         help="demo: serve one request per forward "
+                              "(--bench sweeps this baseline itself)")
+    p_serve.add_argument("--requests", type=int, default=None, metavar="N",
+                         help="concurrent demo requests (default 24; not "
+                              "with --bench)")
     p_serve.add_argument("--tenants", type=int, default=2,
                          help="distinct tenants requests are spread over")
     p_serve.add_argument("--bench", action="store_true",
@@ -336,8 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="QPS",
                          help="--bench: offered-QPS steps (0 = unpaced, "
                               "finds saturation; default: 50 100 200 0)")
-    p_serve.add_argument("--duration", type=float, default=3.0,
-                         help="--bench: seconds per offered-QPS step")
+    p_serve.add_argument("--duration", type=float, default=None,
+                         help="--bench: seconds per offered-QPS step "
+                              "(default 3.0)")
     p_serve.add_argument("--output", default=None, metavar="PATH",
                          help="--bench: write the sweep in the "
                               "BENCH_serve.json format (run header + "
@@ -738,10 +739,21 @@ def _cmd_serve(args) -> int:
                         ServeOptions, ServingEngine, prepare_checkpoint,
                         run_serve_bench)
 
+    # A flag of the other mode would be dropped without a word.
+    demo_only = {"--requests": args.requests is not None,
+                 "--deadline-ms": args.deadline_ms is not None,
+                 "--no-batch": args.no_batch}
+    bench_only = {"--output": args.output is not None,
+                  "--qps": args.qps is not None,
+                  "--duration": args.duration is not None}
+    for flag, given in (demo_only if args.bench else bench_only).items():
+        if given:
+            raise ValueError(f"{flag} has no effect "
+                             f"{'with' if args.bench else 'without'} --bench")
     scale = args.scale
-    duration = args.duration
+    duration = 3.0 if args.duration is None else args.duration
     clients = args.clients
-    requests = args.requests
+    requests = 24 if args.requests is None else args.requests
     train_epochs = max(1, args.train_epochs)
     qps_steps = (tuple(None if q <= 0 else float(q) for q in args.qps)
                  if args.qps else (50.0, 100.0, 200.0, None))

@@ -22,9 +22,6 @@ into a queue drain:
 * :class:`~repro.serve.admission.AdmissionController` — bounded request
   queue with structured rejection (:class:`~repro.serve.admission
   .RequestRejected`) instead of unbounded latency collapse;
-* :class:`~repro.serve.admission.OverloadPolicy` — EWMA backpressure:
-  under sustained pressure the engine sheds lowest-priority tenants
-  first and shrinks the batching window (graceful degradation);
 * :mod:`~repro.serve.loadgen` — closed-loop load generator sweeping
   offered QPS into p50/p99 latency + achieved throughput and the exact
   per-request exchange volume (``repro serve --bench`` →
@@ -44,7 +41,7 @@ See ``docs/serving.md`` for the lifecycle, knobs, failure semantics and
 benchmark format.
 """
 
-from .admission import AdmissionController, OverloadPolicy, RequestRejected
+from .admission import AdmissionController, RequestRejected
 from .batcher import MicroBatcher
 from .engine import (RequestExpired, ServeError, ServeOptions, ServeResult,
                      ServingEngine)
@@ -56,7 +53,6 @@ __all__ = [
     "AdmissionController",
     "LoadStep",
     "MicroBatcher",
-    "OverloadPolicy",
     "RequestExpired",
     "RequestRejected",
     "ServeError",

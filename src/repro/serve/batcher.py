@@ -20,9 +20,6 @@ The batcher is the serving thread's only source of work.  Its contract:
   at dequeue time is **shed before any SpMM work**: it is handed to the
   ``on_expired`` callback instead of joining a batch, so an expired
   request never contributes a column to the coalesced operand.
-* ``window_scale`` (set by the engine's overload policy) multiplies the
-  batching window: under sustained pressure the window shrinks so
-  queued requests drain at full cadence instead of timing out.
 
 Requests only need a ``width`` attribute (columns they contribute to
 the coalesced operand); ``deadline`` is optional and the batcher is
@@ -80,9 +77,6 @@ class MicroBatcher:
         self.max_wait_s = float(max_wait_s)
         self.max_requests = None if max_requests is None else int(max_requests)
         self.on_expired = on_expired
-        #: Overload-policy multiplier for the batching window (clamped to
-        #: [0, 1] at use; the engine updates it after every batch).
-        self.window_scale = 1.0
         self._carry = None
         self._stopping = False
 
@@ -133,8 +127,7 @@ class MicroBatcher:
         width = first.width
         if self.max_requests == 1:
             return batch
-        window = self.max_wait_s * max(0.0, min(1.0, self.window_scale))
-        deadline = monotonic() + window
+        deadline = monotonic() + self.max_wait_s
         while self.max_requests is None or len(batch) < self.max_requests:
             try:
                 item = self.source.get_nowait()

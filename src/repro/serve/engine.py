@@ -57,7 +57,7 @@ import math
 import threading
 from dataclasses import dataclass
 from time import monotonic, perf_counter
-from typing import List, Mapping, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -66,7 +66,7 @@ from ..comm.faults import WorkerFailure
 from ..core.checkpoint import config_fingerprint, resolve_checkpoint
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import TRACE
-from .admission import AdmissionController, OverloadPolicy, RequestRejected
+from .admission import AdmissionController, RequestRejected
 from .batcher import SHUTDOWN, MicroBatcher
 
 __all__ = ["RequestExpired", "ServeError", "ServeOptions", "ServeResult",
@@ -160,9 +160,6 @@ class ServeOptions:
     #: Deadline stamped on requests that do not pass their own
     #: ``deadline_ms`` to ``submit`` (``None`` = no deadline).
     default_deadline_ms: Optional[float] = None
-    #: tenant -> integer priority (higher = more important) for
-    #: overload shedding; unlisted tenants get priority 0.
-    tenant_priorities: Optional[Mapping[str, int]] = None
 
     def __post_init__(self) -> None:
         if self.max_batch_width < 1:
@@ -297,9 +294,6 @@ class ServingEngine:
         self.output_width = int(model.layer_dims[-1])
         self.metrics = MetricsRegistry()
         self.admission = AdmissionController(self.options.queue_depth)
-        self.overload = OverloadPolicy(
-            queue_limit=self.options.queue_depth,
-            tenant_priorities=self.options.tenant_priorities)
         self.batcher = MicroBatcher(
             self.admission.queue,
             max_batch_width=max(self.options.max_batch_width,
@@ -326,8 +320,7 @@ class ServingEngine:
         # already failed is not observability).
         self.metrics.counter("serve_restarts_total", 0)
         self.metrics.counter("serve_batch_failures_total", 0)
-        for reason in ("deadline", "overload"):
-            self.metrics.counter("serve_shed_total", 0, reason=reason)
+        self.metrics.counter("serve_shed_total", 0, reason="deadline")
 
     # ------------------------------------------------------------------
     # construction from a checkpoint
@@ -482,34 +475,28 @@ class ServingEngine:
     def health(self) -> dict:
         """Liveness/readiness snapshot (``repro serve --health``).
 
-        ``status`` is ``ready`` (serving, healthy), ``degraded``
-        (overload policy active: shedding and/or shrunken batching
-        window), ``failed`` (recovery exhausted — every queued request
-        was failed and the engine will not serve again) or ``stopped``
-        (closed).  ``last_failure`` names the most recent worker
-        loss/batch failure, surviving recovery (a restarted engine
-        reports ready *and* what it recovered from).
+        ``status`` is ``ready`` (serving, healthy), ``failed`` (recovery
+        exhausted — every queued request was failed and the engine will
+        not serve again) or ``stopped`` (closed).  ``last_failure``
+        names the most recent worker loss/batch failure, surviving
+        recovery (a restarted engine reports ready *and* what it
+        recovered from).
         """
         if self._failed:
             status = "failed"
         elif self._closed:
             status = "stopped"
-        elif self.overload.degraded:
-            status = "degraded"
         else:
             status = "ready"
         thread = self._thread
         return {
             "status": status,
             "live": bool(thread is not None and thread.is_alive()),
-            "ready": status in ("ready", "degraded"),
-            "degraded": self.overload.degraded,
+            "ready": status == "ready",
             "restarts": self.restarts,
             "max_restarts": self.options.max_restarts,
             "last_failure": self._last_failure,
             "queue_depth": self.admission.depth(),
-            "pressure": round(self.overload.pressure(), 4),
-            "window_scale": round(self.overload.window_scale(), 4),
         }
 
     # ------------------------------------------------------------------
@@ -547,15 +534,7 @@ class ServingEngine:
         deadline = None if deadline_ms is None \
             else monotonic() + deadline_ms / 1000.0
         features = np.ascontiguousarray(features, dtype=self.model.dtype)
-        tenant = str(tenant)
-        self.overload.observe(self.admission.depth())
-        if self.overload.should_shed(tenant):
-            self.metrics.counter("serve_shed_total", 1, reason="overload")
-            self.metrics.counter("serve_rejected_total", 1, tenant=tenant)
-            raise RequestRejected(
-                "overload_shed", depth=self.admission.depth(),
-                limit=self.admission.queue_depth, tenant=tenant)
-        request = _ServeRequest(next(self._ids), tenant, features,
+        request = _ServeRequest(next(self._ids), str(tenant), features,
                                 deadline=deadline)
         # The closed check and the queue offer share one critical section
         # with close(): a submit that passes the check is fully admitted
@@ -699,10 +678,6 @@ class ServingEngine:
         self.metrics.observe("serve_batch_width", float(width))
         self.metrics.observe("serve_batch_size", float(k))
         self.metrics.observe("serve_batch_seconds", batch_s)
-        # Backpressure feedback: the policy sees the post-batch queue
-        # depth and latency, and its verdict resizes the next window.
-        self.overload.observe(self.admission.depth())
-        self.batcher.window_scale = self.overload.window_scale()
 
         f_out = self.output_width
         for i, request in enumerate(batch):
@@ -738,12 +713,9 @@ class ServingEngine:
         """Flat metrics snapshot: request/batch/latency series plus the
         warm-state counters (compiled plan, backend exchange-plan
         LRU, admission totals) and the resilience series (restart,
-        batch-failure and shed counters, overload pressure)."""
+        batch-failure and shed counters)."""
         self.metrics.gauge("serve_queue_limit", self.admission.queue_depth)
         self.metrics.gauge("serve_accepted_total", self.admission.accepted)
-        self.metrics.gauge("serve_pressure", self.overload.pressure())
-        self.metrics.gauge("serve_degraded",
-                           1.0 if self.overload.degraded else 0.0)
         for key, value in self.model.plan_stats().items():
             self.metrics.gauge(f"serve_{key}", value)
         for key, value in self.comm.cache_stats().items():

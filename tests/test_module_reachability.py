@@ -115,26 +115,18 @@ ALLOWED_OPTIONS = {
         "test seam: the chaos suites address the failing collective",
     "repro.comm.faults.FaultPlan.delay(op_index)":
         "test seam: the chaos suites address the delayed collective",
-    "repro.serve.engine.ServeOptions(tenant_priorities)":
-        "the documented shedding input (docs/serving.md, overload)",
     "repro.core.costmodel.epoch_cost(element_bytes)":
         "ROADMAP item 30 (c) wires it to the config's dtype",
     "repro.core.memory.estimate_rank_memory(element_bytes)":
         "ROADMAP item 30 (c) wires it to the config's dtype",
     "repro.core.analysis.single_spmm_volume_table(element_bytes)":
         "ROADMAP item 30 (c) wires it to the config's dtype",
-    "repro.core.costmodel.spmm_cost_1d_oblivious(element_bytes)":
-        "set by epoch_cost through its ``fn`` alias",
-    "repro.core.costmodel.spmm_cost_1d_sparsity_aware(element_bytes)":
-        "set by epoch_cost through its ``fn`` alias",
-    "repro.core.costmodel.spmm_cost_15d_oblivious(element_bytes)":
-        "set by epoch_cost through its ``fn`` alias",
-    "repro.core.costmodel.spmm_cost_15d_sparsity_aware(element_bytes)":
-        "set by epoch_cost through its ``fn`` alias",
     "repro.core.spmm_1d.Compiled1DOblivious.__init__(grid)":
-        "set by engine.compile through its ``variant`` alias",
+        "set by engine.compile through ``variant = get_spmm(...)``, a "
+        "call result the check does not resolve",
     "repro.core.spmm_1d.Compiled1DSparsityAware.__init__(grid)":
-        "set by engine.compile through its ``variant`` alias",
+        "set by engine.compile through ``variant = get_spmm(...)``, a "
+        "call result the check does not resolve",
     "repro.core.engine.spmm(grid)":
         "the one-shot 1.5D operand the 1.5D and error tests pass",
     "repro.core.dist_gcn.DistributedGCN.forward(streams)":
@@ -392,14 +384,58 @@ def _module_options(module, tree):
     return options
 
 
-def _callee(call, owners):
+#: Nodes whose body is a scope of its own for local aliases.
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _scopes(tree):
+    """The module and each function of ``tree``, each with the nodes
+    of its own body (a nested function's body is its own scope)."""
+    for scope in ast.walk(tree):
+        if scope is not tree and not isinstance(scope, _SCOPES):
+            continue
+        nodes, todo = [], list(ast.iter_child_nodes(scope))
+        while todo:
+            node = todo.pop()
+            nodes.append(node)
+            if not isinstance(node, _SCOPES):
+                todo.extend(ast.iter_child_nodes(node))
+        yield nodes
+
+
+def _alias_targets(value):
+    """The callee names a local alias's value can be: a name, an
+    attribute, or either branch of a conditional (a call result is
+    none)."""
+    if isinstance(value, ast.IfExp):
+        return _alias_targets(value.body) | _alias_targets(value.orelse)
+    return {value.id} if isinstance(value, ast.Name) else \
+        {value.attr} if isinstance(value, ast.Attribute) else set()
+
+
+def _aliases(nodes):
+    """``{local name: callee names}`` of one scope's ``fn = A`` and
+    ``fn = A if cond else B`` assignments."""
+    aliases = {}
+    for node in nodes:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    aliases.setdefault(target.id, set()).update(
+                        _alias_targets(node.value))
+    return aliases
+
+
+def _callee(call, owners, aliases):
     """The names a call reaches: ``super().__init__`` inside a class
-    calls its bases and ``cls(...)`` the class itself."""
+    calls its bases, ``cls(...)`` the class itself and a local alias
+    every callee bound to it."""
     func = call.func
     if id(call) in owners:
         return owners[id(call)]
-    return [func.id if isinstance(func, ast.Name) else
-            func.attr if isinstance(func, ast.Attribute) else None]
+    if isinstance(func, ast.Name):
+        return [func.id, *sorted(aliases.get(func.id, ()))]
+    return [func.attr if isinstance(func, ast.Attribute) else None]
 
 
 def _settings(trees):
@@ -425,23 +461,25 @@ def _settings(trees):
                         and isinstance(func.value, ast.Call) \
                         and getattr(func.value.func, "id", None) == "super":
                     owners[id(call)] = bases
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Dict):
-                keys.update(k.value for k in node.keys
-                                if isinstance(k, ast.Constant)
-                                and isinstance(k.value, str))
-            if not isinstance(node, ast.Call):
-                continue
-            for callee in _callee(node, owners):
-                for keyword in node.keywords:
-                    if keyword.arg is None:
-                        starred.add(callee)
-                    keywords.add((callee, keyword.arg))
-                for index, arg in enumerate(node.args):
-                    if isinstance(arg, ast.Starred):
-                        starred.add(callee)
-                        break
-                    positions.add((callee, index))
+        for nodes in _scopes(tree):
+            aliases = _aliases(nodes)
+            for node in nodes:
+                if isinstance(node, ast.Dict):
+                    keys.update(k.value for k in node.keys
+                                    if isinstance(k, ast.Constant)
+                                    and isinstance(k.value, str))
+                if not isinstance(node, ast.Call):
+                    continue
+                for callee in _callee(node, owners, aliases):
+                    for keyword in node.keywords:
+                        if keyword.arg is None:
+                            starred.add(callee)
+                        keywords.add((callee, keyword.arg))
+                    for index, arg in enumerate(node.args):
+                        if isinstance(arg, ast.Starred):
+                            starred.add(callee)
+                            break
+                        positions.add((callee, index))
     return keywords, keys, positions, starred
 
 
@@ -507,6 +545,29 @@ def test_option_check_resolves_a_keyword_to_its_callee():
     assert "m.f(b)" in _unset(options, [ast.parse("other(b=2)")])
     assert "m.K.m(y)" in _unset(options, [ast.parse("k.other(y=2)")])
     assert "m.D(z)" in _unset(options, [ast.parse("K(z=2)")])
+
+
+def test_option_check_follows_a_local_alias():
+    # ``costmodel.epoch_cost``'s shape: the callee is bound to a local
+    # name, conditionally or not, and called through it.
+    options = _module_options("m", ast.parse(_OPTION_SOURCE))
+    aliased = ("def g(cond):\n"
+               "    fn = f if cond else k.m\n"
+               "    fn(0, b=2, y=2)\n"
+               "    kls = K\n"
+               "    kls(x=1)\n")
+    unset = _unset(options, [ast.parse(aliased)])
+    assert not {"m.f(b)", "m.K.m(y)", "m.K.__init__(x)"} & set(unset)
+    # Without the alias the same calls set nothing of ``f``, ``K.m`` or
+    # ``K``; nor does an alias bound in another function, or a call
+    # result (``variant = get_spmm(...)``).
+    for caller in ("def g():\n    fn(0, b=2, y=2)\n    kls(x=1)\n",
+                   "def h(cond):\n    fn = f if cond else k.m\n"
+                   "    kls = K\n"
+                   "def g():\n    fn(0, b=2, y=2)\n    kls(x=1)\n",
+                   "fn = make(f)\nfn(0, b=2)\n"):
+        assert {"m.f(b)", "m.K.m(y)", "m.K.__init__(x)"} <= set(
+            _unset(options, [ast.parse(caller)]))
 
 
 def test_option_check_reports_options_only_their_defaults_set():

@@ -26,14 +26,15 @@ import pytest
 import oracle
 from repro.cli import main
 from repro.comm import make_communicator
+from repro.comm.faults import FaultPlan
 from repro.core import DistTrainConfig, setup_distributed
 from repro.core.checkpoint import (CheckpointError, CheckpointManager,
                                    read_checkpoint, resolve_checkpoint)
 from repro.obs import TRACE
-from repro.serve import (AdmissionController, MicroBatcher, OverloadPolicy,
-                         RequestExpired, RequestRejected, ServeError,
-                         ServeOptions, ServingEngine, prepare_checkpoint,
-                         run_load, submit_with_retries)
+from repro.serve import (AdmissionController, MicroBatcher, RequestExpired,
+                         RequestRejected, ServeError, ServeOptions,
+                         ServingEngine, prepare_checkpoint, run_load,
+                         submit_with_retries)
 from repro.serve.batcher import SHUTDOWN
 from repro.serve.engine import ServeFuture, ServeResult
 from repro.serve.loadgen import verify_batched_identity
@@ -328,6 +329,36 @@ class TestServingEngine:
         finally:
             engine.close()
 
+    def test_health_and_stats_report_exactly_the_live_surface(
+            self, dataset, config):
+        health_keys = {"status", "live", "ready", "restarts",
+                       "max_restarts", "last_failure", "queue_depth"}
+        features = request_features(dataset, 1, seed=8)[0]
+        engine = make_engine(dataset, config)
+        try:
+            stats = engine.stats()
+            assert stats['serve_shed_total{reason="deadline"}'] == 0.0
+            assert not {"serve_pressure", "serve_degraded"} & set(stats)
+            assert [k for k in stats if k.startswith("serve_shed_total")] \
+                == ['serve_shed_total{reason="deadline"}']
+            health = engine.health()
+            assert set(health) == health_keys
+            assert (health["status"], health["ready"]) == ("ready", True)
+            engine.start()
+            engine.inject_faults(FaultPlan.kill(rank=0, op_index=0))
+            with pytest.raises(ServeError):
+                engine.submit(features).result(timeout=60.0)
+            health = engine.health()
+            assert set(health) == health_keys
+            assert (health["status"], health["ready"]) == ("failed", False)
+        finally:
+            engine.close()
+        engine = make_engine(dataset, config)
+        engine.close()
+        health = engine.health()
+        assert set(health) == health_keys
+        assert (health["status"], health["ready"]) == ("stopped", False)
+
     def test_per_tenant_accounting_splits_batch_volume_evenly(
             self, dataset, config):
         engine = make_engine(dataset, config,
@@ -594,6 +625,24 @@ class TestServeCommand:
         assert code == 2
         assert f"{option} must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [
+        ["--output", "OUT"], ["--qps", "5"], ["--duration", "1"],
+        ["--bench", "--requests", "2"], ["--bench", "--deadline-ms", "5"],
+        ["--bench", "--no-batch"],
+    ], ids=["output", "qps", "duration", "requests-with-bench",
+            "deadline-with-bench", "no-batch-with-bench"])
+    def test_flag_of_the_other_mode_exits_2(self, capsys, tmp_path,
+                                            monkeypatch, flag):
+        monkeypatch.chdir(tmp_path)
+        code = main(["serve", "--dataset", "reddit", "--scale", "0.05",
+                     "--ranks", "2", "--backend", "sim", "--hidden", "8",
+                     "--layers", "2", "--train-epochs", "1", "--quick",
+                     *flag])
+        assert code == 2
+        named = next(f for f in flag if f != "--bench")
+        assert f"error: {named} " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []     # no --output file
+
     def test_parser_defaults(self):
         from repro.cli import build_parser
         args = build_parser().parse_args(["serve"])
@@ -775,80 +824,6 @@ class TestRequestDeadlines:
         try:
             with pytest.raises(ValueError, match="deadline_ms"):
                 engine.submit(features, deadline_ms=value)
-        finally:
-            engine.close()
-
-
-# ----------------------------------------------------------------------
-# Overload policy: hysteresis, priority shedding, window shrinking
-# ----------------------------------------------------------------------
-class TestOverloadPolicy:
-    def test_hysteresis_enters_high_and_exits_low(self):
-        policy = OverloadPolicy(queue_limit=10)
-        for _ in range(30):
-            policy.observe(10)
-        assert policy.degraded and policy.pressure() > 0.9
-        policy.observe(8)                     # still above exit watermark
-        assert policy.degraded
-        for _ in range(30):
-            policy.observe(0)
-        assert not policy.degraded
-
-    def test_sheds_lowest_priority_first_never_the_top_tier(self):
-        policy = OverloadPolicy(queue_limit=10,
-                                tenant_priorities={"gold": 2, "free": 0})
-        assert policy.shed_cutoff() is None   # healthy: no shedding
-        for _ in range(30):
-            policy.observe(10)                # saturate: pressure -> 1.0
-        assert policy.should_shed("free")
-        assert not policy.should_shed("gold")
-        assert policy.shed_total == 1
-
-    def test_single_tier_degrades_through_the_window_only(self):
-        policy = OverloadPolicy(queue_limit=10)
-        for _ in range(30):
-            policy.observe(10)
-        assert policy.degraded
-        assert policy.shed_cutoff() is None   # nothing lower to sacrifice
-        assert not policy.should_shed("anyone")
-        assert policy.window_scale() < 1.0
-
-    def test_window_scale_is_one_when_healthy_and_floored_under_load(self):
-        policy = OverloadPolicy(queue_limit=10)
-        assert policy.window_scale() == 1.0
-        for _ in range(30):
-            policy.observe(10)
-        assert policy.window_scale() == OverloadPolicy.MIN_WINDOW_SCALE
-
-    def test_constants_keep_a_valid_weight_and_hysteresis(self):
-        # A zero weight never moves the average; an exit watermark at or
-        # above the enter one flaps the degraded state at the boundary.
-        assert 0.0 < OverloadPolicy.ALPHA <= 1.0
-        assert 0.0 < OverloadPolicy.EXIT_PRESSURE \
-            < OverloadPolicy.ENTER_PRESSURE <= 1.0
-        assert 0.0 < OverloadPolicy.MIN_WINDOW_SCALE <= 1.0
-
-    def test_engine_sheds_low_priority_under_pressure(self, dataset,
-                                                      config):
-        engine = make_engine(dataset, config, queue_depth=4,
-                             tenant_priorities={"gold": 1, "free": 0})
-        features = request_features(dataset, 1, seed=14)[0]
-        try:
-            # Simulate sustained pressure directly on the policy (the
-            # engine feeds it the live queue depth at every submit).
-            engine.overload.depth_ewma = 40.0
-            engine.overload.degraded = True
-            with pytest.raises(RequestRejected) as excinfo:
-                engine.submit(features, tenant="free")
-            assert excinfo.value.reason == "overload_shed"
-            assert excinfo.value.tenant == "free"
-            future = engine.submit(features, tenant="gold")
-            stats = engine.stats()
-            assert stats['serve_shed_total{reason="overload"}'] == 1.0
-            assert stats["serve_degraded"] == 1.0
-            assert engine.health()["status"] == "degraded"
-            engine.start()
-            assert future.result(timeout=60.0).tenant == "gold"
         finally:
             engine.close()
 
