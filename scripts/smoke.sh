@@ -30,11 +30,13 @@
 # comm.allreduce and comm.iallreduce.post slices, and no comm.*.post
 # slice may lie inside a blocking comm.<op> slice on the driver track),
 # an inference-serving leg (repro serve --bench --quick on the sim and
-# process backends: train a throwaway checkpoint, sweep the closed-loop
-# load generator batched vs --no-batch, and assert the emitted
+# process backends: train a throwaway checkpoint, sweep the load
+# generator batched vs --no-batch, and assert the emitted
 # BENCH_serve.json payload parses with batched output bit-identical to
 # sequential, per-request comm bytes equal to the weight-first schedule's
-# prediction and no SpMM workspace grown as wide as a request),
+# prediction, no SpMM workspace grown as wide as a request, every paced
+# row sending exactly round(offered_qps x duration_s) requests and no
+# row with a failed request or a non-finite late_ms_p99),
 # a kill-mid-serve leg (SIGKILL a process-backend worker mid-batch:
 # exactly the in-flight request fails with a structured retryable
 # ServeError, the engine restarts within its budget, and post-restart
@@ -266,7 +268,7 @@ PYEOF
       --backend "${backend}" --ranks 2 --duration 0.8 \
       --output "${serve_out}"
     SERVE_JSON="${serve_out}" python - <<"PYEOF"
-import json, os
+import json, math, os
 
 with open(os.environ["SERVE_JSON"]) as fh:
     record = json.load(fh)
@@ -276,6 +278,15 @@ payload = record["serve"]
 assert payload["identity"]["bit_identical"] is True, payload["identity"]
 modes = {row["mode"] for row in payload["rows"]}
 assert modes == {"batched", "no_batch"}, modes
+# A paced step is an open loop: it sends exactly its schedule, and no
+# fault-free request fails.
+duration = record["config"]["duration_s"]
+for row in payload["rows"]:
+    assert row["failed"] == 0, row
+    assert math.isfinite(row["late_ms_p99"]), row
+    if row["offered_qps"] is not None:
+        sent = row["completed"] + row["rejected"] + row["failed"]
+        assert sent == round(row["offered_qps"] * duration), (row, duration)
 assert payload["identity"]["batched_max_batch_size"] > 1, (
     "batching never coalesced", payload["identity"])
 # The serve path runs at the narrow width: a regression to the wide

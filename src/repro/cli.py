@@ -22,8 +22,7 @@ Python:
   (written by ``repro train/bench --trace``; see docs/observability.md),
 * ``repro serve``      — serve inference from a trained checkpoint with
   a warm compiled plan and dynamic micro-batching; ``--bench`` runs the
-  closed-loop offered-QPS sweep behind ``BENCH_serve.json``
-  (see docs/serving.md).
+  offered-QPS sweep behind ``BENCH_serve.json`` (see docs/serving.md).
 
 ``repro train``/``repro bench`` take ``--auto`` to run planner-chosen
 configurations; every simulated command takes ``--machine`` (defaulting
@@ -326,12 +325,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--tenants", type=int, default=2,
                          help="distinct tenants requests are spread over")
     p_serve.add_argument("--bench", action="store_true",
-                         help="closed-loop load sweep: offered QPS -> "
-                              "p50/p99 latency + achieved throughput, "
-                              "batched vs no-batch")
+                         help="load sweep: an open loop per offered QPS "
+                              "(timed from each request's due time) and a "
+                              "closed loop for saturation -> p50/p99 "
+                              "latency + achieved throughput, batched vs "
+                              "no-batch")
     p_serve.add_argument("--clients", type=int, default=8,
-                         help="--bench: concurrent closed-loop clients "
-                              "(also sizes the default --max-batch-width)")
+                         help="--bench: requests kept in flight by the "
+                              "unpaced (closed-loop) step (also sizes the "
+                              "default --max-batch-width)")
     p_serve.add_argument("--qps", type=float, nargs="+", default=None,
                          metavar="QPS",
                          help="--bench: offered-QPS steps (0 = unpaced, "

@@ -25,6 +25,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from ..partition.random_block import balanced_block_bounds
 from .nnzcols import BlockColumnInfo, split_block_row
 
 __all__ = ["BlockRowDistribution", "DistSparseMatrix", "DistDenseMatrix"]
@@ -46,11 +47,7 @@ class BlockRowDistribution:
     @classmethod
     def uniform(cls, n: int, nblocks: int) -> "BlockRowDistribution":
         """Equal-size blocks (sizes differ by at most one row)."""
-        base = n // nblocks
-        extra = n % nblocks
-        sizes = np.full(nblocks, base, dtype=np.int64)
-        sizes[:extra] += 1
-        return cls(sizes)
+        return cls(np.diff(balanced_block_bounds(n, nblocks)))
 
     @classmethod
     def from_partition(cls, part_sizes: Sequence[int]) -> "BlockRowDistribution":

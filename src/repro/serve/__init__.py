@@ -19,15 +19,14 @@ into a queue drain:
   split back per-request, bit-identical to sequential execution (the
   SpMM is column-separable — see
   :meth:`repro.core.dist_gcn.DistributedGCN.forward`);
-* :class:`~repro.serve.admission.AdmissionController` — bounded request
-  queue with structured rejection (:class:`~repro.serve.admission
-  .RequestRejected`) instead of unbounded latency collapse;
-* :mod:`~repro.serve.loadgen` — closed-loop load generator sweeping
-  offered QPS into p50/p99 latency + achieved throughput and the exact
-  per-request exchange volume (``repro serve --bench`` →
-  ``BENCH_serve.json``), plus
-  :func:`~repro.serve.loadgen.submit_with_retries` — the client-side
-  backoff+jitter retry loop for retryable serving failures.
+* a bounded request queue owned by the engine: a full queue rejects
+  with a structured :class:`~repro.serve.engine.RequestRejected`
+  instead of collapsing into unbounded latency;
+* :mod:`~repro.serve.loadgen` — a single-threaded load generator (an
+  open loop per offered QPS, timed from each request's due time, and a
+  closed loop for saturation) reporting p50/p99 latency, achieved
+  throughput and the exact per-request exchange volume
+  (``repro serve --bench`` → ``BENCH_serve.json``).
 
 The engine is **supervised**: a worker lost mid-batch fails only the
 in-flight batch (each member's future raises a structured, retryable
@@ -41,16 +40,14 @@ See ``docs/serving.md`` for the lifecycle, knobs, failure semantics and
 benchmark format.
 """
 
-from .admission import AdmissionController, RequestRejected
 from .batcher import MicroBatcher
-from .engine import (RequestExpired, ServeError, ServeOptions, ServeResult,
-                     ServingEngine)
+from .engine import (RequestExpired, RequestRejected, ServeError,
+                     ServeOptions, ServeResult, ServingEngine)
 from .loadgen import (LoadStep, prepare_checkpoint, run_load,
-                      run_serve_bench, serve_traffic, submit_with_retries,
+                      run_serve_bench, serve_traffic,
                       verify_batched_identity)
 
 __all__ = [
-    "AdmissionController",
     "LoadStep",
     "MicroBatcher",
     "RequestExpired",
@@ -63,6 +60,5 @@ __all__ = [
     "run_load",
     "run_serve_bench",
     "serve_traffic",
-    "submit_with_retries",
     "verify_batched_identity",
 ]

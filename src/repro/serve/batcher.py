@@ -12,10 +12,10 @@ The batcher is the serving thread's only source of work.  Its contract:
   opportunity.
 * A request that would overflow the column budget is **carried over**
   to lead the next batch, never dropped or reordered.
-* The shutdown sentinel (posted through
-  :meth:`~repro.serve.admission.AdmissionController.post_control`)
-  flushes the in-progress batch first; ``next_batch`` returns ``None``
-  only once everything admitted before shutdown has been handed out.
+* The shutdown sentinel (posted by
+  :meth:`~repro.serve.engine.ServingEngine.stop`) flushes the
+  in-progress batch first; ``next_batch`` returns ``None`` only once
+  everything admitted before shutdown has been handed out.
 * A request whose ``deadline`` (a ``monotonic()`` timestamp) has passed
   at dequeue time is **shed before any SpMM work**: it is handed to the
   ``on_expired`` callback instead of joining a batch, so an expired
@@ -44,7 +44,7 @@ class MicroBatcher:
     Parameters
     ----------
     source:
-        The ``queue.Queue`` the admission controller admits into.
+        The bounded ``queue.Queue`` the engine admits requests into.
     max_batch_width:
         Column budget of one coalesced batch.  A single request wider
         than the budget still forms its own batch (it can never wait

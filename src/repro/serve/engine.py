@@ -5,7 +5,7 @@ Threading model
 Every communicator backend is driver-thread driven (one driver call
 carries every rank's operand), so the engine gives the model and its
 communicator to **one dedicated serving thread** that drains the request
-queue; client threads only touch the bounded admission queue and their
+queue; client threads only touch the bounded request queue and their
 future.  That makes the engine safe to call from any number of threads
 without a single lock on the hot path.
 
@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import queue
 import threading
 from dataclasses import dataclass
 from time import monotonic, perf_counter
@@ -66,11 +67,10 @@ from ..comm.faults import WorkerFailure
 from ..core.checkpoint import config_fingerprint, resolve_checkpoint
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import TRACE
-from .admission import AdmissionController, RequestRejected
 from .batcher import SHUTDOWN, MicroBatcher
 
-__all__ = ["RequestExpired", "ServeError", "ServeOptions", "ServeResult",
-           "ServingEngine"]
+__all__ = ["RequestExpired", "RequestRejected", "ServeError", "ServeOptions",
+           "ServeResult", "ServingEngine"]
 
 #: Tracer track name for serving spans.
 SERVE_TRACK = "serve"
@@ -103,6 +103,27 @@ class ServeError(RuntimeError):
             f"{list(self.batch)}: {type(cause).__name__}: {cause} "
             f"({verdict})")
         self.__cause__ = cause
+
+
+class RequestRejected(RuntimeError):
+    """A request was refused admission.
+
+    Carries the structured fields a client needs to react — the
+    rejection ``reason`` (``"queue_full"``: the bounded queue is at its
+    limit), the queue ``depth`` and ``limit`` at rejection time, and the
+    ``tenant`` that was refused — in addition to the formatted message.
+    """
+
+    def __init__(self, reason: str, depth: int, limit: int,
+                 tenant: Optional[str] = None) -> None:
+        self.reason = reason
+        self.depth = depth
+        self.limit = limit
+        self.tenant = tenant
+        who = f" (tenant {tenant!r})" if tenant else ""
+        super().__init__(
+            f"request rejected{who}: {reason} — queue depth {depth} at "
+            f"limit {limit}; back off and retry")
 
 
 class RequestExpired(RuntimeError):
@@ -267,11 +288,10 @@ class ServingEngine:
             logits = future.result().logits
 
     ``submit`` is thread-safe and non-blocking: it either admits the
-    request into the bounded queue or raises
-    :class:`~repro.serve.admission.RequestRejected`.  Submissions made
-    while the drain thread is stopped stay queued and are served in one
-    coalesced batch at the next :meth:`start` — the deterministic way to
-    force a specific batch composition in tests.
+    request into the bounded queue or raises :class:`RequestRejected`.
+    Submissions made while the drain thread is stopped stay queued and
+    are served in one coalesced batch at the next :meth:`start` — the
+    deterministic way to force a specific batch composition in tests.
 
     ``rebuild`` (set automatically by :meth:`from_checkpoint`) is the
     recovery factory: a zero-argument callable returning a fresh
@@ -293,9 +313,13 @@ class ServingEngine:
         self.input_width = int(model.layer_dims[0])
         self.output_width = int(model.layer_dims[-1])
         self.metrics = MetricsRegistry()
-        self.admission = AdmissionController(self.options.queue_depth)
+        # Bounded: a full queue turns overload into a fast, structured
+        # rejection instead of unbounded latency.
+        self.queue: "queue.Queue" = queue.Queue(
+            maxsize=self.options.queue_depth)
+        self._accepted = 0
         self.batcher = MicroBatcher(
-            self.admission.queue,
+            self.queue,
             max_batch_width=max(self.options.max_batch_width,
                                 self.input_width),
             max_wait_s=self.options.max_wait_ms / 1000.0,
@@ -303,7 +327,7 @@ class ServingEngine:
             on_expired=self._expire_request)
         self._ids = itertools.count()
         self._thread: Optional[threading.Thread] = None
-        self._lock = threading.Lock()       # guards _closed vs submit/offer
+        self._lock = threading.Lock()       # guards _closed vs submit
         self._closed = False
         self._rebuild = rebuild
         # The recovery path reloads these exact arrays into the rebuilt
@@ -408,7 +432,8 @@ class ServingEngine:
         if thread is None:
             return
         self._stop_requested = True
-        self.admission.post_control(SHUTDOWN)
+        # Past the bound: the drain loop guarantees the put completes.
+        self.queue.put(SHUTDOWN)
         thread.join(STOP_GRACE_S)
         if thread.is_alive():
             # The serving thread is wedged mid-collective (dead or stuck
@@ -496,7 +521,7 @@ class ServingEngine:
             "restarts": self.restarts,
             "max_restarts": self.options.max_restarts,
             "last_failure": self._last_failure,
-            "queue_depth": self.admission.depth(),
+            "queue_depth": self.queue.qsize(),
         }
 
     # ------------------------------------------------------------------
@@ -536,18 +561,22 @@ class ServingEngine:
         features = np.ascontiguousarray(features, dtype=self.model.dtype)
         request = _ServeRequest(next(self._ids), str(tenant), features,
                                 deadline=deadline)
-        # The closed check and the queue offer share one critical section
+        # The closed check and the queue put share one critical section
         # with close(): a submit that passes the check is fully admitted
         # before close() flips the flag, so stop()'s drain serves it.
         with self._lock:
             if self._closed:
                 raise RuntimeError("serving engine is closed")
             try:
-                self.admission.offer(request, tenant=request.tenant)
-            except RequestRejected:
+                self.queue.put_nowait(request)
+            except queue.Full:
                 self.metrics.counter("serve_rejected_total", 1,
                                      tenant=request.tenant)
-                raise
+                raise RequestRejected(
+                    "queue_full", depth=self.queue.qsize(),
+                    limit=self.options.queue_depth,
+                    tenant=request.tenant) from None
+            self._accepted += 1
         return request.future
 
     # ------------------------------------------------------------------
@@ -634,7 +663,6 @@ class ServingEngine:
         non-retryable errors (nothing may hang on a dead engine)."""
         self._failed = True
         self._last_failure = f"{type(cause).__name__}: {cause}"
-        import queue as _queue
 
         def abort(item) -> None:
             item.future._fail(ServeError(
@@ -646,8 +674,8 @@ class ServingEngine:
             abort(carry)
         while True:
             try:
-                item = self.admission.queue.get_nowait()
-            except _queue.Empty:
+                item = self.queue.get_nowait()
+            except queue.Empty:
                 break
             if item is not SHUTDOWN:
                 abort(item)
@@ -655,7 +683,7 @@ class ServingEngine:
     def _execute(self, batch: List[_ServeRequest]) -> None:
         k = len(batch)
         width = sum(r.width for r in batch)
-        self.metrics.observe("serve_queue_depth", self.admission.depth())
+        self.metrics.observe("serve_queue_depth", self.queue.qsize())
         bytes0 = self.comm.events.total_bytes()
         msgs0 = self.comm.events.message_count()
         t0 = perf_counter()
@@ -714,8 +742,8 @@ class ServingEngine:
         warm-state counters (compiled plan, backend exchange-plan
         LRU, admission totals) and the resilience series (restart,
         batch-failure and shed counters)."""
-        self.metrics.gauge("serve_queue_limit", self.admission.queue_depth)
-        self.metrics.gauge("serve_accepted_total", self.admission.accepted)
+        self.metrics.gauge("serve_queue_limit", self.options.queue_depth)
+        self.metrics.gauge("serve_accepted_total", self._accepted)
         for key, value in self.model.plan_stats().items():
             self.metrics.gauge(f"serve_{key}", value)
         for key, value in self.comm.cache_stats().items():

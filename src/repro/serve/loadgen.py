@@ -1,12 +1,18 @@
-"""Closed-loop load generation + the ``BENCH_serve.json`` payload.
+"""Load generation + the ``BENCH_serve.json`` payload.
 
-The generator models ``clients`` concurrent closed-loop clients: each
-submits a request, waits for its result, then paces itself to its share
-of the aggregate offered QPS (an unpaced step — ``offered_qps=None`` —
-submits back-to-back, which is how the sweep finds saturation).
-Latency is measured submit-to-fulfil, queue wait included; percentiles
-use the same nearest-rank estimator as the metrics registry's
-histogram expansion (:func:`repro.obs.metrics.percentile`).
+:func:`run_load` drives the engine from the calling thread, two ways:
+
+* **open loop** (a paced step) — send on a fixed schedule whatever has
+  completed, so the queue can grow.  Each request is timed from when it
+  was *due*: ``latency = (send - due) + ServeResult.latency_s``, which
+  charges a stall to every request it delayed; how late the generator
+  itself ran is reported as ``late_ms_p99``.
+* **closed loop** (the unpaced step) — keep ``clients`` requests in
+  flight; the next one is sent only when one completes, so a slower
+  engine receives less load.  This finds saturation throughput.
+
+Latency percentiles use the same nearest-rank estimator as the metrics
+registry's histogram expansion (:func:`repro.obs.metrics.percentile`).
 
 :func:`run_serve_bench` assembles the whole benchmark: train-or-load a
 checkpoint, verify batched == sequential bit-identity, sweep offered
@@ -17,10 +23,9 @@ per-step p50/p99 + achieved throughput and the saturation speedup.
 from __future__ import annotations
 
 import dataclasses
-import random
-import threading
+from collections import deque
 from dataclasses import dataclass
-from time import monotonic, perf_counter, sleep
+from time import perf_counter, sleep
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -29,64 +34,18 @@ from ..core.analysis import predicted_bytes_per_forward
 from ..core.config import Algorithm
 from ..core.costmodel import inference_spmm_widths
 from ..obs.metrics import percentile
-from .admission import RequestRejected
-from .engine import (RequestExpired, ServeError, ServeOptions, ServeResult,
-                     ServingEngine)
+from .engine import (RequestExpired, RequestRejected, ServeError,
+                     ServeOptions, ServingEngine)
 
 __all__ = ["LoadStep", "prepare_checkpoint", "run_load", "run_serve_bench",
-           "serve_traffic", "submit_with_retries", "verify_batched_identity"]
+           "serve_traffic", "verify_batched_identity"]
 
-#: ceiling of one backoff sleep of :func:`submit_with_retries`, before
-#: jitter
-BACKOFF_CAP_S = 2.0
-#: tries :func:`run_load`'s clients make per request
-RETRY_ATTEMPTS = 3
 #: requests :func:`run_serve_bench` serves batched and one by one to
 #: verify they agree bit for bit
 VERIFY_REQUESTS = 6
-
-
-def submit_with_retries(engine: ServingEngine, features: np.ndarray,
-                        tenant: str = "default", *,
-                        attempts: int = 4,
-                        backoff_s: float = 0.05,
-                        timeout_s: float = 120.0,
-                        rng: Optional[random.Random] = None) -> ServeResult:
-    """Submit-and-wait with exponential backoff + jitter on retryables.
-
-    The client-side half of the serving failure contract: a
-    :class:`~repro.serve.engine.ServeError` marked ``retryable`` means
-    the engine is restarting behind the failure (supervised recovery),
-    so the right client move is to back off and resubmit — the delay
-    doubles up to ``BACKOFF_CAP_S`` per attempt, and each sleep is
-    jittered by a uniform factor in ``[0.5, 1.5)`` so a fleet of
-    retrying clients does not stampede the freshly rebuilt engine.
-
-    Non-retryable failures (recovery exhausted, expired deadline),
-    result-wait timeouts and
-    :class:`~repro.serve.admission.RequestRejected` propagate
-    immediately; after ``attempts`` tries the last retryable error is
-    re-raised.  ``rng`` pins the jitter for deterministic tests.
-    """
-    if attempts < 1:
-        raise ValueError(f"attempts must be >= 1, got {attempts}")
-    if rng is None:
-        rng = random.Random()
-    delay = float(backoff_s)
-    last: Optional[BaseException] = None
-    for attempt in range(int(attempts)):
-        if attempt:
-            sleep(min(BACKOFF_CAP_S, delay) * (0.5 + rng.random()))
-            delay *= 2.0
-        future = engine.submit(features, tenant=tenant)
-        try:
-            return future.result(timeout=timeout_s)
-        except ServeError as exc:
-            if not exc.retryable:
-                raise
-            last = exc
-    assert last is not None
-    raise last
+#: Bound on any single result wait, so a wedged engine fails the run
+#: instead of hanging it.
+RESULT_TIMEOUT_S = 120.0
 
 
 @dataclass
@@ -101,10 +60,12 @@ class LoadStep:
     p50_ms: float
     p99_ms: float
     mean_ms: float
-    #: Requests that exhausted their serving-side retries (failed batch
-    #: with recovery unavailable, or expired deadline).  Zero on every
-    #: fault-free run.
-    failed: int = 0
+    #: Requests that failed serving (a failed batch, an expired
+    #: deadline, or no result within ``RESULT_TIMEOUT_S``); counted, not
+    #: retried.  Zero on every fault-free run.
+    failed: int
+    #: How late the generator sent, at p99 (0 for the closed loop).
+    late_ms_p99: float
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -115,89 +76,91 @@ def run_load(engine: ServingEngine,
              offered_qps: Optional[float], duration_s: float,
              clients: int = 8,
              tenants: Sequence[str] = ("default",)) -> LoadStep:
-    """Drive ``engine`` with closed-loop clients for ``duration_s``.
+    """Drive ``engine`` from this thread for ``duration_s``.
+
+    With ``offered_qps`` set, an open loop sends
+    ``round(offered_qps * duration_s)`` requests, the i-th due at
+    ``i / offered_qps`` seconds; with ``offered_qps=None``, a closed loop
+    keeps ``clients`` requests in flight until ``duration_s`` has passed.
+    Either way the step ends once every request sent has completed.
 
     ``make_features(i)`` supplies the i-th request's feature matrix
     (deterministic factories keep benchmark runs reproducible).  Tenants
     are assigned round-robin across requests.  The engine must already
     be started.
-
-    Clients ride :func:`submit_with_retries` (``RETRY_ATTEMPTS`` tries
-    with backoff+jitter), so a supervised engine restart mid-run costs
-    latency, not correctness; requests that still fail — recovery
-    exhausted, or an expired deadline (``ServeOptions.
-    default_deadline_ms``) — land in ``failed``.
-    A retried request's latency covers every attempt, backoff included:
-    that *is* the latency the client experienced.
     """
     if clients < 1:
         raise ValueError(f"clients must be >= 1, got {clients}")
     if duration_s <= 0:
         raise ValueError(f"duration_s must be positive, got {duration_s}")
-    period = None if offered_qps is None else clients / float(offered_qps)
+    inflight: deque = deque()               # (late_s, future), send order
     latencies: List[float] = []
-    rejected = [0]
-    failed = [0]
-    lock = threading.Lock()
-    t_start = monotonic()
-    t_end = t_start + duration_s
+    late: List[float] = []
+    rejected = failed = 0
 
-    def client(c: int) -> None:
+    def send(i: int, late_s: float) -> None:
+        nonlocal rejected
+        late.append(late_s)
+        try:
+            future = engine.submit(make_features(i),
+                                   tenant=tenants[i % len(tenants)])
+        except RequestRejected:
+            rejected += 1
+            return
+        inflight.append((late_s, future))
+
+    def harvest(block: bool) -> bool:
+        """Collect the oldest in-flight request; False if none was ready."""
+        nonlocal failed
+        if not inflight or not (block or inflight[0][1].done()):
+            return False
+        late_s, future = inflight.popleft()
+        try:
+            result = future.result(timeout=RESULT_TIMEOUT_S)
+            latencies.append(late_s + result.latency_s)
+        except (ServeError, RequestExpired, TimeoutError):
+            failed += 1
+        return True
+
+    t0 = perf_counter()
+    if offered_qps is None:
         i = 0
-        local: List[float] = []
-        local_rejected = 0
-        local_failed = 0
-        jitter_rng = random.Random(c)
-        while True:
-            if period is not None:
-                target = t_start + (c / clients + i) * period
-                wait = target - monotonic()
-                if wait > 0:
-                    sleep(wait)
-            if monotonic() >= t_end:
-                break
-            seq = c + i * clients
-            features = make_features(seq)
-            tenant = tenants[seq % len(tenants)]
-            t0 = perf_counter()
-            try:
-                submit_with_retries(engine, features, tenant=tenant,
-                                    attempts=RETRY_ATTEMPTS,
-                                    timeout_s=duration_s + 60.0,
-                                    rng=jitter_rng)
-            except RequestRejected:
-                local_rejected += 1
+        while perf_counter() - t0 < duration_s:
+            for _ in range(clients - len(inflight)):
+                send(i, 0.0)
                 i += 1
-                continue
-            except (ServeError, RequestExpired):
-                local_failed += 1
-                i += 1
-                continue
-            local.append(perf_counter() - t0)
-            i += 1
-        with lock:
-            latencies.extend(local)
-            rejected[0] += local_rejected
-            failed[0] += local_failed
-
-    threads = [threading.Thread(target=client, args=(c,), daemon=True)
-               for c in range(clients)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    elapsed = monotonic() - t_start
+            if not harvest(block=True):
+                sleep(0.001)                # every request was rejected
+            while harvest(block=False):
+                pass
+    else:
+        period = 1.0 / offered_qps
+        for i in range(round(offered_qps * duration_s)):
+            due = t0 + i * period
+            # One sleep per request: every wake-up contends with the
+            # serving thread for the interpreter lock, so polling would
+            # slow the engine being measured.
+            ahead = due - perf_counter()
+            if ahead > 0:
+                sleep(ahead)
+            send(i, max(0.0, perf_counter() - due))
+            while harvest(block=False):
+                pass
+    while harvest(block=True):
+        pass
+    elapsed = perf_counter() - t0
     return LoadStep(
         offered_qps=offered_qps,
-        achieved_qps=len(latencies) / elapsed if elapsed > 0 else 0.0,
+        achieved_qps=len(latencies) / elapsed,
         completed=len(latencies),
-        rejected=rejected[0],
+        rejected=rejected,
         duration_s=elapsed,
-        p50_ms=percentile(latencies, 0.50) * 1e3 if latencies else float("nan"),
-        p99_ms=percentile(latencies, 0.99) * 1e3 if latencies else float("nan"),
+        p50_ms=percentile(latencies, 0.50) * 1e3,
+        p99_ms=percentile(latencies, 0.99) * 1e3,
         mean_ms=(sum(latencies) / len(latencies)) * 1e3
         if latencies else float("nan"),
-        failed=failed[0],
+        failed=failed,
+        late_ms_p99=percentile(late, 0.99) * 1e3,
     )
 
 
@@ -215,16 +178,12 @@ def verify_batched_identity(engine: ServingEngine,
     was_running = engine.running
     if not was_running:
         engine.start()
-    # Bounded waits + retry on transient failures: an engine restart
-    # mid-verification re-serves the request instead of sinking the
-    # whole identity check behind an unbounded wait.
-    sequential = [submit_with_retries(engine, f, timeout_s=120.0,
-                                      rng=random.Random(0))
+    sequential = [engine.submit(f).result(timeout=RESULT_TIMEOUT_S)
                   for f in features_list]
     engine.stop()
     futures = [engine.submit(f) for f in features_list]
     engine.start()
-    batched = [future.result(timeout=120.0) for future in futures]
+    batched = [future.result(timeout=RESULT_TIMEOUT_S) for future in futures]
     if not was_running:
         engine.stop()
     identical = all(
@@ -305,7 +264,7 @@ def prepare_checkpoint(dataset, config, path, epochs: int = 3) -> str:
     return str(path)
 
 
-def _feature_factory(n: int, width: int, dtype,
+def _feature_factory(dataset, dtype,
                      seed: int) -> Callable[[int], np.ndarray]:
     """Deterministic per-request feature matrices from one base seed.
 
@@ -315,8 +274,9 @@ def _feature_factory(n: int, width: int, dtype,
     generator* the bottleneck at high offered QPS.
     """
     rng = np.random.default_rng(seed)
-    pool = [np.ascontiguousarray(rng.standard_normal((n, width)),
-                                 dtype=dtype) for _ in range(16)]
+    shape = (dataset.n_vertices, dataset.n_features)
+    pool = [np.ascontiguousarray(rng.standard_normal(shape), dtype=dtype)
+            for _ in range(16)]
     return lambda i: pool[i % len(pool)]
 
 
@@ -335,48 +295,37 @@ def run_serve_bench(dataset, config, checkpoint, *,
     ``BENCH_serve.json``).
     """
     results: dict = {"backend": config.backend, "rows": []}
-    n = dataset.n_vertices
-    width = dataset.n_features
-
-    def build_engine(batching: bool) -> ServingEngine:
+    saturation = {}
+    for mode, batching in (("batched", True), ("no_batch", False)):
         options = ServeOptions(
             max_batch_width=max_batch_width,
             max_wait_ms=max_wait_ms,
             queue_depth=queue_depth,
             batching=batching,
             max_restarts=max_restarts)
-        return ServingEngine.from_checkpoint(dataset, config, checkpoint,
-                                             options=options)
-
-    saturation = {}
-    for mode, batching in (("batched", True), ("no_batch", False)):
-        engine = build_engine(batching)
+        engine = ServingEngine.from_checkpoint(dataset, config, checkpoint,
+                                               options=options)
         try:
             engine.start()
+            dtype = engine.model.dtype
             if batching:
-                verify_features = [
-                    _feature_factory(n, width, engine.model.dtype,
-                                     seed + 1)(i)
-                    for i in range(VERIFY_REQUESTS)]
+                verify = _feature_factory(dataset, dtype, seed + 1)
                 results["identity"] = verify_batched_identity(
-                    engine, verify_features)
-            make_features = _feature_factory(n, width, engine.model.dtype,
-                                             seed)
-            best = 0.0
-            for qps in qps_steps:
-                step = run_load(engine, make_features, qps, duration_s,
-                                clients=clients, tenants=tenants)
-                row = step.as_dict()
-                row["mode"] = mode
-                results["rows"].append(row)
-                best = max(best, step.achieved_qps)
-            saturation[mode] = best
+                    engine, [verify(i) for i in range(VERIFY_REQUESTS)])
+            make_features = _feature_factory(dataset, dtype, seed)
+            steps = [run_load(engine, make_features, qps, duration_s,
+                              clients=clients, tenants=tenants)
+                     for qps in qps_steps]
+            results["rows"] += [{**step.as_dict(), "mode": mode}
+                                for step in steps]
+            saturation[mode] = max(step.achieved_qps for step in steps)
             if batching:
+                stats = engine.stats()
                 results["serve_stats"] = {
-                    k: v for k, v in engine.stats().items()
+                    k: v for k, v in stats.items()
                     if not k.startswith("tenant_")}
                 results["tenant_stats"] = {
-                    k: v for k, v in engine.stats().items()
+                    k: v for k, v in stats.items()
                     if k.startswith("tenant_")}
                 results["health"] = engine.health()
                 results["traffic"] = serve_traffic(engine)
@@ -384,9 +333,9 @@ def run_serve_bench(dataset, config, checkpoint, *,
             engine.close()
 
     results["saturation"] = {
-        "batched_qps": saturation.get("batched", 0.0),
-        "no_batch_qps": saturation.get("no_batch", 0.0),
+        "batched_qps": saturation["batched"],
+        "no_batch_qps": saturation["no_batch"],
         "speedup": (saturation["batched"] / saturation["no_batch"]
-                    if saturation.get("no_batch") else float("nan")),
+                    if saturation["no_batch"] else float("nan")),
     }
     return results

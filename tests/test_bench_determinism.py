@@ -124,6 +124,26 @@ class TestBaselineRecorderContract:
         for key in ("epoch_time_s", "comm_total_MB_per_epoch", "final_loss"):
             assert rows[0][key] == pytest.approx(recorded[0][key], rel=1e-12)
 
+    def test_protein_p4_rows_reproducible(self, payload):
+        """Every scheme of the protein p = 4 cell re-runs to its recorded
+        sim clock, ``time_*`` breakdown and ``comm_*`` volumes exactly."""
+        cfg = payload["config"]
+        rows = figure3_1d_scaling(datasets=("protein",), p_values=(4,),
+                                  scale=cfg["scale"], epochs=cfg["epochs"],
+                                  backend="sim", seed=cfg["seed"])
+        recorded = {r["scheme"]: r for r in payload["rows"]
+                    if r["dataset"] == "protein" and r["p"] == 4}
+        assert sorted(recorded) == sorted(r["scheme"] for r in rows)
+        for row in rows:
+            want = recorded[row["scheme"]]
+            exact = [k for k in want if k == "epoch_time_s"
+                     or k.startswith(("time_", "comm_"))]
+            assert {k: row[k] for k in exact} == {k: want[k] for k in exact}
+            assert sorted(k for k in row if k.startswith("time_")) \
+                == sorted(k for k in want if k.startswith("time_"))
+            assert row["final_loss"] == pytest.approx(want["final_loss"],
+                                                      rel=1e-12)
+
 
 #: One cheap row (or a few) per section of ``BENCH_paper.json``, through
 #: the entry point or recorder function that recorded it.

@@ -5,6 +5,8 @@
   is bitwise the trainer's, for every partitioner and for none.
 * A relabelling keeps every vertex's row at its new position.
 * A supplied partition without a partitioner is an error, not ignored.
+* The ``block`` partitioner and the no-partitioner layout share one
+  equal-blocks rule.
 * No sixth copy: ``permutation_from_parts`` / ``symmetric_permutation``
   are called in ``src/repro`` only from ``core/distribute.py``.
 """
@@ -93,6 +95,17 @@ class TestDistribute:
         matrix, perm, part = distribute(ds.adjacency, None, 3)
         assert perm is None and part is None
         assert matrix.dist.block_sizes.sum() == ds.n_vertices
+
+    @pytest.mark.parametrize("nblocks", [3, 4, 7])
+    def test_block_partitioner_and_natural_blocks_share_sizes(self,
+                                                              nblocks):
+        """One equal-blocks rule: the ``block`` partitioner's parts are
+        the no-partitioner layout's blocks."""
+        ds = load_dataset("reddit", scale=0.05, seed=0)
+        natural, _, _ = distribute(ds.adjacency, None, nblocks)
+        blocked, _, _ = distribute(ds.adjacency, "block", nblocks)
+        assert np.array_equal(blocked.dist.block_sizes,
+                              natural.dist.block_sizes)
 
     def test_supplied_partition_needs_a_partitioner(self):
         """A partition with ``partitioner=None`` is an error, in

@@ -96,8 +96,6 @@ ALLOWED_OPTIONS = {
         "test seam: the chaos suites inject faults through it",
     "repro.comm.process.ProcessPoolCommunicator.__init__(start_method)":
         "test seam: the protocol golden runs fork and spawn",
-    "repro.serve.loadgen.submit_with_retries(backoff_s)":
-        "test seam: retry tests shorten the backoff",
     "repro.obs.export.metrics_from_spans(tracer)":
         "test seam: a private tracer instead of the global one",
     "repro.obs.export.save_trace(tracer)":

@@ -1,4 +1,5 @@
-"""Inference serving: micro-batching, admission, identity, accounting.
+"""Inference serving: micro-batching, admission, identity, accounting,
+load generation.
 
 The load-bearing guarantee — and the reason batching is safe to enable
 by default — is **bit-identity**: a coalesced batch of k requests must
@@ -19,6 +20,7 @@ import json
 import math
 import pathlib
 import queue
+import time
 
 import numpy as np
 import pytest
@@ -31,10 +33,9 @@ from repro.core import DistTrainConfig, setup_distributed
 from repro.core.checkpoint import (CheckpointError, CheckpointManager,
                                    read_checkpoint, resolve_checkpoint)
 from repro.obs import TRACE
-from repro.serve import (AdmissionController, MicroBatcher, RequestExpired,
-                         RequestRejected, ServeError, ServeOptions,
-                         ServingEngine, prepare_checkpoint, run_load,
-                         submit_with_retries)
+from repro.serve import (MicroBatcher, RequestExpired, RequestRejected,
+                         ServeError, ServeOptions, ServingEngine,
+                         prepare_checkpoint, run_load)
 from repro.serve.batcher import SHUTDOWN
 from repro.serve.engine import ServeFuture, ServeResult
 from repro.serve.loadgen import verify_batched_identity
@@ -178,26 +179,46 @@ class TestMicroBatcher:
 
 
 # ----------------------------------------------------------------------
-# Admission control
+# Admission: the engine's bounded queue
 # ----------------------------------------------------------------------
 class TestAdmission:
-    def test_bounded_queue_rejects_with_structured_fields(self):
-        ctl = AdmissionController(queue_depth=2)
-        ctl.offer("a")
-        ctl.offer("b", tenant="acme")
-        with pytest.raises(RequestRejected) as excinfo:
-            ctl.offer("c", tenant="acme")
-        exc = excinfo.value
-        assert exc.reason == "queue_full"
-        assert exc.limit == 2
-        assert exc.depth == 2
-        assert exc.tenant == "acme"
-        assert "back off" in str(exc)
-        assert ctl.accepted == 2 and ctl.rejected == 1
+    def test_full_queue_rejects_with_structured_fields(self, dataset,
+                                                       config):
+        engine = make_engine(dataset, config, queue_depth=2)
+        features = request_features(dataset, 3, seed=2)
+        try:
+            engine.submit(features[0])
+            engine.submit(features[1], tenant="acme")
+            with pytest.raises(RequestRejected) as excinfo:
+                engine.submit(features[2], tenant="acme")
+            exc = excinfo.value
+            assert exc.reason == "queue_full"
+            assert exc.limit == 2
+            assert exc.depth == 2
+            assert exc.tenant == "acme"
+            assert "back off" in str(exc)
+            stats = engine.stats()
+            assert stats["serve_accepted_total"] == 2
+            assert stats['serve_rejected_total{tenant="acme"}'] == 1.0
+            assert stats["serve_queue_limit"] == 2
+            assert engine.health()["queue_depth"] == 2
+        finally:
+            engine.close()
+
+    def test_accepted_total_counts_every_admission(self, dataset, config):
+        engine = make_engine(dataset, config)
+        try:
+            assert engine.stats()["serve_accepted_total"] == 0
+            with engine:
+                for features in request_features(dataset, 3, seed=3):
+                    engine.submit(features).result(timeout=120.0)
+                assert engine.stats()["serve_accepted_total"] == 3
+        finally:
+            engine.close()
 
     def test_rejects_nonpositive_depth(self):
-        with pytest.raises(ValueError):
-            AdmissionController(queue_depth=0)
+        with pytest.raises(ValueError, match="queue_depth"):
+            ServeOptions(queue_depth=0)
 
 
 # ----------------------------------------------------------------------
@@ -470,6 +491,93 @@ class TestServingEngine:
         assert step.completed > 0
         assert step.achieved_qps > 0.0
         assert step.p99_ms >= step.p50_ms > 0.0
+
+
+# ----------------------------------------------------------------------
+# run_load: one thread, an open loop per offered QPS, a closed loop for
+# saturation
+# ----------------------------------------------------------------------
+class _StubFuture:
+    def __init__(self, engine):
+        self.engine = engine
+
+    def done(self):
+        return True
+
+    def result(self, timeout=None):
+        self.engine.outstanding -= 1
+        return ServeResult(logits=None, request_id=0, tenant="default",
+                           latency_s=0.0, batch_size=1, batch_width=1)
+
+
+class _StubEngine:
+    """Serves every request in zero time, counting the requests the load
+    generator holds (submitted, result not yet collected); the first
+    submit sleeps ``stall_s``."""
+
+    def __init__(self, stall_s=0.0):
+        self.stall_s = stall_s
+        self.outstanding = 0
+        self.max_outstanding = 0
+        self.sent = []                  # (features, tenant) per submit
+
+    def submit(self, features, tenant="default"):
+        if not self.sent:
+            time.sleep(self.stall_s)
+        self.sent.append((features, tenant))
+        self.outstanding += 1
+        self.max_outstanding = max(self.max_outstanding, self.outstanding)
+        return _StubFuture(self)
+
+
+class TestRunLoad:
+    def test_open_loop_charges_a_stall_to_every_request_it_delayed(self):
+        qps, duration, stall = 100.0, 0.5, 0.2
+        period = 1.0 / qps
+        engine = _StubEngine(stall_s=stall)
+        step = run_load(engine, lambda i: i, qps, duration)
+        assert step.completed == round(qps * duration) == len(engine.sent)
+        assert step.rejected == step.failed == 0
+        # Request i is due at i * period; request 0's submit stalls, so
+        # each one due before the stall ended is sent at least
+        # ``stall - i * period`` late, and (served in zero time) reports
+        # at least that latency.
+        delayed = [stall - i * period
+                   for i in range(1, round(stall / period))]
+        assert step.mean_ms * step.completed >= sum(delayed) * 1e3
+        assert step.p99_ms >= delayed[0] * 1e3
+        assert step.late_ms_p99 >= delayed[0] * 1e3
+
+    def test_open_loop_sends_exactly_its_schedule(self):
+        engine = _StubEngine()
+        step = run_load(engine, lambda i: i, 200.0, 0.1,
+                        tenants=("t0", "t1"))
+        assert [f for f, _ in engine.sent] == list(range(20))
+        assert [t for _, t in engine.sent] == ["t0", "t1"] * 10
+        assert step.completed == 20 and step.late_ms_p99 < 100.0
+
+    @pytest.mark.parametrize("clients", [1, 3])
+    def test_closed_loop_never_exceeds_its_clients(self, clients):
+        engine = _StubEngine()
+        step = run_load(engine, lambda i: i, None, 0.05, clients=clients)
+        assert engine.max_outstanding == clients
+        assert engine.outstanding == 0          # drained at the end
+        assert step.completed == len(engine.sent) > clients
+        assert step.late_ms_p99 == 0.0
+
+    def test_rejected_and_failed_requests_are_counted(self):
+        class Refusing(_StubEngine):
+            def submit(self, features, tenant="default"):
+                if features % 2:
+                    raise RequestRejected("queue_full", depth=1, limit=1)
+                future = ServeFuture()
+                future._fail(ServeError(features, (features,),
+                                        RuntimeError("lost")))
+                return future
+
+        step = run_load(Refusing(), lambda i: i, 100.0, 0.1)
+        assert (step.completed, step.rejected, step.failed) == (0, 5, 5)
+        assert math.isnan(step.p50_ms)
 
 
 # ----------------------------------------------------------------------
@@ -826,71 +934,3 @@ class TestRequestDeadlines:
                 engine.submit(features, deadline_ms=value)
         finally:
             engine.close()
-
-
-# ----------------------------------------------------------------------
-# Client-side retry helper (backoff + jitter)
-# ----------------------------------------------------------------------
-class _ScriptedEngine:
-    """A fake engine whose submit() resolves from a script of outcomes:
-    "ok", "retryable", "fatal", "rejected"."""
-
-    def __init__(self, script):
-        self.script = list(script)
-        self.calls = 0
-
-    def submit(self, features, tenant="default", deadline_ms=None):
-        outcome = self.script[min(self.calls, len(self.script) - 1)]
-        self.calls += 1
-        future = ServeFuture()
-        if outcome == "rejected":
-            raise RequestRejected("queue_full", depth=1, limit=1,
-                                  tenant=tenant)
-        if outcome == "ok":
-            future._fulfill(ServeResult(
-                logits=np.ones((2, 2)), request_id=self.calls,
-                tenant=tenant, latency_s=0.0, batch_size=1, batch_width=2))
-        elif outcome == "retryable":
-            future._fail(ServeError(self.calls, (self.calls,),
-                                    RuntimeError("transient"),
-                                    retryable=True))
-        else:
-            future._fail(ServeError(self.calls, (self.calls,),
-                                    RuntimeError("permanent"),
-                                    retryable=False))
-        return future
-
-
-class TestSubmitWithRetries:
-    def test_retries_transient_failures_until_success(self):
-        import random as _random
-        engine = _ScriptedEngine(["retryable", "retryable", "ok"])
-        result = submit_with_retries(engine, None, attempts=4,
-                                     backoff_s=0.001,
-                                     rng=_random.Random(0))
-        assert result.request_id == 3
-        assert engine.calls == 3
-
-    def test_exhausted_attempts_reraise_the_last_error(self):
-        import random as _random
-        engine = _ScriptedEngine(["retryable"])
-        with pytest.raises(ServeError, match="transient"):
-            submit_with_retries(engine, None, attempts=3, backoff_s=0.001,
-                                rng=_random.Random(0))
-        assert engine.calls == 3
-
-    def test_non_retryable_failure_propagates_immediately(self):
-        engine = _ScriptedEngine(["fatal"])
-        with pytest.raises(ServeError, match="permanent"):
-            submit_with_retries(engine, None, attempts=5, backoff_s=0.001)
-        assert engine.calls == 1
-
-    def test_rejection_propagates_immediately(self):
-        engine = _ScriptedEngine(["rejected", "ok"])
-        with pytest.raises(RequestRejected):
-            submit_with_retries(engine, None, attempts=3, backoff_s=0.001)
-        assert engine.calls == 1
-
-    def test_validates_attempts(self):
-        with pytest.raises(ValueError, match="attempts"):
-            submit_with_retries(_ScriptedEngine(["ok"]), None, attempts=0)

@@ -30,7 +30,7 @@ from repro.comm.faults import FaultPlan, WatchdogTimeout, WorkerFailure
 from repro.core import DistTrainConfig, setup_distributed
 from repro.obs import TRACE
 from repro.serve import (ServeError, ServeOptions, ServingEngine,
-                         prepare_checkpoint, submit_with_retries)
+                         prepare_checkpoint)
 
 pytestmark = pytest.mark.conformance
 
@@ -144,8 +144,8 @@ class TestKillMidBatch:
             assert stats["serve_batch_failures_total"] == 1.0
             assert _shm_segments(old_comm) == [], "dead comm leaked shm"
 
-            # A retried request against the recovered engine succeeds.
-            out_retry = submit_with_retries(engine, feats, timeout_s=120.0)
+            # A resubmitted request against the recovered engine succeeds.
+            out_retry = engine.submit(feats).result(timeout=120.0)
             assert np.array_equal(out_retry.logits, ref)
         finally:
             new_comm = engine.comm
